@@ -157,9 +157,7 @@ def _cmd_check(args, argv) -> int:
                        f"single-valued on {len(combination.table)} argument pairs"))
         chain = chain_consistency(structure, combination)
         checks.append(("chain-consistency", chain.status, chain.detail))
-    neg_identity = bel_level_negation(
-        structure, negation if not isinstance(negation, NegationConflict) else None
-    )
+    neg_identity = bel_level_negation(structure, negation)
     checks.append(("negation-involution", neg_identity.status, neg_identity.detail))
 
     gap = par5_gap(structure)

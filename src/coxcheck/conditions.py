@@ -10,15 +10,25 @@ instances whose four table entries come from different chains.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, ONE, BeliefStructure, ChainQuadruple, Event
+from .core import (
+    EXHAUSTIVE_CHAIN_ATOM_LIMIT,
+    ZERO,
+    ONE,
+    BeliefDomainError,
+    BeliefStructure,
+    ChainQuadruple,
+    Event,
+)
 from .forms import (
     CombinationConflict,
     CombinationForm,
+    FormError,
     NegationConflict,
     Verdict,
     check_monotonicity,
@@ -87,14 +97,16 @@ def par5_gap(structure: BeliefStructure, kind: str = "conditional") -> Fraction:
     values = structure.attained(kind)
 
     def dist(alpha: Fraction) -> Fraction:
-        return min(abs(alpha - v) for v in values)
+        i = bisect.bisect_left(values, alpha)
+        return min(abs(alpha - v) for v in values[max(i - 1, 0):i + 1])
 
-    candidates = [e, big_e]
-    for v1, v2 in zip(values, values[1:]):
-        mid = (v1 + v2) / 2
-        if e < mid < big_e:
-            candidates.append(mid)
-    return max(dist(c) for c in candidates)
+    # the midpoint of adjacent values is (v2 - v1)/2 from its nearest value
+    half_spacing = max(
+        ((v2 - v1) / 2 for v1, v2 in zip(values, values[1:])
+         if e < (v1 + v2) / 2 < big_e),
+        default=ZERO,
+    )
+    return max(dist(e), dist(big_e), half_spacing)
 
 
 @dataclass(frozen=True)
@@ -154,14 +166,14 @@ def par5_triples(
 ) -> TripleSearchResult:
     """Search for one nested chain ε-approximating all three targets at once.
 
-    Exhaustive over chains() for domains of at most 5 atoms.  Above that the
-    search is deterministic-greedy (prefix chains with sizes proportional to
-    the targets) followed by seeded random sampling, with the candidate count
-    recorded.
+    Exhaustive over chains() up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.  Above
+    that the search is deterministic-greedy (prefix chains with sizes
+    proportional to the targets) followed by seeded random sampling, with the
+    candidate count recorded.
     """
     targets = probe.rescaled(structure.bounds)
     eps = probe.epsilon
-    if structure.domain.size <= 5:
+    if structure.domain.size <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
         best = None
         best_dev = None
         tried = 0
@@ -745,7 +757,7 @@ def _audit_t3(structure, extension) -> AuditReport:
     hypotheses.append(_verdict_of(bounds.par2, "par2-endpoints"))
     try:
         hypotheses.extend(_par34_verdicts(extension.extended))
-    except Exception as exc:  # extension too large to enumerate
+    except (BeliefDomainError, FormError) as exc:  # too large to enumerate
         hypotheses.append(HypothesisVerdict("par3-negation-decreasing", "untestable", str(exc)))
         hypotheses.append(HypothesisVerdict("par4-combination-strict-increase", "untestable", str(exc)))
         hypotheses.append(HypothesisVerdict("par4-combination-continuity", "untestable", str(exc)))

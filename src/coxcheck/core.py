@@ -11,8 +11,6 @@ well-definedness checks downstream, and float equality would be unsound.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -23,7 +21,8 @@ ONE = Fraction(1)
 #: Largest domain for which full canonical-pair/triple enumeration is allowed.
 ENUMERATION_ATOM_LIMIT = 12
 
-#: Chain enumeration is exhaustive up to this many atoms, sampled above.
+#: Largest domain whose nested chains are enumerated exhaustively; density
+#: probes sample chains above it.
 EXHAUSTIVE_CHAIN_ATOM_LIMIT = 5
 
 
@@ -155,6 +154,17 @@ class ChainQuadruple:
     u_c: Fraction
 
 
+def measure_of(weights: Sequence[Fraction], mask: int) -> Fraction:
+    """Sum of the atom weights selected by an event mask."""
+    total = ZERO
+    m = mask
+    while m:
+        low = m & -m
+        total += weights[low.bit_length() - 1]
+        m ^= low
+    return total
+
+
 def _submasks_desc(mask: int) -> Iterator[int]:
     """All submasks of `mask`, descending, ending with 0."""
     sub = mask
@@ -238,8 +248,8 @@ class BeliefStructure:
         ]
         if missing:
             raise BeliefDomainError(
-                f"belief table incomplete: {len(missing)} missing pairs, "
-                f"first {self._pair_repr(*missing[0])}"
+                f"incomplete table: {len(missing)} missing pairs, "
+                f"first Bel{self._pair_repr(*missing[0])}"
             )
         for (v, u), value in self._table.items():
             if u == 0:
@@ -286,13 +296,7 @@ class BeliefStructure:
             raise BeliefDomainError("measure() requires a weight backing")
         if mask & (mask + 1) == 0:  # prefix mask 0b0..01..1
             return self._prefix[mask.bit_length()]
-        total = ZERO
-        m = mask
-        while m:
-            low = m & -m
-            total += self._weights[low.bit_length() - 1]
-            m ^= low
-        return total
+        return measure_of(self._weights, mask)
 
     # -- lookup -------------------------------------------------------------
 
@@ -386,19 +390,22 @@ class BeliefStructure:
             return sorted({x for v, u, x in self.items() if u == w})
         return sorted(set(self._table.values()))
 
-    def chains(
-        self, *, seed: int = 0, sample_budget: int = 20000
-    ) -> Iterator[ChainQuadruple]:
-        """Nested quadruples U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅.
+    def chains(self) -> Iterator[ChainQuadruple]:
+        """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once.
 
-        Exhaustive (each quadruple exactly once, deterministic order) up to
-        EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms; above that, a seeded sample of
-        distinct quadruples capped at `sample_budget`.
+        Deterministic order; capped at EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
         """
-        if self._domain.size <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-            yield from self._chains_exhaustive()
-        else:
-            yield from self._chains_sampled(seed, sample_budget)
+        if self._domain.size > EXHAUSTIVE_CHAIN_ATOM_LIMIT:
+            raise BeliefDomainError(
+                f"chain enumeration capped at {EXHAUSTIVE_CHAIN_ATOM_LIMIT} atoms"
+            )
+        for u1 in range(1, self._domain.full_mask + 1):
+            for u2 in sorted(_submasks_desc(u1)):
+                for u3 in sorted(_submasks_desc(u2)):
+                    if u3 == 0:
+                        continue
+                    for u4 in sorted(_submasks_desc(u3)):
+                        yield self._make_chain(u1, u2, u3, u4)
 
     def _make_chain(self, u1: int, u2: int, u3: int, u4: int) -> ChainQuadruple:
         d = self._domain
@@ -411,42 +418,6 @@ class BeliefStructure:
             u_b=self.bel_masks(u3, u1),
             u_c=self.bel_masks(u4, u1),
         )
-
-    def _chains_exhaustive(self) -> Iterator[ChainQuadruple]:
-        for u1 in range(1, self._domain.full_mask + 1):
-            for u2 in sorted(_submasks_desc(u1)):
-                for u3 in sorted(_submasks_desc(u2)):
-                    if u3 == 0:
-                        continue
-                    for u4 in sorted(_submasks_desc(u3)):
-                        yield self._make_chain(u1, u2, u3, u4)
-
-    def _chains_sampled(self, seed: int, budget: int) -> Iterator[ChainQuadruple]:
-        rng = random.Random(seed)
-        n = self._domain.size
-        seen: set[tuple[int, int, int, int]] = set()
-        attempts = 0
-        while len(seen) < budget and attempts < budget * 4:
-            attempts += 1
-            u1 = u2 = u3 = u4 = 0
-            for i in range(n):
-                # membership level: 0 none, 1 U1 only, …, 4 all of U1..U4
-                level = rng.randint(0, 4)
-                if level >= 1:
-                    u1 |= 1 << i
-                if level >= 2:
-                    u2 |= 1 << i
-                if level >= 3:
-                    u3 |= 1 << i
-                if level >= 4:
-                    u4 |= 1 << i
-            if u3 == 0:
-                continue
-            key = (u1, u2, u3, u4)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield self._make_chain(u1, u2, u3, u4)
 
     # -- comparison / transforms ---------------------------------------------
 
@@ -478,27 +449,3 @@ class BeliefStructure:
             else f"{len(self._table)} entries"
         )
         return f"BeliefStructure({self._domain.atoms}, {backing})"
-
-
-def count_chains(structure: BeliefStructure) -> int:
-    """Number of nested quadruples with U3 ≠ ∅ (exhaustive domains only)."""
-    if structure.domain.size > EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-        raise BeliefDomainError("chain counting requires an exhaustive domain")
-    return sum(1 for _ in structure.chains())
-
-
-def brute_force_chain_quadruples(domain: Domain) -> list[tuple[int, int, int, int]]:
-    """Independent oracle: filter all event 4-tuples by pairwise inclusion.
-
-    Deliberately ignorant of the submask trick in chains(); used to
-    cross-check the enumeration.
-    """
-    masks = range(domain.full_mask + 1)
-    out = []
-    for u1, u2, u3, u4 in itertools.product(masks, repeat=4):
-        if u2 & ~u1 or u3 & ~u2 or u4 & ~u3:
-            continue
-        if u3 == 0:
-            continue
-        out.append((u1, u2, u3, u4))
-    return out

@@ -23,7 +23,6 @@ from .core import (
     BeliefStructure,
     Domain,
     Event,
-    _submasks_desc,
 )
 
 #: Generator directives expand into explicit tables up to this many atoms;
@@ -47,10 +46,6 @@ def parse_value(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from None
 
 
-def format_value(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_event(token: str, domain: Domain, line_no: int) -> Event:
     token = token.strip()
     if token == "*":
@@ -58,6 +53,8 @@ def _parse_event(token: str, domain: Domain, line_no: int) -> Event:
     if not (token.startswith("{") and token.endswith("}")):
         raise ParseError(f"event must be '*' or brace-enclosed: {token!r}", line_no)
     names = token[1:-1].split()
+    if len(set(names)) != len(names):
+        raise ParseError(f"event lists an atom twice: {token!r}", line_no)
     try:
         return domain.event(names)
     except BeliefDomainError as exc:
@@ -138,8 +135,8 @@ def parse_structure(text: str) -> BeliefStructure:
                 name, w_text = spec.split("=", 1)
                 if name in weights:
                     raise ParseError(f"duplicate weight for atom {name!r}", line_no)
-                domain.index(name)  # validates the atom name
                 try:
+                    domain.index(name)  # validates the atom name
                     weights[name] = parse_value(w_text)
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no) from None
@@ -178,19 +175,10 @@ def parse_structure(text: str) -> BeliefStructure:
         base = BeliefStructure.from_weights(domain, weight_list)
         table = base.as_table()
     table.update({k: v for k, (v, _) in explicit.items()})
-
-    missing_pairs = []
-    for u in range(1, domain.full_mask + 1):
-        for v in sorted(_submasks_desc(u)):
-            if (v, u) not in table:
-                missing_pairs.append((v, u))
-    if missing_pairs:
-        v, u = missing_pairs[0]
-        raise ParseError(
-            f"incomplete table: {len(missing_pairs)} missing pairs, first "
-            f"Bel({Event(domain, v)!r} | {Event(domain, u)!r})"
-        )
-    return BeliefStructure.from_table(domain, table, bounds=final_bounds)
+    try:
+        return BeliefStructure.from_table(domain, table, bounds=final_bounds)
+    except BeliefDomainError as exc:  # the table is incomplete or too large
+        raise ParseError(str(exc)) from None
 
 
 def serialize_structure(structure: BeliefStructure) -> str:
@@ -203,14 +191,14 @@ def serialize_structure(structure: BeliefStructure) -> str:
     domain = structure.domain
     lines = ["domain: " + " ".join(domain.atoms)]
     e, big_e = structure.bounds
-    lines.append(f"bounds: {format_value(e)} {format_value(big_e)}")
+    lines.append(f"bounds: {e} {big_e}")
     if (
         structure.is_weight_backed
         and structure.exponent == 1
         and domain.size > EXPANSION_ATOM_LIMIT
     ):
         pairs = " ".join(
-            f"{a}={format_value(w)}" for a, w in zip(domain.atoms, structure.weights)
+            f"{a}={w}" for a, w in zip(domain.atoms, structure.weights)
         )
         lines.append("generate probability " + pairs)
         return "\n".join(lines) + "\n"
@@ -222,7 +210,7 @@ def serialize_structure(structure: BeliefStructure) -> str:
         v_ev, u_ev = Event(domain, v), Event(domain, u)
         u_text = "*" if u == domain.full_mask else "{%s}" % " ".join(u_ev.members)
         lines.append(
-            "bel {%s} | %s = %s" % (" ".join(v_ev.members), u_text, format_value(x))
+            "bel {%s} | %s = %s" % (" ".join(v_ev.members), u_text, x)
         )
     return "\n".join(lines) + "\n"
 

@@ -335,9 +335,6 @@ def search_min_counterexample(
         if p != tuple(range(atom_count))
     ]
 
-    def signature(assignment):
-        return tuple(assignment)
-
     def permuted_signature(assignment, perm):
         sig = []
         for v, u in slots:
@@ -363,7 +360,7 @@ def search_min_counterexample(
         if found is not None:
             return
         if depth == len(slots):
-            sig = signature(assignment)
+            sig = tuple(assignment)
             if any(permuted_signature(assignment, p) < sig for p in perms):
                 return
             consistent += 1

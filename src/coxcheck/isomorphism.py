@@ -22,17 +22,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ZERO, ONE, BeliefStructure, Event
+from .core import ZERO, ONE, BeliefStructure, Event, measure_of
 from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
+    CombinationForm,
     NegationConflict,
-    _combination_instances,
+    NegationForm,
     _negation_instances,
     extract_combination,
     extract_negation,
@@ -111,47 +112,52 @@ class _Contradiction(Exception):
 
 
 class _RatioEngine:
-    """Exact constraint propagation over the attained-value quotient graph."""
+    """Exact constraint propagation over the attained-value quotient graph.
 
-    def __init__(self, structure: BeliefStructure, instances=None):
-        self.structure = structure
+    `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1 and `products` holds
+    (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each at most once per value
+    tuple.  The forced zeros and ones, the bounds and the positivity flags
+    come from one pass over the structure's A1 instances.
+    """
+
+    def __init__(self, structure: BeliefStructure, sums, products):
         e, big_e = structure.bounds
         self.e, self.E = e, big_e
         self.positive: set[Fraction] = set()  # r(v) > 0 forced
         self.below_one: set[Fraction] = set()  # r(v) < 1 forced
         self.known: dict[Fraction, tuple[Fraction, frozenset]] = {}
-        self.sums: list[tuple[Fraction, Fraction, tuple]] = []
-        self.products: list[tuple[Fraction, Fraction, Fraction, tuple]] = []
+        self.sums = sorted(sums)
+        self.products = sorted(products)
         self.contradiction: _Contradiction | None = None
-        self._build(instances)
+        # seeds are applied in run(), once every positivity flag is known
+        self._seeds: list[tuple[Fraction, int, int, tuple]] = []
+        for x, s_x, (v, u) in _negation_instances(structure):
+            for value, vm in ((x, v), (s_x, u ^ v)):
+                self._note_flags(value, vm, u)
+                if vm == 0 or vm == u or not e <= value <= big_e:
+                    self._seeds.append((value, vm, u, (v, u)))
 
-    # construction ---------------------------------------------------------
+    @classmethod
+    def from_forms(
+        cls, structure: BeliefStructure, negation: NegationForm,
+        combination: CombinationForm,
+    ) -> "_RatioEngine":
+        """One sum per complement pair {x, S(x)} and one product per F entry.
 
-    def _build(self, instances):
-        st = self.structure
-        allowed = None
-        if instances is not None:
-            allowed = set(instances)
-        seen_sum = set()
-        for x, s_x, (v, u) in _negation_instances(st):
-            self._note_flags(x, v, u)
-            self._note_flags(s_x, u ^ v, u)
-            if allowed is not None and ("sum", (v, u)) not in allowed:
-                continue
+        A sum keeps the witness of x or S(x) that comes first in canonical
+        (u, v) order, which is the first A1 instance showing that pair.
+        """
+        first: dict[tuple, tuple] = {}
+        for x, (v, u) in negation.witnesses.items():
+            s_x = negation.table[x]
             key = (min(x, s_x), max(x, s_x))
-            if key not in seen_sum:
-                seen_sum.add(key)
-                self.sums.append((x, s_x, (v, u)))
-        seen_prod = set()
-        for (l, r), out, (b, a, u) in _combination_instances(st):
-            if allowed is not None and ("product", (b, a, u)) not in allowed:
-                continue
-            key = (out, l, r)
-            if key not in seen_prod:
-                seen_prod.add(key)
-                self.products.append((out, l, r, (b, a, u)))
-        self.sums.sort()
-        self.products.sort()
+            if key not in first or (u, v) < first[key][0]:
+                first[key] = ((u, v), x)
+        sums = ((x, negation.table[x], (v, u)) for (u, v), x in first.values())
+        products = (
+            (out, *k, combination.witnesses[k]) for k, out in combination.table.items()
+        )
+        return cls(structure, sums, products)
 
     def _note_flags(self, value: Fraction, v_mask: int, u_mask: int):
         if v_mask != 0 or value > self.e:
@@ -162,21 +168,18 @@ class _RatioEngine:
     # fact management --------------------------------------------------------
 
     def _seed(self):
-        st = self.structure
-        for x, s_x, (v, u) in _negation_instances(st):
-            for value, vm, um in ((x, v, u), (s_x, u ^ v, u)):
-                if value < self.e or value > self.E:
-                    raise _Contradiction(
-                        f"attained value {value} lies outside the bounds "
-                        f"[{self.e},{self.E}]",
-                        frozenset([("sum", (v, u))]),
-                    )
-                if vm == 0:
-                    self._set(value, ZERO, frozenset([("sum", (v, u))]),
-                              "empty intersection forces ratio 0")
-                elif vm == um:
-                    self._set(value, ONE, frozenset([("sum", (v, u))]),
-                              "full conditioning event forces ratio 1")
+        for value, vm, um, pair in self._seeds:
+            mark = frozenset([("sum", pair)])
+            if value < self.e or value > self.E:
+                raise _Contradiction(
+                    f"attained value {value} lies outside the bounds "
+                    f"[{self.e},{self.E}]",
+                    mark,
+                )
+            if vm == 0:
+                self._set(value, ZERO, mark, "empty intersection forces ratio 0")
+            elif vm == um:
+                self._set(value, ONE, mark, "full conditioning event forces ratio 1")
         if self.e in self.positive or self.e in self.below_one or self.e in self.known:
             self._set(self.e, ZERO, frozenset([("seed", "g(e)=0")]), "g(e) = 0")
         if self.E in self.positive or self.E in self.below_one or self.E in self.known:
@@ -381,25 +384,42 @@ class _RatioEngine:
         return self
 
 
+def _is_canonical(masks: tuple, full: int) -> bool:
+    """Int masks within the domain, each inside the next, the second nonempty:
+    a canonical pair (V ⊆ U ≠ ∅) or chain triple (B ⊆ A ⊆ U, A ≠ ∅)."""
+    return (
+        all(isinstance(m, int) and 0 <= m <= full for m in masks)
+        and masks[1] != 0
+        and all(inner & ~outer == 0 for inner, outer in zip(masks, masks[1:]))
+    )
+
+
 def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure) -> bool:
-    masks = []
-    for kind, witness in data.instances:
-        if kind == "product":
-            b, a, u = witness
-            try:
-                structure.bel_masks(b, a), structure.bel_masks(a, u)
-                structure.bel_masks(b, u)
-            except Exception:
-                return False
-            masks.append((kind, witness))
-        elif kind == "sum":
-            v, u = witness
-            try:
-                structure.bel_masks(v, u)
-            except Exception:
-                return False
-            masks.append((kind, witness))
-    engine = _RatioEngine(structure, instances=masks).run()
+    """Re-run the engine on the certificate's own instances.
+
+    Any instance that is not a canonical pair or chain triple of the
+    structure rejects the certificate.
+    """
+    full = structure.domain.full_mask
+    arity = {"sum": 2, "product": 3}
+    for kind, masks in data.instances:
+        if len(masks) != arity.get(kind) or not _is_canonical(masks, full):
+            return False
+    bel = structure.bel_masks
+    sums: dict[tuple, tuple] = {}
+    products: dict[tuple, tuple] = {}
+    # canonical order is ascending reversed masks: (u, v) and (u, a, b)
+    for kind, masks in sorted(data.instances, key=lambda i: (i[0], i[1][::-1])):
+        masks = tuple(masks)
+        if kind == "sum":
+            v, u = masks
+            x, s_x = bel(v, u), bel(u ^ v, u)
+            sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, masks))
+        else:
+            b, a, u = masks
+            out, l, r = bel(b, u), bel(b, a), bel(a, u)
+            products.setdefault((out, l, r), (out, l, r, masks))
+    engine = _RatioEngine(structure, sums.values(), products.values()).run()
     return engine.contradiction is not None
 
 
@@ -435,7 +455,7 @@ def refutation_search(
             "chain-associativity", chain_report.certificate,
             chain_report.detail,
         )
-    engine = _RatioEngine(structure).run(depth)
+    engine = _RatioEngine.from_forms(structure, negation, combination).run(depth)
     if engine.contradiction is not None:
         instances = tuple(
             sorted(i for i in engine.contradiction.eqset if i[0] in ("sum", "product"))
@@ -515,16 +535,6 @@ class WitnessCheck:
         return self.passed
 
 
-def _measure_of(weights: Sequence[Fraction], mask: int) -> Fraction:
-    total = ZERO
-    m = mask
-    while m:
-        low = m & -m
-        total += weights[low.bit_length() - 1]
-        m ^= low
-    return total
-
-
 def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     """Exact check of a weighting against the structure.
 
@@ -548,7 +558,7 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     e, big_e = structure.bounds
     ratio_map: dict[Fraction, Fraction] = {}
     for v, u, x in structure.items():
-        ratio = _measure_of(ws, v) / _measure_of(ws, u)
+        ratio = measure_of(ws, v) / measure_of(ws, u)
         if x in ratio_map:
             if ratio_map[x] != ratio:
                 return WitnessCheck(
@@ -589,6 +599,10 @@ def rescaling_from_witness(structure: BeliefStructure, weights) -> RescalingMap:
     check = verify_witness(structure, weights)
     if not check.passed:
         raise ValueError(f"weights are not a witness: {check.failing}")
+    return _rescaling(structure, check)
+
+
+def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
     e, big_e = structure.bounds
     points = dict(check.ratio_map)
     points.setdefault(e, ZERO)
@@ -764,7 +778,7 @@ def _verify_numeric(structure, weights_float, tol) -> bool:
     classes: dict[Fraction, list[Fraction]] = {}
     for v, u, x in structure.items():
         classes.setdefault(x, []).append(
-            _measure_of(ws, v) / _measure_of(ws, u)
+            measure_of(ws, v) / measure_of(ws, u)
         )
     means = []
     for x, ratios in sorted(classes.items()):
@@ -800,19 +814,23 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
         )
 
     domain = structure.domain
+
+    def exact_witness(weights) -> IsomorphismVerdict | None:
+        check = verify_witness(structure, weights)
+        if not check.passed:
+            return None
+        return IsomorphismVerdict(
+            "witness",
+            witness=ProbabilityWitness(dict(zip(domain.atoms, weights)), exact=True),
+            rescaling=_rescaling(structure, check),
+            budget=budget_report,
+        )
+
     for candidate in _structured_candidates(structure):
-        check = verify_witness(structure, candidate)
-        if check.passed:
-            witness = ProbabilityWitness(
-                dict(zip(domain.atoms, candidate)), exact=True
-            )
+        verdict = exact_witness(candidate)
+        if verdict is not None:
             budget_report["phase"] = "structured-candidates"
-            return IsomorphismVerdict(
-                "witness",
-                witness=witness,
-                rescaling=rescaling_from_witness(structure, candidate),
-                budget=budget_report,
-            )
+            return verdict
 
     if params.restarts > 0:
         best_w, best_pen, restarts, iterations = _numeric_feasibility(structure, params)
@@ -828,18 +846,9 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
                 total = sum(rounded)
                 if total == 0 or any(w <= 0 for w in rounded):
                     continue
-                rounded = [w / total for w in rounded]
-                check = verify_witness(structure, rounded)
-                if check.passed:
-                    witness = ProbabilityWitness(
-                        dict(zip(domain.atoms, rounded)), exact=True
-                    )
-                    return IsomorphismVerdict(
-                        "witness",
-                        witness=witness,
-                        rescaling=rescaling_from_witness(structure, rounded),
-                        budget=budget_report,
-                    )
+                verdict = exact_witness([w / total for w in rounded])
+                if verdict is not None:
+                    return verdict
             if _verify_numeric(structure, best_w, params.tolerance):
                 ws = [Fraction(float(w)) for w in best_w]
                 total = sum(ws)

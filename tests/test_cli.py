@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import jsonschema
+import pytest
 
 from coxcheck.cli import main
 from coxcheck.files import load_structure
@@ -108,6 +109,17 @@ class TestUsageAndParseErrors:
 
     def test_missing_file_is_a_parse_error(self, capsys):
         assert main(["check", "no_such_file.bel"]) == 65
+
+    @pytest.mark.parametrize("text", [
+        "domain: a b\ngenerate probability a=1/2 z=1/2\n",
+        "domain: a b\ngenerate probability a=1/2 b=1/2\nbel {a a} | * = 1/2\n",
+        "domain: " + " ".join(f"x{i}" for i in range(13)) + "\nbel {x0} | * = 1/2\n",
+    ], ids=["unknown-generator-atom", "repeated-event-atom", "13-atom-table"])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.bel"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 65
+        assert "parse error" in capsys.readouterr().err
 
     def test_generate_without_out_is_a_usage_error(self, capsys):
         assert main(["generate", "probability", "--atoms", "a,b",

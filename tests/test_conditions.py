@@ -111,6 +111,20 @@ class TestTriples:
         probe = DensityProbe(alpha, 1, 1, par5_gap(b) + F(1, 1000))
         assert par5_triples(b, probe).passed
 
+    def test_sampled_chain_is_nested_and_definitional(self):
+        b = gen_probability(Domain(tuple("abcdef")), [F(i, 21) for i in range(1, 7)])
+        hit = DensityProbe(F(1, 3), F(1, 2), F(2, 3), F(1, 10))
+        miss = DensityProbe(F(1, 7), F(5, 7), F(3, 7), F(1, 10**6))
+        for probe, seed in ((hit, 0), (hit, 3), (miss, 0), (miss, 3)):
+            result = par5_triples(b, probe, seed=seed, budget=300)
+            assert result.method == "sampled"
+            c = result.chain
+            assert c.u4.issubset(c.u3) and c.u3.issubset(c.u2) and c.u2.issubset(c.u1)
+            assert not c.u3.is_empty
+            assert c.x == b.bel(c.u4, c.u3)
+            assert c.y == b.bel(c.u3, c.u2)
+            assert c.z == b.bel(c.u2, c.u1)
+
     def test_probe_validation(self):
         with pytest.raises(ValueError):
             DensityProbe(2, 0, 0, F(1, 10))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,6 @@ from coxcheck.core import (
     BeliefStructure,
     Domain,
     EmptyConditionError,
-    brute_force_chain_quadruples,
-    count_chains,
 )
 
 
@@ -130,6 +129,25 @@ class TestAttained:
         assert b.attained("conditional") == slow
 
 
+def count_chains(structure):
+    """Number of nested quadruples with U3 ≠ ∅, by running the enumeration."""
+    return sum(1 for _ in structure.chains())
+
+
+def brute_force_chain_quadruples(domain):
+    """Independent oracle: filter all event 4-tuples by pairwise inclusion.
+
+    Deliberately ignorant of the submask trick in chains(); used to
+    cross-check the enumeration.
+    """
+    masks = range(domain.full_mask + 1)
+    return [
+        (u1, u2, u3, u4)
+        for u1, u2, u3, u4 in itertools.product(masks, repeat=4)
+        if not (u2 & ~u1 or u3 & ~u2 or u4 & ~u3) and u3 != 0
+    ]
+
+
 class TestChains:
     def test_one_atom_has_two_chains(self):
         assert count_chains(uniform(1)) == 2
@@ -158,17 +176,9 @@ class TestChains:
             assert c.u_b == b.bel_masks(c.u3.mask, c.u1.mask)
             assert c.u_c == b.bel_masks(c.u4.mask, c.u1.mask)
 
-    def test_sampled_chains_are_valid_and_deduplicated(self):
-        n = 7
-        b = uniform(n)
-        seen = set()
-        for c in b.chains(seed=3, sample_budget=500):
-            key = (c.u1.mask, c.u2.mask, c.u3.mask, c.u4.mask)
-            assert key not in seen
-            seen.add(key)
-            assert c.u4.issubset(c.u3) and c.u3.issubset(c.u2) and c.u2.issubset(c.u1)
-            assert not c.u3.is_empty
-        assert seen
+    def test_enumeration_is_capped(self):
+        with pytest.raises(BeliefDomainError, match="chain enumeration capped"):
+            next(uniform(6).chains())
 
 
 class TestStructureEquality:

@@ -66,6 +66,21 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown atom"):
             parse_structure("domain: a b\nbel {z} | * = 1\n")
 
+    def test_unknown_atom_in_generator(self):
+        with pytest.raises(ParseError, match="line 2: unknown atom 'z'"):
+            parse_structure("domain: a b\ngenerate probability a=1/2 z=1/2\n")
+
+    def test_atom_listed_twice_in_an_event(self):
+        with pytest.raises(ParseError, match="line 3: event lists an atom twice"):
+            parse_structure(
+                "domain: a b\ngenerate probability a=1/2 b=1/2\nbel {a a} | * = 1/2\n"
+            )
+
+    def test_explicit_table_above_the_atom_cap(self):
+        atoms = " ".join(f"x{i}" for i in range(13))
+        with pytest.raises(ParseError, match="explicit tables capped at 12 atoms"):
+            parse_structure(f"domain: {atoms}\nbel {{x0}} | * = 1/2\n")
+
     def test_empty_conditioning_event(self):
         with pytest.raises(ParseError, match="nonempty"):
             parse_structure("domain: a b\nbel {a} | {} = 1\n")

@@ -4,18 +4,29 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck.core import Domain
+from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
+from coxcheck.forms import (
+    CombinationConflict,
+    NegationConflict,
+    _combination_instances,
+    _negation_instances,
+    extract_combination,
+    extract_negation,
+)
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 from coxcheck.isomorphism import (
     DecisionParams,
+    OrderConflictData,
+    RefutationCertificate,
+    _RatioEngine,
     decide,
     refutation_search,
     rescaling_from_witness,
     verify_witness,
 )
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def random_weights(rng, n):
@@ -135,6 +146,21 @@ class TestRefutationSearch:
         other = gen_probability(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
         assert not cert.recheck(other)
 
+    def test_recheck_rejects_non_canonical_instances(self):
+        b = load_structure(fixture_path("order_conflict.bel"))
+        cert = refutation_search(b)
+        full = b.domain.full_mask
+        for bad in [
+            ("product", (0b011, 0b001, full)),  # B not inside A
+            ("product", (0, 0, full)),  # A empty
+            ("sum", (0b10, 0b01)),  # V not inside U
+            ("sum", (0, full + 1)),  # outside the domain
+            ("ratio", (0, full)),  # unknown kind
+        ]:
+            data = OrderConflictData(cert.data.instances + (bad,), cert.description)
+            forged = RefutationCertificate("order-conflict", data, cert.description)
+            assert not forged.recheck(b), bad
+
     def test_order_conflict_instances_rederive(self):
         b = load_structure(fixture_path("order_conflict.bel"))
         cert = refutation_search(b)
@@ -142,6 +168,73 @@ class TestRefutationSearch:
         assert cert.data.instances  # nonempty, serializable witnesses
         for kind, masks in cert.data.instances:
             assert kind in ("sum", "product")
+
+
+def reference_engine_inputs(structure):
+    """The engine's sums, products and flags, read off every A1/A2 instance.
+
+    Keeps the first instance in canonical order per complement pair {x, S(x)}
+    and per (out, l, r); independent of the extracted S and F tables.
+    """
+    e, big_e = structure.bounds
+    positive, below_one = set(), set()
+    sums, products = {}, {}
+    for x, s_x, (v, u) in _negation_instances(structure):
+        for value, vm in ((x, v), (s_x, u ^ v)):
+            if vm != 0 or value > e:
+                positive.add(value)
+            if vm != u or value < big_e:
+                below_one.add(value)
+        sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, (v, u)))
+    for (l, r), out, triple in _combination_instances(structure):
+        products.setdefault((out, l, r), (out, l, r, triple))
+    return sorted(sums.values()), sorted(products.values()), positive, below_one
+
+
+def assert_engine_matches_reference(structure):
+    negation = extract_negation(structure)
+    combination = extract_combination(structure)
+    if isinstance(negation, NegationConflict) or isinstance(
+        combination, CombinationConflict
+    ):
+        return False  # refutation_search stops before building the engine
+    engine = _RatioEngine.from_forms(structure, negation, combination)
+    sums, products, positive, below_one = reference_engine_inputs(structure)
+    assert engine.sums == sums
+    assert engine.products == products
+    assert engine.positive == positive
+    assert engine.below_one == below_one
+    return True
+
+
+class TestRatioEngineInputs:
+    def test_fixtures(self):
+        compared = 0
+        for path in sorted(FIXTURES.glob("*.bel")):
+            if not path.name.startswith("bad_parse"):
+                compared += assert_engine_matches_reference(load_structure(path))
+        assert compared >= 10
+
+    @pytest.mark.parametrize("n,k", [(7, 1), (8, 2)])
+    def test_uniform_structures_beyond_six_atoms(self, n, k):
+        d = Domain(tuple(f"x{i}" for i in range(n)))
+        assert assert_engine_matches_reference(
+            BeliefStructure.from_weights(d, [F(1, n)] * n, exponent=k)
+        )
+
+    @given(weight_vectors(), st.integers(1, 3), st.booleans(), st.randoms())
+    def test_generated_structures(self, ws, k, rescale, rng):
+        d = Domain(tuple(f"x{i}" for i in range(len(ws))))
+        b = gen_distorted(d, ws, k) if k > 1 else gen_probability(d, ws)
+        if rescale:
+            b = affine_rescale(b, F(1, 2), F(1, 4))
+        # an injective relabelling keeps S and F functions but may break order
+        values = b.attained()
+        shuffled = values[:]
+        rng.shuffle(shuffled)
+        relabel = dict(zip(values, shuffled))
+        b = b.map_values(relabel.__getitem__, bounds=b.bounds)
+        assert assert_engine_matches_reference(b)
 
 
 def custom_monotone_distortion():
