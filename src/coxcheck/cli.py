@@ -120,7 +120,12 @@ def _emit(report: dict, json_path: str | None, started: float, argv) -> None:
     report["command"] = ["coxcheck", *argv]
     report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
     if json_path:
-        Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        try:
+            Path(json_path).write_text(
+                json.dumps(report, indent=2) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise UsageError(f"cannot write report {json_path}: {exc}") from None
 
 
 def _print_verdict_line(name: str, status: str, detail: str = "") -> None:
@@ -393,11 +398,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    inputs: set[str | None] = set()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (check, decide, audit, "
                              "equations, generate, search-min)")
+        inputs = {getattr(args, "file", None), getattr(args, "extension", None)}
+        json_path = getattr(args, "json_path", None)
+        if json_path and not Path(json_path).parent.is_dir():
+            raise UsageError(
+                f"cannot write report {json_path}: no directory "
+                f"{Path(json_path).parent}"
+            )
         return _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -405,9 +418,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except OSError as exc:
+        # an input file that cannot be read is a parse error; any other
+        # file (an output path) is the caller's to fix
+        if exc.filename is not None and exc.filename in inputs:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (BeliefDomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,7 @@ from .core import (
     BeliefStructure,
     ChainQuadruple,
     Event,
+    intern_values,
 )
 from .forms import (
     CombinationConflict,
@@ -68,15 +69,19 @@ def check_bounds(structure: BeliefStructure) -> BoundsReport:
     par2 = Verdict("pass", f"Bel(∅|U)={e} and Bel(U|U)={big_e} for every nonempty U")
     par1_witness = par2_witness = None
     domain = structure.domain
-    for v, u, x in structure.items():
-        if par1_witness is None and not e <= x <= big_e:
+    index = structure.value_index()
+    for v, u, r in index.pairs():
+        if par1_witness is None and not index.e <= r <= index.E:
             par1_witness = (
-                f"Bel({Event(domain, v)!r}|{Event(domain, u)!r}) = {x} outside [{e},{big_e}]"
+                f"Bel({Event(domain, v)!r}|{Event(domain, u)!r}) = {index.values[r]} "
+                f"outside [{e},{big_e}]"
             )
-        if par2_witness is None and v == 0 and x != e:
-            par2_witness = f"Bel(∅|{Event(domain, u)!r}) = {x} ≠ {e}"
-        if par2_witness is None and v == u and x != big_e:
-            par2_witness = f"Bel(U|U) = {x} ≠ {big_e} at U={Event(domain, u)!r}"
+        if par2_witness is None and v == 0 and r != index.e:
+            par2_witness = f"Bel(∅|{Event(domain, u)!r}) = {index.values[r]} ≠ {e}"
+        if par2_witness is None and v == u and r != index.E:
+            par2_witness = (
+                f"Bel(U|U) = {index.values[r]} ≠ {big_e} at U={Event(domain, u)!r}"
+            )
     if par1_witness:
         par1 = Verdict("fail", par1_witness)
     if par2_witness:
@@ -422,10 +427,15 @@ def chain_consistency(
             "untestable", False, 0, 0, None,
             f"combination extraction conflict: {combination.describe(structure.domain)}",
         )
-    table = combination.table
-    witnesses = combination.witnesses
-    e, big_e = combination.interval
-    by_first: dict[Fraction, list[Fraction]] = {}
+    # intern the F table: the composite-instance loop runs on value ranks
+    values, ranks = intern_values(
+        [t for (x, y), out in combination.table.items() for t in (x, y, out)]
+        + list(combination.interval)
+    )
+    triples = iter(ranks[:-2])
+    table = {(x, y): out for x, y, out in zip(triples, triples, triples)}
+    endpoints = tuple(ranks[-2:])
+    by_first: dict[int, list[int]] = {}
     for (a, b) in table:
         by_first.setdefault(a, []).append(b)
     for key in by_first:
@@ -440,9 +450,11 @@ def chain_consistency(
                 continue
             r, s = table[(x, p)], table[(q, z)]
             instances += 1
-            if any(t not in (e, big_e) for t in (x, y, z, p, q, r, s)):
+            if any(t not in endpoints for t in (x, y, z, p, q, r, s)):
                 nontrivial += 1
             if r != s:
+                x, y, z, p, q, r, s = (values[t] for t in (x, y, z, p, q, r, s))
+                witnesses = combination.witnesses
                 certificate = ChainCertificate(
                     args=(x, y, z),
                     inner_right=((y, z), p, witnesses[(y, z)]),

@@ -7,6 +7,9 @@ serialization order, chain enumeration order).
 Belief values are `fractions.Fraction` throughout.  Nothing in a structure is
 ever stored as a float: equality of belief values is what drives the
 well-definedness checks downstream, and float equality would be unsound.
+Each structure interns its values once, on demand, as order-preserving
+integer ranks (`ValueIndex`), so the decision phases group and compare
+pairs by ints instead of re-hashing Fractions.
 """
 
 from __future__ import annotations
@@ -165,6 +168,53 @@ def measure_of(weights: Sequence[Fraction], mask: int) -> Fraction:
     return total
 
 
+def subset_sums(weights: Sequence) -> list:
+    """`measure_of` for every event mask at once: 2^n additions in all."""
+    mu = [0 * weights[0]] * (1 << len(weights))
+    for mask in range(1, len(mu)):
+        low = mask & -mask
+        mu[mask] = mu[mask ^ low] + weights[low.bit_length() - 1]
+    return mu
+
+
+@dataclass(frozen=True)
+class ValueIndex:
+    """A structure's attained values, interned as order-preserving ranks.
+
+    `values` is strictly increasing and holds every attained value plus the
+    bounds e and E.  `rank[u][v]` is the position of Bel(V|U) in `values`
+    for every canonical pair; rows run in ascending u and each row in
+    ascending v, which is canonical (u, v) order (`rank[0]` is empty).
+    Ranks compare exactly as the values do, so order tests run on ints.
+    """
+
+    values: tuple[Fraction, ...]
+    rank: tuple[dict[int, int], ...]
+    e: int  # rank of the lower bound
+    E: int  # rank of the upper bound
+
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
+        """(v, u, rank) for every canonical pair, in canonical order."""
+        for u, row in enumerate(self.rank):
+            for v, r in row.items():
+                yield v, u, r
+
+
+def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
+    """The sorted distinct values of `xs`, and the rank of each x in turn.
+
+    Python does not cache a Fraction's hash, so this hashes each x once and
+    each distinct value once more; whatever runs on the ranks needs none.
+    """
+    code: dict[Fraction, int] = {}  # value -> first-seen code
+    codes = [code.setdefault(x, len(code)) for x in xs]
+    values = sorted(code)
+    rank_of_code = [0] * len(values)
+    for r, x in enumerate(values):
+        rank_of_code[code[x]] = r
+    return values, [rank_of_code[c] for c in codes]
+
+
 def _submasks_desc(mask: int) -> Iterator[int]:
     """All submasks of `mask`, descending, ending with 0."""
     sub = mask
@@ -207,6 +257,7 @@ class BeliefStructure:
         self._table: dict[tuple[int, int], Fraction] | None = None
         self._weights: tuple[Fraction, ...] | None = None
         self._exponent = exponent
+        self._derived: dict[str, object] = {}
         if table is not None:
             self._table = dict(table)
             self._validate_table()
@@ -334,11 +385,12 @@ class BeliefStructure:
             raise BeliefDomainError(
                 f"triple enumeration capped at {ENUMERATION_ATOM_LIMIT} atoms"
             )
+        subs = [sorted(_submasks_desc(m)) for m in range(self._domain.full_mask + 1)]
         for u in range(1, self._domain.full_mask + 1):
-            for a in sorted(_submasks_desc(u)):
+            for a in subs[u]:
                 if a == 0:
                     continue
-                for b in sorted(_submasks_desc(a)):
+                for b in subs[a]:
                     yield b, a, u
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
@@ -348,6 +400,38 @@ class BeliefStructure:
     def as_table(self) -> dict[tuple[int, int], Fraction]:
         """Materialize the canonical table (capped domain size)."""
         return {(v, u): x for v, u, x in self.items()}
+
+    def value_index(self) -> ValueIndex:
+        """The memoized rank index of the values (capped domain size).
+
+        Built on first use in one pass over the canonical pairs;
+        weight-backed structures read their pairs through the same lookup
+        that `as_table` uses.
+        """
+        return self.derived("value-index", BeliefStructure._build_value_index)
+
+    def _build_value_index(self) -> ValueIndex:
+        if self._table is not None:
+            table = self._table
+            entries = [(v, u, table[v, u]) for v, u in self.canonical_pair_masks()]
+        else:
+            entries = list(self.items())
+        values, ranks = intern_values([x for _, _, x in entries] + list(self._bounds))
+        rows: list[dict[int, int]] = [{} for _ in range(self._domain.full_mask + 1)]
+        for (v, u, _), r in zip(entries, ranks):
+            rows[u][v] = r
+        return ValueIndex(tuple(values), tuple(rows), *ranks[-2:])
+
+    def derived(self, key: str, build: Callable[["BeliefStructure"], object]):
+        """`build(self)`, computed once per structure and kept under `key`.
+
+        Structures are immutable, so results read off them (the value index,
+        the A1/A2 extraction in `coxcheck.forms`) can be shared by every
+        consumer.
+        """
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     def attained(self, kind: str = "conditional") -> list[Fraction]:
         """Strictly sorted, duplicate-free attained values.
@@ -384,11 +468,12 @@ class BeliefStructure:
                         for m in range(self._domain.full_mask + 1)
                     }
                 )
-            return sorted({x for _, _, x in self.items()})
-        if kind == "unconditional":
+        elif kind == "unconditional":
             w = self._domain.full_mask
             return sorted({x for v, u, x in self.items() if u == w})
-        return sorted(set(self._table.values()))
+        index = self.value_index()
+        ranks = {r for row in index.rank for r in row.values()}
+        return [index.values[r] for r in sorted(ranks)]
 
     def chains(self) -> Iterator[ChainQuadruple]:
         """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once.

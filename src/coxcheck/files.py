@@ -14,6 +14,7 @@ table must be total on canonical pairs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import (
@@ -39,7 +40,24 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
+#: Most digits, and largest decimal exponent, a value literal may carry;
+#: checked before any integer is built, so `1e9999999` fails at once.
+LITERAL_DIGIT_LIMIT = 1000
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)")
+
+
 def parse_value(text: str) -> Fraction:
+    too_long = len(text) > LITERAL_DIGIT_LIMIT and (
+        sum(ch.isdigit() for ch in text) > LITERAL_DIGIT_LIMIT
+    )
+    exponent = _EXPONENT.search(text)
+    if too_long or (exponent and int(exponent.group(1)) > LITERAL_DIGIT_LIMIT):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValueError(
+            f"rational literal has over {LITERAL_DIGIT_LIMIT} digits or an "
+            f"exponent over {LITERAL_DIGIT_LIMIT}: {shown!r}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import mpmath
 
-from .core import ZERO, ONE, BeliefStructure, Event
+from .core import ZERO, ONE, BeliefStructure, Event, intern_values
 
 NEGATION_CATALOG = ("linear-complement",)
 COMBINATION_CATALOG = ("product", "minimum", "hamacher")
@@ -171,90 +171,137 @@ class CombinationConflict:
 UNIFORM_EXTRACTION_ATOM_CAP = 128
 
 
+def _by_sizes(structure: BeliefStructure) -> bool:
+    """Uniform structures above 6 atoms are read by event sizes, not pairs."""
+    if not (structure.is_uniform and structure.domain.size > 6):
+        return False
+    if structure.domain.size > UNIFORM_EXTRACTION_ATOM_CAP:
+        raise FormError(f"extraction capped at {UNIFORM_EXTRACTION_ATOM_CAP} atoms")
+    return True
+
+
+def _size_ranks(structure: BeliefStructure):
+    """(values, size_rank) for a uniform structure read by sizes.
+
+    `values` is the sorted list of every (j/m)^k plus the bounds, interned
+    here in O(n²) instead of through the structure's pair index;
+    `size_rank[m][j]` is the rank of Bel(V|U) for |V| = j, |U| = m.
+    """
+    n, k = structure.domain.size, structure.exponent
+    sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
+    values, ranks = intern_values(
+        [Fraction(j, m) ** k for j, m in sizes] + list(structure.bounds)
+    )
+    size_rank: list[list[int]] = [[] for _ in range(n + 1)]
+    for (j, m), r in zip(sizes, ranks):  # zip drops the bounds' ranks
+        size_rank[m].append(r)
+    return values, size_rank
+
+
 def _negation_instances(structure: BeliefStructure):
-    """(input, output, (v,u)) for every canonical pair; A1 instances."""
-    if structure.is_uniform and structure.domain.size > 6:
-        if structure.domain.size > UNIFORM_EXTRACTION_ATOM_CAP:
-            raise FormError(
-                f"extraction capped at {UNIFORM_EXTRACTION_ATOM_CAP} atoms"
-            )
-        n, k = structure.domain.size, structure.exponent
+    """(values, instances): the ranked value list and, for every A1 instance,
+    (rank of x, rank of S(x), (v,u)) in canonical order."""
+    if _by_sizes(structure):
+        values, size_rank = _size_ranks(structure)
         # Values depend only on sizes; witnesses use prefix events.
-        for m in range(1, n + 1):
-            u = (1 << m) - 1
-            for j in range(m + 1):
-                v = (1 << j) - 1
-                yield (
-                    Fraction(j, m) ** k,
-                    Fraction(m - j, m) ** k,
-                    (v, u),
-                )
-        return
-    for v, u, x in structure.items():
-        yield x, structure.bel_masks(u ^ v, u), (v, u)
+        instances = (
+            (size_rank[m][j], size_rank[m][m - j], ((1 << j) - 1, (1 << m) - 1))
+            for m in range(1, structure.domain.size + 1)
+            for j in range(m + 1)
+        )
+        return values, instances
+    index = structure.value_index()
+    rank = index.rank
+    return index.values, ((r, rank[u][u ^ v], (v, u)) for v, u, r in index.pairs())
+
+
+def _combination_instances(structure: BeliefStructure):
+    """(values, instances): the ranked value list and, for every A2 instance,
+    ((rank of x, rank of y), rank of out, (b,a,u)) in canonical order."""
+    if _by_sizes(structure):
+        values, size_rank = _size_ranks(structure)
+        instances = (
+            (
+                (size_rank[a_size][j], size_rank[m][a_size]),
+                size_rank[m][j],
+                ((1 << j) - 1, (1 << a_size) - 1, (1 << m) - 1),
+            )
+            for m in range(1, structure.domain.size + 1)
+            for a_size in range(1, m + 1)
+            for j in range(a_size + 1)
+        )
+        return values, instances
+    index = structure.value_index()
+    rank = index.rank
+    instances = (
+        ((rank[a][b], rank[u][a]), rank[u][b], (b, a, u))
+        for b, a, u in structure.canonical_triple_masks()
+    )
+    return index.values, instances
+
+
+def _first_outputs(instances):
+    """Single-valued table and first witnesses from (key, out, witness)
+    instances, or the first clash as (key, out, witness)."""
+    table: dict = {}
+    witnesses: dict = {}
+    for key, out, witness in instances:
+        if key in table:
+            if table[key] != out:
+                return table, witnesses, (key, out, witness)
+        else:
+            table[key] = out
+            witnesses[key] = witness
+    return table, witnesses, None
 
 
 def extract_negation(structure: BeliefStructure):
     """Tabular S from all complement pairs, or the first conflict.
 
     A conflict is a legitimate verdict (A1 admits no function S), not an
-    error.
+    error.  Extraction runs on value ranks and is memoized on the structure.
     """
-    table: dict[Fraction, Fraction] = {}
-    witnesses: dict[Fraction, tuple[int, int]] = {}
-    for x, s_x, pair in _negation_instances(structure):
-        if x in table:
-            if table[x] != s_x:
-                return NegationConflict(x, witnesses[x], table[x], pair, s_x)
-        else:
-            table[x] = s_x
-            witnesses[x] = pair
+    return structure.derived("negation", _extract_negation)
+
+
+def _extract_negation(structure: BeliefStructure):
+    values, instances = _negation_instances(structure)
+    table, witnesses, clash = _first_outputs(instances)
+    if clash is not None:
+        x, s_x, pair = clash
+        return NegationConflict(
+            values[x], witnesses[x], values[table[x]], pair, values[s_x]
+        )
     return NegationForm(
-        kind="tabular", table=table, interval=structure.bounds, witnesses=witnesses
+        kind="tabular",
+        table={values[x]: values[s_x] for x, s_x in table.items()},
+        interval=structure.bounds,
+        witnesses={values[x]: pair for x, pair in witnesses.items()},
     )
 
 
-def _combination_instances(structure: BeliefStructure):
-    """((x, y), out, (b,a,u)) for every canonical triple; A2 instances."""
-    if structure.is_uniform and structure.domain.size > 6:
-        if structure.domain.size > UNIFORM_EXTRACTION_ATOM_CAP:
-            raise FormError(
-                f"extraction capped at {UNIFORM_EXTRACTION_ATOM_CAP} atoms"
-            )
-        n, k = structure.domain.size, structure.exponent
-        for m in range(1, n + 1):
-            u = (1 << m) - 1
-            for a_size in range(1, m + 1):
-                a = (1 << a_size) - 1
-                for j in range(a_size + 1):
-                    b = (1 << j) - 1
-                    yield (
-                        (Fraction(j, a_size) ** k, Fraction(a_size, m) ** k),
-                        Fraction(j, m) ** k,
-                        (b, a, u),
-                    )
-        return
-    for b, a, u in structure.canonical_triple_masks():
-        yield (
-            (structure.bel_masks(b, a), structure.bel_masks(a, u)),
-            structure.bel_masks(b, u),
-            (b, a, u),
-        )
-
-
 def extract_combination(structure: BeliefStructure):
-    """Tabular F from all chain triples B ⊆ A ⊆ U (A ≠ ∅), or a conflict."""
-    table: dict[tuple[Fraction, Fraction], Fraction] = {}
-    witnesses: dict[tuple[Fraction, Fraction], tuple[int, int, int]] = {}
-    for key, out, triple in _combination_instances(structure):
-        if key in table:
-            if table[key] != out:
-                return CombinationConflict(key, witnesses[key], table[key], triple, out)
-        else:
-            table[key] = out
-            witnesses[key] = triple
+    """Tabular F from all chain triples B ⊆ A ⊆ U (A ≠ ∅), or a conflict.
+
+    Runs on value ranks and is memoized on the structure.
+    """
+    return structure.derived("combination", _extract_combination)
+
+
+def _extract_combination(structure: BeliefStructure):
+    values, instances = _combination_instances(structure)
+    table, witnesses, clash = _first_outputs(instances)
+    if clash is not None:
+        (l, r), out, triple = clash
+        return CombinationConflict(
+            (values[l], values[r]), witnesses[l, r], values[table[l, r]],
+            triple, values[out],
+        )
     return CombinationForm(
-        kind="tabular", table=table, interval=structure.bounds, witnesses=witnesses
+        kind="tabular",
+        table={(values[l], values[r]): values[out] for (l, r), out in table.items()},
+        interval=structure.bounds,
+        witnesses={(values[l], values[r]): t for (l, r), t in witnesses.items()},
     )
 
 

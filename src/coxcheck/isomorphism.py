@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ZERO, ONE, BeliefStructure, Event, measure_of
+from .core import ZERO, ONE, BeliefStructure, Event, subset_sums
 from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
@@ -114,27 +114,35 @@ class _Contradiction(Exception):
 class _RatioEngine:
     """Exact constraint propagation over the attained-value quotient graph.
 
-    `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1 and `products` holds
-    (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each at most once per value
-    tuple.  The forced zeros and ones, the bounds and the positivity flags
+    Facts are keyed by value rank (`values[rank]` is the value): ranks
+    compare as the values do, so every order rule runs on ints and only the
+    messages print values.  `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1
+    and `products` holds (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each
+    at most once per value tuple; both are given as values and stored as
+    ranks.  The forced zeros and ones, the bounds and the positivity flags
     come from one pass over the structure's A1 instances.
     """
 
     def __init__(self, structure: BeliefStructure, sums, products):
+        values, instances = _negation_instances(structure)
+        self.values = values
+        rank_of = {x: r for r, x in enumerate(values)}
         e, big_e = structure.bounds
-        self.e, self.E = e, big_e
-        self.positive: set[Fraction] = set()  # r(v) > 0 forced
-        self.below_one: set[Fraction] = set()  # r(v) < 1 forced
-        self.known: dict[Fraction, tuple[Fraction, frozenset]] = {}
-        self.sums = sorted(sums)
-        self.products = sorted(products)
+        self.e, self.E = rank_of[e], rank_of[big_e]
+        self.positive: set[int] = set()  # r(v) > 0 forced
+        self.below_one: set[int] = set()  # r(v) < 1 forced
+        self.known: dict[int, tuple[Fraction, frozenset]] = {}
+        self.sums = sorted((rank_of[x], rank_of[y], w) for x, y, w in sums)
+        self.products = sorted(
+            (rank_of[out], rank_of[l], rank_of[r], w) for out, l, r, w in products
+        )
         self.contradiction: _Contradiction | None = None
         # seeds are applied in run(), once every positivity flag is known
-        self._seeds: list[tuple[Fraction, int, int, tuple]] = []
-        for x, s_x, (v, u) in _negation_instances(structure):
+        self._seeds: list[tuple[int, int, int, tuple]] = []
+        for x, s_x, (v, u) in instances:
             for value, vm in ((x, v), (s_x, u ^ v)):
                 self._note_flags(value, vm, u)
-                if vm == 0 or vm == u or not e <= value <= big_e:
+                if vm == 0 or vm == u or not self.e <= value <= self.E:
                     self._seeds.append((value, vm, u, (v, u)))
 
     @classmethod
@@ -159,7 +167,7 @@ class _RatioEngine:
         )
         return cls(structure, sums, products)
 
-    def _note_flags(self, value: Fraction, v_mask: int, u_mask: int):
+    def _note_flags(self, value: int, v_mask: int, u_mask: int):
         if v_mask != 0 or value > self.e:
             self.positive.add(value)
         if v_mask != u_mask or value < self.E:
@@ -171,9 +179,10 @@ class _RatioEngine:
         for value, vm, um, pair in self._seeds:
             mark = frozenset([("sum", pair)])
             if value < self.e or value > self.E:
+                v = self.values
                 raise _Contradiction(
-                    f"attained value {value} lies outside the bounds "
-                    f"[{self.e},{self.E}]",
+                    f"attained value {v[value]} lies outside the bounds "
+                    f"[{v[self.e]},{v[self.E]}]",
                     mark,
                 )
             if vm == 0:
@@ -185,28 +194,29 @@ class _RatioEngine:
         if self.E in self.positive or self.E in self.below_one or self.E in self.known:
             self._set(self.E, ONE, frozenset([("seed", "g(E)=1")]), "g(E) = 1")
 
-    def _set(self, value: Fraction, ratio: Fraction, eqset: frozenset, why: str) -> bool:
+    def _set(self, value: int, ratio: Fraction, eqset: frozenset, why: str) -> bool:
+        x = self.values[value]
         if value in self.known:
             old_ratio, old_eqs = self.known[value]
             if old_ratio != ratio:
                 raise _Contradiction(
-                    f"r({value}) forced to both {old_ratio} and {ratio} ({why})",
+                    f"r({x}) forced to both {old_ratio} and {ratio} ({why})",
                     eqset | old_eqs,
                 )
             return False
         if ratio < 0 or ratio > 1:
             raise _Contradiction(
-                f"r({value}) forced to {ratio} outside [0,1] ({why})", eqset
+                f"r({x}) forced to {ratio} outside [0,1] ({why})", eqset
             )
         if ratio == 0 and value in self.positive:
             raise _Contradiction(
-                f"r({value}) forced to 0 but {value} is attained at a nonempty "
+                f"r({x}) forced to 0 but {x} is attained at a nonempty "
                 f"intersection or exceeds e ({why})",
                 eqset,
             )
         if ratio == 1 and value in self.below_one:
             raise _Contradiction(
-                f"r({value}) forced to 1 but {value} is attained at a proper "
+                f"r({x}) forced to 1 but {x} is attained at a proper "
                 f"subevent or is below E ({why})",
                 eqset,
             )
@@ -219,9 +229,10 @@ class _RatioEngine:
         items = sorted(self.known.items())
         for (v1, (r1, e1)), (v2, (r2, e2)) in zip(items, items[1:]):
             if not r1 < r2:
+                x1, x2 = self.values[v1], self.values[v2]
                 raise _Contradiction(
-                    f"value order broken: {v1} < {v2} but r({v1}) = {r1} ≥ "
-                    f"r({v2}) = {r2}",
+                    f"value order broken: {x1} < {x2} but r({x1}) = {r1} ≥ "
+                    f"r({x2}) = {r2}",
                     e1 | e2,
                 )
 
@@ -235,19 +246,20 @@ class _RatioEngine:
             if x != y:
                 oriented.append((y, x, w))
         oriented.sort()
+        v = self.values
         for (x1, y1, w1), (x2, y2, w2) in zip(oriented, oriented[1:]):
             marks = frozenset([("sum", w1), ("sum", w2)])
             if x1 == x2:
                 if y1 != y2:
                     raise _Contradiction(
-                        f"complements of the shared value {x1} differ: "
-                        f"{y1} vs {y2} would share the ratio 1 - r({x1})",
+                        f"complements of the shared value {v[x1]} differ: "
+                        f"{v[y1]} vs {v[y2]} would share the ratio 1 - r({v[x1]})",
                         marks,
                     )
             elif not y1 > y2:
                 raise _Contradiction(
-                    f"complement order broken: {x1} < {x2} but complements "
-                    f"{y1} ≤ {y2}",
+                    f"complement order broken: {v[x1]} < {v[x2]} but complements "
+                    f"{v[y1]} ≤ {v[y2]}",
                     marks,
                 )
 
@@ -265,12 +277,13 @@ class _RatioEngine:
             by_factors.setdefault((l, r), []).append((out, w))
             by_out_left.setdefault((out, l), []).append((r, w))
             by_out_right.setdefault((out, r), []).append((l, w))
+        v = self.values
         for (l, r), outs in by_factors.items():
             if len({o for o, _ in outs}) > 1:
                 (o1, w1), (o2, w2) = outs[0], outs[1]
                 raise _Contradiction(
-                    f"r({l})·r({r}) equals both r({o1}) and r({o2}) with "
-                    f"{o1} ≠ {o2}",
+                    f"r({v[l]})·r({v[r]}) equals both r({v[o1]}) and r({v[o2]}) "
+                    f"with {v[o1]} ≠ {v[o2]}",
                     frozenset([("product", w1), ("product", w2)]),
                 )
         for grouped in (by_out_left, by_out_right):
@@ -280,9 +293,10 @@ class _RatioEngine:
                 if shared in self.positive or out in self.positive:
                     (c1, w1), (c2, w2) = cofactors[0], cofactors[1]
                     raise _Contradiction(
-                        f"cancelling the positive shared factor r({shared}) in "
-                        f"r({out}) = r({shared})·r({c1}) = r({shared})·r({c2}) "
-                        f"forces r({c1}) = r({c2}) with {c1} ≠ {c2}",
+                        f"cancelling the positive shared factor r({v[shared]}) in "
+                        f"r({v[out]}) = r({v[shared]})·r({v[c1]}) = "
+                        f"r({v[shared]})·r({v[c2]}) "
+                        f"forces r({v[c1]}) = r({v[c2]}) with {v[c1]} ≠ {v[c2]}",
                         frozenset([("product", w1), ("product", w2)]),
                     )
 
@@ -294,39 +308,41 @@ class _RatioEngine:
             return changed
         kx = self.known.get(x)
         ky = self.known.get(y)
+        v = self.values
         if kx and ky:
             if kx[0] + ky[0] != 1:
                 raise _Contradiction(
-                    f"r({x}) + r({y}) = {kx[0] + ky[0]} ≠ 1",
+                    f"r({v[x]}) + r({v[y]}) = {kx[0] + ky[0]} ≠ 1",
                     kx[1] | ky[1] | mark,
                 )
             return False
         if kx:
-            changed |= self._set(y, 1 - kx[0], kx[1] | mark, f"complement of {x}")
+            changed |= self._set(y, 1 - kx[0], kx[1] | mark, f"complement of {v[x]}")
         elif ky:
-            changed |= self._set(x, 1 - ky[0], ky[1] | mark, f"complement of {y}")
+            changed |= self._set(x, 1 - ky[0], ky[1] | mark, f"complement of {v[y]}")
         return changed
 
     def _apply_product(self, out, l, r, witness) -> bool:
         mark = frozenset([("product", witness)])
         changed = False
+        v = self.values
         # r(out) = r(l)·r(r) ≤ min(r(l), r(r)): the product never exceeds a
         # factor, and equals one only when the other factor is 1 (or it is 0)
         for big, small in ((l, r), (r, l)):
             if out > big:
                 raise _Contradiction(
-                    f"product exceeds a factor: r({out}) = r({l})·r({r}) "
-                    f"but {out} > {big}",
+                    f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
+                    f"but {v[out]} > {v[big]}",
                     mark,
                 )
             if out == big and big in self.positive and small in self.below_one:
                 raise _Contradiction(
-                    f"r({out}) = r({out})·r({small}) needs r({out}) = 0 or "
-                    f"r({small}) = 1; both are excluded",
+                    f"r({v[out]}) = r({v[out]})·r({v[small]}) needs r({v[out]}) = 0 "
+                    f"or r({v[small]}) = 1; both are excluded",
                     mark,
                 )
             if out == big and big in self.positive:
-                changed |= self._set(small, ONE, mark, f"cancelling r({big}) > 0")
+                changed |= self._set(small, ONE, mark, f"cancelling r({v[big]}) > 0")
         for unit, other in ((l, r), (r, l)):
             ku = self.known.get(unit)
             if not (ku and ku[0] == 1) or out == other:
@@ -342,13 +358,12 @@ class _RatioEngine:
             else:
                 # distinct values forced to share a ratio break strict increase
                 raise _Contradiction(
-                    f"r({unit}) = 1 forces r({out}) = r({other}) with "
-                    f"{out} ≠ {other}",
+                    f"r({v[unit]}) = 1 forces r({v[out]}) = r({v[other]}) with "
+                    f"{v[out]} ≠ {v[other]}",
                     ku[1] | mark,
                 )
         kl = self.known.get(l)
         kr = self.known.get(r)
-        ko = self.known.get(out)
         if kl and kl[0] == 0:
             changed |= self._set(out, ZERO, kl[1] | mark, "zero factor")
         if kr and kr[0] == 0:
@@ -556,41 +571,53 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     if sum(ws) != 1:
         raise ValueError("witness weights must sum to 1")
     e, big_e = structure.bounds
-    ratio_map: dict[Fraction, Fraction] = {}
-    for v, u, x in structure.items():
-        ratio = measure_of(ws, v) / measure_of(ws, u)
-        if x in ratio_map:
-            if ratio_map[x] != ratio:
-                return WitnessCheck(
-                    False,
-                    f"single-valuedness: value {x} maps to ratios {ratio_map[x]} "
-                    f"and {ratio}",
-                    None,
-                )
-        else:
-            ratio_map[x] = ratio
-    items = sorted(ratio_map.items())
-    for (v1, r1), (v2, r2) in zip(items, items[1:]):
-        if not r1 < r2:
+    index = structure.value_index()
+    values = index.values
+    # μ of every event as an integer over the weights' common denominator;
+    # a ratio μ(V)/μ(U) is kept as the pair (μ(V), μ(U)) and compared by
+    # cross-multiplication, which is exact
+    den = math.lcm(*(w.denominator for w in ws))
+    mu = subset_sums([w.numerator * (den // w.denominator) for w in ws])
+    ratios: dict[int, tuple[int, int]] = {}  # value rank -> (μ(V), μ(U))
+    for v, u, x in index.pairs():
+        p, q = mu[v], mu[u]
+        old = ratios.setdefault(x, (p, q))
+        if old[0] * q != p * old[1]:
             return WitnessCheck(
                 False,
-                f"strict increase: values {v1} < {v2} map to ratios {r1} ≥ {r2}",
+                f"single-valuedness: value {values[x]} maps to ratios "
+                f"{Fraction(*old)} and {Fraction(p, q)}",
                 None,
             )
-    if e in ratio_map and ratio_map[e] != 0:
-        return WitnessCheck(False, f"endpoint: g({e}) = {ratio_map[e]} ≠ 0", None)
-    if big_e in ratio_map and ratio_map[big_e] != 1:
-        return WitnessCheck(False, f"endpoint: g({big_e}) = {ratio_map[big_e]} ≠ 1", None)
-    full = domain.full_mask
-    for v, u, x in structure.items():
-        lhs = ratio_map[x] * ratio_map[structure.bel_masks(u, full)]
-        rhs = ratio_map[structure.bel_masks(v, full)]
-        if lhs != rhs:
+    items = sorted(ratios.items())
+    for (x1, (p1, q1)), (x2, (p2, q2)) in zip(items, items[1:]):
+        if not p1 * q2 < p2 * q1:
+            return WitnessCheck(
+                False,
+                f"strict increase: values {values[x1]} < {values[x2]} map to ratios "
+                f"{Fraction(p1, q1)} ≥ {Fraction(p2, q2)}",
+                None,
+            )
+    if index.e in ratios and ratios[index.e][0] != 0:
+        return WitnessCheck(
+            False, f"endpoint: g({e}) = {Fraction(*ratios[index.e])} ≠ 0", None
+        )
+    if index.E in ratios and ratios[index.E][0] != ratios[index.E][1]:
+        return WitnessCheck(
+            False, f"endpoint: g({big_e}) = {Fraction(*ratios[index.E])} ≠ 1", None
+        )
+    unconditional = index.rank[domain.full_mask]
+    for v, u, x in index.pairs():
+        p1, q1 = ratios[x]
+        p2, q2 = ratios[unconditional[u]]
+        p3, q3 = ratios[unconditional[v]]
+        if p1 * p2 * q3 != p3 * q1 * q2:
             return WitnessCheck(
                 False,
                 f"product rule fails at (V={Event(domain, v)!r}, U={Event(domain, u)!r})",
                 None,
             )
+    ratio_map = {values[x]: Fraction(p, q) for x, (p, q) in ratios.items()}
     return WitnessCheck(True, None, ratio_map)
 
 
@@ -685,10 +712,11 @@ def _structured_candidates(structure: BeliefStructure):
 
 def _value_classes(structure: BeliefStructure):
     """Sorted attained values with their canonical pair lists."""
-    classes: dict[Fraction, list[tuple[int, int]]] = {}
-    for v, u, x in structure.items():
+    index = structure.value_index()
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for v, u, x in index.pairs():
         classes.setdefault(x, []).append((v, u))
-    return sorted(classes.items())
+    return [(index.values[x], pairs) for x, pairs in sorted(classes.items())]
 
 
 def _numeric_feasibility(structure, params):
@@ -775,13 +803,10 @@ def _verify_numeric(structure, weights_float, tol) -> bool:
     total = sum(ws)
     ws = [w / total for w in ws]
     tol = Fraction(tol).limit_denominator(10 ** 15)
-    classes: dict[Fraction, list[Fraction]] = {}
-    for v, u, x in structure.items():
-        classes.setdefault(x, []).append(
-            measure_of(ws, v) / measure_of(ws, u)
-        )
+    mu = subset_sums(ws)
     means = []
-    for x, ratios in sorted(classes.items()):
+    for x, pairs in _value_classes(structure):
+        ratios = [mu[v] / mu[u] for v, u in pairs]
         if max(ratios) - min(ratios) > tol:
             return False
         means.append((x, sum(ratios) / len(ratios)))

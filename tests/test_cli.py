@@ -1,14 +1,29 @@
 import json
+import time
 from fractions import Fraction as F
 
 import jsonschema
 import pytest
 
 from coxcheck.cli import main
+from coxcheck.core import BeliefStructure
 from coxcheck.files import load_structure
 from coxcheck.report_schema import REPORT_SCHEMA
 
 from conftest import FIXTURES
+
+
+def count_triple_passes(monkeypatch) -> list:
+    """Patch BeliefStructure so each canonical_triple_masks pass is recorded."""
+    passes = []
+    original = BeliefStructure.canonical_triple_masks
+
+    def counting(self):
+        passes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BeliefStructure, "canonical_triple_masks", counting)
+    return passes
 
 
 def run_cli(args, capsys=None):
@@ -71,6 +86,11 @@ class TestReports:
         assert "verdict: refutation" in out
         assert report["verdict"]["certificate"]["kind"]
 
+    def test_audit_t2_extracts_the_triples_once(self, monkeypatch, capsys):
+        passes = count_triple_passes(monkeypatch)
+        assert run_cli(["audit", FIXTURES / "three_atoms.bel", "--theorem", "2"]) == 1
+        assert len(passes) == 1
+
     def test_audit_report(self, tmp_path, capsys):
         code, report = run_with_report(
             ["audit", FIXTURES / "three_atoms.bel", "--theorem", "1"], tmp_path
@@ -120,6 +140,32 @@ class TestUsageAndParseErrors:
         path.write_text(text, encoding="utf-8")
         assert main(["check", str(path)]) == 65
         assert "parse error" in capsys.readouterr().err
+
+    def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.bel"
+        text = (FIXTURES / "uniform2.bel").read_text(encoding="utf-8")
+        path.write_text(text + "bel {a} | * = 1e9999999\n", encoding="utf-8")
+        started = time.perf_counter()
+        assert main(["check", str(path)]) == 65
+        assert time.perf_counter() - started < 5
+        assert "parse error" in capsys.readouterr().err
+
+    def test_report_in_a_missing_directory_is_refused_up_front(self, tmp_path, capsys):
+        report = tmp_path / "no_such_dir" / "r.json"
+        assert run_cli(["check", FIXTURES / "uniform2.bel", "--json", report]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any check ran
+        assert "cannot write report" in captured.err
+
+    def test_failed_report_write_is_a_usage_error(self, tmp_path, capsys):
+        # the parent exists, but the report path itself is a directory
+        assert run_cli(["check", FIXTURES / "uniform2.bel", "--json", tmp_path]) == 64
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_unwritable_output_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "p.bel"
+        assert run_cli(["generate", "probability", "--atoms", "a,b",
+                        "--weights", "1/2,1/2", "--out", out]) == 64
 
     def test_generate_without_out_is_a_usage_error(self, capsys):
         assert main(["generate", "probability", "--atoms", "a,b",

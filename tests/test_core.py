@@ -1,15 +1,21 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from coxcheck.cli import main
 from coxcheck.core import (
     BeliefDomainError,
     BeliefStructure,
     Domain,
     EmptyConditionError,
 )
+from coxcheck.files import load_structure
+from coxcheck.isomorphism import decide, verify_witness
+
+from conftest import FIXTURES
 
 
 def uniform(n):
@@ -192,3 +198,66 @@ class TestStructureEquality:
         doubled = b.map_values(lambda v: v / 2 + F(1, 4), bounds=(F(1, 4), F(3, 4)))
         assert doubled.bel_masks(1, 3) == F(1, 2)
         assert doubled.bounds == (F(1, 4), F(3, 4))
+
+
+def index_fixtures():
+    return [
+        load_structure(p) for p in sorted(FIXTURES.glob("*.bel"))
+        if not p.name.startswith("bad_parse")
+    ]
+
+
+class TestValueIndex:
+    def test_values_strictly_increase_and_hold_the_bounds(self):
+        for b in index_fixtures() + [uniform(3)]:
+            index = b.value_index()
+            assert all(x < y for x, y in zip(index.values, index.values[1:]))
+            e, big_e = b.bounds
+            assert index.values[index.e] == e and index.values[index.E] == big_e
+
+    def test_ranks_come_in_canonical_order_and_name_each_value(self):
+        for b in index_fixtures() + [uniform(3)]:
+            index = b.value_index()
+            assert [(v, u) for v, u, _ in index.pairs()] == list(b.canonical_pair_masks())
+            assert [index.values[r] for _, _, r in index.pairs()] == [
+                x for _, _, x in b.items()
+            ]
+            assert index.rank[0] == {}
+
+    def test_bounds_outside_the_attained_values_are_ranked_too(self):
+        b = uniform(2).map_values(lambda v: v / 2 + F(1, 4), bounds=(F(0), F(1)))
+        index = b.value_index()
+        assert index.values == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+        assert (index.e, index.E) == (0, 4)
+        assert b.attained("conditional") == [F(1, 4), F(1, 2), F(3, 4)]
+
+    def test_index_is_built_once(self):
+        b = uniform(3)
+        assert b.value_index() is b.value_index()
+
+    def test_shuffled_bel_lines_change_nothing(self, tmp_path, capsys):
+        rng = random.Random(5)
+        for name in ("three_atoms.bel", "distorted_k2.bel", "order_conflict.bel",
+                     "chain_conflict.bel", "gauge_rescaled_prob.bel"):
+            lines = (FIXTURES / name).read_text(encoding="utf-8").splitlines()
+            head = [ln for ln in lines if not ln.startswith("bel ")]
+            body = [ln for ln in lines if ln.startswith("bel ")]
+            rng.shuffle(body)
+            shuffled = tmp_path / name
+            shuffled.write_text("\n".join(head + body) + "\n", encoding="utf-8")
+            outputs = []
+            for path in (FIXTURES / name, shuffled):
+                b = load_structure(path)
+                verdict = decide(b)
+                cert = verdict.certificate
+                n = b.domain.size
+                skewed = [F(2, n + 1)] + [F(1, n + 1)] * (n - 1)
+                main(["check", str(path)])
+                outputs.append((
+                    verdict.to_dict(),
+                    cert and (cert.description, cert.recheck(b)),
+                    verify_witness(b, skewed).failing,
+                    capsys.readouterr().out,
+                ))
+            assert outputs[0][2] is not None
+            assert outputs[0] == outputs[1], name

@@ -24,6 +24,15 @@ class TestValues:
         with pytest.raises(ValueError):
             parse_value("one half")
 
+    @pytest.mark.parametrize("text", ["1e9999999", "1E-1001", "7" * 1001])
+    def test_huge_literals_rejected_before_building_them(self, text):
+        with pytest.raises(ValueError, match="over 1000 digits"):
+            parse_value(text)
+
+    def test_literals_at_the_limit_are_exact(self):
+        assert parse_value("1e1000") == 10 ** 1000
+        assert parse_value("1/" + "3" * 998) == F(1, int("3" * 998))
+
 
 class TestParse:
     def test_generator_directive(self):
@@ -80,6 +89,13 @@ class TestParse:
         atoms = " ".join(f"x{i}" for i in range(13))
         with pytest.raises(ParseError, match="explicit tables capped at 12 atoms"):
             parse_structure(f"domain: {atoms}\nbel {{x0}} | * = 1/2\n")
+
+    def test_huge_literal_in_a_complete_file(self):
+        text = serialize_structure(
+            BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 2), F(1, 2)])
+        ) + "bel {a} | * = 1e9999999\n"
+        with pytest.raises(ParseError, match="line 11: rational literal"):
+            parse_structure(text)
 
     def test_empty_conditioning_event(self):
         with pytest.raises(ParseError, match="nonempty"):

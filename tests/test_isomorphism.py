@@ -9,8 +9,6 @@ from coxcheck.files import load_structure
 from coxcheck.forms import (
     CombinationConflict,
     NegationConflict,
-    _combination_instances,
-    _negation_instances,
     extract_combination,
     extract_negation,
 )
@@ -170,6 +168,29 @@ class TestRefutationSearch:
             assert kind in ("sum", "product")
 
 
+def reference_instances(structure):
+    """A1 and A2 instances as values, read off the structure directly.
+
+    Every canonical pair and triple; for uniform structures above 6 atoms,
+    whose extraction goes by event sizes, one prefix-event witness per size.
+    """
+    bel = structure.bel_masks
+    if structure.is_uniform and structure.domain.size > 6:
+        n = structure.domain.size
+        prefix = [(1 << s) - 1 for s in range(n + 1)]
+        pairs = [(prefix[j], prefix[m]) for m in range(1, n + 1) for j in range(m + 1)]
+        a1 = [(bel(v, u), bel(u ^ v, u), (v, u)) for v, u in pairs]
+        triples = [
+            (prefix[j], prefix[a], prefix[m])
+            for m in range(1, n + 1) for a in range(1, m + 1) for j in range(a + 1)
+        ]
+    else:
+        a1 = [(x, bel(u ^ v, u), (v, u)) for v, u, x in structure.items()]
+        triples = structure.canonical_triple_masks()
+    a2 = [((bel(b, a), bel(a, u)), bel(b, u), (b, a, u)) for b, a, u in triples]
+    return a1, a2
+
+
 def reference_engine_inputs(structure):
     """The engine's sums, products and flags, read off every A1/A2 instance.
 
@@ -179,14 +200,15 @@ def reference_engine_inputs(structure):
     e, big_e = structure.bounds
     positive, below_one = set(), set()
     sums, products = {}, {}
-    for x, s_x, (v, u) in _negation_instances(structure):
+    a1, a2 = reference_instances(structure)
+    for x, s_x, (v, u) in a1:
         for value, vm in ((x, v), (s_x, u ^ v)):
             if vm != 0 or value > e:
                 positive.add(value)
             if vm != u or value < big_e:
                 below_one.add(value)
         sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, (v, u)))
-    for (l, r), out, triple in _combination_instances(structure):
+    for (l, r), out, triple in a2:
         products.setdefault((out, l, r), (out, l, r, triple))
     return sorted(sums.values()), sorted(products.values()), positive, below_one
 
@@ -200,10 +222,14 @@ def assert_engine_matches_reference(structure):
         return False  # refutation_search stops before building the engine
     engine = _RatioEngine.from_forms(structure, negation, combination)
     sums, products, positive, below_one = reference_engine_inputs(structure)
-    assert engine.sums == sums
-    assert engine.products == products
-    assert engine.positive == positive
-    assert engine.below_one == below_one
+    # the engine keys facts by value rank; engine.values maps ranks back
+    value = engine.values
+    assert [(value[x], value[y], w) for x, y, w in engine.sums] == sums
+    assert [
+        (value[out], value[l], value[r], w) for out, l, r, w in engine.products
+    ] == products
+    assert {value[x] for x in engine.positive} == positive
+    assert {value[x] for x in engine.below_one} == below_one
     return True
 
 
