@@ -1,0 +1,155 @@
+"""Compare what coxcheck prints and reports between this tree and a revision.
+
+    python scripts/compare_outputs.py --against REV [--seed N]
+
+Extracts REV's `src/` with `git archive` into a temporary directory and
+builds the jobs there: every input of the four benchmark workloads for the
+seed (`perfbench/workloads.build`, default seed 201) plus a `decide` and a
+`check` run of every fixture.  Each tree runs every job once, in-process
+through `coxcheck.cli.main`, in an interpreter of its own.  Per job the
+exit code, stdout, stderr and JSON report without `timings` must match, and
+for `decide` also the certificate kind, description, `recheck()` result and
+order-conflict instances.  Prints the first difference and exits 1 on any
+difference, 0 when every job matches.  Uses the standard library only and
+writes nothing inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
+    """Worker: run every job against the coxcheck package under `src`."""
+    sys.path.insert(0, src)
+    import coxcheck
+    from coxcheck import cli
+    from coxcheck.files import load_structure
+
+    if not Path(coxcheck.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {coxcheck.__file__}, not the tree under {src}")
+    decided = []
+    original_decide = cli.decide
+
+    def recording_decide(structure, params=None):
+        verdict = original_decide(structure, params)
+        decided.append(verdict)
+        return verdict
+
+    cli.decide = recording_decide
+    results = []
+    for job in json.loads(Path(jobs_path).read_text(encoding="utf-8")):
+        report = Path(job["report"])
+        report.unlink(missing_ok=True)
+        decided.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(job["argv"])
+            except Exception as exc:  # an escaping exception is a difference
+                rc = f"raised {exc!r}"
+        result = {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        if report.exists():
+            result["report"] = json.loads(report.read_text(encoding="utf-8"))
+            result["report"].pop("timings", None)
+        cert = decided[-1].certificate if decided else None
+        if cert is not None:
+            result["certificate"] = {
+                "kind": cert.kind,
+                "description": cert.description,
+                # a fresh structure, so the recheck shares nothing with decide
+                "recheck": cert.recheck(load_structure(job["argv"][1])),
+                "instances": (
+                    cert.data.instances if cert.kind == "order-conflict" else None
+                ),
+            }
+        results.append(result)
+    Path(out_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def build_jobs(tmp: Path, seed: int) -> list[dict]:
+    sys.dont_write_bytecode = True  # keep perfbench/ free of caches
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+
+    jobs = []
+    for workload in workloads.WORKLOADS:
+        for inp in workloads.build(workload, seed, tmp / "inputs" / workload):
+            jobs.append({"id": f"{workload}/{inp.id}", "argv": inp.argv,
+                         "report": str(inp.report)})
+    reports = tmp / "reports"
+    reports.mkdir()
+    for path in sorted((REPO / "fixtures").glob("*.bel")):
+        for sub in ("decide", "check"):
+            report = reports / f"{sub}-{path.stem}.json"
+            jobs.append({"id": f"{sub}/{path.name}",
+                         "argv": [sub, str(path), "--json", str(report)],
+                         "report": str(report)})
+    return jobs
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                             cwd=REPO, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest / "src"
+
+
+def first_difference(jobs, before, after):
+    for job, b, a in zip(jobs, before, after):
+        for key in sorted(set(b) | set(a)):
+            if b.get(key) != a.get(key):
+                return job["id"], key, b.get(key), a.get(key)
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", help="git revision to compare with")
+    parser.add_argument("--seed", type=int, default=201)
+    parser.add_argument("--worker", nargs=3, metavar=("SRC", "JOBS", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        run_jobs(*args.worker)
+        return 0
+    if not args.against:
+        parser.error("--against REV is required")
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        trees = {args.against: extract_src(args.against, tmp / "rev"),
+                 "working tree": REPO / "src"}
+        jobs = build_jobs(tmp, args.seed)
+        jobs_path = tmp / "jobs.json"
+        jobs_path.write_text(json.dumps(jobs), encoding="utf-8")
+        results = []
+        for name, src in trees.items():
+            out_path = tmp / f"results-{len(results)}.json"
+            print(f"running {len(jobs)} jobs on {name}", flush=True)
+            subprocess.run([sys.executable, "-B", __file__, "--worker", str(src),
+                            str(jobs_path), str(out_path)], check=True)
+            results.append(json.loads(out_path.read_text(encoding="utf-8")))
+    diff = first_difference(jobs, *results)
+    if diff is None:
+        print(f"no difference on {len(jobs)} jobs")
+        return 0
+    job_id, key, before, after = diff
+    print(f"first difference: job {job_id}, {key}")
+    print(f"  {args.against}: {json.dumps(before)[:2000]}")
+    print(f"  working tree: {json.dumps(after)[:2000]}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

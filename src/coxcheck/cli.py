@@ -160,7 +160,7 @@ def _cmd_check(args, argv) -> int:
     else:
         checks.append(("combination-extraction", "pass",
                        f"single-valued on {len(combination.table)} argument pairs"))
-        chain = chain_consistency(structure, combination)
+        chain = chain_consistency(structure)
         checks.append(("chain-consistency", chain.status, chain.detail))
     neg_identity = bel_level_negation(structure, negation)
     checks.append(("negation-involution", neg_identity.status, neg_identity.detail))

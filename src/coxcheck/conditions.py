@@ -24,15 +24,14 @@ from .core import (
     BeliefStructure,
     ChainQuadruple,
     Event,
-    intern_values,
 )
 from .forms import (
     CombinationConflict,
-    CombinationForm,
     FormError,
     NegationConflict,
     Verdict,
     check_monotonicity,
+    combination_ranks,
     extract_combination,
     extract_negation,
 )
@@ -299,13 +298,16 @@ def par5_family(
 ) -> FamilyDensityReport:
     """Par5′: every target triple on the grid is ε-approximated by some member.
 
-    A zero-resolution grid passes vacuously and is flagged as such.  The
-    worst-approximated triple reports the deviation the search achieved.
+    A zero-resolution grid passes vacuously and is flagged as such; a
+    negative one raises ValueError.  The worst-approximated triple reports
+    the deviation the search achieved.
     """
     members = list(family.members)
     if not members:
         raise ValueError("family must be nonempty")
     epsilon = Fraction(epsilon)
+    if grid_resolution < 0:
+        raise ValueError(f"grid resolution must be nonnegative, got {grid_resolution}")
     if grid_resolution == 0:
         return FamilyDensityReport(True, True, 0, epsilon, 0, (), None)
     if grid_resolution == 1:
@@ -409,32 +411,23 @@ class ChainConsistencyReport:
         return self.status == "pass"
 
 
-def chain_consistency(
-    structure: BeliefStructure, combination: CombinationForm | None = None
-) -> ChainConsistencyReport:
+def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     """Associativity of the extracted F at every attained composite instance.
 
     Instances chain four table entries: p = F(y,z), q = F(x,y), r = F(x,p),
     s = F(q,z); the check is r = s.  Entries sourced from a single chain agree
     by construction, so failures always involve overlapping chains.  If
     extraction itself conflicts, that conflict is the stronger verdict and the
-    check reports untestable.
+    check reports untestable.  Runs on extraction's value ranks.
     """
-    if combination is None:
-        combination = extract_combination(structure)
-    if isinstance(combination, CombinationConflict):
+    values, table, witnesses, clash = combination_ranks(structure)
+    if clash is not None:
+        conflict = extract_combination(structure)
         return ChainConsistencyReport(
             "untestable", False, 0, 0, None,
-            f"combination extraction conflict: {combination.describe(structure.domain)}",
+            f"combination extraction conflict: {conflict.describe(structure.domain)}",
         )
-    # intern the F table: the composite-instance loop runs on value ranks
-    values, ranks = intern_values(
-        [t for (x, y), out in combination.table.items() for t in (x, y, out)]
-        + list(combination.interval)
-    )
-    triples = iter(ranks[:-2])
-    table = {(x, y): out for x, y, out in zip(triples, triples, triples)}
-    endpoints = tuple(ranks[-2:])
+    endpoints = {bisect.bisect_left(values, t) for t in structure.bounds}
     by_first: dict[int, list[int]] = {}
     for (a, b) in table:
         by_first.setdefault(a, []).append(b)
@@ -453,14 +446,13 @@ def chain_consistency(
             if any(t not in endpoints for t in (x, y, z, p, q, r, s)):
                 nontrivial += 1
             if r != s:
-                x, y, z, p, q, r, s = (values[t] for t in (x, y, z, p, q, r, s))
-                witnesses = combination.witnesses
+                # inner_right, inner_left, outer_left, outer_right
+                entries = (
+                    ((values[a], values[b]), values[table[a, b]], witnesses[a, b])
+                    for a, b in ((y, z), (x, y), (x, p), (q, z))
+                )
                 certificate = ChainCertificate(
-                    args=(x, y, z),
-                    inner_right=((y, z), p, witnesses[(y, z)]),
-                    inner_left=((x, y), q, witnesses[(x, y)]),
-                    outer_left=((x, p), r, witnesses[(x, p)]),
-                    outer_right=((q, z), s, witnesses[(q, z)]),
+                    (values[x], values[y], values[z]), *entries
                 )
                 return ChainConsistencyReport(
                     "fail", False, instances, nontrivial, certificate,
@@ -626,7 +618,7 @@ def _audit_t1(structure: BeliefStructure) -> AuditReport:
     return AuditReport("T1", tuple(hypotheses))
 
 
-def _audit_t2(structure, *, seed: int, decide_params=None) -> AuditReport:
+def _audit_t2(structure, *, seed: int) -> AuditReport:
     from .isomorphism import DecisionParams, decide  # local import: avoids cycle
 
     e, big_e = structure.bounds
@@ -726,8 +718,7 @@ def _audit_t2(structure, *, seed: int, decide_params=None) -> AuditReport:
                               "declared smoothness applies to catalog forms only")
         )
 
-    params = decide_params or DecisionParams(seed=seed)
-    verdict = decide(structure, params)
+    verdict = decide(structure, DecisionParams(seed=seed))
     if verdict.kind == "refutation":
         hypotheses.append(
             HypothesisVerdict("verdict-refutation", "pass",
@@ -850,7 +841,6 @@ def audit(
     epsilon: Fraction = Fraction(1, 20),
     seed: int = 0,
     budget: int = 2000,
-    decide_params=None,
 ) -> AuditReport:
     """Run exactly the hypothesis checks of the named theorem.
 
@@ -862,7 +852,7 @@ def audit(
     if theorem == "1":
         return _audit_t1(structure)
     if theorem == "2":
-        return _audit_t2(structure, seed=seed, decide_params=decide_params)
+        return _audit_t2(structure, seed=seed)
     if theorem == "3":
         if extension is None:
             raise ValueError("theorem 3 audit requires an extension")

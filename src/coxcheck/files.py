@@ -64,19 +64,23 @@ def parse_value(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from None
 
 
-def _parse_event(token: str, domain: Domain, line_no: int) -> Event:
+def _parse_event(token: str, bits: dict[str, int], line_no: int) -> int:
+    """The event mask of `*` or a brace-enclosed atom list; `bits` maps each
+    atom name to its bit."""
     token = token.strip()
     if token == "*":
-        return domain.whole
+        return (1 << len(bits)) - 1
     if not (token.startswith("{") and token.endswith("}")):
         raise ParseError(f"event must be '*' or brace-enclosed: {token!r}", line_no)
     names = token[1:-1].split()
     if len(set(names)) != len(names):
         raise ParseError(f"event lists an atom twice: {token!r}", line_no)
-    try:
-        return domain.event(names)
-    except BeliefDomainError as exc:
-        raise ParseError(str(exc), line_no) from None
+    mask = 0
+    for name in names:
+        if name not in bits:
+            raise ParseError(f"unknown atom {name!r}", line_no)
+        mask |= bits[name]
+    return mask
 
 
 def parse_structure(text: str) -> BeliefStructure:
@@ -99,6 +103,7 @@ def parse_structure(text: str) -> BeliefStructure:
                 domain = Domain(tuple(atoms))
             except BeliefDomainError as exc:
                 raise ParseError(str(exc), line_no) from None
+            bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
             continue
         if domain is None:
             raise ParseError("domain line must come first", line_no)
@@ -115,23 +120,23 @@ def parse_structure(text: str) -> BeliefStructure:
             bounds = (e, big_e)
             continue
         if line.startswith("bel "):
-            body = line[len("bel "):]
-            if "=" not in body or "|" not in body:
+            events_part, eq, value_part = line[len("bel "):].rpartition("=")
+            v_part, bar, u_part = events_part.partition("|")
+            if not (eq and bar):
                 raise ParseError("bel line must look like 'bel V | U = value'", line_no)
-            events_part, value_part = body.rsplit("=", 1)
-            v_part, u_part = events_part.split("|", 1)
-            v = _parse_event(v_part, domain, line_no)
-            u = _parse_event(u_part, domain, line_no)
-            if u.is_empty:
+            v = _parse_event(v_part, bits, line_no)
+            u = _parse_event(u_part, bits, line_no)
+            if u == 0:
                 raise ParseError("conditioning event U must be nonempty", line_no)
             try:
                 value = parse_value(value_part.strip())
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
-            key = ((v.mask & u.mask), u.mask)
+            key = (v & u, u)
             if key in explicit and explicit[key][0] != value:
                 raise ParseError(
-                    f"conflicting duplicate for Bel({v!r} | {u!r}): "
+                    f"conflicting duplicate for Bel({Event(domain, v)!r} | "
+                    f"{Event(domain, u)!r}): "
                     f"{explicit[key][0]} (line {explicit[key][1]}) vs {value}",
                     line_no,
                 )

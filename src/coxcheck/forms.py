@@ -10,8 +10,9 @@ high-precision floats (mpmath) take over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 import mpmath
 
 from .core import ZERO, ONE, BeliefStructure, Event, intern_values
@@ -44,7 +45,6 @@ class NegationForm:
     kind: str  # 'tabular' or a NEGATION_CATALOG name
     table: dict[Fraction, Fraction] | None = None
     interval: tuple[Fraction, Fraction] = (ZERO, ONE)
-    witnesses: dict[Fraction, tuple[int, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind != "tabular" and self.kind not in NEGATION_CATALOG:
@@ -77,9 +77,6 @@ class CombinationForm:
     kind: str  # 'tabular' or a COMBINATION_CATALOG name
     table: dict[tuple[Fraction, Fraction], Fraction] | None = None
     interval: tuple[Fraction, Fraction] = (ZERO, ONE)
-    witnesses: dict[tuple[Fraction, Fraction], tuple[int, int, int]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self):
         if self.kind != "tabular" and self.kind not in COMBINATION_CATALOG:
@@ -240,33 +237,57 @@ def _combination_instances(structure: BeliefStructure):
     return index.values, instances
 
 
-def _first_outputs(instances):
-    """Single-valued table and first witnesses from (key, out, witness)
-    instances, or the first clash as (key, out, witness)."""
+class RankedExtraction(NamedTuple):
+    """A1 or A2 on value ranks: `table` maps each key (rank x, or ranks
+    (x, y)) to its output rank, `witnesses` to its first (v,u) or (b,a,u),
+    and `clash` is the first conflicting (key, out, witness), or None."""
+
+    values: Sequence[Fraction]
+    table: dict
+    witnesses: dict
+    clash: tuple | None
+
+
+def _first_outputs(values, instances) -> RankedExtraction:
+    """Table, first witnesses and first clash of (key, out, witness) instances."""
     table: dict = {}
     witnesses: dict = {}
     for key, out, witness in instances:
         if key in table:
             if table[key] != out:
-                return table, witnesses, (key, out, witness)
+                return RankedExtraction(values, table, witnesses, (key, out, witness))
         else:
             table[key] = out
             witnesses[key] = witness
-    return table, witnesses, None
+    return RankedExtraction(values, table, witnesses, None)
+
+
+def negation_ranks(structure: BeliefStructure) -> RankedExtraction:
+    """A1 on value ranks, memoized on the structure; chain consistency and
+    the ratio engine read it, `extract_negation` turns it into Fractions."""
+    return structure.derived(
+        "negation-ranks", lambda s: _first_outputs(*_negation_instances(s))
+    )
+
+
+def combination_ranks(structure: BeliefStructure) -> RankedExtraction:
+    """A2 on value ranks, memoized on the structure, as `negation_ranks`."""
+    return structure.derived(
+        "combination-ranks", lambda s: _first_outputs(*_combination_instances(s))
+    )
 
 
 def extract_negation(structure: BeliefStructure):
     """Tabular S from all complement pairs, or the first conflict.
 
     A conflict is a legitimate verdict (A1 admits no function S), not an
-    error.  Extraction runs on value ranks and is memoized on the structure.
+    error.  Built from `negation_ranks` and memoized on the structure.
     """
     return structure.derived("negation", _extract_negation)
 
 
 def _extract_negation(structure: BeliefStructure):
-    values, instances = _negation_instances(structure)
-    table, witnesses, clash = _first_outputs(instances)
+    values, table, witnesses, clash = negation_ranks(structure)
     if clash is not None:
         x, s_x, pair = clash
         return NegationConflict(
@@ -276,21 +297,19 @@ def _extract_negation(structure: BeliefStructure):
         kind="tabular",
         table={values[x]: values[s_x] for x, s_x in table.items()},
         interval=structure.bounds,
-        witnesses={values[x]: pair for x, pair in witnesses.items()},
     )
 
 
 def extract_combination(structure: BeliefStructure):
     """Tabular F from all chain triples B ⊆ A ⊆ U (A ≠ ∅), or a conflict.
 
-    Runs on value ranks and is memoized on the structure.
+    Built from `combination_ranks` and memoized on the structure.
     """
     return structure.derived("combination", _extract_combination)
 
 
 def _extract_combination(structure: BeliefStructure):
-    values, instances = _combination_instances(structure)
-    table, witnesses, clash = _first_outputs(instances)
+    values, table, witnesses, clash = combination_ranks(structure)
     if clash is not None:
         (l, r), out, triple = clash
         return CombinationConflict(
@@ -301,7 +320,6 @@ def _extract_combination(structure: BeliefStructure):
         kind="tabular",
         table={(values[l], values[r]): values[out] for (l, r), out in table.items()},
         interval=structure.bounds,
-        witnesses={(values[l], values[r]): t for (l, r), t in witnesses.items()},
     )
 
 

@@ -139,10 +139,10 @@ class DomainFamily:
         return CombinationForm(kind="tabular", table=dict(self.f_evidence))
 
 
-def build_family(members, evidence_cap: int = EVIDENCE_SIZE_CAP) -> DomainFamily:
+def build_family(members) -> DomainFamily:
     """Merge per-member extracted tables into uniformity evidence.
 
-    Members larger than `evidence_cap` atoms are skipped when building the
+    Members larger than EVIDENCE_SIZE_CAP atoms are skipped when building the
     merged tables (their full tables are infeasible); the note records which.
     """
     members = tuple(members)
@@ -154,7 +154,7 @@ def build_family(members, evidence_cap: int = EVIDENCE_SIZE_CAP) -> DomainFamily
     comb_ok, comb_detail = True, "merged F-table single-valued"
     skipped = []
     for i, member in enumerate(members):
-        if member.domain.size > evidence_cap:
+        if member.domain.size > EVIDENCE_SIZE_CAP:
             skipped.append(i)
             continue
         neg = extract_negation(member)
@@ -186,7 +186,7 @@ def build_family(members, evidence_cap: int = EVIDENCE_SIZE_CAP) -> DomainFamily
     note = (
         "all members contributed evidence"
         if not skipped
-        else f"members {skipped} exceed {evidence_cap} atoms; evidence capped"
+        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
     )
     return DomainFamily(
         members=members,
@@ -261,12 +261,7 @@ def _permuted_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def search_min_counterexample(
-    atom_count: int,
-    grid,
-    *,
-    decide_params: DecisionParams | None = None,
-) -> MinSearchOutcome:
+def search_min_counterexample(atom_count: int, grid) -> MinSearchOutcome:
     """Exhaustively enumerate grid-valued tables satisfying A1 with S = 1-x,
     A2 with F = min, and Par2; return the first (canonical order) that is
     refuted, or report exhaustion.
@@ -289,7 +284,7 @@ def search_min_counterexample(
     domain = Domain(tuple("abcd"[:atom_count]))
     slots = _min_search_slots(domain)
     slot_index = {pair: i for i, pair in enumerate(slots)}
-    params = decide_params or DecisionParams(restarts=4, budget=200)
+    params = DecisionParams(restarts=4, budget=200)
 
     def pair_slot(v: int, u: int):
         """(slot, flip) locating the value of (v,u); None for Par2-forced."""

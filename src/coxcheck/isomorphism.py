@@ -18,6 +18,7 @@ clash is a sound refutation.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -31,13 +32,16 @@ from .core import ZERO, ONE, BeliefStructure, Event, subset_sums
 from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
-    CombinationForm,
     NegationConflict,
-    NegationForm,
     _negation_instances,
+    combination_ranks,
     extract_combination,
     extract_negation,
+    negation_ranks,
 )
+
+#: Most propagation sweeps the ratio engine makes over its sums and products.
+REFUTATION_DEPTH = 16
 
 
 # -- certificates -----------------------------------------------------------------
@@ -118,24 +122,20 @@ class _RatioEngine:
     compare as the values do, so every order rule runs on ints and only the
     messages print values.  `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1
     and `products` holds (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each
-    at most once per value tuple; both are given as values and stored as
-    ranks.  The forced zeros and ones, the bounds and the positivity flags
-    come from one pass over the structure's A1 instances.
+    given as ranks and at most once per rank tuple.  The forced zeros and
+    ones, the bounds and the positivity flags come from one pass over the
+    structure's A1 instances.
     """
 
     def __init__(self, structure: BeliefStructure, sums, products):
         values, instances = _negation_instances(structure)
         self.values = values
-        rank_of = {x: r for r, x in enumerate(values)}
-        e, big_e = structure.bounds
-        self.e, self.E = rank_of[e], rank_of[big_e]
+        self.e, self.E = (bisect.bisect_left(values, t) for t in structure.bounds)
         self.positive: set[int] = set()  # r(v) > 0 forced
         self.below_one: set[int] = set()  # r(v) < 1 forced
         self.known: dict[int, tuple[Fraction, frozenset]] = {}
-        self.sums = sorted((rank_of[x], rank_of[y], w) for x, y, w in sums)
-        self.products = sorted(
-            (rank_of[out], rank_of[l], rank_of[r], w) for out, l, r, w in products
-        )
+        self.sums = sorted(sums)
+        self.products = sorted(products)
         self.contradiction: _Contradiction | None = None
         # seeds are applied in run(), once every positivity flag is known
         self._seeds: list[tuple[int, int, int, tuple]] = []
@@ -146,25 +146,22 @@ class _RatioEngine:
                     self._seeds.append((value, vm, u, (v, u)))
 
     @classmethod
-    def from_forms(
-        cls, structure: BeliefStructure, negation: NegationForm,
-        combination: CombinationForm,
-    ) -> "_RatioEngine":
-        """One sum per complement pair {x, S(x)} and one product per F entry.
+    def from_extraction(cls, structure: BeliefStructure) -> "_RatioEngine":
+        """One sum per complement pair {x, S(x)} and one product per F entry,
+        read off the ranked S and F tables.
 
         A sum keeps the witness of x or S(x) that comes first in canonical
         (u, v) order, which is the first A1 instance showing that pair.
         """
+        s, f = negation_ranks(structure), combination_ranks(structure)
         first: dict[tuple, tuple] = {}
-        for x, (v, u) in negation.witnesses.items():
-            s_x = negation.table[x]
+        for x, (v, u) in s.witnesses.items():
+            s_x = s.table[x]
             key = (min(x, s_x), max(x, s_x))
             if key not in first or (u, v) < first[key][0]:
                 first[key] = ((u, v), x)
-        sums = ((x, negation.table[x], (v, u)) for (u, v), x in first.values())
-        products = (
-            (out, *k, combination.witnesses[k]) for k, out in combination.table.items()
-        )
+        sums = ((x, s.table[x], (v, u)) for (u, v), x in first.values())
+        products = ((out, *k, f.witnesses[k]) for k, out in f.table.items())
         return cls(structure, sums, products)
 
     def _note_flags(self, value: int, v_mask: int, u_mask: int):
@@ -379,13 +376,13 @@ class _RatioEngine:
             changed |= self._set(l, ko[0] / kr[0], ko[1] | kr[1] | mark, "quotient")
         return changed
 
-    def run(self, depth: int = 16) -> "_RatioEngine":
+    def run(self) -> "_RatioEngine":
         try:
             self._seed()
             self._check_sum_order()
             self._check_product_groups()
             self._check_known_order()
-            for _ in range(depth):
+            for _ in range(REFUTATION_DEPTH):
                 changed = False
                 for x, y, w in self.sums:
                     changed |= self._apply_sum(x, y, w)
@@ -420,7 +417,11 @@ def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure)
     for kind, masks in data.instances:
         if len(masks) != arity.get(kind) or not _is_canonical(masks, full):
             return False
-    bel = structure.bel_masks
+    values, _ = _negation_instances(structure)
+
+    def rank(v_mask: int, u_mask: int) -> int:
+        return bisect.bisect_left(values, structure.bel_masks(v_mask, u_mask))
+
     sums: dict[tuple, tuple] = {}
     products: dict[tuple, tuple] = {}
     # canonical order is ascending reversed masks: (u, v) and (u, a, b)
@@ -428,49 +429,48 @@ def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure)
         masks = tuple(masks)
         if kind == "sum":
             v, u = masks
-            x, s_x = bel(v, u), bel(u ^ v, u)
+            x, s_x = rank(v, u), rank(u ^ v, u)
             sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, masks))
         else:
             b, a, u = masks
-            out, l, r = bel(b, u), bel(b, a), bel(a, u)
+            out, l, r = rank(b, u), rank(b, a), rank(a, u)
             products.setdefault((out, l, r), (out, l, r, masks))
     engine = _RatioEngine(structure, sums.values(), products.values()).run()
     return engine.contradiction is not None
 
 
-def refutation_search(
-    structure: BeliefStructure, depth: int = 16
-) -> RefutationCertificate | None:
+def refutation_search(structure: BeliefStructure) -> RefutationCertificate | None:
     """Sound refutation certificates only; None when nothing is found.
 
     Tried in order: A1 extraction conflict (equal values with unequal
     complements force equal ratios for distinct values), A2 extraction
     conflict, composite chain associativity, and the ratio-propagation
-    engine's order conflicts.
+    engine's order conflicts.  All of them read extraction's rank tables;
+    the Fraction forms are built only for an A1 or A2 certificate.
     """
-    negation = extract_negation(structure)
-    if isinstance(negation, NegationConflict):
+    if negation_ranks(structure).clash is not None:
+        negation = extract_negation(structure)
         return RefutationCertificate(
             "A1-conflict", negation,
             negation.describe(structure.domain)
             + "; equal values force equal ratios, so the two complement values "
             "would share one ratio under a strictly increasing g",
         )
-    combination = extract_combination(structure)
-    if isinstance(combination, CombinationConflict):
+    if combination_ranks(structure).clash is not None:
+        combination = extract_combination(structure)
         return RefutationCertificate(
             "A2-conflict", combination,
             combination.describe(structure.domain)
             + "; equal argument ratios force equal product ratios for two "
             "distinct values",
         )
-    chain_report = chain_consistency(structure, combination)
+    chain_report = chain_consistency(structure)
     if chain_report.status == "fail":
         return RefutationCertificate(
             "chain-associativity", chain_report.certificate,
             chain_report.detail,
         )
-    engine = _RatioEngine.from_forms(structure, negation, combination).run(depth)
+    engine = _RatioEngine.from_extraction(structure).run()
     if engine.contradiction is not None:
         instances = tuple(
             sorted(i for i in engine.contradiction.eqset if i[0] in ("sum", "product"))
@@ -646,8 +646,6 @@ class DecisionParams:
     budget: int = 400  # local-descent iterations per restart
     tolerance: float = 1e-9
     seed: int = 0
-    refutation_depth: int = 16
-    denominator_cap: int = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -832,7 +830,7 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     """
     params = params or DecisionParams()
     budget_report = {"restarts": 0, "iterations": 0, "phase": "refutation"}
-    certificate = refutation_search(structure, params.refutation_depth)
+    certificate = refutation_search(structure)
     if certificate is not None:
         return IsomorphismVerdict(
             "refutation", certificate=certificate, budget=budget_report
@@ -864,7 +862,7 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
              "phase": "numeric", "best_penalty": best_pen}
         )
         if best_w is not None and best_pen < 1e-12:
-            for cap in (10, 100, 1000, params.denominator_cap):
+            for cap in (10, 100, 1000, 10 ** 6):
                 rounded = [
                     Fraction(float(w)).limit_denominator(cap) for w in best_w
                 ]

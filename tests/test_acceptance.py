@@ -72,7 +72,7 @@ def test_acceptance_1_probability_soundness_sweep():
         assert all(x + s == 1 for x, s in neg.table.items())
         comb = extract_combination(b)
         assert all(x * y == out for (x, y), out in comb.table.items())
-        assert chain_consistency(b, comb).passed
+        assert chain_consistency(b).passed
         assert bel_level_negation(b, neg).passed
         verdict = decide(b)
         assert verdict.kind == "witness" and verdict.witness.exact

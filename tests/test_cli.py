@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxcheck.cli import main
 from coxcheck.core import BeliefStructure
@@ -134,7 +139,9 @@ class TestUsageAndParseErrors:
         "domain: a b\ngenerate probability a=1/2 z=1/2\n",
         "domain: a b\ngenerate probability a=1/2 b=1/2\nbel {a a} | * = 1/2\n",
         "domain: " + " ".join(f"x{i}" for i in range(13)) + "\nbel {x0} | * = 1/2\n",
-    ], ids=["unknown-generator-atom", "repeated-event-atom", "13-atom-table"])
+        "domain: a\nbel {a} = 1 | {a}\n",
+    ], ids=["unknown-generator-atom", "repeated-event-atom", "13-atom-table",
+            "bar-after-value"])
     def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.bel"
         path.write_text(text, encoding="utf-8")
@@ -173,6 +180,16 @@ class TestUsageAndParseErrors:
 
     def test_audit_t4_without_family_is_a_usage_error(self, capsys):
         assert main(["audit", "--theorem", "4"]) == 64
+
+    def test_negative_density_grid_is_a_usage_error(self, tmp_path, capsys):
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "2",
+                     "--out-dir", str(family)]) == 0
+        assert main(["audit", "--theorem", "4", "--family", str(family),
+                     "--grid", "-3"]) == 64
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "grid resolution must be nonnegative" in captured.err
 
 
 class TestGenerateCommands:
@@ -228,3 +245,121 @@ class TestSearchMinCommand:
         assert code == 2
         assert report["hit"] is False
         assert report["isomorphic"] == 1
+
+
+DOCUMENTED_EXITS = {0, 1, 2, 64, 65}
+SMALL = st.integers(-2, 4).map(str)
+FIXTURE_FILES = sorted(FIXTURES.glob("*.bel"))
+
+
+@st.composite
+def mutated_fixture(draw) -> str:
+    """A fixture's text with up to three lines revalued, dropped, duplicated,
+    truncated, replaced or added."""
+    lines = draw(st.sampled_from(FIXTURE_FILES)).read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(
+            ["revalue"] * 4 + ["drop", "repeat", "truncate", "replace", "insert"]
+        ))
+        if op == "revalue":  # keeps the file well formed, so the checks run
+            value = draw(st.sampled_from(["0", "1/3", "1/2", "2/3", "1", "3/2", "-1"]))
+            lines[at] = lines[at].rsplit("=", 1)[0] + "= " + value
+        elif op == "drop":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        elif op == "truncate":
+            lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+        else:
+            tokens = st.sampled_from(["bel", "{a}", "{b c}", "*", "|", "=", "1/2",
+                                      "domain:", "bounds:", "generate", "a=1"])
+            line = " ".join(draw(st.lists(tokens | st.text(max_size=3), max_size=6)))
+            if op == "replace":
+                lines[at] = line
+            else:
+                lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def options(draw, specs) -> list:
+    argv = []
+    for flag, values in specs:
+        if draw(st.sampled_from([True, True, False])):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def cli_argv(draw, file, family, out):
+    """argv for every subcommand, with small and sometimes invalid values."""
+    inputs = st.sampled_from([file, file, file, family, out + ".missing"])
+    command = draw(st.sampled_from(
+        ["check", "decide", "audit", "equations", "generate", "search-min", "frob"]
+    ))
+    argv = [command]
+    if command in ("check", "decide", "audit"):
+        argv.append(draw(inputs))
+    if command == "decide":
+        argv += options(draw, [
+            ("--restarts", st.integers(-1, 2).map(str)),
+            ("--budget", st.integers(-1, 30).map(str)),
+            ("--tol", st.sampled_from(["1e-9", "0", "-1", "x"])),
+            ("--seed", SMALL),
+        ])
+    elif command == "audit":
+        argv += ["--theorem", draw(st.sampled_from(["1", "2", "3", "4", "5"]))]
+        argv += options(draw, [
+            ("--family", inputs), ("--extension", inputs), ("--grid", SMALL),
+            ("--epsilon", st.sampled_from(["1/20", "0", "-1/2", "2", "x"])),
+            ("--seed", SMALL),
+        ])
+    elif command == "equations":
+        argv += ["--form", draw(st.sampled_from(
+            ["linear-complement", "product", "minimum", "hamacher", "bogus"]
+        ))]
+        argv += ["--eq", draw(st.sampled_from(["EQ1", "EQ3", "EQ3.5", "EQSYM", "EQ9"]))]
+        argv += options(draw, [
+            ("--grid", SMALL), ("--tol", st.sampled_from(["0", "1e-9", "x"])),
+        ])
+    elif command == "generate":
+        argv.append(draw(st.sampled_from(
+            ["probability", "distorted", "coins", "family", "bogus"]
+        )))
+        argv += options(draw, [
+            ("--atoms", st.sampled_from(["a,b", "a", "a,a", ",", "a,b,c"])),
+            ("--weights", st.sampled_from(["1/2,1/2", "1", "1/3,1/3", "x,y", "0,1"])),
+            ("--k", SMALL), ("--coins", st.integers(-1, 2).map(str)),
+            ("--max-coins", st.integers(-1, 3).map(str)),
+            ("--out", st.sampled_from([out, out + "/missing/x.bel"])),
+            ("--out-dir", st.sampled_from([out + ".d", file])),
+        ])
+    elif command == "search-min":
+        argv += options(draw, [
+            ("--atoms", st.integers(-1, 2).map(str)),
+            ("--grid", st.sampled_from(["0,1/2,1", "0,1", "1/2", "x", "0,1/4,1/2,3/4,1"])),
+            ("--out", st.sampled_from([out, out + "/missing/x.bel"])),
+        ])
+    report = draw(st.sampled_from([None, None, out + ".json", out + "/missing/r.json"]))
+    if report is not None:
+        argv += ["--json", report]
+    junk = draw(st.sampled_from([None] * 9 + ["--frob", "extra", "--json"]))
+    return argv if junk is None else argv + [junk]
+
+
+class TestDocumentedExitCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_fixture(), st.data())
+    def test_main_returns_only_documented_exit_codes(self, text, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            family = Path(tmp, "family")
+            family.mkdir()
+            file = family / "member.bel"
+            file.write_text(text, encoding="utf-8")
+            argv = data.draw(cli_argv(str(file), str(family), str(Path(tmp, "out"))))
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+        assert code in DOCUMENTED_EXITS, (argv, sink.getvalue())

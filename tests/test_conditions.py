@@ -154,6 +154,10 @@ class TestFamilyDensity:
         report = par5_family(build_family([uniform(1)]), 0, F(1, 4))
         assert report.passed and report.vacuous
 
+    def test_negative_grid_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            par5_family(build_family([uniform(1)]), -3, F(1, 4))
+
     def test_empty_family_rejected(self):
         class Fake:
             members = ()

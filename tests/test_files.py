@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from coxcheck import core
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import (
     ParseError,
@@ -10,6 +11,7 @@ from coxcheck.files import (
     parse_value,
     serialize_structure,
 )
+from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 
 from conftest import FIXTURES
 
@@ -124,6 +126,22 @@ class TestParse:
         with pytest.raises(ParseError, match="sum to 1"):
             parse_structure("domain: a b\ngenerate probability a=1/2 b=1/3\n")
 
+    def test_bar_after_the_value_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: bel line must look like"):
+            parse_structure("domain: a\nbel {a} = 1 | {a}\n")
+
+    def test_parsing_builds_no_event_per_line(self, monkeypatch):
+        built = []
+        original = core.Event.__post_init__
+
+        def counting(self):
+            built.append(self.mask)
+            original(self)
+
+        monkeypatch.setattr(core.Event, "__post_init__", counting)
+        parse_structure(FIXTURES.joinpath("three_atoms.bel").read_text())
+        assert built == []
+
     def test_non_canonical_entries_canonicalize(self):
         text = (
             "domain: a b\n"
@@ -164,3 +182,73 @@ class TestRoundTrip:
         text = serialize_structure(b)
         assert "generate probability" in text
         assert parse_structure(text) == b
+
+
+# Tokens a structure file is made of, and some it should never contain.
+SOUP = st.sampled_from([
+    "domain:", "bounds:", "bel", "generate", "probability", "{", "}", "{a}",
+    "{a b}", "{}", "{z}", "{a a}", "*", "|", "=", "a", "b", "c", "z", "0", "1",
+    "1/2", "-1", "2/0", "0.25", "1e5", "1e99999", "a=1/2", "b=1/2", "a=", "#",
+])
+
+
+@st.composite
+def soup_lines(draw):
+    head = draw(st.sampled_from(["bel", "bel", "domain:", "bounds:", "generate", ""]))
+    tokens = draw(st.lists(st.one_of(SOUP, SOUP, SOUP, st.text(max_size=4)), max_size=6))
+    return " ".join([head, *tokens])
+
+
+@st.composite
+def soup_texts(draw):
+    """Soup lines, mostly after a valid domain line."""
+    lines = draw(st.lists(soup_lines(), max_size=6))
+    return draw(st.sampled_from(["domain: a b c\n"] * 3 + [""])) + "\n".join(lines)
+
+
+@st.composite
+def fixture_with_inserted_line(draw):
+    path = draw(st.sampled_from(sorted(FIXTURES.glob("*.bel"))))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, draw(soup_lines()))
+    return "\n".join(lines) + "\n"
+
+
+class TestHostileText:
+    @settings(max_examples=300, deadline=None)
+    @given(soup_texts())
+    def test_token_soup_raises_only_parse_errors(self, text):
+        try:
+            parse_structure(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(fixture_with_inserted_line())
+    def test_fixture_with_an_inserted_line_raises_only_parse_errors(self, text):
+        try:
+            parse_structure(text)
+        except ParseError:
+            pass
+
+
+@st.composite
+def small_structures(draw):
+    """Probability, power-distorted or affinely rescaled, on 1-5 atoms."""
+    ints = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    d = Domain(tuple(f"x{i}" for i in range(len(ints))))
+    ws = [F(i, sum(ints)) for i in ints]
+    k = draw(st.integers(1, 3))
+    b = gen_distorted(d, ws, k) if k > 1 else gen_probability(d, ws)
+    if draw(st.booleans()):
+        scale = draw(st.fractions(F(1, 4), 4, max_denominator=12))
+        b = affine_rescale(b, scale, draw(st.fractions(-2, 2, max_denominator=12)))
+    return b
+
+
+class TestGeneratedRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(small_structures())
+    def test_parse_of_serialize_is_identity(self, b):
+        assert parse_structure(serialize_structure(b)) == b

@@ -4,11 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from coxcheck import core, forms
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
 from coxcheck.forms import (
     CombinationConflict,
+    CombinationForm,
     NegationConflict,
+    NegationForm,
     extract_combination,
     extract_negation,
 )
@@ -220,7 +223,7 @@ def assert_engine_matches_reference(structure):
         combination, CombinationConflict
     ):
         return False  # refutation_search stops before building the engine
-    engine = _RatioEngine.from_forms(structure, negation, combination)
+    engine = _RatioEngine.from_extraction(structure)
     sums, products, positive, below_one = reference_engine_inputs(structure)
     # the engine keys facts by value rank; engine.values maps ranks back
     value = engine.values
@@ -319,6 +322,29 @@ class TestDecide:
         b = custom_monotone_distortion()
         params = DecisionParams(seed=11)
         assert decide(b, params).to_dict() == decide(b, params).to_dict()
+
+    def test_decide_reads_extraction_ranks_only(self, monkeypatch):
+        """Without an A1 or A2 conflict, `decide` builds no Fraction form and
+        interns the values once, in the structure's value index."""
+        forms_built, interned = [], []
+        for form in (NegationForm, CombinationForm):
+            def counting(self, original=form.__post_init__):
+                forms_built.append(self.kind)
+                original(self)
+
+            monkeypatch.setattr(form, "__post_init__", counting)
+        original_intern = core.intern_values
+
+        def counting_intern(xs):
+            interned.append(1)
+            return original_intern(xs)
+
+        monkeypatch.setattr(core, "intern_values", counting_intern)
+        monkeypatch.setattr(forms, "intern_values", counting_intern)
+        verdict = decide(load_structure(fixture_path("three_atoms.bel")))
+        assert verdict.kind == "witness"
+        assert forms_built == []
+        assert len(interned) == 1
 
     @given(weight_vectors())
     def test_mutual_exclusion(self, ws):
