@@ -1,17 +1,17 @@
 """Compare what coxcheck prints and reports between this tree and a revision.
 
-    python scripts/compare_outputs.py --against REV [--seed N]
+    python scripts/compare_outputs.py --against REV [--seed N [N ...]]
 
 Extracts REV's `src/` with `git archive` into a temporary directory and
-builds the jobs there: every input of the four benchmark workloads for the
-seed (`perfbench/workloads.build`, default seed 201) plus a `decide` and a
-`check` run of every fixture.  Each tree runs every job once, in-process
-through `coxcheck.cli.main`, in an interpreter of its own.  Per job the
-exit code, stdout, stderr and JSON report without `timings` must match, and
-for `decide` also the certificate kind, description, `recheck()` result and
-order-conflict instances.  Prints the first difference and exits 1 on any
-difference, 0 when every job matches.  Uses the standard library only and
-writes nothing inside the repository.
+builds the jobs there: every input of the four benchmark workloads for each
+seed (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
+both) plus a `decide` and a `check` run of every fixture.  Each tree runs
+every job once, in-process through `coxcheck.cli.main`, in an interpreter
+of its own.  Per job the exit code, stdout, stderr and JSON report without
+`timings` must match, and for `decide` also the certificate kind,
+description, `recheck()` result and order-conflict instances.  Prints the
+first difference and exits 1 on any difference, 0 when every job matches.
+Uses the standard library only and writes nothing inside the repository.
 """
 
 from __future__ import annotations
@@ -77,16 +77,18 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 
 
-def build_jobs(tmp: Path, seed: int) -> list[dict]:
+def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
     sys.dont_write_bytecode = True  # keep perfbench/ free of caches
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
 
     jobs = []
-    for workload in workloads.WORKLOADS:
-        for inp in workloads.build(workload, seed, tmp / "inputs" / workload):
-            jobs.append({"id": f"{workload}/{inp.id}", "argv": inp.argv,
-                         "report": str(inp.report)})
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            out = tmp / "inputs" / str(seed) / workload
+            for inp in workloads.build(workload, seed, out):
+                jobs.append({"id": f"{workload}/seed{seed}/{inp.id}",
+                             "argv": inp.argv, "report": str(inp.report)})
     reports = tmp / "reports"
     reports.mkdir()
     for path in sorted((REPO / "fixtures").glob("*.bel")):
@@ -117,7 +119,7 @@ def first_difference(jobs, before, after):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="git revision to compare with")
-    parser.add_argument("--seed", type=int, default=201)
+    parser.add_argument("--seed", type=int, nargs="+", default=[201])
     parser.add_argument("--worker", nargs=3, metavar=("SRC", "JOBS", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -187,11 +187,12 @@ def _cmd_check(args, argv) -> int:
 
 def _cmd_decide(args, argv) -> int:
     started = time.perf_counter()
-    structure = load_structure(args.file)
+    # invalid search options are refused before the file is read
     params = DecisionParams(
         restarts=args.restarts, budget=args.budget,
         tolerance=args.tol, seed=args.seed,
     )
+    structure = load_structure(args.file)
     verdict = decide(structure, params)
     payload = verdict.to_dict()
     print(f"verdict: {verdict.kind}")

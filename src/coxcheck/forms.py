@@ -465,6 +465,14 @@ def _check_f_continuity(form: CombinationForm, grid_resolution: int) -> Verdict:
 
 EQUATIONS = ("EQ1", "EQ3", "EQ3.5", "EQSYM")
 
+#: Grid points in one instance of each equation: a grid of n points gives
+#: n**arity instances.
+EQUATION_ARITY = {"EQ1": 3, "EQ3": 1, "EQ3.5": 2, "EQSYM": 2}
+
+#: Most instances `check_functional_equation` evaluates; checked before any
+#: evaluation, so `equations --eq EQ1 --grid 1000` fails at once.
+EQUATION_EVALUATION_LIMIT = 100_000
+
 EQUATION_DESCRIPTIONS = {
     "EQ1": "F(x,F(y,z)) = F(F(x,y),z)",
     "EQ3": "S(S(y)) = y",
@@ -506,11 +514,18 @@ def check_functional_equation(form, equation: str, grid_resolution: int) -> Resi
     """Max absolute residual of the named law over a rational grid on [e,E].
 
     EQ1 needs a combination form (n^3 grid); the rest need a negation form.
+    A grid needing over EQUATION_EVALUATION_LIMIT instances is refused.
     Division points with zero denominators are skipped and counted.  Tabular
     forms are evaluated only where defined and the report is flagged partial.
     """
     if equation not in EQUATIONS:
         raise ValueError(f"unknown equation {equation!r}")
+    instances = grid_resolution ** EQUATION_ARITY[equation]
+    if instances > EQUATION_EVALUATION_LIMIT:
+        raise ValueError(
+            f"{equation} on a grid of {grid_resolution} needs {instances} "
+            f"evaluations, over the limit of {EQUATION_EVALUATION_LIMIT}"
+        )
     if equation == "EQ1":
         if not isinstance(form, CombinationForm):
             raise FormError("EQ1 requires a combination form")

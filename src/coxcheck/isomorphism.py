@@ -642,10 +642,23 @@ def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
 
 @dataclass(frozen=True)
 class DecisionParams:
+    """Numeric-phase settings; `restarts=0` skips that phase (an honest
+    unknown where the exact phases settle nothing)."""
+
     restarts: int = 8
     budget: int = 400  # local-descent iterations per restart
     tolerance: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be nonnegative, not {self.restarts}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, not {self.budget}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(
+                f"tolerance must be finite and nonnegative, not {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -717,13 +730,39 @@ def _value_classes(structure: BeliefStructure):
     return [(index.values[x], pairs) for x, pairs in sorted(classes.items())]
 
 
-def _numeric_feasibility(structure, params):
-    """Penalty minimization over the open simplex via softmax weights.
+def _softmax(theta):
+    z = np.concatenate([[0.0], theta])
+    z = z - z.max()
+    w = np.exp(z)
+    return w / w.sum()
 
-    Returns (best_weights_float, best_penalty, restarts_used, iterations).
-    A mild pull of each class ratio toward its normalized belief value keeps
-    the feasible set's gauge freedom from wandering; exact verification later
-    makes this a search aid only.
+
+def _block_width(size: int) -> int:
+    """Row width, zero-padded, of a value class of `size` pairs.
+
+    numpy sums a row of up to 128 floats as eight running partial sums over
+    its whole groups of eight entries, then adds the leftover entries one by
+    one (a row of fewer than eight is all leftovers); a longer row is split
+    in two.  Zeros appended to the leftovers change no partial sum, so a row
+    padded to the widest width with as many whole groups, and at most 128
+    entries, sums to the same float.
+    """
+    if size > 128:
+        return size
+    return min(size // 8 * 8 + 7, 128)
+
+
+def _feasibility_penalties(structure):
+    """The numeric phase's objective, theta ↦ (hard, pull).
+
+    `hard` is the spread of each value class's ratios μ(V)/μ(U) about the
+    class mean, summed over the classes in order, plus a squared hinge on
+    adjacent class means less than 1e-7 apart or out of order; `pull` is a
+    mild pull of each class mean toward its normalized belief value.  The
+    classes are laid out once as one zero-padded (classes, width) block per
+    `_block_width`, so an evaluation makes a few axis-1 reductions instead
+    of a pass per class, and every float it returns is the one a per-class
+    loop over `_value_classes` computes.
     """
     n = structure.domain.size
     classes = _value_classes(structure)
@@ -736,33 +775,66 @@ def _numeric_feasibility(structure, params):
         for bit in range(n):
             if m >> bit & 1:
                 mask_matrix[i, bit] = 1.0
-    class_pairs = [
-        np.array([[mask_index[v], mask_index[u]] for v, u in pairs], dtype=int)
-        for _, pairs in classes
-    ]
     targets = np.array([(float(x) - float(e)) / span for x, _ in classes])
     delta = 1e-7
-
-    def softmax(theta):
-        z = np.concatenate([[0.0], theta])
-        z = z - z.max()
-        w = np.exp(z)
-        return w / w.sum()
+    by_width: dict[int, list[int]] = {}
+    for ci, (_, pairs) in enumerate(classes):
+        by_width.setdefault(_block_width(len(pairs)), []).append(ci)
+    # a padding slot reads μ(∅)/μ(Ω) = 0.0
+    pad = (mask_index[0], mask_index[structure.domain.full_mask])
+    slots: list[tuple[int, int]] = []
+    blocks = []  # (first slot, last slot + 1, width, class sizes, 1.0/0.0 slot mask)
+    order: list[int] = []  # class index of each block row, block after block
+    for width, members in sorted(by_width.items()):
+        start = len(slots)
+        sizes = [len(classes[ci][1]) for ci in members]
+        for ci, size in zip(members, sizes):
+            slots += [(mask_index[v], mask_index[u]) for v, u in classes[ci][1]]
+            slots += [pad] * (width - size)
+        valid = None
+        if min(sizes) < width:
+            valid = (np.arange(width) < np.array(sizes)[:, None]).astype(float)
+        blocks.append((start, len(slots), width, np.array(sizes, dtype=float), valid))
+        order += members
+    numerators = np.array([v for v, _ in slots], dtype=int)
+    denominators = np.array([u for _, u in slots], dtype=int)
+    row_of_class = np.argsort(order)
 
     def penalties(theta):
         """(hard, pull): constraint violation vs the identity-pull nudge."""
-        mu = mask_matrix @ softmax(theta)
-        hard = 0.0
-        means = np.empty(len(classes))
-        for ci, pairs in enumerate(class_pairs):
-            ratios = mu[pairs[:, 0]] / mu[pairs[:, 1]]
-            m = ratios.mean()
-            means[ci] = m
-            hard += ((ratios - m) ** 2).sum()
-        order = np.clip(means[:-1] + delta - means[1:], 0.0, None)
-        hard += (order ** 2).sum()
+        mu = mask_matrix @ _softmax(theta)
+        ratios = mu[numerators] / mu[denominators]
+        block_means, block_spreads = [], []
+        for start, stop, width, sizes, valid in blocks:
+            block = ratios[start:stop].reshape(-1, width)
+            m = np.add.reduce(block, axis=1) / sizes
+            deviations = block - m[:, None]
+            if valid is not None:
+                deviations *= valid
+            block_means.append(m)
+            block_spreads.append(np.add.reduce(deviations ** 2, axis=1))
+        means = np.concatenate(block_means)[row_of_class]
+        spreads = np.concatenate(block_spreads)[row_of_class]
+        # summed left to right in class order, as a running total would be
+        hard = np.add.accumulate(spreads)[-1]
+        gaps = np.maximum(means[:-1] + delta - means[1:], 0.0)
+        hard += (gaps ** 2).sum()
         pull = 1e-4 * ((means - targets) ** 2).sum()
         return hard, pull
+
+    return penalties
+
+
+def _numeric_feasibility(structure, params):
+    """Penalty minimization over the open simplex via softmax weights.
+
+    Returns (best_weights_float, best_penalty, restarts_used, iterations).
+    A mild pull of each class ratio toward its normalized belief value keeps
+    the feasible set's gauge freedom from wandering; exact verification later
+    makes this a search aid only.
+    """
+    n = structure.domain.size
+    penalties = _feasibility_penalties(structure)
 
     def objective(theta):
         hard, pull = penalties(theta)
@@ -772,7 +844,7 @@ def _numeric_feasibility(structure, params):
     best_hard = math.inf
     iterations = 0
     restarts = 0
-    for i in range(max(params.restarts, 0)):
+    for i in range(params.restarts):
         restarts += 1
         rng = random.Random(params.seed * 1000003 + i)
         x0 = np.array([rng.gauss(0.0, 1.5) for _ in range(n - 1)])
@@ -787,7 +859,7 @@ def _numeric_feasibility(structure, params):
         hard = penalties(res.x)[0]
         if hard < best_hard:
             best_hard = float(hard)
-            best_w = softmax(res.x)
+            best_w = _softmax(res.x)
         if best_hard < 1e-20:
             break
     return best_w, best_hard, restarts, iterations

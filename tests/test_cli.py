@@ -10,12 +10,13 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxcheck import cli
 from coxcheck.cli import main
 from coxcheck.core import BeliefStructure
-from coxcheck.files import load_structure
+from coxcheck.files import load_structure, save_structure
 from coxcheck.report_schema import REPORT_SCHEMA
 
-from conftest import FIXTURES
+from conftest import FIXTURES, relabelled_probability
 
 
 def count_triple_passes(monkeypatch) -> list:
@@ -190,6 +191,55 @@ class TestUsageAndParseErrors:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "grid resolution must be nonnegative" in captured.err
+
+    def test_huge_equation_grid_fails_fast(self, capsys):
+        started = time.perf_counter()
+        assert main(["equations", "--form", "hamacher", "--eq", "EQ1",
+                     "--grid", "1000000"]) == 64
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the limit" in captured.err
+
+
+def numeric_table(tmp_path) -> Path:
+    """A 4-atom probability table pushed through v ↦ (v + v²)/2, which only
+    `decide`'s numeric phase settles."""
+    path = tmp_path / "mix2.bel"
+    save_structure(relabelled_probability([3, 2, 5, 2], lambda v: (v + v * v) / 2), path)
+    return path
+
+
+class TestDecideOptions:
+    @pytest.mark.parametrize("option", [
+        ["--restarts", "-1"],
+        ["--budget", "-3"],
+        ["--budget", "0"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "-1"],
+    ])
+    def test_invalid_search_option_is_refused_before_the_file_is_read(
+        self, tmp_path, monkeypatch, capsys, option
+    ):
+        path = numeric_table(tmp_path)
+        loaded = []
+        monkeypatch.setattr(cli, "load_structure", lambda *a: loaded.append(a))
+        assert main(["decide", str(path), *option]) == 64
+        assert loaded == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+    def test_numeric_table_settles_in_the_numeric_phase(self, tmp_path, capsys):
+        code, report = run_with_report(["decide", numeric_table(tmp_path)], tmp_path)
+        assert code == 0
+        assert report["verdict"]["budget"]["phase"] == "numeric"
+
+    def test_zero_restarts_is_an_honest_unknown(self, tmp_path, capsys):
+        path = numeric_table(tmp_path)
+        assert main(["decide", str(path), "--restarts", "0", "--tol", "0"]) == 2
+        assert "verdict: unknown" in capsys.readouterr().out
 
 
 class TestGenerateCommands:

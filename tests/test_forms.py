@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from coxcheck import forms
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
 from coxcheck.forms import (
@@ -153,6 +154,20 @@ class TestFunctionalEquations:
         # oracle: x == 1 kills S(x); y == 0 kills x/y; the corner overlaps
         assert report.skipped == 10 + 10 - 1
         assert report.evaluated == 100 - 19
+
+    @pytest.mark.parametrize("eq,name,fits,too_big", [
+        ("EQ1", "product", 3, 4),  # 27 and 64 triples
+        ("EQSYM", "linear-complement", 5, 6),  # 25 and 36 pairs
+        ("EQ3", "linear-complement", 27, 28),
+    ])
+    def test_grid_over_the_evaluation_limit_rejected(
+        self, monkeypatch, eq, name, fits, too_big
+    ):
+        monkeypatch.setattr(forms, "EQUATION_EVALUATION_LIMIT", 27)
+        form = (catalog_combination if eq == "EQ1" else catalog_negation)(name)
+        assert check_functional_equation(form, eq, fits).total <= 27
+        with pytest.raises(ValueError, match="over the limit of 27"):
+            check_functional_equation(form, eq, too_big)
 
     def test_wrong_form_kind_rejected(self):
         with pytest.raises(FormError):

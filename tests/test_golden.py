@@ -2,8 +2,16 @@
 
 The pinned file was written before the decision phases moved from Fraction
 keys to integer value ranks; any change to a verdict, certificate text,
-recheck result, witness or `check` line shows up here.  To rewrite it after
-a deliberate change of output:
+recheck result, witness or `check` line shows up here.
+
+No fixture reaches `decide`'s numeric phase, so a second file pins that
+phase's trajectory on structures built here: rescaled probabilities whose
+rescaling is neither affine nor a power law.  It holds the verdict kind, the
+budget report (phase, restarts, Nelder-Mead iterations, the exact `repr` of
+the best penalty) and the exact witness weights, and was written before the
+penalty objective was regrouped by class size.
+
+To rewrite both files after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,6 +19,7 @@ a deliberate change of output:
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -18,10 +27,13 @@ import pytest
 
 from coxcheck.cli import main
 from coxcheck.files import ParseError, load_structure
-from coxcheck.isomorphism import decide
+from coxcheck.isomorphism import DecisionParams, decide
+
+from conftest import custom_monotone_distortion, relabelled_probability
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden_verdicts.json"
+GOLDEN_NUMERIC = Path(__file__).resolve().parent / "golden_numeric.json"
 
 
 def _decide_record(path: Path) -> dict:
@@ -61,7 +73,53 @@ def snapshot() -> dict:
     }
 
 
-GOLDEN_DATA = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+def seeded(seed: int, n: int, g):
+    """Seeded integer weights 1-9 on n atoms, every value pushed through g."""
+    rng = random.Random(seed)
+    return relabelled_probability([rng.randint(1, 9) for _ in range(n)], g)
+
+
+def mix2(v):
+    return (v + v * v) / 2
+
+
+def mobius(v):
+    return v / (2 - v)
+
+
+# name -> (structure builder, decide parameters); none is settled before the
+# numeric phase.  mix2-4-seed3 needs two restarts; the short mobius run ends
+# in an honest unknown after its whole budget.
+NUMERIC_CASES = {
+    "mobius-2": (custom_monotone_distortion, DecisionParams()),
+    "mix2-4-seed1": (lambda: seeded(1, 4, mix2), DecisionParams()),
+    "mix2-4-seed3": (lambda: seeded(3, 4, mix2), DecisionParams()),
+    "mix2-5-seed1": (lambda: seeded(1, 5, mix2), DecisionParams()),
+    "mobius-4-seed1": (
+        lambda: seeded(1, 4, mobius),
+        DecisionParams(restarts=2, budget=150),
+    ),
+}
+
+
+def _numeric_record(name: str) -> dict:
+    build, params = NUMERIC_CASES[name]
+    verdict = decide(build(), params)
+    budget = dict(verdict.budget)
+    budget["best_penalty"] = repr(budget["best_penalty"])
+    record = {"kind": verdict.kind, "budget": budget}
+    if verdict.witness is not None:
+        record["exact"] = verdict.witness.exact
+        record["weights"] = verdict.witness.to_dict()["weights"]
+    return record
+
+
+def _load(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+
+GOLDEN_DATA = _load(GOLDEN)
+GOLDEN_NUMERIC_DATA = _load(GOLDEN_NUMERIC)
 
 
 def test_every_fixture_is_pinned():
@@ -78,8 +136,20 @@ def test_check_matches_golden(name):
     assert _check_record(FIXTURES / name) == GOLDEN_DATA[name]["check"]
 
 
+def test_every_numeric_case_is_pinned():
+    assert sorted(GOLDEN_NUMERIC_DATA) == sorted(NUMERIC_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NUMERIC_DATA))
+def test_numeric_trajectory_matches_golden(name):
+    assert GOLDEN_NUMERIC_DATA[name]["budget"]["phase"] == "numeric"
+    assert _numeric_record(name) == GOLDEN_NUMERIC_DATA[name]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(
         json.dumps(snapshot(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    numeric = {name: _numeric_record(name) for name in NUMERIC_CASES}
+    GOLDEN_NUMERIC.write_text(json.dumps(numeric, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
