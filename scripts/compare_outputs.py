@@ -9,8 +9,9 @@ both) plus a `decide` and a `check` run of every fixture.  Each tree runs
 every job once, in-process through `coxcheck.cli.main`, in an interpreter
 of its own.  Per job the exit code, stdout, stderr and JSON report without
 `timings` must match, and for `decide` also the certificate kind,
-description, `recheck()` result and order-conflict instances.  Prints the
-first difference and exits 1 on any difference, 0 when every job matches.
+description, `recheck()` result and order-conflict instances.  Prints every
+differing job with its differing fields, before and after, then a count;
+exits 1 on any difference, 0 when every job matches.
 Uses the standard library only and writes nothing inside the repository.
 """
 
@@ -108,12 +109,19 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def first_difference(jobs, before, after):
-    for job, b, a in zip(jobs, before, after):
-        for key in sorted(set(b) | set(a)):
-            if b.get(key) != a.get(key):
-                return job["id"], key, b.get(key), a.get(key)
-    return None
+def differing_fields(before, after, path: str = "", depth: int = 3):
+    """Dotted paths of the fields that differ, descending `depth` levels of
+    nested dicts (down to a report's `verdict.budget`)."""
+    if before == after:
+        return []
+    if depth and isinstance(before, dict) and isinstance(after, dict):
+        return [
+            field
+            for key in sorted(set(before) | set(after))
+            for field in differing_fields(before.get(key), after.get(key),
+                                          f"{path}{key}.", depth - 1)
+        ]
+    return [(path.rstrip("."), before, after)]
 
 
 def main(argv=None) -> int:
@@ -142,14 +150,18 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-B", __file__, "--worker", str(src),
                             str(jobs_path), str(out_path)], check=True)
             results.append(json.loads(out_path.read_text(encoding="utf-8")))
-    diff = first_difference(jobs, *results)
-    if diff is None:
+    differing = 0
+    for job, before, after in zip(jobs, *results):
+        fields = differing_fields(before, after)
+        if fields:
+            differing += 1
+            print(f"job {job['id']}:")
+            for name, old, new in fields:
+                print(f"  {name}: {json.dumps(old)[:300]} -> {json.dumps(new)[:300]}")
+    if not differing:
         print(f"no difference on {len(jobs)} jobs")
         return 0
-    job_id, key, before, after = diff
-    print(f"first difference: job {job_id}, {key}")
-    print(f"  {args.against}: {json.dumps(before)[:2000]}")
-    print(f"  working tree: {json.dumps(after)[:2000]}")
+    print(f"{differing} of {len(jobs)} jobs differ")
     return 1
 
 

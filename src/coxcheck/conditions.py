@@ -214,13 +214,12 @@ def _par5_triples_sampled(structure, probe, targets, seed, budget):
     eps = probe.epsilon
     n = structure.domain.size
     full = structure.domain.full_mask
-    best_key = None
     best = None
     best_dev = None
     tried = 0
 
     def consider(u1, u2, u3, u4):
-        nonlocal best, best_dev, best_key, tried
+        nonlocal best, best_dev, tried
         tried += 1
         chain = structure._make_chain(u1, u2, u3, u4)
         dev = _chain_deviation(chain, targets)

@@ -6,7 +6,7 @@ strictly increasing rescaling g with g(e)=0 and g(E)=1 (positive weights are
 a deliberate strengthening: zero-weight atoms would leave conditional ratios
 undefined).  A Refutation is a finite certificate, re-checkable in exact
 arithmetic from the structure alone, that no such weighting exists.  Unknown
-means the search budget ran out and nothing is claimed.
+means neither was found within the search budget, and nothing is claimed.
 
 The refutation engine propagates forced facts about the ratio assignment
 r(v) = g(v) over the quotient of pairs by their belief value: pairs with
@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
+from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py traces it by name)
 
 from .core import ZERO, ONE, BeliefStructure, Event, subset_sums
 from .conditions import chain_consistency
@@ -487,19 +488,15 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
 
 @dataclass(frozen=True)
 class ProbabilityWitness:
-    """Strictly positive atom weights summing to 1."""
+    """Strictly positive atom weights summing to 1, checked exactly."""
 
     weights: dict
-    exact: bool
 
     def as_fractions(self, domain) -> list[Fraction]:
         return [Fraction(self.weights[a]) for a in domain.atoms]
 
     def to_dict(self) -> dict:
-        return {
-            "weights": {a: str(w) for a, w in self.weights.items()},
-            "exact": self.exact,
-        }
+        return {"weights": {a: str(w) for a, w in self.weights.items()}}
 
 
 @dataclass(frozen=True)
@@ -643,10 +640,15 @@ def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
 @dataclass(frozen=True)
 class DecisionParams:
     """Numeric-phase settings; `restarts=0` skips that phase (an honest
-    unknown where the exact phases settle nothing)."""
+    unknown where the exact phases settle nothing).
+
+    `restarts` seeded starts each run the least-squares search, `budget`
+    caps the solver's evaluations per solve, and a solution is rounded to
+    rational candidates only when its squared residual is below `tolerance`.
+    """
 
     restarts: int = 8
-    budget: int = 400  # local-descent iterations per restart
+    budget: int = 400
     tolerance: float = 1e-9
     seed: int = 0
 
@@ -673,7 +675,7 @@ class IsomorphismVerdict:
         out = {"kind": self.kind, "budget": dict(self.budget)}
         if self.witness is not None:
             out["weights"] = self.witness.to_dict()["weights"]
-            out["exact"] = self.witness.exact
+            out["exact"] = True  # every witness passed verify_witness
         if self.rescaling is not None:
             out["g-graph"] = self.rescaling.to_dict()
         if self.certificate is not None:
@@ -681,17 +683,22 @@ class IsomorphismVerdict:
         return out
 
 
+def _int_root(n: int, k: int) -> int | None:
+    """The exact k-th root (k = 2, 3 or 4) of a nonnegative int, or None."""
+    if k == 3 and n > 0:
+        # integer Newton from above decreases to the floor of the cube root
+        r = 1 << -(-n.bit_length() // 3)
+        while (s := (2 * r + n // (r * r)) // 3) < r:
+            r = s
+    else:
+        r = math.isqrt(n) if k == 2 else math.isqrt(math.isqrt(n))
+    return r if r ** k == n else None
+
+
 def _fraction_root(x: Fraction, k: int) -> Fraction | None:
     """Exact k-th root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    num = round(x.numerator ** (1 / k)) if x.numerator else 0
-    den = round(x.denominator ** (1 / k))
-    for n in (num - 1, num, num + 1):
-        for d in (den - 1, den, den + 1):
-            if n >= 0 and d > 0 and n ** k == x.numerator and d ** k == x.denominator:
-                return Fraction(n, d)
-    return None
+    num, den = _int_root(x.numerator, k), _int_root(x.denominator, k)
+    return None if num is None or den is None else Fraction(num, den)
 
 
 def _structured_candidates(structure: BeliefStructure):
@@ -730,175 +737,116 @@ def _value_classes(structure: BeliefStructure):
     return [(index.values[x], pairs) for x, pairs in sorted(classes.items())]
 
 
-def _softmax(theta):
-    z = np.concatenate([[0.0], theta])
-    z = z - z.max()
-    w = np.exp(z)
-    return w / w.sum()
+def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
+    """The numeric phase's least-squares problem over the atom weights.
 
-
-def _block_width(size: int) -> int:
-    """Row width, zero-padded, of a value class of `size` pairs.
-
-    numpy sums a row of up to 128 floats as eight running partial sums over
-    its whole groups of eight entries, then adds the leftover entries one by
-    one (a row of fewer than eight is all leftovers); a longer row is split
-    in two.  Zeros appended to the leftovers change no partial sum, so a row
-    padded to the widest width with as many whole groups, and at most 128
-    entries, sums to the same float.
+    The weights are w = (1, w_1, ..., w_{n-1}): a ratio μ(V)/μ(U) does not
+    see their scale, so fixing w_0 loses nothing.  The residuals are each
+    pair's ratio minus its value class's mean, then a hinge on adjacent class
+    means less than 1e-7 apart or out of order, then, with `pull`, the mild
+    pull 1e-2·(mean − normalized value) of each class.  `solve(w, free,
+    pull)` moves the weights flagged `free`, within [1e-12, ∞), by at most
+    `budget` evaluations; it returns them with the squared residual left
+    without the pull, and adds its evaluations to `report["iterations"]`.
     """
-    if size > 128:
-        return size
-    return min(size // 8 * 8 + 7, 128)
-
-
-def _feasibility_penalties(structure):
-    """The numeric phase's objective, theta ↦ (hard, pull).
-
-    `hard` is the spread of each value class's ratios μ(V)/μ(U) about the
-    class mean, summed over the classes in order, plus a squared hinge on
-    adjacent class means less than 1e-7 apart or out of order; `pull` is a
-    mild pull of each class mean toward its normalized belief value.  The
-    classes are laid out once as one zero-padded (classes, width) block per
-    `_block_width`, so an evaluation makes a few axis-1 reductions instead
-    of a pass per class, and every float it returns is the one a per-class
-    loop over `_value_classes` computes.
-    """
-    n = structure.domain.size
     classes = _value_classes(structure)
     e, big_e = structure.bounds
-    span = float(big_e - e)
-    masks = sorted({m for _, pairs in classes for vu in pairs for m in vu})
-    mask_index = {m: i for i, m in enumerate(masks)}
-    mask_matrix = np.zeros((len(masks), n))
-    for m, i in mask_index.items():
-        for bit in range(n):
-            if m >> bit & 1:
-                mask_matrix[i, bit] = 1.0
-    targets = np.array([(float(x) - float(e)) / span for x, _ in classes])
-    delta = 1e-7
-    by_width: dict[int, list[int]] = {}
-    for ci, (_, pairs) in enumerate(classes):
-        by_width.setdefault(_block_width(len(pairs)), []).append(ci)
-    # a padding slot reads μ(∅)/μ(Ω) = 0.0
-    pad = (mask_index[0], mask_index[structure.domain.full_mask])
-    slots: list[tuple[int, int]] = []
-    blocks = []  # (first slot, last slot + 1, width, class sizes, 1.0/0.0 slot mask)
-    order: list[int] = []  # class index of each block row, block after block
-    for width, members in sorted(by_width.items()):
-        start = len(slots)
-        sizes = [len(classes[ci][1]) for ci in members]
-        for ci, size in zip(members, sizes):
-            slots += [(mask_index[v], mask_index[u]) for v, u in classes[ci][1]]
-            slots += [pad] * (width - size)
-        valid = None
-        if min(sizes) < width:
-            valid = (np.arange(width) < np.array(sizes)[:, None]).astype(float)
-        blocks.append((start, len(slots), width, np.array(sizes, dtype=float), valid))
-        order += members
-    numerators = np.array([v for v, _ in slots], dtype=int)
-    denominators = np.array([u for _, u in slots], dtype=int)
-    row_of_class = np.argsort(order)
+    # normalized exactly, so huge bounds never pass through a float
+    targets = np.array([float((x - e) / (big_e - e)) for x, _ in classes])
+    sizes = np.array([len(pairs) for _, pairs in classes])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(classes)), sizes)
+    masks = np.array([vu for _, pairs in classes for vu in pairs])
+    bits = 1 << np.arange(structure.domain.size)
+    v_in, u_in = ((masks[:, i, None] & bits != 0).astype(float) for i in (0, 1))
 
-    def penalties(theta):
-        """(hard, pull): constraint violation vs the identity-pull nudge."""
-        mu = mask_matrix @ _softmax(theta)
-        ratios = mu[numerators] / mu[denominators]
-        block_means, block_spreads = [], []
-        for start, stop, width, sizes, valid in blocks:
-            block = ratios[start:stop].reshape(-1, width)
-            m = np.add.reduce(block, axis=1) / sizes
-            deviations = block - m[:, None]
-            if valid is not None:
-                deviations *= valid
-            block_means.append(m)
-            block_spreads.append(np.add.reduce(deviations ** 2, axis=1))
-        means = np.concatenate(block_means)[row_of_class]
-        spreads = np.concatenate(block_spreads)[row_of_class]
-        # summed left to right in class order, as a running total would be
-        hard = np.add.accumulate(spreads)[-1]
-        gaps = np.maximum(means[:-1] + delta - means[1:], 0.0)
-        hard += (gaps ** 2).sum()
-        pull = 1e-4 * ((means - targets) ** 2).sum()
-        return hard, pull
+    def residuals(w, pull):
+        """The residual vector at the weights w and its Jacobian."""
+        mu_v, mu_u = v_in @ w, u_in @ w
+        ratios = mu_v / mu_u
+        d_ratios = (v_in * mu_u[:, None] - u_in * mu_v[:, None]) / (mu_u ** 2)[:, None]
+        means = np.add.reduceat(ratios, starts) / sizes
+        d_means = np.add.reduceat(d_ratios, starts) / sizes[:, None]
+        gaps = means[:-1] + 1e-7 - means[1:]
+        on = gaps > 0
+        res = [ratios - means[owner], np.where(on, gaps, 0.0)]
+        jac = [d_ratios - d_means[owner], np.where(on[:, None], d_means[:-1] - d_means[1:], 0.0)]
+        if pull:
+            res.append(1e-2 * (means - targets))
+            jac.append(1e-2 * d_means)
+        return np.concatenate(res), np.concatenate(jac)
 
-    return penalties
+    def solve(w, free, pull):
+        def full(x):
+            out = w.copy()
+            out[free] = x
+            return out
+
+        result = least_squares(
+            lambda x: residuals(full(x), pull)[0], w[free],
+            jac=lambda x: residuals(full(x), pull)[1][:, free],
+            bounds=(1e-12, np.inf), method="trf",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=budget,
+        )
+        report["iterations"] += int(result.nfev)
+        w = full(result.x)
+        return w, float(np.sum(residuals(w, False)[0] ** 2))
+
+    return solve
 
 
-def _numeric_feasibility(structure, params):
-    """Penalty minimization over the open simplex via softmax weights.
+def _rounded(w):
+    """Continued-fraction approximants of w of growing denominator,
+    normalized to sum to 1."""
+    for cap in (10, 100, 1000, 10 ** 6):
+        ws = [Fraction(x).limit_denominator(cap) for x in w]
+        if all(x > 0 for x in ws):
+            total = sum(ws)
+            yield [x / total for x in ws]
 
-    Returns (best_weights_float, best_penalty, restarts_used, iterations).
-    A mild pull of each class ratio toward its normalized belief value keeps
-    the feasible set's gauge freedom from wandering; exact verification later
-    makes this a search aid only.
+
+def _numeric_candidates(structure: BeliefStructure, params: DecisionParams, report: dict):
+    """Rational weightings read off least-squares solutions, in the order to
+    check them.
+
+    Each restart solves from a seeded random start with the pull, then
+    polishes without it.  A solution whose squared residual is below
+    `params.tolerance` is rounded; then the rational-point step fixes one
+    weight after another to a small-denominator approximant, re-solves the
+    rest and rounds again, which finds a rational point of a feasible set
+    that is more than a point.  Only the exact check makes any of them a
+    witness.  `report` counts restarts and evaluations and keeps the least
+    residual.
     """
     n = structure.domain.size
-    penalties = _feasibility_penalties(structure)
-
-    def objective(theta):
-        hard, pull = penalties(theta)
-        return hard + pull
-
-    best_w = None
-    best_hard = math.inf
-    iterations = 0
-    restarts = 0
+    solve = _weight_solver(structure, params.budget, report)
     for i in range(params.restarts):
-        restarts += 1
+        report["restarts"] += 1
         rng = random.Random(params.seed * 1000003 + i)
-        x0 = np.array([rng.gauss(0.0, 1.5) for _ in range(n - 1)])
-        if n == 1:
-            best_w, best_hard = np.array([1.0]), penalties(np.zeros(0))[0]
-            break
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": params.budget, "xatol": 1e-12, "fatol": 1e-18},
-        )
-        iterations += int(res.nit)
-        hard = penalties(res.x)[0]
-        if hard < best_hard:
-            best_hard = float(hard)
-            best_w = _softmax(res.x)
-        if best_hard < 1e-20:
-            break
-    return best_w, best_hard, restarts, iterations
-
-
-def _verify_numeric(structure, weights_float, tol) -> bool:
-    """High-precision witness check: constraints within tol, order strict."""
-    ws = [Fraction(float(w)) for w in weights_float]
-    if any(w <= 0 for w in ws):
-        return False
-    total = sum(ws)
-    ws = [w / total for w in ws]
-    tol = Fraction(tol).limit_denominator(10 ** 15)
-    mu = subset_sums(ws)
-    means = []
-    for x, pairs in _value_classes(structure):
-        ratios = [mu[v] / mu[u] for v, u in pairs]
-        if max(ratios) - min(ratios) > tol:
-            return False
-        means.append((x, sum(ratios) / len(ratios)))
-    for (_, r1), (_, r2) in zip(means, means[1:]):
-        if not r1 < r2:
-            return False
-    e, big_e = structure.bounds
-    mm = dict(means)
-    if e in mm and abs(mm[e]) > tol:
-        return False
-    if big_e in mm and abs(mm[big_e] - 1) > tol:
-        return False
-    return True
+        w = np.array([1.0] + [math.exp(rng.gauss(0.0, 1.5)) for _ in range(n - 1)])
+        free = np.arange(n) > 0
+        w, _ = solve(w, free, pull=True)
+        w, residual = solve(w, free, pull=False)
+        report["best_penalty"] = min(report["best_penalty"], residual)
+        if not residual < params.tolerance:  # NaN included
+            continue
+        yield from _rounded(w)
+        for j in range(1, n - 1):
+            w[j] = float(Fraction(w[j]).limit_denominator(10))
+            free[j] = False
+            w, residual = solve(w, free, pull=False)
+            if residual < params.tolerance:
+                yield from _rounded(w)
 
 
 def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> IsomorphismVerdict:
     """Witness, Refutation, or an honest Unknown.
 
     Pipeline: refutation search first; then exact structured candidates
-    (affine identity, power laws) verified in exact arithmetic; then seeded
-    numerical feasibility with continued-fraction rounding and exact
-    re-verification; budget exhaustion yields Unknown.
+    (affine identity, power laws); then the seeded least-squares search of
+    `_numeric_candidates`.  Every witness passes `verify_witness` in exact
+    arithmetic; a near-solution that no rational weighting near it confirms
+    is an Unknown, as is an exhausted budget.
     """
     params = params or DecisionParams()
     budget_report = {"restarts": 0, "iterations": 0, "phase": "refutation"}
@@ -908,15 +856,13 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
             "refutation", certificate=certificate, budget=budget_report
         )
 
-    domain = structure.domain
-
     def exact_witness(weights) -> IsomorphismVerdict | None:
         check = verify_witness(structure, weights)
         if not check.passed:
             return None
         return IsomorphismVerdict(
             "witness",
-            witness=ProbabilityWitness(dict(zip(domain.atoms, weights)), exact=True),
+            witness=ProbabilityWitness(dict(zip(structure.domain.atoms, weights))),
             rescaling=_rescaling(structure, check),
             budget=budget_report,
         )
@@ -927,31 +873,11 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
             budget_report["phase"] = "structured-candidates"
             return verdict
 
-    if params.restarts > 0:
-        best_w, best_pen, restarts, iterations = _numeric_feasibility(structure, params)
-        budget_report.update(
-            {"restarts": restarts, "iterations": iterations,
-             "phase": "numeric", "best_penalty": best_pen}
-        )
-        if best_w is not None and best_pen < 1e-12:
-            for cap in (10, 100, 1000, 10 ** 6):
-                rounded = [
-                    Fraction(float(w)).limit_denominator(cap) for w in best_w
-                ]
-                total = sum(rounded)
-                if total == 0 or any(w <= 0 for w in rounded):
-                    continue
-                verdict = exact_witness([w / total for w in rounded])
-                if verdict is not None:
-                    return verdict
-            if _verify_numeric(structure, best_w, params.tolerance):
-                ws = [Fraction(float(w)) for w in best_w]
-                total = sum(ws)
-                ws = [w / total for w in ws]
-                witness = ProbabilityWitness(
-                    dict(zip(domain.atoms, ws)), exact=False
-                )
-                return IsomorphismVerdict(
-                    "witness", witness=witness, budget=budget_report
-                )
+    # one atom has the one weighting, which the structured candidates tried
+    if params.restarts > 0 and structure.domain.size > 1:
+        budget_report.update({"phase": "numeric", "best_penalty": math.inf})
+        for candidate in _numeric_candidates(structure, params, budget_report):
+            verdict = exact_witness(candidate)
+            if verdict is not None:
+                return verdict
     return IsomorphismVerdict("unknown", budget=budget_report)

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 from hypothesis import HealthCheck, settings
 
-from coxcheck.core import Domain
+from coxcheck.core import BeliefStructure, Domain
 from coxcheck.generators import gen_probability
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -39,3 +40,25 @@ def relabelled_probability(ints, g):
     domain = Domain(tuple(f"x{i}" for i in range(len(ints))))
     base = gen_probability(domain, [Fraction(i, sum(ints)) for i in ints])
     return base.map_values(g, bounds=(Fraction(0), Fraction(1)))
+
+
+def golden_ratio_structure():
+    """The probability of weights (s², s − s², 1 − s), s = (√5 − 1)/2, with
+    its 7 distinct ratios μ(V)/μ(U) relabelled k/6 in order.
+
+    Any witness has w_a = w_c and w_a/(w_a + w_b) = w_a + w_b, which force
+    s² + s − 1 = 0: a rescaled probability with no rational witness.
+    """
+    with mpmath.workdps(50):
+        s = (mpmath.sqrt(5) - 1) / 2
+        weights = (s * s, s - s * s, 1 - s)
+        mu = [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(8)]
+        # ratios equal in exact arithmetic agree here to far more than 30 digits
+        keys = {
+            (v, u): int(mpmath.nint(mu[v] / mu[u] * 10 ** 30))
+            for u in range(1, 8) for v in range(8) if v & ~u == 0
+        }
+    levels = sorted(set(keys.values()))
+    assert len(levels) == 7
+    table = {vu: Fraction(levels.index(k), 6) for vu, k in keys.items()}
+    return BeliefStructure.from_table(Domain(("a", "b", "c")), table)

@@ -75,7 +75,7 @@ def test_acceptance_1_probability_soundness_sweep():
         assert chain_consistency(b).passed
         assert bel_level_negation(b, neg).passed
         verdict = decide(b)
-        assert verdict.kind == "witness" and verdict.witness.exact
+        assert verdict.kind == "witness" and verdict.to_dict()["exact"]
         assert verdict.witness.as_fractions(domain) == ws
         count += 1
     elapsed = time.perf_counter() - started

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from coxcheck import cli
 from coxcheck.cli import main
-from coxcheck.core import BeliefStructure
+from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure, save_structure
+from coxcheck.generators import gen_distorted, gen_probability
+from coxcheck.isomorphism import verify_witness
 from coxcheck.report_schema import REPORT_SCHEMA
 
-from conftest import FIXTURES, relabelled_probability
+from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 
 def count_triple_passes(monkeypatch) -> list:
@@ -240,6 +242,46 @@ class TestDecideOptions:
         path = numeric_table(tmp_path)
         assert main(["decide", str(path), "--restarts", "0", "--tol", "0"]) == 2
         assert "verdict: unknown" in capsys.readouterr().out
+
+    def test_irrational_witness_is_an_honest_unknown(self, tmp_path, capsys):
+        path = tmp_path / "golden.bel"
+        save_structure(golden_ratio_structure(), path)
+        code, report = run_with_report(["decide", path], tmp_path)
+        assert code == 2
+        assert report["verdict"]["kind"] == "unknown"
+        assert "weights" not in report["verdict"]
+
+
+def decided_weights(path, tmp_path):
+    """Exit code and witness weights of `decide` on the file at `path`."""
+    code, report = run_with_report(["decide", path], tmp_path)
+    verdict = report["verdict"]
+    assert verdict["kind"] == "witness" and verdict["exact"] is True
+    return code, [F(verdict["weights"][a]) for a in sorted(verdict["weights"])]
+
+
+class TestDecideHugeValues:
+    def test_roots_of_values_near_the_literal_digit_cap(self, tmp_path, capsys):
+        """Bel values of 400-digit numerators and denominators, settled by
+        exact square roots."""
+        weights = [F(1, 10 ** 200), 1 - F(1, 10 ** 200)]
+        path = tmp_path / "tiny.bel"
+        save_structure(gen_distorted(Domain(("a", "b")), weights, 2), path)
+        code, found = decided_weights(path, tmp_path)
+        assert code == 0 and found == weights
+
+    def test_bounds_far_beyond_float_range(self, tmp_path, capsys):
+        """A numeric-phase table whose values and bounds run to 10^320."""
+        scale = 10 ** 320
+        base = gen_probability(Domain(("x0", "x1", "x2", "x3")),
+                               [F(i, 12) for i in (3, 2, 5, 2)])
+        structure = base.map_values(lambda v: scale * (v + v * v) / 2,
+                                    bounds=(F(0), F(scale)))
+        path = tmp_path / "huge.bel"
+        save_structure(structure, path)
+        code, found = decided_weights(path, tmp_path)
+        assert code == 0
+        assert verify_witness(load_structure(path), found).passed
 
 
 class TestGenerateCommands:

@@ -7,9 +7,8 @@ recheck result, witness or `check` line shows up here.
 No fixture reaches `decide`'s numeric phase, so a second file pins that
 phase's trajectory on structures built here: rescaled probabilities whose
 rescaling is neither affine nor a power law.  It holds the verdict kind, the
-budget report (phase, restarts, Nelder-Mead iterations, the exact `repr` of
-the best penalty) and the exact witness weights, and was written before the
-penalty objective was regrouped by class size.
+budget report (phase, restarts, least-squares evaluations, the exact `repr`
+of the least squared residual) and the exact witness weights.
 
 To rewrite both files after a deliberate change of output:
 
@@ -51,9 +50,9 @@ def _decide_record(path: Path) -> dict:
         if cert.kind == "order-conflict":
             record["instances"] = [[k, list(m)] for k, m in cert.data.instances]
     if verdict.witness is not None:
-        record["exact"] = verdict.witness.exact
-        if verdict.witness.exact:
-            record["weights"] = verdict.witness.to_dict()["weights"]
+        payload = verdict.to_dict()
+        record["exact"] = payload["exact"]
+        record["weights"] = payload["weights"]
     if verdict.rescaling is not None:
         record["g-graph"] = verdict.rescaling.to_dict()
     return record
@@ -88,8 +87,7 @@ def mobius(v):
 
 
 # name -> (structure builder, decide parameters); none is settled before the
-# numeric phase.  mix2-4-seed3 needs two restarts; the short mobius run ends
-# in an honest unknown after its whole budget.
+# numeric phase.  mobius-4-seed1 runs on a short budget.
 NUMERIC_CASES = {
     "mobius-2": (custom_monotone_distortion, DecisionParams()),
     "mix2-4-seed1": (lambda: seeded(1, 4, mix2), DecisionParams()),
@@ -109,8 +107,9 @@ def _numeric_record(name: str) -> dict:
     budget["best_penalty"] = repr(budget["best_penalty"])
     record = {"kind": verdict.kind, "budget": budget}
     if verdict.witness is not None:
-        record["exact"] = verdict.witness.exact
-        record["weights"] = verdict.witness.to_dict()["weights"]
+        payload = verdict.to_dict()
+        record["exact"] = payload["exact"]
+        record["weights"] = payload["weights"]
     return record
 
 
