@@ -5,7 +5,9 @@
 Extracts REV's `src/` with `git archive` into a temporary directory and
 builds the jobs there: every input of the four benchmark workloads for each
 seed (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
-both) plus a `decide` and a `check` run of every fixture.  Each tree runs
+both), a `decide` and a `check` run of every fixture, and a `check` run of
+malformed copies of a fixture that it writes into its temporary directory
+(`MALFORMED_LINES`), so the parser's error paths are diffed too.  Each tree runs
 every job once, in-process through `coxcheck.cli.main`, in an interpreter
 of its own.  Per job the exit code, stdout, stderr and JSON report without
 `timings` must match, and for `decide` also the certificate kind,
@@ -98,7 +100,40 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
             jobs.append({"id": f"{sub}/{path.name}",
                          "argv": [sub, str(path), "--json", str(report)],
                          "report": str(report)})
+    for path in write_malformed(tmp / "malformed"):
+        report = reports / f"check-malformed-{path.stem}.json"
+        jobs.append({"id": f"check/malformed/{path.name}",
+                     "argv": ["check", str(path), "--json", str(report)],
+                     "report": str(report)})
     return jobs
+
+
+#: One bad `bel` line per parse error the parser reports on a token.
+MALFORMED_LINES = {
+    "bad-literal": "bel {a} | * = x/2",
+    "long-literal": "bel {a} | * = " + "7" * 1001,
+    "unknown-atom": "bel {z} | * = 1",
+    "repeated-atom": "bel {a a} | * = 1/2",
+    "empty-condition": "bel {a} | {} = 1",
+}
+
+
+def write_malformed(out: Path) -> list[Path]:
+    """Copies of `fixtures/three_atoms.bel` with a bad line inserted after
+    its first `bel` lines, once, and again on a later line.  The parser
+    must stop at the first bad line and name it."""
+    out.mkdir()
+    lines = (REPO / "fixtures" / "three_atoms.bel").read_text(encoding="utf-8").splitlines()
+    paths = []
+    for name, bad in MALFORMED_LINES.items():
+        for variant, at in (("once", [5]), ("repeated", [5, 12])):
+            text = list(lines)
+            for i in reversed(at):
+                text.insert(i, bad)
+            path = out / f"{name}-{variant}.bel"
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+            paths.append(path)
+    return paths
 
 
 def extract_src(rev: str, dest: Path) -> Path:

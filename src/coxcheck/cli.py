@@ -8,6 +8,7 @@ report; the text output and the JSON always agree on verdicts.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -397,6 +398,26 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A command builds acyclic tables (parsed lines, value ranks, engine
+    instances) that reference counting frees when it returns.  Collections
+    in between only rescan them, and a full one also rescans every loaded
+    module (numpy, scipy): tens of milliseconds, landing on whichever command
+    happens to cross the allocation threshold.  The collector is paused
+    before the command allocates anything, so it cannot fire inside it; the
+    few cycles a command leaves (the argument parser's) are collected after.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     inputs: set[str | None] = set()

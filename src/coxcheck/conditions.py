@@ -24,6 +24,7 @@ from .core import (
     BeliefStructure,
     ChainQuadruple,
     Event,
+    is_canonical,
 )
 from .forms import (
     CombinationConflict,
@@ -369,8 +370,12 @@ class ChainCertificate:
         return (self.inner_right, self.inner_left, self.outer_left, self.outer_right)
 
     def recheck(self, structure: BeliefStructure) -> bool:
-        """Re-derive all four entries from the structure in exact arithmetic."""
+        """Re-derive all four entries from the structure in exact arithmetic;
+        a triple that is not a chain triple of the structure rejects it."""
         x, y, z = self.args
+        full = structure.domain.full_mask
+        if not all(is_canonical(t, 3, full) for _, _, t in self.entries()):
+            return False
         for (args, value, (b, a, u)) in self.entries():
             if structure.bel_masks(b, a) != args[0]:
                 return False

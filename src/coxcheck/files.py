@@ -88,6 +88,11 @@ def parse_structure(text: str) -> BeliefStructure:
     bounds: tuple[Fraction, Fraction] | None = None
     explicit: dict[tuple[int, int], tuple[Fraction, int]] = {}
     generator: tuple[dict[str, Fraction], int] | None = None  # weights, line
+    # a table repeats few distinct value literals and event tokens over many
+    # `bel` lines: each is parsed and checked once, on the first line it is
+    # on, which is also the line an error in it reports
+    literals: dict[str, Fraction] = {}
+    events: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,14 +129,18 @@ def parse_structure(text: str) -> BeliefStructure:
             v_part, bar, u_part = events_part.partition("|")
             if not (eq and bar):
                 raise ParseError("bel line must look like 'bel V | U = value'", line_no)
-            v = _parse_event(v_part, bits, line_no)
-            u = _parse_event(u_part, bits, line_no)
+            for part in (v_part, u_part):
+                if part not in events:
+                    events[part] = _parse_event(part, bits, line_no)
+            v, u = events[v_part], events[u_part]
             if u == 0:
                 raise ParseError("conditioning event U must be nonempty", line_no)
-            try:
-                value = parse_value(value_part.strip())
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
+            if value_part not in literals:
+                try:
+                    literals[value_part] = parse_value(value_part.strip())
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
+            value = literals[value_part]
             key = (v & u, u)
             if key in explicit and explicit[key][0] != value:
                 raise ParseError(

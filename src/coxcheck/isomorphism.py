@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py traces it by name)
 
-from .core import ZERO, ONE, BeliefStructure, Event, subset_sums
+from .core import ZERO, ONE, BeliefStructure, Event, is_canonical, subset_sums
 from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
@@ -68,22 +68,31 @@ class RefutationCertificate:
     description: str
 
     def recheck(self, structure: BeliefStructure) -> bool:
-        """Re-validate from scratch, in exact arithmetic, from the structure."""
+        """Re-validate from scratch, in exact arithmetic, from the structure.
+
+        A pair or triple that is not a canonical pair or chain triple of the
+        structure rejects the certificate.
+        """
+        full = structure.domain.full_mask
         if self.kind == "A1-conflict":
             c: NegationConflict = self.data
+            if not all(is_canonical(p, 2, full) for p in (c.pair_a, c.pair_b)):
+                return False
             va, ua = c.pair_a
             vb, ub = c.pair_b
             if structure.bel_masks(va, ua) != c.value:
                 return False
             if structure.bel_masks(vb, ub) != c.value:
                 return False
-            out_a = structure.bel_masks(ua ^ (va & ua), ua)
-            out_b = structure.bel_masks(ub ^ (vb & ub), ub)
+            out_a = structure.bel_masks(ua ^ va, ua)
+            out_b = structure.bel_masks(ub ^ vb, ub)
             # equal values force equal ratios; complements then share a ratio,
             # which a strictly increasing g forbids for distinct values
             return out_a == c.output_a and out_b == c.output_b and out_a != out_b
         if self.kind == "A2-conflict":
             c: CombinationConflict = self.data
+            if not all(is_canonical(t, 3, full) for t in (c.triple_a, c.triple_b)):
+                return False
             b1, a1, u1 = c.triple_a
             b2, a2, u2 = c.triple_b
             key1 = (structure.bel_masks(b1, a1), structure.bel_masks(a1, u1))
@@ -397,16 +406,6 @@ class _RatioEngine:
         return self
 
 
-def _is_canonical(masks: tuple, full: int) -> bool:
-    """Int masks within the domain, each inside the next, the second nonempty:
-    a canonical pair (V ⊆ U ≠ ∅) or chain triple (B ⊆ A ⊆ U, A ≠ ∅)."""
-    return (
-        all(isinstance(m, int) and 0 <= m <= full for m in masks)
-        and masks[1] != 0
-        and all(inner & ~outer == 0 for inner, outer in zip(masks, masks[1:]))
-    )
-
-
 def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure) -> bool:
     """Re-run the engine on the certificate's own instances.
 
@@ -416,7 +415,7 @@ def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure)
     full = structure.domain.full_mask
     arity = {"sum": 2, "product": 3}
     for kind, masks in data.instances:
-        if len(masks) != arity.get(kind) or not _is_canonical(masks, full):
+        if not is_canonical(masks, arity.get(kind), full):
             return False
     values, _ = _negation_instances(structure)
 
@@ -842,19 +841,19 @@ def _numeric_candidates(structure: BeliefStructure, params: DecisionParams, repo
 def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> IsomorphismVerdict:
     """Witness, Refutation, or an honest Unknown.
 
-    Pipeline: refutation search first; then exact structured candidates
-    (affine identity, power laws); then the seeded least-squares search of
-    `_numeric_candidates`.  Every witness passes `verify_witness` in exact
-    arithmetic; a near-solution that no rational weighting near it confirms
-    is an Unknown, as is an exhausted budget.
+    Pipeline: exact structured candidates (affine identity, power laws)
+    first; then refutation search; then the seeded least-squares search of
+    `_numeric_candidates`.  Trying candidates before refutation search is
+    sound because `verify_witness` is exact: a structure with a verified
+    witness is a rescaled probability, so no valid refutation exists and the
+    search could only find nothing.  The numeric phase stays last, so a
+    refutable structure never pays for its failed restarts.  Every witness
+    passes `verify_witness` in exact arithmetic; a near-solution that no
+    rational weighting near it confirms is an Unknown, as is an exhausted
+    budget.
     """
     params = params or DecisionParams()
-    budget_report = {"restarts": 0, "iterations": 0, "phase": "refutation"}
-    certificate = refutation_search(structure)
-    if certificate is not None:
-        return IsomorphismVerdict(
-            "refutation", certificate=certificate, budget=budget_report
-        )
+    budget_report = {"restarts": 0, "iterations": 0, "phase": "structured-candidates"}
 
     def exact_witness(weights) -> IsomorphismVerdict | None:
         check = verify_witness(structure, weights)
@@ -870,8 +869,14 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     for candidate in _structured_candidates(structure):
         verdict = exact_witness(candidate)
         if verdict is not None:
-            budget_report["phase"] = "structured-candidates"
             return verdict
+
+    budget_report["phase"] = "refutation"
+    certificate = refutation_search(structure)
+    if certificate is not None:
+        return IsomorphismVerdict(
+            "refutation", certificate=certificate, budget=budget_report
+        )
 
     # one atom has the one weighting, which the structured candidates tried
     if params.restarts > 0 and structure.domain.size > 1:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -126,6 +127,58 @@ class TestReports:
         assert report["command"][0] == "coxcheck"
         assert report["command"][1] == "check"
         assert report["timings"]["total_s"] >= 0
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector for the whole command."""
+
+    def test_no_collection_runs_inside_a_command(self, monkeypatch, capsys):
+        inside, fired, seen = [False], [], []
+        original = cli._main
+
+        def probe(argv):
+            seen.append(gc.isenabled())
+            inside[0] = True
+            try:
+                return original(argv)
+            finally:
+                inside[0] = False
+
+        def record(phase, info):
+            if inside[0]:
+                fired.append(info["generation"])
+
+        monkeypatch.setattr(cli, "_main", probe)
+        threshold = gc.get_threshold()
+        gc.callbacks.append(record)
+        gc.set_threshold(1, 1, 1)  # a running collector would fire at once
+        try:
+            assert main(["decide", str(FIXTURES / "three_atoms.bel")]) == 0
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(record)
+        assert seen == [False] and fired == []
+        assert gc.isenabled()
+
+    def test_collector_state_is_restored_on_every_exit(self, monkeypatch, capsys):
+        assert main([]) == 64
+        assert gc.isenabled()
+
+        def boom(args, argv):
+            raise RuntimeError("escapes main")
+
+        monkeypatch.setitem(cli._COMMANDS, "decide", boom)
+        with pytest.raises(RuntimeError):
+            main(["decide", str(FIXTURES / "three_atoms.bel")])
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, capsys):
+        gc.disable()
+        try:
+            assert main(["decide", str(FIXTURES / "three_atoms.bel")]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestUsageAndParseErrors:

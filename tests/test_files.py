@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcheck import core
+from coxcheck import core, files
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import (
     ParseError,
@@ -142,6 +142,26 @@ class TestParse:
         parse_structure(FIXTURES.joinpath("three_atoms.bel").read_text())
         assert built == []
 
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        literals, events = [], []
+        original_value, original_event = files.parse_value, files._parse_event
+
+        def counting_value(text):
+            literals.append(text)
+            return original_value(text)
+
+        def counting_event(token, bits, line_no):
+            events.append(token)
+            return original_event(token, bits, line_no)
+
+        monkeypatch.setattr(files, "parse_value", counting_value)
+        monkeypatch.setattr(files, "_parse_event", counting_event)
+        lines = FIXTURES.joinpath("three_atoms.bel").read_text().splitlines()
+        bel_lines = [line for line in lines if line.startswith("bel ")]
+        parse_structure("\n".join(["domain: a b c"] + bel_lines))
+        assert len(literals) == len(set(literals)) < len(bel_lines)
+        assert len(events) == len(set(events)) < 2 * len(bel_lines)
+
     def test_non_canonical_entries_canonicalize(self):
         text = (
             "domain: a b\n"
@@ -149,6 +169,39 @@ class TestParse:
             "bel {a b} | {a} = 1\n"  # stored as ({a}|{a})
         )
         assert parse_structure(text).bel_masks(0b01, 0b01) == 1
+
+
+class TestRepeatedTokens:
+    """Each distinct value literal and event token is parsed once; errors
+    and duplicate checks still see every line."""
+
+    def test_bad_literal_repeated_reports_its_first_line(self):
+        text = "domain: a b\nbel {a} | * = x/2\nbel {b} | * = x/2\n"
+        with pytest.raises(ParseError, match="^line 2: not a rational literal"):
+            parse_structure(text)
+
+    def test_unknown_atom_repeated_reports_its_first_line(self):
+        text = "domain: a b\nbel {a} | * = 1/2\nbel {z} | * = 1\nbel {z} | * = 1\n"
+        with pytest.raises(ParseError, match="^line 3: unknown atom 'z'"):
+            parse_structure(text)
+
+    def test_one_value_in_three_spellings_is_no_conflict(self):
+        text = (
+            "domain: a b\n"
+            "generate probability a=1/2 b=1/2\n"
+            "bel {a} | * = 1/2\nbel {a} | * = 2/4\nbel {a} | * = 0.5\n"
+        )
+        assert parse_structure(text).bel_masks(0b01, 0b11) == F(1, 2)
+
+    def test_conflicting_duplicate_names_both_lines(self):
+        text = (
+            "domain: a b\n"
+            "bel {a} | * = 1/3\nbel {b} | * = 1/3\nbel {a} | * = 1/2\n"
+        )
+        with pytest.raises(
+            ParseError, match=r"^line 4: conflicting duplicate .*1/3 \(line 2\) vs 1/2"
+        ):
+            parse_structure(text)
 
 
 class TestRoundTrip:

@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck import core, forms
+from coxcheck import core, forms, isomorphism
+from coxcheck.conditions import ChainCertificate
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
 from coxcheck.forms import (
@@ -146,6 +148,9 @@ class TestRefutationSearch:
         assert cert is not None
         assert cert.kind == kind
         assert cert.recheck(b)
+        verdict = decide(b)
+        assert verdict.certificate.kind == kind
+        assert verdict.budget["phase"] == "refutation"
 
     def test_recheck_fails_against_an_unrelated_structure(self):
         b = load_structure(fixture_path("a1_conflict.bel"))
@@ -167,6 +172,29 @@ class TestRefutationSearch:
             data = OrderConflictData(cert.data.instances + (bad,), cert.description)
             forged = RefutationCertificate("order-conflict", data, cert.description)
             assert not forged.recheck(b), bad
+
+    def test_recheck_rejects_forged_non_chain_triples(self):
+        """Triples outside B ⊆ A ⊆ U alias values a structure never ties
+        together; on a structure `decide` proves a witness for, certificates
+        built from them must not recheck."""
+        b = gen_probability(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
+        assert decide(b).kind == "witness"
+        forged_a2 = CombinationConflict(
+            args=(0, 0), triple_a=(1, 2, 1), output_a=1, triple_b=(0, 1, 2), output_b=0
+        )
+        zero, one = ((0, 0), 0, (0, 1, 2)), ((0, 0), 1, (1, 2, 1))
+        forged_chain = ChainCertificate((0, 0, 0), zero, zero, zero, one)
+        for kind, data in [("A2-conflict", forged_a2),
+                           ("chain-associativity", forged_chain)]:
+            assert not RefutationCertificate(kind, data, "forged").recheck(b), kind
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 0b1000)])
+    def test_recheck_rejects_non_canonical_pairs_without_raising(self, pair):
+        b = load_structure(fixture_path("a1_conflict.bel"))
+        c = refutation_search(b)
+        for field in ("pair_a", "pair_b"):
+            forged = dataclasses.replace(c.data, **{field: pair})
+            assert not RefutationCertificate(c.kind, forged, "forged").recheck(b)
 
     def test_order_conflict_instances_rederive(self):
         b = load_structure(fixture_path("order_conflict.bel"))
@@ -381,13 +409,35 @@ class TestDecide:
         assert forms_built == []
         assert len(interned) == 1
 
-    @given(weight_vectors())
-    def test_mutual_exclusion(self, ws):
-        d = Domain(tuple(f"x{i}" for i in range(len(ws))))
-        b = gen_probability(d, ws)
+    @given(
+        st.lists(st.integers(1, 9), min_size=2, max_size=6),
+        st.integers(1, 3),
+        st.sampled_from([None, (F(1, 2), F(1, 4)), (F(3), F(-2))]),
+    )
+    def test_mutual_exclusion(self, ints, k, relabel):
+        """A witnessed structure has no refutation.  `decide` tries the
+        structured candidates first, so it no longer checks this itself."""
+        d = Domain(tuple(f"x{i}" for i in range(len(ints))))
+        b = gen_distorted(d, [F(i, sum(ints)) for i in ints], k)
+        if relabel is not None:
+            b = affine_rescale(b, *relabel)
         verdict = decide(b)
         assert verdict.kind == "witness"
         assert refutation_search(b) is None
+
+    @pytest.mark.parametrize(
+        "name", ["three_atoms.bel", "distorted_k2.bel", "weights_1_3.bel"]
+    )
+    def test_structured_candidates_settle_without_refutation_search(
+        self, name, monkeypatch
+    ):
+        def refuse(structure):
+            raise AssertionError("refutation search ran")
+
+        monkeypatch.setattr(isomorphism, "refutation_search", refuse)
+        verdict = decide(load_structure(fixture_path(name)))
+        assert verdict.kind == "witness"
+        assert verdict.budget["phase"] == "structured-candidates"
 
 
 class TestGaugeInvariance:
