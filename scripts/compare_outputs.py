@@ -5,9 +5,11 @@
 Extracts REV's `src/` with `git archive` into a temporary directory and
 builds the jobs there: every input of the four benchmark workloads for each
 seed (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
-both), a `decide` and a `check` run of every fixture, and a `check` run of
-malformed copies of a fixture that it writes into its temporary directory
-(`MALFORMED_LINES`), so the parser's error paths are diffed too.  Each tree runs
+both), a `decide`, a `check` and a theorem-1 and theorem-2 `audit` run of
+every fixture, a `check` run of malformed copies of a fixture that it writes
+into its temporary directory (`MALFORMED_LINES`), so the parser's error paths
+are diffed too, and `audit` runs with invalid density options
+(`AUDIT_OPTION_CASES`) on a small coin family it writes there.  Each tree runs
 every job once, in-process through `coxcheck.cli.main`, in an interpreter
 of its own.  Per job the exit code, stdout, stderr and JSON report without
 `timings` must match, and for `decide` also the certificate kind,
@@ -83,6 +85,7 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
 def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
     sys.dont_write_bytecode = True  # keep perfbench/ free of caches
     sys.path.insert(0, str(REPO / "perfbench"))
+    import beltables
     import workloads
 
     jobs = []
@@ -94,18 +97,52 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                              "argv": inp.argv, "report": str(inp.report)})
     reports = tmp / "reports"
     reports.mkdir()
-    for path in sorted((REPO / "fixtures").glob("*.bel")):
-        for sub in ("decide", "check"):
-            report = reports / f"{sub}-{path.stem}.json"
-            jobs.append({"id": f"{sub}/{path.name}",
-                         "argv": [sub, str(path), "--json", str(report)],
+    fixtures = sorted((REPO / "fixtures").glob("*.bel"))
+    for path in fixtures:
+        for name, (sub, *options) in FIXTURE_RUNS.items():
+            report = reports / f"{name}-{path.stem}.json"
+            jobs.append({"id": f"{name}/{path.name}",
+                         "argv": [sub, str(path), *options, "--json", str(report)],
                          "report": str(report)})
     for path in write_malformed(tmp / "malformed"):
         report = reports / f"check-malformed-{path.stem}.json"
         jobs.append({"id": f"check/malformed/{path.name}",
                      "argv": ["check", str(path), "--json", str(report)],
                      "report": str(report)})
+    family = tmp / "coin-family"
+    family.mkdir()
+    for coins in (1, 2):
+        (family / f"coins_{coins:02d}.bel").write_text(
+            beltables.coin_member_text(coins), encoding="utf-8")
+    targets = {"1": [str(fixtures[0]), "--theorem", "1"],
+               "4": ["--theorem", "4", "--family", str(family)]}
+    for name, (theorem, *options) in AUDIT_OPTION_CASES.items():
+        report = reports / f"audit-options-{name}.json"
+        jobs.append({"id": f"audit/options/{name}",
+                     "argv": ["audit", *targets[theorem], *options,
+                              "--json", str(report)],
+                     "report": str(report)})
     return jobs
+
+
+#: Job name -> subcommand and options, run on every fixture.
+FIXTURE_RUNS = {
+    "decide": ["decide"],
+    "check": ["check"],
+    "audit-t1": ["audit", "--theorem", "1"],
+    "audit-t2": ["audit", "--theorem", "2"],
+}
+
+#: `audit` runs, by theorem and options, whose density options must be
+#: refused with exit 64.  The over-limit grid goes to a theorem-1 audit,
+#: which never probes it, so a tree that does not refuse it still ends.
+AUDIT_OPTION_CASES = {
+    "zero-denominator-epsilon": ["4", "--epsilon", "1/0"],
+    "zero-epsilon": ["4", "--epsilon", "0"],
+    "non-numeric-epsilon": ["4", "--epsilon", "abc"],
+    "negative-grid": ["4", "--grid", "-1"],
+    "over-limit-grid": ["1", "--grid", "100000"],
+}
 
 
 #: One bad `bel` line per parse error the parser reports on a token.

@@ -8,11 +8,11 @@ report; the text output and the JSON always agree on verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .conditions import (
@@ -20,6 +20,7 @@ from .conditions import (
     bel_level_negation,
     chain_consistency,
     check_bounds,
+    check_density_options,
     par5_gap,
 )
 from .core import BeliefDomainError, Domain
@@ -63,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call fills a fresh namespace."""
     parser = _Parser(prog="coxcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -243,6 +247,9 @@ def _extension_from_file(base, path: str) -> ExtendedStructure:
 
 def _cmd_audit(args, argv) -> int:
     started = time.perf_counter()
+    # invalid density options are refused before any file is read
+    epsilon = parse_value(args.epsilon)
+    check_density_options(args.grid, epsilon)
     structure = load_structure(args.file) if args.file else None
     family = _load_family_dir(args.family) if args.family else None
     extension = None
@@ -260,7 +267,7 @@ def _cmd_audit(args, argv) -> int:
         extension=extension,
         family=family,
         grid_resolution=args.grid,
-        epsilon=Fraction(args.epsilon),
+        epsilon=epsilon,
         seed=args.seed,
     )
     for h in report_obj.hypotheses:
@@ -405,8 +412,9 @@ def main(argv=None) -> int:
     in between only rescan them, and a full one also rescans every loaded
     module (numpy, scipy): tens of milliseconds, landing on whichever command
     happens to cross the allocation threshold.  The collector is paused
-    before the command allocates anything, so it cannot fire inside it; the
-    few cycles a command leaves (the argument parser's) are collected after.
+    before the command allocates anything, so it cannot fire inside it.  The
+    argument parser, the one cyclic object graph a command used to leave
+    behind, is built once per process (`_build_parser`).
     """
     enabled = gc.isenabled()
     gc.disable()

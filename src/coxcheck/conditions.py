@@ -157,9 +157,11 @@ class TripleSearchResult:
         return not self.passed
 
 
-def _chain_deviation(chain: ChainQuadruple, targets) -> Fraction:
+def _chain_deviation(bel, u1: int, u2: int, u3: int, u4: int, targets) -> Fraction:
+    """Chebyshev distance from the chain's steps Bel(U4|U3), Bel(U3|U2),
+    Bel(U2|U1) to the targets; `bel` is the structure's `bel_masks`."""
     a, b, g = targets
-    return max(abs(chain.x - a), abs(chain.y - b), abs(chain.z - g))
+    return max(abs(bel(u4, u3) - a), abs(bel(u3, u2) - b), abs(bel(u2, u1) - g))
 
 
 def par5_triples(
@@ -171,25 +173,31 @@ def par5_triples(
 ) -> TripleSearchResult:
     """Search for one nested chain ε-approximating all three targets at once.
 
-    Exhaustive over chains() up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.  Above
-    that the search is deterministic-greedy (prefix chains with sizes
+    Exhaustive over chain_masks() up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
+    Above that the search is deterministic-greedy (prefix chains with sizes
     proportional to the targets) followed by seeded random sampling, with the
-    candidate count recorded.
+    candidate count recorded.  Chains are scored from their three steps; the
+    six-value `ChainQuadruple` is built for the returned chain only.
     """
     targets = probe.rescaled(structure.bounds)
     eps = probe.epsilon
     if structure.domain.size <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
+        bel = structure.bel_masks
         best = None
         best_dev = None
         tried = 0
-        for chain in structure.chains():
+        for masks in structure.chain_masks():
             tried += 1
-            dev = _chain_deviation(chain, targets)
+            dev = _chain_deviation(bel, *masks, targets)
             if dev < eps:
-                return TripleSearchResult(True, chain, dev, "exhaustive", tried)
+                return TripleSearchResult(
+                    True, structure._make_chain(*masks), dev, "exhaustive", tried
+                )
             if best_dev is None or dev < best_dev:
-                best, best_dev = chain, dev
-        return TripleSearchResult(False, best, best_dev, "exhaustive", tried)
+                best, best_dev = masks, dev
+        return TripleSearchResult(
+            False, structure._make_chain(*best), best_dev, "exhaustive", tried
+        )
     return _par5_triples_sampled(structure, probe, targets, seed, budget)
 
 
@@ -215,27 +223,30 @@ def _par5_triples_sampled(structure, probe, targets, seed, budget):
     eps = probe.epsilon
     n = structure.domain.size
     full = structure.domain.full_mask
+    bel = structure.bel_masks
     best = None
     best_dev = None
     tried = 0
 
-    def consider(u1, u2, u3, u4):
+    def consider(*masks):
         nonlocal best, best_dev, tried
         tried += 1
-        chain = structure._make_chain(u1, u2, u3, u4)
-        dev = _chain_deviation(chain, targets)
+        dev = _chain_deviation(bel, *masks, targets)
         if best_dev is None or dev < best_dev:
-            best, best_dev = chain, dev
-        return chain, dev
+            best, best_dev = masks, dev
+        return dev
 
     prefix = lambda s: (1 << s) - 1
     # greedy proportional prefix chains
     for s2 in _level_size_candidates(n, probe.gamma, eps, 1):
         for s3 in _level_size_candidates(s2, probe.beta, eps, 1):
             for s4 in _level_size_candidates(s3, probe.alpha, eps, 0):
-                chain, dev = consider(full, prefix(s2), prefix(s3), prefix(s4))
+                masks = (full, prefix(s2), prefix(s3), prefix(s4))
+                dev = consider(*masks)
                 if dev < eps:
-                    return TripleSearchResult(True, chain, dev, "sampled", tried)
+                    return TripleSearchResult(
+                        True, structure._make_chain(*masks), dev, "sampled", tried
+                    )
     # seeded random nested quadruples
     rng = random.Random(seed)
     while tried < budget:
@@ -252,10 +263,12 @@ def _par5_triples_sampled(structure, probe, targets, seed, budget):
                 u4 |= 1 << i
         if u3 == 0:
             continue
-        chain, dev = consider(u1, u2, u3, u4)
+        dev = consider(u1, u2, u3, u4)
         if dev < eps:
-            return TripleSearchResult(True, chain, dev, "sampled", tried)
-    return TripleSearchResult(False, best, best_dev, "sampled", tried)
+            return TripleSearchResult(
+                True, structure._make_chain(u1, u2, u3, u4), dev, "sampled", tried
+            )
+    return TripleSearchResult(False, structure._make_chain(*best), best_dev, "sampled", tried)
 
 
 @dataclass(frozen=True)
@@ -288,6 +301,27 @@ class FamilyDensityReport:
         }
 
 
+#: Most target triples `par5_family` probes: a grid of n points per axis
+#: gives n**3 targets, and a target that no member meets costs every member
+#: its whole sampling budget.
+DENSITY_TARGET_LIMIT = 10_000
+
+
+def check_density_options(grid_resolution: int, epsilon: Fraction) -> None:
+    """Refuse a Par5′ grid or tolerance that `par5_family` cannot run:
+    a negative grid, one over DENSITY_TARGET_LIMIT targets, or ε ≤ 0.
+    Raises ValueError; cheap, so callers run it before loading anything."""
+    if grid_resolution < 0:
+        raise ValueError(f"grid resolution must be nonnegative, got {grid_resolution}")
+    if grid_resolution ** 3 > DENSITY_TARGET_LIMIT:
+        raise ValueError(
+            f"a density grid of {grid_resolution} needs {grid_resolution ** 3} "
+            f"targets, over the limit of {DENSITY_TARGET_LIMIT}"
+        )
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 def par5_family(
     family,
     grid_resolution: int,
@@ -298,16 +332,15 @@ def par5_family(
 ) -> FamilyDensityReport:
     """Par5′: every target triple on the grid is ε-approximated by some member.
 
-    A zero-resolution grid passes vacuously and is flagged as such; a
-    negative one raises ValueError.  The worst-approximated triple reports
-    the deviation the search achieved.
+    A zero-resolution grid passes vacuously and is flagged as such; options
+    that `check_density_options` refuses raise ValueError.  The
+    worst-approximated triple reports the deviation the search achieved.
     """
     members = list(family.members)
     if not members:
         raise ValueError("family must be nonempty")
     epsilon = Fraction(epsilon)
-    if grid_resolution < 0:
-        raise ValueError(f"grid resolution must be nonnegative, got {grid_resolution}")
+    check_density_options(grid_resolution, epsilon)
     if grid_resolution == 0:
         return FamilyDensityReport(True, True, 0, epsilon, 0, (), None)
     if grid_resolution == 1:

@@ -14,6 +14,8 @@ pairs by ints instead of re-hashing Fractions.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -157,19 +159,8 @@ class ChainQuadruple:
     u_c: Fraction
 
 
-def measure_of(weights: Sequence[Fraction], mask: int) -> Fraction:
-    """Sum of the atom weights selected by an event mask."""
-    total = ZERO
-    m = mask
-    while m:
-        low = m & -m
-        total += weights[low.bit_length() - 1]
-        m ^= low
-    return total
-
-
 def subset_sums(weights: Sequence) -> list:
-    """`measure_of` for every event mask at once: 2^n additions in all."""
+    """The weight sum of every event mask at once: 2^n additions in all."""
     mu = [0 * weights[0]] * (1 << len(weights))
     for mask in range(1, len(mu)):
         low = mask & -mask
@@ -248,7 +239,9 @@ class BeliefStructure:
     and a weight backing (generated structures), where
     Bel(V|U) = (μ(V∩U)/μ(U))^k for strictly positive atom weights μ.  The
     weight backing keeps large generated domains usable without
-    materializing the 3^n-entry table.
+    materializing the 3^n-entry table.  It stores the weights as integer
+    units over their common denominator, so a lookup sums ints and builds
+    one Fraction.
     """
 
     def __init__(
@@ -286,9 +279,11 @@ class BeliefStructure:
                 raise BeliefDomainError("exponent must be a positive integer")
             self._weights = ws
             self._uniform = len(set(ws)) == 1
-            self._prefix = [ZERO]
-            for w in ws:
-                self._prefix.append(self._prefix[-1] + w)
+            self._scale = math.lcm(*(w.denominator for w in ws))
+            self._units = tuple(w.numerator * (self._scale // w.denominator) for w in ws)
+            self._prefix = [0]
+            for unit in self._units:
+                self._prefix.append(self._prefix[-1] + unit)
 
     # -- construction -----------------------------------------------------
 
@@ -358,9 +353,19 @@ class BeliefStructure:
         """Weight measure μ of an event mask (weight backing only)."""
         if self._weights is None:
             raise BeliefDomainError("measure() requires a weight backing")
+        return Fraction(self._mass(mask), self._scale)
+
+    def _mass(self, mask: int) -> int:
+        """μ(mask) in integer units of 1/scale."""
         if mask & (mask + 1) == 0:  # prefix mask 0b0..01..1
             return self._prefix[mask.bit_length()]
-        return measure_of(self._weights, mask)
+        units = self._units
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += units[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     # -- lookup -------------------------------------------------------------
 
@@ -370,7 +375,7 @@ class BeliefStructure:
         v_mask &= u_mask
         if self._table is not None:
             return self._table[(v_mask, u_mask)]
-        ratio = self.measure(v_mask) / self.measure(u_mask)
+        ratio = Fraction(self._mass(v_mask), self._mass(u_mask))
         return ratio if self._exponent == 1 else ratio ** self._exponent
 
     def bel(self, v: Event, u: Event) -> Fraction:
@@ -488,8 +493,9 @@ class BeliefStructure:
         ranks = {r for row in index.rank for r in row.values()}
         return [index.values[r] for r in sorted(ranks)]
 
-    def chains(self) -> Iterator[ChainQuadruple]:
-        """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once.
+    def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
+        """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,
+        as masks (u1, u2, u3, u4).
 
         Deterministic order; capped at EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
         """
@@ -503,7 +509,11 @@ class BeliefStructure:
                     if u3 == 0:
                         continue
                     for u4 in sorted(_submasks_desc(u3)):
-                        yield self._make_chain(u1, u2, u3, u4)
+                        yield u1, u2, u3, u4
+
+    def chains(self) -> Iterator[ChainQuadruple]:
+        """`chain_masks()` with the six values of each chain."""
+        return itertools.starmap(self._make_chain, self.chain_masks())
 
     def _make_chain(self, u1: int, u2: int, u3: int, u4: int) -> ChainQuadruple:
         d = self._domain

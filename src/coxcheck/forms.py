@@ -390,59 +390,82 @@ def _check_s_decreasing(form: NegationForm) -> Verdict:
     return Verdict("pass", f"strictly decreasing on {len(points)} tabular points")
 
 
-def _f_axis_pairs(form: CombinationForm, grid_resolution: int):
-    """((x,y1),(x,y2)) with y1<y2 varying one coordinate, plus the transpose."""
-    if form.is_tabular:
-        by_first: dict[Fraction, list[Fraction]] = {}
-        by_second: dict[Fraction, list[Fraction]] = {}
-        for x, y in form.table:
-            by_first.setdefault(x, []).append(y)
-            by_second.setdefault(y, []).append(x)
-        for x in sorted(by_first):
-            ys = sorted(by_first[x])
-            for y1, y2 in zip(ys, ys[1:]):
-                yield (x, y1), (x, y2)
-        for y in sorted(by_second):
-            xs = sorted(by_second[y])
-            for x1, x2 in zip(xs, xs[1:]):
-                yield (x1, y), (x2, y)
-    else:
-        pts = _grid(form.interval, grid_resolution)
-        for x in pts:
-            for y1, y2 in zip(pts, pts[1:]):
-                yield (x, y1), (x, y2)
-                yield (y1, x), (y2, x)
-
-
 def _check_f_monotone(form: CombinationForm, grid_resolution: int):
     e, big_e = form.interval
-    strict_fail = None
-    nondec_fail = None
-    compared = 0
-    for (a1, b1), (a2, b2) in _f_axis_pairs(form, grid_resolution):
-        f1, f2 = form(a1, b1), form(a2, b2)
-        compared += 1
-        if f1 > f2 and nondec_fail is None:
-            nondec_fail = f"F{(a1, b1)}={f1} > F{(a2, b2)}={f2}"
-        interior = all(t > e for t in (a1, b1, a2, b2))
-        if interior and f1 >= f2 and strict_fail is None:
-            strict_fail = f"F{(a1, b1)}={f1} vs F{(a2, b2)}={f2} (not strict)"
+    if form.is_tabular:
+        compared, strict_fail, nondec_fail = _tabular_f_monotone(form)
+    else:
+        compared, strict_fail, nondec_fail = _grid_f_monotone(form, grid_resolution)
     if compared == 0:
         return (
             Verdict("untestable", "no comparable argument pairs"),
             Verdict("untestable", "no comparable argument pairs"),
         )
-    strict = (
-        Verdict("fail", strict_fail)
-        if strict_fail
-        else Verdict("pass", f"strict on {compared} comparable pairs in ({e},{big_e}]^2")
-    )
-    nondec = (
-        Verdict("fail", nondec_fail)
-        if nondec_fail
-        else Verdict("pass", f"nondecreasing on {compared} comparable pairs")
-    )
+    if strict_fail:
+        p1, p2 = strict_fail
+        strict = Verdict("fail", f"F{p1}={form(*p1)} vs F{p2}={form(*p2)} (not strict)")
+    else:
+        strict = Verdict("pass", f"strict on {compared} comparable pairs in ({e},{big_e}]^2")
+    if nondec_fail:
+        p1, p2 = nondec_fail
+        nondec = Verdict("fail", f"F{p1}={form(*p1)} > F{p2}={form(*p2)}")
+    else:
+        nondec = Verdict("pass", f"nondecreasing on {compared} comparable pairs")
     return strict, nondec
+
+
+def _tabular_f_monotone(form: CombinationForm):
+    """(pairs compared, first strict failure, first nondecrease failure).
+
+    Compares the outputs at adjacent table arguments that differ in one
+    coordinate: every row of equal x by ascending x, then every column of
+    equal y by ascending y.  Arguments, outputs and e are interned once, so
+    grouping, sorting and comparing run on int ranks.  A failure is the
+    pair of argument tuples, lower one first.
+    """
+    keys = list(form.table)
+    n = len(keys)
+    _, ranks = intern_values(
+        [x for x, _ in keys] + [y for _, y in keys]
+        + list(form.table.values()) + [form.interval[0]]
+    )
+    xs, ys, outputs, e = ranks[:n], ranks[n:2 * n], ranks[2 * n:3 * n], ranks[-1]
+    compared = 0
+    strict_fail = nondec_fail = None
+    for fixed_of, moving_of in ((xs, ys), (ys, xs)):
+        lines: dict[int, list[tuple[int, int]]] = {}
+        for i in range(n):
+            lines.setdefault(fixed_of[i], []).append((moving_of[i], i))
+        for fixed in sorted(lines):
+            line = sorted(lines[fixed])
+            for (lower, i), (_, j) in zip(line, line[1:]):
+                compared += 1
+                if outputs[i] > outputs[j] and nondec_fail is None:
+                    nondec_fail = keys[i], keys[j]
+                # all four arguments exceed e when the smaller two do
+                if (outputs[i] >= outputs[j] and strict_fail is None
+                        and min(fixed, lower) > e):
+                    strict_fail = keys[i], keys[j]
+    return compared, strict_fail, nondec_fail
+
+
+def _grid_f_monotone(form: CombinationForm, grid_resolution: int):
+    """`_tabular_f_monotone` for a catalog form, on the grid's points:
+    (x,y1) against (x,y2) for adjacent y1 < y2, then the transpose."""
+    e = form.interval[0]
+    pts = _grid(form.interval, grid_resolution)
+    compared = 0
+    strict_fail = nondec_fail = None
+    for x in pts:
+        for y1, y2 in zip(pts, pts[1:]):
+            for p1, p2 in (((x, y1), (x, y2)), ((y1, x), (y2, x))):
+                f1, f2 = form(*p1), form(*p2)
+                compared += 1
+                if f1 > f2 and nondec_fail is None:
+                    nondec_fail = p1, p2
+                if f1 >= f2 and strict_fail is None and min(*p1, *p2) > e:
+                    strict_fail = p1, p2
+    return compared, strict_fail, nondec_fail
 
 
 def _check_f_continuity(form: CombinationForm, grid_resolution: int) -> Verdict:

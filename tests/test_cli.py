@@ -181,6 +181,57 @@ class TestCollectorPause:
             gc.enable()
 
 
+class TestParserReuse:
+    """The argument parser is built once per process and reused."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        fixture = str(FIXTURES / "three_atoms.bel")
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["decide", fixture, "--seed", "3", "--json", str(first)]) == 0
+        assert main(["decide", fixture, "--restarts", "-1"]) == 64
+        assert main(["decide", "--frob"]) == 64
+        assert main(["decide", fixture, "--json", str(second)]) == 0
+        assert json.loads(first.read_text())["seed"] == 3
+        assert json.loads(second.read_text())["seed"] == 0
+
+
+class TestAuditOptions:
+    @pytest.mark.parametrize("option,message", [
+        (["--epsilon", "1/0"], "not a rational literal"),
+        (["--epsilon", "0"], "epsilon must be positive"),
+        (["--epsilon", "abc"], "not a rational literal"),
+        (["--grid", "22"], "over the limit"),
+        (["--grid", "100000"], "over the limit"),
+    ])
+    def test_invalid_density_option_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, option, message
+    ):
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "2",
+                     "--out-dir", str(family)]) == 0
+        capsys.readouterr()
+        loaded = []
+        monkeypatch.setattr(cli, "load_structure", lambda *a: loaded.append(a))
+        started = time.perf_counter()
+        assert main(["audit", "--theorem", "4", "--family", str(family), *option]) == 64
+        assert main(["audit", str(FIXTURES / "three_atoms.bel"),
+                     "--theorem", "1", *option]) == 64
+        assert time.perf_counter() - started < 5
+        assert loaded == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+
+    def test_grid_within_the_limit_still_runs(self, capsys):
+        # theorem 1 fails Par5 on every finite structure
+        assert main(["audit", str(FIXTURES / "three_atoms.bel"), "--theorem", "1",
+                     "--grid", "11", "--epsilon", "1/20"]) == 1
+        assert "usage error" not in capsys.readouterr().err
+
+
 class TestUsageAndParseErrors:
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 64

@@ -1,10 +1,14 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck.conditions import (
+    DENSITY_TARGET_LIMIT,
     DensityProbe,
+    TripleSearchResult,
     audit,
     bel_level_negation,
     chain_consistency,
@@ -13,7 +17,7 @@ from coxcheck.conditions import (
     par5_gap,
     par5_triples,
 )
-from coxcheck.core import Domain
+from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain
 from coxcheck.files import load_structure
 from coxcheck.forms import NegationForm
 from coxcheck.generators import (
@@ -138,6 +142,121 @@ class TestTriples:
         assert result.chain.x == 2  # E on the shifted interval
 
 
+def _oracle_submasks(mask):
+    return sorted(s for s in range(mask + 1) if s & ~mask == 0)
+
+
+def _oracle_level_sizes(parent, target, eps, floor_size):
+    ordered = []
+    base = round(target * parent)
+    cap = math.ceil((target + eps) * parent) - 1
+    for s in (base, base + 1, base - 1, base + 2, base - 2, cap, cap - 1):
+        if floor_size <= s <= parent and s not in ordered:
+            ordered.append(s)
+    return ordered
+
+
+def oracle_par5_triples(structure, probe, *, seed=0, budget=2000):
+    """`par5_triples` as it was before chains were scored from three steps:
+    every candidate is built with all six values through `_make_chain`, and
+    the chain order, greedy order and sampler are spelt out here."""
+    a, b, g = targets = probe.rescaled(structure.bounds)
+    eps = probe.epsilon
+    best = best_dev = None
+    tried = 0
+
+    def consider(*masks):
+        nonlocal best, best_dev, tried
+        tried += 1
+        chain = structure._make_chain(*masks)
+        dev = max(abs(chain.x - a), abs(chain.y - b), abs(chain.z - g))
+        if best_dev is None or dev < best_dev:
+            best, best_dev = chain, dev
+        return chain, dev
+
+    n = structure.domain.size
+    full = structure.domain.full_mask
+    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
+        for u1 in range(1, full + 1):
+            for u2 in _oracle_submasks(u1):
+                for u3 in _oracle_submasks(u2):
+                    for u4 in _oracle_submasks(u3) if u3 else ():
+                        chain, dev = consider(u1, u2, u3, u4)
+                        if dev < eps:
+                            return TripleSearchResult(True, chain, dev, "exhaustive", tried)
+        return TripleSearchResult(False, best, best_dev, "exhaustive", tried)
+    prefix = lambda s: (1 << s) - 1
+    for s2 in _oracle_level_sizes(n, probe.gamma, eps, 1):
+        for s3 in _oracle_level_sizes(s2, probe.beta, eps, 1):
+            for s4 in _oracle_level_sizes(s3, probe.alpha, eps, 0):
+                chain, dev = consider(full, prefix(s2), prefix(s3), prefix(s4))
+                if dev < eps:
+                    return TripleSearchResult(True, chain, dev, "sampled", tried)
+    rng = random.Random(seed)
+    while tried < budget:
+        us = [0, 0, 0, 0]
+        for i in range(n):
+            level = rng.randint(0, 4)
+            for j in range(level):
+                us[j] |= 1 << i
+        if us[2] == 0:
+            continue
+        chain, dev = consider(*us)
+        if dev < eps:
+            return TripleSearchResult(True, chain, dev, "sampled", tried)
+    return TripleSearchResult(False, best, best_dev, "sampled", tried)
+
+
+def _oracle_cases():
+    """Coin members of 1-8 coins, non-uniform weight backings with k = 1-3,
+    and tables on 1-5 atoms (exhaustive) and 6-7 atoms (sampled), each as
+    a pytest param named after it."""
+    rng = random.Random(2024)
+    cases = [(f"coins-{i + 1}", m) for i, m in enumerate(coin_family(8).members)]
+    for n, k in ((3, 1), (5, 2), (6, 3), (9, 1), (12, 2), (20, 3)):
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        domain = Domain(tuple(f"x{i}" for i in range(n)))
+        ws = [F(i, sum(ints)) for i in ints]
+        cases.append((f"weights-n{n}-k{k}", BeliefStructure.from_weights(domain, ws, k)))
+    for n in (1, 2, 4, 5, 6, 7):
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        base = gen_probability(Domain(tuple(f"x{i}" for i in range(n))),
+                               [F(i, sum(ints)) for i in ints])
+        # a monotone relabelling onto [1, 2]: a table, and rescaled targets
+        cases.append((f"table-n{n}", base.map_values(lambda v: 1 + v * v / (2 - v),
+                                                     bounds=(F(1), F(2)))))
+    return [pytest.param(name, structure, id=name) for name, structure in cases]
+
+
+class TestTriplesOracle:
+    """`par5_triples` returns exactly what six-value scoring returned: the
+    same verdict, chain, deviation, method and candidate count."""
+
+    # (0, 0, 1) is never met, (1, 1, 1) always; the tight ε misses more
+    PROBES = [
+        DensityProbe(*target, eps)
+        for targets, eps in (
+            ([(0, 0, 1), (1, 1, 1), (0, F(1, 3), 1), (F(1, 3), F(1, 2), F(1, 3)),
+              (F(1, 2),) * 3, (1, F(1, 3), F(1, 2)), (F(1, 2), 1, F(1, 3))], F(1, 40)),
+            ([(F(1, 3),) * 3, (F(1, 3), F(1, 2), 1)], F(1, 10**6)),
+        )
+        for target in targets
+    ]
+
+    @pytest.mark.parametrize("name,structure", _oracle_cases())
+    def test_matches_six_value_scoring(self, name, structure):
+        sampled = structure.domain.size > EXHAUSTIVE_CHAIN_ATOM_LIMIT
+        outcomes = set()
+        for seed in (0, 7) if sampled else (0,):
+            for probe in self.PROBES:
+                got = par5_triples(structure, probe, seed=seed, budget=400)
+                assert got == oracle_par5_triples(
+                    structure, probe, seed=seed, budget=400
+                ), (name, seed, probe)
+                outcomes.add(got.passed)
+        assert outcomes == {True, False}, name
+
+
 class TestFamilyDensity:
     def test_coin_family_passes_modest_grid(self):
         report = par5_family(coin_family(8), 3, F(1, 10))
@@ -157,6 +276,16 @@ class TestFamilyDensity:
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             par5_family(build_family([uniform(1)]), -3, F(1, 4))
+
+    def test_grid_over_the_target_limit_rejected(self):
+        over = round(DENSITY_TARGET_LIMIT ** (1 / 3)) + 1
+        with pytest.raises(ValueError, match="over the limit"):
+            par5_family(build_family([uniform(1)]), over, F(1, 4))
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+    def test_nonpositive_epsilon_rejected_before_any_probe(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            par5_family(build_family([uniform(1)]), 0, eps)
 
     def test_empty_family_rejected(self):
         class Fake:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from coxcheck.forms import (
     extract_negation,
     multiplicative_rep,
 )
+from coxcheck.generators import coin_family
 
 from conftest import fixture_path
 
@@ -133,6 +135,87 @@ class TestMonotonicity:
         comb = extract_combination(weights_structure("1/6", "1/3", "1/2"))
         report = check_monotonicity(comb)
         assert report.strict_increase.passed and report.nondecrease.passed
+
+
+def oracle_f_monotone(form):
+    """The tabular F monotonicity check as it ran on Fractions: (compared,
+    strict verdict, nondecrease verdict) over the same axis pairs."""
+    e, big_e = form.interval
+    by_first, by_second = {}, {}
+    for x, y in form.table:
+        by_first.setdefault(x, []).append(y)
+        by_second.setdefault(y, []).append(x)
+    pairs = []
+    for x in sorted(by_first):
+        ys = sorted(by_first[x])
+        pairs += [((x, y1), (x, y2)) for y1, y2 in zip(ys, ys[1:])]
+    for y in sorted(by_second):
+        xs = sorted(by_second[y])
+        pairs += [((x1, y), (x2, y)) for x1, x2 in zip(xs, xs[1:])]
+    strict_fail = nondec_fail = None
+    for (a1, b1), (a2, b2) in pairs:
+        f1, f2 = form.table[(a1, b1)], form.table[(a2, b2)]
+        if f1 > f2 and nondec_fail is None:
+            nondec_fail = f"F{(a1, b1)}={f1} > F{(a2, b2)}={f2}"
+        interior = all(t > e for t in (a1, b1, a2, b2))
+        if interior and f1 >= f2 and strict_fail is None:
+            strict_fail = f"F{(a1, b1)}={f1} vs F{(a2, b2)}={f2} (not strict)"
+    compared = len(pairs)
+    if compared == 0:
+        untestable = forms.Verdict("untestable", "no comparable argument pairs")
+        return compared, untestable, untestable
+    strict = (forms.Verdict("fail", strict_fail) if strict_fail else forms.Verdict(
+        "pass", f"strict on {compared} comparable pairs in ({e},{big_e}]^2"))
+    nondec = (forms.Verdict("fail", nondec_fail) if nondec_fail else forms.Verdict(
+        "pass", f"nondecreasing on {compared} comparable pairs"))
+    return compared, strict, nondec
+
+
+def planted_tables(count, seed):
+    """Tabular F on random argument sets that include e, each the product
+    table with a few entries planted flat (equal to a neighbour) or
+    decreasing (below one)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e, big_e = rng.choice([(F(0), F(1)), (F(1, 4), F(3, 4)), (F(1), F(2))])
+        pool = sorted({e, big_e} | {e + (big_e - e) * F(rng.randint(1, 11), 12)
+                                    for _ in range(rng.randint(0, 6))})
+        keys = [(x, y) for x in pool for y in pool if rng.random() < 0.7]
+        table = {(x, y): x * y for x, y in keys}
+        for _ in range(rng.randint(0, 3)):
+            if not keys:
+                break
+            key = rng.choice(keys)
+            table[key] = rng.choice([
+                table[rng.choice(keys)],  # flat against some entry
+                table[key] - F(rng.randint(1, 4), 8),  # decreasing
+            ])
+        yield CombinationForm(kind="tabular", table=table, interval=(e, big_e))
+
+
+class TestMonotonicityOracle:
+    """The rank-based tabular check agrees with the Fraction loop it
+    replaced: status and detail of both verdicts, and the pairs compared."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_tables(self, seed):
+        statuses = set()
+        for form in planted_tables(150, seed):
+            compared, strict, nondec = oracle_f_monotone(form)
+            report = check_monotonicity(form)
+            assert report.strict_increase == strict, form.table
+            assert report.nondecrease == nondec, form.table
+            assert forms._tabular_f_monotone(form)[0] == compared
+            statuses.add((strict.status, nondec.status))
+        assert {("pass", "pass"), ("fail", "pass"), ("fail", "fail")} <= statuses
+
+    def test_coin_family_merged_f_passes(self):
+        form = coin_family(6).merged_combination()
+        compared, strict, nondec = oracle_f_monotone(form)
+        report = check_monotonicity(form)
+        assert report.strict_increase == strict and strict.passed
+        assert report.nondecrease == nondec and nondec.passed
+        assert forms._tabular_f_monotone(form)[0] == compared > 0
 
 
 class TestFunctionalEquations:
