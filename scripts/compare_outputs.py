@@ -3,19 +3,28 @@
     python scripts/compare_outputs.py --against REV [--seed N [N ...]]
 
 Extracts REV's `src/` with `git archive` into a temporary directory and
-builds the jobs there: every input of the four benchmark workloads for each
-seed (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
-both), a `decide`, a `check` and a theorem-1 and theorem-2 `audit` run of
-every fixture, a `check` run of malformed copies of a fixture that it writes
-into its temporary directory (`MALFORMED_LINES`), so the parser's error paths
-are diffed too, and `audit` runs with invalid density options
-(`AUDIT_OPTION_CASES`) on a small coin family it writes there.  Each tree runs
-every job once, in-process through `coxcheck.cli.main`, in an interpreter
-of its own.  Per job the exit code, stdout, stderr and JSON report without
-`timings` must match, and for `decide` also the certificate kind,
-description, `recheck()` result and order-conflict instances.  Prints every
-differing job with its differing fields, before and after, then a count;
-exits 1 on any difference, 0 when every job matches.
+builds the jobs there:
+
+- every input of the four benchmark workloads for each seed
+  (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
+  both)
+- a `decide`, a `check` and a theorem-1 and theorem-2 `audit` run of every
+  fixture
+- a `check` run of malformed copies of a fixture that it writes into its
+  temporary directory (`MALFORMED_LINES`), so the parser's error paths are
+  diffed too
+- a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
+  extraction and associativity join span many chunks
+- `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
+  small coin family it writes there, and `decide` runs with invalid search
+  options (`DECIDE_OPTION_CASES`).
+
+Each tree runs every job once, in-process through `coxcheck.cli.main`, in an
+interpreter of its own.  Per job the exit code, stdout, stderr and JSON
+report without `timings` must match, and for `decide` also the certificate
+kind, description, `recheck()` result and order-conflict instances.  Prints
+every differing job with its differing fields, before and after, then a
+count; exits 1 on any difference, 0 when every job matches.
 Uses the standard library only and writes nothing inside the repository.
 """
 
@@ -25,6 +34,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tarfile
@@ -109,6 +119,17 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
         jobs.append({"id": f"check/malformed/{path.name}",
                      "argv": ["check", str(path), "--json", str(report)],
                      "report": str(report)})
+    for path in write_large(tmp / "large", beltables):
+        for sub in ("check", "decide"):
+            report = reports / f"{sub}-large-{path.stem}.json"
+            jobs.append({"id": f"{sub}/large/{path.name}",
+                         "argv": [sub, str(path), "--json", str(report)],
+                         "report": str(report)})
+    for name, argv in DECIDE_OPTION_CASES.items():
+        report = reports / f"decide-options-{name}.json"
+        jobs.append({"id": f"decide/options/{name}",
+                     "argv": ["decide", str(fixtures[0]), *argv, "--json", str(report)],
+                     "report": str(report)})
     family = tmp / "coin-family"
     family.mkdir()
     for coins in (1, 2):
@@ -141,8 +162,45 @@ AUDIT_OPTION_CASES = {
     "zero-epsilon": ["4", "--epsilon", "0"],
     "non-numeric-epsilon": ["4", "--epsilon", "abc"],
     "negative-grid": ["4", "--grid", "-1"],
+    "negative-epsilon": ["4", "--epsilon", "-1/2"],
     "over-limit-grid": ["1", "--grid", "100000"],
 }
+
+
+#: `decide` runs whose search options must be refused with exit 64.
+DECIDE_OPTION_CASES = {
+    "negative-tolerance": ["--tol", "-1e-9"],
+}
+
+
+def write_large(out: Path, beltables) -> list[Path]:
+    """8-atom tables: 65,536 chain triples, so extraction and the
+    associativity join run in many chunks.  A probability through v ↦ v³,
+    one with an entry of its last row set to a value attained elsewhere
+    (the clash sits in the last chunk), and one whose combination function
+    forks at one output (`beltables.fork_combination`)."""
+    out.mkdir()
+    rng = random.Random(8)
+    n, full = 8, 255
+    weights = beltables.normalized(beltables.draw_weights(rng, n, "random"))
+    cubed = beltables.relabelled_table(weights, "power3")
+    twins = beltables.normalized(beltables.draw_weights(rng, n, "near"))
+    plain = beltables.relabelled_table(twins, "identity")
+    late = dict(plain)
+    v = rng.choice([v for (v, u) in plain if u == full and 0 < v < full])
+    late[v, full] = rng.choice(sorted(
+        {x for (_, u), x in plain.items() if u != full} - {plain[v, full]}))
+    tables = {
+        "probability-power3": cubed,
+        "perturbed-late": late,
+        "forked": beltables.fork_combination(rng, twins, plain),
+    }
+    paths = []
+    for name, table in tables.items():
+        path = out / f"{name}.bel"
+        path.write_text(beltables.table_text(n, table, (0, 1)), encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 #: One bad `bel` line per parse error the parser reports on a token.

@@ -11,6 +11,7 @@ import argparse
 import functools
 import gc
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -29,11 +30,11 @@ from .forms import (
     COMBINATION_CATALOG,
     EQUATIONS,
     NEGATION_CATALOG,
-    CombinationConflict,
     NegationConflict,
     catalog_combination,
     catalog_negation,
     check_functional_equation,
+    combination_ranks,
     extract_combination,
     extract_negation,
 )
@@ -60,6 +61,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, and an option takes a value that starts with '-'
+    and a digit or '.' (`--epsilon -1/2`, `--tol -1e-9`), so the option's
+    own check refuses it.  argparse by default takes only plain negative
+    numbers such as -1 or -.5 for values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -157,11 +167,11 @@ def _cmd_check(args, argv) -> int:
     else:
         checks.append(("negation-extraction", "pass",
                        f"single-valued on {len(negation.table)} values"))
-    combination = extract_combination(structure)
-    if isinstance(combination, CombinationConflict):
+    # the Fraction form of F is built only to describe a conflict
+    combination = combination_ranks(structure)
+    if combination.clash is not None:
         checks.append(("combination-extraction", "fail",
-                       combination.describe(structure.domain)))
-        chain = None
+                       extract_combination(structure).describe(structure.domain)))
     else:
         checks.append(("combination-extraction", "pass",
                        f"single-valued on {len(combination.table)} argument pairs"))

@@ -11,10 +11,13 @@ instances whose four table entries come from different chains.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import (
     EXHAUSTIVE_CHAIN_ATOM_LIMIT,
@@ -35,6 +38,7 @@ from .forms import (
     combination_ranks,
     extract_combination,
     extract_negation,
+    row_chunks,
 )
 
 
@@ -448,6 +452,59 @@ class ChainConsistencyReport:
         return self.status == "pass"
 
 
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of `wanted` in the sorted `keys`, -1 where absent."""
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def associativity_join(table: dict, width: int, endpoints) -> tuple:
+    """(instances, nontrivial, failure) of F(F(x,y),z) = F(x,F(y,z)) over a
+    ranked F `table` {(x, y): out} whose ranks are below `width`.
+
+    An instance is an (x, y, z) with (x, y), (y, z), (x, p) and (q, z) all
+    in the table, for p = F(y,z) and q = F(x,y); it is nontrivial unless all
+    seven ranks are `endpoints`.  The join runs on the sorted keys x·width
+    + y, in chunks of (x, y) entries, in the order of a loop over sorted
+    (x, y) and then z.  It stops at the first instance with r = F(x,p) ≠
+    s = F(q,z), counts instances up to that one, and returns its
+    (x, y, z, p, q) as `failure`; `failure` is None when all agree.
+    """
+    keys = np.fromiter(itertools.chain.from_iterable(table), np.int64, 2 * len(table))
+    keys = keys[0::2] * width + keys[1::2]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]  # sorted(table) order
+    outs = np.fromiter(table.values(), np.int64, len(table))[order]
+    xs, ys = keys // width, keys % width
+    endpoint = np.zeros(width, dtype=bool)
+    endpoint[list(endpoints)] = True
+    # the z-run of entry (x, y) is row y: the entries (y, z), z ascending
+    run = np.searchsorted(keys, ys * width)
+    instances = 0
+    nontrivial = 0
+    for i, pos in row_chunks(np.searchsorted(keys, (ys + 1) * width) - run):
+        j = run[i] + pos  # the entry (y, z), whose output is p
+        left = _lookup(keys, xs[i] * width + outs[j])
+        found = np.flatnonzero(left >= 0)
+        i, j, left = i[found], j[found], left[found]
+        right = _lookup(keys, outs[i] * width + ys[j])
+        found = np.flatnonzero(right >= 0)
+        i, j, left, right = i[found], j[found], left[found], right[found]
+        r, s = outs[left], outs[right]
+        bad = np.flatnonzero(r != s)
+        stop = bad[0] + 1 if len(bad) else len(found)
+        instances += int(stop)
+        i, j, r, s = i[:stop], j[:stop], r[:stop], s[:stop]
+        trivial = endpoint[xs[i]] & endpoint[ys[i]] & endpoint[outs[i]]
+        trivial &= endpoint[ys[j]] & endpoint[outs[j]] & endpoint[r] & endpoint[s]
+        nontrivial += int(stop - np.count_nonzero(trivial))
+        if len(bad):
+            i, j = i[-1], j[-1]
+            failure = xs[i], ys[i], ys[j], outs[j], outs[i]  # x, y, z, p, q
+            return instances, nontrivial, tuple(map(int, failure))
+    return instances, nontrivial, None
+
+
 def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     """Associativity of the extracted F at every attained composite instance.
 
@@ -455,7 +512,10 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     s = F(q,z); the check is r = s.  Entries sourced from a single chain agree
     by construction, so failures always involve overlapping chains.  If
     extraction itself conflicts, that conflict is the stronger verdict and the
-    check reports untestable.  Runs on extraction's value ranks.
+    check reports untestable.  Runs on extraction's value ranks as a join on
+    the sorted F keys x·V + y, in chunks of (x, y) entries and in the order
+    of the loop over sorted (x, y) and then z: it stops at the chunk holding
+    the first r ≠ s and counts instances up to that one.
     """
     values, table, witnesses, clash = combination_ranks(structure)
     if clash is not None:
@@ -464,37 +524,20 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
             "untestable", False, 0, 0, None,
             f"combination extraction conflict: {conflict.describe(structure.domain)}",
         )
-    endpoints = {bisect.bisect_left(values, t) for t in structure.bounds}
-    by_first: dict[int, list[int]] = {}
-    for (a, b) in table:
-        by_first.setdefault(a, []).append(b)
-    for key in by_first:
-        by_first[key].sort()
-    instances = 0
-    nontrivial = 0
-    for (x, y) in sorted(table):
-        q = table[(x, y)]
-        for z in by_first.get(y, ()):
-            p = table[(y, z)]
-            if (x, p) not in table or (q, z) not in table:
-                continue
-            r, s = table[(x, p)], table[(q, z)]
-            instances += 1
-            if any(t not in endpoints for t in (x, y, z, p, q, r, s)):
-                nontrivial += 1
-            if r != s:
-                # inner_right, inner_left, outer_left, outer_right
-                entries = (
-                    ((values[a], values[b]), values[table[a, b]], witnesses[a, b])
-                    for a, b in ((y, z), (x, y), (x, p), (q, z))
-                )
-                certificate = ChainCertificate(
-                    (values[x], values[y], values[z]), *entries
-                )
-                return ChainConsistencyReport(
-                    "fail", False, instances, nontrivial, certificate,
-                    certificate.describe(structure.domain),
-                )
+    endpoints = [bisect.bisect_left(values, t) for t in structure.bounds]
+    instances, nontrivial, failure = associativity_join(table, len(values), endpoints)
+    if failure is not None:
+        x, y, z, p, q = failure
+        # inner_right, inner_left, outer_left, outer_right
+        entries = (
+            ((values[a], values[b]), values[table[a, b]], witnesses[a, b])
+            for a, b in ((y, z), (x, y), (x, p), (q, z))
+        )
+        certificate = ChainCertificate((values[x], values[y], values[z]), *entries)
+        return ChainConsistencyReport(
+            "fail", False, instances, nontrivial, certificate,
+            certificate.describe(structure.domain),
+        )
     return ChainConsistencyReport(
         "pass",
         nontrivial == 0,

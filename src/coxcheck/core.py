@@ -9,16 +9,21 @@ ever stored as a float: equality of belief values is what drives the
 well-definedness checks downstream, and float equality would be unsound.
 Each structure interns its values once, on demand, as order-preserving
 integer ranks (`ValueIndex`), so the decision phases group and compare
-pairs by ints instead of re-hashing Fractions.
+pairs by ints instead of re-hashing Fractions.  The same ranks are kept as
+one flat int32 array in canonical pair order, which the extraction and
+chain-consistency kernels read with numpy gathers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -181,6 +186,29 @@ def is_canonical(masks, arity: int, full: int) -> bool:
     )
 
 
+@functools.cache
+def submask_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, sub) over every mask m < 2^n: `sub[start[m] + j]` is the j-th
+    ascending submask of m, and `start` has 2^n + 1 entries.
+
+    Masks below 2^k own the first 3^k entries, and the j-th submask of m is
+    j's bits spread over m's bits.  So if A is the c-th submask of U and B
+    the j-th submask of A, then B is the `sub[start[c] + j]`-th submask of
+    U: the one table places every chain triple in its rows.
+    """
+    sizes = 1 << np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    start = np.zeros((1 << n) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    mask = np.repeat(np.arange(1 << n, dtype=np.int64), sizes)
+    j = np.arange(3 ** n, dtype=np.int64) - start[mask]
+    sub = np.zeros(3 ** n, dtype=np.int32)
+    for bit in range(n):
+        has = (mask >> bit) & 1 == 1
+        sub[has] |= ((j[has] & 1) << bit).astype(np.int32)
+        j[has] >>= 1
+    return start, sub
+
+
 @dataclass(frozen=True)
 class ValueIndex:
     """A structure's attained values, interned as order-preserving ranks.
@@ -190,12 +218,17 @@ class ValueIndex:
     for every canonical pair; rows run in ascending u and each row in
     ascending v, which is canonical (u, v) order (`rank[0]` is empty).
     Ranks compare exactly as the values do, so order tests run on ints.
+
+    `pair_rank` holds the same ranks as one int32 array in canonical order:
+    row u starts at `submask_table(n)[0][u] - 1`, and Bel(V|U) sits at the
+    position of V among U's ascending submasks.
     """
 
     values: tuple[Fraction, ...]
     rank: tuple[dict[int, int], ...]
     e: int  # rank of the lower bound
     E: int  # rank of the upper bound
+    pair_rank: np.ndarray = field(compare=False)
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """(v, u, rank) for every canonical pair, in canonical order."""
@@ -438,7 +471,8 @@ class BeliefStructure:
         rows: list[dict[int, int]] = [{} for _ in range(self._domain.full_mask + 1)]
         for (v, u, _), r in zip(entries, ranks):
             rows[u][v] = r
-        return ValueIndex(tuple(values), tuple(rows), *ranks[-2:])
+        pair_rank = np.array(ranks[:-2], dtype=np.int32)
+        return ValueIndex(tuple(values), tuple(rows), *ranks[-2:], pair_rank)
 
     def derived(self, key: str, build: Callable[["BeliefStructure"], object]):
         """`build(self)`, computed once per structure and kept under `key`.

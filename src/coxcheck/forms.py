@@ -9,13 +9,15 @@ high-precision floats (mpmath) take over.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 import mpmath
+import numpy as np
 
-from .core import ZERO, ONE, BeliefStructure, Event, intern_values
+from .core import ZERO, ONE, BeliefStructure, Event, intern_values, submask_table
 
 NEGATION_CATALOG = ("linear-complement",)
 COMBINATION_CATALOG = ("product", "minimum", "hamacher")
@@ -182,59 +184,131 @@ def _size_ranks(structure: BeliefStructure):
 
     `values` is the sorted list of every (j/m)^k plus the bounds, interned
     here in O(n²) instead of through the structure's pair index;
-    `size_rank[m][j]` is the rank of Bel(V|U) for |V| = j, |U| = m.
+    `size_rank[m, j]` is the rank of Bel(V|U) for |V| = j, |U| = m.
     """
     n, k = structure.domain.size, structure.exponent
     sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
     values, ranks = intern_values(
         [Fraction(j, m) ** k for j, m in sizes] + list(structure.bounds)
     )
-    size_rank: list[list[int]] = [[] for _ in range(n + 1)]
-    for (j, m), r in zip(sizes, ranks):  # zip drops the bounds' ranks
-        size_rank[m].append(r)
+    size_rank = np.zeros((n + 1, n + 1), dtype=np.int64)
+    j, m = np.array(sizes).T
+    size_rank[m, j] = ranks[:-2]  # the last two are the bounds' ranks
     return values, size_rank
 
 
-def _negation_instances(structure: BeliefStructure):
-    """(values, instances): the ranked value list and, for every A1 instance,
-    (rank of x, rank of S(x), (v,u)) in canonical order."""
-    if _by_sizes(structure):
-        values, size_rank = _size_ranks(structure)
-        # Values depend only on sizes; witnesses use prefix events.
-        instances = (
-            (size_rank[m][j], size_rank[m][m - j], ((1 << j) - 1, (1 << m) - 1))
-            for m in range(1, structure.domain.size + 1)
-            for j in range(m + 1)
-        )
-        return values, instances
-    index = structure.value_index()
-    rank = index.rank
-    return index.values, ((r, rank[u][u ^ v], (v, u)) for v, u, r in index.pairs())
+#: Extraction and the associativity join run over their instances in
+#: chunks of whole rows, in canonical order.  Chunks start at FIRST_CHUNK
+#: instances and double up to CHUNK_CAP (a single longer row is one chunk),
+#: so an early clash costs work in proportion to its position and the
+#: temporaries stay bounded.
+FIRST_CHUNK = 256
+CHUNK_CAP = 1 << 11
 
 
-def _combination_instances(structure: BeliefStructure):
-    """(values, instances): the ranked value list and, for every A2 instance,
-    ((rank of x, rank of y), rank of out, (b,a,u)) in canonical order."""
+def row_chunks(lengths):
+    """For rows of the given lengths, yield each chunk's rows r0..r1-1 as
+    every instance's row and position in its row."""
+    starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    total, r0, size = int(starts[-1]), 0, FIRST_CHUNK
+    while (begin := int(starts[r0])) < total:
+        # at least up to the first row that is not empty
+        r1 = int(max(starts.searchsorted(begin + size, "right") - 1,
+                     starts.searchsorted(begin, "right")))
+        row = np.arange(r0, r1).repeat(starts[r0 + 1:r1 + 1] - starts[r0:r1])
+        yield row, np.arange(begin, starts[r1]) - starts[row]
+        r0, size = r1, min(2 * size, CHUNK_CAP)
+
+
+def _negation_chunks(structure: BeliefStructure):
+    """(values, None, chunks): the ranked value list, no key width, and per
+    chunk the A1 instances as arrays (rank of x, rank of S(x)) with a
+    function from chunk positions to their (v,u) witnesses."""
     if _by_sizes(structure):
         values, size_rank = _size_ranks(structure)
-        instances = (
-            (
-                (size_rank[a_size][j], size_rank[m][a_size]),
-                size_rank[m][j],
-                ((1 << j) - 1, (1 << a_size) - 1, (1 << m) - 1),
+        n = structure.domain.size
+        lengths = [0] + [m + 1 for m in range(1, n + 1)]
+
+        def sizes(m, j):  # values depend only on sizes; witnesses use prefix events
+            return (
+                size_rank[m, j], size_rank[m, m - j],
+                lambda i: zip(((1 << int(b)) - 1 for b in j[i]),
+                              ((1 << int(c)) - 1 for c in m[i])),
             )
-            for m in range(1, structure.domain.size + 1)
-            for a_size in range(1, m + 1)
-            for j in range(a_size + 1)
-        )
-        return values, instances
+        return values, None, itertools.starmap(sizes, row_chunks(lengths))
     index = structure.value_index()
-    rank = index.rank
+    start, sub = submask_table(structure.domain.size)
+    rank = index.pair_rank
+    lengths = np.diff(start)  # row u holds the pairs (v, u); row 0 none
+    lengths[0] = 0
+
+    def pairs(u, pos):
+        row = start[u] - 1
+        complement = row + (start[u + 1] - start[u] - 1 - pos)
+        return (
+            rank[row + pos], rank[complement],
+            lambda i: zip(sub[start[u[i]] + pos[i]].tolist(), u[i].tolist()),
+        )
+    return index.values, None, itertools.starmap(pairs, row_chunks(lengths))
+
+
+def _negation_instances(structure: BeliefStructure):
+    """(values, instances): `_negation_chunks` as one (rank of x, rank of
+    S(x), (v,u)) tuple per A1 instance, in canonical order."""
+    values, _, chunks = _negation_chunks(structure)
     instances = (
-        ((rank[a][b], rank[u][a]), rank[u][b], (b, a, u))
-        for b, a, u in structure.canonical_triple_masks()
+        instance
+        for keys, outs, witness_of in chunks
+        for instance in zip(keys.tolist(), outs.tolist(),
+                            witness_of(np.arange(len(keys))))
     )
-    return index.values, instances
+    return values, instances
+
+
+def _combination_chunks(structure: BeliefStructure):
+    """As `_negation_chunks` for A2: keys x·V + y for the ranks (x, y) of
+    Bel(B|A), Bel(A|U), the rank of Bel(B|U) and (b,a,u) witnesses."""
+    if _by_sizes(structure):
+        values, size_rank = _size_ranks(structure)
+        n = structure.domain.size
+        width = len(values)
+        # row m holds (|A|, |B|) for 1 <= |A| <= m, |B| <= |A|: a prefix of
+        # the one layout that lists |A| = 1, 2, ... in turn
+        a_starts = np.cumsum([0, 0] + [a + 1 for a in range(1, n + 1)])
+        lengths = [0] + [a_starts[m + 1] for m in range(1, n + 1)]
+
+        def sizes(m, t):
+            a = a_starts.searchsorted(t, "right") - 1
+            j = t - a_starts[a]
+            return (
+                size_rank[a, j] * width + size_rank[m, a], size_rank[m, j],
+                lambda i: zip(((1 << int(b)) - 1 for b in j[i]),
+                              ((1 << int(c)) - 1 for c in a[i]),
+                              ((1 << int(d)) - 1 for d in m[i])),
+            )
+        return values, width, itertools.starmap(sizes, row_chunks(lengths))
+    index = structure.value_index()
+    start, sub = submask_table(structure.domain.size)
+    rank = index.pair_rank
+    width = len(index.values)
+    # row u holds the 3^|U| - 1 triples with A ≠ ∅: entries 1.. of the
+    # submask layout, where entry t is the j-th submask B of the c-th
+    # submask A of U, and sub[t] is B's position among U's submasks
+    lengths = start[np.diff(start)] - 1
+
+    def triples(u, t):
+        t = t + 1
+        c = start.searchsorted(t, "right") - 1
+        j = t - start[c]
+        a = sub[start[u] + c]
+        row = start[u] - 1
+        x = rank[start[a] - 1 + j].astype(np.int64)
+        return (
+            x * width + rank[row + c], rank[row + sub[t]],
+            lambda i: zip(sub[start[a[i]] + j[i]].tolist(), a[i].tolist(),
+                          u[i].tolist()),
+        )
+    return index.values, width, itertools.starmap(triples, row_chunks(lengths))
 
 
 class RankedExtraction(NamedTuple):
@@ -248,17 +322,58 @@ class RankedExtraction(NamedTuple):
     clash: tuple | None
 
 
-def _first_outputs(values, instances) -> RankedExtraction:
-    """Table, first witnesses and first clash of (key, out, witness) instances."""
+def _first_outputs(values, width, chunks) -> RankedExtraction:
+    """Table, first witnesses and first clash of the instances in `chunks`.
+
+    Each chunk is (keys, outs, witness_of): int arrays in canonical order,
+    and a function from chunk positions to their witnesses.  A key is the
+    rank x, or x·width + y for a pair of ranks.  Keys met in earlier chunks
+    are kept sorted with their first output, and each chunk is checked
+    against them and against its own first occurrences; the table and
+    witness dicts are filled in first-seen order up to the first clash.
+    """
     table: dict = {}
     witnesses: dict = {}
-    for key, out, witness in instances:
-        if key in table:
-            if table[key] != out:
-                return RankedExtraction(values, table, witnesses, (key, out, witness))
+    seen = seen_out = np.empty(0, dtype=np.int64)  # earlier chunks' keys, sorted
+    fresh = fresh_out = seen  # the last chunk's new keys, merged in on demand
+    for keys, outs, witness_of in chunks:
+        if len(fresh):
+            seen = np.concatenate((seen, fresh))
+            order = seen.argsort(kind="stable")
+            seen, seen_out = seen[order], np.concatenate((seen_out, fresh_out))[order]
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        head = np.empty(len(keys), dtype=bool)  # first of its key, in key order
+        head[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        uniq, first = ranked[head], order[head]
+        inverse = np.empty(len(keys), dtype=np.int64)
+        inverse[order] = head.cumsum() - 1
+        expected = outs[first]
+        old = np.zeros(len(uniq), dtype=bool)
+        if len(seen):
+            hit = np.minimum(seen.searchsorted(uniq), len(seen) - 1)
+            old = seen[hit] == uniq
+            expected = np.where(old, seen_out[hit], expected)
+        bad = (outs != expected[inverse]).nonzero()[0]
+        stop = bad[0] if len(bad) else len(keys)
+        new = np.zeros(len(keys), dtype=bool)
+        new[first[~old]] = True
+        new = new[:stop].nonzero()[0]  # first-seen positions, in order
+        new_keys = keys[new]
+        if width is None:
+            names = new_keys.tolist()
         else:
-            table[key] = out
-            witnesses[key] = witness
+            names = list(zip((new_keys // width).tolist(), (new_keys % width).tolist()))
+        table.update(zip(names, outs[new].tolist()))
+        witnesses.update(zip(names, witness_of(new)))
+        if len(bad):
+            key = int(keys[stop])
+            if width is not None:
+                key = divmod(key, width)
+            clash = (key, int(outs[stop]), next(iter(witness_of([stop]))))
+            return RankedExtraction(values, table, witnesses, clash)
+        fresh, fresh_out = uniq[~old], expected[~old]
     return RankedExtraction(values, table, witnesses, None)
 
 
@@ -266,14 +381,14 @@ def negation_ranks(structure: BeliefStructure) -> RankedExtraction:
     """A1 on value ranks, memoized on the structure; chain consistency and
     the ratio engine read it, `extract_negation` turns it into Fractions."""
     return structure.derived(
-        "negation-ranks", lambda s: _first_outputs(*_negation_instances(s))
+        "negation-ranks", lambda s: _first_outputs(*_negation_chunks(s))
     )
 
 
 def combination_ranks(structure: BeliefStructure) -> RankedExtraction:
     """A2 on value ranks, memoized on the structure, as `negation_ranks`."""
     return structure.derived(
-        "combination-ranks", lambda s: _first_outputs(*_combination_instances(s))
+        "combination-ranks", lambda s: _first_outputs(*_combination_chunks(s))
     )
 
 

@@ -11,9 +11,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxcheck import cli
+from coxcheck import cli, forms
 from coxcheck.cli import main
-from coxcheck.core import BeliefStructure, Domain
+from coxcheck.core import Domain
 from coxcheck.files import load_structure, save_structure
 from coxcheck.generators import gen_distorted, gen_probability
 from coxcheck.isomorphism import verify_witness
@@ -23,15 +23,16 @@ from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 
 def count_triple_passes(monkeypatch) -> list:
-    """Patch BeliefStructure so each canonical_triple_masks pass is recorded."""
+    """Patch extraction so each pass over the chain triples is recorded:
+    `forms._combination_chunks` lays out every triple of a structure."""
     passes = []
-    original = BeliefStructure.canonical_triple_masks
+    original = forms._combination_chunks
 
-    def counting(self):
-        passes.append(self)
-        return original(self)
+    def counting(structure):
+        passes.append(structure)
+        return original(structure)
 
-    monkeypatch.setattr(BeliefStructure, "canonical_triple_masks", counting)
+    monkeypatch.setattr(forms, "_combination_chunks", counting)
     return passes
 
 
@@ -202,6 +203,8 @@ class TestAuditOptions:
     @pytest.mark.parametrize("option,message", [
         (["--epsilon", "1/0"], "not a rational literal"),
         (["--epsilon", "0"], "epsilon must be positive"),
+        (["--epsilon", "-1/2"], "epsilon must be positive"),
+        (["--epsilon", "-.5"], "epsilon must be positive"),
         (["--epsilon", "abc"], "not a rational literal"),
         (["--grid", "22"], "over the limit"),
         (["--grid", "100000"], "over the limit"),
@@ -336,6 +339,13 @@ class TestDecideOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage error" in captured.err
+
+    @pytest.mark.parametrize("value", ["-1e-9", "-1", "-.5"])
+    def test_negative_tolerance_reaches_its_own_check(self, tmp_path, capsys, value):
+        # argparse used to take "-1e-9" for an option and ask for a value
+        path = numeric_table(tmp_path)
+        assert main(["decide", str(path), "--tol", value]) == 64
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
     def test_numeric_table_settles_in_the_numeric_phase(self, tmp_path, capsys):
         code, report = run_with_report(["decide", numeric_table(tmp_path)], tmp_path)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from coxcheck.core import (
     BeliefStructure,
     Domain,
     EmptyConditionError,
+    submask_table,
 )
 from coxcheck.files import load_structure
 from coxcheck.isomorphism import decide, verify_witness
@@ -230,6 +232,34 @@ class TestValueIndex:
         assert index.values == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
         assert (index.e, index.E) == (0, 4)
         assert b.attained("conditional") == [F(1, 4), F(1, 2), F(3, 4)]
+
+    def test_pair_rank_holds_the_ranks_in_canonical_order(self):
+        for b in index_fixtures() + [uniform(3)]:
+            index = b.value_index()
+            assert index.pair_rank.dtype == np.int32
+            assert index.pair_rank.tolist() == [r for _, _, r in index.pairs()]
+            start, sub = submask_table(b.domain.size)
+            for v, u, r in index.pairs():
+                row = sub[start[u]:start[u + 1]].tolist()
+                assert index.pair_rank[start[u] - 1 + row.index(v)] == r
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_submask_table_lists_every_mask_s_submasks_ascending(self, n):
+        start, sub = submask_table(n)
+        assert len(start) == (1 << n) + 1 and len(sub) == 3 ** n
+        for m in range(1 << n):
+            assert sub[start[m]:start[m + 1]].tolist() == [
+                s for s in range(m + 1) if s & ~m == 0
+            ]
+
+    def test_submask_table_places_chain_triples_in_their_rows(self):
+        # A the c-th submask of U and B the j-th of A: B is U's sub[start[c] + j]-th
+        start, sub = submask_table(4)
+        for u in range(16):
+            row = sub[start[u]:start[u + 1]].tolist()
+            for c, a in enumerate(row):
+                for j, b in enumerate(sub[start[a]:start[a + 1]].tolist()):
+                    assert row[sub[start[c] + j]] == b
 
     def test_index_is_built_once(self):
         b = uniform(3)
