@@ -196,10 +196,13 @@ def submask_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     the j-th submask of A, then B is the `sub[start[c] + j]`-th submask of
     U: the one table places every chain triple in its rows.
     """
-    sizes = 1 << np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.ones(1 << n, dtype=np.int64)  # 2^|m| submasks of m
+    for bit in range(n):
+        sizes <<= (masks >> bit) & 1
     start = np.zeros((1 << n) + 1, dtype=np.int64)
     np.cumsum(sizes, out=start[1:])
-    mask = np.repeat(np.arange(1 << n, dtype=np.int64), sizes)
+    mask = masks.repeat(sizes)
     j = np.arange(3 ** n, dtype=np.int64) - start[mask]
     sub = np.zeros(3 ** n, dtype=np.int32)
     for bit in range(n):
@@ -214,27 +217,25 @@ class ValueIndex:
     """A structure's attained values, interned as order-preserving ranks.
 
     `values` is strictly increasing and holds every attained value plus the
-    bounds e and E.  `rank[u][v]` is the position of Bel(V|U) in `values`
-    for every canonical pair; rows run in ascending u and each row in
-    ascending v, which is canonical (u, v) order (`rank[0]` is empty).
-    Ranks compare exactly as the values do, so order tests run on ints.
-
-    `pair_rank` holds the same ranks as one int32 array in canonical order:
-    row u starts at `submask_table(n)[0][u] - 1`, and Bel(V|U) sits at the
-    position of V among U's ascending submasks.
+    bounds e and E.  `pair_rank` holds the position of Bel(V|U) in `values`
+    for every canonical pair, as one int32 array in canonical (u, v) order:
+    row u starts at `submask_table(atoms)[0][u] - 1` (U = ∅ has no row) and
+    Bel(V|U) sits at the position of V among U's ascending submasks.  The
+    last row is the full mask's, where that position is v itself.  Ranks
+    compare exactly as the values do, so order tests run on ints.
     """
 
     values: tuple[Fraction, ...]
-    rank: tuple[dict[int, int], ...]
     e: int  # rank of the lower bound
     E: int  # rank of the upper bound
+    atoms: int
     pair_rank: np.ndarray = field(compare=False)
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """(v, u, rank) for every canonical pair, in canonical order."""
-        for u, row in enumerate(self.rank):
-            for v, r in row.items():
-                yield v, u, r
+        start, sub = submask_table(self.atoms)
+        owner = np.arange(1 << self.atoms).repeat(np.diff(start))
+        return zip(sub[1:].tolist(), owner[1:].tolist(), self.pair_rank.tolist())
 
 
 def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
@@ -468,11 +469,8 @@ class BeliefStructure:
         else:
             entries = list(self.items())
         values, ranks = intern_values([x for _, _, x in entries] + list(self._bounds))
-        rows: list[dict[int, int]] = [{} for _ in range(self._domain.full_mask + 1)]
-        for (v, u, _), r in zip(entries, ranks):
-            rows[u][v] = r
         pair_rank = np.array(ranks[:-2], dtype=np.int32)
-        return ValueIndex(tuple(values), tuple(rows), *ranks[-2:], pair_rank)
+        return ValueIndex(tuple(values), *ranks[-2:], self._domain.size, pair_rank)
 
     def derived(self, key: str, build: Callable[["BeliefStructure"], object]):
         """`build(self)`, computed once per structure and kept under `key`.
@@ -524,8 +522,7 @@ class BeliefStructure:
             w = self._domain.full_mask
             return sorted({x for v, u, x in self.items() if u == w})
         index = self.value_index()
-        ranks = {r for row in index.rank for r in row.values()}
-        return [index.values[r] for r in sorted(ranks)]
+        return [index.values[r] for r in np.unique(index.pair_rank).tolist()]
 
     def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
         """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,

@@ -328,19 +328,16 @@ def _first_outputs(values, width, chunks) -> RankedExtraction:
     Each chunk is (keys, outs, witness_of): int arrays in canonical order,
     and a function from chunk positions to their witnesses.  A key is the
     rank x, or x·width + y for a pair of ranks.  Keys met in earlier chunks
-    are kept sorted with their first output, and each chunk is checked
-    against them and against its own first occurrences; the table and
-    witness dicts are filled in first-seen order up to the first clash.
+    are kept with their first output in sorted runs, and each chunk is
+    checked against them and against its own first occurrences; the table
+    and witness dicts are filled in first-seen order up to the first clash.
+    A run is merged into the one before it once it is as long, so there are
+    O(log keys) runs and each key is merged O(log keys) times.
     """
     table: dict = {}
     witnesses: dict = {}
-    seen = seen_out = np.empty(0, dtype=np.int64)  # earlier chunks' keys, sorted
-    fresh = fresh_out = seen  # the last chunk's new keys, merged in on demand
+    runs: list = []  # (keys, first outputs) of earlier chunks, each sorted
     for keys, outs, witness_of in chunks:
-        if len(fresh):
-            seen = np.concatenate((seen, fresh))
-            order = seen.argsort(kind="stable")
-            seen, seen_out = seen[order], np.concatenate((seen_out, fresh_out))[order]
         order = keys.argsort(kind="stable")
         ranked = keys[order]
         head = np.empty(len(keys), dtype=bool)  # first of its key, in key order
@@ -351,10 +348,11 @@ def _first_outputs(values, width, chunks) -> RankedExtraction:
         inverse[order] = head.cumsum() - 1
         expected = outs[first]
         old = np.zeros(len(uniq), dtype=bool)
-        if len(seen):
+        for seen, seen_out in runs:  # a key is in at most one run
             hit = np.minimum(seen.searchsorted(uniq), len(seen) - 1)
-            old = seen[hit] == uniq
-            expected = np.where(old, seen_out[hit], expected)
+            match = seen[hit] == uniq
+            old |= match
+            expected = np.where(match, seen_out[hit], expected)
         bad = (outs != expected[inverse]).nonzero()[0]
         stop = bad[0] if len(bad) else len(keys)
         new = np.zeros(len(keys), dtype=bool)
@@ -373,7 +371,13 @@ def _first_outputs(values, width, chunks) -> RankedExtraction:
                 key = divmod(key, width)
             clash = (key, int(outs[stop]), next(iter(witness_of([stop]))))
             return RankedExtraction(values, table, witnesses, clash)
-        fresh, fresh_out = uniq[~old], expected[~old]
+        if not old.all():
+            runs.append((uniq[~old], expected[~old]))
+        while len(runs) > 1 and len(runs[-2][0]) <= len(runs[-1][0]):
+            (a, a_out), (b, b_out) = runs.pop(-2), runs.pop()
+            order = np.concatenate((a, b)).argsort(kind="stable")
+            runs.append((np.concatenate((a, b))[order],
+                         np.concatenate((a_out, b_out))[order]))
     return RankedExtraction(values, table, witnesses, None)
 
 

@@ -602,7 +602,7 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
         return WitnessCheck(
             False, f"endpoint: g({big_e}) = {Fraction(*ratios[index.E])} ≠ 1", None
         )
-    unconditional = index.rank[domain.full_mask]
+    unconditional = index.pair_rank[-(1 << domain.size):].tolist()  # the full mask's row
     for v, u, x in index.pairs():
         p1, q1 = ratios[x]
         p2, q2 = ratios[unconditional[u]]

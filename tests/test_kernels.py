@@ -44,8 +44,8 @@ def oracle_negation_instances(structure):
         )
         return values, instances
     index = structure.value_index()
-    rank = index.rank
-    return index.values, ((r, rank[u][u ^ v], (v, u)) for v, u, r in index.pairs())
+    rank = {(v, u): r for v, u, r in index.pairs()}
+    return index.values, ((r, rank[u ^ v, u], (v, u)) for v, u, r in index.pairs())
 
 
 def oracle_combination_instances(structure):
@@ -63,9 +63,9 @@ def oracle_combination_instances(structure):
         )
         return values, instances
     index = structure.value_index()
-    rank = index.rank
+    rank = {(v, u): r for v, u, r in index.pairs()}
     instances = (
-        ((rank[a][b], rank[u][a]), rank[u][b], (b, a, u))
+        ((rank[b, a], rank[a, u]), rank[b, u], (b, a, u))
         for b, a, u in structure.canonical_triple_masks()
     )
     return index.values, instances
