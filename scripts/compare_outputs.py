@@ -203,31 +203,42 @@ def write_large(out: Path, beltables) -> list[Path]:
     return paths
 
 
-#: One bad `bel` line per parse error the parser reports on a token.
+#: One line per parse error the parser reports on a token or a line, and
+#: two that are no error.  `fixtures/three_atoms.bel` sets Bel({a}|{a b})
+#: to 1/3 on its line 8, after the inserted line.
 MALFORMED_LINES = {
     "bad-literal": "bel {a} | * = x/2",
     "long-literal": "bel {a} | * = " + "7" * 1001,
     "unknown-atom": "bel {z} | * = 1",
     "repeated-atom": "bel {a a} | * = 1/2",
     "empty-condition": "bel {a} | {} = 1",
+    "conflicting-duplicate": "bel {a} | {a b} = 1/2",
+    "same-value-other-spelling": "bel {a} | {a b} = 2/6",
+    "duplicate-bounds": "bounds: 0 1",
 }
 
 
 def write_malformed(out: Path) -> list[Path]:
     """Copies of `fixtures/three_atoms.bel` with a bad line inserted after
     its first `bel` lines, once, and again on a later line.  The parser
-    must stop at the first bad line and name it."""
+    must stop at the first bad line and name it.  One more copy drops the
+    last `bel` line, so the table is incomplete."""
     out.mkdir()
     lines = (REPO / "fixtures" / "three_atoms.bel").read_text(encoding="utf-8").splitlines()
-    paths = []
+    copies = {}
     for name, bad in MALFORMED_LINES.items():
         for variant, at in (("once", [5]), ("repeated", [5, 12])):
             text = list(lines)
             for i in reversed(at):
                 text.insert(i, bad)
-            path = out / f"{name}-{variant}.bel"
-            path.write_text("\n".join(text) + "\n", encoding="utf-8")
-            paths.append(path)
+            copies[f"{name}-{variant}"] = text
+    last_bel = max(i for i, line in enumerate(lines) if line.startswith("bel "))
+    copies["incomplete-table"] = lines[:last_bel] + lines[last_bel + 1:]
+    paths = []
+    for name, text in copies.items():
+        path = out / f"{name}.bel"
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        paths.append(path)
     return paths
 
 

@@ -28,6 +28,8 @@ from .core import (
     ChainQuadruple,
     Event,
     is_canonical,
+    pair_at,
+    submask_table,
 )
 from .forms import (
     CombinationConflict,
@@ -56,7 +58,11 @@ class BoundsReport:
 
 
 def check_bounds(structure: BeliefStructure) -> BoundsReport:
-    """Range ⊆ [e,E] (Par1) and Bel(∅|U)=e, Bel(U|U)=E for all U (Par2)."""
+    """Range ⊆ [e,E] (Par1) and Bel(∅|U)=e, Bel(U|U)=E for all U (Par2).
+
+    A table is tested on its rank array: Par1 on every rank, Par2 on the
+    first and last entry of each row.  Each names its first violating pair
+    in canonical order."""
     e, big_e = structure.bounds
     if structure.is_weight_backed:
         # (μ(V∩U)/μ(U))^k lands in [0,1] with endpoints 0 and 1 exactly.
@@ -69,27 +75,33 @@ def check_bounds(structure: BeliefStructure) -> BoundsReport:
             Verdict("fail", f"weight backing spans [0,1], declared bounds [{e},{big_e}]"),
             Verdict("fail", f"Bel(∅|U)=0 ≠ e={e}"),
         )
-    par1 = Verdict("pass", f"all values within [{e},{big_e}]")
-    par2 = Verdict("pass", f"Bel(∅|U)={e} and Bel(U|U)={big_e} for every nonempty U")
-    par1_witness = par2_witness = None
     domain = structure.domain
     index = structure.value_index()
-    for v, u, r in index.pairs():
-        if par1_witness is None and not index.e <= r <= index.E:
-            par1_witness = (
-                f"Bel({Event(domain, v)!r}|{Event(domain, u)!r}) = {index.values[r]} "
-                f"outside [{e},{big_e}]"
+    ranks, values = index.pair_rank, index.values
+    start = submask_table(domain.size)[0]
+    par1 = Verdict("pass", f"all values within [{e},{big_e}]")
+    par2 = Verdict("pass", f"Bel(∅|U)={e} and Bel(U|U)={big_e} for every nonempty U")
+    outside = np.flatnonzero((ranks < index.e) | (ranks > index.E))
+    if len(outside):
+        pos = int(outside[0])
+        v, u = pair_at(domain.size, pos)
+        witness = (
+            f"Bel({Event(domain, v)!r}|{Event(domain, u)!r}) = {values[ranks[pos]]} "
+            f"outside [{e},{big_e}]"
+        )
+        par1 = Verdict("fail", witness)
+    # row u runs from start[u] - 1 (V = ∅) to start[u + 1] - 2 (V = U)
+    first, last = ranks[start[1:-1] - 1], ranks[start[2:] - 2]
+    bad = np.flatnonzero((first != index.e) | (last != index.E))
+    if len(bad):
+        u = int(bad[0]) + 1
+        if first[u - 1] != index.e:
+            witness = f"Bel(∅|{Event(domain, u)!r}) = {values[first[u - 1]]} ≠ {e}"
+        else:
+            witness = (
+                f"Bel(U|U) = {values[last[u - 1]]} ≠ {big_e} at U={Event(domain, u)!r}"
             )
-        if par2_witness is None and v == 0 and r != index.e:
-            par2_witness = f"Bel(∅|{Event(domain, u)!r}) = {index.values[r]} ≠ {e}"
-        if par2_witness is None and v == u and r != index.E:
-            par2_witness = (
-                f"Bel(U|U) = {index.values[r]} ≠ {big_e} at U={Event(domain, u)!r}"
-            )
-    if par1_witness:
-        par1 = Verdict("fail", par1_witness)
-    if par2_witness:
-        par2 = Verdict("fail", par2_witness)
+        par2 = Verdict("fail", witness)
     return BoundsReport(par1, par2)
 
 

@@ -7,11 +7,12 @@ serialization order, chain enumeration order).
 Belief values are `fractions.Fraction` throughout.  Nothing in a structure is
 ever stored as a float: equality of belief values is what drives the
 well-definedness checks downstream, and float equality would be unsound.
-Each structure interns its values once, on demand, as order-preserving
-integer ranks (`ValueIndex`), so the decision phases group and compare
-pairs by ints instead of re-hashing Fractions.  The same ranks are kept as
-one flat int32 array in canonical pair order, which the extraction and
-chain-consistency kernels read with numpy gathers.
+A table is stored as its `ValueIndex`: the sorted distinct values and one
+flat int32 array of order-preserving ranks in canonical pair order.  The
+parser fills that array directly, hashing each distinct value once, and
+the decision phases group and compare pairs by ints; the extraction and
+chain-consistency kernels read the array with numpy gathers.  A
+weight-backed structure builds the same index on demand.
 """
 
 from __future__ import annotations
@@ -238,6 +239,16 @@ class ValueIndex:
         return zip(sub[1:].tolist(), owner[1:].tolist(), self.pair_rank.tolist())
 
 
+def rank_codes(code: Mapping[Fraction, int]) -> tuple[list[Fraction], list[int]]:
+    """The sorted distinct values of a value -> code map, and the rank of
+    each code in turn (codes are 0, 1, ...)."""
+    values = sorted(code)
+    rank_of_code = [0] * len(values)
+    for r, x in enumerate(values):
+        rank_of_code[code[x]] = r
+    return values, rank_of_code
+
+
 def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
     """The sorted distinct values of `xs`, and the rank of each x in turn.
 
@@ -246,11 +257,98 @@ def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
     """
     code: dict[Fraction, int] = {}  # value -> first-seen code
     codes = [code.setdefault(x, len(code)) for x in xs]
-    values = sorted(code)
-    rank_of_code = [0] * len(values)
-    for r, x in enumerate(values):
-        rank_of_code[code[x]] = r
+    values, rank_of_code = rank_codes(code)
     return values, [rank_of_code[c] for c in codes]
+
+
+def _pair_repr(domain: Domain, v_mask: int, u_mask: int) -> str:
+    return f"({Event(domain, v_mask)!r} | {Event(domain, u_mask)!r})"
+
+
+def pair_position(n: int, v: int, u: int) -> int:
+    """Where Bel(V|U), V ⊆ U ≠ ∅, sits in a `pair_rank` over n atoms: row
+    u's start plus v's bits compressed by u."""
+    j, bit, rest = 0, 1, u
+    while rest:
+        low = rest & -rest
+        if v & low:
+            j |= bit
+        bit <<= 1
+        rest ^= low
+    return int(submask_table(n)[0][u]) - 1 + j
+
+
+def pair_at(n: int, position: int) -> tuple[int, int]:
+    """The canonical pair (v, u) at `position` of a `pair_rank` over n atoms."""
+    start, sub = submask_table(n)
+    u = int(np.searchsorted(start, position + 1, side="right")) - 1
+    return int(sub[position + 1]), u
+
+
+def pair_positions(domain: Domain, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`pair_position` of every (v[i], u[i]), which must be distinct
+    canonical pairs that cover the table: fewer than 3^n - 1 of them is an
+    incomplete table, reported with its first missing pair in canonical
+    order."""
+    n = domain.size
+    if n > ENUMERATION_ATOM_LIMIT:
+        raise BeliefDomainError(
+            f"explicit tables capped at {ENUMERATION_ATOM_LIMIT} atoms"
+        )
+    start = submask_table(n)[0]
+    within = np.zeros(len(u), dtype=np.int64)
+    seen = np.zeros(len(u), dtype=np.int64)  # bits of u below the current one
+    for bit in range(n):
+        within |= ((v >> bit) & 1) << seen
+        seen += (u >> bit) & 1
+    pos = start[u] - 1 + within
+    size = 3 ** n - 1
+    if len(pos) != size:
+        present = np.zeros(size, dtype=bool)
+        present[pos] = True
+        first = pair_at(n, int(np.argmin(present)))
+        raise BeliefDomainError(
+            f"incomplete table: {size - len(pos)} missing pairs, "
+            f"first Bel{_pair_repr(domain, *first)}"
+        )
+    return pos
+
+
+def table_index(
+    domain: Domain,
+    table: Mapping[tuple[int, int], Fraction],
+    bounds: tuple[Fraction, Fraction],
+) -> ValueIndex:
+    """The value index of a table given as a {(v, u): value} dict.
+
+    The dict must hold every canonical pair: the atom cap is checked
+    first, then completeness, then the first key (in the dict's order)
+    that is not canonical or whose value is not a Fraction.
+    """
+    n = domain.size
+    keys: list[int] = []  # u << n | v of every canonical key
+    xs: list[Fraction] = []  # and its value
+    error: ValueError | None = None
+    for (v, u), x in table.items():
+        if u == 0:
+            error = error or EmptyConditionError("table conditions on the empty event")
+        elif v & ~u:
+            error = error or BeliefDomainError(
+                f"non-canonical table key {_pair_repr(domain, v, u)}"
+            )
+        elif u >> n == 0:  # a key outside the domain names no pair
+            keys.append(u << n | v)
+            xs.append(x)
+            if not isinstance(x, Fraction):
+                error = error or BeliefDomainError("table values must be Fractions")
+    masks = np.array(keys, dtype=np.int64)
+    pos = pair_positions(domain, masks & ((1 << n) - 1), masks >> n)
+    if error is not None:
+        raise error
+    values, ranks = intern_values(xs + list(bounds))
+    pair_rank = np.empty(len(pos), dtype=np.int32)
+    pair_rank[pos] = ranks[:-2]
+    return ValueIndex(tuple(values), *ranks[-2:], n, pair_rank)
 
 
 def _submasks_desc(mask: int) -> Iterator[int]:
@@ -269,8 +367,9 @@ class BeliefStructure:
     The table is stored on canonical pairs only (V ⊆ U, U nonempty);
     lookups for general V canonicalize through Bel(V|U) = Bel(V∩U|U).
 
-    Two backings exist: an explicit table (parsed or hand-built structures)
-    and a weight backing (generated structures), where
+    Two backings exist: an explicit table (parsed or hand-built structures),
+    held as its `ValueIndex` and read as `values[pair_rank[pos]]`, and a
+    weight backing (generated structures), where
     Bel(V|U) = (μ(V∩U)/μ(U))^k for strictly positive atom weights μ.  The
     weight backing keeps large generated domains usable without
     materializing the 3^n-entry table.  It stores the weights as integer
@@ -282,7 +381,7 @@ class BeliefStructure:
         self,
         domain: Domain,
         *,
-        table: Mapping[tuple[int, int], Fraction] | None = None,
+        table: Mapping[tuple[int, int], Fraction] | ValueIndex | None = None,
         weights: Sequence[Fraction] | None = None,
         exponent: int = 1,
         bounds: tuple[Fraction, Fraction] = (ZERO, ONE),
@@ -294,13 +393,18 @@ class BeliefStructure:
             raise BeliefDomainError("bounds must satisfy e < E")
         self._domain = domain
         self._bounds = (e, big_e)
-        self._table: dict[tuple[int, int], Fraction] | None = None
+        self._index: ValueIndex | None = None
         self._weights: tuple[Fraction, ...] | None = None
         self._exponent = exponent
         self._derived: dict[str, object] = {}
-        if table is not None:
-            self._table = dict(table)
-            self._validate_table()
+        if isinstance(table, ValueIndex):
+            if (table.atoms, table.values[table.e], table.values[table.E]) != (
+                domain.size, e, big_e
+            ):
+                raise BeliefDomainError("value index does not match the domain or bounds")
+            self._index = table
+        elif table is not None:
+            self._index = table_index(domain, table, (e, big_e))
         else:
             ws = tuple(Fraction(w) for w in weights)
             if len(ws) != domain.size:
@@ -323,39 +427,13 @@ class BeliefStructure:
 
     @classmethod
     def from_table(cls, domain, table, bounds=(ZERO, ONE)):
+        """A table-backed structure from a {(v, u): value} dict, or from a
+        `ValueIndex` built for these bounds (as the parser builds one)."""
         return cls(domain, table=table, bounds=bounds)
 
     @classmethod
     def from_weights(cls, domain, weights, exponent=1, bounds=(ZERO, ONE)):
         return cls(domain, weights=weights, exponent=exponent, bounds=bounds)
-
-    def _validate_table(self):
-        if self._domain.size > ENUMERATION_ATOM_LIMIT:
-            raise BeliefDomainError(
-                f"explicit tables capped at {ENUMERATION_ATOM_LIMIT} atoms"
-            )
-        missing = [
-            (v, u)
-            for v, u in self.canonical_pair_masks()
-            if (v, u) not in self._table
-        ]
-        if missing:
-            raise BeliefDomainError(
-                f"incomplete table: {len(missing)} missing pairs, "
-                f"first Bel{self._pair_repr(*missing[0])}"
-            )
-        for (v, u), value in self._table.items():
-            if u == 0:
-                raise EmptyConditionError("table conditions on the empty event")
-            if v & ~u:
-                raise BeliefDomainError(
-                    f"non-canonical table key {self._pair_repr(v, u)}"
-                )
-            if not isinstance(value, Fraction):
-                raise BeliefDomainError("table values must be Fractions")
-
-    def _pair_repr(self, v_mask: int, u_mask: int) -> str:
-        return f"({Event(self._domain, v_mask)!r} | {Event(self._domain, u_mask)!r})"
 
     # -- basic accessors ---------------------------------------------------
 
@@ -407,8 +485,10 @@ class BeliefStructure:
         if u_mask == 0:
             raise EmptyConditionError("conditioning on the empty event")
         v_mask &= u_mask
-        if self._table is not None:
-            return self._table[(v_mask, u_mask)]
+        index = self._index
+        if index is not None:
+            position = pair_position(self._domain.size, v_mask, u_mask)
+            return index.values[index.pair_rank[position]]
         ratio = Fraction(self._mass(v_mask), self._mass(u_mask))
         return ratio if self._exponent == 1 else ratio ** self._exponent
 
@@ -446,6 +526,12 @@ class BeliefStructure:
                     yield b, a, u
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
+        """(v, u, Bel(V|U)) for every canonical pair, in canonical order."""
+        if self._index is not None:
+            values = self._index.values
+            for v, u, r in self._index.pairs():
+                yield v, u, values[r]
+            return
         for v, u in self.canonical_pair_masks():
             yield v, u, self.bel_masks(v, u)
 
@@ -454,21 +540,17 @@ class BeliefStructure:
         return {(v, u): x for v, u, x in self.items()}
 
     def value_index(self) -> ValueIndex:
-        """The memoized rank index of the values (capped domain size).
+        """The rank index of the values (capped domain size).
 
-        Built on first use in one pass over the canonical pairs;
-        weight-backed structures read their pairs through the same lookup
-        that `as_table` uses.
+        A table is its index.  A weight-backed structure builds one on
+        first use, in one pass over its canonical pairs, and keeps it.
         """
+        if self._index is not None:
+            return self._index
         return self.derived("value-index", BeliefStructure._build_value_index)
 
     def _build_value_index(self) -> ValueIndex:
-        if self._table is not None:
-            table = self._table
-            entries = [(v, u, table[v, u]) for v, u in self.canonical_pair_masks()]
-        else:
-            entries = list(self.items())
-        values, ranks = intern_values([x for _, _, x in entries] + list(self._bounds))
+        values, ranks = intern_values([x for _, _, x in self.items()] + list(self._bounds))
         pair_rank = np.array(ranks[:-2], dtype=np.int32)
         return ValueIndex(tuple(values), *ranks[-2:], self._domain.size, pair_rank)
 
@@ -518,11 +600,11 @@ class BeliefStructure:
                         for m in range(self._domain.full_mask + 1)
                     }
                 )
-        elif kind == "unconditional":
-            w = self._domain.full_mask
-            return sorted({x for v, u, x in self.items() if u == w})
         index = self.value_index()
-        return [index.values[r] for r in np.unique(index.pair_rank).tolist()]
+        ranks = index.pair_rank
+        if kind == "unconditional":
+            ranks = ranks[-(1 << self._domain.size):]  # the full mask's row
+        return [index.values[r] for r in np.unique(ranks).tolist()]
 
     def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
         """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,
@@ -577,7 +659,7 @@ class BeliefStructure:
         fn: Callable[[Fraction], Fraction],
         bounds: tuple[Fraction, Fraction],
     ) -> "BeliefStructure":
-        """A dict-backed copy with every entry passed through `fn`."""
+        """A table-backed copy with every entry passed through `fn`."""
         table = {(v, u): fn(x) for v, u, x in self.items()}
         return BeliefStructure.from_table(self._domain, table, bounds=bounds)
 
@@ -585,6 +667,6 @@ class BeliefStructure:
         backing = (
             f"weights={self._weights!r}, k={self._exponent}"
             if self.is_weight_backed
-            else f"{len(self._table)} entries"
+            else f"{len(self._index.pair_rank)} entries"
         )
         return f"BeliefStructure({self._domain.atoms}, {backing})"

@@ -10,12 +10,19 @@ Events are brace-enclosed atom lists; `*` means the whole domain.  Values
 are exact rationals; decimal literals are converted exactly (0.25 -> 1/4).
 Explicit `bel` lines override generator directives.  After expansion the
 table must be total on canonical pairs.
+
+A table of `bel` lines only is read straight into its `ValueIndex`: each
+distinct literal becomes a value code, the lines' codes are placed at their
+canonical positions in one numpy pass, and only the distinct values and the
+bounds are sorted into ranks.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .core import (
     ZERO,
@@ -24,6 +31,9 @@ from .core import (
     BeliefStructure,
     Domain,
     Event,
+    ValueIndex,
+    pair_positions,
+    rank_codes,
 )
 
 #: Generator directives expand into explicit tables up to this many atoms;
@@ -86,17 +96,54 @@ def _parse_event(token: str, bits: dict[str, int], line_no: int) -> int:
 def parse_structure(text: str) -> BeliefStructure:
     domain: Domain | None = None
     bounds: tuple[Fraction, Fraction] | None = None
-    explicit: dict[tuple[int, int], tuple[Fraction, int]] = {}
     generator: tuple[dict[str, Fraction], int] | None = None  # weights, line
     # a table repeats few distinct value literals and event tokens over many
     # `bel` lines: each is parsed and checked once, on the first line it is
-    # on, which is also the line an error in it reports
-    literals: dict[str, Fraction] = {}
+    # on, which is also the line an error in it reports.  A literal maps to
+    # the code of its value, so spellings of one value share a code and each
+    # distinct Fraction is hashed once.
+    literals: dict[str, int] = {}
+    code_of: dict[Fraction, int] = {}  # in code order
     events: dict[str, int] = {}
+    # the canonical pair (v, u) as the key u << n | v -> its value code and
+    # the line that last set it
+    code_at: dict[int, int] = {}
+    line_at: dict[int, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line.startswith("bel ") and domain is not None:  # most lines
+            events_part, eq, value_part = line[len("bel "):].rpartition("=")
+            v_part, bar, u_part = events_part.partition("|")
+            if not (eq and bar):
+                raise ParseError("bel line must look like 'bel V | U = value'", line_no)
+            for part in (v_part, u_part):
+                if part not in events:
+                    events[part] = _parse_event(part, bits, line_no)
+            v, u = events[v_part], events[u_part]
+            if u == 0:
+                raise ParseError("conditioning event U must be nonempty", line_no)
+            code = literals.get(value_part)
+            if code is None:
+                try:
+                    value = parse_value(value_part.strip())
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
+                code = literals[value_part] = code_of.setdefault(value, len(code_of))
+            key = u << n | v & u
+            old = code_at.get(key, code)
+            if old != code:
+                values = list(code_of)
+                raise ParseError(
+                    f"conflicting duplicate for Bel({Event(domain, v)!r} | "
+                    f"{Event(domain, u)!r}): "
+                    f"{values[old]} (line {line_at[key]}) vs {values[code]}",
+                    line_no,
+                )
+            code_at[key] = code
+            line_at[key] = line_no
             continue
         if line.startswith("domain:"):
             if domain is not None:
@@ -109,10 +156,13 @@ def parse_structure(text: str) -> BeliefStructure:
             except BeliefDomainError as exc:
                 raise ParseError(str(exc), line_no) from None
             bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
+            n = domain.size
             continue
         if domain is None:
             raise ParseError("domain line must come first", line_no)
         if line.startswith("bounds:"):
+            if bounds is not None:
+                raise ParseError("duplicate bounds line", line_no)
             parts = line[len("bounds:"):].split()
             if len(parts) != 2:
                 raise ParseError("bounds line needs two values", line_no)
@@ -123,33 +173,6 @@ def parse_structure(text: str) -> BeliefStructure:
             if e >= big_e:
                 raise ParseError("bounds must satisfy e < E", line_no)
             bounds = (e, big_e)
-            continue
-        if line.startswith("bel "):
-            events_part, eq, value_part = line[len("bel "):].rpartition("=")
-            v_part, bar, u_part = events_part.partition("|")
-            if not (eq and bar):
-                raise ParseError("bel line must look like 'bel V | U = value'", line_no)
-            for part in (v_part, u_part):
-                if part not in events:
-                    events[part] = _parse_event(part, bits, line_no)
-            v, u = events[v_part], events[u_part]
-            if u == 0:
-                raise ParseError("conditioning event U must be nonempty", line_no)
-            if value_part not in literals:
-                try:
-                    literals[value_part] = parse_value(value_part.strip())
-                except ValueError as exc:
-                    raise ParseError(str(exc), line_no) from None
-            value = literals[value_part]
-            key = (v & u, u)
-            if key in explicit and explicit[key][0] != value:
-                raise ParseError(
-                    f"conflicting duplicate for Bel({Event(domain, v)!r} | "
-                    f"{Event(domain, u)!r}): "
-                    f"{explicit[key][0]} (line {explicit[key][1]}) vs {value}",
-                    line_no,
-                )
-            explicit[key] = (value, line_no)
             continue
         if line.startswith("generate "):
             parts = line.split()
@@ -192,7 +215,7 @@ def parse_structure(text: str) -> BeliefStructure:
         if sum(weight_list) != 1:
             raise ParseError("generator weights must sum to 1", gen_line)
 
-    if weight_list is not None and not explicit:
+    if weight_list is not None and not code_at:
         # Directive-only file: keep the lazy weight backing.
         return BeliefStructure.from_weights(domain, weight_list, bounds=final_bounds)
 
@@ -202,15 +225,27 @@ def parse_structure(text: str) -> BeliefStructure:
             f"{EXPANSION_ATOM_LIMIT} atoms"
         )
 
-    table: dict[tuple[int, int], Fraction] = {}
-    if weight_list is not None:
-        base = BeliefStructure.from_weights(domain, weight_list)
-        table = base.as_table()
-    table.update({k: v for k, (v, _) in explicit.items()})
+    full = domain.full_mask
     try:
-        return BeliefStructure.from_table(domain, table, bounds=final_bounds)
+        if weight_list is not None:
+            table = BeliefStructure.from_weights(domain, weight_list).as_table()
+            values = list(code_of)
+            table.update({(k & full, k >> n): values[c] for k, c in code_at.items()})
+            return BeliefStructure.from_table(domain, table, bounds=final_bounds)
+        keys = np.fromiter(code_at, dtype=np.int64, count=len(code_at))
+        pos = pair_positions(domain, keys & full, keys >> n)
     except BeliefDomainError as exc:  # the table is incomplete or too large
         raise ParseError(str(exc)) from None
+    for x in final_bounds:
+        code_of.setdefault(x, len(code_of))
+    ranked, rank_of_code = rank_codes(code_of)
+    pair_rank = np.empty(len(pos), dtype=np.int32)
+    pair_rank[pos] = np.array(rank_of_code, dtype=np.int32)[
+        np.fromiter(code_at.values(), dtype=np.int32, count=len(code_at))
+    ]
+    e, big_e = (rank_of_code[code_of[x]] for x in final_bounds)
+    index = ValueIndex(tuple(ranked), e, big_e, n, pair_rank)
+    return BeliefStructure.from_table(domain, index, bounds=final_bounds)
 
 
 def serialize_structure(structure: BeliefStructure) -> str:

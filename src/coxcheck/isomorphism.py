@@ -502,13 +502,13 @@ class ProbabilityWitness:
 class RescalingMap:
     """Monotone piecewise-linear g through the attained-value graph."""
 
-    points: tuple[tuple[Fraction, Fraction], ...]  # (value, ratio), sorted
+    points: tuple[tuple[Fraction, Fraction], ...]  # (value, ratio), ascending
 
     def __post_init__(self):
-        pts = tuple(sorted(self.points))
+        pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
         for (v1, r1), (v2, r2) in zip(pts, pts[1:]):
-            if v1 == v2 or not r1 < r2:
+            if not (v1 < v2 and r1 < r2):
                 raise ValueError("rescaling graph must be strictly increasing")
 
     @property
@@ -540,10 +540,15 @@ class RescalingMap:
 class WitnessCheck:
     passed: bool
     failing: str | None
-    ratio_map: dict | None
+    graph: tuple[tuple[int, Fraction, Fraction], ...] | None  # (rank, x, g(x)), ascending
 
     def __bool__(self):
         return self.passed
+
+    @property
+    def ratio_map(self) -> dict | None:
+        """g on the attained values, as {value: ratio}."""
+        return None if self.graph is None else {x: g for _, x, g in self.graph}
 
 
 def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
@@ -613,8 +618,8 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
                 f"product rule fails at (V={Event(domain, v)!r}, U={Event(domain, u)!r})",
                 None,
             )
-    ratio_map = {values[x]: Fraction(p, q) for x, (p, q) in ratios.items()}
-    return WitnessCheck(True, None, ratio_map)
+    graph = tuple((x, values[x], Fraction(p, q)) for x, (p, q) in items)
+    return WitnessCheck(True, None, graph)
 
 
 def rescaling_from_witness(structure: BeliefStructure, weights) -> RescalingMap:
@@ -626,11 +631,13 @@ def rescaling_from_witness(structure: BeliefStructure, weights) -> RescalingMap:
 
 
 def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
-    e, big_e = structure.bounds
-    points = dict(check.ratio_map)
-    points.setdefault(e, ZERO)
-    points.setdefault(big_e, ONE)
-    return RescalingMap(tuple(points.items()))
+    """The witness's graph with e and E added at their ranks where they are
+    not attained; ranks order the points, so no value is hashed or sorted."""
+    index = structure.value_index()
+    g = {x: ratio for x, _, ratio in check.graph}
+    g.setdefault(index.e, ZERO)
+    g.setdefault(index.E, ONE)
+    return RescalingMap(tuple((index.values[x], ratio) for x, ratio in sorted(g.items())))
 
 
 # -- the decision pipeline -------------------------------------------------------------

@@ -17,9 +17,9 @@ from coxcheck.conditions import (
     par5_gap,
     par5_triples,
 )
-from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain
+from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain, Event
 from coxcheck.files import load_structure
-from coxcheck.forms import NegationForm
+from coxcheck.forms import NegationForm, Verdict
 from coxcheck.generators import (
     build_family,
     coin_extend,
@@ -59,6 +59,60 @@ class TestBounds:
     def test_interval_bounds_pass(self):
         report = check_bounds(load_structure(fixture_path("interval_bounds.bel")))
         assert report.passed
+
+    def test_violations_in_the_last_row(self):
+        table = uniform(3).as_table()
+        table[0b011, 0b111] = F(3, 2)
+        table[0b111, 0b111] = F(1, 2)
+        report = check_bounds(BeliefStructure.from_table(Domain(("a", "b", "c")), table))
+        assert report.par1.detail == "Bel({a b}|{a b c}) = 3/2 outside [0,1]"
+        assert report.par2.detail == "Bel(U|U) = 1/2 ≠ 1 at U={a b c}"
+
+    def test_par1_and_par2_both_violated_name_their_first_pairs(self):
+        table = uniform(2).as_table()
+        table[0b10, 0b11] = F(-1)
+        table[0b01, 0b11] = F(2)
+        table[0, 0b10] = F(1, 4)
+        table[0b01, 0b01] = F(3, 4)
+        report = check_bounds(BeliefStructure.from_table(Domain(("a", "b")), table))
+        assert report.par1.detail == "Bel({a}|{a b}) = 2 outside [0,1]"
+        assert report.par2.detail == "Bel(U|U) = 3/4 ≠ 1 at U={a}"
+
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32), st.integers(0, 4))
+    def test_matches_the_pair_walk(self, n, seed, planted):
+        rng = random.Random(seed)
+        b = uniform(n)
+        table = b.as_table()
+        for vu in rng.sample(sorted(table), min(planted, len(table))):
+            table[vu] = rng.choice([F(-1), F(0), F(1, 2), F(1), F(3, 2)])
+        structure = BeliefStructure.from_table(b.domain, table)
+        report = check_bounds(structure)
+        assert (report.par1, report.par2) == oracle_bounds(structure)
+
+
+def oracle_bounds(structure):
+    """Par1 and Par2 from one walk over the canonical pairs, naming the first
+    violating pair of each."""
+    e, big_e = structure.bounds
+    domain = structure.domain
+    par1 = Verdict("pass", f"all values within [{e},{big_e}]")
+    par2 = Verdict("pass", f"Bel(∅|U)={e} and Bel(U|U)={big_e} for every nonempty U")
+    par1_witness = par2_witness = None
+    for v, u, x in structure.items():
+        if par1_witness is None and not e <= x <= big_e:
+            par1_witness = (
+                f"Bel({Event(domain, v)!r}|{Event(domain, u)!r}) = {x} "
+                f"outside [{e},{big_e}]"
+            )
+        if par2_witness is None and v == 0 and x != e:
+            par2_witness = f"Bel(∅|{Event(domain, u)!r}) = {x} ≠ {e}"
+        if par2_witness is None and v == u and x != big_e:
+            par2_witness = f"Bel(U|U) = {x} ≠ {big_e} at U={Event(domain, u)!r}"
+    if par1_witness:
+        par1 = Verdict("fail", par1_witness)
+    if par2_witness:
+        par2 = Verdict("fail", par2_witness)
+    return par1, par2
 
 
 class TestGap:

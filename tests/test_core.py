@@ -265,6 +265,16 @@ class TestValueIndex:
         b = uniform(3)
         assert b.value_index() is b.value_index()
 
+    def test_a_table_is_its_index(self):
+        b = load_structure(FIXTURES / "three_atoms.bel")
+        index = b.value_index()
+        again = BeliefStructure.from_table(b.domain, index, bounds=b.bounds)
+        assert again.value_index() is index and again == b
+        with pytest.raises(BeliefDomainError, match="does not match"):
+            BeliefStructure.from_table(b.domain, index, bounds=(F(0), F(2)))
+        with pytest.raises(BeliefDomainError, match="does not match"):
+            BeliefStructure.from_table(Domain(("a", "b")), index)
+
     def test_shuffled_bel_lines_change_nothing(self, tmp_path, capsys):
         rng = random.Random(5)
         for name in ("three_atoms.bel", "distorted_k2.bel", "order_conflict.bel",

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcheck import core, files
-from coxcheck.core import BeliefStructure, Domain
+from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, intern_values
 from coxcheck.files import (
     ParseError,
     parse_structure,
@@ -14,6 +15,11 @@ from coxcheck.files import (
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 
 from conftest import FIXTURES
+
+
+TWO_MISSING_FIRST_B_GIVEN_B = (
+    r"^incomplete table: 2 missing pairs, first Bel\(\{b\} \| \{b\}\)$"
+)
 
 
 class TestValues:
@@ -118,6 +124,11 @@ class TestParse:
         s = parse_structure(text)
         assert s.bounds == (F(1), F(2))
 
+    def test_duplicate_bounds_line_is_an_error(self):
+        text = "domain: a\nbounds: 0 1\nbounds: 0 2\nbel {} | * = 0\nbel {a} | * = 2\n"
+        with pytest.raises(ParseError, match="^line 3: duplicate bounds line"):
+            parse_structure(text)
+
     def test_domain_must_come_first(self):
         with pytest.raises(ParseError, match="domain line"):
             parse_structure("bel {a} | * = 1\ndomain: a\n")
@@ -202,6 +213,144 @@ class TestRepeatedTokens:
             ParseError, match=r"^line 4: conflicting duplicate .*1/3 \(line 2\) vs 1/2"
         ):
             parse_structure(text)
+
+    def test_conflict_after_a_same_valued_duplicate_names_the_latest_line(self):
+        text = (
+            "domain: a b\n"
+            "bel {a} | * = 1/3\nbel {a} | * = 2/6\nbel {a} | * = 1/2\n"
+        )
+        with pytest.raises(
+            ParseError, match=r"^line 4: conflicting duplicate .*1/3 \(line 3\) vs 1/2"
+        ):
+            parse_structure(text)
+
+    def test_a_conflict_beats_a_later_bad_literal(self):
+        text = (
+            "domain: a b\n"
+            "bel {a} | * = 1/3\nbel {b} | * = 2/3\nbel {} | * = 0\n"
+            "bel {a} | * = 1/2\n"  # line 5
+            "bel {} | {a} = 0\nbel {a} | {a} = 1\nbel {} | {b} = 0\n"
+            "bel {b} | {b} = x/2\n"  # line 9
+        )
+        with pytest.raises(ParseError, match="^line 5: conflicting duplicate"):
+            parse_structure(text)
+
+    def test_incomplete_table_names_the_first_missing_canonical_pair(self):
+        text = (
+            "domain: a b\n"
+            "bel {a b} | * = 1\nbel {} | * = 0\nbel {b} | * = 1/2\n"
+            "bel {} | {a} = 0\nbel {a} | {a} = 1\nbel {} | {b} = 0\n"
+        )
+        # missing: ({b} | {b}), then ({a} | {a b}) in canonical order
+        with pytest.raises(ParseError, match=TWO_MISSING_FIRST_B_GIVEN_B):
+            parse_structure(text)
+
+
+# -- the value index a parse builds, against the dict walk it replaced ----------
+
+
+def canonical_pairs(n):
+    for u in range(1, 1 << n):
+        for v in range(u + 1):
+            if v & ~u == 0:
+                yield v, u
+
+
+def oracle_value_index(n, table, bounds):
+    """The sorted values, e, E and canonical-order ranks of a dict table,
+    interned in one walk over the canonical pairs."""
+    entries = [table[v, u] for v, u in canonical_pairs(n)]
+    values, ranks = intern_values(entries + list(bounds))
+    return tuple(values), ranks[-2], ranks[-1], ranks[:-2]
+
+
+QUARTERS = [F(k, 4) for k in range(-2, 11)]
+
+
+def spellings(x):
+    """Three spellings of x: lowest terms, doubled terms, a decimal."""
+    return [str(x), f"{2 * x.numerator}/{2 * x.denominator}", str(float(x))]
+
+
+@st.composite
+def spelled_tables(draw):
+    """A table on 1-6 atoms with values in quarters, and a file for it whose
+    `bel` lines are shuffled, some repeated, in one of three spellings."""
+    n = draw(st.integers(1, 6))
+    bounds = draw(st.sampled_from([(F(0), F(1)), (F(-1, 2), F(5, 2)), (F(1), F(2))]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    table = {vu: rng.choice(QUARTERS) for vu in canonical_pairs(n)}
+    atoms = [f"x{i}" for i in range(n)]
+
+    def event(mask):
+        return "{%s}" % " ".join(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+    lines = [
+        f"bel {event(v)} | {event(u)} = {rng.choice(spellings(x))}"
+        for (v, u), x in table.items()
+        for _ in range(1 + (rng.random() < 0.2))
+    ]
+    rng.shuffle(lines)
+    head = [f"domain: {' '.join(atoms)}", f"bounds: {bounds[0]} {bounds[1]}"]
+    return n, table, bounds, "\n".join(head + lines) + "\n"
+
+
+class TestParsedIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(spelled_tables())
+    def test_parsed_index_matches_the_dict_walk(self, case):
+        n, table, bounds, text = case
+        values, e, big_e, ranks = oracle_value_index(n, table, bounds)
+        for b in (parse_structure(text),
+                  BeliefStructure.from_table(Domain(tuple(f"x{i}" for i in range(n))),
+                                             table, bounds=bounds)):
+            index = b.value_index()
+            assert (index.values, index.e, index.E) == (values, e, big_e)
+            assert index.pair_rank.tolist() == ranks
+            assert b.as_table() == table
+            assert all(b.bel_masks(v, u) == x for (v, u), x in table.items())
+
+
+class TestFromTableChecks:
+    """`from_table` checks the atom cap, then completeness, then the first
+    key in the dict's order that is not canonical or has a non-Fraction
+    value."""
+
+    def full(self, n=2):
+        return {vu: F(1, 2) for vu in canonical_pairs(n)}
+
+    def test_incomplete_names_the_first_missing_pair(self):
+        table = self.full()
+        del table[0b10, 0b10], table[0b01, 0b11]
+        with pytest.raises(BeliefDomainError, match=TWO_MISSING_FIRST_B_GIVEN_B):
+            BeliefStructure.from_table(Domain(("a", "b")), table)
+
+    def test_incompleteness_is_reported_before_a_bad_key(self):
+        table = {(0b10, 0b01): F(0)} | self.full()
+        del table[0, 1]
+        with pytest.raises(BeliefDomainError, match="^incomplete table: 1 missing"):
+            BeliefStructure.from_table(Domain(("a", "b")), table)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ((0b10, 0b01), F(0), r"^non-canonical table key \(\{b\} \| \{a\}\)$"),
+        ((0, 0), F(0), "^table conditions on the empty event$"),
+        ((0b01, 0b11), 0.5, "^table values must be Fractions$"),
+    ])
+    def test_first_bad_key_in_dict_order(self, key, value, message):
+        table = {key: value} | self.full()
+        table[key] = value
+        table[0b10, 0b01 | 0b10] = 0.25  # a later bad value is not reported
+        with pytest.raises(ValueError, match=message):
+            BeliefStructure.from_table(Domain(("a", "b")), table)
+
+    def test_a_key_outside_the_domain_names_no_pair(self):
+        table = self.full() | {(0b100, 0b100): F(7)}
+        b = BeliefStructure.from_table(Domain(("a", "b")), table)
+        assert b.value_index().values == (F(0), F(1, 2), F(1))
+
+    def test_above_the_atom_cap(self):
+        with pytest.raises(BeliefDomainError, match="explicit tables capped at 12 atoms"):
+            BeliefStructure.from_table(Domain(tuple(f"x{i}" for i in range(13))), {})
 
 
 class TestRoundTrip:

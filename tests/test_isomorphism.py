@@ -388,7 +388,8 @@ class TestDecide:
 
     def test_decide_reads_extraction_ranks_only(self, monkeypatch):
         """Without an A1 or A2 conflict, `decide` builds no Fraction form and
-        interns the values once, in the structure's value index."""
+        interns no value list: a parsed table arrives as its value index, and
+        a table given as a dict is interned once, when it is built."""
         forms_built, interned = [], []
         for form in (NegationForm, CombinationForm):
             def counting(self, original=form.__post_init__):
@@ -404,8 +405,12 @@ class TestDecide:
 
         monkeypatch.setattr(core, "intern_values", counting_intern)
         monkeypatch.setattr(forms, "intern_values", counting_intern)
-        verdict = decide(load_structure(fixture_path("three_atoms.bel")))
-        assert verdict.kind == "witness"
+        parsed = load_structure(fixture_path("three_atoms.bel"))
+        assert decide(parsed).kind == "witness"
+        assert forms_built == []
+        assert interned == []
+        built = BeliefStructure.from_table(parsed.domain, parsed.as_table())
+        assert decide(built).kind == "witness"
         assert forms_built == []
         assert len(interned) == 1
 
