@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -285,16 +285,18 @@ def pair_at(n: int, position: int) -> tuple[int, int]:
     return int(sub[position + 1]), u
 
 
-def pair_positions(domain: Domain, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`pair_position` of every (v[i], u[i]), which must be distinct
+def pair_positions(domain: Domain, keys: Collection[int]) -> np.ndarray:
+    """`pair_position` of every key u << n | v, which must be distinct
     canonical pairs that cover the table: fewer than 3^n - 1 of them is an
     incomplete table, reported with its first missing pair in canonical
-    order."""
+    order.  The atom cap is checked first."""
     n = domain.size
     if n > ENUMERATION_ATOM_LIMIT:
         raise BeliefDomainError(
             f"explicit tables capped at {ENUMERATION_ATOM_LIMIT} atoms"
         )
+    masks = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    v, u = masks & ((1 << n) - 1), masks >> n
     start = submask_table(n)[0]
     within = np.zeros(len(u), dtype=np.int64)
     seen = np.zeros(len(u), dtype=np.int64)  # bits of u below the current one
@@ -336,13 +338,12 @@ def table_index(
             error = error or BeliefDomainError(
                 f"non-canonical table key {_pair_repr(domain, v, u)}"
             )
-        elif u >> n == 0:  # a key outside the domain names no pair
+        elif u >> n == 0:  # a key outside the domain names no pair: skipped
             keys.append(u << n | v)
             xs.append(x)
             if not isinstance(x, Fraction):
                 error = error or BeliefDomainError("table values must be Fractions")
-    masks = np.array(keys, dtype=np.int64)
-    pos = pair_positions(domain, masks & ((1 << n) - 1), masks >> n)
+    pos = pair_positions(domain, keys)
     if error is not None:
         raise error
     values, ranks = intern_values(xs + list(bounds))

@@ -225,15 +225,14 @@ def parse_structure(text: str) -> BeliefStructure:
             f"{EXPANSION_ATOM_LIMIT} atoms"
         )
 
-    full = domain.full_mask
     try:
         if weight_list is not None:
             table = BeliefStructure.from_weights(domain, weight_list).as_table()
             values = list(code_of)
+            full = domain.full_mask
             table.update({(k & full, k >> n): values[c] for k, c in code_at.items()})
             return BeliefStructure.from_table(domain, table, bounds=final_bounds)
-        keys = np.fromiter(code_at, dtype=np.int64, count=len(code_at))
-        pos = pair_positions(domain, keys & full, keys >> n)
+        pos = pair_positions(domain, code_at)
     except BeliefDomainError as exc:  # the table is incomplete or too large
         raise ParseError(str(exc)) from None
     for x in final_bounds:

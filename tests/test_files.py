@@ -93,10 +93,11 @@ class TestParse:
                 "domain: a b\ngenerate probability a=1/2 b=1/2\nbel {a a} | * = 1/2\n"
             )
 
-    def test_explicit_table_above_the_atom_cap(self):
-        atoms = " ".join(f"x{i}" for i in range(13))
+    @pytest.mark.parametrize("n", [13, 70])
+    def test_explicit_table_above_the_atom_cap(self, n):
+        atoms = " ".join(f"x{i}" for i in range(n))
         with pytest.raises(ParseError, match="explicit tables capped at 12 atoms"):
-            parse_structure(f"domain: {atoms}\nbel {{x0}} | * = 1/2\n")
+            parse_structure(f"domain: {atoms}\nbel {{x{n - 1}}} | * = 1/2\n")
 
     def test_huge_literal_in_a_complete_file(self):
         text = serialize_structure(
@@ -348,9 +349,12 @@ class TestFromTableChecks:
         b = BeliefStructure.from_table(Domain(("a", "b")), table)
         assert b.value_index().values == (F(0), F(1, 2), F(1))
 
-    def test_above_the_atom_cap(self):
+    @pytest.mark.parametrize("n", [13, 70])
+    def test_above_the_atom_cap(self, n):
+        top = 1 << (n - 1)
         with pytest.raises(BeliefDomainError, match="explicit tables capped at 12 atoms"):
-            BeliefStructure.from_table(Domain(tuple(f"x{i}" for i in range(13))), {})
+            BeliefStructure.from_table(Domain(tuple(f"x{i}" for i in range(n))),
+                                       {(top, top): F(1)})
 
 
 class TestRoundTrip:
