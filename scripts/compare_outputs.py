@@ -204,8 +204,12 @@ def write_large(out: Path, beltables) -> list[Path]:
 
 
 #: One line per parse error the parser reports on a token or a line, and
-#: two that are no error.  `fixtures/three_atoms.bel` sets Bel({a}|{a b})
-#: to 1/3 on its line 8, after the inserted line.
+#: some that are no error.  `fixtures/three_atoms.bel` sets Bel({a}|{a b})
+#: to 1/3 on its line 8 and Bel({b}|{a b}) to 2/3 on its line 9, after the
+#: inserted line.  The last ones try how a line is cut into tokens: the
+#: "|" and "=" a `bel` line is split at, comments, line breaks other than
+#: "\n" (a file read in text mode turns "\r\n" into "\n"; "\v" and "\f"
+#: stay and end a line) and tabs.
 MALFORMED_LINES = {
     "bad-literal": "bel {a} | * = x/2",
     "long-literal": "bel {a} | * = " + "7" * 1001,
@@ -215,19 +219,36 @@ MALFORMED_LINES = {
     "conflicting-duplicate": "bel {a} | {a b} = 1/2",
     "same-value-other-spelling": "bel {a} | {a b} = 2/6",
     "duplicate-bounds": "bounds: 0 1",
+    "two-bars": "bel {a} | {b} | {a b} = 1/2",
+    "equals-in-value": "bel {a} | {a b} = 1=3",
+    "mid-line-comment": "bel {a} | {a b} = 1/3  # the same value",
+    "comment-hides-value": "bel {a} | {a b} # = 1/3",
+    "crlf-break": "bel {a} | {a b} = 1/3\r\nbel {b} | {a b} = 1/2",
+    "vertical-tab-break": "bel {a} | {a b} = 1/3\vbel {a} | {a b} = 1/2",
+    "form-feed-break": "bel {b} | {a b} = 2/3\fbel {b} | {a b} = 1/2",
+    "tab-after-bel": "bel\t{a} | {a b} = 1/3",
+    "tabs-around-tokens": "\tbel {a}\t|\t{a b}\t=\t2/6\t",
+}
+
+#: Lines inserted before the domain line, which must come first.
+LEADING_LINES = {
+    "bel-before-domain": "bel {a} | * = 1/3",
 }
 
 
 def write_malformed(out: Path) -> list[Path]:
     """Copies of `fixtures/three_atoms.bel` with a bad line inserted after
-    its first `bel` lines, once, and again on a later line.  The parser
-    must stop at the first bad line and name it.  One more copy drops the
-    last `bel` line, so the table is incomplete."""
+    its first `bel` lines (before its first line for `LEADING_LINES`), once,
+    and again on a later line.  The parser must stop at the first bad line
+    and name it.  One more copy drops the last `bel` line, so the table is
+    incomplete."""
     out.mkdir()
     lines = (REPO / "fixtures" / "three_atoms.bel").read_text(encoding="utf-8").splitlines()
     copies = {}
-    for name, bad in MALFORMED_LINES.items():
-        for variant, at in (("once", [5]), ("repeated", [5, 12])):
+    inserted = [(name, bad, 5) for name, bad in MALFORMED_LINES.items()]
+    inserted += [(name, bad, 0) for name, bad in LEADING_LINES.items()]
+    for name, bad, first in inserted:
+        for variant, at in (("once", [first]), ("repeated", [first, 12])):
             text = list(lines)
             for i in reversed(at):
                 text.insert(i, bad)

@@ -121,13 +121,14 @@ def par5_gap(structure: BeliefStructure, kind: str = "conditional") -> Fraction:
         i = bisect.bisect_left(values, alpha)
         return min(abs(alpha - v) for v in values[max(i - 1, 0):i + 1])
 
-    # the midpoint of adjacent values is (v2 - v1)/2 from its nearest value
-    half_spacing = max(
-        ((v2 - v1) / 2 for v1, v2 in zip(values, values[1:])
-         if e < (v1 + v2) / 2 < big_e),
+    # the midpoint of adjacent values is (v2 - v1)/2 from its nearest value;
+    # it lies strictly inside (e, E) when 2e < v1 + v2 < 2E
+    low, high = 2 * e, 2 * big_e
+    spacing = max(
+        (v2 - v1 for v1, v2 in zip(values, values[1:]) if low < v1 + v2 < high),
         default=ZERO,
     )
-    return max(dist(e), dist(big_e), half_spacing)
+    return max(dist(e), dist(big_e), spacing / 2)
 
 
 @dataclass(frozen=True)

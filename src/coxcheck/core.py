@@ -9,10 +9,10 @@ ever stored as a float: equality of belief values is what drives the
 well-definedness checks downstream, and float equality would be unsound.
 A table is stored as its `ValueIndex`: the sorted distinct values and one
 flat int32 array of order-preserving ranks in canonical pair order.  The
-parser fills that array directly, hashing each distinct value once, and
-the decision phases group and compare pairs by ints; the extraction and
-chain-consistency kernels read the array with numpy gathers.  A
-weight-backed structure builds the same index on demand.
+parser fills that array directly, ranking the distinct values float-first
+without hashing them, and the decision phases group and compare pairs by
+ints; the extraction and chain-consistency kernels read the array with
+numpy gathers.  A weight-backed structure builds the same index on demand.
 """
 
 from __future__ import annotations
@@ -20,14 +20,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
 
 #: Largest domain for which full canonical-pair/triple enumeration is allowed.
 ENUMERATION_ATOM_LIMIT = 12
@@ -239,26 +243,79 @@ class ValueIndex:
         return zip(sub[1:].tolist(), owner[1:].tolist(), self.pair_rank.tolist())
 
 
-def rank_codes(code: Mapping[Fraction, int]) -> tuple[list[Fraction], list[int]]:
-    """The sorted distinct values of a value -> code map, and the rank of
-    each code in turn (codes are 0, 1, ...)."""
-    values = sorted(code)
-    rank_of_code = [0] * len(values)
-    for r, x in enumerate(values):
-        rank_of_code[code[x]] = r
-    return values, rank_of_code
+#: Integers up to this size are exact as floats, so a quotient of two of
+#: them divided in float64 is correctly rounded.
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def _float_or_inf(x: Fraction) -> float:
+    """float(x), correctly rounded; ±inf where x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def rank_values(xs: Sequence[Fraction]) -> tuple[list[Fraction], np.ndarray]:
+    """The sorted distinct values of `xs`, and the rank of each x in turn as
+    an int64 array.
+
+    Exact, and no Fraction is hashed.  A Fraction's float is correctly
+    rounded, so sorting by floats never puts two values out of order; only
+    a run of equal floats needs the exact values.  Equal Fractions have
+    equal numerators and denominators, so a run of one value merges by
+    comparing ints.  A run that holds distinct values (near-ties, or
+    literals beyond the float range read as ±inf) is sorted exactly.
+    """
+    count = len(xs)
+    if not count:
+        return [], np.zeros(0, dtype=np.int64)
+    try:
+        num = np.fromiter(map(_NUMERATOR, xs), dtype=np.int64, count=count)
+        den = np.fromiter(map(_DENOMINATOR, xs), dtype=np.int64, count=count)
+        small = (-_EXACT_FLOAT_INT <= num.min() and num.max() <= _EXACT_FLOAT_INT
+                 and den.max() <= _EXACT_FLOAT_INT)
+    except OverflowError:
+        num = np.fromiter(map(_NUMERATOR, xs), dtype=object, count=count)
+        den = np.fromiter(map(_DENOMINATOR, xs), dtype=object, count=count)
+        small = False
+    approx = (num / den if small
+              else np.fromiter(map(_float_or_inf, xs), dtype=np.float64, count=count))
+    order = np.argsort(approx, kind="stable")
+    # sorted neighbours with equal floats, then with equal values; each
+    # array is dropped once read, as xs may hold 3^12 values
+    approx = approx[order]
+    same = approx[1:] == approx[:-1]
+    del approx
+    num = num[order]
+    merge = same & (num[1:] == num[:-1])
+    del num
+    den = den[order]
+    merge &= den[1:] == den[:-1]
+    del den
+    mixed = np.flatnonzero(same != merge)
+    if mixed.size:
+        run = np.concatenate(([0], np.cumsum(~same)))  # float run of each position
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        ends = np.append(starts[1:], count)
+        for r in np.unique(run[mixed + 1]).tolist():
+            s, e = int(starts[r]), int(ends[r])
+            members = sorted(order[s:e].tolist(), key=xs.__getitem__)  # stable
+            order[s:e] = members
+            merge[s:e - 1] = [xs[a] == xs[b] for a, b in zip(members, members[1:])]
+    first = np.concatenate(([True], ~merge))  # first position of each value
+    del same, merge
+    sorted_ranks = np.cumsum(first)
+    sorted_ranks -= 1
+    ranks = np.empty(count, dtype=np.int64)
+    ranks[order] = sorted_ranks
+    return [xs[i] for i in order[first].tolist()], ranks
 
 
 def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
-    """The sorted distinct values of `xs`, and the rank of each x in turn.
-
-    Python does not cache a Fraction's hash, so this hashes each x once and
-    each distinct value once more; whatever runs on the ranks needs none.
-    """
-    code: dict[Fraction, int] = {}  # value -> first-seen code
-    codes = [code.setdefault(x, len(code)) for x in xs]
-    values, rank_of_code = rank_codes(code)
-    return values, [rank_of_code[c] for c in codes]
+    """`rank_values` of `xs`, with the ranks as a list."""
+    values, ranks = rank_values(list(xs))
+    return values, ranks.tolist()
 
 
 def _pair_repr(domain: Domain, v_mask: int, u_mask: int) -> str:
@@ -285,35 +342,33 @@ def pair_at(n: int, position: int) -> tuple[int, int]:
     return int(sub[position + 1]), u
 
 
-def pair_positions(domain: Domain, keys: Collection[int]) -> np.ndarray:
-    """`pair_position` of every key u << n | v, which must be distinct
-    canonical pairs that cover the table: fewer than 3^n - 1 of them is an
-    incomplete table, reported with its first missing pair in canonical
-    order.  The atom cap is checked first."""
+def canonical_order(domain: Domain, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The order that sorts `keys`, distinct canonical pairs as u << n | v,
+    into canonical order.  That is ascending key order, as V's position
+    among U's ascending submasks grows with v.
+
+    Fewer than 3^n - 1 keys is an incomplete table, reported with its first
+    missing pair in canonical order.  The atom cap is checked first, before
+    the keys become int64.
+    """
     n = domain.size
     if n > ENUMERATION_ATOM_LIMIT:
         raise BeliefDomainError(
             f"explicit tables capped at {ENUMERATION_ATOM_LIMIT} atoms"
         )
-    masks = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    v, u = masks & ((1 << n) - 1), masks >> n
-    start = submask_table(n)[0]
-    within = np.zeros(len(u), dtype=np.int64)
-    seen = np.zeros(len(u), dtype=np.int64)  # bits of u below the current one
-    for bit in range(n):
-        within |= ((v >> bit) & 1) << seen
-        seen += (u >> bit) & 1
-    pos = start[u] - 1 + within
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys)
     size = 3 ** n - 1
-    if len(pos) != size:
-        present = np.zeros(size, dtype=bool)
-        present[pos] = True
-        first = pair_at(n, int(np.argmin(present)))
+    if len(keys) != size:
+        start, sub = submask_table(n)
+        owner = np.arange(1 << n).repeat(np.diff(start))
+        every = (owner[1:] << n | sub[1:])[:len(keys)]
+        first = pair_at(n, int(np.argmax(np.append(keys[order] != every, True))))
         raise BeliefDomainError(
-            f"incomplete table: {size - len(pos)} missing pairs, "
+            f"incomplete table: {size - len(keys)} missing pairs, "
             f"first Bel{_pair_repr(domain, *first)}"
         )
-    return pos
+    return order
 
 
 def table_index(
@@ -325,7 +380,8 @@ def table_index(
 
     The dict must hold every canonical pair: the atom cap is checked
     first, then completeness, then the first key (in the dict's order)
-    that is not canonical or whose value is not a Fraction.
+    that is outside the domain or not canonical, or whose value is not a
+    Fraction.
     """
     n = domain.size
     keys: list[int] = []  # u << n | v of every canonical key
@@ -334,21 +390,24 @@ def table_index(
     for (v, u), x in table.items():
         if u == 0:
             error = error or EmptyConditionError("table conditions on the empty event")
+        elif (v | u) >> n:  # a mask is negative or has a bit beyond the atoms
+            error = error or BeliefDomainError(
+                f"table key (v={v}, u={u}) outside the domain"
+            )
         elif v & ~u:
             error = error or BeliefDomainError(
                 f"non-canonical table key {_pair_repr(domain, v, u)}"
             )
-        elif u >> n == 0:  # a key outside the domain names no pair: skipped
+        else:
             keys.append(u << n | v)
             xs.append(x)
             if not isinstance(x, Fraction):
                 error = error or BeliefDomainError("table values must be Fractions")
-    pos = pair_positions(domain, keys)
+    order = canonical_order(domain, keys)
     if error is not None:
         raise error
     values, ranks = intern_values(xs + list(bounds))
-    pair_rank = np.empty(len(pos), dtype=np.int32)
-    pair_rank[pos] = ranks[:-2]
+    pair_rank = np.array(ranks[:-2], dtype=np.int32)[order]
     return ValueIndex(tuple(values), *ranks[-2:], n, pair_rank)
 
 
@@ -551,9 +610,10 @@ class BeliefStructure:
         return self.derived("value-index", BeliefStructure._build_value_index)
 
     def _build_value_index(self) -> ValueIndex:
-        values, ranks = intern_values([x for _, _, x in self.items()] + list(self._bounds))
-        pair_rank = np.array(ranks[:-2], dtype=np.int32)
-        return ValueIndex(tuple(values), *ranks[-2:], self._domain.size, pair_rank)
+        values, ranks = rank_values([x for _, _, x in self.items()] + list(self._bounds))
+        pair_rank = ranks[:-2].astype(np.int32)
+        e, big_e = ranks[-2:].tolist()
+        return ValueIndex(tuple(values), e, big_e, self._domain.size, pair_rank)
 
     def derived(self, key: str, build: Callable[["BeliefStructure"], object]):
         """`build(self)`, computed once per structure and kept under `key`.

@@ -11,14 +11,21 @@ are exact rationals; decimal literals are converted exactly (0.25 -> 1/4).
 Explicit `bel` lines override generator directives.  After expansion the
 table must be total on canonical pairs.
 
-A table of `bel` lines only is read straight into its `ValueIndex`: each
-distinct literal becomes a value code, the lines' codes are placed at their
-canonical positions in one numpy pass, and only the distinct values and the
-bounds are sorted into ranks.
+The file is read in one bulk pass.  The plain `bel` lines ("bel ", then
+one "|" and after it one "=") are found with numpy on the text's bytes and
+cut into their parts all at once; the few other lines are read one by one.
+Each distinct event token and value literal is parsed once, and every
+`bel` line becomes a row of ints (V's mask, U's mask, the rank of its
+value), on which the duplicate, conflict and completeness checks run and
+from which a table's `ValueIndex` is built.  Values are ranked float-first
+by `core.rank_values`.  Errors are those of a line-by-line reading: the
+first bad line wins, with the same message and line number.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import re
 from fractions import Fraction
 
@@ -32,8 +39,8 @@ from .core import (
     Domain,
     Event,
     ValueIndex,
-    pair_positions,
-    rank_codes,
+    canonical_order,
+    rank_values,
 )
 
 #: Generator directives expand into explicit tables up to this many atoms;
@@ -58,10 +65,12 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+)")
 
 
 def parse_value(text: str) -> Fraction:
+    num, slash, den = text.partition("/")
+    digits = num.isdecimal() and (den.isdecimal() or not slash)  # "p" or "p/q"
     too_long = len(text) > LITERAL_DIGIT_LIMIT and (
         sum(ch.isdigit() for ch in text) > LITERAL_DIGIT_LIMIT
     )
-    exponent = _EXPONENT.search(text)
+    exponent = None if digits else _EXPONENT.search(text)
     if too_long or (exponent and int(exponent.group(1)) > LITERAL_DIGIT_LIMIT):
         shown = text if len(text) <= 40 else text[:40] + "..."
         raise ValueError(
@@ -69,12 +78,14 @@ def parse_value(text: str) -> Fraction:
             f"exponent over {LITERAL_DIGIT_LIMIT}: {shown!r}"
         )
     try:
+        if digits:  # what Fraction(text) reads, without its regular expression
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational literal: {text!r}") from None
 
 
-def _parse_event(token: str, bits: dict[str, int], line_no: int) -> int:
+def _parse_event(token: str, bits: dict[str, int], line_no: int | None) -> int:
     """The event mask of `*` or a brace-enclosed atom list; `bits` maps each
     atom name to its bit."""
     token = token.strip()
@@ -85,123 +96,158 @@ def _parse_event(token: str, bits: dict[str, int], line_no: int) -> int:
     names = token[1:-1].split()
     if len(set(names)) != len(names):
         raise ParseError(f"event lists an atom twice: {token!r}", line_no)
-    mask = 0
-    for name in names:
-        if name not in bits:
-            raise ParseError(f"unknown atom {name!r}", line_no)
-        mask |= bits[name]
-    return mask
+    try:
+        return sum(map(bits.__getitem__, names))  # distinct bits: their sum is their union
+    except KeyError as exc:  # the first unknown name
+        raise ParseError(f"unknown atom {exc.args[0]!r}", line_no) from None
+
+
+_COMMENT = re.compile(r"#[^\n]*")
+
+_BEL_WORD = int.from_bytes(b"bel ", "little")
+
+
+def _plain_bel_lines(data: bytes, count: int) -> np.ndarray:
+    """Which of the `count` lines of `data`, UTF-8 with "\n" line breaks, are
+    plain `bel` lines: "bel " at the very start, then one "|" and after it
+    one "=".  In UTF-8 those characters are single bytes that occur in no
+    other character."""
+    # a line break before the first line, three after the last (each line
+    # then has two separators to read after its break) and room to read 4
+    # bytes from the start of any line
+    buf = np.frombuffer(b"".join((b"\n", data, b"\n\n\n\0")), dtype=np.uint8)
+    is_mark = buf == ord("\n")
+    is_mark |= buf == ord("|")
+    is_mark |= buf == ord("=")
+    marks = np.flatnonzero(is_mark)
+    seps = buf[marks]  # every line's separators, each line after its break
+    breaks = np.flatnonzero(seps == ord("\n"))[:count + 1]
+    before = breaks[:-1]
+    plain = ((np.diff(breaks) == 3) & (seps[before + 1] == ord("|"))
+             & (seps[before + 2] == ord("=")))
+    words = np.ndarray((len(buf) - 3,), dtype="<u4", buffer=buf, strides=(1,))
+    return plain & (words[marks[before] + 1] == _BEL_WORD)
 
 
 def parse_structure(text: str) -> BeliefStructure:
+    """The structure a file's text describes, or a `ParseError` naming the
+    first bad line (lines as `str.splitlines` splits them)."""
+    # each large intermediate is dropped once it is read: a 9-atom table is
+    # about a megabyte of text
+    lines = text.splitlines()
+    body = "\n".join(lines)
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+        lines = body.split("\n")
+    count = len(lines)
+    data = body.encode("utf-8", "surrogatepass")
+    del body
+    plain = _plain_bel_lines(data, count)
+    del data
+    others = [(row, lines[row]) for row in np.flatnonzero(~plain).tolist()]
+    # the parts of every plain `bel` line, cut at once: "bel V", "U", "value"
+    block = "\n".join(itertools.compress(lines, plain.tolist()))
+    del lines
+    block = block.replace("|", "\n").replace("=", "\n")
+    parts = block.split("\n") if block else []
+    del block
+    v_col, u_col, x_col = parts[0::3], parts[1::3], parts[2::3]
+    del parts
+    bel_rows = np.flatnonzero(plain)
+
+    # every other line on its own, in order, up to the first bad one: blank
+    # lines, the header lines and any `bel` line with other separators
     domain: Domain | None = None
     bounds: tuple[Fraction, Fraction] | None = None
     generator: tuple[dict[str, Fraction], int] | None = None  # weights, line
-    # a table repeats few distinct value literals and event tokens over many
-    # `bel` lines: each is parsed and checked once, on the first line it is
-    # on, which is also the line an error in it reports.  A literal maps to
-    # the code of its value, so spellings of one value share a code and each
-    # distinct Fraction is hashed once.
-    literals: dict[str, int] = {}
-    code_of: dict[Fraction, int] = {}  # in code order
-    events: dict[str, int] = {}
-    # the canonical pair (v, u) as the key u << n | v -> its value code and
-    # the line that last set it
-    code_at: dict[int, int] = {}
-    line_at: dict[int, int] = {}
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    error: ParseError | None = None
+    first_bel = int(bel_rows[0]) if bel_rows.size else count
+    for row, line in others:
+        line, line_no = line.strip(), row + 1
         if not line:
             continue
-        if line.startswith("bel ") and domain is not None:  # most lines
-            events_part, eq, value_part = line[len("bel "):].rpartition("=")
-            v_part, bar, u_part = events_part.partition("|")
-            if not (eq and bar):
-                raise ParseError("bel line must look like 'bel V | U = value'", line_no)
-            for part in (v_part, u_part):
-                if part not in events:
-                    events[part] = _parse_event(part, bits, line_no)
-            v, u = events[v_part], events[u_part]
-            if u == 0:
-                raise ParseError("conditioning event U must be nonempty", line_no)
-            code = literals.get(value_part)
-            if code is None:
-                try:
-                    value = parse_value(value_part.strip())
-                except ValueError as exc:
-                    raise ParseError(str(exc), line_no) from None
-                code = literals[value_part] = code_of.setdefault(value, len(code_of))
-            key = u << n | v & u
-            old = code_at.get(key, code)
-            if old != code:
-                values = list(code_of)
-                raise ParseError(
-                    f"conflicting duplicate for Bel({Event(domain, v)!r} | "
-                    f"{Event(domain, u)!r}): "
-                    f"{values[old]} (line {line_at[key]}) vs {values[code]}",
-                    line_no,
-                )
-            code_at[key] = code
-            line_at[key] = line_no
-            continue
-        if line.startswith("domain:"):
-            if domain is not None:
-                raise ParseError("duplicate domain line", line_no)
-            atoms = line[len("domain:"):].split()
-            if not atoms:
-                raise ParseError("domain line lists no atoms", line_no)
-            try:
-                domain = Domain(tuple(atoms))
-            except BeliefDomainError as exc:
-                raise ParseError(str(exc), line_no) from None
-            bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
-            n = domain.size
-            continue
         if domain is None:
-            raise ParseError("domain line must come first", line_no)
-        if line.startswith("bounds:"):
-            if bounds is not None:
-                raise ParseError("duplicate bounds line", line_no)
-            parts = line[len("bounds:"):].split()
-            if len(parts) != 2:
-                raise ParseError("bounds line needs two values", line_no)
-            try:
-                e, big_e = parse_value(parts[0]), parse_value(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            if e >= big_e:
-                raise ParseError("bounds must satisfy e < E", line_no)
-            bounds = (e, big_e)
+            if first_bel < row or not line.startswith("domain:"):
+                raise ParseError("domain line must come first", min(first_bel, row) + 1)
+            domain = _domain_line(line, line_no)
             continue
-        if line.startswith("generate "):
-            parts = line.split()
-            if len(parts) < 3 or parts[1] != "probability":
-                raise ParseError(
-                    "only 'generate probability atom=weight ...' is supported",
-                    line_no,
-                )
-            if generator is not None:
-                raise ParseError("duplicate generator directive", line_no)
-            weights: dict[str, Fraction] = {}
-            for spec in parts[2:]:
-                if "=" not in spec:
-                    raise ParseError(f"bad weight token {spec!r}", line_no)
-                name, w_text = spec.split("=", 1)
-                if name in weights:
-                    raise ParseError(f"duplicate weight for atom {name!r}", line_no)
-                try:
-                    domain.index(name)  # validates the atom name
-                    weights[name] = parse_value(w_text)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line_no) from None
-            generator = (weights, line_no)
-            continue
-        raise ParseError(f"unrecognized line: {raw.strip()!r}", line_no)
-
+        try:
+            if line.startswith("bel "):
+                events_part, eq, value_part = line.rpartition("=")
+                v_part, bar, u_part = events_part.partition("|")
+                if not (eq and bar):
+                    raise ParseError("bel line must look like 'bel V | U = value'", line_no)
+                at = int(np.searchsorted(bel_rows, row))
+                bel_rows = np.insert(bel_rows, at, row)
+                v_col.insert(at, v_part)
+                u_col.insert(at, u_part)
+                x_col.insert(at, value_part)
+            else:
+                bounds, generator = _header_line(line, line_no, domain, bounds, generator, text)
+        except ParseError as exc:
+            error = exc
+            break
     if domain is None:
+        if bel_rows.size:
+            raise ParseError("domain line must come first", first_bel + 1)
         raise ParseError("file contains no domain line")
+    bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
+    n = domain.size
     final_bounds = bounds if bounds is not None else (ZERO, ONE)
+
+    # each distinct event token and value literal is parsed once, then
+    # every `bel` line is a row of ints: its masks v and u (-1 for a bad
+    # token) and its value's rank (-1 for a bad literal)
+    key_type = np.int64 if 2 * n < 63 else object  # u << n | v fits in int64
+    masks: dict[str, int] = {}  # event token -> mask, -1 if bad
+
+    def mask(token: str) -> int:
+        if token not in masks:
+            try:
+                masks[token] = _parse_event(token, bits, None)
+            except ParseError:
+                masks[token] = -1
+        return masks[token]
+
+    # a column is dropped once it is read: a bad line's text is split out
+    # again from `text`
+    parts, which = _distinct(v_col)
+    del v_col
+    v = np.array([mask(part[len("bel "):].strip()) for part in parts], dtype=key_type)[which]
+    parts, which = _distinct(u_col)
+    del u_col
+    u = np.array([mask(part.strip()) for part in parts], dtype=key_type)[which]
+    parts, which = _distinct(x_col)
+    del x_col
+    literals: dict[str, int] = {}  # literal -> index in `parsed`, -1 if bad
+    parsed: list[Fraction] = []
+    for literal in map(str.strip, parts):
+        if literal not in literals:
+            try:
+                parsed.append(parse_value(literal))
+                literals[literal] = len(parsed) - 1
+            except ValueError:
+                literals[literal] = -1
+    values, ranks = rank_values(parsed + list(final_bounds))
+    # a bad literal's index -1 reads the -1 appended to the ranks
+    x = np.append(ranks, -1)[[literals[part.strip()] for part in parts]][which]
+
+    # the lines sorted by pair, then by line: a repeated pair must repeat
+    # its value
+    keys = u << n | v & u
+    by_pair = np.argsort(keys, kind="stable")
+    keys, codes = keys[by_pair], x[by_pair]
+    repeat = keys[1:] == keys[:-1]
+    repeats = repeat.any()
+    if (error is not None or (len(x) and min(v.min(), u.min() - 1, x.min()) < 0)
+            or repeats and (codes[1:] != codes[:-1])[repeat].any()):
+        first = _bel_error(domain, bel_rows, text, v, u, x, values)
+        if first is not None and (error is None or first.line_no < error.line_no):
+            error = first
+        raise error
+    if repeats:
+        keep = np.concatenate(([True], ~repeat))
+        keys, codes = keys[keep], codes[keep]
 
     weight_list: list[Fraction] | None = None
     if generator is not None:
@@ -215,7 +261,7 @@ def parse_structure(text: str) -> BeliefStructure:
         if sum(weight_list) != 1:
             raise ParseError("generator weights must sum to 1", gen_line)
 
-    if weight_list is not None and not code_at:
+    if weight_list is not None and not keys.size:
         # Directive-only file: keep the lazy weight backing.
         return BeliefStructure.from_weights(domain, weight_list, bounds=final_bounds)
 
@@ -228,23 +274,122 @@ def parse_structure(text: str) -> BeliefStructure:
     try:
         if weight_list is not None:
             table = BeliefStructure.from_weights(domain, weight_list).as_table()
-            values = list(code_of)
             full = domain.full_mask
-            table.update({(k & full, k >> n): values[c] for k, c in code_at.items()})
+            table.update({(k & full, k >> n): values[c]
+                          for k, c in zip(keys.tolist(), codes.tolist())})
             return BeliefStructure.from_table(domain, table, bounds=final_bounds)
-        pos = pair_positions(domain, code_at)
+        order = canonical_order(domain, keys)
     except BeliefDomainError as exc:  # the table is incomplete or too large
         raise ParseError(str(exc)) from None
-    for x in final_bounds:
-        code_of.setdefault(x, len(code_of))
-    ranked, rank_of_code = rank_codes(code_of)
-    pair_rank = np.empty(len(pos), dtype=np.int32)
-    pair_rank[pos] = np.array(rank_of_code, dtype=np.int32)[
-        np.fromiter(code_at.values(), dtype=np.int32, count=len(code_at))
-    ]
-    e, big_e = (rank_of_code[code_of[x]] for x in final_bounds)
-    index = ValueIndex(tuple(ranked), e, big_e, n, pair_rank)
+    pair_rank = codes[order].astype(np.int32)
+    e, big_e = ranks[-2:].tolist()
+    index = ValueIndex(tuple(values), e, big_e, n, pair_rank)
     return BeliefStructure.from_table(domain, index, bounds=final_bounds)
+
+
+def _distinct(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct parts of `column`, in the order they first appear, and
+    the index of every line's part among them."""
+    index: dict[str, int] = collections.defaultdict(itertools.count().__next__)
+    which = np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+    return list(index), which
+
+
+def _domain_line(line: str, line_no: int) -> Domain:
+    atoms = line[len("domain:"):].split()
+    if not atoms:
+        raise ParseError("domain line lists no atoms", line_no)
+    try:
+        return Domain(tuple(atoms))
+    except BeliefDomainError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+def _header_line(line, line_no, domain, bounds, generator, text):
+    """Read a stripped line after the domain line that is no `bel` line
+    into (bounds, generator), or raise its `ParseError`."""
+    if line.startswith("domain:"):
+        raise ParseError("duplicate domain line", line_no)
+    if line.startswith("bounds:"):
+        if bounds is not None:
+            raise ParseError("duplicate bounds line", line_no)
+        parts = line[len("bounds:"):].split()
+        if len(parts) != 2:
+            raise ParseError("bounds line needs two values", line_no)
+        try:
+            e, big_e = parse_value(parts[0]), parse_value(parts[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        if e >= big_e:
+            raise ParseError("bounds must satisfy e < E", line_no)
+        return (e, big_e), generator
+    if line.startswith("generate "):
+        parts = line.split()
+        if len(parts) < 3 or parts[1] != "probability":
+            raise ParseError(
+                "only 'generate probability atom=weight ...' is supported",
+                line_no,
+            )
+        if generator is not None:
+            raise ParseError("duplicate generator directive", line_no)
+        weights: dict[str, Fraction] = {}
+        for spec in parts[2:]:
+            if "=" not in spec:
+                raise ParseError(f"bad weight token {spec!r}", line_no)
+            name, w_text = spec.split("=", 1)
+            if name in weights:
+                raise ParseError(f"duplicate weight for atom {name!r}", line_no)
+            try:
+                domain.index(name)  # validates the atom name
+                weights[name] = parse_value(w_text)
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
+        return bounds, (weights, line_no)
+    raw = text.splitlines()[line_no - 1]
+    raise ParseError(f"unrecognized line: {raw.strip()!r}", line_no)
+
+
+def _bel_error(domain, rows, text, v, u, x, values) -> ParseError | None:
+    """The error of the first bad `bel` line of `text`, if any.  The i-th
+    `bel` line is on row `rows[i]` and has masks v[i] and u[i] (-1 for a bad
+    event) and value rank x[i] (-1 for a bad literal).  A line is bad for a
+    bad token or an empty condition, or for a value other than the one of
+    its pair's earlier lines."""
+    n = domain.size
+    bad = (v < 0) | (u <= 0) | (x < 0)
+    stop = int(np.argmax(bad)) if bad.any() else len(bad)  # the lines before are good
+    keys = (u << n | v & u)[:stop]
+    by_pair = np.argsort(keys, kind="stable")
+    keys, codes = keys[by_pair], x[by_pair]
+    # where the value changes within a pair, the line clashes with the one
+    # before it in the pair, which holds the pair's first value
+    clash = np.flatnonzero((keys[1:] == keys[:-1]) & (codes[1:] != codes[:-1])) + 1
+    if clash.size:
+        at = int(clash[np.argmin(by_pair[clash])])
+        i, before = int(by_pair[at]), int(by_pair[at - 1])
+        return ParseError(
+            f"conflicting duplicate for Bel({Event(domain, int(v[i]))!r} | "
+            f"{Event(domain, int(u[i]))!r}): {values[x[before]]} "
+            f"(line {rows[before] + 1}) vs {values[x[i]]}",
+            int(rows[i]) + 1,
+        )
+    if stop == len(bad):
+        return None
+    line_no = int(rows[stop]) + 1
+    line = text.splitlines()[line_no - 1].split("#", 1)[0].strip()
+    events_part, _, value_part = line[len("bel "):].rpartition("=")
+    v_part, _, u_part = events_part.partition("|")
+    bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
+    try:  # the line's checks again, in the order its parts are written
+        _parse_event(v_part, bits, line_no)
+        if _parse_event(u_part, bits, line_no) == 0:
+            return ParseError("conditioning event U must be nonempty", line_no)
+        parse_value(value_part.strip())
+    except ParseError as exc:
+        return exc
+    except ValueError as exc:
+        return ParseError(str(exc), line_no)
+    raise AssertionError(f"line {line_no} has no error")
 
 
 def serialize_structure(structure: BeliefStructure) -> str:

@@ -17,7 +17,9 @@ from typing import NamedTuple, Sequence
 import mpmath
 import numpy as np
 
-from .core import ZERO, ONE, BeliefStructure, Event, intern_values, submask_table
+from .core import (
+    ZERO, ONE, BeliefStructure, Event, intern_values, rank_values, submask_table,
+)
 
 NEGATION_CATALOG = ("linear-complement",)
 COMBINATION_CATALOG = ("product", "minimum", "hamacher")
@@ -188,7 +190,7 @@ def _size_ranks(structure: BeliefStructure):
     """
     n, k = structure.domain.size, structure.exponent
     sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
-    values, ranks = intern_values(
+    values, ranks = rank_values(
         [Fraction(j, m) ** k for j, m in sizes] + list(structure.bounds)
     )
     size_rank = np.zeros((n + 1, n + 1), dtype=np.int64)

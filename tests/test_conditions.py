@@ -131,6 +131,26 @@ class TestGap:
         d = Domain(tuple(f"x{i}" for i in range(len(ws))))
         assert par5_gap(gen_probability(d, ws)) > 0
 
+    @given(small_weights(), st.sampled_from([(F(0), F(1)), (F(1, 4), F(3, 4)),
+                                             (F(-1), F(1, 3)), (F(2, 3), F(2))]),
+           st.sampled_from(["conditional", "unconditional"]))
+    def test_gap_matches_the_midpoint_formula(self, ws, bounds, kind):
+        # bounds that cut off attained values put midpoints outside (e, E)
+        d = Domain(tuple(f"x{i}" for i in range(len(ws))))
+        b = gen_probability(d, ws).map_values(lambda v: v, bounds=bounds)
+        e, big_e = bounds
+        values = b.attained(kind)
+
+        def dist(alpha):
+            return min(abs(alpha - v) for v in values)
+
+        half_spacing = max(
+            ((v2 - v1) / 2 for v1, v2 in zip(values, values[1:])
+             if e < (v1 + v2) / 2 < big_e),
+            default=F(0),
+        )
+        assert par5_gap(b, kind) == max(dist(e), dist(big_e), half_spacing)
+
     def test_gap_weakly_decreases_under_coin_extension(self):
         ext = coin_extend(Domain(("a", "b")), [F(1, 3), F(2, 3)], 2)
         assert par5_gap(ext.extended) <= par5_gap(ext.base)

@@ -12,9 +12,11 @@ from coxcheck.core import (
     BeliefStructure,
     Domain,
     EmptyConditionError,
+    intern_values,
+    rank_values,
     submask_table,
 )
-from coxcheck.files import load_structure
+from coxcheck.files import load_structure, parse_value
 from coxcheck.isomorphism import decide, verify_witness
 
 from conftest import FIXTURES
@@ -207,6 +209,76 @@ def index_fixtures():
         load_structure(p) for p in sorted(FIXTURES.glob("*.bel"))
         if not p.name.startswith("bad_parse")
     ]
+
+
+def sorted_ranking(xs):
+    """The ranking oracle: `sorted()` of the distinct values, and the
+    position of each x there."""
+    values = sorted(set(xs))
+    rank = {x: r for r, x in enumerate(values)}
+    return values, [rank[x] for x in xs]
+
+
+HUGE = 10 ** 999  # 1000 digits: far beyond the float range
+
+#: Values a float-first sort could get wrong, in kinds that tie in floats.
+AWKWARD_VALUES = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    # distinct values with the float of 1/3
+    st.integers(-3, 3).map(lambda k: F(1, 3) + F(k, 10 ** 30)),
+    # literals of 1000 digits, which overflow a float either way
+    st.integers(-3, 3).map(lambda k: F(HUGE + k)),
+    st.integers(-3, 3).map(lambda k: -F(HUGE + k, 7)),
+    st.integers(1, 4).map(lambda k: F(HUGE, HUGE // 3 + k)),  # about 3, huge terms
+    # denormal floats and values that underflow to 0.0 or -0.0
+    st.integers(1, 4).map(lambda k: F(k, 10 ** 310)),
+    st.integers(1, 4).map(lambda k: F(-k, 10 ** 330)),
+    st.integers(1, 4).map(lambda k: F(k * 2 ** 60, 10 ** 330)),
+    # one value in several spellings
+    st.sampled_from(["1/2", "2/4", "0.5", "5e-1", "0", "-0", "0.0", "1/3", "2/6",
+                     "-1/3", "-2/6"]).map(parse_value),
+)
+
+
+class TestRankValues:
+    """The float-first ranking against `sorted()`."""
+
+    @given(st.lists(AWKWARD_VALUES, max_size=40))
+    def test_matches_sorted(self, xs):
+        values, ranks = rank_values(xs)
+        assert (values, ranks.tolist()) == sorted_ranking(xs)
+        assert ranks.dtype == np.int64
+        assert intern_values(iter(xs)) == sorted_ranking(xs)
+
+    def test_every_awkward_kind_at_once(self):
+        third = F(1, 3)
+        assert float(third) == float(third + F(1, 10 ** 30))
+        xs = [F(HUGE + 1), -F(HUGE), F(1, 10 ** 320), F(-1, 10 ** 330), third,
+              third + F(1, 10 ** 30), third - F(1, 10 ** 30), F(0), F(2, 6),
+              parse_value("0.5"), parse_value("1/2"), F(HUGE), -F(HUGE, 3), F(-1, 3)]
+        values, ranks = rank_values(xs)
+        assert (values, ranks.tolist()) == sorted_ranking(xs)
+        assert len(values) == len(xs) - 2  # 2/6 is 1/3, and 0.5 is 1/2
+
+    def test_the_first_of_equal_values_stands_for_them(self):
+        a, b = F(1, 2), F(2, 4)
+        assert a is not b
+        values, _ = rank_values([F(1, 3), a, b])
+        assert values[1] is a
+
+    def test_no_fraction_is_hashed(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Fraction was hashed")
+
+        xs = [F(k % 7, 3) for k in range(50)] + [F(HUGE), F(1, 3) + F(1, 10 ** 30)]
+        expected = sorted_ranking(xs)
+        monkeypatch.setattr(F, "__hash__", refuse)
+        values, ranks = rank_values(xs)
+        assert (values, ranks.tolist()) == expected
+
+    def test_nothing_to_rank(self):
+        values, ranks = rank_values([])
+        assert values == [] and ranks.tolist() == []
 
 
 class TestValueIndex:

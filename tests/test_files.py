@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcheck import core, files
-from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, intern_values
+from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import (
+    EXPANSION_ATOM_LIMIT,
     ParseError,
     parse_structure,
     parse_value,
@@ -15,6 +16,192 @@ from coxcheck.files import (
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 
 from conftest import FIXTURES
+
+
+# -- oracle: the per-line parse loop the bulk pass replaced ----------------------
+
+
+def oracle_value(text):
+    """`parse_value` without its shortcut for digit literals."""
+    too_long = len(text) > files.LITERAL_DIGIT_LIMIT and (
+        sum(ch.isdigit() for ch in text) > files.LITERAL_DIGIT_LIMIT
+    )
+    exponent = files._EXPONENT.search(text)
+    if too_long or (exponent and int(exponent.group(1)) > files.LITERAL_DIGIT_LIMIT):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValueError(
+            f"rational literal has over {files.LITERAL_DIGIT_LIMIT} digits or an "
+            f"exponent over {files.LITERAL_DIGIT_LIMIT}: {shown!r}"
+        )
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational literal: {text!r}") from None
+
+
+def oracle_event(token, bits, line_no):
+    """`_parse_event` with a step per atom name."""
+    token = token.strip()
+    if token == "*":
+        return (1 << len(bits)) - 1
+    if not (token.startswith("{") and token.endswith("}")):
+        raise ParseError(f"event must be '*' or brace-enclosed: {token!r}", line_no)
+    names = token[1:-1].split()
+    if len(set(names)) != len(names):
+        raise ParseError(f"event lists an atom twice: {token!r}", line_no)
+    mask = 0
+    for name in names:
+        if name not in bits:
+            raise ParseError(f"unknown atom {name!r}", line_no)
+        mask |= bits[name]
+    return mask
+
+
+def oracle_parse_structure(text):
+    """One step per line, in order: the first bad line raises."""
+    domain = bounds = generator = None
+    literals, code_of, events = {}, {}, {}  # code_of: value -> code, in code order
+    code_at, line_at = {}, {}  # u << n | v -> value code, and the line that set it
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("bel ") and domain is not None:
+            events_part, eq, value_part = line[len("bel "):].rpartition("=")
+            v_part, bar, u_part = events_part.partition("|")
+            if not (eq and bar):
+                raise ParseError("bel line must look like 'bel V | U = value'", line_no)
+            for part in (v_part, u_part):
+                if part not in events:
+                    events[part] = oracle_event(part, bits, line_no)
+            v, u = events[v_part], events[u_part]
+            if u == 0:
+                raise ParseError("conditioning event U must be nonempty", line_no)
+            code = literals.get(value_part)
+            if code is None:
+                try:
+                    value = oracle_value(value_part.strip())
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
+                code = literals[value_part] = code_of.setdefault(value, len(code_of))
+            key = u << n | v & u
+            old = code_at.get(key, code)
+            if old != code:
+                values = list(code_of)
+                raise ParseError(
+                    f"conflicting duplicate for Bel({Event(domain, v)!r} | "
+                    f"{Event(domain, u)!r}): "
+                    f"{values[old]} (line {line_at[key]}) vs {values[code]}",
+                    line_no,
+                )
+            code_at[key] = code
+            line_at[key] = line_no
+            continue
+        if line.startswith("domain:"):
+            if domain is not None:
+                raise ParseError("duplicate domain line", line_no)
+            atoms = line[len("domain:"):].split()
+            if not atoms:
+                raise ParseError("domain line lists no atoms", line_no)
+            try:
+                domain = Domain(tuple(atoms))
+            except BeliefDomainError as exc:
+                raise ParseError(str(exc), line_no) from None
+            bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
+            n = domain.size
+            continue
+        if domain is None:
+            raise ParseError("domain line must come first", line_no)
+        if line.startswith("bounds:"):
+            if bounds is not None:
+                raise ParseError("duplicate bounds line", line_no)
+            parts = line[len("bounds:"):].split()
+            if len(parts) != 2:
+                raise ParseError("bounds line needs two values", line_no)
+            try:
+                e, big_e = oracle_value(parts[0]), oracle_value(parts[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if e >= big_e:
+                raise ParseError("bounds must satisfy e < E", line_no)
+            bounds = (e, big_e)
+            continue
+        if line.startswith("generate "):
+            parts = line.split()
+            if len(parts) < 3 or parts[1] != "probability":
+                raise ParseError(
+                    "only 'generate probability atom=weight ...' is supported", line_no
+                )
+            if generator is not None:
+                raise ParseError("duplicate generator directive", line_no)
+            weights = {}
+            for spec in parts[2:]:
+                if "=" not in spec:
+                    raise ParseError(f"bad weight token {spec!r}", line_no)
+                name, w_text = spec.split("=", 1)
+                if name in weights:
+                    raise ParseError(f"duplicate weight for atom {name!r}", line_no)
+                try:
+                    domain.index(name)
+                    weights[name] = oracle_value(w_text)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
+            generator = (weights, line_no)
+            continue
+        raise ParseError(f"unrecognized line: {raw.strip()!r}", line_no)
+
+    if domain is None:
+        raise ParseError("file contains no domain line")
+    bounds = bounds or (F(0), F(1))
+    weight_list = None
+    if generator is not None:
+        weights, gen_line = generator
+        missing = [a for a in domain.atoms if a not in weights]
+        if missing:
+            raise ParseError(f"generator missing weights for {missing}", gen_line)
+        weight_list = [weights[a] for a in domain.atoms]
+        if any(w <= 0 for w in weight_list):
+            raise ParseError("generator weights must be strictly positive", gen_line)
+        if sum(weight_list) != 1:
+            raise ParseError("generator weights must sum to 1", gen_line)
+    if weight_list is not None and not code_at:
+        return BeliefStructure.from_weights(domain, weight_list, bounds=bounds)
+    if weight_list is not None and n > EXPANSION_ATOM_LIMIT:
+        raise ParseError(
+            "generator expansion with explicit overrides is capped at "
+            f"{EXPANSION_ATOM_LIMIT} atoms"
+        )
+    values = list(code_of)
+    table = {(k & domain.full_mask, k >> n): values[c] for k, c in code_at.items()}
+    if weight_list is not None:
+        table = BeliefStructure.from_weights(domain, weight_list).as_table() | table
+    elif n > core.ENUMERATION_ATOM_LIMIT:
+        raise ParseError(f"explicit tables capped at {core.ENUMERATION_ATOM_LIMIT} atoms")
+    else:
+        missing = [vu for vu in canonical_pairs(n) if vu not in table]
+        if missing:
+            v, u = missing[0]
+            raise ParseError(
+                f"incomplete table: {len(missing)} missing pairs, "
+                f"first Bel({Event(domain, v)!r} | {Event(domain, u)!r})"
+            )
+    return BeliefStructure.from_table(domain, table, bounds=bounds)
+
+
+def outcome(parse, text):
+    """What `parse(text)` gives: the structure's domain, bounds, backing and
+    table, or the message of its `ParseError`."""
+    try:
+        b = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    if b.is_weight_backed:
+        return b.domain, b.bounds, b.weights
+    return b.domain, b.bounds, b.as_table()
+
+
+def assert_parsed_as_by_the_loop(text):
+    assert outcome(parse_structure, text) == outcome(oracle_parse_structure, text)
 
 
 TWO_MISSING_FIRST_B_GIVEN_B = (
@@ -36,6 +223,16 @@ class TestValues:
     def test_huge_literals_rejected_before_building_them(self, text):
         with pytest.raises(ValueError, match="over 1000 digits"):
             parse_value(text)
+
+    @given(st.lists(st.sampled_from("0123456789/٣ ."), max_size=8).map("".join))
+    def test_digit_literals_read_as_fraction_reads_them(self, text):
+        def read(parse):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                return str(exc)
+
+        assert read(parse_value) == read(oracle_value)
 
     def test_literals_at_the_limit_are_exact(self):
         assert parse_value("1e1000") == 10 ** 1000
@@ -154,6 +351,14 @@ class TestParse:
         parse_structure(FIXTURES.joinpath("three_atoms.bel").read_text())
         assert built == []
 
+    def test_parsing_a_table_hashes_no_fraction(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Fraction was hashed")
+
+        text = FIXTURES.joinpath("three_atoms.bel").read_text() + "bel {a} | {a b} = 2/6\n"
+        monkeypatch.setattr(F, "__hash__", refuse)
+        assert parse_structure(text).bel_masks(0b001, 0b011) == F(1, 3)
+
     def test_each_distinct_token_is_parsed_once(self, monkeypatch):
         literals, events = [], []
         original_value, original_event = files.parse_value, files._parse_event
@@ -257,11 +462,18 @@ def canonical_pairs(n):
                 yield v, u
 
 
+def oracle_intern(xs):
+    """`sorted()` of the distinct values, and the position of each x there."""
+    values = sorted(set(xs))
+    rank = {x: r for r, x in enumerate(values)}
+    return values, [rank[x] for x in xs]
+
+
 def oracle_value_index(n, table, bounds):
     """The sorted values, e, E and canonical-order ranks of a dict table,
     interned in one walk over the canonical pairs."""
     entries = [table[v, u] for v, u in canonical_pairs(n)]
-    values, ranks = intern_values(entries + list(bounds))
+    values, ranks = oracle_intern(entries + list(bounds))
     return tuple(values), ranks[-2], ranks[-1], ranks[:-2]
 
 
@@ -344,10 +556,19 @@ class TestFromTableChecks:
         with pytest.raises(ValueError, match=message):
             BeliefStructure.from_table(Domain(("a", "b")), table)
 
-    def test_a_key_outside_the_domain_names_no_pair(self):
+    @pytest.mark.parametrize("key", [(0b100, 0b100), (0b001, 0b101), (0b100, 0b001),
+                                     (-1, 0b11), (0b01, -1)])
+    def test_a_key_outside_the_domain_is_refused(self, key):
+        table = self.full() | {key: F(7)}
+        with pytest.raises(BeliefDomainError, match=r"^table key \(v=-?\d+, u=-?\d+\) "
+                                                    r"outside the domain$"):
+            BeliefStructure.from_table(Domain(("a", "b")), table)
+
+    def test_a_key_outside_the_domain_is_reported_after_completeness(self):
         table = self.full() | {(0b100, 0b100): F(7)}
-        b = BeliefStructure.from_table(Domain(("a", "b")), table)
-        assert b.value_index().values == (F(0), F(1, 2), F(1))
+        del table[0, 1]
+        with pytest.raises(BeliefDomainError, match="^incomplete table: 1 missing"):
+            BeliefStructure.from_table(Domain(("a", "b")), table)
 
     @pytest.mark.parametrize("n", [13, 70])
     def test_above_the_atom_cap(self, n):
@@ -372,6 +593,7 @@ class TestRoundTrip:
         again = parse_structure(text)
         assert again == b
         assert serialize_structure(again) == text
+        assert_parsed_as_by_the_loop(text)
 
     def test_corpus_files_round_trip(self):
         for path in sorted(FIXTURES.glob("*.bel")):
@@ -421,22 +643,101 @@ def fixture_with_inserted_line(draw):
     return "\n".join(lines) + "\n"
 
 
+THREE_ATOMS = FIXTURES.joinpath("three_atoms.bel").read_text(encoding="utf-8")
+
+
+def with_line(line, at=5):
+    """`fixtures/three_atoms.bel` with `line` inserted before its line
+    `at` + 1; its line 8 sets Bel({a} | {a b}) to 1/3."""
+    lines = THREE_ATOMS.splitlines()
+    lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def spelled_out(atoms, table, bounds=(0, 1), sep=" "):
+    """A table file over `atoms` with the given separator around tokens."""
+    def event(mask):
+        return "{%s}" % " ".join(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+    lines = [f"domain: {' '.join(atoms)}", f"bounds: {bounds[0]} {bounds[1]}"]
+    lines += [f"bel {event(v)}{sep}|{sep}{event(u)}{sep}={sep}{x}"
+              for (v, u), x in table.items()]
+    return "\n".join(lines) + "\n"
+
+
+def half_table(n):
+    return {vu: F(1, 2) for vu in canonical_pairs(n)}
+
+
+EDGE_TEXTS = {
+    "two-bars": with_line("bel {a} | {b} | {a b} = 1/2"),
+    "equals-in-value": with_line("bel {a} | {a b} = 1=3"),
+    "mid-line-comment": with_line("bel {a} | {a b} = 1/3  # the same value"),
+    "comment-hides-value": with_line("bel {a} | {a b} # = 1/3"),
+    "comment-only-lines": with_line("# bel {a} | {a b} = 1/2"),
+    "crlf": THREE_ATOMS.replace("\n", "\r\n"),
+    "cr": THREE_ATOMS.replace("\n", "\r"),
+    "vertical-tab-break": with_line("bel {a} | {a b} = 1/3\vbel {a} | {a b} = 1/2"),
+    "form-feed-break": with_line("bel {b} | {a b} = 2/3\fbel {b} | {a b} = 1/2"),
+    "unicode-breaks": with_line("bel {a} | {a b} = 1/3\x85bel {a} | {a b} = 1/2\u2028"),
+    "bel-before-domain": "bel {a} | * = 1\n" + THREE_ATOMS,
+    "blank-then-bel-before-domain": "\n \nbel {a} | * = 1\ndomain: a\n",
+    "only-blank-lines": "\n  \n\t\n",
+    "empty": "",
+    "only-comments": "# nothing\n  # here\n",
+    "tab-after-bel": with_line("bel\t{a} | {a b} = 1/3"),
+    "tabs-around-tokens": with_line("bel {a}\t|\t{a b}\t=\t1/3"),
+    "tab-indented": with_line("\tbel {a} | {a b} = 2/6"),
+    "tab-indented-conflict": with_line("\tbel {a} | {a b} = 1/2"),
+    "wide-space-indented": with_line("\u3000bel {a} | {a b} = 1/2"),
+    "no-break-space-after-value": with_line("bel {a} | {a b} = 2/6\u00a0"),
+    "unit-separator-after-value": with_line("bel {a} | {a b} = 2/6\x1f"),
+    "lone-surrogate": with_line("bel {a} | {a b} = 1/3\ud800"),
+    "bel-alone": with_line("bel "),
+    "bel-bar-equals": with_line("bel |="),
+    "bel-no-bar": with_line("bel {a} = 1/3"),
+    "bar-after-value": with_line("bel {a} = 1 | {a}"),
+    "empty-condition-and-bad-value": with_line("bel {a} | {} = x"),
+    "bounds-after-a-bad-line": with_line("bel {z} | * = 1") + "bounds: 1 0\n",
+    "bad-bounds-before-a-bad-line": with_line("bounds: 1 0", 1) + "bel {z} | * = 1\n",
+    "generator-after-table": THREE_ATOMS + "generate probability a=1/3 b=1/3 c=1/3\n",
+    "conflict-after-same-value-spellings": with_line("bel {a} | {a b} = 2/6", 9)
+    + "bel {a} | {a b} = 0.5\n",
+    "unicode-digits": with_line("bel {a} | {a b} = \u0661/\u0663"),
+    "equals-in-atom-names": spelled_out(("p=q", "r"), half_table(2)),
+    "bar-in-atom-name-of-v": spelled_out(("x|y", "r"), half_table(2)),
+    "tab-separated": spelled_out(("a", "b"), half_table(2), sep="\t"),
+    "no-spaces": spelled_out(("a", "b"), half_table(2), sep=""),
+    "every-line-indented": "".join(f"  {line}\n" for line in THREE_ATOMS.splitlines()),
+    "blank-and-comment-lines-between": THREE_ATOMS.replace("\n", "\n\n# c\n", 9),
+    "13-atom-conflict": "domain: " + " ".join(f"x{i}" for i in range(13))
+    + "\nbel {x12} | * = 1/2\nbel {x12} | * = 1/3\n",
+    "40-atom-conflict": "domain: " + " ".join(f"x{i}" for i in range(40))
+    + "\nbel {x39} | * = 1/2\nbel {x0} | * = 1\nbel {x39} | * = 1/3\n",
+    "40-atom-bad-value": "domain: " + " ".join(f"x{i}" for i in range(40))
+    + "\nbel {x39} | * = 1/2\nbel {x39} | * = 1/0\n",
+    "70-atom-table": "domain: " + " ".join(f"x{i}" for i in range(70))
+    + "\nbel {x69} | * = 1/2\nbel {x69} | * = 2/4\n",
+}
+
+
 class TestHostileText:
+    """The bulk pass against the per-line loop: equal structures, or the
+    same `ParseError` message (line number included)."""
+
+    @pytest.mark.parametrize("name", EDGE_TEXTS)
+    def test_tokenization_edge_cases(self, name):
+        assert_parsed_as_by_the_loop(EDGE_TEXTS[name])
+
     @settings(max_examples=300, deadline=None)
     @given(soup_texts())
     def test_token_soup_raises_only_parse_errors(self, text):
-        try:
-            parse_structure(text)
-        except ParseError:
-            pass
+        assert_parsed_as_by_the_loop(text)
 
     @settings(max_examples=300, deadline=None)
     @given(fixture_with_inserted_line())
     def test_fixture_with_an_inserted_line_raises_only_parse_errors(self, text):
-        try:
-            parse_structure(text)
-        except ParseError:
-            pass
+        assert_parsed_as_by_the_loop(text)
 
 
 @st.composite
@@ -457,4 +758,6 @@ class TestGeneratedRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(small_structures())
     def test_parse_of_serialize_is_identity(self, b):
-        assert parse_structure(serialize_structure(b)) == b
+        text = serialize_structure(b)
+        assert parse_structure(text) == b
+        assert_parsed_as_by_the_loop(text)
