@@ -15,6 +15,8 @@ builds the jobs there:
   diffed too
 - a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
   extraction and associativity join span many chunks
+- a `check` run of a uniform 70-atom `generate probability` file and of a
+  9-atom table (`write_wide`)
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
   small coin family it writes there, and `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`).
@@ -125,6 +127,11 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
             jobs.append({"id": f"{sub}/large/{path.name}",
                          "argv": [sub, str(path), "--json", str(report)],
                          "report": str(report)})
+    for path in write_wide(tmp / "wide", beltables):
+        report = reports / f"check-wide-{path.stem}.json"
+        jobs.append({"id": f"check/wide/{path.name}",
+                     "argv": ["check", str(path), "--json", str(report)],
+                     "report": str(report)})
     for name, argv in DECIDE_OPTION_CASES.items():
         report = reports / f"decide-options-{name}.json"
         jobs.append({"id": f"decide/options/{name}",
@@ -201,6 +208,31 @@ def write_large(out: Path, beltables) -> list[Path]:
         path.write_text(beltables.table_text(n, table, (0, 1)), encoding="utf-8")
         paths.append(path)
     return paths
+
+
+def write_wide(out: Path, beltables) -> list[Path]:
+    """A uniform 70-atom `generate probability` file, which extraction reads
+    by event sizes, with witness masks wider than 64 bits, and the 9-atom
+    probability of weights 15, 20, 12, 9, 5, 6, 28, 22, 1 through v ↦ v³
+    (95,436 F keys)."""
+    out.mkdir()
+    atoms = [f"x{i}" for i in range(70)]
+    uniform = out / "uniform-70.bel"
+    uniform.write_text(
+        f"domain: {' '.join(atoms)}\n"
+        f"generate probability {' '.join(f'{a}=1/70' for a in atoms)}\n",
+        encoding="utf-8")
+    table = beltables.relabelled_table(
+        beltables.normalized([15, 20, 12, 9, 5, 6, 28, 22, 1]), "power3")
+
+    def event(mask):  # beltables names at most 8 atoms
+        return "{" + " ".join(atoms[i] for i in range(9) if mask >> i & 1) + "}"
+    nine = out / "probability-power3-9.bel"
+    nine.write_text(
+        f"domain: {' '.join(atoms[:9])}\n"
+        + "".join(f"bel {event(v)} | {event(u)} = {x}\n" for (v, u), x in table.items()),
+        encoding="utf-8")
+    return [uniform, nine]
 
 
 #: One line per parse error the parser reports on a token or a line, and

@@ -174,7 +174,7 @@ def _cmd_check(args, argv) -> int:
                        extract_combination(structure).describe(structure.domain)))
     else:
         checks.append(("combination-extraction", "pass",
-                       f"single-valued on {len(combination.table)} argument pairs"))
+                       f"single-valued on {len(combination.keys)} argument pairs"))
         chain = chain_consistency(structure)
         checks.append(("chain-consistency", chain.status, chain.detail))
     neg_identity = bel_level_negation(structure, negation)

@@ -11,7 +11,6 @@ instances whose four table entries come from different chains.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -471,23 +470,19 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(keys[at] == wanted, at, -1)
 
 
-def associativity_join(table: dict, width: int, endpoints) -> tuple:
+def associativity_join(keys: np.ndarray, outs: np.ndarray, width: int, endpoints) -> tuple:
     """(instances, nontrivial, failure) of F(F(x,y),z) = F(x,F(y,z)) over a
-    ranked F `table` {(x, y): out} whose ranks are below `width`.
+    ranked F: the sorted int64 keys x·width + y of its entries and their
+    output ranks `outs`, all ranks below `width`.
 
     An instance is an (x, y, z) with (x, y), (y, z), (x, p) and (q, z) all
     in the table, for p = F(y,z) and q = F(x,y); it is nontrivial unless all
-    seven ranks are `endpoints`.  The join runs on the sorted keys x·width
-    + y, in chunks of (x, y) entries, in the order of a loop over sorted
-    (x, y) and then z.  It stops at the first instance with r = F(x,p) ≠
-    s = F(q,z), counts instances up to that one, and returns its
-    (x, y, z, p, q) as `failure`; `failure` is None when all agree.
+    seven ranks are `endpoints`.  The join runs in chunks of (x, y)
+    entries, in the order of a loop over sorted (x, y) and then z.  It
+    stops at the first instance with r = F(x,p) ≠ s = F(q,z), counts
+    instances up to that one, and returns its (x, y, z, p, q) as `failure`;
+    `failure` is None when all agree.
     """
-    keys = np.fromiter(itertools.chain.from_iterable(table), np.int64, 2 * len(table))
-    keys = keys[0::2] * width + keys[1::2]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]  # sorted(table) order
-    outs = np.fromiter(table.values(), np.int64, len(table))[order]
     xs, ys = keys // width, keys % width
     endpoint = np.zeros(width, dtype=bool)
     endpoint[list(endpoints)] = True
@@ -530,22 +525,23 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     of the loop over sorted (x, y) and then z: it stops at the chunk holding
     the first r ≠ s and counts instances up to that one.
     """
-    values, table, witnesses, clash = combination_ranks(structure)
-    if clash is not None:
+    f = combination_ranks(structure)
+    if f.clash is not None:
         conflict = extract_combination(structure)
         return ChainConsistencyReport(
             "untestable", False, 0, 0, None,
             f"combination extraction conflict: {conflict.describe(structure.domain)}",
         )
+    values, width = f.values, len(f.values)
     endpoints = [bisect.bisect_left(values, t) for t in structure.bounds]
-    instances, nontrivial, failure = associativity_join(table, len(values), endpoints)
+    instances, nontrivial, failure = associativity_join(f.keys, f.outs, width, endpoints)
     if failure is not None:
         x, y, z, p, q = failure
         # inner_right, inner_left, outer_left, outer_right
-        entries = (
-            ((values[a], values[b]), values[table[a, b]], witnesses[a, b])
-            for a, b in ((y, z), (x, y), (x, p), (q, z))
-        )
+        args = ((y, z), (x, y), (x, p), (q, z))
+        found = f.entries([a * width + b for a, b in args])
+        entries = (((values[a], values[b]), values[out], witness)
+                   for (a, b), (out, witness) in zip(args, found))
         certificate = ChainCertificate((values[x], values[y], values[z]), *entries)
         return ChainConsistencyReport(
             "fail", False, instances, nontrivial, certificate,

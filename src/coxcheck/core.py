@@ -18,7 +18,6 @@ numpy gathers.  A weight-backed structure builds the same index on demand.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -684,10 +683,6 @@ class BeliefStructure:
                         continue
                     for u4 in sorted(_submasks_desc(u3)):
                         yield u1, u2, u3, u4
-
-    def chains(self) -> Iterator[ChainQuadruple]:
-        """`chain_masks()` with the six values of each chain."""
-        return itertools.starmap(self._make_chain, self.chain_masks())
 
     def _make_chain(self, u1: int, u2: int, u3: int, u4: int) -> ChainQuadruple:
         d = self._domain

@@ -9,11 +9,10 @@ high-precision floats (mpmath) take over.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 import mpmath
 import numpy as np
 
@@ -222,124 +221,142 @@ def row_chunks(lengths):
         r0, size = r1, min(2 * size, CHUNK_CAP)
 
 
-def _negation_chunks(structure: BeliefStructure):
-    """(values, None, chunks): the ranked value list, no key width, and per
-    chunk the A1 instances as arrays (rank of x, rank of S(x)) with a
-    function from chunk positions to their (v,u) witnesses."""
+def row_positions(lengths, index):
+    """Row and position in its row of each instance `index`, for rows of
+    the given lengths: the numbering that `row_chunks` walks."""
+    starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    row = starts.searchsorted(index, "right") - 1
+    return row, index - starts[row]
+
+
+class InstanceLayout(NamedTuple):
+    """The A1 or A2 instances of a structure as rows of `lengths` instances,
+    in canonical order.  For arrays of rows and of positions in them,
+    `read(row, pos)` gives the instances' keys (rank x, or x·V + y for the
+    ranks (x, y), V = len(values)), their output ranks, and a function
+    that lists their (v,u) or (b,a,u) witnesses as tuples of int masks."""
+
+    values: Sequence[Fraction]
+    lengths: np.ndarray
+    read: Callable
+
+
+def _prefixes(*sizes) -> list:
+    """Per instance, the prefix events of the given sizes as int masks."""
+    return list(zip(*([(1 << s) - 1 for s in size.tolist()] for size in sizes)))
+
+
+def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
+    """A1: per instance the ranks of x and of S(x).  Over pairs, row u holds
+    the pairs (v, u), so an instance's index is its pair's position in
+    `pair_rank`; read by sizes, row m holds |V| = 0..m on prefix events."""
     if _by_sizes(structure):
         values, size_rank = _size_ranks(structure)
-        n = structure.domain.size
-        lengths = [0] + [m + 1 for m in range(1, n + 1)]
-
-        def sizes(m, j):  # values depend only on sizes; witnesses use prefix events
-            return (
-                size_rank[m, j], size_rank[m, m - j],
-                lambda i: zip(((1 << int(b)) - 1 for b in j[i]),
-                              ((1 << int(c)) - 1 for c in m[i])),
-            )
-        return values, None, itertools.starmap(sizes, row_chunks(lengths))
+        lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
+        return InstanceLayout(values, lengths, lambda m, j: (
+            size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
     index = structure.value_index()
     start, sub = submask_table(structure.domain.size)
-    rank = index.pair_rank
     lengths = np.diff(start)  # row u holds the pairs (v, u); row 0 none
     lengths[0] = 0
 
-    def pairs(u, pos):
-        row = start[u] - 1
-        complement = row + (start[u + 1] - start[u] - 1 - pos)
-        return (
-            rank[row + pos], rank[complement],
-            lambda i: zip(sub[start[u[i]] + pos[i]].tolist(), u[i].tolist()),
-        )
-    return index.values, None, itertools.starmap(pairs, row_chunks(lengths))
+    def read(u, pos):
+        # (u^v, u) is as far from the end of row u as (v, u) is from its start
+        at = start[u] - 1 + pos
+        return (index.pair_rank[at], index.pair_rank[at + lengths[u] - 1 - 2 * pos],
+                lambda: list(zip(sub[at + 1].tolist(), u.tolist())))
+    return InstanceLayout(index.values, lengths, read)
 
 
-def _negation_instances(structure: BeliefStructure):
-    """(values, instances): `_negation_chunks` as one (rank of x, rank of
-    S(x), (v,u)) tuple per A1 instance, in canonical order."""
-    values, _, chunks = _negation_chunks(structure)
-    instances = (
-        instance
-        for keys, outs, witness_of in chunks
-        for instance in zip(keys.tolist(), outs.tolist(),
-                            witness_of(np.arange(len(keys))))
-    )
-    return values, instances
-
-
-def _combination_chunks(structure: BeliefStructure):
-    """As `_negation_chunks` for A2: keys x·V + y for the ranks (x, y) of
-    Bel(B|A), Bel(A|U), the rank of Bel(B|U) and (b,a,u) witnesses."""
+def _combination_layout(structure: BeliefStructure) -> InstanceLayout:
+    """A2: per instance the key x·V + y for the ranks (x, y) of Bel(B|A) and
+    Bel(A|U), and the rank of Bel(B|U), over the chain triples B ⊆ A ⊆ U."""
     if _by_sizes(structure):
         values, size_rank = _size_ranks(structure)
-        n = structure.domain.size
         width = len(values)
         # row m holds (|A|, |B|) for 1 <= |A| <= m, |B| <= |A|: a prefix of
         # the one layout that lists |A| = 1, 2, ... in turn
-        a_starts = np.cumsum([0, 0] + [a + 1 for a in range(1, n + 1)])
-        lengths = [0] + [a_starts[m + 1] for m in range(1, n + 1)]
+        a_starts = np.cumsum([0, 0] + [a + 1 for a in range(1, structure.domain.size + 1)])
 
-        def sizes(m, t):
+        def read_sizes(m, t):
             a = a_starts.searchsorted(t, "right") - 1
             j = t - a_starts[a]
-            return (
-                size_rank[a, j] * width + size_rank[m, a], size_rank[m, j],
-                lambda i: zip(((1 << int(b)) - 1 for b in j[i]),
-                              ((1 << int(c)) - 1 for c in a[i]),
-                              ((1 << int(d)) - 1 for d in m[i])),
-            )
-        return values, width, itertools.starmap(sizes, row_chunks(lengths))
+            return (size_rank[a, j] * width + size_rank[m, a], size_rank[m, j],
+                    lambda: _prefixes(j, a, m))
+        return InstanceLayout(values, np.concatenate(([0], a_starts[2:])), read_sizes)
     index = structure.value_index()
     start, sub = submask_table(structure.domain.size)
     rank = index.pair_rank
     width = len(index.values)
-    # row u holds the 3^|U| - 1 triples with A ≠ ∅: entries 1.. of the
-    # submask layout, where entry t is the j-th submask B of the c-th
-    # submask A of U, and sub[t] is B's position among U's submasks
-    lengths = start[np.diff(start)] - 1
 
-    def triples(u, t):
+    def read(u, t):
+        # row u holds the 3^|U| - 1 triples with A ≠ ∅: entries 1.. of the
+        # submask layout, where entry t is the j-th submask B of the c-th
+        # submask A of U, and sub[t] is B's position among U's submasks
         t = t + 1
         c = start.searchsorted(t, "right") - 1
         j = t - start[c]
         a = sub[start[u] + c]
         row = start[u] - 1
         x = rank[start[a] - 1 + j].astype(np.int64)
-        return (
-            x * width + rank[row + c], rank[row + sub[t]],
-            lambda i: zip(sub[start[a[i]] + j[i]].tolist(), a[i].tolist(),
-                          u[i].tolist()),
-        )
-    return index.values, width, itertools.starmap(triples, row_chunks(lengths))
+        return (x * width + rank[row + c], rank[row + sub[t]],
+                lambda: list(zip(sub[start[a] + j].tolist(), a.tolist(), u.tolist())))
+    return InstanceLayout(index.values, start[np.diff(start)] - 1, read)
 
 
 class RankedExtraction(NamedTuple):
-    """A1 or A2 on value ranks: `table` maps each key (rank x, or ranks
-    (x, y)) to its output rank, `witnesses` to its first (v,u) or (b,a,u),
-    and `clash` is the first conflicting (key, out, witness), or None."""
+    """A1 or A2 on value ranks, as arrays sorted by key: each key (as in
+    `InstanceLayout`) once, its output rank in `outs` and the canonical
+    index of its first instance in `first`.  `clash` is the first
+    conflicting instance as (key, out, index), or None; the arrays then hold
+    the keys met before it.  Witnesses are derived from instance indices
+    through `layout`, only where something names them."""
 
     values: Sequence[Fraction]
-    table: dict
-    witnesses: dict
+    keys: np.ndarray
+    outs: np.ndarray
+    first: np.ndarray
     clash: tuple | None
+    layout: InstanceLayout
+
+    def masks(self, index) -> list:
+        """The witness masks of each canonical instance in `index`."""
+        row, pos = row_positions(self.layout.lengths, np.atleast_1d(index))
+        return self.layout.read(row, pos)[2]()
+
+    def entries(self, keys) -> list:
+        """(output rank, first witness) of each of `keys`, all in the table."""
+        at = self.keys.searchsorted(keys)
+        return list(zip(self.outs[at].tolist(), self.masks(self.first[at])))
+
+    def first_seen(self):
+        """(key, output rank) pairs in the order their keys are first met."""
+        order = self.first.argsort()
+        return zip(self.keys[order].tolist(), self.outs[order].tolist())
 
 
-def _first_outputs(values, width, chunks) -> RankedExtraction:
-    """Table, first witnesses and first clash of the instances in `chunks`.
+def _merged(runs) -> tuple:
+    """(keys, outs, first) of sorted runs with disjoint keys, as one run."""
+    keys, outs, first = (np.concatenate(parts) for parts in zip(*runs))
+    order = keys.argsort(kind="stable")
+    return keys[order], outs[order], first[order]
 
-    Each chunk is (keys, outs, witness_of): int arrays in canonical order,
-    and a function from chunk positions to their witnesses.  A key is the
-    rank x, or x·width + y for a pair of ranks.  Keys met in earlier chunks
-    are kept with their first output in sorted runs, and each chunk is
-    checked against them and against its own first occurrences; the table
-    and witness dicts are filled in first-seen order up to the first clash.
-    A run is merged into the one before it once it is as long, so there are
+
+def _first_outputs(layout: InstanceLayout) -> RankedExtraction:
+    """Each key's first output and instance, and the first clash.
+
+    The instances are read in the chunks of `row_chunks`, in canonical
+    order.  Keys met in earlier chunks are kept with their first outputs
+    and instance indices in sorted runs, and each chunk is checked against
+    them and against its own first occurrences, up to the first clash.  A
+    run is merged into the one before it once it is as long, so there are
     O(log keys) runs and each key is merged O(log keys) times.
     """
-    table: dict = {}
-    witnesses: dict = {}
-    runs: list = []  # (keys, first outputs) of earlier chunks, each sorted
-    for keys, outs, witness_of in chunks:
+    runs: list = []  # (keys, first outputs, first indices) of earlier chunks
+    clash = None
+    offset = 0  # canonical index of the chunk's first instance
+    for row, pos in row_chunks(layout.lengths):
+        keys, outs, _ = layout.read(row, pos)
         order = keys.argsort(kind="stable")
         ranked = keys[order]
         head = np.empty(len(keys), dtype=bool)  # first of its key, in key order
@@ -349,52 +366,40 @@ def _first_outputs(values, width, chunks) -> RankedExtraction:
         inverse = np.empty(len(keys), dtype=np.int64)
         inverse[order] = head.cumsum() - 1
         expected = outs[first]
-        old = np.zeros(len(uniq), dtype=bool)
-        for seen, seen_out in runs:  # a key is in at most one run
+        new = np.ones(len(uniq), dtype=bool)
+        for seen, seen_out, _ in runs:  # a key is in at most one run
             hit = np.minimum(seen.searchsorted(uniq), len(seen) - 1)
             match = seen[hit] == uniq
-            old |= match
+            new &= ~match
             expected = np.where(match, seen_out[hit], expected)
         bad = (outs != expected[inverse]).nonzero()[0]
-        stop = bad[0] if len(bad) else len(keys)
-        new = np.zeros(len(keys), dtype=bool)
-        new[first[~old]] = True
-        new = new[:stop].nonzero()[0]  # first-seen positions, in order
-        new_keys = keys[new]
-        if width is None:
-            names = new_keys.tolist()
-        else:
-            names = list(zip((new_keys // width).tolist(), (new_keys % width).tolist()))
-        table.update(zip(names, outs[new].tolist()))
-        witnesses.update(zip(names, witness_of(new)))
         if len(bad):
-            key = int(keys[stop])
-            if width is not None:
-                key = divmod(key, width)
-            clash = (key, int(outs[stop]), next(iter(witness_of([stop]))))
-            return RankedExtraction(values, table, witnesses, clash)
-        if not old.all():
-            runs.append((uniq[~old], expected[~old]))
+            stop = int(bad[0])
+            clash = (int(keys[stop]), int(outs[stop]), offset + stop)
+            new &= first < stop
+        if new.any():
+            runs.append((uniq[new], expected[new], offset + first[new]))
         while len(runs) > 1 and len(runs[-2][0]) <= len(runs[-1][0]):
-            (a, a_out), (b, b_out) = runs.pop(-2), runs.pop()
-            order = np.concatenate((a, b)).argsort(kind="stable")
-            runs.append((np.concatenate((a, b))[order],
-                         np.concatenate((a_out, b_out))[order]))
-    return RankedExtraction(values, table, witnesses, None)
+            runs[-2:] = [_merged(runs[-2:])]
+        if clash is not None:
+            break
+        offset += len(keys)
+    arrays = (a.astype(np.int64, copy=False) for a in _merged(runs))
+    return RankedExtraction(layout.values, *arrays, clash, layout)
 
 
 def negation_ranks(structure: BeliefStructure) -> RankedExtraction:
     """A1 on value ranks, memoized on the structure; chain consistency and
     the ratio engine read it, `extract_negation` turns it into Fractions."""
     return structure.derived(
-        "negation-ranks", lambda s: _first_outputs(*_negation_chunks(s))
+        "negation-ranks", lambda s: _first_outputs(_negation_layout(s))
     )
 
 
 def combination_ranks(structure: BeliefStructure) -> RankedExtraction:
     """A2 on value ranks, memoized on the structure, as `negation_ranks`."""
     return structure.derived(
-        "combination-ranks", lambda s: _first_outputs(*_combination_chunks(s))
+        "combination-ranks", lambda s: _first_outputs(_combination_layout(s))
     )
 
 
@@ -402,46 +407,46 @@ def extract_negation(structure: BeliefStructure):
     """Tabular S from all complement pairs, or the first conflict.
 
     A conflict is a legitimate verdict (A1 admits no function S), not an
-    error.  Built from `negation_ranks` and memoized on the structure.
+    error.  Built from `negation_ranks` and memoized on the structure; the
+    table lists the values in the order they are first met.
     """
     return structure.derived("negation", _extract_negation)
 
 
 def _extract_negation(structure: BeliefStructure):
-    values, table, witnesses, clash = negation_ranks(structure)
-    if clash is not None:
-        x, s_x, pair = clash
+    s = negation_ranks(structure)
+    values = s.values
+    if s.clash is not None:
+        x, s_x, index = s.clash
+        ((first_out, first_pair),) = s.entries([x])
         return NegationConflict(
-            values[x], witnesses[x], values[table[x]], pair, values[s_x]
+            values[x], first_pair, values[first_out], s.masks(index)[0], values[s_x]
         )
-    return NegationForm(
-        kind="tabular",
-        table={values[x]: values[s_x] for x, s_x in table.items()},
-        interval=structure.bounds,
-    )
+    return NegationForm("tabular", {values[x]: values[s_x] for x, s_x in s.first_seen()},
+                        structure.bounds)
 
 
 def extract_combination(structure: BeliefStructure):
     """Tabular F from all chain triples B ⊆ A ⊆ U (A ≠ ∅), or a conflict.
 
-    Built from `combination_ranks` and memoized on the structure.
+    Built from `combination_ranks` and memoized on the structure, as
+    `extract_negation`.
     """
     return structure.derived("combination", _extract_combination)
 
 
 def _extract_combination(structure: BeliefStructure):
-    values, table, witnesses, clash = combination_ranks(structure)
-    if clash is not None:
-        (l, r), out, triple = clash
+    f = combination_ranks(structure)
+    values, width = f.values, len(f.values)
+    if f.clash is not None:
+        key, out, index = f.clash
+        ((first_out, first_triple),) = f.entries([key])
         return CombinationConflict(
-            (values[l], values[r]), witnesses[l, r], values[table[l, r]],
-            triple, values[out],
+            (values[key // width], values[key % width]), first_triple,
+            values[first_out], f.masks(index)[0], values[out],
         )
-    return CombinationForm(
-        kind="tabular",
-        table={(values[l], values[r]): values[out] for (l, r), out in table.items()},
-        interval=structure.bounds,
-    )
+    return CombinationForm("tabular", {(values[k // width], values[k % width]): values[out]
+                                       for k, out in f.first_seen()}, structure.bounds)
 
 
 # -- monotonicity ---------------------------------------------------------------

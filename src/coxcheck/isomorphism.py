@@ -34,11 +34,11 @@ from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
     NegationConflict,
-    _negation_instances,
     combination_ranks,
     extract_combination,
     extract_negation,
     negation_ranks,
+    row_positions,
 )
 
 #: Most propagation sweeps the ratio engine makes over its sums and products.
@@ -133,68 +133,66 @@ class _RatioEngine:
     messages print values.  `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1
     and `products` holds (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each
     given as ranks and at most once per rank tuple.  The forced zeros and
-    ones, the bounds and the positivity flags come from one pass over the
-    structure's A1 instances.
+    ones, the bounds and the positivity flags come from the structure's A1
+    instances, read as arrays.
     """
 
     def __init__(self, structure: BeliefStructure, sums, products):
-        values, instances = _negation_instances(structure)
-        self.values = values
-        self.e, self.E = (bisect.bisect_left(values, t) for t in structure.bounds)
-        self.positive: set[int] = set()  # r(v) > 0 forced
-        self.below_one: set[int] = set()  # r(v) < 1 forced
+        s = negation_ranks(structure)
+        self.values = values = s.values
+        e, E = self.e, self.E = [bisect.bisect_left(values, t) for t in structure.bounds]
+        # per A1 instance V ⊆ U the entries x = Bel(V|U) and S(x) = Bel(U∖V|U),
+        # interleaved, and whether an entry's event (V or U∖V) is empty or
+        # all of U; V = ∅ comes first in its row and V = U last
+        lengths = s.layout.lengths
+        row, pos = row_positions(lengths, np.arange(lengths.sum()))
+        value = np.stack(s.layout.read(row, pos)[:2], axis=1).ravel()
+        empty = np.stack((pos == 0, pos == lengths[row] - 1), axis=1).ravel()
+        full = empty.reshape(-1, 2)[:, ::-1].ravel()
+        self.positive = set(np.unique(value[~empty | (value > e)]).tolist())  # r(v) > 0
+        self.below_one = set(np.unique(value[~full | (value < E)]).tolist())  # r(v) < 1
         self.known: dict[int, tuple[Fraction, frozenset]] = {}
-        self.sums = sorted(sums)
-        self.products = sorted(products)
+        self.sums, self.products = sorted(sums), sorted(products)
         self.contradiction: _Contradiction | None = None
-        # seeds are applied in run(), once every positivity flag is known
-        self._seeds: list[tuple[int, int, int, tuple]] = []
-        for x, s_x, (v, u) in instances:
-            for value, vm in ((x, v), (s_x, u ^ v)):
-                self._note_flags(value, vm, u)
-                if vm == 0 or vm == u or not self.e <= value <= self.E:
-                    self._seeds.append((value, vm, u, (v, u)))
+        # seeds are applied in run(), once every positivity flag is known: a
+        # value outside [e, E] (kind 0), forced to 0 (1) or forced to 1 (2).
+        # Only the first seed of a value and kind can act; those are kept
+        kind = np.select([(value < e) | (value > E), empty, full], [0, 1, 2], -1)
+        seed = np.flatnonzero(kind >= 0)
+        seed = np.sort(seed[np.unique(value[seed] * 3 + kind[seed], return_index=True)[1]])
+        self._seeds = list(zip(value[seed].tolist(), kind[seed].tolist(),
+                               s.masks(seed // 2)))
 
     @classmethod
     def from_extraction(cls, structure: BeliefStructure) -> "_RatioEngine":
         """One sum per complement pair {x, S(x)} and one product per F entry,
-        read off the ranked S and F tables.
+        read off the ranked S and F arrays.
 
-        A sum keeps the witness of x or S(x) that comes first in canonical
-        (u, v) order, which is the first A1 instance showing that pair.
+        A sum keeps the witness of x or S(x) whose first instance comes
+        first in canonical (u, v) order.
         """
         s, f = negation_ranks(structure), combination_ranks(structure)
-        first: dict[tuple, tuple] = {}
-        for x, (v, u) in s.witnesses.items():
-            s_x = s.table[x]
-            key = (min(x, s_x), max(x, s_x))
-            if key not in first or (u, v) < first[key][0]:
-                first[key] = ((u, v), x)
-        sums = ((x, s.table[x], (v, u)) for (u, v), x in first.values())
-        products = ((out, *k, f.witnesses[k]) for k, out in f.table.items())
+        pair = np.minimum(s.keys, s.outs) * len(s.values) + np.maximum(s.keys, s.outs)
+        order = np.lexsort((s.first, pair))
+        pick = order[np.unique(pair[order], return_index=True)[1]]
+        sums = zip(s.keys[pick].tolist(), s.outs[pick].tolist(), s.masks(s.first[pick]))
+        width = len(f.values)
+        products = zip(f.outs.tolist(), (f.keys // width).tolist(),
+                       (f.keys % width).tolist(), f.masks(f.first))
         return cls(structure, sums, products)
-
-    def _note_flags(self, value: int, v_mask: int, u_mask: int):
-        if v_mask != 0 or value > self.e:
-            self.positive.add(value)
-        if v_mask != u_mask or value < self.E:
-            self.below_one.add(value)
 
     # fact management --------------------------------------------------------
 
     def _seed(self):
-        for value, vm, um, pair in self._seeds:
+        for value, kind, pair in self._seeds:
             mark = frozenset([("sum", pair)])
-            if value < self.e or value > self.E:
+            if kind == 0:
                 v = self.values
-                raise _Contradiction(
-                    f"attained value {v[value]} lies outside the bounds "
-                    f"[{v[self.e]},{v[self.E]}]",
-                    mark,
-                )
-            if vm == 0:
+                raise _Contradiction(f"attained value {v[value]} lies outside the bounds "
+                                     f"[{v[self.e]},{v[self.E]}]", mark)
+            if kind == 1:
                 self._set(value, ZERO, mark, "empty intersection forces ratio 0")
-            elif vm == um:
+            else:
                 self._set(value, ONE, mark, "full conditioning event forces ratio 1")
         if self.e in self.positive or self.e in self.below_one or self.e in self.known:
             self._set(self.e, ZERO, frozenset([("seed", "g(e)=0")]), "g(e) = 0")
@@ -417,7 +415,7 @@ def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure)
     for kind, masks in data.instances:
         if not is_canonical(masks, arity.get(kind), full):
             return False
-    values, _ = _negation_instances(structure)
+    values = negation_ranks(structure).values
 
     def rank(v_mask: int, u_mask: int) -> int:
         return bisect.bisect_left(values, structure.bel_masks(v_mask, u_mask))
@@ -445,7 +443,7 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
     Tried in order: A1 extraction conflict (equal values with unequal
     complements force equal ratios for distinct values), A2 extraction
     conflict, composite chain associativity, and the ratio-propagation
-    engine's order conflicts.  All of them read extraction's rank tables;
+    engine's order conflicts.  All of them read extraction's rank arrays;
     the Fraction forms are built only for an A1 or A2 certificate.
     """
     if negation_ranks(structure).clash is not None:

@@ -24,15 +24,15 @@ from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 def count_triple_passes(monkeypatch) -> list:
     """Patch extraction so each pass over the chain triples is recorded:
-    `forms._combination_chunks` lays out every triple of a structure."""
+    `forms._combination_layout` lays out every triple of a structure."""
     passes = []
-    original = forms._combination_chunks
+    original = forms._combination_layout
 
     def counting(structure):
         passes.append(structure)
         return original(structure)
 
-    monkeypatch.setattr(forms, "_combination_chunks", counting)
+    monkeypatch.setattr(forms, "_combination_layout", counting)
     return passes
 
 
@@ -257,6 +257,18 @@ class TestUsageAndParseErrors:
         path.write_text(text, encoding="utf-8")
         assert main(["check", str(path)]) == 65
         assert "parse error" in capsys.readouterr().err
+
+    def test_decide_refuses_a_weight_backed_file_above_twelve_atoms(self, tmp_path, capsys):
+        # `check` reads a uniform structure by event sizes, while `decide`
+        # enumerates every canonical pair
+        path = tmp_path / "uniform13.bel"
+        assert main(["generate", "probability",
+                     "--atoms", ",".join(f"x{i}" for i in range(13)),
+                     "--weights", ",".join(["1/13"] * 13), "--out", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["decide", str(path)]) == 64
+        assert "pair enumeration capped at 12 atoms" in capsys.readouterr().err
 
     def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.bel"

@@ -1,20 +1,24 @@
-"""The array kernels of A1/A2 extraction and the associativity join against
-the per-instance loops they replaced, kept here as oracles."""
+"""The array kernels of A1/A2 extraction, the associativity join and the
+ratio engine's seeds against the per-instance loops they replaced, kept
+here as oracles."""
 
 import bisect
 import contextlib
 import random
 import tracemalloc
 from fractions import Fraction as F
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck import forms
 from coxcheck.conditions import associativity_join, chain_consistency
-from coxcheck.core import BeliefStructure, Domain, intern_values
+from coxcheck.core import ONE, ZERO, BeliefStructure, Domain, intern_values
 from coxcheck.files import load_structure
-from coxcheck.forms import RankedExtraction, combination_ranks, negation_ranks
+from coxcheck.forms import combination_ranks, negation_ranks
+from coxcheck.isomorphism import _Contradiction, _RatioEngine
 
 from conftest import FIXTURES
 
@@ -71,16 +75,28 @@ def oracle_combination_instances(structure):
     return index.values, instances
 
 
+class OracleExtraction(NamedTuple):
+    """A1 or A2 as dicts: `table` maps each key (rank x, or ranks (x, y)) to
+    its output rank, `witnesses` to its first (v,u) or (b,a,u), in
+    first-seen order, and `clash` is the first conflicting (key, out,
+    witness), or None."""
+
+    values: list
+    table: dict
+    witnesses: dict
+    clash: tuple | None
+
+
 def oracle_first_outputs(values, instances):
     table, witnesses = {}, {}
     for key, out, witness in instances:
         if key in table:
             if table[key] != out:
-                return RankedExtraction(values, table, witnesses, (key, out, witness))
+                return OracleExtraction(values, table, witnesses, (key, out, witness))
         else:
             table[key] = out
             witnesses[key] = witness
-    return RankedExtraction(values, table, witnesses, None)
+    return OracleExtraction(values, table, witnesses, None)
 
 
 def oracle_join(table, endpoints):
@@ -110,27 +126,47 @@ def oracle_join(table, endpoints):
 
 
 def assert_same_extraction(got, want):
+    """The kernel's sorted arrays hold the oracle's entries; ordered by
+    `first` they are the oracle's dict order, and the witnesses derived
+    from `first` and the clash's instance index are the oracle's."""
     assert list(got.values) == list(want.values)
-    assert list(got.table.items()) == list(want.table.items())  # dict order too
-    assert list(got.witnesses.items()) == list(want.witnesses.items())
-    assert got.clash == want.clash
-    for key, out in got.table.items():
-        assert type(key) in (int, tuple) and type(out) is int
-        assert all(type(m) is int for m in got.witnesses[key])
+    width = len(got.values)
+    pairs = isinstance(next(iter(want.table)), tuple)
+
+    def key_of(key):
+        return divmod(key, width) if pairs else key
+
+    keys = got.keys.tolist()
+    assert keys == sorted(set(keys))
+    # int64 throughout: the join multiplies outputs by the value count
+    assert got.keys.dtype == got.outs.dtype == got.first.dtype == np.int64
+    assert len(got.outs) == len(got.first) == len(keys)
+    assert [(key_of(k), out) for k, out in got.first_seen()] == list(want.table.items())
+    order = got.first.argsort()
+    witnesses = got.masks(got.first[order])
+    assert list(zip(map(key_of, got.keys[order].tolist()), witnesses)) == list(
+        want.witnesses.items())
+    assert all(type(m) is int for witness in witnesses for m in witness)
+    if want.clash is None:
+        assert got.clash is None
+    else:
+        key, out, index = got.clash
+        assert (key_of(key), out, got.masks(index)[0]) == want.clash
 
 
 def assert_kernels_match(structure):
     """Fresh kernel runs (not the memo) against the oracles, and chain
     consistency against the oracle join."""
-    a1 = forms._first_outputs(*forms._negation_chunks(structure))
+    a1 = forms._first_outputs(forms._negation_layout(structure))
     assert_same_extraction(a1, oracle_first_outputs(*oracle_negation_instances(structure)))
-    a2 = forms._first_outputs(*forms._combination_chunks(structure))
-    assert_same_extraction(a2, oracle_first_outputs(*oracle_combination_instances(structure)))
+    want = oracle_first_outputs(*oracle_combination_instances(structure))
+    a2 = forms._first_outputs(forms._combination_layout(structure))
+    assert_same_extraction(a2, want)
     report = chain_consistency(structure)
     if a2.clash is not None:
         assert report.status == "untestable"
         return report
-    values, table = a2.values, a2.table
+    values, table = want.values, want.table
     endpoints = {bisect.bisect_left(values, t) for t in structure.bounds}
     instances, nontrivial, failure = oracle_join(table, endpoints)
     assert (report.instances, report.nontrivial) == (instances, nontrivial)
@@ -175,6 +211,11 @@ def ratio_table(n, weights, g=lambda x: x):
         (v, u): g(F(mu[v], mu[u]))
         for u in range(1, 1 << n) for v in range(u + 1) if v & ~u == 0
     }
+
+
+def uniform(n, k):
+    d = Domain(tuple(f"x{i}" for i in range(n)))
+    return BeliefStructure.from_weights(d, [F(1, n)] * n, exponent=k)
 
 
 def structure_of(n, table):
@@ -254,26 +295,19 @@ class TestExtractionKernels:
                 yield chunk
 
         monkeypatch.setattr(forms, "row_chunks", counting)
-        got = forms._first_outputs(*forms._combination_chunks(structure))
+        got = forms._first_outputs(forms._combination_layout(structure))
         assert_same_extraction(got, want)
         assert sum(read) <= 3 * len(consumed) + forms.FIRST_CHUNK
 
-    @pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 1), (10, 3)])
+    @pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 1), (10, 3), (70, 1)])
     def test_uniform_structures_read_by_sizes(self, n, k, chunking):
-        d = Domain(tuple(f"x{i}" for i in range(n)))
-        structure = BeliefStructure.from_weights(d, [F(1, n)] * n, exponent=k)
+        # at 70 atoms the prefix-event witnesses need more than 64 bits
+        structure = uniform(n, k)
         assert forms._by_sizes(structure)
-        a1 = forms._first_outputs(*forms._negation_chunks(structure))
+        a1 = forms._first_outputs(forms._negation_layout(structure))
         assert_same_extraction(a1, oracle_first_outputs(*oracle_negation_instances(structure)))
-        a2 = forms._first_outputs(*forms._combination_chunks(structure))
+        a2 = forms._first_outputs(forms._combination_layout(structure))
         assert_same_extraction(a2, oracle_first_outputs(*oracle_combination_instances(structure)))
-
-    def test_negation_instances_flatten_the_chunks(self, chunking):
-        structure = structure_of(4, ratio_table(4, [1, 2, 3, 1]))
-        values, instances = forms._negation_instances(structure)
-        want_values, want = oracle_negation_instances(structure)
-        assert list(values) == list(want_values)
-        assert list(instances) == list(want)
 
 
 # -- the associativity join -----------------------------------------------------
@@ -289,6 +323,14 @@ def associative_table(rng, width):
     }
 
 
+def sorted_arrays(table, width):
+    """The join's input for a ranked F table {(x, y): out}: the sorted int64
+    keys x·width + y and their outputs."""
+    items = sorted(table.items())
+    keys = np.array([x * width + y for (x, y), _ in items], dtype=np.int64)
+    return keys, np.array([out for _, out in items], dtype=np.int64)
+
+
 class TestAssociativityJoin:
     @given(st.integers(2, 14), st.integers(0, 2 ** 32), st.booleans())
     def test_random_ranked_tables(self, width, seed, planted):
@@ -301,9 +343,9 @@ class TestAssociativityJoin:
         want = oracle_join(table, endpoints)
         if not table:
             return
-        assert associativity_join(table, width, endpoints) == want
+        assert associativity_join(*sorted_arrays(table, width), width, endpoints) == want
         with chunk_sizes(1, 4):
-            assert associativity_join(table, width, endpoints) == want
+            assert associativity_join(*sorted_arrays(table, width), width, endpoints) == want
 
     @pytest.mark.parametrize("seed", range(6))
     def test_planted_failure_late_in_a_large_table(self, seed, chunking):
@@ -315,7 +357,7 @@ class TestAssociativityJoin:
         table[key] += 1
         want = oracle_join(table, {0, width - 1})
         assert want[2] is not None
-        assert associativity_join(table, width, {0, width - 1}) == want
+        assert associativity_join(*sorted_arrays(table, width), width, {0, width - 1}) == want
 
     def test_sparse_tables_over_three_ranks(self):
         # few entries, few instances, rare failures: each of the seven ranks
@@ -325,7 +367,7 @@ class TestAssociativityJoin:
         for _ in range(3000):
             table = {k: rng.randrange(3) for k in rng.sample(keys, rng.randint(1, 6))}
             want = oracle_join(table, {0, 2})
-            assert associativity_join(table, 3, {0, 2}) == want
+            assert associativity_join(*sorted_arrays(table, 3), 3, {0, 2}) == want
 
     def test_only_the_chain_conflict_fixture_fails(self):
         failing = [
@@ -336,18 +378,139 @@ class TestAssociativityJoin:
         assert failing == ["chain_conflict.bel"]
 
 
+# -- the ratio engine's flags and seeds -------------------------------------------
+
+
+class OracleEngine(_RatioEngine):
+    """The engine with its positivity flags and seeds from one Python step
+    per A1 instance, as it computed them before reading arrays."""
+
+    def __init__(self, structure, sums, products):
+        values, instances = oracle_negation_instances(structure)
+        self.values = values
+        self.e, self.E = (bisect.bisect_left(values, t) for t in structure.bounds)
+        self.positive, self.below_one, self.known = set(), set(), {}
+        self.sums, self.products = sorted(sums), sorted(products)
+        self.contradiction = None
+        self._seeds = []
+        for x, s_x, (v, u) in instances:
+            for value, vm in ((x, v), (s_x, u ^ v)):
+                if vm != 0 or value > self.e:
+                    self.positive.add(value)
+                if vm != u or value < self.E:
+                    self.below_one.add(value)
+                if vm == 0 or vm == u or not self.e <= value <= self.E:
+                    self._seeds.append((value, vm, u, (v, u)))
+
+    def _seed(self):
+        for value, vm, um, pair in self._seeds:
+            mark = frozenset([("sum", pair)])
+            if value < self.e or value > self.E:
+                v = self.values
+                raise _Contradiction(
+                    f"attained value {v[value]} lies outside the bounds "
+                    f"[{v[self.e]},{v[self.E]}]",
+                    mark,
+                )
+            if vm == 0:
+                self._set(value, ZERO, mark, "empty intersection forces ratio 0")
+            elif vm == um:
+                self._set(value, ONE, mark, "full conditioning event forces ratio 1")
+        if self.e in self.positive or self.e in self.below_one or self.e in self.known:
+            self._set(self.e, ZERO, frozenset([("seed", "g(e)=0")]), "g(e) = 0")
+        if self.E in self.positive or self.E in self.below_one or self.E in self.known:
+            self._set(self.E, ONE, frozenset([("seed", "g(E)=1")]), "g(E) = 1")
+
+
+def oracle_engine_inputs(structure):
+    """The engine's sums and products from the oracle dicts: one sum per
+    complement pair, with the witness met first in canonical (u, v) order,
+    and one product per F entry."""
+    s = oracle_first_outputs(*oracle_negation_instances(structure))
+    f = oracle_first_outputs(*oracle_combination_instances(structure))
+    first = {}
+    for x, (v, u) in s.witnesses.items():
+        s_x = s.table[x]
+        key = (min(x, s_x), max(x, s_x))
+        if key not in first or (u, v) < first[key][0]:
+            first[key] = ((u, v), x)
+    sums = [(x, s.table[x], (v, u)) for (u, v), x in first.values()]
+    products = [(out, *k, f.witnesses[k]) for k, out in f.table.items()]
+    return sums, products
+
+
+def seed_outcome(engine):
+    try:
+        engine._seed()
+    except _Contradiction as exc:
+        return exc.description, exc.eqset
+    return None
+
+
+def assert_same_engine(structure, inputs=True):
+    """Flags, seeded facts and seeding contradiction against the oracle
+    loop; with `inputs`, also the sums and products read off the arrays and
+    the whole run's contradiction."""
+    sums, products = oracle_engine_inputs(structure) if inputs else ((), ())
+    want = OracleEngine(structure, sums, products)
+    got = (_RatioEngine.from_extraction(structure) if inputs
+           else _RatioEngine(structure, sums, products))
+    assert (got.sums, got.products) == (want.sums, want.products)
+    assert (got.e, got.E) == (want.e, want.E)
+    assert got.positive == want.positive
+    assert got.below_one == want.below_one
+    assert seed_outcome(got) == seed_outcome(want)
+    assert got.known == want.known
+    if inputs:
+        got = _RatioEngine.from_extraction(structure).run().contradiction
+        want = OracleEngine(structure, sums, products).run().contradiction
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.description, got.eqset) == (want.description, want.eqset)
+
+
+class TestEngineSeeds:
+    def test_fixtures(self):
+        for path in sorted(FIXTURES.glob("*.bel")):
+            if not path.name.startswith("bad_parse"):
+                assert_same_engine(load_structure(path))
+
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32), st.booleans())
+    def test_random_tables_with_planted_conflicts(self, n, seed, interval):
+        rng = random.Random(seed)
+        weights = [rng.randint(1, 4) for _ in range(n)]
+        table = ratio_table(n, weights, rng.choice((lambda x: x, lambda x: x * x)))
+        for _ in range(rng.randint(1, 3)):
+            table = plant(rng, table, {u for _, u in table})
+        if interval:  # entries may now lie outside the bounds or on them
+            lo, hi = sorted(rng.sample(sorted(set(table.values())), 2))
+            structure = BeliefStructure.from_table(
+                Domain(tuple(f"x{i}" for i in range(n))), table, bounds=(lo, hi))
+        else:
+            structure = structure_of(n, table)
+        assert_same_engine(structure)
+
+    @pytest.mark.parametrize("n,k", [(7, 1), (9, 2)])
+    def test_uniform_structures_read_by_sizes(self, n, k):
+        assert_same_engine(uniform(n, k), inputs=False)
+
+
 def test_memory_stays_bounded_on_eight_atoms():
     """Extraction and the join on an 8-atom table, weights 1-30 through v³,
-    peak below 32 MB of traced memory; numpy reports its buffers too."""
+    peak below 32 MB of traced memory; numpy reports its buffers too.  The
+    memoized A2 arrays retain under 2 MB."""
     rng = random.Random(8)
     structure = structure_of(8, ratio_table(8, [rng.randint(1, 30) for _ in range(8)],
                                             lambda x: x ** 3))
+    structure.value_index()
     tracemalloc.start()
     try:
         combination_ranks(structure)
+        retained, _ = tracemalloc.get_traced_memory()
         report = chain_consistency(structure)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.status == "pass" and report.instances > 100_000
     assert peak < 32 * 2 ** 20
+    assert retained < 2 * 2 ** 20
