@@ -13,7 +13,9 @@ r(v) = g(v) over the quotient of pairs by their belief value: pairs with
 empty intersection force r = 0, full pairs force r = 1, chain triples force
 r(out) = r(left)·r(right), complement pairs force r(x) + r(y) = 1, and the
 strictly-increasing g turns the value order into a ratio order.  Any derived
-clash is a sound refutation.
+clash is a sound refutation.  Without a clash, the fixpoint is an exact
+partial solution: `decide`'s propagation phase reads a weighting off the
+pinned ratios by exact elimination, before any numeric search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py traces it by name)
 
-from .core import ZERO, ONE, BeliefStructure, Event, is_canonical, subset_sums
+from .core import (
+    ZERO, ONE, BeliefStructure, Event, is_canonical, submask_table, subset_sums,
+)
 from .conditions import chain_consistency
 from .forms import (
     CombinationConflict,
@@ -40,10 +44,6 @@ from .forms import (
     negation_ranks,
     row_positions,
 )
-
-#: Most propagation sweeps the ratio engine makes over its sums and products.
-REFUTATION_DEPTH = 16
-
 
 # -- certificates -----------------------------------------------------------------
 
@@ -125,16 +125,35 @@ class _Contradiction(Exception):
         self.eqset = eqset
 
 
+def _rules_by_value(count: int, *columns):
+    """For rules whose value ranks are given column by column, the rules
+    that mention each rank, in CSR form: rank v's rules, each once and in
+    rule order, are `rules[starts[v]:starts[v + 1]]`."""
+    width = max(len(columns[0]), 1)
+    rule = np.arange(len(columns[0]), dtype=np.int64)
+    code = np.unique(np.concatenate([c * width + rule for c in columns]))
+    starts = np.searchsorted(code, np.arange(count + 1, dtype=np.int64) * width)
+    return starts.tolist(), (code % width).tolist()
+
+
 class _RatioEngine:
     """Exact constraint propagation over the attained-value quotient graph.
 
     Facts are keyed by value rank (`values[rank]` is the value): ranks
     compare as the values do, so every order rule runs on ints and only the
-    messages print values.  `sums` holds (x, y, (v,u)) for r(x) + r(y) = 1
-    and `products` holds (out, l, r, (b,a,u)) for r(out) = r(l)·r(r), each
-    given as ranks and at most once per rank tuple.  The forced zeros and
-    ones, the bounds and the positivity flags come from the structure's A1
-    instances, read as arrays.
+    messages print values.  `sums` is an int array of rows (x, y, w), each
+    for r(x) + r(y) = 1, and `products` one of rows (out, l, r, w), each for
+    r(out) = r(l)·r(r), at most one row per rank tuple.  A fact's eqset
+    names the rules it rests on as ("sum", w) and ("product", w); the caller
+    turns each witness number w into masks.  The forced zeros and ones, the
+    bounds and the positivity flags come from the structure's A1 instances,
+    read as arrays, and a seed's witness is the number of its A1 instance.
+
+    `run` applies the rules to a fixpoint.  Those that need no pinned ratio
+    run once, as array passes; a worklist then takes each newly pinned value
+    in turn and fires only the sums and products that mention it.  Each
+    value is pinned at most once, so the run ends after at most
+    `len(values)` of them.
     """
 
     def __init__(self, structure: BeliefStructure, sums, products):
@@ -149,10 +168,19 @@ class _RatioEngine:
         value = np.stack(s.layout.read(row, pos)[:2], axis=1).ravel()
         empty = np.stack((pos == 0, pos == lengths[row] - 1), axis=1).ravel()
         full = empty.reshape(-1, 2)[:, ::-1].ravel()
-        self.positive = set(np.unique(value[~empty | (value > e)]).tolist())  # r(v) > 0
-        self.below_one = set(np.unique(value[~full | (value < E)]).tolist())  # r(v) < 1
+        self.positive = np.zeros(len(values), dtype=bool)  # r(v) > 0
+        self.positive[value[~empty | (value > e)]] = True
+        self.below_one = np.zeros(len(values), dtype=bool)  # r(v) < 1
+        self.below_one[value[~full | (value < E)]] = True
+        self.sums = np.asarray(sums, dtype=np.int64).reshape(-1, 3)
+        self.products = np.asarray(products, dtype=np.int64).reshape(-1, 4)
+        self._sum_rows = self.sums.tolist()
+        self._product_rows = self.products.tolist()
+        self._sums_of = _rules_by_value(len(values), *self.sums[:, :2].T)
+        self._products_of = _rules_by_value(len(values), *self.products[:, :3].T)
         self.known: dict[int, tuple[Fraction, frozenset]] = {}
-        self.sums, self.products = sorted(sums), sorted(products)
+        self._order: list[int] = []  # the known ranks, ascending
+        self._queue: list[int] = []  # the known ranks, as they were pinned
         self.contradiction: _Contradiction | None = None
         # seeds are applied in run(), once every positivity flag is known: a
         # value outside [e, E] (kind 0), forced to 0 (1) or forced to 1 (2).
@@ -161,12 +189,13 @@ class _RatioEngine:
         seed = np.flatnonzero(kind >= 0)
         seed = np.sort(seed[np.unique(value[seed] * 3 + kind[seed], return_index=True)[1]])
         self._seeds = list(zip(value[seed].tolist(), kind[seed].tolist(),
-                               s.masks(seed // 2)))
+                               (seed // 2).tolist()))
 
     @classmethod
     def from_extraction(cls, structure: BeliefStructure) -> "_RatioEngine":
         """One sum per complement pair {x, S(x)} and one product per F entry,
-        read off the ranked S and F arrays.
+        read off the ranked S and F arrays; each rule's witness is the
+        number of its first instance.
 
         A sum keeps the witness of x or S(x) whose first instance comes
         first in canonical (u, v) order.
@@ -175,17 +204,16 @@ class _RatioEngine:
         pair = np.minimum(s.keys, s.outs) * len(s.values) + np.maximum(s.keys, s.outs)
         order = np.lexsort((s.first, pair))
         pick = order[np.unique(pair[order], return_index=True)[1]]
-        sums = zip(s.keys[pick].tolist(), s.outs[pick].tolist(), s.masks(s.first[pick]))
+        sums = np.stack((s.keys[pick], s.outs[pick], s.first[pick]), axis=1)
         width = len(f.values)
-        products = zip(f.outs.tolist(), (f.keys // width).tolist(),
-                       (f.keys % width).tolist(), f.masks(f.first))
+        products = np.stack((f.outs, f.keys // width, f.keys % width, f.first), axis=1)
         return cls(structure, sums, products)
 
     # fact management --------------------------------------------------------
 
     def _seed(self):
-        for value, kind, pair in self._seeds:
-            mark = frozenset([("sum", pair)])
+        for value, kind, instance in self._seeds:
+            mark = frozenset([("sum", instance)])
             if kind == 0:
                 v = self.values
                 raise _Contradiction(f"attained value {v[value]} lies outside the bounds "
@@ -194,12 +222,12 @@ class _RatioEngine:
                 self._set(value, ZERO, mark, "empty intersection forces ratio 0")
             else:
                 self._set(value, ONE, mark, "full conditioning event forces ratio 1")
-        if self.e in self.positive or self.e in self.below_one or self.e in self.known:
+        if self.positive[self.e] or self.below_one[self.e] or self.e in self.known:
             self._set(self.e, ZERO, frozenset([("seed", "g(e)=0")]), "g(e) = 0")
-        if self.E in self.positive or self.E in self.below_one or self.E in self.known:
+        if self.positive[self.E] or self.below_one[self.E] or self.E in self.known:
             self._set(self.E, ONE, frozenset([("seed", "g(E)=1")]), "g(E) = 1")
 
-    def _set(self, value: int, ratio: Fraction, eqset: frozenset, why: str) -> bool:
+    def _set(self, value: int, ratio: Fraction, eqset: frozenset, why: str):
         x = self.values[value]
         if value in self.known:
             old_ratio, old_eqs = self.known[value]
@@ -208,65 +236,83 @@ class _RatioEngine:
                     f"r({x}) forced to both {old_ratio} and {ratio} ({why})",
                     eqset | old_eqs,
                 )
-            return False
+            return
         if ratio < 0 or ratio > 1:
             raise _Contradiction(
                 f"r({x}) forced to {ratio} outside [0,1] ({why})", eqset
             )
-        if ratio == 0 and value in self.positive:
+        if ratio == 0 and self.positive[value]:
             raise _Contradiction(
                 f"r({x}) forced to 0 but {x} is attained at a nonempty "
                 f"intersection or exceeds e ({why})",
                 eqset,
             )
-        if ratio == 1 and value in self.below_one:
+        if ratio == 1 and self.below_one[value]:
             raise _Contradiction(
                 f"r({x}) forced to 1 but {x} is attained at a proper "
                 f"subevent or is below E ({why})",
                 eqset,
             )
         self.known[value] = (ratio, eqset)
-        return True
+        bisect.insort(self._order, value)
+        self._queue.append(value)
 
     # rules ----------------------------------------------------------------
 
+    def _check_pair_order(self, v1: int, v2: int):
+        (r1, e1), (r2, e2) = self.known[v1], self.known[v2]
+        if not r1 < r2:
+            x1, x2 = self.values[v1], self.values[v2]
+            raise _Contradiction(
+                f"value order broken: {x1} < {x2} but r({x1}) = {r1} ≥ "
+                f"r({x2}) = {r2}",
+                e1 | e2,
+            )
+
     def _check_known_order(self):
-        items = sorted(self.known.items())
-        for (v1, (r1, e1)), (v2, (r2, e2)) in zip(items, items[1:]):
-            if not r1 < r2:
-                x1, x2 = self.values[v1], self.values[v2]
-                raise _Contradiction(
-                    f"value order broken: {x1} < {x2} but r({x1}) = {r1} ≥ "
-                    f"r({x2}) = {r2}",
-                    e1 | e2,
-                )
+        for v1, v2 in zip(self._order, self._order[1:]):
+            self._check_pair_order(v1, v2)
+
+    def _check_neighbours(self, value: int):
+        """A strictly increasing g orders a pinned value's ratio between
+        those of its neighbours among the known ranks.  Checking each value
+        when it is taken off the worklist covers every pair that ends up
+        adjacent: known values are only ever added, so two values adjacent
+        at the end were adjacent when the later of them was taken."""
+        order = self._order
+        at = bisect.bisect_left(order, value)
+        if at > 0:
+            self._check_pair_order(order[at - 1], value)
+        if at + 1 < len(order):
+            self._check_pair_order(value, order[at + 1])
 
     def _check_sum_order(self):
         # r(x) + r(y) = 1 pairs: as x grows, y must strictly shrink.  Both
         # orientations of every equation enter the scan so the adjacent-pair
         # argument is complete.
-        oriented = []
-        for x, y, w in self.sums:
-            oriented.append((x, y, w))
-            if x != y:
-                oriented.append((y, x, w))
-        oriented.sort()
+        x, y, w = self.sums.T
+        two = x != y
+        x, y, w = (np.concatenate(p) for p in ((x, y[two]), (y, x[two]), (w, w[two])))
+        order = np.lexsort((y, x))
+        x, y, w = x[order], y[order], w[order]
+        bad = np.flatnonzero(np.where(x[1:] == x[:-1], y[1:] != y[:-1], y[:-1] <= y[1:]))
+        if not len(bad):
+            return
+        i = int(bad[0])
         v = self.values
-        for (x1, y1, w1), (x2, y2, w2) in zip(oriented, oriented[1:]):
-            marks = frozenset([("sum", w1), ("sum", w2)])
-            if x1 == x2:
-                if y1 != y2:
-                    raise _Contradiction(
-                        f"complements of the shared value {v[x1]} differ: "
-                        f"{v[y1]} vs {v[y2]} would share the ratio 1 - r({v[x1]})",
-                        marks,
-                    )
-            elif not y1 > y2:
-                raise _Contradiction(
-                    f"complement order broken: {v[x1]} < {v[x2]} but complements "
-                    f"{v[y1]} ≤ {v[y2]}",
-                    marks,
-                )
+        (x1, x2), (y1, y2) = x[i:i + 2].tolist(), y[i:i + 2].tolist()
+        marks = frozenset([("sum", int(w[i])), ("sum", int(w[i + 1]))])
+        if x1 == x2:
+            raise _Contradiction(
+                f"complements of the shared value {v[x1]} differ: "
+                f"{v[y1]} vs {v[y2]} would share the ratio 1 - r({v[x1]})",
+                marks,
+            )
+        raise _Contradiction(
+            f"complement order broken: {v[x1]} < {v[x2]} but complements "
+            f"{v[y1]} ≤ {v[y2]}",
+            marks,
+        )
 
     def _check_product_groups(self):
         """Cross-equation rules that need no derived values.
@@ -274,43 +320,96 @@ class _RatioEngine:
         Equal factor pairs force equal products; a shared positive factor
         cancels, forcing the cofactors' ratios equal.  Either way, distinct
         values forced to one ratio contradict the strictly increasing g.
+        Each group is found by sorting the products on its key; the messages
+        name a group's two least members.
         """
-        by_factors: dict = {}
-        by_out_left: dict = {}
-        by_out_right: dict = {}
-        for out, l, r, w in self.products:
-            by_factors.setdefault((l, r), []).append((out, w))
-            by_out_left.setdefault((out, l), []).append((r, w))
-            by_out_right.setdefault((out, r), []).append((l, w))
+        out, left, right, w = self.products.T
         v = self.values
-        for (l, r), outs in by_factors.items():
-            if len({o for o, _ in outs}) > 1:
-                (o1, w1), (o2, w2) = outs[0], outs[1]
-                raise _Contradiction(
-                    f"r({v[l]})·r({v[r]}) equals both r({v[o1]}) and r({v[o2]}) "
-                    f"with {v[o1]} ≠ {v[o2]}",
-                    frozenset([("product", w1), ("product", w2)]),
-                )
-        for grouped in (by_out_left, by_out_right):
-            for (out, shared), cofactors in grouped.items():
-                if len({c for c, _ in cofactors}) <= 1:
-                    continue
-                if shared in self.positive or out in self.positive:
-                    (c1, w1), (c2, w2) = cofactors[0], cofactors[1]
-                    raise _Contradiction(
-                        f"cancelling the positive shared factor r({v[shared]}) in "
-                        f"r({v[out]}) = r({v[shared]})·r({v[c1]}) = "
-                        f"r({v[shared]})·r({v[c2]}) "
-                        f"forces r({v[c1]}) = r({v[c2]}) with {v[c1]} ≠ {v[c2]}",
-                        frozenset([("product", w1), ("product", w2)]),
-                    )
 
-    def _apply_sum(self, x, y, witness) -> bool:
-        mark = frozenset([("sum", witness)])
-        changed = False
+        def groups(*key):
+            """Sorted on `key` (major key last), and where each product
+            starts a group of equal key[1:] with another after it."""
+            order = np.lexsort(key)
+            same = np.ones(max(len(order) - 1, 0), dtype=bool)
+            for column in key[1:]:
+                ranked = column[order]
+                same &= ranked[1:] == ranked[:-1]
+            return order, same
+
+        order, same = groups(out, right, left)
+        if same.any():
+            i, j = order[np.flatnonzero(same)[0]:][:2].tolist()
+            raise _Contradiction(
+                f"r({v[left[i]]})·r({v[right[i]]}) equals both r({v[out[i]]}) and "
+                f"r({v[out[j]]}) with {v[out[i]]} ≠ {v[out[j]]}",
+                frozenset([("product", int(w[i])), ("product", int(w[j]))]),
+            )
+        for shared, cofactor in ((left, right), (right, left)):
+            order, same = groups(cofactor, shared, out)
+            start = np.flatnonzero(same & (self.positive[shared] | self.positive[out])[order[:-1]])
+            if not len(start):
+                continue
+            # the group met first in (out, left, right) order
+            start = start[np.lexsort((shared[order[start]], left[order[start]],
+                                      out[order[start]]))[0]]
+            i, j = order[start:start + 2].tolist()
+            o, s, c1, c2 = v[out[i]], v[shared[i]], v[cofactor[i]], v[cofactor[j]]
+            raise _Contradiction(
+                f"cancelling the positive shared factor r({s}) in "
+                f"r({o}) = r({s})·r({c1}) = r({s})·r({c2}) "
+                f"forces r({c1}) = r({c2}) with {c1} ≠ {c2}",
+                frozenset([("product", int(w[i])), ("product", int(w[j]))]),
+            )
+
+    def _apply_static(self):
+        """The rules that need no pinned ratio, as array passes: a
+        self-complementary value has ratio 1/2, and r(out) = r(l)·r(r) ≤
+        min(r(l), r(r)), so the product never exceeds a factor and equals a
+        positive one only when the other factor is 1."""
+        x, y, w = self.sums.T
+        for i in np.flatnonzero(x == y).tolist():
+            self._set(int(x[i]), Fraction(1, 2), frozenset([("sum", int(w[i]))]),
+                      "self-complementary value")
+        out, left, right, w = self.products.T
+        positive, below_one = self.positive, self.below_one
+        cancel_left = (out == left) & positive[left]  # forces r(right) = 1
+        cancel_right = (out == right) & positive[right]  # forces r(left) = 1
+        bad = ((out > left) | (out > right) | (cancel_left & below_one[right])
+               | (cancel_right & below_one[left]))
+        if bad.any():
+            self._explain_static(int(np.flatnonzero(bad)[0]))
+        # one product per value forced to 1 carries the fact
+        cancel = np.flatnonzero(cancel_left | cancel_right)
+        unit = np.where(cancel_left[cancel], right[cancel], left[cancel])
+        unit, first = np.unique(unit, return_index=True)
+        for value, i in zip(unit.tolist(), cancel[first].tolist()):
+            self._set(value, ONE, frozenset([("product", int(w[i]))]),
+                      f"cancelling r({self.values[out[i]]}) > 0")
+
+    def _explain_static(self, i: int):
+        """Raise the static contradiction of product i."""
+        out, l, r, witness = self._product_rows[i]
+        v = self.values
+        mark = frozenset([("product", witness)])
+        for big, small in ((l, r), (r, l)):
+            if out > big:
+                raise _Contradiction(
+                    f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
+                    f"but {v[out]} > {v[big]}",
+                    mark,
+                )
+            if out == big and self.positive[big] and self.below_one[small]:
+                raise _Contradiction(
+                    f"r({v[out]}) = r({v[out]})·r({v[small]}) needs r({v[out]}) = 0 "
+                    f"or r({v[small]}) = 1; both are excluded",
+                    mark,
+                )
+
+    def _apply_sum(self, i: int):
+        x, y, witness = self._sum_rows[i]
         if x == y:
-            changed |= self._set(x, Fraction(1, 2), mark, "self-complementary value")
-            return changed
+            return  # pinned to 1/2 by the static pass
+        mark = frozenset([("sum", witness)])
         kx = self.known.get(x)
         ky = self.known.get(y)
         v = self.values
@@ -320,46 +419,35 @@ class _RatioEngine:
                     f"r({v[x]}) + r({v[y]}) = {kx[0] + ky[0]} ≠ 1",
                     kx[1] | ky[1] | mark,
                 )
-            return False
-        if kx:
-            changed |= self._set(y, 1 - kx[0], kx[1] | mark, f"complement of {v[x]}")
+        elif kx:
+            self._set(y, 1 - kx[0], kx[1] | mark, f"complement of {v[x]}")
         elif ky:
-            changed |= self._set(x, 1 - ky[0], ky[1] | mark, f"complement of {v[y]}")
-        return changed
+            self._set(x, 1 - ky[0], ky[1] | mark, f"complement of {v[y]}")
 
-    def _apply_product(self, out, l, r, witness) -> bool:
+    def _apply_product(self, i: int):
+        out, l, r, witness = self._product_rows[i]
+        known = self.known
+        kl, kr, ko = known.get(l), known.get(r), known.get(out)
+        if not (kl or kr):
+            return  # every rule below needs a pinned factor
+        if kl and kr and ko:
+            # settled: every rule below could only confirm r(out) = r(l)·r(r)
+            a, b, c = kl[0], kr[0], ko[0]
+            if (a.numerator * b.numerator * c.denominator
+                    == c.numerator * a.denominator * b.denominator):
+                return
         mark = frozenset([("product", witness)])
-        changed = False
         v = self.values
-        # r(out) = r(l)·r(r) ≤ min(r(l), r(r)): the product never exceeds a
-        # factor, and equals one only when the other factor is 1 (or it is 0)
-        for big, small in ((l, r), (r, l)):
-            if out > big:
-                raise _Contradiction(
-                    f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
-                    f"but {v[out]} > {v[big]}",
-                    mark,
-                )
-            if out == big and big in self.positive and small in self.below_one:
-                raise _Contradiction(
-                    f"r({v[out]}) = r({v[out]})·r({v[small]}) needs r({v[out]}) = 0 "
-                    f"or r({v[small]}) = 1; both are excluded",
-                    mark,
-                )
-            if out == big and big in self.positive:
-                changed |= self._set(small, ONE, mark, f"cancelling r({v[big]}) > 0")
         for unit, other in ((l, r), (r, l)):
-            ku = self.known.get(unit)
+            ku = known.get(unit)
             if not (ku and ku[0] == 1) or out == other:
                 continue
-            k_other = self.known.get(other)
-            k_out = self.known.get(out)
+            k_other = known.get(other)
+            k_out = known.get(out)
             if k_other:
-                changed |= self._set(out, k_other[0], ku[1] | k_other[1] | mark,
-                                     "unit factor")
+                self._set(out, k_other[0], ku[1] | k_other[1] | mark, "unit factor")
             elif k_out:
-                changed |= self._set(other, k_out[0], ku[1] | k_out[1] | mark,
-                                     "unit factor")
+                self._set(other, k_out[0], ku[1] | k_out[1] | mark, "unit factor")
             else:
                 # distinct values forced to share a ratio break strict increase
                 raise _Contradiction(
@@ -367,22 +455,19 @@ class _RatioEngine:
                     f"{v[out]} ≠ {v[other]}",
                     ku[1] | mark,
                 )
-        kl = self.known.get(l)
-        kr = self.known.get(r)
+        kl = known.get(l)
+        kr = known.get(r)
         if kl and kl[0] == 0:
-            changed |= self._set(out, ZERO, kl[1] | mark, "zero factor")
+            self._set(out, ZERO, kl[1] | mark, "zero factor")
         if kr and kr[0] == 0:
-            changed |= self._set(out, ZERO, kr[1] | mark, "zero factor")
-        kl = self.known.get(l)
-        kr = self.known.get(r)
-        ko = self.known.get(out)
+            self._set(out, ZERO, kr[1] | mark, "zero factor")
+        ko = known.get(out)
         if kl and kr:
-            changed |= self._set(out, kl[0] * kr[0], kl[1] | kr[1] | mark, "product")
+            self._set(out, kl[0] * kr[0], kl[1] | kr[1] | mark, "product")
         elif ko and kl and kl[0] != 0:
-            changed |= self._set(r, ko[0] / kl[0], ko[1] | kl[1] | mark, "quotient")
+            self._set(r, ko[0] / kl[0], ko[1] | kl[1] | mark, "quotient")
         elif ko and kr and kr[0] != 0:
-            changed |= self._set(l, ko[0] / kr[0], ko[1] | kr[1] | mark, "quotient")
-        return changed
+            self._set(l, ko[0] / kr[0], ko[1] | kr[1] | mark, "quotient")
 
     def run(self) -> "_RatioEngine":
         try:
@@ -390,15 +475,18 @@ class _RatioEngine:
             self._check_sum_order()
             self._check_product_groups()
             self._check_known_order()
-            for _ in range(REFUTATION_DEPTH):
-                changed = False
-                for x, y, w in self.sums:
-                    changed |= self._apply_sum(x, y, w)
-                for out, l, r, w in self.products:
-                    changed |= self._apply_product(out, l, r, w)
-                self._check_known_order()
-                if not changed:
-                    break
+            self._apply_static()
+            (sum_starts, sums_of), (product_starts, products_of) = (
+                self._sums_of, self._products_of)
+            taken = 0
+            while taken < len(self._queue):
+                value = self._queue[taken]
+                taken += 1
+                self._check_neighbours(value)
+                for i in sums_of[sum_starts[value]:sum_starts[value + 1]]:
+                    self._apply_sum(i)
+                for i in products_of[product_starts[value]:product_starts[value + 1]]:
+                    self._apply_product(i)
         except _Contradiction as exc:
             self.contradiction = exc
         return self
@@ -422,19 +510,27 @@ def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure)
 
     sums: dict[tuple, tuple] = {}
     products: dict[tuple, tuple] = {}
-    # canonical order is ascending reversed masks: (u, v) and (u, a, b)
+    # canonical order is ascending reversed masks: (u, v) and (u, a, b); a
+    # rule's witness is its place in the certificate, which nothing reads
     for kind, masks in sorted(data.instances, key=lambda i: (i[0], i[1][::-1])):
-        masks = tuple(masks)
         if kind == "sum":
             v, u = masks
             x, s_x = rank(v, u), rank(u ^ v, u)
-            sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, masks))
+            sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, len(sums)))
         else:
             b, a, u = masks
             out, l, r = rank(b, u), rank(b, a), rank(a, u)
-            products.setdefault((out, l, r), (out, l, r, masks))
-    engine = _RatioEngine(structure, sums.values(), products.values()).run()
+            products.setdefault((out, l, r), (out, l, r, len(products)))
+    engine = _RatioEngine(structure, list(sums.values()), list(products.values())).run()
     return engine.contradiction is not None
+
+
+def _fixpoint(structure: BeliefStructure) -> _RatioEngine:
+    """The ratio engine on the structure's S and F arrays, run to its
+    fixpoint; memoized, so `decide` reads the run of refutation search."""
+    return structure.derived(
+        "ratio-engine", lambda s: _RatioEngine.from_extraction(s).run()
+    )
 
 
 def refutation_search(structure: BeliefStructure) -> RefutationCertificate | None:
@@ -444,7 +540,8 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
     complements force equal ratios for distinct values), A2 extraction
     conflict, composite chain associativity, and the ratio-propagation
     engine's order conflicts.  All of them read extraction's rank arrays;
-    the Fraction forms are built only for an A1 or A2 certificate.
+    the Fraction forms are built only for an A1 or A2 certificate, and
+    witness masks only for the rules a certificate names.
     """
     if negation_ranks(structure).clash is not None:
         negation = extract_negation(structure)
@@ -468,15 +565,15 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
             "chain-associativity", chain_report.certificate,
             chain_report.detail,
         )
-    engine = _RatioEngine.from_extraction(structure).run()
-    if engine.contradiction is not None:
-        instances = tuple(
-            sorted(i for i in engine.contradiction.eqset if i[0] in ("sum", "product"))
-        )
-        data = OrderConflictData(instances, engine.contradiction.description)
-        return RefutationCertificate(
-            "order-conflict", data, engine.contradiction.description
-        )
+    contradiction = _fixpoint(structure).contradiction
+    if contradiction is not None:
+        ranked = {"sum": negation_ranks(structure), "product": combination_ranks(structure)}
+        instances = tuple(sorted(
+            (kind, ranked[kind].masks(w)[0])
+            for kind, w in contradiction.eqset if kind in ranked
+        ))
+        data = OrderConflictData(instances, contradiction.description)
+        return RefutationCertificate("order-conflict", data, contradiction.description)
     return None
 
 
@@ -644,7 +741,8 @@ def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
 @dataclass(frozen=True)
 class DecisionParams:
     """Numeric-phase settings; `restarts=0` skips that phase (an honest
-    unknown where the exact phases settle nothing).
+    unknown where the exact phases, structured candidates, refutation
+    search and propagation, settle nothing).
 
     `restarts` seeded starts each run the least-squares search, `budget`
     caps the solver's evaluations per solve, and a solution is rounded to
@@ -741,6 +839,59 @@ def _value_classes(structure: BeliefStructure):
     return [(index.values[x], pairs) for x, pairs in sorted(classes.items())]
 
 
+def _pinned_weights(structure: BeliefStructure, known) -> list[Fraction] | None:
+    """The one weighting that the ratios pinned in `known` allow, or None.
+
+    A pair (V, U) of a value whose ratio p/q is pinned in (0, 1) says
+    q·μ(V) − p·μ(U) = 0, an integer row over the atom weights.  The rows
+    are taken in canonical order and eliminated fraction-free, each kept in
+    lowest terms and reduced against the others, until their rank is n − 1.
+    Their null vector is then the only weighting up to scale; it is
+    returned, normalized, if it is strictly positive.  The rows not read
+    are not checked here, so only `verify_witness` makes it a witness.
+    """
+    n = structure.domain.size
+    index = structure.value_index()
+    ratios = {x: r for x, (r, _) in known.items() if 0 < r < 1}
+    pinned = np.zeros(len(index.values), dtype=bool)
+    pinned[list(ratios)] = True
+    start, sub = submask_table(n)
+    at = np.flatnonzero(pinned[index.pair_rank]) + 1  # pair k is entry k + 1
+    owner = np.arange(1 << n).repeat(np.diff(start))
+    basis: dict[int, list[int]] = {}  # pivot column -> a row zero at every other pivot
+    for v, u, x in zip(sub[at].tolist(), owner[at].tolist(), index.pair_rank[at - 1].tolist()):
+        if len(basis) == n - 1:
+            break
+        p, q = ratios[x].numerator, ratios[x].denominator
+        row = [q - p if v >> i & 1 else -p if u >> i & 1 else 0 for i in range(n)]
+        for c, b in basis.items():
+            if row[c]:
+                row = _lowest([b[c] * t - row[c] * s for t, s in zip(row, b)])
+        pivot = next((c for c, t in enumerate(row) if t), None)
+        if pivot is None:
+            continue
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _lowest([row[pivot] * s - b[pivot] * t for s, t in zip(b, row)])
+        basis[pivot] = row
+    if len(basis) != n - 1:
+        return None
+    (free,) = set(range(n)) - set(basis)
+    w = [Fraction(1)] * n
+    for c, b in basis.items():
+        w[c] = Fraction(-b[free], b[c])
+    if not all(x > 0 for x in w):
+        return None
+    total = sum(w)
+    return [x / total for x in w]
+
+
+def _lowest(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [t // g for t in row] if g > 1 else row
+
+
 def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
     """The numeric phase's least-squares problem over the atom weights.
 
@@ -786,9 +937,18 @@ def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
             out[free] = x
             return out
 
+        last = [None, None]  # the last point evaluated and its residuals
+
+        def at(x):
+            # the solver asks for the Jacobian at the point whose residuals
+            # it has just evaluated, so one evaluation serves both
+            if last[0] is None or not np.array_equal(last[0], x):
+                last[:] = x.copy(), residuals(full(x), pull)
+            return last[1]
+
         result = least_squares(
-            lambda x: residuals(full(x), pull)[0], w[free],
-            jac=lambda x: residuals(full(x), pull)[1][:, free],
+            lambda x: at(x)[0], w[free],
+            jac=lambda x: at(x)[1][:, free],
             bounds=(1e-12, np.inf), method="trf",
             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=budget,
         )
@@ -847,12 +1007,15 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     """Witness, Refutation, or an honest Unknown.
 
     Pipeline: exact structured candidates (affine identity, power laws)
-    first; then refutation search; then the seeded least-squares search of
-    `_numeric_candidates`.  Trying candidates before refutation search is
-    sound because `verify_witness` is exact: a structure with a verified
-    witness is a rescaled probability, so no valid refutation exists and the
-    search could only find nothing.  The numeric phase stays last, so a
-    refutable structure never pays for its failed restarts.  Every witness
+    first; then refutation search; then propagation, the weighting that
+    the ratio engine's fixpoint pins (`_pinned_weights`); then the seeded
+    least-squares search of `_numeric_candidates`.  Trying candidates before
+    refutation search is sound because `verify_witness` is exact: a
+    structure with a verified witness is a rescaled probability, so no valid
+    refutation exists and the search could only find nothing.  Propagation
+    reads the engine run that refutation search left memoized, so it costs
+    one small elimination.  The numeric phase stays last, so a refutable
+    structure never pays for its failed restarts.  Every witness
     passes `verify_witness` in exact arithmetic; a near-solution that no
     rational weighting near it confirms is an Unknown, as is an exhausted
     budget.
@@ -882,6 +1045,11 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
         return IsomorphismVerdict(
             "refutation", certificate=certificate, budget=budget_report
         )
+
+    budget_report["phase"] = "propagation"
+    weights = _pinned_weights(structure, _fixpoint(structure).known)
+    if weights is not None and (verdict := exact_witness(weights)) is not None:
+        return verdict
 
     # one atom has the one weighting, which the structured candidates tried
     if params.restarts > 0 and structure.domain.size > 1:

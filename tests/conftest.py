@@ -5,6 +5,7 @@ import mpmath
 from hypothesis import HealthCheck, settings
 
 from coxcheck.core import BeliefStructure, Domain
+from coxcheck.forms import combination_ranks, negation_ranks
 from coxcheck.generators import gen_probability
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,3 +63,15 @@ def golden_ratio_structure():
     assert len(levels) == 7
     table = {vu: Fraction(levels.index(k), 6) for vu, k in keys.items()}
     return BeliefStructure.from_table(Domain(("a", "b", "c")), table)
+
+
+def engine_rules(structure, engine):
+    """The ratio engine's sums (x, y, (v,u)) and products (out, l, r,
+    (b,a,u)), sorted, with each witness number read as the masks of the
+    A1 or A2 instance it numbers."""
+    s, f = negation_ranks(structure), combination_ranks(structure)
+    x, y, w = engine.sums.T
+    sums = sorted(zip(x.tolist(), y.tolist(), s.masks(w)))
+    out, l, r, w = engine.products.T
+    products = sorted(zip(out.tolist(), l.tolist(), r.tolist(), f.masks(w)))
+    return sums, products

@@ -364,6 +364,23 @@ class TestDecideOptions:
         assert code == 0
         assert report["verdict"]["budget"]["phase"] == "numeric"
 
+    def test_zero_restarts_settle_a_near_five_atom_table_by_propagation(
+        self, tmp_path, capsys
+    ):
+        """Near-uniform weights (2, 2, 3, 2, 3) through v ↦ (v + v²)/2: the
+        engine pins enough ratios to read the weights off exactly, so no
+        numeric restart is needed."""
+        path = tmp_path / "near-mix2.bel"
+        save_structure(relabelled_probability([2, 2, 3, 2, 3], lambda v: (v + v * v) / 2),
+                       path)
+        code, report = run_with_report(["decide", path, "--restarts", "0"], tmp_path)
+        assert code == 0
+        verdict = report["verdict"]
+        assert verdict["budget"]["phase"] == "propagation"
+        assert verdict["kind"] == "witness" and verdict["exact"] is True
+        weights = [F(verdict["weights"][f"x{i}"]) for i in range(5)]
+        assert weights == [F(w, 12) for w in (2, 2, 3, 2, 3)]
+
     def test_zero_restarts_is_an_honest_unknown(self, tmp_path, capsys):
         path = numeric_table(tmp_path)
         assert main(["decide", str(path), "--restarts", "0", "--tol", "0"]) == 2

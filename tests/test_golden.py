@@ -4,11 +4,12 @@ The pinned file was written before the decision phases moved from Fraction
 keys to integer value ranks; any change to a verdict, certificate text,
 recheck result, witness or `check` line shows up here.
 
-No fixture reaches `decide`'s numeric phase, so a second file pins that
-phase's trajectory on structures built here: rescaled probabilities whose
-rescaling is neither affine nor a power law.  It holds the verdict kind, the
-budget report (phase, restarts, least-squares evaluations, the exact `repr`
-of the least squared residual) and the exact witness weights.
+No fixture reaches `decide`'s propagation or numeric phase, so a second
+file pins those phases' trajectories on structures built here: rescaled
+probabilities whose rescaling is neither affine nor a power law.  It holds
+the verdict kind, the budget report (phase, restarts, least-squares
+evaluations, the exact `repr` of the least squared residual where the
+numeric phase ran) and the exact witness weights.
 
 To rewrite both files after a deliberate change of output:
 
@@ -86,25 +87,29 @@ def mobius(v):
     return v / (2 - v)
 
 
-# name -> (structure builder, decide parameters); none is settled before the
-# numeric phase.  mobius-4-seed1 runs on a short budget.
+# name -> (structure builder, decide parameters, the phase that settles it);
+# none is settled before the propagation phase.  mobius-4-seed1 runs on a
+# short budget.
 NUMERIC_CASES = {
-    "mobius-2": (custom_monotone_distortion, DecisionParams()),
-    "mix2-4-seed1": (lambda: seeded(1, 4, mix2), DecisionParams()),
-    "mix2-4-seed3": (lambda: seeded(3, 4, mix2), DecisionParams()),
-    "mix2-5-seed1": (lambda: seeded(1, 5, mix2), DecisionParams()),
+    "mobius-2": (custom_monotone_distortion, DecisionParams(), "numeric"),
+    "mix2-4-seed1": (lambda: seeded(1, 4, mix2), DecisionParams(), "numeric"),
+    "mix2-4-seed3": (lambda: seeded(3, 4, mix2), DecisionParams(), "numeric"),
+    "mix2-5-seed1": (lambda: seeded(1, 5, mix2), DecisionParams(), "propagation"),
+    "mix2-5-seed3": (lambda: seeded(3, 5, mix2), DecisionParams(), "numeric"),
     "mobius-4-seed1": (
         lambda: seeded(1, 4, mobius),
         DecisionParams(restarts=2, budget=150),
+        "numeric",
     ),
 }
 
 
 def _numeric_record(name: str) -> dict:
-    build, params = NUMERIC_CASES[name]
+    build, params, _ = NUMERIC_CASES[name]
     verdict = decide(build(), params)
     budget = dict(verdict.budget)
-    budget["best_penalty"] = repr(budget["best_penalty"])
+    if "best_penalty" in budget:
+        budget["best_penalty"] = repr(budget["best_penalty"])
     record = {"kind": verdict.kind, "budget": budget}
     if verdict.witness is not None:
         payload = verdict.to_dict()
@@ -141,7 +146,7 @@ def test_every_numeric_case_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_NUMERIC_DATA))
 def test_numeric_trajectory_matches_golden(name):
-    assert GOLDEN_NUMERIC_DATA[name]["budget"]["phase"] == "numeric"
+    assert GOLDEN_NUMERIC_DATA[name]["budget"]["phase"] == NUMERIC_CASES[name][2]
     assert _numeric_record(name) == GOLDEN_NUMERIC_DATA[name]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +33,7 @@ from coxcheck.isomorphism import (
 from conftest import (
     FIXTURES,
     custom_monotone_distortion,
+    engine_rules,
     fixture_path,
     golden_ratio_structure,
     relabelled_probability,
@@ -261,12 +263,13 @@ def assert_engine_matches_reference(structure):
     sums, products, positive, below_one = reference_engine_inputs(structure)
     # the engine keys facts by value rank; engine.values maps ranks back
     value = engine.values
-    assert [(value[x], value[y], w) for x, y, w in engine.sums] == sums
+    got_sums, got_products = engine_rules(structure, engine)
+    assert [(value[x], value[y], w) for x, y, w in got_sums] == sums
     assert [
-        (value[out], value[l], value[r], w) for out, l, r, w in engine.products
+        (value[out], value[l], value[r], w) for out, l, r, w in got_products
     ] == products
-    assert {value[x] for x in engine.positive} == positive
-    assert {value[x] for x in engine.below_one} == below_one
+    assert {value[x] for x in engine.positive.nonzero()[0]} == positive
+    assert {value[x] for x in engine.below_one.nonzero()[0]} == below_one
     return True
 
 
@@ -313,18 +316,43 @@ def non_power_structure(ints, name):
     return relabelled_probability(ints, NON_POWER_MAPS[name])
 
 
+# (seed, atoms) -> the phase that settles the seeded table under either map
+SETTLING_PHASE = {
+    **{(seed, 4): "numeric" for seed in range(1, 7)},
+    (1, 5): "propagation",
+    (2, 5): "propagation",
+    (3, 5): "numeric",
+    (4, 5): "propagation",
+    (5, 5): "numeric",
+    (6, 5): "propagation",
+}
+
+
+def pinned_rows(structure, known):
+    """The rows q·1_V − p·1_U of every pair whose ratio p/q is pinned in
+    (0, 1), straight from the pairs."""
+    n = structure.domain.size
+    rows = []
+    for v, u, x in structure.value_index().pairs():
+        if x in known and 0 < known[x][0] < 1:
+            p, q = known[x][0].numerator, known[x][0].denominator
+            rows.append([q - p if v >> i & 1 else -p if u >> i & 1 else 0 for i in range(n)])
+    return rows
+
+
 class TestNumericPhase:
     @pytest.mark.parametrize("name", ["mobius", "cubic-mix"])
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_seeded_non_power_tables_get_exact_witnesses(self, seed, n, name):
         """Integer weights 1-9 pushed through a map under which no exact
-        candidate fits, so only the least-squares search can settle them."""
+        candidate fits, so only the elimination over the engine's pinned
+        ratios or the least-squares search can settle them."""
         rng = random.Random(seed)
         b = non_power_structure([rng.randint(1, 9) for _ in range(n)], name)
         verdict = decide(b)
         assert verdict.kind == "witness"
-        assert verdict.budget["phase"] == "numeric"
+        assert verdict.budget["phase"] == SETTLING_PHASE[seed, n]
         assert verify_witness(b, verdict.witness.as_fractions(b.domain)).passed
 
     def test_irrational_witness_is_an_honest_unknown(self):
@@ -334,6 +362,45 @@ class TestNumericPhase:
         assert verdict.kind == "unknown"
         assert verdict.witness is None
         assert verdict.budget["best_penalty"] < DecisionParams().tolerance
+
+
+class TestPropagationPhase:
+    def test_pinned_ratios_give_the_generating_weights(self):
+        """Weights (1, 1, 2, 3) through (v + v²)/2: the pinned classes have
+        rank n − 1, and their null vector is the witness."""
+        b = non_power_structure([1, 1, 2, 3], "mix2")
+        verdict = decide(b, DecisionParams(restarts=0))
+        assert verdict.kind == "witness"
+        assert verdict.budget == {"restarts": 0, "iterations": 0, "phase": "propagation"}
+        assert verdict.witness.as_fractions(b.domain) == [F(1, 7), F(1, 7), F(2, 7), F(3, 7)]
+
+    def test_pins_of_rank_below_n_minus_one_fall_through_to_numeric(self):
+        """Weights (3, 2, 5, 2) through (v + v²)/2: the engine pins ratios
+        in (0, 1) on a few pairs only, whose rows have rank 2 < n − 1, so
+        no weighting is read off and the numeric phase settles it."""
+        b = non_power_structure([3, 2, 5, 2], "mix2")
+        assert refutation_search(b) is None
+        known = isomorphism._fixpoint(b).known
+        rows = pinned_rows(b, known)
+        assert rows and np.linalg.matrix_rank(np.array(rows, dtype=float)) == 2
+        assert isomorphism._pinned_weights(b, known) is None
+        verdict = decide(b)
+        assert verdict.kind == "witness"
+        assert verdict.budget["phase"] == "numeric"
+
+    def test_decide_reads_the_run_of_refutation_search(self, monkeypatch):
+        """The engine runs once per structure: `decide` reads the fixpoint
+        that refutation search memoized."""
+        runs = []
+        original = _RatioEngine.run
+
+        def counting(self):
+            runs.append(1)
+            return original(self)
+
+        monkeypatch.setattr(_RatioEngine, "run", counting)
+        assert decide(non_power_structure([1, 1, 2, 3], "mix2")).kind == "witness"
+        assert runs == [1]
 
 
 class TestDecide:

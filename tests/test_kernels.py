@@ -1,6 +1,6 @@
-"""The array kernels of A1/A2 extraction, the associativity join and the
-ratio engine's seeds against the per-instance loops they replaced, kept
-here as oracles."""
+"""The array kernels of A1/A2 extraction and the associativity join against
+the per-instance loops they replaced, and the worklist ratio engine against
+the sweep loop it replaced, kept here as oracles."""
 
 import bisect
 import contextlib
@@ -20,7 +20,7 @@ from coxcheck.files import load_structure
 from coxcheck.forms import combination_ranks, negation_ranks
 from coxcheck.isomorphism import _Contradiction, _RatioEngine
 
-from conftest import FIXTURES
+from conftest import FIXTURES, engine_rules
 
 
 # -- oracles: the loops, one Python step per instance ---------------------------
@@ -378,12 +378,16 @@ class TestAssociativityJoin:
         assert failing == ["chain_conflict.bel"]
 
 
-# -- the ratio engine's flags and seeds -------------------------------------------
+# -- the ratio engine against the sweep loop it replaced ---------------------------
 
 
-class OracleEngine(_RatioEngine):
-    """The engine with its positivity flags and seeds from one Python step
-    per A1 instance, as it computed them before reading arrays."""
+class OracleEngine:
+    """The ratio engine as it was before the worklist: positivity flags and
+    seeds from one Python step per A1 instance, eager (v,u) and (b,a,u)
+    witnesses in every fact, and `run` as whole sweeps over every sum and
+    product until a sweep changes nothing or DEPTH sweeps have run."""
+
+    DEPTH = 16
 
     def __init__(self, structure, sums, products):
         values, instances = oracle_negation_instances(structure)
@@ -392,6 +396,7 @@ class OracleEngine(_RatioEngine):
         self.positive, self.below_one, self.known = set(), set(), {}
         self.sums, self.products = sorted(sums), sorted(products)
         self.contradiction = None
+        self.converged = False
         self._seeds = []
         for x, s_x, (v, u) in instances:
             for value, vm in ((x, v), (s_x, u ^ v)):
@@ -421,6 +426,133 @@ class OracleEngine(_RatioEngine):
         if self.E in self.positive or self.E in self.below_one or self.E in self.known:
             self._set(self.E, ONE, frozenset([("seed", "g(E)=1")]), "g(E) = 1")
 
+    def _set(self, value, ratio, eqset, why):
+        x = self.values[value]
+        if value in self.known:
+            old_ratio, old_eqs = self.known[value]
+            if old_ratio != ratio:
+                raise _Contradiction(
+                    f"r({x}) forced to both {old_ratio} and {ratio} ({why})",
+                    eqset | old_eqs)
+            return False
+        if ratio < 0 or ratio > 1:
+            raise _Contradiction(f"r({x}) forced to {ratio} outside [0,1] ({why})", eqset)
+        if ratio == 0 and value in self.positive:
+            raise _Contradiction(f"r({x}) forced to 0 but {x} is attained at a nonempty "
+                                 f"intersection or exceeds e ({why})", eqset)
+        if ratio == 1 and value in self.below_one:
+            raise _Contradiction(f"r({x}) forced to 1 but {x} is attained at a proper "
+                                 f"subevent or is below E ({why})", eqset)
+        self.known[value] = (ratio, eqset)
+        return True
+
+    def _check_known_order(self):
+        items = sorted(self.known.items())
+        for (v1, (r1, e1)), (v2, (r2, e2)) in zip(items, items[1:]):
+            if not r1 < r2:
+                raise _Contradiction("value order broken", e1 | e2)
+
+    def _check_sum_order(self):
+        oriented = []
+        for x, y, w in self.sums:
+            oriented.append((x, y, w))
+            if x != y:
+                oriented.append((y, x, w))
+        oriented.sort()
+        for (x1, y1, w1), (x2, y2, w2) in zip(oriented, oriented[1:]):
+            if (y1 != y2) if x1 == x2 else not y1 > y2:
+                raise _Contradiction("complement order broken",
+                                     frozenset([("sum", w1), ("sum", w2)]))
+
+    def _check_product_groups(self):
+        by_factors, by_out_left, by_out_right = {}, {}, {}
+        for out, l, r, w in self.products:
+            by_factors.setdefault((l, r), []).append((out, w))
+            by_out_left.setdefault((out, l), []).append((r, w))
+            by_out_right.setdefault((out, r), []).append((l, w))
+        for outs in by_factors.values():
+            if len({o for o, _ in outs}) > 1:
+                raise _Contradiction("equal factors, distinct products",
+                                     frozenset([("product", outs[0][1]),
+                                                ("product", outs[1][1])]))
+        for grouped in (by_out_left, by_out_right):
+            for (out, shared), cofactors in grouped.items():
+                if len({c for c, _ in cofactors}) > 1 and (
+                        shared in self.positive or out in self.positive):
+                    raise _Contradiction("cancelling a positive shared factor",
+                                         frozenset([("product", cofactors[0][1]),
+                                                    ("product", cofactors[1][1])]))
+
+    def _apply_sum(self, x, y, witness):
+        mark = frozenset([("sum", witness)])
+        if x == y:
+            return self._set(x, F(1, 2), mark, "self-complementary value")
+        kx, ky = self.known.get(x), self.known.get(y)
+        if kx and ky:
+            if kx[0] + ky[0] != 1:
+                raise _Contradiction("complements do not sum to 1", kx[1] | ky[1] | mark)
+            return False
+        if kx:
+            return self._set(y, 1 - kx[0], kx[1] | mark, "complement")
+        if ky:
+            return self._set(x, 1 - ky[0], ky[1] | mark, "complement")
+        return False
+
+    def _apply_product(self, out, l, r, witness):
+        mark = frozenset([("product", witness)])
+        changed = False
+        for big, small in ((l, r), (r, l)):
+            if out > big:
+                raise _Contradiction("product exceeds a factor", mark)
+            if out == big and big in self.positive and small in self.below_one:
+                raise _Contradiction("cancelling needs a unit factor", mark)
+            if out == big and big in self.positive:
+                changed |= self._set(small, ONE, mark, "cancelling")
+        for unit, other in ((l, r), (r, l)):
+            ku = self.known.get(unit)
+            if not (ku and ku[0] == 1) or out == other:
+                continue
+            k_other, k_out = self.known.get(other), self.known.get(out)
+            if k_other:
+                changed |= self._set(out, k_other[0], ku[1] | k_other[1] | mark, "unit")
+            elif k_out:
+                changed |= self._set(other, k_out[0], ku[1] | k_out[1] | mark, "unit")
+            else:
+                raise _Contradiction("a unit factor forces equal ratios", ku[1] | mark)
+        kl, kr = self.known.get(l), self.known.get(r)
+        if kl and kl[0] == 0:
+            changed |= self._set(out, ZERO, kl[1] | mark, "zero factor")
+        if kr and kr[0] == 0:
+            changed |= self._set(out, ZERO, kr[1] | mark, "zero factor")
+        kl, kr, ko = self.known.get(l), self.known.get(r), self.known.get(out)
+        if kl and kr:
+            changed |= self._set(out, kl[0] * kr[0], kl[1] | kr[1] | mark, "product")
+        elif ko and kl and kl[0] != 0:
+            changed |= self._set(r, ko[0] / kl[0], ko[1] | kl[1] | mark, "quotient")
+        elif ko and kr and kr[0] != 0:
+            changed |= self._set(l, ko[0] / kr[0], ko[1] | kr[1] | mark, "quotient")
+        return changed
+
+    def run(self):
+        try:
+            self._seed()
+            self._check_sum_order()
+            self._check_product_groups()
+            self._check_known_order()
+            for _ in range(self.DEPTH):
+                changed = False
+                for x, y, w in self.sums:
+                    changed |= self._apply_sum(x, y, w)
+                for out, l, r, w in self.products:
+                    changed |= self._apply_product(out, l, r, w)
+                self._check_known_order()
+                if not changed:
+                    self.converged = True
+                    break
+        except _Contradiction as exc:
+            self.contradiction = exc
+        return self
+
 
 def oracle_engine_inputs(structure):
     """The engine's sums and products from the oracle dicts: one sum per
@@ -439,37 +571,63 @@ def oracle_engine_inputs(structure):
     return sums, products
 
 
-def seed_outcome(engine):
+def resolved(structure, eqset):
+    """An eqset of the engine with each witness number read as masks: a sum
+    or seed numbers an A1 instance, a product an A2 instance."""
+    ranked = {"sum": negation_ranks(structure), "product": combination_ranks(structure)}
+    return frozenset((kind, ranked[kind].masks(w)[0]) if kind in ranked else (kind, w)
+                     for kind, w in eqset)
+
+
+def seed_outcome(engine, structure=None):
     try:
         engine._seed()
     except _Contradiction as exc:
-        return exc.description, exc.eqset
+        eqset = exc.eqset if structure is None else resolved(structure, exc.eqset)
+        return exc.description, eqset
     return None
 
 
 def assert_same_engine(structure, inputs=True):
     """Flags, seeded facts and seeding contradiction against the oracle
     loop; with `inputs`, also the sums and products read off the arrays and
-    the whole run's contradiction."""
+    the whole run against the oracle's sweeps: the same verdict, the same
+    pinned ratios wherever the sweeps converged, and a contradiction that
+    names only instances the oracle names for the same rules."""
     sums, products = oracle_engine_inputs(structure) if inputs else ((), ())
     want = OracleEngine(structure, sums, products)
     got = (_RatioEngine.from_extraction(structure) if inputs
-           else _RatioEngine(structure, sums, products))
-    assert (got.sums, got.products) == (want.sums, want.products)
-    assert (got.e, got.E) == (want.e, want.E)
-    assert got.positive == want.positive
-    assert got.below_one == want.below_one
-    assert seed_outcome(got) == seed_outcome(want)
-    assert got.known == want.known
+           else _RatioEngine(structure, (), ()))
     if inputs:
-        got = _RatioEngine.from_extraction(structure).run().contradiction
-        want = OracleEngine(structure, sums, products).run().contradiction
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert (got.description, got.eqset) == (want.description, want.eqset)
+        rules = engine_rules(structure, got)
+        assert rules == (want.sums, want.products)
+    assert (got.e, got.E) == (want.e, want.E)
+    assert set(np.flatnonzero(got.positive).tolist()) == want.positive
+    assert set(np.flatnonzero(got.below_one).tolist()) == want.below_one
+    assert seed_outcome(got, structure) == seed_outcome(want)
+    assert {v: (r, resolved(structure, e)) for v, (r, e) in got.known.items()} == want.known
+    if not inputs:
+        return None
+    got = _RatioEngine.from_extraction(structure).run()
+    want = OracleEngine(structure, sums, products).run()
+    if want.contradiction is not None or want.converged:
+        assert (got.contradiction is None) == (want.contradiction is None)
+    if got.contradiction is None:
+        if want.converged:
+            assert {v: r for v, (r, _) in got.known.items()} == {
+                v: r for v, (r, _) in want.known.items()}
+    else:
+        # every rule in the eqset carries the oracle's eager witness of the
+        # same rule; every other sum mark is the witness of a seed
+        eager = {("sum", w) for *_, w in want.sums} | {
+            ("product", w) for *_, w in want.products} | {
+            ("sum", pair) for *_, pair in want._seeds}
+        assert resolved(structure, got.contradiction.eqset) <= eager | {
+            ("seed", "g(e)=0"), ("seed", "g(E)=1")}
+    return got, want
 
 
-class TestEngineSeeds:
+class TestEngineAgainstSweeps:
     def test_fixtures(self):
         for path in sorted(FIXTURES.glob("*.bel")):
             if not path.name.startswith("bad_parse"):
@@ -489,6 +647,19 @@ class TestEngineSeeds:
         else:
             structure = structure_of(n, table)
         assert_same_engine(structure)
+
+    @pytest.mark.parametrize("g", [lambda x: (x + x * x) / 2, lambda x: (2 * x + x * x) / 3,
+                                   lambda x: (x + 2 * x * x) / 3],
+                             ids=["mix2", "mix21", "mix12"])
+    @pytest.mark.parametrize("n,seed", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
+    def test_mix_tables_reach_the_sweeps_fixpoint(self, n, seed, g):
+        """Rescaled probabilities as in the decide-witness benchmark: no
+        contradiction, and the worklist pins what the sweeps pin."""
+        rng = random.Random(seed)
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        got, want = assert_same_engine(structure_of(n, ratio_table(n, weights, g)))
+        assert got.contradiction is None and want.converged
+        assert len(got.known) > 2
 
     @pytest.mark.parametrize("n,k", [(7, 1), (9, 2)])
     def test_uniform_structures_read_by_sizes(self, n, k):
