@@ -18,8 +18,9 @@ builds the jobs there:
 - a `check` run of a uniform 70-atom `generate probability` file and of a
   9-atom table (`write_wide`)
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
-  small coin family it writes there, and `decide` runs with invalid search
-  options (`DECIDE_OPTION_CASES`).
+  small coin family it writes there, `decide` runs with invalid search
+  options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
+  (`EQUATIONS_OPTION_CASES`).
 
 Each tree runs every job once, in-process through `coxcheck.cli.main`, in an
 interpreter of its own.  Per job the exit code, stdout, stderr and JSON
@@ -137,6 +138,12 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
         jobs.append({"id": f"decide/options/{name}",
                      "argv": ["decide", str(fixtures[0]), *argv, "--json", str(report)],
                      "report": str(report)})
+    for name, argv in EQUATIONS_OPTION_CASES.items():
+        report = reports / f"equations-options-{name}.json"
+        jobs.append({"id": f"equations/options/{name}",
+                     "argv": ["equations", "--form", "product", "--eq", "EQ1", *argv,
+                              "--json", str(report)],
+                     "report": str(report)})
     family = tmp / "coin-family"
     family.mkdir()
     for coins in (1, 2):
@@ -177,6 +184,12 @@ AUDIT_OPTION_CASES = {
 #: `decide` runs whose search options must be refused with exit 64.
 DECIDE_OPTION_CASES = {
     "negative-tolerance": ["--tol", "-1e-9"],
+}
+
+#: `equations` runs whose options must be refused with exit 64.
+EQUATIONS_OPTION_CASES = {
+    "negative-tolerance": ["--tol", "-1"],
+    "nan-tolerance": ["--tol", "nan"],
 }
 
 

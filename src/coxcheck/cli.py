@@ -47,7 +47,7 @@ from .generators import (
     gen_probability,
     search_min_counterexample,
 )
-from .isomorphism import DecisionParams, decide
+from .isomorphism import DecisionParams, check_tolerance, decide
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -303,6 +303,7 @@ def _cmd_audit(args, argv) -> int:
 
 def _cmd_equations(args, argv) -> int:
     started = time.perf_counter()
+    check_tolerance(args.tol)  # refused before any evaluation
     if args.form in NEGATION_CATALOG:
         form = catalog_negation(args.form)
     else:
@@ -420,11 +421,12 @@ def main(argv=None) -> int:
     A command builds acyclic tables (parsed lines, value ranks, engine
     instances) that reference counting frees when it returns.  Collections
     in between only rescan them, and a full one also rescans every loaded
-    module (numpy, scipy): tens of milliseconds, landing on whichever command
-    happens to cross the allocation threshold.  The collector is paused
-    before the command allocates anything, so it cannot fire inside it.  The
-    argument parser, the one cyclic object graph a command used to leave
-    behind, is built once per process (`_build_parser`).
+    module (numpy, and scipy once `decide` has run): tens of milliseconds,
+    landing on whichever command happens to cross the allocation threshold.
+    The collector is paused before the command allocates anything, so it
+    cannot fire inside it.  The argument parser, the one cyclic object
+    graph a command used to leave behind, is built once per process
+    (`_build_parser`).
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -4,7 +4,10 @@ A form is either tabular (a partial function read off a structure's table)
 or a catalog closed form.  Catalog combination forms live on [0,1] and are
 exactly rational-valued, so law checks on them run in exact arithmetic;
 the multiplicative-representation construction is the one place where
-high-precision floats (mpmath) take over.
+high-precision floats (mpmath) take over.  mpmath is imported only there,
+inside `multiplicative_rep` and the helpers it calls: no CLI command builds
+a representation, so importing this module or running any command loads no
+mpmath.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
-import mpmath
+
 import numpy as np
 
 from .core import (
@@ -851,6 +854,8 @@ def multiplicative_rep(
     the representation property at points where f is pinned rather than
     interpolation slack.
     """
+    import mpmath
+
     if form.is_tabular:
         raise FormError("multiplicative_rep requires a catalog combination form")
     e, big_e = form.interval
@@ -923,6 +928,7 @@ def multiplicative_rep(
 
 
 def _as_mp_function(form: CombinationForm):
+    import mpmath
     if form.kind == "product":
         return lambda a, b: a * b
     if form.kind == "hamacher":
@@ -936,6 +942,7 @@ def _as_mp_function(form: CombinationForm):
 
 
 def _mpf_of(x: Fraction):
+    import mpmath
     return mpmath.mpf(x.numerator) / x.denominator
 
 
@@ -956,6 +963,7 @@ def _bisect_diagonal(f_mp, target, form: CombinationForm):
 
 def _interp_exponent(xs, exponents, z):
     """Exponent of f at z by linear interpolation over the descending ladder."""
+    import mpmath
     lo, hi = 0, len(xs) - 1
     if z >= xs[0]:
         return mpmath.mpf(0)

@@ -16,6 +16,12 @@ strictly-increasing g turns the value order into a ratio order.  Any derived
 clash is a sound refutation.  Without a clash, the fixpoint is an exact
 partial solution: `decide`'s propagation phase reads a weighting off the
 pinned ratios by exact elimination, before any numeric search.
+
+Only the numeric search needs scipy, and importing this module loads numpy
+alone: `decide` imports `scipy.optimize` at its start (`_optimize`), so
+`check`, `generate`, `equations` and the audits of theorems 1, 3 and 4
+never load it, and `decide`, `search-min` and the theorem-2 audit load it
+once per process.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py traces it by name)
 
 from .core import (
     ZERO, ONE, BeliefStructure, Event, is_canonical, submask_table, subset_sums,
@@ -44,6 +48,24 @@ from .forms import (
     negation_ranks,
     row_positions,
 )
+
+
+def _optimize():
+    """`scipy.optimize`, imported on the first call and cached by Python
+    after it.  `decide` calls this before its first phase, so that no phase,
+    and no structure in a loop over `decide`, carries the import."""
+    import scipy.optimize
+
+    return scipy.optimize
+
+
+def __getattr__(name):
+    # `minimize` stays resolvable by name (perfbench/spans.py traces it)
+    # without binding anything at import time (PEP 562)
+    if name == "minimize":
+        return _optimize().minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # -- certificates -----------------------------------------------------------------
 
@@ -738,6 +760,15 @@ def _rescaling(structure: BeliefStructure, check: WitnessCheck) -> RescalingMap:
 # -- the decision pipeline -------------------------------------------------------------
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is negative, NaN or infinite (ValueError).
+
+    `decide`'s `--tol` and `equations`' `--tol` share this check.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, not {tolerance}")
+
+
 @dataclass(frozen=True)
 class DecisionParams:
     """Numeric-phase settings; `restarts=0` skips that phase (an honest
@@ -759,10 +790,7 @@ class DecisionParams:
             raise ValueError(f"restarts must be nonnegative, not {self.restarts}")
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, not {self.budget}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(
-                f"tolerance must be finite and nonnegative, not {self.tolerance}"
-            )
+        check_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -904,6 +932,7 @@ def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
     `budget` evaluations; it returns them with the squared residual left
     without the pull, and adds its evaluations to `report["iterations"]`.
     """
+    least_squares = _optimize().least_squares
     classes = _value_classes(structure)
     e, big_e = structure.bounds
     # normalized exactly, so huge bounds never pass through a float
@@ -1021,6 +1050,7 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     budget.
     """
     params = params or DecisionParams()
+    _optimize()  # before any phase: see `_optimize`
     budget_report = {"restarts": 0, "iterations": 0, "phase": "structured-candidates"}
 
     def exact_witness(weights) -> IsomorphismVerdict | None:

@@ -359,6 +359,20 @@ class TestDecideOptions:
         assert main(["decide", str(path), "--tol", value]) == 64
         assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf"])
+    def test_equations_refuses_a_bad_tolerance_before_evaluating(
+        self, monkeypatch, capsys, value
+    ):
+        evaluated = []
+        monkeypatch.setattr(cli, "check_functional_equation",
+                            lambda *a: evaluated.append(a))
+        argv = ["equations", "--form", "product", "--eq", "EQ1", "--tol", value]
+        assert main(argv) == 64
+        assert evaluated == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and nonnegative" in captured.err
+
     def test_numeric_table_settles_in_the_numeric_phase(self, tmp_path, capsys):
         code, report = run_with_report(["decide", numeric_table(tmp_path)], tmp_path)
         assert code == 0
@@ -557,7 +571,8 @@ def cli_argv(draw, file, family, out):
         ))]
         argv += ["--eq", draw(st.sampled_from(["EQ1", "EQ3", "EQ3.5", "EQSYM", "EQ9"]))]
         argv += options(draw, [
-            ("--grid", SMALL), ("--tol", st.sampled_from(["0", "1e-9", "x"])),
+            ("--grid", SMALL),
+            ("--tol", st.sampled_from(["0", "1e-9", "x", "-1", "nan"])),
         ])
     elif command == "generate":
         argv.append(draw(st.sampled_from(
