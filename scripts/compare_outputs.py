@@ -17,6 +17,9 @@ builds the jobs there:
   extraction and associativity join span many chunks
 - a `check` run of a uniform 70-atom `generate probability` file and of a
   9-atom table (`write_wide`)
+- a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
+  1-3 coin family, whose missed targets run the density search to its
+  full budget
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
   small coin family it writes there, `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
@@ -144,11 +147,13 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                      "argv": ["equations", "--form", "product", "--eq", "EQ1", *argv,
                               "--json", str(report)],
                      "report": str(report)})
-    family = tmp / "coin-family"
-    family.mkdir()
-    for coins in (1, 2):
-        (family / f"coins_{coins:02d}.bel").write_text(
-            beltables.coin_member_text(coins), encoding="utf-8")
+    family = write_coin_family(tmp / "coin-family", 2, beltables)
+    three = write_coin_family(tmp / "coin-family-3", 3, beltables)
+    report = reports / "audit-t4-default-options.json"
+    jobs.append({"id": "audit-t4/default-options/coins-3",
+                 "argv": ["audit", "--theorem", "4", "--family", str(three),
+                          "--json", str(report)],
+                 "report": str(report)})
     targets = {"1": [str(fixtures[0]), "--theorem", "1"],
                "4": ["--theorem", "4", "--family", str(family)]}
     for name, (theorem, *options) in AUDIT_OPTION_CASES.items():
@@ -191,6 +196,16 @@ EQUATIONS_OPTION_CASES = {
     "negative-tolerance": ["--tol", "-1"],
     "nan-tolerance": ["--tol", "nan"],
 }
+
+
+def write_coin_family(out: Path, coins: int, beltables) -> Path:
+    """The uniform coin members of 1..`coins` coins, as `generate family`
+    writes them, in the directory `out`."""
+    out.mkdir()
+    for c in range(1, coins + 1):
+        (out / f"coins_{c:02d}.bel").write_text(beltables.coin_member_text(c),
+                                                encoding="utf-8")
+    return out
 
 
 def write_large(out: Path, beltables) -> list[Path]:

@@ -28,9 +28,12 @@ from .core import (
     Event,
     is_canonical,
     pair_at,
+    rank_values,
     submask_table,
 )
 from .forms import (
+    CHUNK_CAP,
+    FIRST_CHUNK,
     CombinationConflict,
     FormError,
     NegationConflict,
@@ -180,6 +183,173 @@ def _chain_deviation(bel, u1: int, u2: int, u3: int, u4: int, targets) -> Fracti
     return max(abs(bel(u4, u3) - a), abs(bel(u3, u2) - b), abs(bel(u2, u1) - g))
 
 
+#: Most 32-bit words drawn from the sampler's generator at once.
+_WORD_PIECE = 1 << 13
+
+
+def _exhaustive_levels(structure: BeliefStructure):
+    """The level rows of every chain of `chain_masks()`, in its order, as
+    one block: an atom's level is the number of U1..U4 that hold it."""
+    chains = np.array(list(structure.chain_masks()), dtype=np.int64)
+    bits = chains[:, :, None] >> np.arange(structure.domain.size) & 1
+    yield bits.sum(axis=1, dtype=np.uint8)
+
+
+def _random_levels(n: int, seed: int):
+    """The level rows of the seeded random chains, in blocks of FIRST_CHUNK
+    or more rows that double up to CHUNK_CAP, as `row_chunks` grows.
+
+    A row draws each atom's level as `random.Random(seed).randint(0, 4)`
+    would, atom by atom: that call reads one 32-bit word per try, keeps its
+    top three bits, and tries again on 5-7.  Here the words come in bulk
+    from `getrandbits`, least significant first, which is the same stream.
+    Rows with U3 = ∅ (no level of 3 or more) are skipped.
+    """
+    rng = random.Random(seed)
+    pending = np.zeros(0, dtype=np.uint8)  # accepted levels not yet in a row
+    size = FIRST_CHUNK
+    while True:
+        rows, count = [], 0
+        while count < size:
+            words = min(2 * n * (size - count), _WORD_PIECE)
+            drawn = np.frombuffer(
+                rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+            ) >> 29
+            pending = np.concatenate((pending, drawn[drawn < 5].astype(np.uint8)))
+            whole = len(pending) // n * n
+            block = pending[:whole].reshape(-1, n)
+            pending = pending[whole:]
+            block = block[block.max(axis=1) >= 3]
+            rows.append(block)
+            count += len(block)
+        yield np.concatenate(rows)
+        size = min(2 * size, CHUNK_CAP)
+
+
+def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarray):
+    """(xs, at): Fractions, and for each chain of the level rows the
+    positions in xs of its steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1).
+
+    A weight backing whose unit total is below 2^62 reads the masses
+    μ(U1)..μ(U4) off the level rows in int64 and builds one Fraction per
+    distinct (mass, mass) step.  Other structures look each step up with
+    `bel_masks` on the packed `masks`.
+    """
+    if structure.is_weight_backed and structure._prefix[-1] < 1 << 62:
+        units = np.array(structure._units, dtype=np.int64)
+        step = max(1, (1 << 16) // structure.domain.size)  # rows per int64 product
+        mass = np.concatenate([
+            np.stack([(part >= j) @ units for j in range(1, 5)], axis=1)
+            for part in np.split(levels, range(step, len(levels), step))
+        ])
+        pairs = np.stack((mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()), axis=1)
+        distinct, at = np.unique(pairs, axis=0, return_inverse=True)
+        k = structure.exponent
+        xs = [Fraction(v, u) ** k for v, u in distinct.tolist()]
+        return xs, at.reshape(-1, 3)
+    bel = structure.bel_masks
+    xs = []
+    for row in masks:
+        u1, u2, u3, u4 = (int.from_bytes(m.tobytes(), "little") for m in row)
+        xs += (bel(u4, u3), bel(u3, u2), bel(u2, u1))
+    return xs, np.arange(len(xs)).reshape(-1, 3)
+
+
+class _ChainTable:
+    """The chains a density search scores on one structure, in search order,
+    grown block by block from a source of level rows.
+
+    `steps[i]` holds the ranks of chain i's steps Bel(U4|U3), Bel(U3|U2),
+    Bel(U2|U1) in the sorted `values`; `masks[i]` holds U1..U4 packed
+    little-endian.  Each block is scored once, and every target reads it.
+    """
+
+    def __init__(self, blocks, atoms: int):
+        self._blocks = blocks
+        self.values: list[Fraction] = []
+        self.steps = np.zeros((0, 3), dtype=np.int32)
+        self.masks = np.zeros((0, 4, (atoms + 7) // 8), dtype=np.uint8)
+
+    def grow(self, structure: BeliefStructure, count: int) -> None:
+        """Score blocks until the table holds `count` chains or its source
+        ends; each new block re-ranks the values the table holds."""
+        while len(self.steps) < count:
+            levels = next(self._blocks, None)
+            if levels is None:
+                return
+            # atom i lies in U_j exactly when its level is at least j
+            masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
+                              for j in range(1, 5)], axis=1)
+            xs, at = _step_values(structure, levels, masks)
+            del levels
+            old = len(self.values)
+            self.values, ranks = rank_values(self.values + xs)
+            ranks = ranks.astype(np.int32)
+            self.steps = np.concatenate((ranks[:old][self.steps], ranks[old:][at]))
+            self.masks = np.concatenate((self.masks, masks))
+
+    def chain(self, i: int) -> tuple[int, int, int, int]:
+        return tuple(int.from_bytes(m.tobytes(), "little") for m in self.masks[i])
+
+
+def _chain_table(structure: BeliefStructure, seed: int) -> _ChainTable:
+    """The structure's chain table, built once: every chain of
+    `chain_masks()` up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, the chains of
+    `_random_levels(n, seed)` above."""
+    n = structure.domain.size
+    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
+        return structure.derived(
+            "par5-chains", lambda s: _ChainTable(_exhaustive_levels(s), n)
+        )
+    return structure.derived(
+        f"par5-chains-{seed}", lambda s: _ChainTable(_random_levels(n, seed), n)
+    )
+
+
+def _scan_table(structure, table, count, targets, eps, method, tried=0, best=None,
+                best_dev=None) -> TripleSearchResult:
+    """Go on with a search at its first `count` table chains, after `tried`
+    candidates whose first best was `best` (masks) at `best_dev`.
+
+    The first chain whose three steps lie within ε of their targets is the
+    hit; a step within ε is a rank in a window that two bisections of
+    `values` find.  Without a hit, the exact |v − t| of each step value the
+    chains use is ranked, a chain's deviation is the largest of its three
+    ranks, and the first chain of least rank is the best.
+    """
+    table.grow(structure, count)
+    steps = table.steps[:count]
+    values = table.values
+    hit = np.ones(len(steps), dtype=bool)
+    for column, t in zip(steps.T, targets):
+        lo, hi = bisect.bisect_right(values, t - eps), bisect.bisect_left(values, t + eps)
+        hit &= (lo <= column) & (column < hi)
+    first = np.flatnonzero(hit)
+    if len(first):
+        i = int(first[0])
+        dev = max(abs(values[r] - t) for r, t in zip(steps[i].tolist(), targets))
+        return TripleSearchResult(
+            True, structure._make_chain(*table.chain(i)), dev, method, tried + i + 1
+        )
+    # with its inverse, np.unique does not load numpy.ma
+    used = [np.unique(column, return_inverse=True) for column in steps.T]
+    deviations, ranks = rank_values([
+        abs(values[r] - t) for (rs, _), t in zip(used, targets) for r in rs.tolist()
+    ])
+    rank = np.zeros(len(steps), dtype=np.int64)
+    start = 0
+    for rs, inverse in used:
+        np.maximum(rank, ranks[start:start + len(rs)][inverse], out=rank)
+        start += len(rs)
+    if len(rank):
+        i = int(np.argmin(rank))
+        if best_dev is None or deviations[rank[i]] < best_dev:
+            best, best_dev = table.chain(i), deviations[rank[i]]
+    return TripleSearchResult(
+        False, structure._make_chain(*best), best_dev, method, tried + len(steps)
+    )
+
+
 def par5_triples(
     structure: BeliefStructure,
     probe: DensityProbe,
@@ -194,27 +364,41 @@ def par5_triples(
     proportional to the targets) followed by seeded random sampling, with the
     candidate count recorded.  Chains are scored from their three steps; the
     six-value `ChainQuadruple` is built for the returned chain only.
+
+    The exhaustive and random chains come from the structure's chain table
+    (`_chain_table`), scored once per structure and seed.  So a missed
+    target costs one vector pass over the cached chains, where it was a
+    full budget of `Fraction` scorings; only the greedy chains are scored
+    one at a time.
     """
     targets = probe.rescaled(structure.bounds)
     eps = probe.epsilon
-    if structure.domain.size <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-        bel = structure.bel_masks
-        best = None
-        best_dev = None
-        tried = 0
-        for masks in structure.chain_masks():
-            tried += 1
-            dev = _chain_deviation(bel, *masks, targets)
-            if dev < eps:
-                return TripleSearchResult(
-                    True, structure._make_chain(*masks), dev, "exhaustive", tried
-                )
-            if best_dev is None or dev < best_dev:
-                best, best_dev = masks, dev
-        return TripleSearchResult(
-            False, structure._make_chain(*best), best_dev, "exhaustive", tried
-        )
-    return _par5_triples_sampled(structure, probe, targets, seed, budget)
+    n = structure.domain.size
+    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:  # each atom has one of 5 levels
+        return _scan_table(structure, _chain_table(structure, seed), 5 ** n, targets, eps,
+                           "exhaustive")
+    full = structure.domain.full_mask
+    bel = structure.bel_masks
+    best = None
+    best_dev = None
+    tried = 0
+    prefix = lambda s: (1 << s) - 1
+    # greedy proportional prefix chains
+    for s2 in _level_size_candidates(n, probe.gamma, eps, 1):
+        for s3 in _level_size_candidates(s2, probe.beta, eps, 1):
+            for s4 in _level_size_candidates(s3, probe.alpha, eps, 0):
+                masks = (full, prefix(s2), prefix(s3), prefix(s4))
+                tried += 1
+                dev = _chain_deviation(bel, *masks, targets)
+                if dev < eps:
+                    return TripleSearchResult(
+                        True, structure._make_chain(*masks), dev, "sampled", tried
+                    )
+                if best_dev is None or dev < best_dev:
+                    best, best_dev = masks, dev
+    # seeded random nested quadruples, up to the budget
+    return _scan_table(structure, _chain_table(structure, seed), max(budget - tried, 0),
+                       targets, eps, "sampled", tried, best, best_dev)
 
 
 def _level_size_candidates(parent: int, target: Fraction, eps: Fraction, floor_size: int):
@@ -233,58 +417,6 @@ def _level_size_candidates(parent: int, target: Fraction, eps: Fraction, floor_s
             seen.add(s)
             ordered.append(s)
     return ordered
-
-
-def _par5_triples_sampled(structure, probe, targets, seed, budget):
-    eps = probe.epsilon
-    n = structure.domain.size
-    full = structure.domain.full_mask
-    bel = structure.bel_masks
-    best = None
-    best_dev = None
-    tried = 0
-
-    def consider(*masks):
-        nonlocal best, best_dev, tried
-        tried += 1
-        dev = _chain_deviation(bel, *masks, targets)
-        if best_dev is None or dev < best_dev:
-            best, best_dev = masks, dev
-        return dev
-
-    prefix = lambda s: (1 << s) - 1
-    # greedy proportional prefix chains
-    for s2 in _level_size_candidates(n, probe.gamma, eps, 1):
-        for s3 in _level_size_candidates(s2, probe.beta, eps, 1):
-            for s4 in _level_size_candidates(s3, probe.alpha, eps, 0):
-                masks = (full, prefix(s2), prefix(s3), prefix(s4))
-                dev = consider(*masks)
-                if dev < eps:
-                    return TripleSearchResult(
-                        True, structure._make_chain(*masks), dev, "sampled", tried
-                    )
-    # seeded random nested quadruples
-    rng = random.Random(seed)
-    while tried < budget:
-        u1 = u2 = u3 = u4 = 0
-        for i in range(n):
-            level = rng.randint(0, 4)
-            if level >= 1:
-                u1 |= 1 << i
-            if level >= 2:
-                u2 |= 1 << i
-            if level >= 3:
-                u3 |= 1 << i
-            if level >= 4:
-                u4 |= 1 << i
-        if u3 == 0:
-            continue
-        dev = consider(u1, u2, u3, u4)
-        if dev < eps:
-            return TripleSearchResult(
-                True, structure._make_chain(u1, u2, u3, u4), dev, "sampled", tried
-            )
-    return TripleSearchResult(False, structure._make_chain(*best), best_dev, "sampled", tried)
 
 
 @dataclass(frozen=True)
@@ -318,8 +450,8 @@ class FamilyDensityReport:
 
 
 #: Most target triples `par5_family` probes: a grid of n points per axis
-#: gives n**3 targets, and a target that no member meets costs every member
-#: its whole sampling budget.
+#: gives n**3 targets.  A target that no member meets costs every member
+#: its greedy chains and one vector pass over its cached chain table.
 DENSITY_TARGET_LIMIT = 10_000
 
 
@@ -633,6 +765,7 @@ class AuditReport:
     theorem: str
     hypotheses: tuple[HypothesisVerdict, ...]
     notes: tuple[str, ...] = ()
+    density: FamilyDensityReport | None = None  # theorem 4 only
 
     @property
     def failed(self) -> bool:
@@ -650,6 +783,7 @@ class AuditReport:
                 for h in self.hypotheses
             ],
             "notes": list(self.notes),
+            **({"density": self.density.to_dict()} if self.density else {}),
         }
 
 
@@ -917,7 +1051,7 @@ def _audit_t4(family, *, grid_resolution, epsilon, seed, budget) -> AuditReport:
             ),
         )
     )
-    return AuditReport("T4", tuple(hypotheses))
+    return AuditReport("T4", tuple(hypotheses), density=density)
 
 
 def audit(

@@ -618,8 +618,8 @@ class BeliefStructure:
         """`build(self)`, computed once per structure and kept under `key`.
 
         Structures are immutable, so results read off them (the value index,
-        the A1/A2 extraction in `coxcheck.forms`) can be shared by every
-        consumer.
+        the A1/A2 extraction in `coxcheck.forms`, the density search's chain
+        tables in `coxcheck.conditions`) can be shared by every consumer.
         """
         if key not in self._derived:
             self._derived[key] = build(self)

@@ -65,7 +65,24 @@ REPORT_SCHEMA = {
                                 "verdict": {"enum": ["pass", "fail", "untestable"]}
                             },
                         },
-                    }
+                    },
+                    # the Par5′ search of a theorem-4 audit: each missed target
+                    # [[α, β, γ], best deviation], the worst target with its
+                    # deviation and member index
+                    "density": {
+                        "type": "object",
+                        "required": ["passed", "vacuous", "grid", "epsilon",
+                                     "targets_checked", "failures", "worst_target"],
+                        "properties": {
+                            "failures": {
+                                "type": "array",
+                                "items": {"type": "array", "minItems": 2, "maxItems": 2},
+                            },
+                            "worst_target": {
+                                "type": ["array", "null"], "minItems": 3, "maxItems": 3,
+                            },
+                        },
+                    },
                 },
             },
         },

@@ -111,6 +111,26 @@ class TestReports:
         assert len(names) == len(set(names))
         assert "par5-density" in names
         assert "FAIL" in out
+        assert "density" not in report
+
+    def test_audit_t4_report_carries_the_density_search(self, tmp_path, capsys):
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "2",
+                     "--out-dir", str(family)]) == 0
+        code, report = run_with_report(
+            ["audit", "--theorem", "4", "--family", family, "--grid", "3",
+             "--epsilon", "1/4"], tmp_path
+        )
+        assert code == 1
+        density = report["density"]
+        assert (density["grid"], density["epsilon"]) == (3, "1/4")
+        assert density["targets_checked"] == 27 and not density["passed"]
+        verdict = {h["name"]: h for h in report["hypotheses"]}["par5-family-density"]
+        assert verdict["witness"].endswith(f": {len(density['failures'])} targets missed")
+        for target, deviation in density["failures"]:
+            assert len(target) == 3 and F(deviation) >= F(1, 4)
+        target, deviation, member = density["worst_target"]
+        assert [target, deviation] in density["failures"] and member in (0, 1)
 
     def test_equations_report(self, tmp_path, capsys):
         code, report = run_with_report(

@@ -2,13 +2,16 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck.conditions import (
     DENSITY_TARGET_LIMIT,
     DensityProbe,
+    FamilyDensityReport,
     TripleSearchResult,
+    _random_levels,
     audit,
     bel_level_negation,
     chain_consistency,
@@ -329,6 +332,132 @@ class TestTriplesOracle:
                 ), (name, seed, probe)
                 outcomes.add(got.passed)
         assert outcomes == {True, False}, name
+
+
+    # 1/p over distinct primes near 10^4: the units of 7 atoms total about
+    # 2^80, beyond int64, so every step is a `bel_masks` lookup
+    PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069)
+
+    @pytest.mark.parametrize("name,structure", [
+        param for param in _oracle_cases()
+        if param.id in ("coins-3", "coins-4", "weights-n9-k1", "weights-n12-k2",
+                        "table-n5", "table-n7")
+    ])
+    def test_matches_six_value_scoring_at_full_budget(self, name, structure):
+        for probe in self.PROBES[::2]:
+            got = par5_triples(structure, probe, budget=2000)
+            assert got == oracle_par5_triples(structure, probe, budget=2000), (name, probe)
+
+    def test_one_structure_probed_with_interleaved_seeds_and_budgets(self):
+        """The chain table is kept per structure and seed and grows on demand:
+        a stale or shared table would change a later answer."""
+        structure = BeliefStructure.from_weights(
+            Domain(tuple(f"x{i}" for i in range(7))),
+            [F(i, 28) for i in range(1, 8)], 2,
+        )
+        calls = [(0, 50), (7, 2000), (0, 400), (3, 50), (7, 300), (0, 2000), (3, 2000)]
+        for i, (seed, budget) in enumerate(calls * 2):
+            probe = self.PROBES[i % len(self.PROBES)]
+            got = par5_triples(structure, probe, seed=seed, budget=budget)
+            assert got == oracle_par5_triples(
+                structure, probe, seed=seed, budget=budget
+            ), (seed, budget, probe)
+
+    def test_unit_total_beyond_int64_uses_the_lookup_path(self):
+        inverse = [F(1, p) for p in self.PRIMES]
+        weights = [w / sum(inverse) for w in inverse]
+        structure = BeliefStructure.from_weights(
+            Domain(tuple(f"x{i}" for i in range(len(weights)))), weights
+        )
+        assert max(w.denominator for w in weights) >= 1 << 62  # the unit total
+        outcomes = set()
+        for probe in self.PROBES:
+            got = par5_triples(structure, probe, seed=5, budget=400)
+            assert got == oracle_par5_triples(structure, probe, seed=5, budget=400), probe
+            outcomes.add(got.passed)
+        assert outcomes == {True, False}
+
+    def test_missed_target_on_a_256_atom_coin_member(self):
+        member = coin_family(8).members[-1]
+        assert member.domain.size == 256
+        probe = DensityProbe(F(1, 3), F(1, 3), F(1, 3), F(1, 10**6))
+        got = par5_triples(member, probe, seed=3)
+        assert not got.passed and got.candidates_tried == 2000
+        assert got == oracle_par5_triples(member, probe, seed=3)
+
+
+class TestRandomLevels:
+    """The sampler's bulk draw is the stream of one `randint(0, 4)` per atom,
+    rows without a level of 3 or more skipped: a change to how `random`
+    draws would change which chains are sampled, and fails here."""
+
+    @pytest.mark.parametrize("n", [6, 13, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_blocks_match_a_randint_loop(self, n, seed):
+        blocks = _random_levels(n, seed)
+        first, second, third = next(blocks), next(blocks), next(blocks)
+        assert len(first) >= 256 and len(second) >= 512
+        got = np.concatenate((first, second, third))
+        rng = random.Random(seed)
+        want = []
+        while len(want) < len(got):
+            row = [rng.randint(0, 4) for _ in range(n)]
+            if max(row) >= 3:
+                want.append(row)
+        assert got.tolist() == want
+
+
+def oracle_par5_family(family, grid_resolution, epsilon, *, seed=0, budget=2000):
+    """`par5_family` assembled from `oracle_par5_triples`: members largest
+    first, a target's best deviation and member over the members probed up
+    to its first hit, and the worst target over all."""
+    members = family.members
+    grid = [F(i, grid_resolution - 1) for i in range(grid_resolution)]
+    order = sorted(range(len(members)), key=lambda i: -members[i].domain.size)
+    failures, worst = [], None
+    for target in ((a, b, g) for a in grid for b in grid for g in grid):
+        probe = DensityProbe(*target, epsilon)
+        best = None
+        for i in order:
+            result = oracle_par5_triples(members[i], probe, seed=seed, budget=budget)
+            if best is None or result.deviation < best[0]:
+                best = (result.deviation, i)
+            if result.passed:
+                break
+        else:
+            failures.append((target, best[0]))
+        if worst is None or best[0] > worst[1]:
+            worst = (target, best[0], best[1])
+    return FamilyDensityReport(
+        not failures, False, grid_resolution, F(epsilon), len(grid) ** 3,
+        tuple(failures), worst,
+    )
+
+
+class TestFamilyDensityOracle:
+    """The whole family report, failures with their best deviations and the
+    worst target with its member, equals the one the oracle assembles."""
+
+    @pytest.mark.parametrize("coins", [3, 4])
+    @pytest.mark.parametrize("grid", [3, 4, 5])
+    def test_coin_families(self, coins, grid):
+        family = coin_family(coins)
+        got = par5_family(family, grid, F(1, 20), seed=4, budget=150)
+        assert got == oracle_par5_family(family, grid, F(1, 20), seed=4, budget=150)
+        assert got.failures and got.worst_target
+
+    def test_non_uniform_family(self):
+        members = []
+        for n, k in ((3, 1), (4, 2), (7, 1), (9, 3)):
+            domain = Domain(tuple(f"x{i}" for i in range(n)))
+            ints = list(range(1, n + 1))
+            members.append(BeliefStructure.from_weights(
+                domain, [F(i, sum(ints)) for i in ints], k
+            ))
+        family = build_family(members)
+        got = par5_family(family, 4, F(1, 10), seed=2, budget=150)
+        assert got == oracle_par5_family(family, 4, F(1, 10), seed=2, budget=150)
+        assert got.failures and got.worst_target
 
 
 class TestFamilyDensity:
