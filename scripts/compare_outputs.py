@@ -17,9 +17,14 @@ builds the jobs there:
   extraction and associativity join span many chunks
 - a `check` run of a uniform 70-atom `generate probability` file and of a
   9-atom table (`write_wide`)
+- a theorem-1 `audit` of the 8-atom tables and of the 9-atom table, whose
+  Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
   1-3 coin family, whose missed targets run the density search to its
   full budget
+- theorem-4 `audit` runs of families whose members disagree on S and on
+  F, some of which conflict on their own (`write_conflicting_families`), so
+  the uniformity details are diffed
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
   small coin family it writes there, `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
@@ -45,6 +50,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -125,17 +131,17 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
         jobs.append({"id": f"check/malformed/{path.name}",
                      "argv": ["check", str(path), "--json", str(report)],
                      "report": str(report)})
-    for path in write_large(tmp / "large", beltables):
-        for sub in ("check", "decide"):
-            report = reports / f"{sub}-large-{path.stem}.json"
-            jobs.append({"id": f"{sub}/large/{path.name}",
-                         "argv": [sub, str(path), "--json", str(report)],
-                         "report": str(report)})
-    for path in write_wide(tmp / "wide", beltables):
-        report = reports / f"check-wide-{path.stem}.json"
-        jobs.append({"id": f"check/wide/{path.name}",
-                     "argv": ["check", str(path), "--json", str(report)],
-                     "report": str(report)})
+    for kind, paths, names in (("large", write_large(tmp / "large", beltables),
+                               ("check", "decide", "audit-t1")),
+                              ("wide", write_wide(tmp / "wide", beltables),
+                               ("check", "audit-t1"))):
+        for path in paths:
+            for name in names:
+                sub, *options = FIXTURE_RUNS[name]
+                report = reports / f"{name}-{kind}-{path.stem}.json"
+                jobs.append({"id": f"{name}/{kind}/{path.name}",
+                             "argv": [sub, str(path), *options, "--json", str(report)],
+                             "report": str(report)})
     for name, argv in DECIDE_OPTION_CASES.items():
         report = reports / f"decide-options-{name}.json"
         jobs.append({"id": f"decide/options/{name}",
@@ -154,6 +160,12 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                  "argv": ["audit", "--theorem", "4", "--family", str(three),
                           "--json", str(report)],
                  "report": str(report)})
+    for path in write_conflicting_families(tmp / "conflicting", beltables):
+        report = reports / f"audit-t4-conflicting-{path.name}.json"
+        jobs.append({"id": f"audit-t4/conflicting/{path.name}",
+                     "argv": ["audit", "--theorem", "4", "--family", str(path),
+                              "--grid", "2", "--json", str(report)],
+                     "report": str(report)})
     targets = {"1": [str(fixtures[0]), "--theorem", "1"],
                "4": ["--theorem", "4", "--family", str(family)]}
     for name, (theorem, *options) in AUDIT_OPTION_CASES.items():
@@ -165,7 +177,8 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
     return jobs
 
 
-#: Job name -> subcommand and options, run on every fixture.
+#: Job name -> subcommand and options, run on every fixture (and some of
+#: them on the large and wide tables).
 FIXTURE_RUNS = {
     "decide": ["decide"],
     "check": ["check"],
@@ -206,6 +219,45 @@ def write_coin_family(out: Path, coins: int, beltables) -> Path:
         (out / f"coins_{c:02d}.bel").write_text(beltables.coin_member_text(c),
                                                 encoding="utf-8")
     return out
+
+
+def write_conflicting_families(out: Path, beltables) -> list[Path]:
+    """Two families whose members disagree on S and on F.  The
+    probabilities of weights (1, 8) and, squared, (1, 2) share the value
+    1/9 but not its complement; three equal weights, once as they are and
+    twice with 1/3 moved to 1/4, share the arguments (1/2, 2/3) of F but not
+    its output.  The second copy of each disagreeing member agrees with the
+    member before it, not with the first one to have the key.  The first
+    family ends with a member on the bounds [1/4, 3/4], so its details name
+    conflicts across members; the second ends with members that conflict on
+    their own, on A1 (`beltables.perturb_entry`) and on A2
+    (`fork_combination`)."""
+
+    def table(ints, relabel="identity"):
+        return beltables.relabelled_table(beltables.normalized(ints), relabel)
+    third = {Fraction(1, 3): Fraction(1, 4)}
+    moved = {k: third.get(x, x) for k, x in table([1, 1, 1]).items()}
+    rng = random.Random(16)
+    disagreeing = [table([1, 8]), table([1, 2], "power2"), table([1, 2], "power2"),
+                   table([1, 1, 1]), moved, moved, table([1, 1, 2], "mix2")]
+    families = {
+        "across-members": disagreeing + [table([1, 2, 4], "affine")],
+        "within-members": disagreeing + [
+            beltables.fork_combination(rng, beltables.normalized([2, 2, 3]),
+                                       table([2, 2, 3])),
+            beltables.perturb_entry(rng, table([1, 2, 3])),
+        ],
+    }
+    paths = []
+    for name, members in families.items():
+        (out / name).mkdir(parents=True)
+        for i, member in enumerate(members):
+            n = max(u for _, u in member).bit_length()
+            bounds = (min(member.values()), max(member.values()))
+            (out / name / f"member_{i:02d}.bel").write_text(
+                beltables.table_text(n, member, bounds), encoding="utf-8")
+        paths.append(out / name)
+    return paths
 
 
 def write_large(out: Path, beltables) -> list[Path]:

@@ -34,14 +34,15 @@ from .core import (
 from .forms import (
     CHUNK_CAP,
     FIRST_CHUNK,
-    CombinationConflict,
     FormError,
     NegationConflict,
     Verdict,
-    check_monotonicity,
+    check_monotonicity,  # re-exported
     combination_ranks,
     extract_combination,
     extract_negation,
+    negation_ranks,
+    ranked_monotonicity,
     row_chunks,
 )
 
@@ -792,30 +793,22 @@ def _verdict_of(v: Verdict, name: str) -> HypothesisVerdict:
 
 
 def _par34_verdicts(structure: BeliefStructure) -> list[HypothesisVerdict]:
-    out = []
-    negation = extract_negation(structure)
-    if isinstance(negation, NegationConflict):
-        out.append(
-            HypothesisVerdict(
-                "par3-negation-decreasing", "fail",
-                "A1 admits no function: " + negation.describe(structure.domain),
-            )
-        )
+    negation, domain = negation_ranks(structure), structure.domain
+    if negation.clash is not None:
+        out = [HypothesisVerdict("par3-negation-decreasing", "fail", "A1 admits no function: "
+                                 + extract_negation(structure).describe(domain))]
     else:
-        rep = check_monotonicity(negation)
-        out.append(_verdict_of(rep.decreasing, "par3-negation-decreasing"))
-    combination = extract_combination(structure)
-    if isinstance(combination, CombinationConflict):
-        out.append(
-            HypothesisVerdict(
-                "par4-combination-strict-increase", "fail",
-                "A2 admits no function: " + combination.describe(structure.domain),
-            )
-        )
+        rep = ranked_monotonicity("negation", *negation[:3], structure.bounds)
+        out = [_verdict_of(rep.decreasing, "par3-negation-decreasing")]
+    combination = combination_ranks(structure)
+    if combination.clash is not None:
+        out.append(HypothesisVerdict("par4-combination-strict-increase", "fail",
+                                     "A2 admits no function: "
+                                     + extract_combination(structure).describe(domain)))
         out.append(HypothesisVerdict("par4-combination-continuity", "untestable",
                                      "A2 admits no function"))
     else:
-        rep = check_monotonicity(combination)
+        rep = ranked_monotonicity("combination", *combination[:3], structure.bounds)
         strict = rep.strict_increase
         if strict.passed and not rep.nondecrease.passed:
             strict = rep.nondecrease
@@ -876,11 +869,11 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
                               "declared smoothness applies to catalog forms only")
         )
 
-    combination = extract_combination(structure)
-    if isinstance(combination, CombinationConflict):
+    f = combination_ranks(structure)
+    if f.clash is not None:
         hypotheses.append(
             HypothesisVerdict("combination-commutative", "fail",
-                              combination.describe(structure.domain))
+                              extract_combination(structure).describe(structure.domain))
         )
         for name in ("combination-annihilator", "combination-unit",
                      "combination-nondecreasing", "combination-strict-increase",
@@ -888,52 +881,29 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
             hypotheses.append(HypothesisVerdict(name, "untestable",
                                                 "A2 admits no function"))
     else:
-        table = combination.table
-        comm = next(
-            (
-                (k, table[k], table[(k[1], k[0])])
-                for k in sorted(table)
-                if (k[1], k[0]) in table and table[(k[1], k[0])] != table[k]
-            ),
-            None,
+        # each law's first failure in ascending (x, y), on value ranks
+        v, keys, out = f.values, f.keys, f.outs
+        x, y = np.divmod(keys, len(v))
+        swapped = y * len(v) + x
+        at = np.minimum(keys.searchsorted(swapped), len(keys) - 1)
+        low, high = (bisect.bisect_left(v, t) for t in (e, big_e))
+        laws = (
+            ("combination-commutative", (keys[at] == swapped) & (out[at] != out),
+             "commutative at all attained argument swaps",
+             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]} "
+                       f"but F{(v[y[i]], v[x[i]])} = {v[out[at[i]]]}"),
+            ("combination-annihilator", ((x == low) | (y == low)) & (out != low),
+             f"F(x,{e}) = F({e},x) = {e} at attained entries",
+             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]} ≠ {e}"),
+            ("combination-unit", ((y == high) & (out != x)) | ((x == high) & (out != y)),
+             f"F(x,{big_e}) = F({big_e},x) = x at attained entries",
+             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]}"),
         )
-        hypotheses.append(
-            HypothesisVerdict("combination-commutative", "pass",
-                              "commutative at all attained argument swaps")
-            if comm is None
-            else HypothesisVerdict(
-                "combination-commutative", "fail",
-                f"F{comm[0]} = {comm[1]} but F{(comm[0][1], comm[0][0])} = {comm[2]}",
-            )
-        )
-        zero_bad = next(
-            ((k, v) for k, v in sorted(table.items())
-             if (k[0] == e or k[1] == e) and v != e),
-            None,
-        )
-        hypotheses.append(
-            HypothesisVerdict("combination-annihilator", "pass",
-                              f"F(x,{e}) = F({e},x) = {e} at attained entries")
-            if zero_bad is None
-            else HypothesisVerdict("combination-annihilator", "fail",
-                                   f"F{zero_bad[0]} = {zero_bad[1]} ≠ {e}")
-        )
-        unit_bad = None
-        for (a, b), v in sorted(table.items()):
-            if b == big_e and v != a:
-                unit_bad = ((a, b), v)
-                break
-            if a == big_e and v != b:
-                unit_bad = ((a, b), v)
-                break
-        hypotheses.append(
-            HypothesisVerdict("combination-unit", "pass",
-                              f"F(x,{big_e}) = F({big_e},x) = x at attained entries")
-            if unit_bad is None
-            else HypothesisVerdict("combination-unit", "fail",
-                                   f"F{unit_bad[0]} = {unit_bad[1]}")
-        )
-        rep = check_monotonicity(combination)
+        for name, bad, passed, failed in laws:
+            bad = np.flatnonzero(bad)
+            hypotheses.append(HypothesisVerdict(name, "fail", failed(bad[0])) if len(bad)
+                              else HypothesisVerdict(name, "pass", passed))
+        rep = ranked_monotonicity("combination", v, keys, out, structure.bounds)
         hypotheses.append(_verdict_of(rep.nondecrease, "combination-nondecreasing"))
         hypotheses.append(_verdict_of(rep.strict_increase, "combination-strict-increase"))
         hypotheses.append(
@@ -1033,9 +1003,10 @@ def _audit_t4(family, *, grid_resolution, epsilon, seed, budget) -> AuditReport:
         HypothesisVerdict("par2-endpoints", "fail" if par2 else "pass",
                           par2 or "all members normalized at the endpoints")
     )
-    s_rep = check_monotonicity(family.merged_negation())
+    # the merged forms are tabular on the default interval [0, 1]
+    s_rep = ranked_monotonicity("negation", *family.negation[:3], (ZERO, ONE))
     hypotheses.append(_verdict_of(s_rep.decreasing, "par3-negation-decreasing"))
-    f_rep = check_monotonicity(family.merged_combination())
+    f_rep = ranked_monotonicity("combination", *family.combination[:3], (ZERO, ONE))
     hypotheses.append(_verdict_of(f_rep.strict_increase, "par4-combination-strict-increase"))
     hypotheses.append(_verdict_of(f_rep.continuity, "par4-combination-continuity"))
     density = par5_family(family, grid_resolution, epsilon, seed=seed, budget=budget)

@@ -664,7 +664,8 @@ class BeliefStructure:
         ranks = index.pair_rank
         if kind == "unconditional":
             ranks = ranks[-(1 << self._domain.size):]  # the full mask's row
-        return [index.values[r] for r in np.unique(ranks).tolist()]
+        # the ranks that occur, ascending; a plain np.unique would load numpy.ma
+        return [index.values[r] for r in np.flatnonzero(np.bincount(ranks)).tolist()]
 
     def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
         """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,

@@ -12,15 +12,16 @@ mpmath.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, Event, intern_values, rank_values, submask_table,
+    ZERO, ONE, BeliefStructure, Event, rank_values, submask_table,
 )
 
 NEGATION_CATALOG = ("linear-complement",)
@@ -313,7 +314,8 @@ class RankedExtraction(NamedTuple):
     index of its first instance in `first`.  `clash` is the first
     conflicting instance as (key, out, index), or None; the arrays then hold
     the keys met before it.  Witnesses are derived from instance indices
-    through `layout`, only where something names them."""
+    through `layout`, only where something names them.  A domain family's
+    merged table (`coxcheck.generators.build_family`) has no layout."""
 
     values: Sequence[Fraction]
     keys: np.ndarray
@@ -425,8 +427,7 @@ def _extract_negation(structure: BeliefStructure):
         return NegationConflict(
             values[x], first_pair, values[first_out], s.masks(index)[0], values[s_x]
         )
-    return NegationForm("tabular", {values[x]: values[s_x] for x, s_x in s.first_seen()},
-                        structure.bounds)
+    return NegationForm("tabular", negation_table(s), structure.bounds)
 
 
 def extract_combination(structure: BeliefStructure):
@@ -448,8 +449,18 @@ def _extract_combination(structure: BeliefStructure):
             (values[key // width], values[key % width]), first_triple,
             values[first_out], f.masks(index)[0], values[out],
         )
-    return CombinationForm("tabular", {(values[k // width], values[k % width]): values[out]
-                                       for k, out in f.first_seen()}, structure.bounds)
+    return CombinationForm("tabular", combination_table(f), structure.bounds)
+
+
+def negation_table(s: RankedExtraction) -> dict:
+    """{x: S(x)} in Fractions, keys in the order they are first met."""
+    return {s.values[x]: s.values[s_x] for x, s_x in s.first_seen()}
+
+
+def combination_table(f: RankedExtraction) -> dict:
+    """{(x, y): F(x, y)} in Fractions, keys in the order they are first met."""
+    values, width = f.values, len(f.values)
+    return {(values[k // width], values[k % width]): values[out] for k, out in f.first_seen()}
 
 
 # -- monotonicity ---------------------------------------------------------------
@@ -492,114 +503,106 @@ def check_monotonicity(form, grid_resolution: int = 9) -> MonotonicityReport:
     combination forms.
 
     Tabular forms are checked on every comparable pair of entries and report
-    continuity as untestable; catalog forms are probed on an exact rational
-    grid.
+    continuity as untestable.  A catalog F is tabulated on an exact
+    rational grid and checked as that table, and its continuity is probed
+    on the grid.
     """
-    if isinstance(form, NegationForm):
-        return MonotonicityReport("negation", decreasing=_check_s_decreasing(form))
-    if isinstance(form, CombinationForm):
-        strict, nondec = _check_f_monotone(form, grid_resolution)
-        return MonotonicityReport(
-            "combination",
-            strict_increase=strict,
-            nondecrease=nondec,
-            continuity=_check_f_continuity(form, grid_resolution),
-        )
-    raise FormError(f"not a form: {form!r}")
-
-
-def _check_s_decreasing(form: NegationForm) -> Verdict:
-    if not form.is_tabular:
-        # e + E - x has slope -1 everywhere.
-        return Verdict("pass", "catalog form, strictly decreasing by closed form")
-    points = sorted(form.table.items())
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        if not y1 > y2:
-            return Verdict("fail", f"S({x1})={y1} vs S({x2})={y2} (not decreasing)")
-    return Verdict("pass", f"strictly decreasing on {len(points)} tabular points")
-
-
-def _check_f_monotone(form: CombinationForm, grid_resolution: int):
-    e, big_e = form.interval
+    if not isinstance(form, (NegationForm, CombinationForm)):
+        raise FormError(f"not a form: {form!r}")
+    kind = "negation" if isinstance(form, NegationForm) else "combination"
     if form.is_tabular:
-        compared, strict_fail, nondec_fail = _tabular_f_monotone(form)
-    else:
-        compared, strict_fail, nondec_fail = _grid_f_monotone(form, grid_resolution)
+        return ranked_monotonicity(kind, *_interned(form), form.interval)
+    if kind == "negation":  # e + E - x has slope -1 everywhere.
+        return MonotonicityReport(kind, decreasing=Verdict(
+            "pass", "catalog form, strictly decreasing by closed form"))
+    pts = _grid(form.interval, grid_resolution)
+    grid = CombinationForm("tabular", {(x, y): form(x, y) for x in pts for y in pts})
+    return replace(ranked_monotonicity(kind, *_interned(grid), form.interval),
+                   continuity=_check_f_continuity(form, grid_resolution))
+
+
+def _interned(form) -> tuple:
+    """(values, keys, outs) of a tabular form, as `ranked_monotonicity`
+    takes them."""
+    table, n = form.table, len(form.table)
+    pairs = isinstance(form, CombinationForm)
+    args = [a for key in table for a in key] if pairs else list(table)
+    values, ranks = rank_values(args + list(table.values()))
+    keys = ranks[0:2 * n:2] * len(values) + ranks[1:2 * n:2] if pairs else ranks[:n]
+    order = keys.argsort()
+    return values, keys[order], ranks[len(args):][order]
+
+
+def ranked_monotonicity(kind: str, values, keys, outs, interval) -> MonotonicityReport:
+    """Par3 (kind 'negation') or Par4 (kind 'combination') of a tabular S or
+    F on value ranks: `values` strictly increasing, `keys` sorted and
+    distinct, `outs` the output rank of each key.  An S key is the rank of
+    x, an F key x·V + y for the ranks (x, y) and V = len(values), as in
+    `RankedExtraction`.  Fractions are read only for a failure's detail.
+    """
+    if kind == "negation":  # each output above the next, in key order
+        bad = np.flatnonzero(outs[1:] >= outs[:-1])
+        if not len(bad):
+            return MonotonicityReport(kind, decreasing=Verdict(
+                "pass", f"strictly decreasing on {len(keys)} tabular points"))
+        i = int(bad[0])
+        x1, y1, x2, y2 = (values[r] for r in (keys[i], outs[i], keys[i + 1], outs[i + 1]))
+        return MonotonicityReport(kind, decreasing=Verdict(
+            "fail", f"S({x1})={y1} vs S({x2})={y2} (not decreasing)"))
+    e, big_e = interval
+    compared, strict_fail, nondec_fail = _ranked_f_monotone(values, keys, outs, e)
+    continuity = Verdict("untestable", "continuity untestable on a tabular form")
     if compared == 0:
-        return (
-            Verdict("untestable", "no comparable argument pairs"),
-            Verdict("untestable", "no comparable argument pairs"),
-        )
+        untestable = Verdict("untestable", "no comparable argument pairs")
+        return MonotonicityReport(kind, None, untestable, untestable, continuity)
     if strict_fail:
-        p1, p2 = strict_fail
-        strict = Verdict("fail", f"F{p1}={form(*p1)} vs F{p2}={form(*p2)} (not strict)")
+        (p1, f1), (p2, f2) = strict_fail
+        strict = Verdict("fail", f"F{p1}={f1} vs F{p2}={f2} (not strict)")
     else:
         strict = Verdict("pass", f"strict on {compared} comparable pairs in ({e},{big_e}]^2")
     if nondec_fail:
-        p1, p2 = nondec_fail
-        nondec = Verdict("fail", f"F{p1}={form(*p1)} > F{p2}={form(*p2)}")
+        (p1, f1), (p2, f2) = nondec_fail
+        nondec = Verdict("fail", f"F{p1}={f1} > F{p2}={f2}")
     else:
         nondec = Verdict("pass", f"nondecreasing on {compared} comparable pairs")
-    return strict, nondec
+    return MonotonicityReport(kind, None, strict, nondec, continuity)
+
+
+def _ranked_f_monotone(values, keys, outs, e):
+    """(pairs compared, first strict failure, first nondecrease failure) of
+    an F on value ranks, as `ranked_monotonicity` takes it.
+
+    Compares the outputs at adjacent arguments that differ in one
+    coordinate: every row of equal x by ascending x, then every column of
+    equal y by ascending y.  Sorted keys are the rows in that order, and one
+    `lexsort` gives the columns.  A failure is the pair of (arguments,
+    output), lower one first, in Fractions.
+    """
+    x, y = np.divmod(keys, len(values))
+    column = np.lexsort((x, y))
+    row_pair = np.flatnonzero(x[1:] == x[:-1])
+    column_pair = np.flatnonzero(y[column[1:]] == y[column[:-1]])
+    lower = np.concatenate((row_pair, column[column_pair]))
+    upper = np.concatenate((row_pair + 1, column[column_pair + 1]))
+    low, up = outs[lower], outs[upper]
+    # all four arguments exceed e when the smaller two do
+    interior = np.minimum(x[lower], y[lower]) >= bisect.bisect_right(values, e)
+
+    def first(bad):
+        if not bad.any():
+            return None
+        at = bad.argmax()
+        return tuple(((values[x[k]], values[y[k]]), values[outs[k]])
+                     for k in (lower[at], upper[at]))
+    return len(lower), first((low >= up) & interior), first(low > up)
 
 
 def _tabular_f_monotone(form: CombinationForm):
-    """(pairs compared, first strict failure, first nondecrease failure).
-
-    Compares the outputs at adjacent table arguments that differ in one
-    coordinate: every row of equal x by ascending x, then every column of
-    equal y by ascending y.  Arguments, outputs and e are interned once, so
-    grouping, sorting and comparing run on int ranks.  A failure is the
-    pair of argument tuples, lower one first.
-    """
-    keys = list(form.table)
-    n = len(keys)
-    _, ranks = intern_values(
-        [x for x, _ in keys] + [y for _, y in keys]
-        + list(form.table.values()) + [form.interval[0]]
-    )
-    xs, ys, outputs, e = ranks[:n], ranks[n:2 * n], ranks[2 * n:3 * n], ranks[-1]
-    compared = 0
-    strict_fail = nondec_fail = None
-    for fixed_of, moving_of in ((xs, ys), (ys, xs)):
-        lines: dict[int, list[tuple[int, int]]] = {}
-        for i in range(n):
-            lines.setdefault(fixed_of[i], []).append((moving_of[i], i))
-        for fixed in sorted(lines):
-            line = sorted(lines[fixed])
-            for (lower, i), (_, j) in zip(line, line[1:]):
-                compared += 1
-                if outputs[i] > outputs[j] and nondec_fail is None:
-                    nondec_fail = keys[i], keys[j]
-                # all four arguments exceed e when the smaller two do
-                if (outputs[i] >= outputs[j] and strict_fail is None
-                        and min(fixed, lower) > e):
-                    strict_fail = keys[i], keys[j]
-    return compared, strict_fail, nondec_fail
-
-
-def _grid_f_monotone(form: CombinationForm, grid_resolution: int):
-    """`_tabular_f_monotone` for a catalog form, on the grid's points:
-    (x,y1) against (x,y2) for adjacent y1 < y2, then the transpose."""
-    e = form.interval[0]
-    pts = _grid(form.interval, grid_resolution)
-    compared = 0
-    strict_fail = nondec_fail = None
-    for x in pts:
-        for y1, y2 in zip(pts, pts[1:]):
-            for p1, p2 in (((x, y1), (x, y2)), ((y1, x), (y2, x))):
-                f1, f2 = form(*p1), form(*p2)
-                compared += 1
-                if f1 > f2 and nondec_fail is None:
-                    nondec_fail = p1, p2
-                if f1 >= f2 and strict_fail is None and min(*p1, *p2) > e:
-                    strict_fail = p1, p2
-    return compared, strict_fail, nondec_fail
+    """`_ranked_f_monotone` of a tabular form."""
+    return _ranked_f_monotone(*_interned(form), form.interval[0])
 
 
 def _check_f_continuity(form: CombinationForm, grid_resolution: int) -> Verdict:
-    if form.is_tabular:
-        return Verdict("untestable", "continuity untestable on a tabular form")
     pts = _grid(form.interval, grid_resolution)
     step = pts[1] - pts[0]
     bound = 2 * step  # admits any Lipschitz-2 form at this grid pitch

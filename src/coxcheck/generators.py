@@ -8,18 +8,25 @@ without materializing their tables.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event
+import numpy as np
+
+from .core import ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values
 from .forms import (
-    CombinationConflict,
     CombinationForm,
-    NegationConflict,
     NegationForm,
+    RankedExtraction,
+    combination_ranks,
+    combination_table,
     extract_combination,
     extract_negation,
+    negation_ranks,
+    negation_table,
 )
 from .isomorphism import DecisionParams, decide
 
@@ -121,16 +128,30 @@ def coin_extend(domain: Domain, weights, coins: int) -> ExtendedStructure:
 
 @dataclass(frozen=True)
 class DomainFamily:
-    """Structures sharing (up to evidence) one S and one F across domains."""
+    """Structures sharing (up to evidence) one S and one F across domains.
+
+    `negation` and `combination` are the merged S and F on the ranks of the
+    sorted union of the members' values, each key's `first` its instance's
+    index among all members' instances in member order.  `s_evidence` and
+    `f_evidence` are the same tables in Fractions, built on first use.
+    """
 
     members: tuple[BeliefStructure, ...]
-    s_evidence: dict
-    f_evidence: dict
+    negation: RankedExtraction
     negation_uniform: bool
     negation_detail: str
+    combination: RankedExtraction
     combination_uniform: bool
     combination_detail: str
     evidence_note: str
+
+    @functools.cached_property
+    def s_evidence(self) -> dict:
+        return negation_table(self.negation)
+
+    @functools.cached_property
+    def f_evidence(self) -> dict:
+        return combination_table(self.combination)
 
     def merged_negation(self) -> NegationForm:
         return NegationForm(kind="tabular", table=dict(self.s_evidence))
@@ -144,60 +165,63 @@ def build_family(members) -> DomainFamily:
 
     Members larger than EVIDENCE_SIZE_CAP atoms are skipped when building the
     merged tables (their full tables are infeasible); the note records which.
+    The members' values are ranked together once, and each table is merged
+    on those ranks as arrays.  The result is that of merging member by
+    member, each in the order its extraction first meets its keys: a key
+    keeps the output of the first member that has it, and a later member's
+    other output for it is a conflict.  So is a member's own A1 or A2
+    conflict, and that member adds nothing to the table.  A detail names
+    the last conflict met.
     """
     members = tuple(members)
     if not members:
         raise BeliefDomainError("family must have at least one member")
-    s_table: dict = {}
-    f_table: dict = {}
-    neg_ok, neg_detail = True, "merged S-table single-valued"
-    comb_ok, comb_detail = True, "merged F-table single-valued"
-    skipped = []
-    for i, member in enumerate(members):
-        if member.domain.size > EVIDENCE_SIZE_CAP:
-            skipped.append(i)
-            continue
-        neg = extract_negation(member)
-        if isinstance(neg, NegationConflict):
-            neg_ok, neg_detail = False, f"member {i}: {neg.describe(member.domain)}"
-        else:
-            for x, s_x in neg.table.items():
-                if x in s_table and s_table[x] != s_x:
-                    neg_ok = False
-                    neg_detail = (
-                        f"S({x}) differs across members: {s_table[x]} vs {s_x} "
-                        f"(member {i})"
-                    )
-                else:
-                    s_table.setdefault(x, s_x)
-        comb = extract_combination(member)
-        if isinstance(comb, CombinationConflict):
-            comb_ok, comb_detail = False, f"member {i}: {comb.describe(member.domain)}"
-        else:
-            for key, out in comb.table.items():
-                if key in f_table and f_table[key] != out:
-                    comb_ok = False
-                    comb_detail = (
-                        f"F{key} differs across members: {f_table[key]} vs {out} "
-                        f"(member {i})"
-                    )
-                else:
-                    f_table.setdefault(key, out)
+    used = [i for i, m in enumerate(members) if m.domain.size <= EVIDENCE_SIZE_CAP]
+    skipped = sorted(set(range(len(members))) - set(used))
+    local = [negation_ranks(members[i]).values for i in used]  # A2's are the same
+    values, ranks = rank_values([x for xs in local for x in xs])
+    width = len(values)
+    to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
+    merged = []
+    for label, read, extract in (("S", negation_ranks, extract_negation),
+                                 ("F", combination_ranks, extract_combination)):
+        detail, last = f"merged {label}-table single-valued", None
+        runs, starts, offset = [(np.zeros(0, dtype=np.int64),) * 3], [], 0
+        for i, g in zip(used, to_global):
+            ranked = read(members[i])
+            starts.append(offset)
+            if ranked.clash is not None:
+                conflict = extract(members[i]).describe(members[i].domain)
+                detail, last = f"member {i}: {conflict}", offset
+            else:
+                x, y = np.divmod(ranked.keys, len(ranked.values))
+                keys = g[ranked.keys] if label == "S" else g[x] * width + g[y]
+                runs.append((keys, g[ranked.outs], ranked.first + offset))
+            offset += int(ranked.layout.lengths.sum())
+        # each member's keys are distinct, so a stable sort puts each key's
+        # rows in member order, and its first row is the merged entry
+        keys, outs, first = (np.concatenate(run) for run in zip(*runs))
+        order = keys.argsort(kind="stable")
+        keys, outs, first = keys[order], outs[order], first[order]
+        head = np.diff(keys, prepend=-1) != 0
+        entry = np.flatnonzero(head)[head.cumsum() - 1]
+        conflicts = np.flatnonzero(outs != outs[entry])
+        if len(conflicts):
+            k = conflicts[first[conflicts].argmax()]
+            if last is None or first[k] > last:
+                key, i = keys[k], used[bisect.bisect_right(starts, first[k]) - 1]
+                name = (f"S({values[key]})" if label == "S"
+                        else f"F{(values[key // width], values[key % width])}")
+                detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
+                          f"vs {values[outs[k]]} (member {i})")
+        merged += [RankedExtraction(values, keys[head], outs[head], first[head], None, None),
+                   last is None and not len(conflicts), detail]
     note = (
         "all members contributed evidence"
         if not skipped
         else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
     )
-    return DomainFamily(
-        members=members,
-        s_evidence=s_table,
-        f_evidence=f_table,
-        negation_uniform=neg_ok,
-        negation_detail=neg_detail,
-        combination_uniform=comb_ok,
-        combination_detail=comb_detail,
-        evidence_note=note,
-    )
+    return DomainFamily(members, *merged, note)
 
 
 def coin_domain(coins: int) -> Domain:

@@ -3,10 +3,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck.core import BeliefDomainError, Domain
+from coxcheck.core import BeliefDomainError, BeliefStructure, Domain
 from coxcheck.files import load_structure, serialize_structure
-from coxcheck.forms import extract_combination, extract_negation
+from coxcheck.forms import (
+    CombinationConflict,
+    NegationConflict,
+    extract_combination,
+    extract_negation,
+)
 from coxcheck.generators import (
+    EVIDENCE_SIZE_CAP,
     affine_rescale,
     build_family,
     coin_extend,
@@ -139,6 +145,162 @@ class TestCoinFamily:
         ])
         assert not fam.negation_uniform
         assert "differs across members" in fam.negation_detail
+
+
+def oracle_build_family(members):
+    """`build_family` as a loop over each member's Fraction S and F dicts:
+    every field of the family, the evidence dicts in insertion order."""
+    s_table: dict = {}
+    f_table: dict = {}
+    neg_ok, neg_detail = True, "merged S-table single-valued"
+    comb_ok, comb_detail = True, "merged F-table single-valued"
+    skipped = []
+    for i, member in enumerate(members):
+        if member.domain.size > EVIDENCE_SIZE_CAP:
+            skipped.append(i)
+            continue
+        neg = extract_negation(member)
+        if isinstance(neg, NegationConflict):
+            neg_ok, neg_detail = False, f"member {i}: {neg.describe(member.domain)}"
+        else:
+            for x, s_x in neg.table.items():
+                if x in s_table and s_table[x] != s_x:
+                    neg_ok = False
+                    neg_detail = (
+                        f"S({x}) differs across members: {s_table[x]} vs {s_x} "
+                        f"(member {i})"
+                    )
+                else:
+                    s_table.setdefault(x, s_x)
+        comb = extract_combination(member)
+        if isinstance(comb, CombinationConflict):
+            comb_ok, comb_detail = False, f"member {i}: {comb.describe(member.domain)}"
+        else:
+            for key, out in comb.table.items():
+                if key in f_table and f_table[key] != out:
+                    comb_ok = False
+                    comb_detail = (
+                        f"F{key} differs across members: {f_table[key]} vs {out} "
+                        f"(member {i})"
+                    )
+                else:
+                    f_table.setdefault(key, out)
+    note = (
+        "all members contributed evidence"
+        if not skipped
+        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
+    )
+    return {
+        "members": tuple(members),
+        "s_evidence": list(s_table.items()),
+        "f_evidence": list(f_table.items()),
+        "negation_uniform": neg_ok,
+        "negation_detail": neg_detail,
+        "combination_uniform": comb_ok,
+        "combination_detail": comb_detail,
+        "evidence_note": note,
+    }
+
+
+def weighted(ints, exponent=1):
+    domain = Domain(tuple(f"x{i}" for i in range(len(ints))))
+    return BeliefStructure.from_weights(
+        domain, [F(i, sum(ints)) for i in ints], exponent
+    )
+
+
+def relabelled(structure, g):
+    return structure.map_values(g, bounds=structure.bounds)
+
+
+def uniform(n):
+    return gen_probability(Domain(tuple(f"u{i}" for i in range(n))), [F(1, n)] * n)
+
+
+def halfway_square(v):
+    return (v + v * v) / 2
+
+
+def move_a_third(v):
+    """Strictly increasing on the values of three equal weights, fixing all
+    but 1/3: S and F then differ from the unmoved table's at some keys."""
+    return F(1, 4) if v == F(1, 3) else v
+
+
+#: Families whose merge the array path must reproduce field for field.
+ORACLE_FAMILIES = {
+    # members that disagree on S and on F, each second disagreeing member
+    # agreeing with the one before it but not with the first to have a key
+    "disagreeing": lambda: [
+        weighted([1, 8]), weighted([1, 2], 2), weighted([1, 2], 2),
+        weighted([1, 1, 1]), relabelled(weighted([1, 1, 1]), move_a_third),
+        relabelled(weighted([1, 1, 1]), move_a_third), weighted([1, 1, 2]),
+    ],
+    "member-conflicts": lambda: [
+        weighted([1, 8]), load_structure(fixture_path("a1_conflict.bel")),
+        relabelled(weighted([1, 2]), halfway_square),
+        load_structure(fixture_path("a2_conflict.bel")), weighted([1, 2], 2),
+    ],
+    "conflict-last": lambda: [
+        weighted([1, 8]), weighted([1, 2], 2),
+        load_structure(fixture_path("a1_conflict.bel")),
+    ],
+    "interval-bounds": lambda: [
+        load_structure(fixture_path("interval_bounds.bel")),
+        affine_rescale(weighted([1, 2, 4]), F(1, 2), F(1, 4)),
+        weighted([1, 2, 4]),
+    ],
+    "over-the-cap": lambda: [uniform(33), weighted([1, 2]), uniform(8), uniform(40)],
+    "only-over-the-cap": lambda: [uniform(33)],
+    "non-uniform": lambda: [
+        weighted([1, 2, 3]), weighted([1, 2, 3, 4], 2), weighted([2, 1, 5, 1, 3]),
+        weighted([1, 2, 3, 4, 5, 6], 3),
+    ],
+}
+
+
+class TestBuildFamilyOracle:
+    """`build_family` merges rank arrays; the oracle merges Fraction dicts."""
+
+    @staticmethod
+    def assert_matches_oracle(family):
+        expected = oracle_build_family(family.members)
+        got = {name: getattr(family, name) for name in expected}
+        got["s_evidence"] = list(got["s_evidence"].items())
+        got["f_evidence"] = list(got["f_evidence"].items())
+        assert got == expected
+
+    @pytest.mark.parametrize("coins", range(1, 7))
+    def test_coin_families(self, coins):
+        self.assert_matches_oracle(coin_family(coins))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_families(self, name):
+        self.assert_matches_oracle(build_family(ORACLE_FAMILIES[name]()))
+
+    def test_the_detail_names_the_last_conflict_met(self):
+        """Conflicts are met member by member; each is checked against the
+        first member that has the key, not against the member before."""
+        family = build_family(ORACLE_FAMILIES["disagreeing"]())
+        assert not family.negation_uniform and not family.combination_uniform
+        assert family.negation_detail.endswith("3/4 (member 6)")
+        assert family.combination_detail == (
+            "F(Fraction(1, 2), Fraction(2, 3)) differs across members: "
+            "1/3 vs 1/4 (member 5)")
+        family = build_family(ORACLE_FAMILIES["member-conflicts"]())
+        assert family.negation_detail == (
+            "S(1/9) differs across members: 8/9 vs 4/9 (member 4)")
+        assert family.combination_detail.startswith("member 3: F(")
+        family = build_family(ORACLE_FAMILIES["conflict-last"]())
+        assert family.negation_detail.startswith("member 2: S(")
+        assert family.combination_detail.startswith("member 2: F(")
+
+    @given(st.lists(weight_vectors(), min_size=1, max_size=4), st.integers(1, 3))
+    def test_random_weight_families(self, vectors, exponent):
+        members = [gen_distorted(Domain(tuple(f"x{i}" for i in range(len(ws)))), ws,
+                                 1 + (exponent * i) % 3)
+                   for i, ws in enumerate(vectors)]
+        self.assert_matches_oracle(build_family(members))
 
 
 class TestAffineRescale:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck import core, forms, isomorphism
+from coxcheck import core, isomorphism
 from coxcheck.conditions import ChainCertificate
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
@@ -471,7 +471,6 @@ class TestDecide:
             return original_intern(xs)
 
         monkeypatch.setattr(core, "intern_values", counting_intern)
-        monkeypatch.setattr(forms, "intern_values", counting_intern)
         parsed = load_structure(fixture_path("three_atoms.bel"))
         assert decide(parsed).kind == "witness"
         assert forms_built == []
