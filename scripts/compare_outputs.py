@@ -16,7 +16,9 @@ builds the jobs there:
 - a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
   extraction and associativity join span many chunks
 - a `check` run of a uniform 70-atom `generate probability` file and of a
-  9-atom table (`write_wide`)
+  9-atom table (`write_wide`), and of a seeded `swap_adjacent_values`
+  forgery of that table (`write_wide_forgery`), whose associativity join
+  passes over all 95,436 F keys
 - a theorem-1 `audit` of the 8-atom tables and of the 9-atom table, whose
   Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
@@ -134,7 +136,9 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
     for kind, paths, names in (("large", write_large(tmp / "large", beltables),
                                ("check", "decide", "audit-t1")),
                               ("wide", write_wide(tmp / "wide", beltables),
-                               ("check", "audit-t1"))):
+                               ("check", "audit-t1")),
+                              ("wide-forged", write_wide_forgery(tmp / "wide-forged", beltables),
+                               ("check",))):
         for path in paths:
             for name in names:
                 sub, *options = FIXTURE_RUNS[name]
@@ -302,17 +306,35 @@ def write_wide(out: Path, beltables) -> list[Path]:
         f"domain: {' '.join(atoms)}\n"
         f"generate probability {' '.join(f'{a}=1/70' for a in atoms)}\n",
         encoding="utf-8")
-    table = beltables.relabelled_table(
+    nine = out / "probability-power3-9.bel"
+    nine.write_text(nine_atom_text(nine_atom_table(beltables)), encoding="utf-8")
+    return [uniform, nine]
+
+
+def write_wide_forgery(out: Path, beltables) -> list[Path]:
+    """The 9-atom table of `write_wide` with two adjacent interior values
+    exchanged everywhere (`beltables.swap_adjacent_values`, seed 9): A1, A2
+    and associativity survive, so the join runs to its end."""
+    out.mkdir()
+    table = beltables.swap_adjacent_values(random.Random(9), nine_atom_table(beltables))
+    swapped = out / "probability-power3-9-swapped.bel"
+    swapped.write_text(nine_atom_text(table), encoding="utf-8")
+    return [swapped]
+
+
+def nine_atom_table(beltables) -> dict:
+    return beltables.relabelled_table(
         beltables.normalized([15, 20, 12, 9, 5, 6, 28, 22, 1]), "power3")
 
-    def event(mask):  # beltables names at most 8 atoms
+
+def nine_atom_text(table: dict) -> str:
+    """A 9-atom table as a structure file; beltables names at most 8 atoms."""
+    atoms = [f"x{i}" for i in range(9)]
+
+    def event(mask):
         return "{" + " ".join(atoms[i] for i in range(9) if mask >> i & 1) + "}"
-    nine = out / "probability-power3-9.bel"
-    nine.write_text(
-        f"domain: {' '.join(atoms[:9])}\n"
-        + "".join(f"bel {event(v)} | {event(u)} = {x}\n" for (v, u), x in table.items()),
-        encoding="utf-8")
-    return [uniform, nine]
+    return (f"domain: {' '.join(atoms)}\n"
+            + "".join(f"bel {event(v)} | {event(u)} = {x}\n" for (v, u), x in table.items()))
 
 
 #: One line per parse error the parser reports on a token or a line, and

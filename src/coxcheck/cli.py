@@ -30,13 +30,13 @@ from .forms import (
     COMBINATION_CATALOG,
     EQUATIONS,
     NEGATION_CATALOG,
-    NegationConflict,
     catalog_combination,
     catalog_negation,
     check_functional_equation,
     combination_ranks,
     extract_combination,
     extract_negation,
+    negation_ranks,
 )
 from .generators import (
     ExtendedStructure,
@@ -160,14 +160,14 @@ def _cmd_check(args, argv) -> int:
     checks.append(("bounds-par1", bounds.par1.status, bounds.par1.detail))
     checks.append(("bounds-par2", bounds.par2.status, bounds.par2.detail))
 
-    negation = extract_negation(structure)
-    if isinstance(negation, NegationConflict):
+    # the Fraction forms of S and F are built only to describe a conflict
+    negation = negation_ranks(structure)
+    if negation.clash is not None:
         checks.append(("negation-extraction", "fail",
-                       negation.describe(structure.domain)))
+                       extract_negation(structure).describe(structure.domain)))
     else:
         checks.append(("negation-extraction", "pass",
-                       f"single-valued on {len(negation.table)} values"))
-    # the Fraction form of F is built only to describe a conflict
+                       f"single-valued on {len(negation.keys)} values"))
     combination = combination_ranks(structure)
     if combination.clash is not None:
         checks.append(("combination-extraction", "fail",
@@ -177,7 +177,7 @@ def _cmd_check(args, argv) -> int:
                        f"single-valued on {len(combination.keys)} argument pairs"))
         chain = chain_consistency(structure)
         checks.append(("chain-consistency", chain.status, chain.detail))
-    neg_identity = bel_level_negation(structure, negation)
+    neg_identity = bel_level_negation(structure)
     checks.append(("negation-involution", neg_identity.status, neg_identity.detail))
 
     gap = par5_gap(structure)

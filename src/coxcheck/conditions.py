@@ -26,6 +26,7 @@ from .core import (
     BeliefStructure,
     ChainQuadruple,
     Event,
+    float_values,
     is_canonical,
     pair_at,
     rank_values,
@@ -36,6 +37,7 @@ from .forms import (
     FIRST_CHUNK,
     FormError,
     NegationConflict,
+    NegationForm,
     Verdict,
     check_monotonicity,  # re-exported
     combination_ranks,
@@ -116,6 +118,8 @@ def par5_gap(structure: BeliefStructure, kind: str = "conditional") -> Fraction:
 
     Equals half the maximum spacing of attained(kind) ∪ {e,E} when the
     endpoints are attained; strictly positive for every finite structure.
+    Exact, and float-first: only the spacings `_widest_spacings` keeps are
+    compared in Fractions.
     """
     e, big_e = structure.bounds
     values = structure.attained(kind)
@@ -128,10 +132,43 @@ def par5_gap(structure: BeliefStructure, kind: str = "conditional") -> Fraction:
     # it lies strictly inside (e, E) when 2e < v1 + v2 < 2E
     low, high = 2 * e, 2 * big_e
     spacing = max(
-        (v2 - v1 for v1, v2 in zip(values, values[1:]) if low < v1 + v2 < high),
+        (values[k + 1] - values[k] for k in _widest_spacings(values, low, high).tolist()
+         if low < values[k] + values[k + 1] < high),
         default=ZERO,
     )
     return max(dist(e), dist(big_e), spacing / 2)
+
+
+#: The float sum or difference of two correctly rounded Fractions is
+#: within 2^-52 of their magnitudes, plus a subnormal spacing, of the exact
+#: one.  A margin of 2^-50 of the magnitudes of both values and both bounds
+#: also covers the rounding of the bounds and of the comparisons.
+_ROUNDING, _SUBNORMAL = 2.0 ** -50, 2.0 ** -1070
+
+
+def _widest_spacings(values: list, low: Fraction, high: Fraction) -> np.ndarray:
+    """The indices k of the spacings values[k+1] − values[k], of the sorted
+    Fractions `values`, that floats cannot rule out as the largest one with
+    low < values[k] + values[k+1] < high.
+
+    Each float sum and difference is within a margin of the exact one.  A
+    spacing whose sum is clear of low and high by the margin is surely
+    admissible, one clear on the outside surely not.  Of the rest, a
+    spacing is kept unless its width, plus the margin, is below the least
+    width a surely admissible spacing is known to have.  Values beyond the
+    float range keep every spacing.
+    """
+    f = float_values(values + [low, high])
+    lo, hi, f = f[-2], f[-1], f[:-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, widths = f[1:] + f[:-1], f[1:] - f[:-1]
+        margin = _ROUNDING * (np.abs(f[1:]) + np.abs(f[:-1]) + abs(lo) + abs(hi)) + _SUBNORMAL
+    if not np.isfinite(margin).all():
+        return np.arange(len(widths))
+    inside = (sums - margin > lo) & (sums + margin < hi)
+    maybe = (sums + margin >= lo) & (sums - margin <= hi)
+    floor = np.max(widths - margin, where=inside, initial=-np.inf)
+    return np.flatnonzero(maybe & (widths + margin >= floor))
 
 
 @dataclass(frozen=True)
@@ -610,40 +647,70 @@ def associativity_join(keys: np.ndarray, outs: np.ndarray, width: int, endpoints
 
     An instance is an (x, y, z) with (x, y), (y, z), (x, p) and (q, z) all
     in the table, for p = F(y,z) and q = F(x,y); it is nontrivial unless all
-    seven ranks are `endpoints`.  The join runs in chunks of (x, y)
-    entries, in the order of a loop over sorted (x, y) and then z.  It
-    stops at the first instance with r = F(x,p) ≠ s = F(q,z), counts
-    instances up to that one, and returns its (x, y, z, p, q) as `failure`;
-    `failure` is None when all agree.
+    seven ranks are `endpoints`.  Instances are ordered as a loop over
+    sorted (x, y) and then z meets them.  The failure is the first instance
+    with r = F(x,p) ≠ s = F(q,z), returned as (x, y, z, p, q), and the
+    counts stop at it; `failure` is None when all agree.
+
+    The join is driven from the column of p.  One `lexsort` of the keys by
+    (y, x) lays out the entries (x, p) of each p as a column, x ascending,
+    and one stable `argsort` of the outputs the entries (y, z) → p of each
+    p, (y, z) ascending.  For each column entry (x, p), in the capped chunks
+    of `row_chunks`, the walk takes the entries (y, z) → p and looks up
+    (x, y) → q and (q, z) → s.  Nested this way, the keys x·width + y it
+    looks up ascend within each column, which `searchsorted` finds faster.
+    The walk meets instances in another order than the loop, so it sees
+    every candidate: it counts the instances of each (x, y) entry and keeps
+    the least failing (x, y) entry and z.  Up to a failure, the instances
+    are those of the (x, y) entries before it and those of a re-walk of its
+    own row y up to z.  At most eight instances, those with x, y and z
+    among the endpoints, can be trivial; they are kept apart.
     """
-    xs, ys = keys // width, keys % width
     endpoint = np.zeros(width, dtype=bool)
     endpoint[list(endpoints)] = True
-    # the z-run of entry (x, y) is row y: the entries (y, z), z ascending
-    run = np.searchsorted(keys, ys * width)
-    instances = 0
-    nontrivial = 0
-    for i, pos in row_chunks(np.searchsorted(keys, (ys + 1) * width) - run):
-        j = run[i] + pos  # the entry (y, z), whose output is p
-        left = _lookup(keys, xs[i] * width + outs[j])
-        found = np.flatnonzero(left >= 0)
-        i, j, left = i[found], j[found], left[found]
-        right = _lookup(keys, outs[i] * width + ys[j])
+    second = (keys % width).astype(np.int32)
+    both_ends = endpoint[keys // width] & endpoint[second]  # per (x, y) entry
+    column = np.lexsort((keys, second))  # by (y, x)
+    # x stays int64, as it is multiplied by the width; the rest fit int32
+    col_x, col_p, col_r = keys[column] // width, second[column], outs[column].astype(np.int32)
+    del second, column
+    preimage = np.argsort(outs, kind="stable").astype(np.int32)
+    pre_start = np.concatenate(([0], np.cumsum(np.bincount(outs, minlength=width))))
+    per_entry = np.zeros(len(keys), dtype=np.int32)  # instances of each (x, y)
+    trivial = []  # (x, y) entry · width + z of each trivial instance
+    failure = None  # the least failing (x, y) entry · width + z
+    for c, pos in row_chunks(np.diff(pre_start)[col_p]):
+        j = preimage[pre_start[col_p[c]] + pos]  # c is the entry (x, p), j (y, z)
+        y, z = np.divmod(keys[j], width)
+        i = _lookup(keys, col_x[c] * width + y)
+        found = np.flatnonzero(i >= 0)
+        c, j, z, i = c[found], j[found], z[found], i[found]
+        right = _lookup(keys, outs[i] * width + z)
         found = np.flatnonzero(right >= 0)
-        i, j, left, right = i[found], j[found], left[found], right[found]
-        r, s = outs[left], outs[right]
+        c, j, z, i, right = c[found], j[found], z[found], i[found], right[found]
+        per_entry += np.bincount(i, minlength=len(keys))
+        at = i * width + z
+        r, s = col_r[c], outs[right]
         bad = np.flatnonzero(r != s)
-        stop = bad[0] + 1 if len(bad) else len(found)
-        instances += int(stop)
-        i, j, r, s = i[:stop], j[:stop], r[:stop], s[:stop]
-        trivial = endpoint[xs[i]] & endpoint[ys[i]] & endpoint[outs[i]]
-        trivial &= endpoint[ys[j]] & endpoint[outs[j]] & endpoint[r] & endpoint[s]
-        nontrivial += int(stop - np.count_nonzero(trivial))
         if len(bad):
-            i, j = i[-1], j[-1]
-            failure = xs[i], ys[i], ys[j], outs[j], outs[i]  # x, y, z, p, q
-            return instances, nontrivial, tuple(map(int, failure))
-    return instances, nontrivial, None
+            least = int(at[bad].min())
+            failure = least if failure is None else min(failure, least)
+        ends = both_ends[i] & endpoint[z]
+        if ends.any():
+            ends &= endpoint[outs[i]] & endpoint[outs[j]] & endpoint[r] & endpoint[s]
+            trivial += at[ends].tolist()
+    if failure is None:
+        instances = int(per_entry.sum())
+        return instances, instances - len(trivial), None
+    entry, z = divmod(failure, width)
+    (x, y), q = divmod(int(keys[entry]), width), int(outs[entry])
+    row = slice(np.searchsorted(keys, y * width), np.searchsorted(keys, y * width + z + 1))
+    found = (_lookup(keys, x * width + outs[row]) >= 0) & (
+        _lookup(keys, q * width + keys[row] % width) >= 0)
+    instances = int(per_entry[:entry].sum()) + int(np.count_nonzero(found))
+    nontrivial = instances - sum(t <= failure for t in trivial)
+    p = int(outs[keys.searchsorted(y * width + z)])
+    return instances, nontrivial, (x, y, z, p, q)
 
 
 def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
@@ -654,9 +721,9 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     by construction, so failures always involve overlapping chains.  If
     extraction itself conflicts, that conflict is the stronger verdict and the
     check reports untestable.  Runs on extraction's value ranks as a join on
-    the sorted F keys x·V + y, in chunks of (x, y) entries and in the order
-    of the loop over sorted (x, y) and then z: it stops at the chunk holding
-    the first r ≠ s and counts instances up to that one.
+    the sorted F keys x·V + y, driven from the column of p
+    (`associativity_join`); the failure it reports, and the instances it
+    counts up to it, are those of the loop over sorted (x, y) and then z.
     """
     f = combination_ranks(structure)
     if f.clash is not None:
@@ -707,38 +774,56 @@ class NegationIdentityReport:
         return self.status == "pass"
 
 
+def _ranked_negation(structure: BeliefStructure, negation: NegationForm) -> tuple:
+    """(values, attained, keys, outs) of a caller's S: its entries and the
+    structure's attained conditional values ranked together.  A catalog S
+    is tabulated on the attained values and their images."""
+    attained = structure.attained("conditional")
+    table = negation.table
+    if not negation.is_tabular:
+        table = {y: negation(y) for y in attained}
+        table.update((s_y, negation(s_y)) for s_y in list(table.values()))
+    n, m = len(attained), len(table)
+    values, ranks = rank_values(attained + list(table) + list(table.values()))
+    return values, ranks[:n], ranks[n:n + m], ranks[n + m:]
+
+
 def bel_level_negation(
-    structure: BeliefStructure, negation=None
+    structure: BeliefStructure, negation: NegationForm | NegationConflict | None = None
 ) -> NegationIdentityReport:
     """S(S(y)) = y at every attained conditional value, over the tabular S.
 
     Partiality (table gaps on either application) is counted, not hidden.
+    One array pass on value ranks: with S as an array from ranks to ranks,
+    -1 where it is undefined, the check is S[S[attained]] = attained.  By
+    default S is the structure's `negation_ranks`, whose keys are the
+    attained values; a caller's S is ranked with them first.
     """
-    if negation is None:
+    if negation is None and negation_ranks(structure).clash is not None:
         negation = extract_negation(structure)
     if isinstance(negation, NegationConflict):
         return NegationIdentityReport(
             "untestable", 0, 0, (),
             f"negation extraction conflict: {negation.describe(structure.domain)}",
         )
-    checked = 0
-    gaps = 0
-    failures = []
-    for y in structure.attained("conditional"):
-        if not negation.defined_at(y):
-            gaps += 1
-            continue
-        s_y = negation(y)
-        if not negation.defined_at(s_y):
-            gaps += 1
-            continue
-        checked += 1
-        if negation(s_y) != y:
-            failures.append((y, s_y, negation(s_y)))
-    if failures:
+    if negation is None:
+        s = negation_ranks(structure)
+        values, attained, keys, outs = s.values, s.keys, s.keys, s.outs
+    else:
+        values, attained, keys, outs = _ranked_negation(structure, negation)
+    image = np.full(len(values) + 1, -1, dtype=np.int64)  # image[-1] = -1: a gap stays one
+    image[keys] = outs
+    once = image[attained]
+    twice = image[once]
+    gaps = int(np.count_nonzero(twice < 0))
+    checked = len(attained) - gaps
+    bad = np.flatnonzero((twice >= 0) & (twice != attained))
+    if len(bad):
+        failures = tuple((values[attained[k]], values[once[k]], values[twice[k]])
+                         for k in bad.tolist())
         y, s_y, s_s_y = failures[0]
         return NegationIdentityReport(
-            "fail", checked, gaps, tuple(failures),
+            "fail", checked, gaps, failures,
             f"S(S({y})) = {s_s_y} ≠ {y}",
         )
     detail = f"involution holds at {checked} attained values"

@@ -255,6 +255,31 @@ def _float_or_inf(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _float_parts(xs: Sequence[Fraction]) -> tuple:
+    """(num, den, approx) of the Fractions `xs`: their numerators and
+    denominators as int64 arrays (object arrays where one does not fit),
+    and each one's correctly rounded float, ±inf beyond the float range."""
+    count = len(xs)
+    try:
+        num = np.fromiter(map(_NUMERATOR, xs), dtype=np.int64, count=count)
+        den = np.fromiter(map(_DENOMINATOR, xs), dtype=np.int64, count=count)
+        small = (-_EXACT_FLOAT_INT <= num.min() and num.max() <= _EXACT_FLOAT_INT
+                 and den.max() <= _EXACT_FLOAT_INT)
+    except OverflowError:
+        num = np.fromiter(map(_NUMERATOR, xs), dtype=object, count=count)
+        den = np.fromiter(map(_DENOMINATOR, xs), dtype=object, count=count)
+        small = False
+    approx = (num / den if small
+              else np.fromiter(map(_float_or_inf, xs), dtype=np.float64, count=count))
+    return num, den, approx
+
+
+def float_values(xs: Sequence[Fraction]) -> np.ndarray:
+    """Each Fraction of the nonempty `xs`, correctly rounded to a float64;
+    ±inf beyond the float range."""
+    return _float_parts(xs)[2]
+
+
 def rank_values(xs: Sequence[Fraction]) -> tuple[list[Fraction], np.ndarray]:
     """The sorted distinct values of `xs`, and the rank of each x in turn as
     an int64 array.
@@ -269,17 +294,7 @@ def rank_values(xs: Sequence[Fraction]) -> tuple[list[Fraction], np.ndarray]:
     count = len(xs)
     if not count:
         return [], np.zeros(0, dtype=np.int64)
-    try:
-        num = np.fromiter(map(_NUMERATOR, xs), dtype=np.int64, count=count)
-        den = np.fromiter(map(_DENOMINATOR, xs), dtype=np.int64, count=count)
-        small = (-_EXACT_FLOAT_INT <= num.min() and num.max() <= _EXACT_FLOAT_INT
-                 and den.max() <= _EXACT_FLOAT_INT)
-    except OverflowError:
-        num = np.fromiter(map(_NUMERATOR, xs), dtype=object, count=count)
-        den = np.fromiter(map(_DENOMINATOR, xs), dtype=object, count=count)
-        small = False
-    approx = (num / den if small
-              else np.fromiter(map(_float_or_inf, xs), dtype=np.float64, count=count))
+    num, den, approx = _float_parts(xs)
     order = np.argsort(approx, kind="stable")
     # sorted neighbours with equal floats, then with equal values; each
     # array is dropped once read, as xs may hold 3^12 values

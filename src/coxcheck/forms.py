@@ -189,7 +189,9 @@ def _size_ranks(structure: BeliefStructure):
 
     `values` is the sorted list of every (j/m)^k plus the bounds, interned
     here in O(n²) instead of through the structure's pair index;
-    `size_rank[m, j]` is the rank of Bel(V|U) for |V| = j, |U| = m.
+    `size_rank[m, j]` is the rank of Bel(V|U) for |V| = j, |U| = m.  The
+    A1 and A2 layouts read it through `derived`, so it is built once per
+    structure.
     """
     n, k = structure.domain.size, structure.exponent
     sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
@@ -208,7 +210,7 @@ def _size_ranks(structure: BeliefStructure):
 #: so an early clash costs work in proportion to its position and the
 #: temporaries stay bounded.
 FIRST_CHUNK = 256
-CHUNK_CAP = 1 << 11
+CHUNK_CAP = 1 << 14
 
 
 def row_chunks(lengths):
@@ -255,7 +257,7 @@ def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
     the pairs (v, u), so an instance's index is its pair's position in
     `pair_rank`; read by sizes, row m holds |V| = 0..m on prefix events."""
     if _by_sizes(structure):
-        values, size_rank = _size_ranks(structure)
+        values, size_rank = structure.derived("size-ranks", _size_ranks)
         lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
         return InstanceLayout(values, lengths, lambda m, j: (
             size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
@@ -276,7 +278,7 @@ def _combination_layout(structure: BeliefStructure) -> InstanceLayout:
     """A2: per instance the key x·V + y for the ranks (x, y) of Bel(B|A) and
     Bel(A|U), and the rank of Bel(B|U), over the chain triples B ⊆ A ⊆ U."""
     if _by_sizes(structure):
-        values, size_rank = _size_ranks(structure)
+        values, size_rank = structure.derived("size-ranks", _size_ranks)
         width = len(values)
         # row m holds (|A|, |B|) for 1 <= |A| <= m, |B| <= |A|: a prefix of
         # the one layout that lists |A| = 1, 2, ... in turn

@@ -202,6 +202,37 @@ class TestCollectorPause:
             gc.enable()
 
 
+class TestCheckReadsRankArrays:
+    """`check` runs on extraction's rank arrays; the Fraction forms of S and
+    F are built only to describe an A1 or A2 conflict."""
+
+    def checked_structure(self, monkeypatch, name):
+        loaded = []
+
+        def loading(path):
+            loaded.append(load_structure(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_structure", loading)
+        main(["check", str(FIXTURES / name)])
+        (structure,) = loaded
+        return structure._derived
+
+    @pytest.mark.parametrize("name", ["three_atoms.bel", "chain_conflict.bel",
+                                      "interval_bounds.bel", "uniform2.bel"])
+    def test_no_fraction_forms_without_a_conflict(self, monkeypatch, capsys, name):
+        derived = self.checked_structure(monkeypatch, name)
+        assert "negation-ranks" in derived and "combination-ranks" in derived
+        assert "negation" not in derived and "combination" not in derived
+
+    @pytest.mark.parametrize("name,form", [("a1_conflict.bel", "negation"),
+                                           ("a2_conflict.bel", "combination")])
+    def test_the_conflicting_form_describes_the_conflict(self, monkeypatch, capsys,
+                                                         name, form):
+        derived = self.checked_structure(monkeypatch, name)
+        assert type(derived[form]).__name__.endswith("Conflict")
+
+
 class TestParserReuse:
     """The argument parser is built once per process and reused."""
 

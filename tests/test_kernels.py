@@ -1,6 +1,7 @@
-"""The array kernels of A1/A2 extraction and the associativity join against
-the per-instance loops they replaced, and the worklist ratio engine against
-the sweep loop it replaced, kept here as oracles."""
+"""The array kernels of A1/A2 extraction, the associativity join, the
+negation involution and the density gap against the per-instance loops
+they replaced, and the worklist ratio engine against the sweep loop it
+replaced, kept here as oracles."""
 
 import bisect
 import contextlib
@@ -14,10 +15,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck import forms
-from coxcheck.conditions import associativity_join, chain_consistency
+from coxcheck.conditions import (
+    associativity_join,
+    bel_level_negation,
+    chain_consistency,
+    par5_gap,
+)
 from coxcheck.core import ONE, ZERO, BeliefStructure, Domain, intern_values
 from coxcheck.files import load_structure
-from coxcheck.forms import combination_ranks, negation_ranks
+from coxcheck.forms import (
+    NegationForm,
+    combination_ranks,
+    extract_negation,
+    negation_ranks,
+)
+from coxcheck.generators import build_family, coin_family
 from coxcheck.isomorphism import _Contradiction, _RatioEngine
 
 from conftest import FIXTURES, engine_rules
@@ -120,6 +132,42 @@ def oracle_join(table, endpoints):
             if r != s:
                 return instances, nontrivial, (x, y, z, p, q)
     return instances, nontrivial, None
+
+
+def oracle_negation_identity(structure, negation):
+    """(checked, gaps, failures) of S(S(y)) = y at each attained value, one
+    Fraction lookup at a time, for a NegationForm S."""
+    checked = gaps = 0
+    failures = []
+    for y in structure.attained("conditional"):
+        if not negation.defined_at(y):
+            gaps += 1
+            continue
+        s_y = negation(y)
+        if not negation.defined_at(s_y):
+            gaps += 1
+            continue
+        checked += 1
+        if negation(s_y) != y:
+            failures.append((y, s_y, negation(s_y)))
+    return checked, gaps, tuple(failures)
+
+
+def oracle_gap(structure, kind):
+    """`par5_gap` with every spacing and midpoint in Fractions."""
+    e, big_e = structure.bounds
+    values = structure.attained(kind)
+
+    def dist(alpha):
+        i = bisect.bisect_left(values, alpha)
+        return min(abs(alpha - v) for v in values[max(i - 1, 0):i + 1])
+
+    low, high = 2 * e, 2 * big_e
+    spacing = max(
+        (v2 - v1 for v1, v2 in zip(values, values[1:]) if low < v1 + v2 < high),
+        default=ZERO,
+    )
+    return max(dist(e), dist(big_e), spacing / 2)
 
 
 # -- comparisons ----------------------------------------------------------------
@@ -309,6 +357,26 @@ class TestExtractionKernels:
         a2 = forms._first_outputs(forms._combination_layout(structure))
         assert_same_extraction(a2, oracle_first_outputs(*oracle_combination_instances(structure)))
 
+    def test_size_ranks_are_built_once_per_structure(self, monkeypatch):
+        # the coin family of 1-5 coins has uniform members of 2-32 atoms;
+        # those of 8, 16 and 32 atoms are read by sizes, by A1 and by A2
+        calls = []
+        original = forms._size_ranks
+
+        def counting(structure):
+            calls.append(structure)
+            return original(structure)
+
+        monkeypatch.setattr(forms, "_size_ranks", counting)
+        family = build_family(coin_family(5).members)
+        by_sizes = [m for m in family.members if forms._by_sizes(m)]
+        assert [m.domain.size for m in by_sizes] == [8, 16, 32]
+        assert calls == by_sizes
+        for member in by_sizes:  # later layouts read the memo
+            forms._negation_layout(member)
+            forms._combination_layout(member)
+        assert calls == by_sizes
+
 
 # -- the associativity join -----------------------------------------------------
 
@@ -321,6 +389,19 @@ def associative_table(rng, width):
         (x, y): max(0, x + y - top)
         for x in range(width) for y in range(width) if rng.random() < 0.7
     }
+
+
+def loop_instances(table):
+    """Every instance (x, y, z) of a ranked F table {(x, y): out} and
+    whether F(x,p) ≠ F(q,z) there, in the order of a loop over sorted
+    (x, y) and then z."""
+    out = []
+    for (x, y), q in sorted(table.items()):
+        for z in sorted(b for a, b in table if a == y):
+            p = table[y, z]
+            if (x, p) in table and (q, z) in table:
+                out.append(((x, y, z), table[x, p] != table[q, z]))
+    return out
 
 
 def sorted_arrays(table, width):
@@ -358,6 +439,28 @@ class TestAssociativityJoin:
         want = oracle_join(table, {0, width - 1})
         assert want[2] is not None
         assert associativity_join(*sorted_arrays(table, width), width, {0, width - 1}) == want
+
+    @pytest.mark.parametrize("sizes", [None, (1, 4)], ids=["module", "1-4"])
+    def test_the_earlier_of_two_failures_is_reported(self, sizes):
+        # the Łukasiewicz t-norm on ranks 0..5 with two entries raised by
+        # one.  The first failure in (x, y)-then-z order is (1, 5, 4), at
+        # p = 4; the column walk takes p = 0, 1, ... in turn, then x, then
+        # (y, z), and meets (4, 1, 5), at p = 2, first, in an earlier chunk
+        # under chunks of 1-4 candidates
+        width = 6
+        table = {(x, y): max(0, x + y - 5) for x in range(width) for y in range(width)}
+        table[1, 5] += 1
+        table[2, 4] += 1
+        instances = loop_instances(table)
+        failures = [xyz for xyz, fails in instances if fails]
+        assert failures[0] == (1, 5, 4)
+        walk_order = lambda xyz: (table[xyz[1], xyz[2]], *xyz)  # (p, x, y, z)
+        assert min(failures, key=walk_order) == (4, 1, 5)
+        want = oracle_join(table, {0, 5})
+        assert want[2][:3] == (1, 5, 4)
+        assert want[0] == instances.index(((1, 5, 4), True)) + 1 < len(instances)
+        with chunk_sizes(*sizes) if sizes else contextlib.nullcontext():
+            assert associativity_join(*sorted_arrays(table, width), width, {0, 5}) == want
 
     def test_sparse_tables_over_three_ranks(self):
         # few entries, few instances, rare failures: each of the seven ranks
@@ -664,6 +767,120 @@ class TestEngineAgainstSweeps:
     @pytest.mark.parametrize("n,k", [(7, 1), (9, 2)])
     def test_uniform_structures_read_by_sizes(self, n, k):
         assert_same_engine(uniform(n, k), inputs=False)
+
+
+# -- the negation involution and the density gap --------------------------------
+
+
+def eight_atom_tables():
+    """A probability through v³, a plain probability of weights 1 and 2,
+    and that one with an entry of its last row moved to another value."""
+    rng = random.Random(8)
+    cubed = ratio_table(8, [rng.randint(1, 30) for _ in range(8)], lambda x: x ** 3)
+    plain = ratio_table(8, [rng.choice((1, 2)) for _ in range(8)])
+    return [structure_of(8, t) for t in (cubed, plain, plant(rng, plain, {255}))]
+
+
+def fixture_structures():
+    return [load_structure(path) for path in sorted(FIXTURES.glob("*.bel"))
+            if not path.name.startswith("bad_parse")]
+
+
+def weight_backed_structures():
+    d = Domain(tuple(f"x{i}" for i in range(5)))
+    weights = [F(w, 15) for w in (1, 2, 3, 4, 5)]
+    return [uniform(8, 1), uniform(9, 2), uniform(70, 1),
+            BeliefStructure.from_weights(d, weights),
+            BeliefStructure.from_weights(d, weights, exponent=3)]
+
+
+class TestNegationInvolution:
+    def test_the_structures_own_negation(self):
+        # A1 single-valued: S maps the attained values onto themselves and
+        # S∘S is the identity, as (v, u) ↦ (u∖v, u) is an involution
+        clashes = 0
+        for structure in fixture_structures() + eight_atom_tables() + weight_backed_structures()[:2]:
+            report = bel_level_negation(structure)
+            if negation_ranks(structure).clash is not None:
+                assert report.status == "untestable"
+                clashes += 1
+                continue
+            want = oracle_negation_identity(structure, extract_negation(structure))
+            assert (report.checked, report.gaps, report.failures) == want
+            assert report.checked == len(structure.attained("conditional"))
+            assert report.gaps == 0 and report.passed
+        assert clashes == 2  # a1_conflict.bel and the moved 8-atom entry
+
+    @given(st.integers(0, 2 ** 32))
+    def test_caller_forms_against_the_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice((2, 3))
+        structure = structure_of(n, ratio_table(n, [rng.randint(1, 4) for _ in range(n)]))
+        pool = structure.attained("conditional") + [F(rng.randint(0, 6), 6) for _ in range(3)]
+        table = {x: rng.choice(pool) for x in rng.sample(pool, rng.randint(0, len(pool)))}
+        for form in (NegationForm("tabular", table), NegationForm("linear-complement")):
+            report = bel_level_negation(structure, form)
+            checked, gaps, failures = oracle_negation_identity(structure, form)
+            assert (report.checked, report.gaps, report.failures) == (checked, gaps, failures)
+            assert report.status == ("fail" if failures else "pass")
+
+
+def two_atom_table(empty, middle, bounds=(ZERO, ONE)):
+    """Bel(∅|U) = `empty`, Bel(U|U) = 1 and Bel({a}|{a b}) = Bel({b}|{a b})
+    = `middle`."""
+    table = {(0, u): empty for u in (1, 2, 3)}
+    table.update({(u, u): ONE for u in (1, 2, 3)})
+    table.update({(1, 3): middle, (2, 3): middle})
+    return BeliefStructure.from_table(Domain(("a", "b")), table, bounds)
+
+
+class TestDensityGap:
+    def test_fixtures_and_weight_backings_against_the_oracle(self):
+        structures = fixture_structures() + eight_atom_tables() + weight_backed_structures()
+        names = {path.name for path in FIXTURES.glob("*.bel")}
+        assert {"par1_violation.bel", "interval_bounds.bel"} <= names
+        for structure in structures:
+            for kind in ("conditional", "unconditional"):
+                assert par5_gap(structure, kind) == oracle_gap(structure, kind)
+
+    @pytest.mark.parametrize("inner,widest", [
+        # spacings 1/4, 1/4 + δ, 1/4 − δ, 1/4: one float, 0.25
+        ([F(1, 4), F(1, 2) + F(1, 10 ** 30), F(3, 4)], F(1, 4) + F(1, 10 ** 30)),
+        ([F(1, 4), F(1, 2), F(3, 4) + F(1, 10 ** 30)], F(1, 4) + F(1, 10 ** 30)),
+        # spacings 1/5, 3/10, 3/10 − δ, 1/5 + δ: floats put the third above
+        # the second, 0.30000000000000004 against 0.3
+        ([F(1, 5), F(1, 2), F(4, 5) - F(1, 10 ** 18)], F(3, 10)),
+    ])
+    def test_spacings_floats_cannot_separate(self, inner, widest):
+        table = {(v, u): ZERO if v == 0 else ONE if v == u else inner[(v + u) % 3]
+                 for u in range(1, 8) for v in range(u + 1) if v & ~u == 0}
+        structure = structure_of(3, table)
+        values = structure.attained("conditional")
+        assert values == [ZERO, *inner, ONE]
+        widths = [float(b) - float(a) for a, b in zip(values, values[1:])]
+        exact = [b - a for a, b in zip(values, values[1:])]
+        # floats cannot single out the widest: they tie it or put another on top
+        assert [k for k, w in enumerate(widths) if w == max(widths)] != [exact.index(max(exact))]
+        assert par5_gap(structure) == oracle_gap(structure, "conditional") == widest / 2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_midpoints_within_rounding_of_the_bounds(self, sign):
+        # the midpoint of -1/2 and 1/2 + δ is δ/2, against e = 0, and floats
+        # put it at 0.  Only for δ > 0 is the spacing 1 + δ admitted; for
+        # δ < 0 the gap is the distance 1/2 + δ from e to 1/2 + δ
+        delta = F(sign, 10 ** 30)
+        low = two_atom_table(F(-1, 2), F(1, 2) + delta)
+        assert par5_gap(low) == oracle_gap(low, "conditional")
+        assert par5_gap(low) == ((1 + delta) / 2 if sign > 0 else F(1, 2) + delta)
+        # mirrored: 1/2 - δ and 3/2 against E = 1, with Bel(∅|U) = 0
+        high = two_atom_table(ZERO, F(1, 2) - delta).map_values(
+            lambda x: F(3, 2) if x == 1 else x, bounds=(ZERO, ONE))
+        assert par5_gap(high) == oracle_gap(high, "conditional")
+        assert par5_gap(high) == ((1 + delta) / 2 if sign > 0 else F(1, 2) + delta)
+
+    def test_values_beyond_the_float_range(self):
+        huge = two_atom_table(ZERO, F(10) ** 400, bounds=(ZERO, F(10) ** 401))
+        assert par5_gap(huge) == oracle_gap(huge, "conditional")
 
 
 def test_memory_stays_bounded_on_eight_atoms():
