@@ -30,12 +30,19 @@ builds the jobs there:
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
   small coin family it writes there, `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
-  (`EQUATIONS_OPTION_CASES`).
+  (`EQUATIONS_OPTION_CASES`)
+- weight-backed jobs (`write_weight_backed`, `WEIGHT_BACKED_RUNS`): a
+  `check`, a `decide` and a theorem-1 `audit` of a 10-atom `generate
+  probability` file, and a `generate probability` of the same weights;
+  a `generate distorted` of 8 atoms with k = 2; theorem-1 and theorem-2
+  `audit` runs of the 1- and 2-coin family members; and a theorem-3
+  `audit` of a uniform 2-atom base against its 7-coin extension.
 
 Each tree runs every job once, in-process through `coxcheck.cli.main`, in an
 interpreter of its own.  Per job the exit code, stdout, stderr and JSON
-report without `timings` must match, and for `decide` also the certificate
-kind, description, `recheck()` result and order-conflict instances.  Prints
+report without `timings` must match, for `generate` the SHA-256 of the file
+it writes, and for `decide` also the certificate kind, description,
+`recheck()` result and order-conflict instances.  Prints
 every differing job with its differing fields, before and after, then a
 count; exits 1 on any difference, 0 when every job matches.
 Uses the standard library only and writes nothing inside the repository.
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -78,8 +86,9 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
     cli.decide = recording_decide
     results = []
     for job in json.loads(Path(jobs_path).read_text(encoding="utf-8")):
-        report = Path(job["report"])
-        report.unlink(missing_ok=True)
+        report, written = Path(job["report"]), job.get("written")
+        for path in filter(None, (report, written)):
+            Path(path).unlink(missing_ok=True)
         decided.clear()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -91,6 +100,8 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
         if report.exists():
             result["report"] = json.loads(report.read_text(encoding="utf-8"))
             result["report"].pop("timings", None)
+        if written and Path(written).exists():
+            result["written"] = hashlib.sha256(Path(written).read_bytes()).hexdigest()
         cert = decided[-1].certificate if decided else None
         if cert is not None:
             result["certificate"] = {
@@ -170,6 +181,15 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                      "argv": ["audit", "--theorem", "4", "--family", str(path),
                               "--grid", "2", "--json", str(report)],
                      "report": str(report)})
+    inputs = write_weight_backed(tmp / "weight-backed", family)
+    for name, argv in WEIGHT_BACKED_RUNS:
+        report = reports / f"weight-backed-{name}.json"
+        argv = [str(inputs.get(a, a)) for a in argv]
+        job = {"id": f"weight-backed/{name}", "argv": [*argv, "--json", str(report)],
+               "report": str(report)}
+        if argv[0] == "generate":
+            job["written"] = argv[argv.index("--out") + 1]
+        jobs.append(job)
     targets = {"1": [str(fixtures[0]), "--theorem", "1"],
                "4": ["--theorem", "4", "--family", str(family)]}
     for name, (theorem, *options) in AUDIT_OPTION_CASES.items():
@@ -201,6 +221,52 @@ AUDIT_OPTION_CASES = {
     "negative-epsilon": ["4", "--epsilon", "-1/2"],
     "over-limit-grid": ["1", "--grid", "100000"],
 }
+
+
+#: Weight-backed jobs, by name: argv, where a name of `write_weight_backed`
+#: stands for the path it wrote.
+TEN_ATOMS = ",".join(f"a{i}" for i in range(10))
+TEN_WEIGHTS = ",".join(f"{i}/55" for i in range(1, 11))
+WEIGHT_BACKED_RUNS = [
+    ("check-p10", ["check", "p10"]),
+    ("decide-p10", ["decide", "p10"]),
+    ("audit-t1-p10", ["audit", "p10", "--theorem", "1"]),
+    ("generate-p10", ["generate", "probability", "--atoms", TEN_ATOMS,
+                      "--weights", TEN_WEIGHTS, "--out", "generated-p10"]),
+    ("generate-distorted-8-k2", ["generate", "distorted", "--atoms",
+                                 ",".join(f"a{i}" for i in range(8)),
+                                 "--weights", ",".join(f"{i}/36" for i in range(1, 9)),
+                                 "--k", "2", "--out", "generated-distorted-8"]),
+    *((f"audit-t{t}-coins-{c}", ["audit", f"coins-{c}", "--theorem", t])
+      for c in (1, 2) for t in ("1", "2")),
+    ("audit-t3-coins-7", ["audit", "base-2", "--theorem", "3",
+                          "--extension", "coins-7-extension"]),
+]
+
+
+def write_weight_backed(out: Path, family: Path) -> dict[str, Path]:
+    """The inputs of `WEIGHT_BACKED_RUNS` by name: the 10-atom probability
+    of weights 1/55..10/55 as a `generate probability` file, the uniform
+    2-atom base and its 7-coin extension as `generate coins` writes it, the
+    1- and 2-coin members of the coin family in `family`, and the paths
+    the `generate` jobs write."""
+    out.mkdir()
+    atoms = TEN_ATOMS.split(",")
+    extended = [f"{a}:{c:07b}" for a in "ab" for c in range(128)]
+    texts = {
+        "p10": (f"domain: {' '.join(atoms)}\ngenerate probability "
+                + " ".join(f"{a}={w}" for a, w in zip(atoms, TEN_WEIGHTS.split(",")))),
+        "base-2": "domain: a b\ngenerate probability a=1/2 b=1/2",
+        "coins-7-extension": (f"domain: {' '.join(extended)}\ngenerate probability "
+                              + " ".join(f"{a}=1/256" for a in extended)),
+    }
+    paths = {name: out / f"{name}.bel" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text + "\n", encoding="utf-8")
+    paths.update({f"coins-{c}": family / f"coins_{c:02d}.bel" for c in (1, 2)})
+    paths.update({name: out / f"{name}.bel"
+                  for name in ("generated-p10", "generated-distorted-8")})
+    return paths
 
 
 #: `decide` runs whose search options must be refused with exit 64.

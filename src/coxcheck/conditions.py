@@ -1017,22 +1017,11 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
 
 
 def _audit_t3(structure, extension) -> AuditReport:
-    hypotheses = []
-    agree_witness = None
-    for v, u, x in structure.items():
-        ev, eu = extension.embed_mask(v), extension.embed_mask(u)
-        if extension.extended.bel_masks(ev, eu) != x:
-            agree_witness = (v, u, x)
-            break
-    hypotheses.append(
-        HypothesisVerdict("extension-agreement", "pass",
-                          "Bel⁺ agrees with Bel on all embedded pairs")
-        if agree_witness is None
-        else HypothesisVerdict(
-            "extension-agreement", "fail",
-            f"disagreement at embedded pair {agree_witness[:2]}",
-        )
-    )
+    disagreement = extension.first_disagreement()
+    hypotheses = [HypothesisVerdict(
+        "extension-agreement", "pass" if disagreement is None else "fail",
+        "Bel⁺ agrees with Bel on all embedded pairs" if disagreement is None
+        else f"disagreement at embedded pair {disagreement}")]
     bounds = check_bounds(extension.extended)
     hypotheses.append(_verdict_of(bounds.par1, "par1-range"))
     hypotheses.append(_verdict_of(bounds.par2, "par2-endpoints"))

@@ -216,6 +216,14 @@ def submask_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return start, sub
 
 
+def pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u): the masks of every canonical pair over n atoms, in the
+    canonical order of a `pair_rank`."""
+    start, sub = submask_table(n)
+    owner = np.arange(1 << n).repeat(np.diff(start))
+    return sub[1:], owner[1:]
+
+
 @dataclass(frozen=True)
 class ValueIndex:
     """A structure's attained values, interned as order-preserving ranks.
@@ -237,9 +245,7 @@ class ValueIndex:
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """(v, u, rank) for every canonical pair, in canonical order."""
-        start, sub = submask_table(self.atoms)
-        owner = np.arange(1 << self.atoms).repeat(np.diff(start))
-        return zip(sub[1:].tolist(), owner[1:].tolist(), self.pair_rank.tolist())
+        return zip(*(m.tolist() for m in pair_masks(self.atoms)), self.pair_rank.tolist())
 
 
 #: Integers up to this size are exact as floats, so a quotient of two of
@@ -326,6 +332,27 @@ def rank_values(xs: Sequence[Fraction]) -> tuple[list[Fraction], np.ndarray]:
     return [xs[i] for i in order[first].tolist()], ranks
 
 
+def rank_ratios(p: Sequence[int], q: Sequence[int], k: int = 1,
+                bounds: Sequence[Fraction] = ()) -> tuple[list[Fraction], np.ndarray]:
+    """`rank_values` of every (p/q)^k, over int pairs 0 <= p <= q, q > 0, then
+    of the `bounds`: the sorted values, and the ranks of the pairs, then of
+    the bounds, as one int64 array.  Each pair is reduced by its gcd and one
+    Fraction is built per distinct ratio (x ↦ x^k keeps order on [0, 1]).
+    The masses stay Python ints, so totals of any size are exact."""
+    width = max(q, default=0) + 1
+
+    def keys():  # the reduced pair (a, b) as the int a·width + b
+        return map(operator.add,
+                   map(width.__mul__, map(operator.floordiv, p, map(math.gcd, p, q))),
+                   map(operator.floordiv, q, map(math.gcd, p, q)))
+    ranks = dict.fromkeys(keys())
+    xs = [Fraction(*divmod(key, width)) for key in ranks]
+    values, distinct = rank_values((xs if k == 1 else [x ** k for x in xs]) + list(bounds))
+    ranks.update(zip(ranks, distinct.tolist()))
+    pairs = np.fromiter(map(ranks.__getitem__, keys()), dtype=np.int64, count=len(p))
+    return values, np.concatenate((pairs, distinct[len(ranks):]))
+
+
 def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
     """`rank_values` of `xs`, with the ranks as a list."""
     values, ranks = rank_values(list(xs))
@@ -374,9 +401,8 @@ def canonical_order(domain: Domain, keys: Sequence[int] | np.ndarray) -> np.ndar
     order = np.argsort(keys)
     size = 3 ** n - 1
     if len(keys) != size:
-        start, sub = submask_table(n)
-        owner = np.arange(1 << n).repeat(np.diff(start))
-        every = (owner[1:] << n | sub[1:])[:len(keys)]
+        v, u = pair_masks(n)
+        every = (u << n | v)[:len(keys)]
         first = pair_at(n, int(np.argmax(np.append(keys[order] != every, True))))
         raise BeliefDomainError(
             f"incomplete table: {size - len(keys)} missing pairs, "
@@ -423,6 +449,11 @@ def table_index(
     values, ranks = intern_values(xs + list(bounds))
     pair_rank = np.array(ranks[:-2], dtype=np.int32)[order]
     return ValueIndex(tuple(values), *ranks[-2:], n, pair_rank)
+
+
+def _enumeration_cap(n: int, what: str) -> None:
+    if n > ENUMERATION_ATOM_LIMIT:
+        raise BeliefDomainError(f"{what} enumeration capped at {ENUMERATION_ATOM_LIMIT} atoms")
 
 
 def _submasks_desc(mask: int) -> Iterator[int]:
@@ -491,8 +522,8 @@ class BeliefStructure:
                 raise BeliefDomainError("exponent must be a positive integer")
             self._weights = ws
             self._uniform = len(set(ws)) == 1
-            self._scale = math.lcm(*(w.denominator for w in ws))
-            self._units = tuple(w.numerator * (self._scale // w.denominator) for w in ws)
+            scale = math.lcm(*(w.denominator for w in ws))
+            self._units = tuple(w.numerator * (scale // w.denominator) for w in ws)
             self._prefix = [0]
             for unit in self._units:
                 self._prefix.append(self._prefix[-1] + unit)
@@ -535,14 +566,8 @@ class BeliefStructure:
     def is_uniform(self) -> bool:
         return self._weights is not None and self._uniform
 
-    def measure(self, mask: int) -> Fraction:
-        """Weight measure μ of an event mask (weight backing only)."""
-        if self._weights is None:
-            raise BeliefDomainError("measure() requires a weight backing")
-        return Fraction(self._mass(mask), self._scale)
-
     def _mass(self, mask: int) -> int:
-        """μ(mask) in integer units of 1/scale."""
+        """μ(mask) in integer units over the weights' common denominator."""
         if mask & (mask + 1) == 0:  # prefix mask 0b0..01..1
             return self._prefix[mask.bit_length()]
         units = self._units
@@ -576,21 +601,17 @@ class BeliefStructure:
     # -- enumeration ---------------------------------------------------------
 
     def canonical_pair_masks(self) -> Iterator[tuple[int, int]]:
-        """All (v_mask, u_mask) with ∅ ≠ U ⊆ W, V ⊆ U, ascending (u, v)."""
-        if self._domain.size > ENUMERATION_ATOM_LIMIT:
-            raise BeliefDomainError(
-                f"pair enumeration capped at {ENUMERATION_ATOM_LIMIT} atoms"
-            )
+        """All (v_mask, u_mask) with ∅ ≠ U ⊆ W, V ⊆ U, ascending (u, v).  No
+        `src/` code calls it (`pair_masks` lists the pairs as arrays); it stays
+        as the hook `perfbench/spans.py`'s `CallCounter` counts pair passes on."""
+        _enumeration_cap(self._domain.size, "pair")
         for u in range(1, self._domain.full_mask + 1):
             for v in sorted(_submasks_desc(u)):
                 yield v, u
 
     def canonical_triple_masks(self) -> Iterator[tuple[int, int, int]]:
         """All (b, a, u) masks with B ⊆ A ⊆ U, A ≠ ∅, ascending (u, a, b)."""
-        if self._domain.size > ENUMERATION_ATOM_LIMIT:
-            raise BeliefDomainError(
-                f"triple enumeration capped at {ENUMERATION_ATOM_LIMIT} atoms"
-            )
+        _enumeration_cap(self._domain.size, "triple")
         subs = [sorted(_submasks_desc(m)) for m in range(self._domain.full_mask + 1)]
         for u in range(1, self._domain.full_mask + 1):
             for a in subs[u]:
@@ -601,13 +622,10 @@ class BeliefStructure:
 
     def items(self) -> Iterator[tuple[int, int, Fraction]]:
         """(v, u, Bel(V|U)) for every canonical pair, in canonical order."""
-        if self._index is not None:
-            values = self._index.values
-            for v, u, r in self._index.pairs():
-                yield v, u, values[r]
-            return
-        for v, u in self.canonical_pair_masks():
-            yield v, u, self.bel_masks(v, u)
+        index = self.value_index()
+        values = index.values
+        for v, u, r in index.pairs():
+            yield v, u, values[r]
 
     def as_table(self) -> dict[tuple[int, int], Fraction]:
         """Materialize the canonical table (capped domain size)."""
@@ -617,17 +635,40 @@ class BeliefStructure:
         """The rank index of the values (capped domain size).
 
         A table is its index.  A weight-backed structure builds one on
-        first use, in one pass over its canonical pairs, and keeps it.
+        first use, from its pairs' masses (μ(V), μ(U)), and keeps it.
         """
         if self._index is not None:
             return self._index
         return self.derived("value-index", BeliefStructure._build_value_index)
 
     def _build_value_index(self) -> ValueIndex:
-        values, ranks = rank_values([x for _, _, x in self.items()] + list(self._bounds))
-        pair_rank = ranks[:-2].astype(np.int32)
+        n = self._domain.size
+        _enumeration_cap(n, "pair")
+        mu = np.array(subset_sums(self._units), dtype=object)
+        v, u = pair_masks(n)
+        values, ranks = rank_ratios(mu[v].tolist(), mu[u].tolist(), self._exponent, self._bounds)
         e, big_e = ranks[-2:].tolist()
-        return ValueIndex(tuple(values), e, big_e, self._domain.size, pair_rank)
+        return ValueIndex(tuple(values), e, big_e, n, ranks[:-2].astype(np.int32))
+
+    def size_ranks(self) -> tuple[list[Fraction], np.ndarray]:
+        """(values, size_rank) of a uniform structure, built once: the sorted
+        (j/m)^k and bounds, and at [m, j] the rank of Bel(V|U) for
+        |V| = j <= |U| = m (0 elsewhere).  Extraction by sizes and
+        `attained()` read it in place of the 3^n canonical pairs."""
+        if not self.is_uniform:
+            raise BeliefDomainError("size ranks require a uniform weight backing")
+        return self.derived("size-ranks", BeliefStructure._build_size_ranks)
+
+    def _build_size_ranks(self) -> tuple[list[Fraction], np.ndarray]:
+        n = self._domain.size
+        sizes = np.array(range(n + 1), dtype=object)  # one int object per size
+        j = np.concatenate([sizes[:m + 1] for m in range(1, n + 1)])
+        m = sizes[1:].repeat(np.arange(2, n + 2))
+        values, ranks = rank_ratios(j, m, self._exponent, self._bounds)
+        size_rank = np.zeros((n + 1, n + 1), dtype=np.int64)
+        # row-major over j <= m from (0, 0), which has no condition; then the bounds
+        size_rank[np.tri(n + 1, dtype=bool)] = np.concatenate(([0], ranks[:-2]))
+        return values, size_rank
 
     def derived(self, key: str, build: Callable[["BeliefStructure"], object]):
         """`build(self)`, computed once per structure and kept under `key`.
@@ -643,44 +684,28 @@ class BeliefStructure:
     def attained(self, kind: str = "conditional") -> list[Fraction]:
         """Strictly sorted, duplicate-free attained values.
 
-        kind 'unconditional' restricts to pairs conditioned on W.
+        kind 'unconditional' restricts to pairs conditioned on W.  Uniform
+        weights read the size table, other weights rank μ(V)/μ(W) or the index.
         """
         if kind not in ("conditional", "unconditional"):
             raise ValueError(f"unknown attained kind {kind!r}")
-        k = self._exponent
+        n = self._domain.size
+        if self.is_weight_backed and not self.is_uniform and n > 20:
+            raise BeliefDomainError("attained-value enumeration infeasible for this domain size")
         if self.is_uniform:
-            n = self._domain.size
+            values, size_rank = self.size_ranks()
+            ranks = size_rank[n] if kind == "unconditional" else (
+                size_rank[np.tri(n + 1, dtype=bool)][1:])
+        elif self.is_weight_backed and kind == "unconditional":
+            mu = subset_sums(self._units)
+            return rank_ratios(mu, [mu[-1]] * len(mu), self._exponent)[0]
+        else:
+            index = self.value_index()
+            values, ranks = index.values, index.pair_rank
             if kind == "unconditional":
-                vals = {Fraction(j, n) ** k for j in range(n + 1)}
-            else:
-                vals = {
-                    Fraction(j, m) ** k
-                    for m in range(1, n + 1)
-                    for j in range(m + 1)
-                }
-            return sorted(vals)
-        if self._weights is not None:
-            n = self._domain.size
-            if n > 20:
-                raise BeliefDomainError(
-                    "attained-value enumeration infeasible for this domain size"
-                )
-            if kind == "unconditional":
-                total = self.measure(self._domain.full_mask)
-                return sorted(
-                    {self.measure(m) / total for m in range(self._domain.full_mask + 1)}
-                ) if k == 1 else sorted(
-                    {
-                        (self.measure(m) / total) ** k
-                        for m in range(self._domain.full_mask + 1)
-                    }
-                )
-        index = self.value_index()
-        ranks = index.pair_rank
-        if kind == "unconditional":
-            ranks = ranks[-(1 << self._domain.size):]  # the full mask's row
+                ranks = ranks[-(1 << n):]  # the full mask's row
         # the ranks that occur, ascending; a plain np.unique would load numpy.ma
-        return [index.values[r] for r in np.flatnonzero(np.bincount(ranks)).tolist()]
+        return [values[r] for r in np.flatnonzero(np.bincount(ranks)).tolist()]
 
     def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
         """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,

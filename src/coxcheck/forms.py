@@ -184,26 +184,6 @@ def _by_sizes(structure: BeliefStructure) -> bool:
     return True
 
 
-def _size_ranks(structure: BeliefStructure):
-    """(values, size_rank) for a uniform structure read by sizes.
-
-    `values` is the sorted list of every (j/m)^k plus the bounds, interned
-    here in O(n²) instead of through the structure's pair index;
-    `size_rank[m, j]` is the rank of Bel(V|U) for |V| = j, |U| = m.  The
-    A1 and A2 layouts read it through `derived`, so it is built once per
-    structure.
-    """
-    n, k = structure.domain.size, structure.exponent
-    sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
-    values, ranks = rank_values(
-        [Fraction(j, m) ** k for j, m in sizes] + list(structure.bounds)
-    )
-    size_rank = np.zeros((n + 1, n + 1), dtype=np.int64)
-    j, m = np.array(sizes).T
-    size_rank[m, j] = ranks[:-2]  # the last two are the bounds' ranks
-    return values, size_rank
-
-
 #: Extraction and the associativity join run over their instances in
 #: chunks of whole rows, in canonical order.  Chunks start at FIRST_CHUNK
 #: instances and double up to CHUNK_CAP (a single longer row is one chunk),
@@ -257,7 +237,7 @@ def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
     the pairs (v, u), so an instance's index is its pair's position in
     `pair_rank`; read by sizes, row m holds |V| = 0..m on prefix events."""
     if _by_sizes(structure):
-        values, size_rank = structure.derived("size-ranks", _size_ranks)
+        values, size_rank = structure.size_ranks()
         lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
         return InstanceLayout(values, lengths, lambda m, j: (
             size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
@@ -278,7 +258,7 @@ def _combination_layout(structure: BeliefStructure) -> InstanceLayout:
     """A2: per instance the key x·V + y for the ranks (x, y) of Bel(B|A) and
     Bel(A|U), and the rank of Bel(B|U), over the chain triples B ⊆ A ⊆ U."""
     if _by_sizes(structure):
-        values, size_rank = structure.derived("size-ranks", _size_ranks)
+        values, size_rank = structure.size_ranks()
         width = len(values)
         # row m holds (|A|, |B|) for 1 <= |A| <= m, |B| <= |A|: a prefix of
         # the one layout that lists |A| = 1, 2, ... in turn

@@ -91,12 +91,16 @@ class ExtendedStructure:
             raise BeliefDomainError("event does not belong to the base domain")
         return Event(self.extended.domain, self.embed_mask(event.mask))
 
-    def verify_embedding(self) -> bool:
-        """Bel⁺(embed V | embed U) = Bel(V|U) on every canonical base pair."""
+    def first_disagreement(self) -> tuple[int, int] | None:
+        """The first base pair (v, u) with Bel⁺(embed V | embed U) ≠ Bel(V|U), or None."""
         for v, u, x in self.base.items():
             if self.extended.bel_masks(self.embed_mask(v), self.embed_mask(u)) != x:
-                return False
-        return True
+                return v, u
+        return None
+
+    def verify_embedding(self) -> bool:
+        """Bel⁺(embed V | embed U) = Bel(V|U) on every canonical base pair."""
+        return self.first_disagreement() is None
 
 
 def coin_extend(domain: Domain, weights, coins: int) -> ExtendedStructure:

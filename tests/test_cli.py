@@ -321,6 +321,18 @@ class TestUsageAndParseErrors:
         assert main(["decide", str(path)]) == 64
         assert "pair enumeration capped at 12 atoms" in capsys.readouterr().err
 
+    def test_non_uniform_weight_file_above_twelve_atoms_is_refused(self, tmp_path, capsys):
+        # the value index of a weight backing is built from its pairs' masses
+        # and keeps the pair enumeration's cap and message
+        atoms = [f"x{i}" for i in range(13)]
+        path = tmp_path / "weights13.bel"
+        path.write_text(f"domain: {' '.join(atoms)}\ngenerate probability "
+                        + " ".join(f"{a}={i + 1}/91" for i, a in enumerate(atoms)) + "\n",
+                        encoding="utf-8")
+        for command in ("check", "decide"):
+            assert main([command, str(path)]) == 64
+            assert capsys.readouterr() == ("", "usage error: pair enumeration capped at 12 atoms\n")
+
     def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.bel"
         text = (FIXTURES / "uniform2.bel").read_text(encoding="utf-8")

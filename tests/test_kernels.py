@@ -1,10 +1,12 @@
 """The array kernels of A1/A2 extraction, the associativity join, the
 negation involution and the density gap against the per-instance loops
-they replaced, and the worklist ratio engine against the sweep loop it
-replaced, kept here as oracles."""
+they replaced, the worklist ratio engine against the sweep loop it
+replaced, and the weight backing's ratio ranker against the per-pair and
+set-and-sort enumerations it replaced, kept here as oracles."""
 
 import bisect
 import contextlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -21,7 +23,10 @@ from coxcheck.conditions import (
     chain_consistency,
     par5_gap,
 )
-from coxcheck.core import ONE, ZERO, BeliefStructure, Domain, intern_values
+from coxcheck.core import (
+    ONE, ZERO, BeliefDomainError, BeliefStructure, Domain, pair_position, rank_ratios,
+    rank_values,
+)
 from coxcheck.files import load_structure
 from coxcheck.forms import (
     NegationForm,
@@ -39,22 +44,47 @@ from conftest import FIXTURES, engine_rules
 
 
 def oracle_size_ranks(structure):
+    """The uniform size table as it was built: one Fraction per (j, m)."""
     n, k = structure.domain.size, structure.exponent
     sizes = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
-    values, ranks = intern_values(
+    values, ranks = rank_values(
         [F(j, m) ** k for j, m in sizes] + list(structure.bounds)
     )
-    size_rank = [[] for _ in range(n + 1)]
-    for (j, m), r in zip(sizes, ranks):
-        size_rank[m].append(r)
+    size_rank = np.zeros((n + 1, n + 1), dtype=np.int64)
+    j, m = np.array(sizes).T
+    size_rank[m, j] = ranks[:-2]
     return values, size_rank
+
+
+def oracle_value_index(structure):
+    """(values, pair ranks, e, E) of a weight backing as it was built: one
+    `bel_masks` Fraction per canonical pair, ranked with the bounds."""
+    xs = [structure.bel_masks(v, u) for v, u in structure.canonical_pair_masks()]
+    values, ranks = rank_values(xs + list(structure.bounds))
+    return values, ranks[:-2].tolist(), *ranks[-2:].tolist()
+
+
+def oracle_attained(structure, kind):
+    """The set-and-sort enumeration: uniform closed forms, one measure
+    Fraction per mask, or one `bel_masks` Fraction per pair."""
+    n, k = structure.domain.size, structure.exponent
+    if structure.is_uniform:
+        if kind == "unconditional":
+            return sorted({F(j, n) ** k for j in range(n + 1)})
+        return sorted({F(j, m) ** k for m in range(1, n + 1) for j in range(m + 1)})
+    if kind == "unconditional":
+        def measure(mask):
+            return sum(w for i, w in enumerate(structure.weights) if mask >> i & 1)
+        full = structure.domain.full_mask
+        return sorted({(measure(m) / measure(full)) ** k for m in range(full + 1)})
+    return sorted({structure.bel_masks(v, u) for v, u in structure.canonical_pair_masks()})
 
 
 def oracle_negation_instances(structure):
     if forms._by_sizes(structure):
         values, size_rank = oracle_size_ranks(structure)
         instances = (
-            (size_rank[m][j], size_rank[m][m - j], ((1 << j) - 1, (1 << m) - 1))
+            (size_rank[m, j], size_rank[m, m - j], ((1 << j) - 1, (1 << m) - 1))
             for m in range(1, structure.domain.size + 1)
             for j in range(m + 1)
         )
@@ -69,8 +99,8 @@ def oracle_combination_instances(structure):
         values, size_rank = oracle_size_ranks(structure)
         instances = (
             (
-                (size_rank[a_size][j], size_rank[m][a_size]),
-                size_rank[m][j],
+                (size_rank[a_size, j], size_rank[m, a_size]),
+                size_rank[m, j],
                 ((1 << j) - 1, (1 << a_size) - 1, (1 << m) - 1),
             )
             for m in range(1, structure.domain.size + 1)
@@ -361,21 +391,108 @@ class TestExtractionKernels:
         # the coin family of 1-5 coins has uniform members of 2-32 atoms;
         # those of 8, 16 and 32 atoms are read by sizes, by A1 and by A2
         calls = []
-        original = forms._size_ranks
+        original = BeliefStructure._build_size_ranks
 
         def counting(structure):
             calls.append(structure)
             return original(structure)
 
-        monkeypatch.setattr(forms, "_size_ranks", counting)
+        monkeypatch.setattr(BeliefStructure, "_build_size_ranks", counting)
         family = build_family(coin_family(5).members)
         by_sizes = [m for m in family.members if forms._by_sizes(m)]
         assert [m.domain.size for m in by_sizes] == [8, 16, 32]
-        assert calls == by_sizes
-        for member in by_sizes:  # later layouts read the memo
-            forms._negation_layout(member)
-            forms._combination_layout(member)
-        assert calls == by_sizes
+        assert [m for m in calls if forms._by_sizes(m)] == by_sizes
+        for member in family.members:  # later layouts and attained() read the memo
+            if forms._by_sizes(member):
+                forms._negation_layout(member)
+                forms._combination_layout(member)
+            member.attained("conditional")
+            member.attained("unconditional")
+        assert sorted(map(id, calls)) == sorted(map(id, family.members))
+
+
+# -- the ratio ranker of weight backings -------------------------------------
+
+
+def weighted(units, k=1, bounds=(ZERO, ONE)):
+    """The weight backing of the integer `units`, over their total."""
+    d = Domain(tuple(f"x{i}" for i in range(len(units))))
+    total = sum(units)
+    return BeliefStructure.from_weights(d, [F(u, total) for u in units], k, bounds)
+
+
+def assert_same_ranking(structure):
+    values, ranks, e, big_e = oracle_value_index(structure)
+    index = structure.value_index()
+    assert list(index.values) == values
+    assert index.pair_rank.tolist() == ranks
+    assert (index.e, index.E) == (e, big_e)
+    for kind in ("conditional", "unconditional"):
+        assert structure.attained(kind) == oracle_attained(structure, kind)
+
+
+class TestRatioRanker:
+    def test_random_weights_match_the_per_pair_enumeration(self):
+        rng = random.Random(18)
+        for n in range(1, 9):
+            for k in (1, 2, 3):
+                assert_same_ranking(weighted([rng.randint(1, 12) for _ in range(n)], k))
+
+    def test_unit_totals_beyond_int64(self):
+        units = [(1 << 62) + 1, (1 << 62) + 3, (1 << 61) + 7, 5]
+        for k in (1, 2):
+            b = weighted(units, k)
+            assert math.lcm(*(w.denominator for w in b.weights)) > 1 << 63
+            assert_same_ranking(b)
+
+    def test_equal_ratios_of_different_masses_share_a_rank(self):
+        values, ranks = rank_ratios([1, 2, 3, 0, 0], [2, 4, 6, 1, 7])
+        assert values == [F(0), F(1, 2)] and ranks.tolist() == [1, 1, 1, 0, 0]
+        # weights 1, 1, 2: μ({x0})/μ({x0 x1}) = 1/2 = μ({x0 x1})/μ(W)
+        b = weighted([1, 1, 2])
+        index = b.value_index()
+        half = index.values.index(F(1, 2))
+        assert index.pair_rank[pair_position(3, 0b001, 0b011)] == half
+        assert index.pair_rank[pair_position(3, 0b011, 0b111)] == half
+        assert_same_ranking(b)
+
+    def test_unattained_bounds_are_ranked_but_not_attained(self):
+        for b in (weighted([1, 2, 3], 1, (F(-1), F(2))),
+                  weighted([1, 2], 2, (ZERO, F(2))),
+                  weighted([1, 1, 1, 1], 2, (F(-1, 2), F(3, 2)))):
+            assert_same_ranking(b)
+            tables = [b.value_index().values] + ([b.size_ranks()[0]] if b.is_uniform else [])
+            for bound in b.bounds:
+                assert all(bound in values for values in tables)
+                assert (bound in b.attained("conditional")) == (bound == ZERO)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 16, 32])
+    def test_uniform_size_table_and_attained(self, n):
+        for k in (1, 2):
+            b = uniform(n, k)
+            values, size_rank = b.size_ranks()
+            want_values, want_rank = oracle_size_ranks(b)
+            assert values == want_values
+            assert np.array_equal(size_rank, want_rank)
+            for kind in ("conditional", "unconditional"):
+                assert b.attained(kind) == oracle_attained(b, kind)
+
+    def test_no_lookup_per_pair_or_mask(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a weight-backed value list looked a value up")
+
+        for name in ("bel_masks", "canonical_pair_masks"):
+            monkeypatch.setattr(BeliefStructure, name, refuse)
+        b = weighted([3, 1, 4, 1, 5], 2)
+        b.value_index()
+        assert len(list(b.items())) == 3 ** 5 - 1
+        b.attained("unconditional")
+        for kind in ("conditional", "unconditional"):
+            uniform(9, 1).attained(kind)
+
+    def test_size_ranks_need_a_uniform_weight_backing(self):
+        with pytest.raises(BeliefDomainError):
+            weighted([1, 2]).size_ranks()
 
 
 # -- the associativity join -----------------------------------------------------
