@@ -12,7 +12,8 @@ builds the jobs there:
   fixture
 - a `check` run of malformed copies of a fixture that it writes into its
   temporary directory (`MALFORMED_LINES`), so the parser's error paths are
-  diffed too
+  diffed too, and of `generate probability` files with a bad weight line
+  (`BAD_GENERATOR_LINES`)
 - a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
   extraction and associativity join span many chunks
 - a `check` run of a uniform 70-atom `generate probability` file and of a
@@ -23,7 +24,10 @@ builds the jobs there:
   Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
   1-3 coin family, whose missed targets run the density search to its
-  full budget
+  full budget, and theorem-4 `audit` runs at grid 3 with two sampler seeds
+  of the 1-8 coin family, whose 256-atom `generate probability` line is
+  parsed and whose missed targets grow the sampled chain tables of members
+  of 8-256 atoms
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
@@ -139,7 +143,7 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
             jobs.append({"id": f"{name}/{path.name}",
                          "argv": [sub, str(path), *options, "--json", str(report)],
                          "report": str(report)})
-    for path in write_malformed(tmp / "malformed"):
+    for path in write_malformed(tmp / "malformed") + write_bad_generators(tmp / "bad-gen"):
         report = reports / f"check-malformed-{path.stem}.json"
         jobs.append({"id": f"check/malformed/{path.name}",
                      "argv": ["check", str(path), "--json", str(report)],
@@ -175,6 +179,13 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                  "argv": ["audit", "--theorem", "4", "--family", str(three),
                           "--json", str(report)],
                  "report": str(report)})
+    eight = write_coin_family(tmp / "coin-family-8", 8, beltables)
+    for seed in (0, 9):
+        report = reports / f"audit-t4-coins-8-seed{seed}.json"
+        jobs.append({"id": f"audit-t4/grid-3/coins-8/seed{seed}",
+                     "argv": ["audit", "--theorem", "4", "--family", str(eight),
+                              "--grid", "3", "--seed", str(seed), "--json", str(report)],
+                     "report": str(report)})
     for path in write_conflicting_families(tmp / "conflicting", beltables):
         report = reports / f"audit-t4-conflicting-{path.name}.json"
         jobs.append({"id": f"audit-t4/conflicting/{path.name}",
@@ -459,6 +470,30 @@ def write_malformed(out: Path) -> list[Path]:
     for name, text in copies.items():
         path = out / f"{name}.bel"
         path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+#: `generate probability` lines over the atoms a, b, c that the parser must
+#: refuse, each with its own message.
+BAD_GENERATOR_LINES = {
+    "zero-weight": "generate probability a=0 b=1/2 c=1/2",
+    "negative-weight": "generate probability a=-1/2 b=1 c=1/2",
+    "sum-above-one": "generate probability a=1/2 b=1/2 c=1/3",
+    "sum-below-one": "generate probability a=1/4 b=1/4 c=1/3",
+    "unknown-atom": "generate probability a=1/3 b=1/3 z=1/3",
+    "duplicate-weight": "generate probability a=1/3 b=1/3 a=1/3",
+    "missing-atom": "generate probability a=1/2 b=1/2",
+}
+
+
+def write_bad_generators(out: Path) -> list[Path]:
+    """A directive-only file over a, b, c for each of `BAD_GENERATOR_LINES`."""
+    out.mkdir()
+    paths = []
+    for name, line in BAD_GENERATOR_LINES.items():
+        path = out / f"generator-{name}.bel"
+        path.write_text(f"domain: a b c\n{line}\n", encoding="utf-8")
         paths.append(path)
     return paths
 

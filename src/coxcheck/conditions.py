@@ -270,8 +270,8 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
 
     A weight backing whose unit total is below 2^62 reads the masses
     μ(U1)..μ(U4) off the level rows in int64 and builds one Fraction per
-    distinct (mass, mass) step.  Other structures look each step up with
-    `bel_masks` on the packed `masks`.
+    distinct (mass, mass) step, in the (μ(V), μ(U)) order of one `lexsort`.
+    Other structures look each step up with `bel_masks` on the packed `masks`.
     """
     if structure.is_weight_backed and structure._prefix[-1] < 1 << 62:
         units = np.array(structure._units, dtype=np.int64)
@@ -280,10 +280,13 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
             np.stack([(part >= j) @ units for j in range(1, 5)], axis=1)
             for part in np.split(levels, range(step, len(levels), step))
         ])
-        pairs = np.stack((mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()), axis=1)
-        distinct, at = np.unique(pairs, axis=0, return_inverse=True)
-        k = structure.exponent
-        xs = [Fraction(v, u) ** k for v, u in distinct.tolist()]
+        v, u = mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()
+        order = np.lexsort((u, v))
+        v, u = v[order], u[order]
+        new = np.concatenate(([True], (v[1:] != v[:-1]) | (u[1:] != u[:-1])))
+        at = np.empty_like(order)
+        at[order] = np.cumsum(new) - 1
+        xs = [Fraction(a, b) ** structure.exponent for a, b in zip(v[new].tolist(), u[new].tolist())]
         return xs, at.reshape(-1, 3)
     bel = structure.bel_masks
     xs = []

@@ -18,6 +18,7 @@ numpy gathers.  A weight-backed structure builds the same index on demand.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -57,9 +58,10 @@ class Domain:
     def __post_init__(self):
         if not self.atoms:
             raise BeliefDomainError("domain must contain at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise BeliefDomainError("atom names must be unique")
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        object.__setattr__(self, "_positions", {atom: i for i, atom in enumerate(self.atoms)})
+        if len(self._positions) != len(self.atoms):
+            raise BeliefDomainError("atom names must be unique")
 
     @property
     def size(self) -> int:
@@ -71,8 +73,8 @@ class Domain:
 
     def index(self, atom: str) -> int:
         try:
-            return self.atoms.index(atom)
-        except ValueError:
+            return self._positions[atom]
+        except KeyError:
             raise BeliefDomainError(f"unknown atom {atom!r}") from None
 
     def event(self, members: Iterable[str]) -> "Event":
@@ -166,6 +168,18 @@ class ChainQuadruple:
     u_a: Fraction
     u_b: Fraction
     u_c: Fraction
+
+
+def weight_units(weights: Sequence[Fraction], what: str = "atom weights") -> tuple[int, ...]:
+    """Each weight's numerator over their common denominator.  Raises a
+    `BeliefDomainError` on `what` if one is not positive, else if the sum is not 1."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    units = tuple(w.numerator * (scale // w.denominator) for w in weights)
+    if min(units) <= 0:
+        raise BeliefDomainError(f"{what} must be strictly positive")
+    if sum(units) != scale:
+        raise BeliefDomainError(f"{what} must sum to 1")
+    return units
 
 
 def subset_sums(weights: Sequence) -> list:
@@ -477,9 +491,9 @@ class BeliefStructure:
     weight backing (generated structures), where
     Bel(V|U) = (μ(V∩U)/μ(U))^k for strictly positive atom weights μ.  The
     weight backing keeps large generated domains usable without
-    materializing the 3^n-entry table.  It stores the weights as integer
-    units over their common denominator, so a lookup sums ints and builds
-    one Fraction.
+    materializing the 3^n-entry table.  It stores and checks the weights as
+    integer units over their common denominator (each unit positive, their
+    sum the denominator), so a lookup sums ints and builds one Fraction.
     """
 
     def __init__(
@@ -511,22 +525,15 @@ class BeliefStructure:
         elif table is not None:
             self._index = table_index(domain, table, (e, big_e))
         else:
-            ws = tuple(Fraction(w) for w in weights)
+            ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
             if len(ws) != domain.size:
                 raise BeliefDomainError("one weight per atom required")
-            if any(w <= 0 for w in ws):
-                raise BeliefDomainError("atom weights must be strictly positive")
-            if sum(ws) != 1:
-                raise BeliefDomainError("atom weights must sum to 1")
-            if exponent < 1:
+            self._weights, self._units = ws, weight_units(ws)
+            self._exponent = operator.index(exponent)
+            if self._exponent < 1:
                 raise BeliefDomainError("exponent must be a positive integer")
-            self._weights = ws
-            self._uniform = len(set(ws)) == 1
-            scale = math.lcm(*(w.denominator for w in ws))
-            self._units = tuple(w.numerator * (scale // w.denominator) for w in ws)
-            self._prefix = [0]
-            for unit in self._units:
-                self._prefix.append(self._prefix[-1] + unit)
+            self._uniform = min(self._units) == max(self._units)
+            self._prefix = list(itertools.accumulate(self._units, initial=0))
 
     # -- construction -----------------------------------------------------
 

@@ -41,6 +41,7 @@ from .core import (
     ValueIndex,
     canonical_order,
     rank_values,
+    weight_units,
 )
 
 #: Generator directives expand into explicit tables up to this many atoms;
@@ -256,10 +257,10 @@ def parse_structure(text: str) -> BeliefStructure:
         if missing:
             raise ParseError(f"generator missing weights for {missing}", gen_line)
         weight_list = [weights[a] for a in domain.atoms]
-        if any(w <= 0 for w in weight_list):
-            raise ParseError("generator weights must be strictly positive", gen_line)
-        if sum(weight_list) != 1:
-            raise ParseError("generator weights must sum to 1", gen_line)
+        try:
+            weight_units(weight_list, "generator weights")
+        except BeliefDomainError as exc:
+            raise ParseError(str(exc), gen_line) from None
 
     if weight_list is not None and not keys.size:
         # Directive-only file: keep the lazy weight backing.

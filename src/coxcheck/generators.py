@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ def gen_probability(domain: Domain, weights) -> BeliefStructure:
 
 def gen_distorted(domain: Domain, weights, exponent: int) -> BeliefStructure:
     """Bel(V|U) = (μ(V∩U)/μ(U))^k; k = 1 coincides with gen_probability."""
-    if exponent < 1:
+    if operator.index(exponent) < 1:
         raise BeliefDomainError("distortion exponent must be a positive integer")
     return BeliefStructure.from_weights(
         domain, [Fraction(w) for w in weights], exponent=exponent

@@ -377,6 +377,16 @@ class TestTriplesOracle:
             outcomes.add(got.passed)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("coins", [6, 7, 8])
+    def test_large_coin_members_over_several_seeds(self, coins):
+        member = coin_family(coins).members[-1]
+        for seed in (1, 2, 11):
+            for probe in self.PROBES[::3] + self.PROBES[-2:]:
+                got = par5_triples(member, probe, seed=seed, budget=400)
+                assert got == oracle_par5_triples(
+                    member, probe, seed=seed, budget=400
+                ), (seed, probe)
+
     def test_missed_target_on_a_256_atom_coin_member(self):
         member = coin_family(8).members[-1]
         assert member.domain.size == 256

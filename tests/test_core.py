@@ -15,6 +15,7 @@ from coxcheck.core import (
     intern_values,
     rank_values,
     submask_table,
+    weight_units,
 )
 from coxcheck.files import load_structure, parse_value
 from coxcheck.isomorphism import decide, verify_witness
@@ -43,6 +44,14 @@ class TestDomainAndEvents:
     def test_domain_rejects_duplicates(self):
         with pytest.raises(BeliefDomainError):
             Domain(("a", "a"))
+
+    def test_index_is_the_atom_position(self):
+        d = Domain(["c", "a", "b"])
+        assert [d.index(a) for a in "abc"] == [1, 2, 0]
+        assert d == Domain(("c", "a", "b")) and hash(d) == hash(Domain(("c", "a", "b")))
+        assert repr(d) == "Domain(atoms=('c', 'a', 'b'))"
+        with pytest.raises(BeliefDomainError, match=r"^unknown atom 'z'$"):
+            d.index("z")
 
     def test_event_complement_partitions(self):
         d = Domain(("a", "b", "c"))
@@ -98,6 +107,50 @@ class TestBel:
             BeliefStructure.from_weights(d, [F(0), F(1)])
         with pytest.raises(BeliefDomainError):
             BeliefStructure.from_weights(d, [F(1, 2), F(1, 3)])
+
+    # each row breaks every check from its own on; the first check fires
+    @pytest.mark.parametrize("weights,exponent,message", [
+        ([F(1, 2), F(1, 2)], F(3, 2), "one weight per atom required"),
+        ([0, F(1, 2), F(1, 4)], 0, "atom weights must be strictly positive"),
+        ([-1, 1, 2], 0, "atom weights must be strictly positive"),
+        ([F(1, 2), F(1, 2), F(1, 2)], 0, "atom weights must sum to 1"),
+        (["1/4", 0.25, F(1, 2)], 0, "exponent must be a positive integer"),
+        (["1/4", 0.25, F(1, 2)], -3, "exponent must be a positive integer"),
+    ])
+    def test_weight_checks_fire_in_order(self, weights, exponent, message):
+        d = Domain(("a", "b", "c"))
+        with pytest.raises(BeliefDomainError, match=f"^{message}$"):
+            BeliefStructure.from_weights(d, weights, exponent=exponent)
+
+    def test_weight_units(self):
+        assert weight_units([F(1, 2), F(1, 3), F(1, 6)]) == (3, 2, 1)
+        assert weight_units([F(1)]) == (1,)
+        with pytest.raises(BeliefDomainError, match="^generator weights must be strictly positive$"):
+            weight_units([F(3, 2), F(-1, 2)], "generator weights")
+        with pytest.raises(BeliefDomainError, match="^atom weights must sum to 1$"):
+            weight_units([F(1, 2), F(1, 3)])
+
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, F(3, 2), "2"])
+    def test_a_non_integral_exponent_is_refused(self, exponent):
+        with pytest.raises(TypeError):
+            BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 3), F(2, 3)],
+                                         exponent=exponent)
+
+    def test_numpy_integer_exponent(self):
+        b = BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 3), F(2, 3)],
+                                         exponent=np.int64(2))
+        assert b.exponent == 2 and type(b.exponent) is int
+        assert b.bel_masks(1, 3) == F(1, 9)
+
+    def test_weights_of_every_spelling(self):
+        d = Domain(("a", "b", "c", "d"))
+        for ws in (["1/4", F(2, 8), 0.25, "0.25"], ["2/8"] * 4, [F(1, 4)] * 4):
+            b = BeliefStructure.from_weights(d, ws)
+            assert b.weights == (F(1, 4),) * 4 and b.is_uniform
+        assert BeliefStructure.from_weights(Domain(("a",)), [1]).is_uniform
+        mixed = BeliefStructure.from_weights(d, ["1/2", 0.125, F(1, 8), F(2, 8)])
+        assert mixed.weights == (F(1, 2), F(1, 8), F(1, 8), F(1, 4))
+        assert not mixed.is_uniform
 
     def test_table_must_be_total(self):
         d = Domain(("a", "b"))

@@ -741,6 +741,59 @@ class TestHostileText:
 
 
 @st.composite
+def generator_texts(draw):
+    """A domain line over 1-6 atoms and a `generate probability` line whose
+    weights may be zero, negative or off the unit sum, which may name an
+    unknown atom, name an atom twice or leave one out, and may come after
+    a `bel` line."""
+    n = draw(st.integers(1, 6))
+    atoms = [f"x{i}" for i in range(n)]
+    ints = draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n))
+    total = max(1, sum(ints) + draw(st.sampled_from([0, 0, 1, -1])))
+    specs = [f"{a}={i}/{total}" for a, i in zip(atoms, ints)]
+    if draw(st.booleans()):
+        specs.insert(draw(st.integers(0, n)), draw(st.sampled_from(["z=1/2", "z=0"])))
+    if draw(st.booleans()):
+        specs.insert(draw(st.integers(0, len(specs))), draw(st.sampled_from(specs)))
+    if draw(st.booleans()):
+        del specs[draw(st.integers(0, len(specs) - 1))]
+    lines = [f"domain: {' '.join(atoms)}", "generate probability " + " ".join(specs)]
+    if draw(st.booleans()):
+        lines.insert(1, "bel {x0} | {x0} = 1")
+    return "\n".join(lines) + "\n"
+
+
+def coin_text(broken):
+    """The 256-atom uniform coin member's file, its generator line changed by
+    `broken` (a list of "atom=weight" specs in, a list out)."""
+    atoms = [format(i, "08b") for i in range(256)]
+    specs = broken([f"{a}=1/256" for a in atoms])
+    return f"domain: {' '.join(atoms)}\ngenerate probability {' '.join(specs)}\n"
+
+
+class TestGeneratorChecks:
+    """The generator line's checks on integer units against the per-line
+    loop's on Fractions: the same `ParseError`, message and line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(generator_texts())
+    def test_generator_lines_as_the_loop_reads_them(self, text):
+        assert_parsed_as_by_the_loop(text)
+
+    @pytest.mark.parametrize("broken", [
+        lambda s: s,
+        lambda s: ["00000000=0", *s[1:]],
+        lambda s: ["00000000=-1/256", "00000001=3/256", *s[2:]],
+        lambda s: ["00000000=1/128", *s[1:]],
+        lambda s: s[:5] + ["2=1/256"] + s[6:],
+        lambda s: s[:200] + [s[7]] + s[201:],
+        lambda s: s[:-1],
+    ], ids=["valid", "zero", "negative", "sum", "unknown", "duplicate", "missing"])
+    def test_a_256_atom_generator_line(self, broken):
+        assert_parsed_as_by_the_loop(coin_text(broken))
+
+
+@st.composite
 def small_structures(draw):
     """Probability, power-distorted or affinely rescaled, on 1-5 atoms."""
     ints = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))

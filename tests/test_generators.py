@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,8 +85,14 @@ class TestGenDistorted:
         assert rank(plain) == rank(squared)
 
     def test_bad_exponent(self):
-        with pytest.raises(BeliefDomainError):
+        with pytest.raises(BeliefDomainError, match="distortion exponent"):
             gen_distorted(Domain(("a",)), [F(1)], 0)
+        with pytest.raises(TypeError):
+            gen_distorted(Domain(("a", "b")), [F(1, 3), F(2, 3)], 1.5)
+
+    def test_numpy_integer_exponent(self):
+        d, ws = Domain(("a", "b")), [F(1, 3), F(2, 3)]
+        assert gen_distorted(d, ws, np.int64(2)) == gen_distorted(d, ws, 2)
 
 
 class TestCoinExtend:

@@ -1,8 +1,9 @@
 """The array kernels of A1/A2 extraction, the associativity join, the
 negation involution and the density gap against the per-instance loops
 they replaced, the worklist ratio engine against the sweep loop it
-replaced, and the weight backing's ratio ranker against the per-pair and
-set-and-sort enumerations it replaced, kept here as oracles."""
+replaced, the weight backing's ratio ranker against the per-pair and
+set-and-sort enumerations it replaced, and the 1-D sort of the chain-table
+steps against the row-wise unique it replaced, kept here as oracles."""
 
 import bisect
 import contextlib
@@ -18,6 +19,9 @@ from hypothesis import given, strategies as st
 
 from coxcheck import forms
 from coxcheck.conditions import (
+    _chain_table,
+    _random_levels,
+    _step_values,
     associativity_join,
     bel_level_negation,
     chain_consistency,
@@ -493,6 +497,72 @@ class TestRatioRanker:
     def test_size_ranks_need_a_uniform_weight_backing(self):
         with pytest.raises(BeliefDomainError):
             weighted([1, 2]).size_ranks()
+
+
+# -- the chain-table steps of a weight backing ----------------------------------
+
+
+def oracle_step_values(structure, levels):
+    """`_step_values` on a weight backing as it was: the masses in int64,
+    and one Fraction per distinct (μ(V), μ(U)) row of a row-wise
+    `np.unique`."""
+    units = np.array(structure._units, dtype=np.int64)
+    mass = np.stack([(levels >= j) @ units for j in range(1, 5)], axis=1)
+    pairs = np.stack((mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()), axis=1)
+    distinct, at = np.unique(pairs, axis=0, return_inverse=True)
+    k = structure.exponent
+    return [F(v, u) ** k for v, u in distinct.tolist()], at.reshape(-1, 3)
+
+
+def assert_same_steps(structure, levels):
+    masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
+                      for j in range(1, 5)], axis=1)
+    xs, at = _step_values(structure, levels, masks)
+    want_xs, want_at = oracle_step_values(structure, levels)
+    assert xs == want_xs
+    assert at.tolist() == want_at.tolist()
+
+
+class TestStepValues:
+    """The 1-D sort of the chain-table steps against the row-wise unique it
+    replaced: the same distinct steps in the same order, the same positions."""
+
+    @pytest.mark.parametrize("coins", [3, 4, 5, 6, 8])
+    def test_uniform_coin_members(self, coins):
+        member = coin_family(coins).members[-1]
+        blocks = _random_levels(member.domain.size, coins)
+        for _ in range(2):
+            assert_same_steps(member, next(blocks))
+
+    @pytest.mark.parametrize("n", [7, 9, 12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_uniform_weights(self, n, k):
+        rng = random.Random(n * 10 + k)
+        structure = weighted([rng.randint(1, 9) for _ in range(n)], k)
+        assert_same_steps(structure, next(_random_levels(n, k)))
+
+    def test_a_block_whose_rows_all_coincide(self):
+        structure = weighted([3, 1, 4, 1, 5, 9, 2], 2)
+        levels = np.tile(np.array([4, 3, 2, 1, 0, 3, 4], dtype=np.uint8), (50, 1))
+        assert_same_steps(structure, levels)
+        assert_same_steps(structure, levels[:1])
+
+    @pytest.mark.parametrize("structure", [coin_family(4).members[-1],
+                                           weighted([2, 7, 1, 8, 2, 8, 1, 8], 2)],
+                             ids=["coins-4", "weights-n8-k2"])
+    def test_chain_table_after_several_blocks(self, structure):
+        n, seed = structure.domain.size, 5
+        table = _chain_table(structure, seed)
+        table.grow(structure, 2000)
+        blocks, rows = _random_levels(n, seed), []
+        while sum(map(len, rows)) < len(table.steps):
+            rows.append(next(blocks))
+        assert len(rows) >= 3
+        xs, at = oracle_step_values(structure, np.concatenate(rows))
+        values = sorted(set(xs))
+        rank = {x: i for i, x in enumerate(values)}
+        assert table.values == values
+        assert table.steps.tolist() == [[rank[xs[i]] for i in row] for row in at.tolist()]
 
 
 # -- the associativity join -----------------------------------------------------
