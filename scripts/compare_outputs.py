@@ -17,9 +17,13 @@ builds the jobs there:
 - a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
   extraction and associativity join span many chunks
 - a `check` run of a uniform 70-atom `generate probability` file and of a
-  9-atom table (`write_wide`), and of a seeded `swap_adjacent_values`
-  forgery of that table (`write_wide_forgery`), whose associativity join
-  passes over all 95,436 F keys
+  9-atom table (`write_wide`), and a `check` and a `decide` run of a seeded
+  `swap_adjacent_values` forgery of that table (`write_wide_forgery`),
+  whose associativity join passes over all 95,436 F keys and whose ratio
+  engine ends in an order conflict
+- a `decide` run of the 9-atom weights through v ↦ (2v + v³)/3
+  (`write_wide_mix`), which the ratio engine's fixpoint settles in phase
+  `propagation`
 - a theorem-1 `audit` of the 8-atom tables and of the 9-atom table, whose
   Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
@@ -153,7 +157,9 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                               ("wide", write_wide(tmp / "wide", beltables),
                                ("check", "audit-t1")),
                               ("wide-forged", write_wide_forgery(tmp / "wide-forged", beltables),
-                               ("check",))):
+                               ("check", "decide")),
+                              ("wide-mix", write_wide_mix(tmp / "wide-mix", beltables),
+                               ("decide",))):
         for path in paths:
             for name in names:
                 sub, *options = FIXTURE_RUNS[name]
@@ -399,9 +405,20 @@ def write_wide_forgery(out: Path, beltables) -> list[Path]:
     return [swapped]
 
 
-def nine_atom_table(beltables) -> dict:
+def write_wide_mix(out: Path, beltables) -> list[Path]:
+    """The weights of `write_wide`'s 9-atom table through v ↦ (2v + v³)/3,
+    a map no exact candidate fits."""
+    out.mkdir()
+    plain = nine_atom_table(beltables, "identity")
+    mix = out / "probability-mix-9.bel"
+    mix.write_text(nine_atom_text({k: (2 * x + x ** 3) / 3 for k, x in plain.items()}),
+                   encoding="utf-8")
+    return [mix]
+
+
+def nine_atom_table(beltables, relabel="power3") -> dict:
     return beltables.relabelled_table(
-        beltables.normalized([15, 20, 12, 9, 5, 6, 28, 22, 1]), "power3")
+        beltables.normalized([15, 20, 12, 9, 5, 6, 28, 22, 1]), relabel)
 
 
 def nine_atom_text(table: dict) -> str:

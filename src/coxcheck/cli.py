@@ -126,7 +126,6 @@ def _build_parser() -> _Parser:
     p_min.add_argument("--atoms", type=int, default=3)
     p_min.add_argument("--grid", default="0,1/4,1/2,3/4,1")
     p_min.add_argument("--out")
-    p_min.add_argument("--seed", type=int, default=0)
     p_min.add_argument("--json", dest="json_path")
     return parser
 
@@ -237,7 +236,11 @@ def _load_family_dir(path: str):
     files = sorted(Path(path).glob("*.bel"))
     if not files:
         raise UsageError(f"no .bel files in family directory {path}")
-    return build_family([load_structure(f) for f in files])
+    try:
+        members = [load_structure(f) for f in files]
+    except OSError as exc:  # a member that cannot be read is an input error
+        raise ParseError(str(exc)) from None
+    return build_family(members)
 
 
 def _extension_from_file(base, path: str) -> ExtendedStructure:

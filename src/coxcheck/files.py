@@ -429,7 +429,11 @@ def serialize_structure(structure: BeliefStructure) -> str:
 
 def load_structure(path) -> BeliefStructure:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    return parse_structure(text)
 
 
 def save_structure(structure: BeliefStructure, path) -> None:

@@ -579,11 +579,6 @@ def _ranked_f_monotone(values, keys, outs, e):
     return len(lower), first((low >= up) & interior), first(low > up)
 
 
-def _tabular_f_monotone(form: CombinationForm):
-    """`_ranked_f_monotone` of a tabular form."""
-    return _ranked_f_monotone(*_interned(form), form.interval[0])
-
-
 def _check_f_continuity(form: CombinationForm, grid_resolution: int) -> Verdict:
     pts = _grid(form.interval, grid_resolution)
     step = pts[1] - pts[0]

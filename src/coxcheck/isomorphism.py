@@ -141,10 +141,14 @@ class RefutationCertificate:
 
 
 class _Contradiction(Exception):
-    def __init__(self, description: str, eqset: frozenset):
+    """A clash: the rules it applies and the pinned ranks it reads, whose
+    own rules `_RatioEngine.support` collects."""
+
+    def __init__(self, description: str, rules, premises=()):
         super().__init__(description)
         self.description = description
-        self.eqset = eqset
+        self.rules = rules
+        self.premises = premises
 
 
 def _rules_by_value(count: int, *columns):
@@ -165,11 +169,24 @@ class _RatioEngine:
     compare as the values do, so every order rule runs on ints and only the
     messages print values.  `sums` is an int array of rows (x, y, w), each
     for r(x) + r(y) = 1, and `products` one of rows (out, l, r, w), each for
-    r(out) = r(l)·r(r), at most one row per rank tuple.  A fact's eqset
-    names the rules it rests on as ("sum", w) and ("product", w); the caller
-    turns each witness number w into masks.  The forced zeros and ones, the
-    bounds and the positivity flags come from the structure's A1 instances,
-    read as arrays, and a seed's witness is the number of its A1 instance.
+    r(out) = r(l)·r(r), at most one row per rank tuple.  The forced zeros
+    and ones, the bounds and the positivity flags come from the structure's
+    A1 instances, read as arrays.
+
+    `known` maps each pinned rank to its ratio, and `_basis` maps it to the
+    rule that pinned it and the ranks whose ratios that rule read.  A rule
+    is ("sum", w) or ("product", w), w the number of its witness instance
+    (a forced zero's or one's A1 instance), or ("seed", "g(e)=0") or
+    ("seed", "g(E)=1"); the caller turns each w into masks.  `support`
+    collects a contradiction's rules from these records, once one is found.
+
+    Once `_seed` returns, every attained value lies in [e, E], e is attained
+    at V = ∅ alone and E at V = U alone, and `known` is {e: 0, E: 1}: a
+    value other than e forced to 0 is positive, and one other than E forced
+    to 1 is below one.  So a product with factor E equals its other factor,
+    one with factor e is e itself, and no other value can be pinned to 0
+    or 1; the rules for unit and zero factors would never change a ratio,
+    and the engine has none.
 
     `run` applies the rules to a fixpoint.  Those that need no pinned ratio
     run once, as array passes; a worklist then takes each newly pinned value
@@ -200,7 +217,8 @@ class _RatioEngine:
         self._product_rows = self.products.tolist()
         self._sums_of = _rules_by_value(len(values), *self.sums[:, :2].T)
         self._products_of = _rules_by_value(len(values), *self.products[:, :3].T)
-        self.known: dict[int, tuple[Fraction, frozenset]] = {}
+        self.known: dict[int, Fraction] = {}
+        self._basis: dict[int, tuple[tuple, tuple]] = {}  # rank -> (rule, premise ranks)
         self._order: list[int] = []  # the known ranks, ascending
         self._queue: list[int] = []  # the known ranks, as they were pinned
         self.contradiction: _Contradiction | None = None
@@ -235,65 +253,74 @@ class _RatioEngine:
 
     def _seed(self):
         for value, kind, instance in self._seeds:
-            mark = frozenset([("sum", instance)])
+            rule = ("sum", instance)
             if kind == 0:
                 v = self.values
                 raise _Contradiction(f"attained value {v[value]} lies outside the bounds "
-                                     f"[{v[self.e]},{v[self.E]}]", mark)
+                                     f"[{v[self.e]},{v[self.E]}]", (rule,))
             if kind == 1:
-                self._set(value, ZERO, mark, "empty intersection forces ratio 0")
+                self._set(value, ZERO, rule, (), "empty intersection forces ratio 0")
             else:
-                self._set(value, ONE, mark, "full conditioning event forces ratio 1")
+                self._set(value, ONE, rule, (), "full conditioning event forces ratio 1")
         if self.positive[self.e] or self.below_one[self.e] or self.e in self.known:
-            self._set(self.e, ZERO, frozenset([("seed", "g(e)=0")]), "g(e) = 0")
+            self._set(self.e, ZERO, ("seed", "g(e)=0"), (), "g(e) = 0")
         if self.positive[self.E] or self.below_one[self.E] or self.E in self.known:
-            self._set(self.E, ONE, frozenset([("seed", "g(E)=1")]), "g(E) = 1")
+            self._set(self.E, ONE, ("seed", "g(E)=1"), (), "g(E) = 1")
 
-    def _set(self, value: int, ratio: Fraction, eqset: frozenset, why: str):
+    def _set(self, value: int, ratio: Fraction, rule: tuple, premises: tuple, why: str):
+        """Pin r(value) = ratio by `rule` from the ratios of `premises`."""
         x = self.values[value]
         if value in self.known:
-            old_ratio, old_eqs = self.known[value]
-            if old_ratio != ratio:
-                raise _Contradiction(
-                    f"r({x}) forced to both {old_ratio} and {ratio} ({why})",
-                    eqset | old_eqs,
-                )
+            old = self.known[value]
+            if old != ratio:
+                raise _Contradiction(f"r({x}) forced to both {old} and {ratio} ({why})",
+                                     (rule,), (*premises, value))
             return
         if ratio < 0 or ratio > 1:
             raise _Contradiction(
-                f"r({x}) forced to {ratio} outside [0,1] ({why})", eqset
+                f"r({x}) forced to {ratio} outside [0,1] ({why})", (rule,), premises
             )
         if ratio == 0 and self.positive[value]:
             raise _Contradiction(
                 f"r({x}) forced to 0 but {x} is attained at a nonempty "
                 f"intersection or exceeds e ({why})",
-                eqset,
+                (rule,), premises,
             )
         if ratio == 1 and self.below_one[value]:
             raise _Contradiction(
                 f"r({x}) forced to 1 but {x} is attained at a proper "
                 f"subevent or is below E ({why})",
-                eqset,
+                (rule,), premises,
             )
-        self.known[value] = (ratio, eqset)
+        self.known[value] = ratio
+        self._basis[value] = (rule, premises)
         bisect.insort(self._order, value)
         self._queue.append(value)
+
+    def support(self, rules, premises) -> set:
+        """`rules` and every rule that the ratios pinned at `premises` rest
+        on, through their parents in `_basis`."""
+        found, seen, stack = set(rules), set(), list(premises)
+        while stack:
+            value = stack.pop()
+            if value not in seen:
+                seen.add(value)
+                rule, parents = self._basis[value]
+                found.add(rule)
+                stack.extend(parents)
+        return found
 
     # rules ----------------------------------------------------------------
 
     def _check_pair_order(self, v1: int, v2: int):
-        (r1, e1), (r2, e2) = self.known[v1], self.known[v2]
+        r1, r2 = self.known[v1], self.known[v2]
         if not r1 < r2:
             x1, x2 = self.values[v1], self.values[v2]
             raise _Contradiction(
                 f"value order broken: {x1} < {x2} but r({x1}) = {r1} ≥ "
                 f"r({x2}) = {r2}",
-                e1 | e2,
+                (), (v1, v2),
             )
-
-    def _check_known_order(self):
-        for v1, v2 in zip(self._order, self._order[1:]):
-            self._check_pair_order(v1, v2)
 
     def _check_neighbours(self, value: int):
         """A strictly increasing g orders a pinned value's ratio between
@@ -323,17 +350,17 @@ class _RatioEngine:
         i = int(bad[0])
         v = self.values
         (x1, x2), (y1, y2) = x[i:i + 2].tolist(), y[i:i + 2].tolist()
-        marks = frozenset([("sum", int(w[i])), ("sum", int(w[i + 1]))])
+        rules = (("sum", int(w[i])), ("sum", int(w[i + 1])))
         if x1 == x2:
             raise _Contradiction(
                 f"complements of the shared value {v[x1]} differ: "
                 f"{v[y1]} vs {v[y2]} would share the ratio 1 - r({v[x1]})",
-                marks,
+                rules,
             )
         raise _Contradiction(
             f"complement order broken: {v[x1]} < {v[x2]} but complements "
             f"{v[y1]} ≤ {v[y2]}",
-            marks,
+            rules,
         )
 
     def _check_product_groups(self):
@@ -364,7 +391,7 @@ class _RatioEngine:
             raise _Contradiction(
                 f"r({v[left[i]]})·r({v[right[i]]}) equals both r({v[out[i]]}) and "
                 f"r({v[out[j]]}) with {v[out[i]]} ≠ {v[out[j]]}",
-                frozenset([("product", int(w[i])), ("product", int(w[j]))]),
+                (("product", int(w[i])), ("product", int(w[j]))),
             )
         for shared, cofactor in ((left, right), (right, left)):
             order, same = groups(cofactor, shared, out)
@@ -380,123 +407,80 @@ class _RatioEngine:
                 f"cancelling the positive shared factor r({s}) in "
                 f"r({o}) = r({s})·r({c1}) = r({s})·r({c2}) "
                 f"forces r({c1}) = r({c2}) with {c1} ≠ {c2}",
-                frozenset([("product", int(w[i])), ("product", int(w[j]))]),
+                (("product", int(w[i])), ("product", int(w[j]))),
             )
 
     def _apply_static(self):
         """The rules that need no pinned ratio, as array passes: a
         self-complementary value has ratio 1/2, and r(out) = r(l)·r(r) ≤
         min(r(l), r(r)), so the product never exceeds a factor and equals a
-        positive one only when the other factor is 1."""
+        positive one only when the other factor is E, pinned to 1."""
         x, y, w = self.sums.T
         for i in np.flatnonzero(x == y).tolist():
-            self._set(int(x[i]), Fraction(1, 2), frozenset([("sum", int(w[i]))]),
+            self._set(int(x[i]), Fraction(1, 2), ("sum", int(w[i])), (),
                       "self-complementary value")
-        out, left, right, w = self.products.T
+        out, left, right, _ = self.products.T
         positive, below_one = self.positive, self.below_one
-        cancel_left = (out == left) & positive[left]  # forces r(right) = 1
-        cancel_right = (out == right) & positive[right]  # forces r(left) = 1
-        bad = ((out > left) | (out > right) | (cancel_left & below_one[right])
-               | (cancel_right & below_one[left]))
+        bad = ((out > left) | (out > right)
+               | ((out == left) & positive[left] & below_one[right])
+               | ((out == right) & positive[right] & below_one[left]))
         if bad.any():
             self._explain_static(int(np.flatnonzero(bad)[0]))
-        # one product per value forced to 1 carries the fact
-        cancel = np.flatnonzero(cancel_left | cancel_right)
-        unit = np.where(cancel_left[cancel], right[cancel], left[cancel])
-        unit, first = np.unique(unit, return_index=True)
-        for value, i in zip(unit.tolist(), cancel[first].tolist()):
-            self._set(value, ONE, frozenset([("product", int(w[i]))]),
-                      f"cancelling r({self.values[out[i]]}) > 0")
 
     def _explain_static(self, i: int):
         """Raise the static contradiction of product i."""
         out, l, r, witness = self._product_rows[i]
         v = self.values
-        mark = frozenset([("product", witness)])
+        rules = (("product", witness),)
         for big, small in ((l, r), (r, l)):
             if out > big:
                 raise _Contradiction(
                     f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
                     f"but {v[out]} > {v[big]}",
-                    mark,
+                    rules,
                 )
             if out == big and self.positive[big] and self.below_one[small]:
                 raise _Contradiction(
                     f"r({v[out]}) = r({v[out]})·r({v[small]}) needs r({v[out]}) = 0 "
                     f"or r({v[small]}) = 1; both are excluded",
-                    mark,
+                    rules,
                 )
 
     def _apply_sum(self, i: int):
         x, y, witness = self._sum_rows[i]
         if x == y:
             return  # pinned to 1/2 by the static pass
-        mark = frozenset([("sum", witness)])
+        rule = ("sum", witness)
         kx = self.known.get(x)
         ky = self.known.get(y)
         v = self.values
-        if kx and ky:
-            if kx[0] + ky[0] != 1:
-                raise _Contradiction(
-                    f"r({v[x]}) + r({v[y]}) = {kx[0] + ky[0]} ≠ 1",
-                    kx[1] | ky[1] | mark,
-                )
-        elif kx:
-            self._set(y, 1 - kx[0], kx[1] | mark, f"complement of {v[x]}")
-        elif ky:
-            self._set(x, 1 - ky[0], ky[1] | mark, f"complement of {v[y]}")
+        if kx is not None and ky is not None:
+            if kx + ky != 1:
+                raise _Contradiction(f"r({v[x]}) + r({v[y]}) = {kx + ky} ≠ 1", (rule,), (x, y))
+        elif kx is not None:
+            self._set(y, 1 - kx, rule, (x,), f"complement of {v[x]}")
+        elif ky is not None:
+            self._set(x, 1 - ky, rule, (y,), f"complement of {v[y]}")
 
     def _apply_product(self, i: int):
         out, l, r, witness = self._product_rows[i]
         known = self.known
-        kl, kr, ko = known.get(l), known.get(r), known.get(out)
-        if not (kl or kr):
-            return  # every rule below needs a pinned factor
-        if kl and kr and ko:
-            # settled: every rule below could only confirm r(out) = r(l)·r(r)
-            a, b, c = kl[0], kr[0], ko[0]
-            if (a.numerator * b.numerator * c.denominator
-                    == c.numerator * a.denominator * b.denominator):
-                return
-        mark = frozenset([("product", witness)])
-        v = self.values
-        for unit, other in ((l, r), (r, l)):
-            ku = known.get(unit)
-            if not (ku and ku[0] == 1) or out == other:
-                continue
-            k_other = known.get(other)
-            k_out = known.get(out)
-            if k_other:
-                self._set(out, k_other[0], ku[1] | k_other[1] | mark, "unit factor")
-            elif k_out:
-                self._set(other, k_out[0], ku[1] | k_out[1] | mark, "unit factor")
-            else:
-                # distinct values forced to share a ratio break strict increase
-                raise _Contradiction(
-                    f"r({v[unit]}) = 1 forces r({v[out]}) = r({v[other]}) with "
-                    f"{v[out]} ≠ {v[other]}",
-                    ku[1] | mark,
-                )
-        kl = known.get(l)
-        kr = known.get(r)
-        if kl and kl[0] == 0:
-            self._set(out, ZERO, kl[1] | mark, "zero factor")
-        if kr and kr[0] == 0:
-            self._set(out, ZERO, kr[1] | mark, "zero factor")
-        ko = known.get(out)
-        if kl and kr:
-            self._set(out, kl[0] * kr[0], kl[1] | kr[1] | mark, "product")
-        elif ko and kl and kl[0] != 0:
-            self._set(r, ko[0] / kl[0], ko[1] | kl[1] | mark, "quotient")
-        elif ko and kr and kr[0] != 0:
-            self._set(l, ko[0] / kr[0], ko[1] | kr[1] | mark, "quotient")
+        a, b, c = known.get(l), known.get(r), known.get(out)
+        if a is not None and b is not None:
+            # settled when r(out) is pinned to r(l)·r(r) already
+            if c is None or (a.numerator * b.numerator * c.denominator
+                             != c.numerator * a.denominator * b.denominator):
+                self._set(out, a * b, ("product", witness), (l, r), "product")
+        elif c is not None and a:
+            self._set(r, c / a, ("product", witness), (out, l), "quotient")
+        elif c is not None and b:
+            self._set(l, c / b, ("product", witness), (out, r), "quotient")
 
     def run(self) -> "_RatioEngine":
         try:
             self._seed()
             self._check_sum_order()
             self._check_product_groups()
-            self._check_known_order()
             self._apply_static()
             (sum_starts, sums_of), (product_starts, products_of) = (
                 self._sums_of, self._products_of)
@@ -587,12 +571,14 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
             "chain-associativity", chain_report.certificate,
             chain_report.detail,
         )
-    contradiction = _fixpoint(structure).contradiction
+    engine = _fixpoint(structure)
+    contradiction = engine.contradiction
     if contradiction is not None:
         ranked = {"sum": negation_ranks(structure), "product": combination_ranks(structure)}
         instances = tuple(sorted(
             (kind, ranked[kind].masks(w)[0])
-            for kind, w in contradiction.eqset if kind in ranked
+            for kind, w in engine.support(contradiction.rules, contradiction.premises)
+            if kind in ranked
         ))
         data = OrderConflictData(instances, contradiction.description)
         return RefutationCertificate("order-conflict", data, contradiction.description)
@@ -880,7 +866,7 @@ def _pinned_weights(structure: BeliefStructure, known) -> list[Fraction] | None:
     """
     n = structure.domain.size
     index = structure.value_index()
-    ratios = {x: r for x, (r, _) in known.items() if 0 < r < 1}
+    ratios = {x: r for x, r in known.items() if 0 < r < 1}
     pinned = np.zeros(len(index.values), dtype=bool)
     pinned[list(ratios)] = True
     start, sub = submask_table(n)

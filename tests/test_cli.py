@@ -309,6 +309,32 @@ class TestUsageAndParseErrors:
         assert main(["check", str(path)]) == 65
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "decide", "audit", "extension", "member"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, command):
+        family = tmp_path / "family"
+        family.mkdir()
+        bad = family / "latin1.bel"
+        bad.write_bytes(b"domain: a b\n# caf\xe9\n")
+        argv = {
+            "check": ["check", bad],
+            "decide": ["decide", bad],
+            "audit": ["audit", bad, "--theorem", "1"],
+            "extension": ["audit", FIXTURES / "uniform2.bel", "--theorem", "3",
+                          "--extension", bad],
+            "member": ["audit", "--theorem", "4", "--family", family],
+        }[command]
+        assert run_cli(argv) == 65
+        assert capsys.readouterr().err.startswith(f"parse error: {bad} is not UTF-8: ")
+
+    def test_a_family_member_that_cannot_be_opened_is_a_parse_error(self, tmp_path, capsys):
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "1", "--out-dir", str(family)]) == 0
+        (family / "x.bel").mkdir()
+        capsys.readouterr()
+        assert main(["audit", "--theorem", "4", "--family", str(family)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and str(family / "x.bel") in err
+
     def test_decide_refuses_a_weight_backed_file_above_twelve_atoms(self, tmp_path, capsys):
         # `check` reads a uniform structure by event sizes, while `decide`
         # enumerates every canonical pair
@@ -557,6 +583,10 @@ class TestSearchMinCommand:
         assert code == 2
         assert report["hit"] is False
         assert report["isomorphic"] == 1
+
+    def test_seed_is_not_an_option(self, capsys):
+        # the search is exhaustive and draws nothing at random
+        assert main(["search-min", "--atoms", "1", "--grid", "0,1/2,1", "--seed", "3"]) == 64
 
 
 DOCUMENTED_EXITS = {0, 1, 2, 64, 65}

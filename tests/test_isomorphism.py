@@ -334,8 +334,8 @@ def pinned_rows(structure, known):
     n = structure.domain.size
     rows = []
     for v, u, x in structure.value_index().pairs():
-        if x in known and 0 < known[x][0] < 1:
-            p, q = known[x][0].numerator, known[x][0].denominator
+        if x in known and 0 < known[x] < 1:
+            p, q = known[x].numerator, known[x].denominator
             rows.append([q - p if v >> i & 1 else -p if u >> i & 1 else 0 for i in range(n)])
     return rows
 
