@@ -16,6 +16,10 @@ builds the jobs there:
   (`BAD_GENERATOR_LINES`)
 - a `check` and a `decide` run of three 8-atom tables (`write_large`), whose
   extraction and associativity join span many chunks
+- a `check` and a `decide` run of 8- and 9-atom tables with a clash
+  planted late (`write_planted`): an A2 clash past instance 16,384, where
+  A2 extraction's second chunk starts, with A1 intact, and an A1 clash in
+  the last row
 - a `check` run of a uniform 70-atom `generate probability` file and of a
   9-atom table (`write_wide`), and a `check` and a `decide` run of a seeded
   `swap_adjacent_values` forgery of that table (`write_wide_forgery`),
@@ -159,7 +163,9 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                               ("wide-forged", write_wide_forgery(tmp / "wide-forged", beltables),
                                ("check", "decide")),
                               ("wide-mix", write_wide_mix(tmp / "wide-mix", beltables),
-                               ("decide",))):
+                               ("decide",)),
+                              ("planted", write_planted(tmp / "planted", beltables),
+                               ("check", "decide"))):
         for path in paths:
             for name in names:
                 sub, *options = FIXTURE_RUNS[name]
@@ -414,6 +420,59 @@ def write_wide_mix(out: Path, beltables) -> list[Path]:
     mix.write_text(nine_atom_text({k: (2 * x + x ** 3) / 3 for k, x in plain.items()}),
                    encoding="utf-8")
     return [mix]
+
+
+#: Atom weights with twins (equal weights) for `write_planted`, by atom count.
+PLANTED_WEIGHTS = {8: [3, 5, 2, 7, 5, 1, 4, 6], 9: [15, 20, 12, 9, 5, 6, 28, 20, 1]}
+
+#: The A2 instance where extraction's second chunk starts.
+SECOND_CHUNK = 1 << 14
+
+
+def write_planted(out: Path, beltables) -> list[Path]:
+    """Probabilities of `PLANTED_WEIGHTS` with a clash planted late.
+
+    `a2-late`: as `beltables.fork_combination` does, Bel(V|U) and its
+    complement move to fresh values, with the twin i in V, the twin j in
+    U∖V and |U∖V| ≥ 2, for the first such pair whose row U starts past A2
+    instance SECOND_CHUNK; each fresh value keeps a single complement, so A1
+    holds, and the first A2 clash lies in row U or after it.  `a1-last`: an
+    entry of the last row set to a value attained only under other
+    conditions, as `write_large` does on 8 atoms."""
+    out.mkdir()
+    rng = random.Random(23)
+    paths = []
+    for n, raw in PLANTED_WEIGHTS.items():
+        table = beltables.relabelled_table(beltables.normalized(raw), "identity")
+        values = sorted(set(table.values()))
+        i, j = (k for k in range(n) if raw.count(raw[k]) == 2)
+        row_start, past = 0, None  # the A2 instances of row u: 3^|U| - 1
+        for u in range(1, 1 << n):
+            if row_start > SECOND_CHUNK and u >> i & u >> j & 1 and bin(u).count("1") >= 3:
+                past = u
+                break
+            row_start += 3 ** bin(u).count("1") - 1
+        v = next(v for v in beltables.submasks(past)
+                 if v >> i & 1 and not v >> j & 1 and bin(past & ~v).count("1") >= 2)
+
+        def fresh(x, taken):
+            k = values.index(x)
+            return next(mid for mid in ((x + values[k + 1]) / 2, (values[k - 1] + x) / 2)
+                        if mid != taken)
+        late = dict(table)
+        late[v, past] = fresh(table[v, past], None)
+        late[past & ~v, past] = fresh(table[past & ~v, past], late[v, past])
+        full = (1 << n) - 1
+        last = dict(table)
+        w = rng.choice([w for w in beltables.submasks(full) if 0 < w < full])
+        last[w, full] = rng.choice(sorted(
+            {x for (_, u), x in table.items() if u != full} - {table[w, full]}))
+        for name, planted in (("a2-late", late), ("a1-last", last)):
+            path = out / f"{name}-{n}.bel"
+            path.write_text(nine_atom_text(planted) if n == 9
+                            else beltables.table_text(n, planted, (0, 1)), encoding="utf-8")
+            paths.append(path)
+    return paths
 
 
 def nine_atom_table(beltables, relabel="power3") -> dict:

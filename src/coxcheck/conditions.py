@@ -30,11 +30,10 @@ from .core import (
     is_canonical,
     pair_at,
     rank_values,
+    stable_order,
     submask_table,
 )
 from .forms import (
-    CHUNK_CAP,
-    FIRST_CHUNK,
     FormError,
     NegationConflict,
     NegationForm,
@@ -43,6 +42,7 @@ from .forms import (
     combination_ranks,
     extract_combination,
     extract_negation,
+    f_at,
     negation_ranks,
     ranked_monotonicity,
     row_chunks,
@@ -227,15 +227,17 @@ _WORD_PIECE = 1 << 13
 
 def _exhaustive_levels(structure: BeliefStructure):
     """The level rows of every chain of `chain_masks()`, in its order, as
-    one block: an atom's level is the number of U1..U4 that hold it."""
+    one block, whatever the count sent: an atom's level is the number of
+    U1..U4 that hold it.  Primed with `next`, as `_random_levels`."""
+    yield
     chains = np.array(list(structure.chain_masks()), dtype=np.int64)
     bits = chains[:, :, None] >> np.arange(structure.domain.size) & 1
     yield bits.sum(axis=1, dtype=np.uint8)
 
 
 def _random_levels(n: int, seed: int):
-    """The level rows of the seeded random chains, in blocks of FIRST_CHUNK
-    or more rows that double up to CHUNK_CAP, as `row_chunks` grows.
+    """The level rows of the seeded random chains.  Primed with `next`, the
+    generator is then sent a count and yields that many rows.
 
     A row draws each atom's level as `random.Random(seed).randint(0, 4)`
     would, atom by atom: that call reads one 32-bit word per try, keeps its
@@ -245,11 +247,11 @@ def _random_levels(n: int, seed: int):
     """
     rng = random.Random(seed)
     pending = np.zeros(0, dtype=np.uint8)  # accepted levels not yet in a row
-    size = FIRST_CHUNK
+    rows = [np.zeros((0, n), dtype=np.uint8)]  # rows not yet yielded
+    count = yield
     while True:
-        rows, count = [], 0
-        while count < size:
-            words = min(2 * n * (size - count), _WORD_PIECE)
+        while (have := sum(map(len, rows))) < count:
+            words = min(2 * n * (count - have), _WORD_PIECE)
             drawn = np.frombuffer(
                 rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
             ) >> 29
@@ -257,11 +259,10 @@ def _random_levels(n: int, seed: int):
             whole = len(pending) // n * n
             block = pending[:whole].reshape(-1, n)
             pending = pending[whole:]
-            block = block[block.max(axis=1) >= 3]
-            rows.append(block)
-            count += len(block)
-        yield np.concatenate(rows)
-        size = min(2 * size, CHUNK_CAP)
+            rows.append(block[block.max(axis=1) >= 3])
+        block = np.concatenate(rows)
+        rows = [block[count:]]
+        count = yield block[:count]
 
 
 def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarray):
@@ -298,7 +299,8 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
 
 class _ChainTable:
     """The chains a density search scores on one structure, in search order,
-    grown block by block from a source of level rows.
+    grown block by block from a source of level rows: a generator, primed
+    here, that yields as many rows as it is sent, or all it has.
 
     `steps[i]` holds the ranks of chain i's steps Bel(U4|U3), Bel(U3|U2),
     Bel(U2|U1) in the sorted `values`; `masks[i]` holds U1..U4 packed
@@ -307,16 +309,19 @@ class _ChainTable:
 
     def __init__(self, blocks, atoms: int):
         self._blocks = blocks
+        next(blocks)
         self.values: list[Fraction] = []
         self.steps = np.zeros((0, 3), dtype=np.int32)
         self.masks = np.zeros((0, 4, (atoms + 7) // 8), dtype=np.uint8)
 
     def grow(self, structure: BeliefStructure, count: int) -> None:
         """Score blocks until the table holds `count` chains or its source
-        ends; each new block re-ranks the values the table holds."""
+        ends, asking the source for the chains still missing; each new
+        block re-ranks the values the table holds."""
         while len(self.steps) < count:
-            levels = next(self._blocks, None)
-            if levels is None:
+            try:
+                levels = self._blocks.send(count - len(self.steps))
+            except StopIteration:
                 return
             # atom i lies in U_j exactly when its level is at least j
             masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
@@ -657,7 +662,7 @@ def associativity_join(keys: np.ndarray, outs: np.ndarray, width: int, endpoints
 
     The join is driven from the column of p.  One `lexsort` of the keys by
     (y, x) lays out the entries (x, p) of each p as a column, x ascending,
-    and one stable `argsort` of the outputs the entries (y, z) → p of each
+    and one `stable_order` of the outputs the entries (y, z) → p of each
     p, (y, z) ascending.  For each column entry (x, p), in the capped chunks
     of `row_chunks`, the walk takes the entries (y, z) → p and looks up
     (x, y) → q and (q, z) → s.  Nested this way, the keys x·width + y it
@@ -677,7 +682,7 @@ def associativity_join(keys: np.ndarray, outs: np.ndarray, width: int, endpoints
     # x stays int64, as it is multiplied by the width; the rest fit int32
     col_x, col_p, col_r = keys[column] // width, second[column], outs[column].astype(np.int32)
     del second, column
-    preimage = np.argsort(outs, kind="stable").astype(np.int32)
+    preimage = stable_order(outs).astype(np.int32)
     pre_start = np.concatenate(([0], np.cumsum(np.bincount(outs, minlength=width))))
     per_entry = np.zeros(len(keys), dtype=np.int32)  # instances of each (x, y)
     trivial = []  # (x, y) entry · width + z of each trivial instance
@@ -978,14 +983,14 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
         laws = (
             ("combination-commutative", (keys[at] == swapped) & (out[at] != out),
              "commutative at all attained argument swaps",
-             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]} "
-                       f"but F{(v[y[i]], v[x[i]])} = {v[out[at[i]]]}"),
+             lambda i: f"{f_at(v[x[i]], v[y[i]])} = {v[out[i]]} "
+                       f"but {f_at(v[y[i]], v[x[i]])} = {v[out[at[i]]]}"),
             ("combination-annihilator", ((x == low) | (y == low)) & (out != low),
              f"F(x,{e}) = F({e},x) = {e} at attained entries",
-             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]} ≠ {e}"),
+             lambda i: f"{f_at(v[x[i]], v[y[i]])} = {v[out[i]]} ≠ {e}"),
             ("combination-unit", ((y == high) & (out != x)) | ((x == high) & (out != y)),
              f"F(x,{big_e}) = F({big_e},x) = x at attained entries",
-             lambda i: f"F{(v[x[i]], v[y[i]])} = {v[out[i]]}"),
+             lambda i: f"{f_at(v[x[i]], v[y[i]])} = {v[out[i]]}"),
         )
         for name, bad, passed, failed in laws:
             bad = np.flatnonzero(bad)

@@ -230,12 +230,37 @@ def submask_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return start, sub
 
 
-def pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v, u): the masks of every canonical pair over n atoms, in the
-    canonical order of a `pair_rank`."""
+def pair_masks(n: int, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u): the masks of the canonical pairs at the positions `at` of a
+    `pair_rank` over n atoms, or of every pair, in canonical order."""
     start, sub = submask_table(n)
+    if at is not None:
+        at = np.asarray(at) + 1
+        return sub[at], start.searchsorted(at, "right") - 1
     owner = np.arange(1 << n).repeat(np.diff(start))
     return sub[1:], owner[1:]
+
+
+def stable_order(keys) -> np.ndarray:
+    """The permutation that sorts the int array `keys` stably, as
+    `argsort(kind="stable")` gives it.
+
+    Each key, less the least, is shifted above its index, and one `np.sort`
+    of those ints orders them; ties keep index order.  Where the shifted
+    keys would not fit in 63 bits, or the keys do not cast to int64, the
+    stable argsort runs instead.
+    """
+    keys = np.asarray(keys)
+    count = len(keys)
+    shift = max(count - 1, 0).bit_length()
+    if count and np.can_cast(keys.dtype, np.int64):
+        low = int(keys.min())
+        if int(keys.max()) - low < 1 << (63 - shift):
+            packed = (keys.astype(np.int64) - low) << shift
+            packed |= np.arange(count)
+            packed.sort()
+            return packed & ((1 << shift) - 1)
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ mpmath.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, Event, rank_values, submask_table,
+    ZERO, ONE, BeliefStructure, Event, pair_masks, rank_values, stable_order, submask_table,
 )
 
 NEGATION_CATALOG = ("linear-complement",)
@@ -127,6 +128,11 @@ def catalog_combination(name: str) -> CombinationForm:
 # -- extraction ----------------------------------------------------------------
 
 
+def f_at(x: Fraction, y: Fraction) -> str:
+    """F at the arguments (x, y), as messages print it: F(1/4, 2/5)."""
+    return f"F({x}, {y})"
+
+
 @dataclass(frozen=True)
 class NegationConflict:
     """Two pairs with equal Bel values but unequal complement values."""
@@ -165,7 +171,7 @@ class CombinationConflict:
             )
 
         return (
-            f"F{self.args} is forced to both {self.output_a} [{t(self.triple_a)}] "
+            f"{f_at(*self.args)} is forced to both {self.output_a} [{t(self.triple_a)}] "
             f"and {self.output_b} [{t(self.triple_b)}]"
         )
 
@@ -184,27 +190,31 @@ def _by_sizes(structure: BeliefStructure) -> bool:
     return True
 
 
-#: Extraction and the associativity join run over their instances in
-#: chunks of whole rows, in canonical order.  Chunks start at FIRST_CHUNK
-#: instances and double up to CHUNK_CAP (a single longer row is one chunk),
-#: so an early clash costs work in proportion to its position and the
-#: temporaries stay bounded.
-FIRST_CHUNK = 256
+#: Extraction reads its instances in canonical order, CHUNK_CAP at a time
+#: (by sizes, in whole rows up to CHUNK_CAP, or one longer row), so an early
+#: clash costs at most one chunk past it and the temporaries stay bounded.
+#: A2 on 7 atoms or fewer is one chunk.  The associativity join walks its
+#: columns in the same row chunks.
 CHUNK_CAP = 1 << 14
+
+#: The instance position tables of up to this many atoms are built once per
+#: process and kept (A2 on 9 atoms: 3 × 261,632 int32); above it each
+#: chunk's positions are computed as it is read.
+POSITION_MEMO_ATOMS = 9
 
 
 def row_chunks(lengths):
     """For rows of the given lengths, yield each chunk's rows r0..r1-1 as
     every instance's row and position in its row."""
     starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    total, r0, size = int(starts[-1]), 0, FIRST_CHUNK
+    total, r0 = int(starts[-1]), 0
     while (begin := int(starts[r0])) < total:
         # at least up to the first row that is not empty
-        r1 = int(max(starts.searchsorted(begin + size, "right") - 1,
+        r1 = int(max(starts.searchsorted(begin + CHUNK_CAP, "right") - 1,
                      starts.searchsorted(begin, "right")))
         row = np.arange(r0, r1).repeat(starts[r0 + 1:r1 + 1] - starts[r0:r1])
         yield row, np.arange(begin, starts[r1]) - starts[row]
-        r0, size = r1, min(2 * size, CHUNK_CAP)
+        r0 = r1
 
 
 def row_positions(lengths, index):
@@ -215,16 +225,71 @@ def row_positions(lengths, index):
     return row, index - starts[row]
 
 
+def negation_positions(n: int, index: np.ndarray) -> np.ndarray:
+    """For the A1 instances `index` over n atoms, their `pair_rank`
+    positions of (V|U) and (U∖V|U), as rows of an array.  Instance i is
+    the pair at position i; row u holds the pairs (v, u)."""
+    start, _ = submask_table(n)
+    u = start.searchsorted(index + 1, "right") - 1
+    # (u^v, u) is as far from the end of row u as (v, u) is from its start
+    return np.stack((index, start[u] + start[u + 1] - 3 - index))
+
+
+def combination_lengths(n: int) -> np.ndarray:
+    """The A2 instances of row u: the 3^|U| - 1 chain triples B ⊆ A ⊆ U
+    with A ≠ ∅ (row 0 none)."""
+    start, _ = submask_table(n)
+    return start[np.diff(start)] - 1
+
+
+def combination_positions(n: int, index: np.ndarray) -> np.ndarray:
+    """For the A2 instances `index` over n atoms, their `pair_rank`
+    positions of (B|A), (A|U) and (B|U), as rows of an array."""
+    start, sub = submask_table(n)
+    starts = np.concatenate(([0], np.cumsum(combination_lengths(n))))
+    u = starts.searchsorted(index, "right") - 1
+    # row u holds entries 1.. of U's submask layout, where entry t is the
+    # j-th submask B of the c-th submask A of U, and sub[t] is B's
+    # position among U's submasks
+    t = index - starts[u] + 1
+    c = start.searchsorted(t, "right") - 1
+    row = start[u] - 1
+    a = sub[row + 1 + c]
+    return np.stack((start[a] - 1 + t - start[c], row + c, row + sub[t]))
+
+
+@functools.cache
+def _position_table(positions: Callable, n: int, count: int) -> np.ndarray:
+    """`positions(n, ·)` of all `count` instances, as int32, built once and
+    shared, so read-only."""
+    table = positions(n, np.arange(count)).astype(np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def _positions(positions: Callable, n: int, count: int, index) -> np.ndarray:
+    """`positions(n, index)` for an int array or a slice `index` of the
+    `count` instances, read off the kept table up to POSITION_MEMO_ATOMS
+    atoms."""
+    if n <= POSITION_MEMO_ATOMS:
+        return _position_table(positions, n, count)[:, index]
+    if isinstance(index, slice):
+        index = np.arange(*index.indices(count))
+    return positions(n, index)
+
+
 class InstanceLayout(NamedTuple):
     """The A1 or A2 instances of a structure as rows of `lengths` instances,
-    in canonical order.  For arrays of rows and of positions in them,
-    `read(row, pos)` gives the instances' keys (rank x, or x·V + y for the
-    ranks (x, y), V = len(values)), their output ranks, and a function
-    that lists their (v,u) or (b,a,u) witnesses as tuples of int masks."""
+    in canonical order; an A1 row starts with V = ∅ and ends with V = U.
+    `chunks()` yields, chunk by chunk, the instances' keys (rank x, or
+    x·V + y for the ranks (x, y), V = len(values)) and their output ranks;
+    `masks(index)` lists the (v,u) or (b,a,u) witnesses of instances as
+    tuples of int masks."""
 
     values: Sequence[Fraction]
     lengths: np.ndarray
-    read: Callable
+    chunks: Callable
+    masks: Callable
 
 
 def _prefixes(*sizes) -> list:
@@ -232,26 +297,51 @@ def _prefixes(*sizes) -> list:
     return list(zip(*([(1 << s) - 1 for s in size.tolist()] for size in sizes)))
 
 
+def _size_layout(values, lengths, read) -> InstanceLayout:
+    """A layout by event sizes: `read(row, pos)` gives the keys, output ranks
+    and a witness lister of the instances at those rows and positions."""
+    def chunks():
+        for row, pos in row_chunks(lengths):
+            yield read(row, pos)[:2]
+    return InstanceLayout(values, lengths, chunks,
+                          lambda index: read(*row_positions(lengths, index))[2]())
+
+
+def _pair_layout(structure: BeliefStructure, positions: Callable,
+                 lengths: np.ndarray) -> InstanceLayout:
+    """A layout over the value index: each chunk of `positions` rows is
+    gathered from `pair_rank` (a key of two ranks as x·V + y), and the
+    witnesses are the masks of the pairs at the first two positions."""
+    index = structure.value_index()
+    n, rank, width = index.atoms, index.pair_rank, len(index.values)
+    count = int(lengths.sum())
+
+    def chunks():
+        for lo in range(0, count, CHUNK_CAP):
+            *args, out = rank[_positions(positions, n, count, slice(lo, lo + CHUNK_CAP))]
+            yield (args[0] if len(args) == 1
+                   else args[0].astype(np.int64) * width + args[1]), out
+
+    def masks(instances):
+        at = _positions(positions, n, count, instances)
+        v, u = pair_masks(n, at[0])
+        columns = (v, u) if len(at) == 2 else (v, u, pair_masks(n, at[1])[1])
+        return list(zip(*(column.tolist() for column in columns)))
+    return InstanceLayout(index.values, lengths, chunks, masks)
+
+
 def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
     """A1: per instance the ranks of x and of S(x).  Over pairs, row u holds
-    the pairs (v, u), so an instance's index is its pair's position in
-    `pair_rank`; read by sizes, row m holds |V| = 0..m on prefix events."""
+    the pairs (v, u); read by sizes, row m holds |V| = 0..m on prefix
+    events."""
     if _by_sizes(structure):
         values, size_rank = structure.size_ranks()
         lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
-        return InstanceLayout(values, lengths, lambda m, j: (
+        return _size_layout(values, lengths, lambda m, j: (
             size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
-    index = structure.value_index()
-    start, sub = submask_table(structure.domain.size)
-    lengths = np.diff(start)  # row u holds the pairs (v, u); row 0 none
-    lengths[0] = 0
-
-    def read(u, pos):
-        # (u^v, u) is as far from the end of row u as (v, u) is from its start
-        at = start[u] - 1 + pos
-        return (index.pair_rank[at], index.pair_rank[at + lengths[u] - 1 - 2 * pos],
-                lambda: list(zip(sub[at + 1].tolist(), u.tolist())))
-    return InstanceLayout(index.values, lengths, read)
+    lengths = np.diff(submask_table(structure.domain.size)[0])
+    lengths[0] = 0  # row u holds the pairs (v, u); row 0 none
+    return _pair_layout(structure, negation_positions, lengths)
 
 
 def _combination_layout(structure: BeliefStructure) -> InstanceLayout:
@@ -269,25 +359,9 @@ def _combination_layout(structure: BeliefStructure) -> InstanceLayout:
             j = t - a_starts[a]
             return (size_rank[a, j] * width + size_rank[m, a], size_rank[m, j],
                     lambda: _prefixes(j, a, m))
-        return InstanceLayout(values, np.concatenate(([0], a_starts[2:])), read_sizes)
-    index = structure.value_index()
-    start, sub = submask_table(structure.domain.size)
-    rank = index.pair_rank
-    width = len(index.values)
-
-    def read(u, t):
-        # row u holds the 3^|U| - 1 triples with A ≠ ∅: entries 1.. of the
-        # submask layout, where entry t is the j-th submask B of the c-th
-        # submask A of U, and sub[t] is B's position among U's submasks
-        t = t + 1
-        c = start.searchsorted(t, "right") - 1
-        j = t - start[c]
-        a = sub[start[u] + c]
-        row = start[u] - 1
-        x = rank[start[a] - 1 + j].astype(np.int64)
-        return (x * width + rank[row + c], rank[row + sub[t]],
-                lambda: list(zip(sub[start[a] + j].tolist(), a.tolist(), u.tolist())))
-    return InstanceLayout(index.values, start[np.diff(start)] - 1, read)
+        return _size_layout(values, np.concatenate(([0], a_starts[2:])), read_sizes)
+    return _pair_layout(structure, combination_positions,
+                        combination_lengths(structure.domain.size))
 
 
 class RankedExtraction(NamedTuple):
@@ -308,8 +382,7 @@ class RankedExtraction(NamedTuple):
 
     def masks(self, index) -> list:
         """The witness masks of each canonical instance in `index`."""
-        row, pos = row_positions(self.layout.lengths, np.atleast_1d(index))
-        return self.layout.read(row, pos)[2]()
+        return self.layout.masks(np.atleast_1d(index))
 
     def entries(self, keys) -> list:
         """(output rank, first witness) of each of `keys`, all in the table."""
@@ -325,14 +398,14 @@ class RankedExtraction(NamedTuple):
 def _merged(runs) -> tuple:
     """(keys, outs, first) of sorted runs with disjoint keys, as one run."""
     keys, outs, first = (np.concatenate(parts) for parts in zip(*runs))
-    order = keys.argsort(kind="stable")
+    order = stable_order(keys)
     return keys[order], outs[order], first[order]
 
 
 def _first_outputs(layout: InstanceLayout) -> RankedExtraction:
     """Each key's first output and instance, and the first clash.
 
-    The instances are read in the chunks of `row_chunks`, in canonical
+    The instances are read in the chunks of `layout.chunks()`, in canonical
     order.  Keys met in earlier chunks are kept with their first outputs
     and instance indices in sorted runs, and each chunk is checked against
     them and against its own first occurrences, up to the first clash.  A
@@ -342,9 +415,8 @@ def _first_outputs(layout: InstanceLayout) -> RankedExtraction:
     runs: list = []  # (keys, first outputs, first indices) of earlier chunks
     clash = None
     offset = 0  # canonical index of the chunk's first instance
-    for row, pos in row_chunks(layout.lengths):
-        keys, outs, _ = layout.read(row, pos)
-        order = keys.argsort(kind="stable")
+    for keys, outs in layout.chunks():
+        order = stable_order(keys)
         ranked = keys[order]
         head = np.empty(len(keys), dtype=bool)  # first of its key, in key order
         head[0] = True
@@ -539,12 +611,12 @@ def ranked_monotonicity(kind: str, values, keys, outs, interval) -> Monotonicity
         return MonotonicityReport(kind, None, untestable, untestable, continuity)
     if strict_fail:
         (p1, f1), (p2, f2) = strict_fail
-        strict = Verdict("fail", f"F{p1}={f1} vs F{p2}={f2} (not strict)")
+        strict = Verdict("fail", f"{f_at(*p1)}={f1} vs {f_at(*p2)}={f2} (not strict)")
     else:
         strict = Verdict("pass", f"strict on {compared} comparable pairs in ({e},{big_e}]^2")
     if nondec_fail:
         (p1, f1), (p2, f2) = nondec_fail
-        nondec = Verdict("fail", f"F{p1}={f1} > F{p2}={f2}")
+        nondec = Verdict("fail", f"{f_at(*p1)}={f1} > {f_at(*p2)}={f2}")
     else:
         nondec = Verdict("pass", f"nondecreasing on {compared} comparable pairs")
     return MonotonicityReport(kind, None, strict, nondec, continuity)

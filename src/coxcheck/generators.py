@@ -17,7 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values
+from .core import (
+    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values, stable_order,
+)
 from .forms import (
     CombinationForm,
     NegationForm,
@@ -26,6 +28,7 @@ from .forms import (
     combination_table,
     extract_combination,
     extract_negation,
+    f_at,
     negation_ranks,
     negation_table,
 )
@@ -206,7 +209,7 @@ def build_family(members) -> DomainFamily:
         # each member's keys are distinct, so a stable sort puts each key's
         # rows in member order, and its first row is the merged entry
         keys, outs, first = (np.concatenate(run) for run in zip(*runs))
-        order = keys.argsort(kind="stable")
+        order = stable_order(keys)
         keys, outs, first = keys[order], outs[order], first[order]
         head = np.diff(keys, prepend=-1) != 0
         entry = np.flatnonzero(head)[head.cumsum() - 1]
@@ -216,7 +219,7 @@ def build_family(members) -> DomainFamily:
             if last is None or first[k] > last:
                 key, i = keys[k], used[bisect.bisect_right(starts, first[k]) - 1]
                 name = (f"S({values[key]})" if label == "S"
-                        else f"F{(values[key // width], values[key % width])}")
+                        else f_at(values[key // width], values[key % width]))
                 detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
                           f"vs {values[outs[k]]} (member {i})")
         merged += [RankedExtraction(values, keys[head], outs[head], first[head], None, None),

@@ -46,7 +46,6 @@ from .forms import (
     extract_combination,
     extract_negation,
     negation_ranks,
-    row_positions,
 )
 
 
@@ -157,7 +156,8 @@ def _rules_by_value(count: int, *columns):
     rule order, are `rules[starts[v]:starts[v + 1]]`."""
     width = max(len(columns[0]), 1)
     rule = np.arange(len(columns[0]), dtype=np.int64)
-    code = np.unique(np.concatenate([c * width + rule for c in columns]))
+    code = np.sort(np.concatenate([c * width + rule for c in columns]))
+    code = code[np.diff(code, prepend=-1) != 0]  # each once
     starts = np.searchsorted(code, np.arange(count + 1, dtype=np.int64) * width)
     return starts.tolist(), (code % width).tolist()
 
@@ -202,11 +202,14 @@ class _RatioEngine:
         # per A1 instance V ⊆ U the entries x = Bel(V|U) and S(x) = Bel(U∖V|U),
         # interleaved, and whether an entry's event (V or U∖V) is empty or
         # all of U; V = ∅ comes first in its row and V = U last
-        lengths = s.layout.lengths
-        row, pos = row_positions(lengths, np.arange(lengths.sum()))
-        value = np.stack(s.layout.read(row, pos)[:2], axis=1).ravel()
-        empty = np.stack((pos == 0, pos == lengths[row] - 1), axis=1).ravel()
-        full = empty.reshape(-1, 2)[:, ::-1].ravel()
+        value = np.stack([np.concatenate(part) for part in zip(*s.layout.chunks())],
+                         axis=1).ravel()
+        lengths = s.layout.lengths[s.layout.lengths > 0]
+        ends = np.cumsum(lengths)
+        first, last = np.zeros((2, ends[-1]), dtype=bool)  # V = ∅, V = U
+        first[ends - lengths] = last[ends - 1] = True
+        empty = np.stack((first, last), axis=1).ravel()
+        full = np.stack((last, first), axis=1).ravel()
         self.positive = np.zeros(len(values), dtype=bool)  # r(v) > 0
         self.positive[value[~empty | (value > e)]] = True
         self.below_one = np.zeros(len(values), dtype=bool)  # r(v) < 1

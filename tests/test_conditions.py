@@ -11,6 +11,7 @@ from coxcheck.conditions import (
     DensityProbe,
     FamilyDensityReport,
     TripleSearchResult,
+    _chain_table,
     _random_levels,
     audit,
     bel_level_negation,
@@ -405,9 +406,11 @@ class TestRandomLevels:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_blocks_match_a_randint_loop(self, n, seed):
         blocks = _random_levels(n, seed)
-        first, second, third = next(blocks), next(blocks), next(blocks)
-        assert len(first) >= 256 and len(second) >= 512
-        got = np.concatenate((first, second, third))
+        next(blocks)
+        counts = (256, 1, 700)
+        got = [blocks.send(count) for count in counts]
+        assert [len(block) for block in got] == list(counts)
+        got = np.concatenate(got)
         rng = random.Random(seed)
         want = []
         while len(want) < len(got):
@@ -415,6 +418,13 @@ class TestRandomLevels:
             if max(row) >= 3:
                 want.append(row)
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_a_table_scores_only_the_chains_asked_for(self, n):
+        structure = uniform(n)
+        table = _chain_table(structure, 4)
+        table.grow(structure, 2000)
+        assert len(table.steps) == len(table.masks) == 2000
 
 
 def oracle_par5_family(family, grid_resolution, epsilon, *, seed=0, budget=2000):

@@ -156,10 +156,10 @@ def oracle_f_monotone(form):
     for (a1, b1), (a2, b2) in pairs:
         f1, f2 = form.table[(a1, b1)], form.table[(a2, b2)]
         if f1 > f2 and nondec_fail is None:
-            nondec_fail = f"F{(a1, b1)}={f1} > F{(a2, b2)}={f2}"
+            nondec_fail = f"F({a1}, {b1})={f1} > F({a2}, {b2})={f2}"
         interior = all(t > e for t in (a1, b1, a2, b2))
         if interior and f1 >= f2 and strict_fail is None:
-            strict_fail = f"F{(a1, b1)}={f1} vs F{(a2, b2)}={f2} (not strict)"
+            strict_fail = f"F({a1}, {b1})={f1} vs F({a2}, {b2})={f2} (not strict)"
     compared = len(pairs)
     if compared == 0:
         untestable = forms.Verdict("untestable", "no comparable argument pairs")

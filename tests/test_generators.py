@@ -187,8 +187,8 @@ def oracle_build_family(members):
                 if key in f_table and f_table[key] != out:
                     comb_ok = False
                     comb_detail = (
-                        f"F{key} differs across members: {f_table[key]} vs {out} "
-                        f"(member {i})"
+                        f"F({key[0]}, {key[1]}) differs across members: "
+                        f"{f_table[key]} vs {out} (member {i})"
                     )
                 else:
                     f_table.setdefault(key, out)
@@ -292,7 +292,7 @@ class TestBuildFamilyOracle:
         assert not family.negation_uniform and not family.combination_uniform
         assert family.negation_detail.endswith("3/4 (member 6)")
         assert family.combination_detail == (
-            "F(Fraction(1, 2), Fraction(2, 3)) differs across members: "
+            "F(1/2, 2/3) differs across members: "
             "1/3 vs 1/4 (member 5)")
         family = build_family(ORACLE_FAMILIES["member-conflicts"]())
         assert family.negation_detail == (

@@ -1,7 +1,8 @@
 """The array kernels of A1/A2 extraction, the associativity join, the
 negation involution and the density gap against the per-instance loops
-they replaced, the worklist ratio engine against the sweep loop it
-replaced, the weight backing's ratio ranker against the per-pair and
+they replaced, A1/A2 extraction on position tables against the chunked
+pair reader it replaced, the worklist ratio engine against the sweep loop
+it replaced, the weight backing's ratio ranker against the per-pair and
 set-and-sort enumerations it replaced, and the 1-D sort of the chain-table
 steps against the row-wise unique it replaced, kept here as oracles."""
 
@@ -29,7 +30,7 @@ from coxcheck.conditions import (
 )
 from coxcheck.core import (
     ONE, ZERO, BeliefDomainError, BeliefStructure, Domain, pair_position, rank_ratios,
-    rank_values,
+    rank_values, stable_order, submask_table,
 )
 from coxcheck.files import load_structure
 from coxcheck.forms import (
@@ -263,26 +264,24 @@ def assert_kernels_match(structure):
 
 
 @contextlib.contextmanager
-def chunk_sizes(first, cap):
-    """Tiny chunk sizes make small structures cross many chunk boundaries."""
-    saved = forms.FIRST_CHUNK, forms.CHUNK_CAP
-    forms.FIRST_CHUNK, forms.CHUNK_CAP = first, cap
+def chunk_cap(cap):
+    """A tiny CHUNK_CAP makes small structures cross many chunk boundaries."""
+    saved = forms.CHUNK_CAP
+    forms.CHUNK_CAP = cap
     try:
         yield
     finally:
-        forms.FIRST_CHUNK, forms.CHUNK_CAP = saved
+        forms.CHUNK_CAP = saved
 
 
-CHUNK_SIZES = [None, (1, 4), (3, 7)]
-
-
-@pytest.fixture(params=CHUNK_SIZES, ids=["module", "1-4", "3-7"])
+# the ids "1-4" and "3-7" label the caps 4 and 7 in the test names
+@pytest.fixture(params=[None, 4, 7], ids=["module", "1-4", "3-7"])
 def chunking(request):
-    """Run under the module's chunk sizes and under tiny ones."""
+    """Run under the module's CHUNK_CAP and under tiny ones."""
     if request.param is None:
         yield
     else:
-        with chunk_sizes(*request.param):
+        with chunk_cap(request.param):
             yield
 
 
@@ -341,8 +340,8 @@ class TestExtractionKernels:
     def test_probability_tables_under_tiny_chunks(self, n, seed):
         rng = random.Random(seed)
         weights = [rng.choice((1, 2, 3)) for _ in range(n)]
-        for sizes in ((1, 4), (5, 64)):
-            with chunk_sizes(*sizes):
+        for cap in (4, 64):
+            with chunk_cap(cap):
                 assert_kernels_match(structure_of(n, ratio_table(n, weights)))
 
     @pytest.mark.parametrize("where", ["first", "last"])
@@ -358,9 +357,10 @@ class TestExtractionKernels:
         a1, a2 = negation_ranks(structure), combination_ranks(structure)
         assert a1.clash is not None or a2.clash is not None or report.status == "fail"
 
-    def test_an_early_clash_reads_few_triples(self, monkeypatch):
-        # chunks grow from small, so the kernel reads a few times as many
-        # triples as the loop, which stops at the clash
+    def test_an_early_clash_reads_few_triples(self):
+        # chunks hold CHUNK_CAP triples, so the kernel reads at most one
+        # chunk past the clash, where the loop stops; a cap of 64 makes the
+        # bound bite on 7 atoms
         n = 7
         table = plant(random.Random(3), ratio_table(n, [1, 2, 1, 1, 2, 1, 1]), {3})
         structure = structure_of(n, table)
@@ -368,18 +368,19 @@ class TestExtractionKernels:
         consumed = []
         want = oracle_first_outputs(values, (consumed.append(1) or i for i in instances))
         assert want.clash is not None and len(consumed) < 1000
-        read = []
-        original = forms.row_chunks
+        for cap in (forms.CHUNK_CAP, 64):
+            with chunk_cap(cap):
+                layout = forms._combination_layout(structure)
+                read = []
 
-        def counting(lengths):
-            for chunk in original(lengths):
-                read.append(len(chunk[0]))
-                yield chunk
+                def counting():
+                    for keys, outs in layout.chunks():
+                        read.append(len(keys))
+                        yield keys, outs
 
-        monkeypatch.setattr(forms, "row_chunks", counting)
-        got = forms._first_outputs(forms._combination_layout(structure))
-        assert_same_extraction(got, want)
-        assert sum(read) <= 3 * len(consumed) + forms.FIRST_CHUNK
+                got = forms._first_outputs(layout._replace(chunks=counting))
+                assert_same_extraction(got, want)
+                assert sum(read) <= got.clash[2] + cap
 
     @pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 1), (10, 3), (70, 1)])
     def test_uniform_structures_read_by_sizes(self, n, k, chunking):
@@ -413,6 +414,188 @@ class TestExtractionKernels:
             member.attained("conditional")
             member.attained("unconditional")
         assert sorted(map(id, calls)) == sorted(map(id, family.members))
+
+
+# -- position tables against the chunked pair reader ---------------------------
+
+
+def oracle_row_chunks(lengths, first=256, cap=1 << 14):
+    """Whole rows in chunks that start at `first` instances and double up
+    to `cap`, as every instance's row and position in its row."""
+    starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    total, r0, size = int(starts[-1]), 0, first
+    while (begin := int(starts[r0])) < total:
+        r1 = int(max(starts.searchsorted(begin + size, "right") - 1,
+                     starts.searchsorted(begin, "right")))
+        row = np.arange(r0, r1).repeat(starts[r0 + 1:r1 + 1] - starts[r0:r1])
+        yield row, np.arange(begin, starts[r1]) - starts[row]
+        r0, size = r1, min(2 * size, cap)
+
+
+def oracle_pair_reader(structure, kind):
+    """(lengths, read) of the A1 or A2 pairs as extraction read them with
+    row arithmetic per instance: `read(row, pos)` gives the keys, outputs
+    and witness masks of the instances at those rows and positions."""
+    index = structure.value_index()
+    start, sub = submask_table(structure.domain.size)
+    rank, width = index.pair_rank, len(index.values)
+    if kind == "A1":
+        lengths = np.diff(start)
+        lengths[0] = 0
+
+        def read(u, pos):
+            at = start[u] - 1 + pos
+            return (rank[at], rank[at + lengths[u] - 1 - 2 * pos],
+                    list(zip(sub[at + 1].tolist(), u.tolist())))
+        return lengths, read
+
+    def read(u, t):
+        t = t + 1
+        c = start.searchsorted(t, "right") - 1
+        j = t - start[c]
+        a = sub[start[u] + c]
+        row = start[u] - 1
+        x = rank[start[a] - 1 + j].astype(np.int64)
+        return (x * width + rank[row + c], rank[row + sub[t]],
+                list(zip(sub[start[a] + j].tolist(), a.tolist(), u.tolist())))
+    return start[np.diff(start)] - 1, read
+
+
+def oracle_chunked_outputs(structure, kind):
+    """(keys, outs, first, clash) of A1 or A2 as the chunked pair reader
+    found them: chunks of doubling size, each sorted by a stable argsort
+    and checked against the sorted runs of the chunks before it."""
+    lengths, read = oracle_pair_reader(structure, kind)
+    seen, clash, offset = {}, None, 0  # key -> (first output, first index)
+    for row, pos in oracle_row_chunks(lengths):
+        keys, outs, _ = read(row, pos)
+        order = keys.argsort(kind="stable")
+        for i in order.tolist():
+            key, out = int(keys[i]), int(outs[i])
+            if key not in seen:
+                seen[key] = (out, offset + i)
+            elif seen[key][0] != out and (clash is None or offset + i < clash[2]):
+                clash = (key, out, offset + i)
+        if clash is not None:
+            seen = {k: v for k, v in seen.items() if v[1] < clash[2]}
+            break
+        offset += len(keys)
+    keys = sorted(seen)
+    return (keys, [seen[k][0] for k in keys], [seen[k][1] for k in keys], clash,
+            lambda index: read(*forms.row_positions(lengths, np.asarray(index)))[2])
+
+
+def assert_matches_the_pair_reader(structure):
+    """A1 and A2, kernel runs (not the memo), against the chunked pair
+    reader: keys, outputs, first instances, clash, and the witnesses of
+    the first instances and of the clash."""
+    for kind, layout in (("A1", forms._negation_layout), ("A2", forms._combination_layout)):
+        got = forms._first_outputs(layout(structure))
+        keys, outs, first, clash, masks = oracle_chunked_outputs(structure, kind)
+        assert (got.keys.tolist(), got.outs.tolist(), got.first.tolist()) == (keys, outs, first)
+        assert got.clash == clash
+        index = np.array(first + ([clash[2]] if clash else []), dtype=np.int64)
+        sample = index[::max(1, len(index) // 200)]
+        assert got.masks(sample) == masks(sample)
+
+
+def planted_near(n, instance, seed):
+    """A ratio table of n atoms with one interior entry (v, u) set to
+    another attained value, u the row of the A2 instance `instance`."""
+    rng = random.Random(seed)
+    table = ratio_table(n, [rng.choice((1, 2, 3)) for _ in range(n)], lambda x: x * x)
+    lengths = forms.combination_lengths(n)
+    u = int(np.searchsorted(np.cumsum(lengths), instance, "right"))
+    return structure_of(n, plant(rng, table, {u}))
+
+
+class TestPositionTables:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ratio_tables(self, n):
+        rng = random.Random(n)
+        weights = [rng.choice((1, 2, 3, 5)) for _ in range(n)]
+        assert_matches_the_pair_reader(structure_of(n, ratio_table(n, weights, lambda x: x ** 3)))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_clash_in_the_first_and_in_the_last_row(self, n, where):
+        rng = random.Random(n)
+        table = ratio_table(n, [rng.choice((1, 2)) for _ in range(n)], lambda x: x * x)
+        rows = {1, 2, 3} if where == "first" else {(1 << n) - 1}
+        structure = structure_of(n, plant(rng, table, rows))
+        assert_matches_the_pair_reader(structure)
+        a1, a2 = negation_ranks(structure), combination_ranks(structure)
+        assert a1.clash is not None or a2.clash is not None or n == 2
+
+    @pytest.mark.parametrize("n,seed", [(8, 2), (8, 4), (8, 7), (9, 0), (9, 3), (9, 6)])
+    def test_a_clash_around_instance_16384(self, n, seed):
+        # 16,384 is where the second chunk of A2 starts: these seeds clash
+        # at A2 instances 16,366 to 16,390, on both sides of it
+        structure = planted_near(n, 1 << 14, seed)
+        assert_matches_the_pair_reader(structure)
+        clash = combination_ranks(structure).clash
+        assert clash is not None and abs(clash[2] - (1 << 14)) < 32
+
+    def test_a_ten_atom_weight_backing_builds_no_whole_table(self, monkeypatch):
+        # above POSITION_MEMO_ATOMS each chunk's positions are computed as
+        # it is read, CHUNK_CAP at a time, and no table is kept
+        structure = weighted([3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+        assert structure.domain.size > forms.POSITION_MEMO_ATOMS
+        kept, computed = [], []
+        monkeypatch.setattr(forms, "_position_table", lambda *args: kept.append(args))
+        for name in ("negation_positions", "combination_positions"):
+            original = getattr(forms, name)
+
+            def counting(n, index, original=original):
+                computed.append(len(index))
+                return original(n, index)
+            monkeypatch.setattr(forms, name, counting)
+        assert_matches_the_pair_reader(structure)
+        assert kept == [] and max(computed) <= forms.CHUNK_CAP
+        assert sum(computed) >= 4 ** 10 - 2 ** 10 + 3 ** 10 - 1
+
+    def test_tables_are_kept_up_to_nine_atoms(self):
+        for n in (1, 7, 9):
+            count = int(forms.combination_lengths(n).sum())
+            table = forms._position_table(forms.combination_positions, n, count)
+            assert table.dtype == np.int32 and table.shape == (3, 4 ** n - 2 ** n)
+            assert forms._position_table(forms.combination_positions, n, count) is table
+
+
+class TestStableOrder:
+    """`stable_order` against the stable argsort it stands in for."""
+
+    @given(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=300), st.integers(0, 4))
+    def test_random_keys(self, keys, spread):
+        keys = np.array([k >> (10 * spread) for k in keys], dtype=np.int64)
+        assert stable_order(keys).tolist() == keys.argsort(kind="stable").tolist()
+
+    @pytest.mark.parametrize("keys", [[], [7], [3] * 50, [-5] * 9 + [4]],
+                             ids=["empty", "one", "all-equal", "negative"])
+    def test_small_cases(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert stable_order(keys).tolist() == keys.argsort(kind="stable").tolist()
+
+    @pytest.mark.parametrize("count", [2, 3, 1000])
+    @pytest.mark.parametrize("beyond", [0, 1])
+    def test_keys_at_the_packing_limit(self, count, beyond, monkeypatch):
+        # keys spanning 2^(63 - shift) - 1 still pack; one more falls back
+        shift = (count - 1).bit_length()
+        span = (1 << (63 - shift)) - 1 + beyond
+        keys = np.random.default_rng(count).integers(0, span, count, dtype=np.int64)
+        keys[0], keys[-1] = -7, span - 7
+        keys[count // 2] = keys[-1]
+        want = keys.argsort(kind="stable").tolist()
+        fallbacks = []
+        original = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: fallbacks.append(1) or original(*a, **k))
+        assert stable_order(keys).tolist() == want
+        assert len(fallbacks) == beyond
+
+    def test_keys_that_do_not_cast_to_int64(self):
+        for keys in (np.array([2 ** 64 - 1, 5, 5, 0], dtype=np.uint64),
+                     np.array([3, 2 ** 70, 3, -1], dtype=object)):
+            assert stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 # -- the ratio ranker of weight backings -------------------------------------
@@ -523,6 +706,13 @@ def assert_same_steps(structure, levels):
     assert at.tolist() == want_at.tolist()
 
 
+def random_blocks(n, seed, *counts):
+    """The blocks of `_random_levels(n, seed)`, sent each of `counts` in turn."""
+    blocks = _random_levels(n, seed)
+    next(blocks)
+    return [blocks.send(count) for count in counts]
+
+
 class TestStepValues:
     """The 1-D sort of the chain-table steps against the row-wise unique it
     replaced: the same distinct steps in the same order, the same positions."""
@@ -530,16 +720,15 @@ class TestStepValues:
     @pytest.mark.parametrize("coins", [3, 4, 5, 6, 8])
     def test_uniform_coin_members(self, coins):
         member = coin_family(coins).members[-1]
-        blocks = _random_levels(member.domain.size, coins)
-        for _ in range(2):
-            assert_same_steps(member, next(blocks))
+        for block in random_blocks(member.domain.size, coins, 256, 512):
+            assert_same_steps(member, block)
 
     @pytest.mark.parametrize("n", [7, 9, 12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_non_uniform_weights(self, n, k):
         rng = random.Random(n * 10 + k)
         structure = weighted([rng.randint(1, 9) for _ in range(n)], k)
-        assert_same_steps(structure, next(_random_levels(n, k)))
+        assert_same_steps(structure, *random_blocks(n, k, 256))
 
     def test_a_block_whose_rows_all_coincide(self):
         structure = weighted([3, 1, 4, 1, 5, 9, 2], 2)
@@ -553,12 +742,10 @@ class TestStepValues:
     def test_chain_table_after_several_blocks(self, structure):
         n, seed = structure.domain.size, 5
         table = _chain_table(structure, seed)
-        table.grow(structure, 2000)
-        blocks, rows = _random_levels(n, seed), []
-        while sum(map(len, rows)) < len(table.steps):
-            rows.append(next(blocks))
-        assert len(rows) >= 3
-        xs, at = oracle_step_values(structure, np.concatenate(rows))
+        for count in (300, 1100, 2000):  # three blocks, each re-ranking the table
+            table.grow(structure, count)
+        assert len(table.steps) == 2000
+        xs, at = oracle_step_values(structure, *random_blocks(n, seed, 2000))
         values = sorted(set(xs))
         rank = {x: i for i, x in enumerate(values)}
         assert table.values == values
@@ -612,7 +799,7 @@ class TestAssociativityJoin:
         if not table:
             return
         assert associativity_join(*sorted_arrays(table, width), width, endpoints) == want
-        with chunk_sizes(1, 4):
+        with chunk_cap(4):
             assert associativity_join(*sorted_arrays(table, width), width, endpoints) == want
 
     @pytest.mark.parametrize("seed", range(6))
@@ -627,13 +814,13 @@ class TestAssociativityJoin:
         assert want[2] is not None
         assert associativity_join(*sorted_arrays(table, width), width, {0, width - 1}) == want
 
-    @pytest.mark.parametrize("sizes", [None, (1, 4)], ids=["module", "1-4"])
-    def test_the_earlier_of_two_failures_is_reported(self, sizes):
+    @pytest.mark.parametrize("cap", [None, 4], ids=["module", "1-4"])
+    def test_the_earlier_of_two_failures_is_reported(self, cap):
         # the Łukasiewicz t-norm on ranks 0..5 with two entries raised by
         # one.  The first failure in (x, y)-then-z order is (1, 5, 4), at
         # p = 4; the column walk takes p = 0, 1, ... in turn, then x, then
         # (y, z), and meets (4, 1, 5), at p = 2, first, in an earlier chunk
-        # under chunks of 1-4 candidates
+        # under chunks of up to 4 candidates
         width = 6
         table = {(x, y): max(0, x + y - 5) for x in range(width) for y in range(width)}
         table[1, 5] += 1
@@ -646,7 +833,7 @@ class TestAssociativityJoin:
         want = oracle_join(table, {0, 5})
         assert want[2][:3] == (1, 5, 4)
         assert want[0] == instances.index(((1, 5, 4), True)) + 1 < len(instances)
-        with chunk_sizes(*sizes) if sizes else contextlib.nullcontext():
+        with chunk_cap(cap) if cap else contextlib.nullcontext():
             assert associativity_join(*sorted_arrays(table, width), width, {0, 5}) == want
 
     def test_sparse_tables_over_three_ranks(self):
