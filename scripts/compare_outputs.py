@@ -36,6 +36,10 @@ builds the jobs there:
   of the 1-8 coin family, whose 256-atom `generate probability` line is
   parsed and whose missed targets grow the sampled chain tables of members
   of 8-256 atoms
+- theorem-4 `audit` runs that stress the density search
+  (`DENSITY_RUNS`): the 1-3 coin family at grid 21 (9,261 targets), the
+  1-12 coin family at grid 5 and ε 1/100, a family of non-uniform weight
+  backings and tables, and the 1-3 coin members relabelled onto [1, 2]
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
@@ -198,6 +202,14 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                      "argv": ["audit", "--theorem", "4", "--family", str(eight),
                               "--grid", "3", "--seed", str(seed), "--json", str(report)],
                      "report": str(report)})
+    density = write_density_families(tmp / "density", beltables)
+    density["coins-3"] = three
+    for name, members, options in DENSITY_RUNS:
+        report = reports / f"audit-t4-density-{name}.json"
+        jobs.append({"id": f"audit-t4/density/{name}",
+                     "argv": ["audit", "--theorem", "4", "--family", str(density[members]),
+                              *options, "--json", str(report)],
+                     "report": str(report)})
     for path in write_conflicting_families(tmp / "conflicting", beltables):
         report = reports / f"audit-t4-conflicting-{path.name}.json"
         jobs.append({"id": f"audit-t4/conflicting/{path.name}",
@@ -312,6 +324,47 @@ def write_coin_family(out: Path, coins: int, beltables) -> Path:
         (out / f"coins_{c:02d}.bel").write_text(beltables.coin_member_text(c),
                                                 encoding="utf-8")
     return out
+
+
+#: Theorem-4 density runs, by name: the family (a name of
+#: `write_density_families`, or the 1-3 coin family) and the options.
+DENSITY_RUNS = [
+    ("coins-3-grid-21", "coins-3", ["--grid", "21", "--epsilon", "1/3"]),
+    ("coins-12-grid-5", "coins-12", ["--grid", "5", "--epsilon", "1/100"]),
+    ("mixed-backings", "mixed", ["--grid", "4", "--epsilon", "1/20", "--seed", "3"]),
+    ("bounds-1-2", "bounds-1-2", []),
+]
+
+
+def write_density_families(out: Path, beltables) -> dict[str, Path]:
+    """The families of `DENSITY_RUNS` by name: the 1-12 coin family, whose
+    largest member has 4,096 atoms; a family of non-uniform weight backings
+    of 7, 10 and 13 atoms and tables of 3, 5 and 6 atoms; and the 1-3 coin
+    members as tables relabelled v ↦ 1 + v on the bounds [1, 2]."""
+    out.mkdir()
+    paths = {"coins-12": write_coin_family(out / "coins-12", 12, beltables)}
+    rng = random.Random(24)
+    texts = {}
+    for n in (7, 10, 13):
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        atoms = [f"w{i}" for i in range(n)]
+        texts[f"mixed/weights_{n:02d}.bel"] = (
+            f"domain: {' '.join(atoms)}\ngenerate probability "
+            + " ".join(f"{a}={w}" for a, w in zip(atoms, beltables.normalized(ints))) + "\n")
+    for n in (3, 5, 6):
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        table = beltables.relabelled_table(beltables.normalized(ints), "identity")
+        texts[f"mixed/table_{n:02d}.bel"] = beltables.table_text(n, table, (0, 1))
+    for coins in (1, 2, 3):
+        n = 1 << coins
+        table = beltables.relabelled_table(beltables.normalized([1] * n), "identity")
+        texts[f"bounds-1-2/coins_{coins:02d}.bel"] = beltables.table_text(
+            n, {key: 1 + x for key, x in table.items()}, (1, 2))
+    for name, text in texts.items():
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8")
+    paths.update((name, out / name) for name in ("mixed", "bounds-1-2"))
+    return paths
 
 
 def write_conflicting_families(out: Path, beltables) -> list[Path]:

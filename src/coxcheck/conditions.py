@@ -11,7 +11,7 @@ instances whose four table entries come from different chains.
 from __future__ import annotations
 
 import bisect
-import math
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,13 +214,6 @@ class TripleSearchResult:
         return not self.passed
 
 
-def _chain_deviation(bel, u1: int, u2: int, u3: int, u4: int, targets) -> Fraction:
-    """Chebyshev distance from the chain's steps Bel(U4|U3), Bel(U3|U2),
-    Bel(U2|U1) to the targets; `bel` is the structure's `bel_masks`."""
-    a, b, g = targets
-    return max(abs(bel(u4, u3) - a), abs(bel(u3, u2) - b), abs(bel(u2, u1) - g))
-
-
 #: Most 32-bit words drawn from the sampler's generator at once.
 _WORD_PIECE = 1 << 13
 
@@ -228,11 +221,17 @@ _WORD_PIECE = 1 << 13
 def _exhaustive_levels(structure: BeliefStructure):
     """The level rows of every chain of `chain_masks()`, in its order, as
     one block, whatever the count sent: an atom's level is the number of
-    U1..U4 that hold it.  Primed with `next`, as `_random_levels`."""
+    U1..U4 that hold it.  All 5^n rows are drawn at once, those with
+    U3 = ∅ dropped, and the rest sorted by (u1, u2, u3, u4) packed into
+    one int.  Primed with `next`, as `_random_levels`."""
     yield
-    chains = np.array(list(structure.chain_masks()), dtype=np.int64)
-    bits = chains[:, :, None] >> np.arange(structure.domain.size) & 1
-    yield bits.sum(axis=1, dtype=np.uint8)
+    n = structure.domain.size
+    levels = (np.arange(5 ** n)[:, None] // 5 ** np.arange(n) % 5).astype(np.uint8)
+    levels = levels[levels.max(axis=1) >= 3]
+    key = np.zeros(len(levels), dtype=np.int64)
+    for j in range(1, 5):
+        key = key << n | (levels >= j) @ (1 << np.arange(n))
+    yield levels[np.argsort(key)]
 
 
 def _random_levels(n: int, seed: int):
@@ -269,25 +268,26 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
     """(xs, at): Fractions, and for each chain of the level rows the
     positions in xs of its steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1).
 
-    A weight backing whose unit total is below 2^62 reads the masses
-    μ(U1)..μ(U4) off the level rows in int64 and builds one Fraction per
-    distinct (mass, mass) step, in the (μ(V), μ(U)) order of one `lexsort`.
-    Other structures look each step up with `bel_masks` on the packed `masks`.
+    A weight backing whose unit total W − 1 is below 2^31 reads the masses
+    μ(U1)..μ(U4) off the level rows in int64, keys each step by the one
+    int μ(V)·W + μ(U), and builds one Fraction per distinct key, in key
+    order.  Other structures look each step up with `bel_masks` on the
+    packed `masks`.
     """
-    if structure.is_weight_backed and structure._prefix[-1] < 1 << 62:
-        units = np.array(structure._units, dtype=np.int64)
-        step = max(1, (1 << 16) // structure.domain.size)  # rows per int64 product
+    if structure.is_weight_backed and structure._prefix[-1] < 1 << 31:
+        # float64 sums of ints below 2^31 are exact
+        units = np.array(structure._units, dtype=np.float64)
+        step = max(1, (1 << 16) // structure.domain.size)  # rows per product
         mass = np.concatenate([
             np.stack([(part >= j) @ units for j in range(1, 5)], axis=1)
             for part in np.split(levels, range(step, len(levels), step))
-        ])
-        v, u = mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()
-        order = np.lexsort((u, v))
-        v, u = v[order], u[order]
-        new = np.concatenate(([True], (v[1:] != v[:-1]) | (u[1:] != u[:-1])))
-        at = np.empty_like(order)
-        at[order] = np.cumsum(new) - 1
-        xs = [Fraction(a, b) ** structure.exponent for a, b in zip(v[new].tolist(), u[new].tolist())]
+        ]).astype(np.int64)
+        width = structure._prefix[-1] + 1
+        keys, at = np.unique(mass[:, [3, 2, 1]] * width + mass[:, [2, 1, 0]],
+                             return_inverse=True)
+        xs = [Fraction(v, u) for v, u in zip(*(a.tolist() for a in np.divmod(keys, width)))]
+        if structure.exponent > 1:
+            xs = [x ** structure.exponent for x in xs]
         return xs, at.reshape(-1, 3)
     bel = structure.bel_masks
     xs = []
@@ -304,7 +304,9 @@ class _ChainTable:
 
     `steps[i]` holds the ranks of chain i's steps Bel(U4|U3), Bel(U3|U2),
     Bel(U2|U1) in the sorted `values`; `masks[i]` holds U1..U4 packed
-    little-endian.  Each block is scored once, and every target reads it.
+    little-endian.  The level rows are dropped once scored.  Each block is
+    scored once, and every search of the structure, for any number of
+    targets, reads it as one (chains × 3) rank matrix (`_MemberSearch`).
     """
 
     def __init__(self, blocks, atoms: int):
@@ -323,9 +325,15 @@ class _ChainTable:
                 levels = self._blocks.send(count - len(self.steps))
             except StopIteration:
                 return
-            # atom i lies in U_j exactly when its level is at least j
-            masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
-                              for j in range(1, 5)], axis=1)
+            # atom i lies in U_j exactly when its level is at least j; rows
+            # padded to whole bytes pack as one flat array
+            rows, n = levels.shape
+            bits = np.zeros((rows, self.masks.shape[2] * 8), dtype=bool)
+            masks = np.empty((rows, 4, self.masks.shape[2]), dtype=np.uint8)
+            for j in range(4):
+                np.greater_equal(levels, j + 1, out=bits[:, :n])
+                masks[:, j] = np.packbits(bits, bitorder="little").reshape(rows, -1)
+            del bits
             xs, at = _step_values(structure, levels, masks)
             del levels
             old = len(self.values)
@@ -352,48 +360,276 @@ def _chain_table(structure: BeliefStructure, seed: int) -> _ChainTable:
     )
 
 
-def _scan_table(structure, table, count, targets, eps, method, tried=0, best=None,
-                best_dev=None) -> TripleSearchResult:
-    """Go on with a search at its first `count` table chains, after `tried`
-    candidates whose first best was `best` (masks) at `best_dev`.
+def _level_size_candidates(parent: int, t: Fraction, eps: Fraction, floor: int) -> list[int]:
+    """Child sizes worth trying under a parent of size `parent`, in ints:
+    round(t·parent), half to even as `round` takes a Fraction, with jitter
+    ±1, ±2, then the largest size keeping the ratio under t + ε and the one
+    below it, which keeps resolution one level down when t is near 0; each
+    once, in [floor, parent]."""
+    base, rest = divmod(t.numerator * parent, t.denominator)
+    if 2 * rest > t.denominator or (2 * rest == t.denominator and base % 2):
+        base += 1
+    high = (t.numerator * eps.denominator + eps.numerator * t.denominator) * parent
+    cap = -(-high // (t.denominator * eps.denominator)) - 1  # ceil((t + ε)·parent) − 1
+    return list(dict.fromkeys(s for s in (base, base + 1, base - 1, base + 2, base - 2,
+                                          cap, cap - 1) if floor <= s <= parent))
 
-    The first chain whose three steps lie within ε of their targets is the
-    hit; a step within ε is a rank in a window that two bisections of
-    `values` find.  Without a hit, the exact |v − t| of each step value the
-    chains use is ranked, a chain's deviation is the largest of its three
-    ranks, and the first chain of least rank is the best.
+
+class _MemberSearch:
+    """The Par5′ search of one structure, for any number of targets at once.
+
+    A target is a row (α, β, γ) of indices into `coords`, points of [0, 1]
+    that are rescaled onto the structure's bounds, and ε is `eps`.  Each
+    target gets what a search for it alone gives: the first chain, in
+    search order, whose steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1) all lie
+    within ε of (α, β, γ), or else the first chain of least Chebyshev
+    deviation, and the number of chains tried.
+
+    Up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms the chains are those of the
+    chain table, every nested chain.  Above it come first the greedy prefix
+    chains (full, [0, s2), [0, s3), [0, s4)), s2 over the
+    `_level_size_candidates` under n for γ, s3 under s2 for β and s4 under
+    s3 for α, then the table's seeded random chains up to `budget` in all.
+    The greedy chains are scored on memos shared by all targets: each
+    prefix step Bel([0, s′)|[0, s)) is read once, and its deviation from a
+    coordinate kept by (s′, s, coordinate).  The first hit among the chains
+    under one U3 size, and under one U2 size, is kept by (s3, α) and by
+    (s2, β, α), and so is their least deviation, which only a missed
+    target reads.  The table is then scanned by `_scan` for every target
+    the greedy chains missed, at once.
     """
-    table.grow(structure, count)
-    steps = table.steps[:count]
-    values = table.values
-    hit = np.ones(len(steps), dtype=bool)
-    for column, t in zip(steps.T, targets):
-        lo, hi = bisect.bisect_right(values, t - eps), bisect.bisect_left(values, t + eps)
-        hit &= (lo <= column) & (column < hi)
-    first = np.flatnonzero(hit)
-    if len(first):
-        i = int(first[0])
-        dev = max(abs(values[r] - t) for r, t in zip(steps[i].tolist(), targets))
-        return TripleSearchResult(
-            True, structure._make_chain(*table.chain(i)), dev, method, tried + i + 1
-        )
-    # with its inverse, np.unique does not load numpy.ma
-    used = [np.unique(column, return_inverse=True) for column in steps.T]
-    deviations, ranks = rank_values([
-        abs(values[r] - t) for (rs, _), t in zip(used, targets) for r in rs.tolist()
-    ])
-    rank = np.zeros(len(steps), dtype=np.int64)
-    start = 0
-    for rs, inverse in used:
-        np.maximum(rank, ranks[start:start + len(rs)][inverse], out=rank)
-        start += len(rs)
-    if len(rank):
-        i = int(np.argmin(rank))
-        if best_dev is None or deviations[rank[i]] < best_dev:
-            best, best_dev = table.chain(i), deviations[rank[i]]
-    return TripleSearchResult(
-        False, structure._make_chain(*best), best_dev, method, tried + len(steps)
-    )
+
+    def __init__(self, structure: BeliefStructure, coords, eps: Fraction, seed: int,
+                 budget: int):
+        e, big_e = structure.bounds
+        self.structure, self.coords, self.eps, self.budget = structure, coords, eps, budget
+        self.scaled = [e + t * (big_e - e) for t in coords]
+        self.table = _chain_table(structure, seed)
+        self._window = [(t - eps, t + eps) for t in self.scaled]
+        self._size_memo, self._step_memo, self._near_memo, self._dev_memo = {}, {}, {}, {}
+        self._group_memo = {}
+
+    def run(self, targets: np.ndarray) -> tuple:
+        """(passed, deviation, tried, at) of each target row: whether it
+        was met, the deviation of its chain, the chains tried, and its
+        chain's index in the table, or -1 for a greedy chain."""
+        count, n = len(targets), self.structure.domain.size
+        passed = np.zeros(count, dtype=bool)
+        devs = [None] * count
+        tried = np.zeros(count, dtype=np.int64)
+        if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
+            limit = np.full(count, 5 ** n, dtype=np.int64)
+        else:
+            for k, (a, b, g) in enumerate(targets.tolist()):
+                passed[k], tried[k], devs[k], _ = self._greedy(a, b, g)
+            limit = np.where(passed, 0, np.maximum(self.budget - tried, 0))
+        at = np.full(count, -1, dtype=np.int64)
+        scan = np.flatnonzero(limit)
+        if len(scan):
+            self._scan(targets, scan, limit, passed, devs, tried, at)
+        return passed, devs, tried, at
+
+    # -- the greedy prefix chains --------------------------------------------
+
+    def _sizes(self, parent: int, i: int, floor: int) -> list[int]:
+        sizes = self._size_memo.get((parent, i, floor))
+        if sizes is None:
+            sizes = self._size_memo[parent, i, floor] = _level_size_candidates(
+                parent, self.coords[i], self.eps, floor)
+        return sizes
+
+    def _step(self, child: int, parent: int) -> Fraction:
+        """Bel([0, child)|[0, parent)), read once."""
+        step = self._step_memo.get((child, parent))
+        if step is None:
+            step = self._step_memo[child, parent] = self.structure.bel_masks(
+                (1 << child) - 1, (1 << parent) - 1)
+        return step
+
+    def _near(self, child: int, parent: int, i: int) -> bool:
+        """Whether the step lies within ε of coordinate i."""
+        near = self._near_memo.get((child, parent, i))
+        if near is None:
+            low, high = self._window[i]
+            near = self._near_memo[child, parent, i] = low < self._step(child, parent) < high
+        return near
+
+    def _dev(self, child: int, parent: int, i: int) -> Fraction:
+        """The step's distance from coordinate i."""
+        dev = self._dev_memo.get((child, parent, i))
+        if dev is None:
+            dev = self._dev_memo[child, parent, i] = abs(self._step(child, parent)
+                                                         - self.scaled[i])
+        return dev
+
+    def _group(self, key: tuple, build):
+        """build(), kept under `key`: a record of the chains under one U3
+        size (s3, α) or one U2 size (s2, β, α)."""
+        record = self._group_memo.get(key, self)
+        if record is self:
+            record = self._group_memo[key] = build()
+        return record
+
+    def _lower_hit(self, s3: int, a: int):
+        """(position, s4) of the first U4 size under a U3 of size s3 whose
+        step lies within ε of α, or None."""
+        return self._group(("hit", s3, a), lambda: next(
+            ((k, s4) for k, s4 in enumerate(self._sizes(s3, a, 0)) if self._near(s4, s3, a)),
+            None))
+
+    def _upper_hit(self, s2: int, b: int, a: int):
+        """(position + 1, s3, s4) of the first chain under a U2 of size s2
+        whose two lower steps lie within ε of (α, β), or None."""
+        def build():
+            tried = 0
+            for s3 in self._sizes(s2, b, 1):
+                low = self._near(s3, s2, b) and self._lower_hit(s3, a)
+                if low:
+                    return tried + low[0] + 1, s3, low[1]
+                tried += len(self._sizes(s3, a, 0))
+            return None
+        return self._group(("hit", s2, b, a), build)
+
+    def _upper_count(self, s2: int, b: int, a: int) -> int:
+        """The number of chains under a U2 of size s2."""
+        return self._group(("count", s2, b, a), lambda: sum(
+            len(self._sizes(s3, a, 0)) for s3 in self._sizes(s2, b, 1)))
+
+    def _lower_least(self, s3: int, a: int) -> Fraction:
+        """The least deviation from α of the U4 sizes under a U3 of size s3."""
+        return self._group(("least", s3, a), lambda: min(
+            self._dev(s4, s3, a) for s4 in self._sizes(s3, a, 0)))
+
+    def _upper_least(self, s2: int, b: int, a: int) -> Fraction:
+        """The least deviation from (α, β) of the chains under a U2 of size s2."""
+        def build():
+            least = None
+            for s3 in self._sizes(s2, b, 1):
+                d3 = self._dev(s3, s2, b)
+                if least is None or d3 < least:  # else max(d3, ·) cannot be less
+                    low = max(d3, self._lower_least(s3, a))
+                    least = low if least is None or low < least else least
+            return least
+        return self._group(("least", s2, b, a), build)
+
+    def _greedy(self, a: int, b: int, g: int) -> tuple:
+        """(passed, tried, deviation, sizes) of a target's greedy chains:
+        the first hit and its (s2, s3, s4), or all of them and their least
+        deviation, with sizes None."""
+        n, tried, least = self.structure.domain.size, 0, None
+        for s2 in self._sizes(n, g, 1):
+            hit = self._near(s2, n, g) and self._upper_hit(s2, b, a)
+            if hit:
+                _, s3, s4 = hit
+                dev = max(self._dev(s2, n, g), self._dev(s3, s2, b), self._dev(s4, s3, a))
+                return True, tried + hit[0], dev, (s2, s3, s4)
+            tried += self._upper_count(s2, b, a)
+        for s2 in self._sizes(n, g, 1):
+            d2 = self._dev(s2, n, g)
+            if least is None or d2 < least:
+                low = max(d2, self._upper_least(s2, b, a))
+                least = low if least is None or low < least else least
+        return False, tried, least, None
+
+    def greedy_sizes(self, a: int, b: int, g: int) -> tuple[int, int, int]:
+        """(s2, s3, s4) of a target's greedy hit, or of its first greedy
+        chain of least deviation: the first size at each level whose group
+        holds a chain of that deviation."""
+        passed, _, dev, sizes = self._greedy(a, b, g)
+        if passed:
+            return sizes
+        n = self.structure.domain.size
+        s2 = next(s for s in self._sizes(n, g, 1)
+                  if max(self._dev(s, n, g), self._upper_least(s, b, a)) == dev)
+        d2 = self._dev(s2, n, g)
+        s3 = next(s for s in self._sizes(s2, b, 1)
+                  if max(d2, self._dev(s, s2, b), self._lower_least(s, a)) == dev)
+        d3 = self._dev(s3, s2, b)
+        s4 = next(s for s in self._sizes(s3, a, 0)
+                  if max(d2, d3, self._dev(s, s3, a)) == dev)
+        return s2, s3, s4
+
+    # -- the chain table -------------------------------------------------------
+
+    def _scan(self, targets, scan, limit, passed, devs, tried, at) -> None:
+        """Score the targets `scan` on their first `limit` table chains, in
+        place, after their greedy chains.
+
+        A step within ε of a coordinate is a rank in a window that two
+        bisections of `values` find, so each column gives a (coordinates ×
+        chains) window matrix, and a target's hits are the rows of its
+        three coordinates ANDed: the first is its `argmax`.  A missed
+        target's deviations are taken in floats, each within `margin` / 2
+        of the exact one; every chain within `margin` of the float minimum
+        is rechecked exactly, once per distinct triple of step ranks, and
+        the first chain of least exact deviation is the best.  Values or
+        coordinates beyond the float range recheck every chain.
+        """
+        table = self.table
+        table.grow(self.structure, int(limit[scan].max()))
+        values = table.values
+        steps = table.steps[:int(limit[scan].max())]
+        limit = np.minimum(limit, len(steps))
+        exact = {}  # (rank, coordinate) -> |values[rank] − coordinate|
+
+        def deviation(ranks, coordinates) -> Fraction:
+            out = None
+            for key in zip(ranks, coordinates):
+                dev = exact.get(key)
+                if dev is None:
+                    dev = exact[key] = abs(values[key[0]] - self.scaled[key[1]])
+                out = dev if out is None or dev > out else out
+            return out
+
+        window = np.array([(bisect.bisect_right(values, low), bisect.bisect_left(values, high))
+                           for low, high in self._window]).T
+        inside = [(window[0][:, None] <= column) & (column < window[1][:, None])
+                  for column in steps.T]
+        gaps = margin = triple = None
+        chains = np.arange(len(steps))
+        rows = max(1, (1 << 16) // len(steps))  # targets per (targets × chains) block
+        for start in range(0, len(scan), rows):
+            block = scan[start:start + rows]
+            a, b, g = targets[block].T
+            hits = inside[0][a] & inside[1][b] & inside[2][g]
+            first = hits.argmax(axis=1)
+            met = hits[np.arange(len(block)), first] & (first < limit[block])
+            for k, i, ranks, coordinates in zip(block[met].tolist(), first[met].tolist(),
+                                                steps[first[met]].tolist(),
+                                                targets[block[met]].tolist()):
+                passed[k], devs[k], tried[k], at[k] = (
+                    True, deviation(ranks, coordinates), tried[k] + i + 1, i)
+            missed = block[~met]
+            if not len(missed):
+                continue
+            tried[missed] += limit[missed]
+            out = chains[None, :] >= limit[missed][:, None]
+            if gaps is None:
+                fv, ft = float_values(values), float_values(self.scaled)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gaps = [np.abs(fv[column][None, :] - ft[:, None]) for column in steps.T]
+                    margin = 2 * (_ROUNDING * (np.abs(fv).max() + np.abs(ft).max())
+                                  + _SUBNORMAL)
+                # one int per distinct step-rank triple, below len(steps)·len(values)
+                wide = steps.astype(np.int64)
+                triple = (np.unique(wide[:, 0] * len(values) + wide[:, 1],
+                                    return_inverse=True)[1] * len(values) + wide[:, 2])
+            if np.isfinite(margin):
+                a, b, g = targets[missed].T
+                dev = np.maximum(gaps[0][a], gaps[1][b])
+                np.maximum(dev, gaps[2][g], out=dev)
+                dev[out] = np.inf
+                near = dev <= dev.min(axis=1, keepdims=True) + margin
+            else:
+                near = ~out
+            for k, row in zip(missed.tolist(), near):
+                candidates = np.flatnonzero(row)
+                chosen = candidates[np.unique(triple[candidates], return_index=True)[1]]
+                coordinates = targets[k].tolist()
+                best = min((deviation(ranks, coordinates), i)
+                           for ranks, i in zip(steps[chosen].tolist(), chosen.tolist()))
+                if devs[k] is None or best[0] < devs[k]:
+                    devs[k], at[k] = best
 
 
 def par5_triples(
@@ -411,58 +647,24 @@ def par5_triples(
     candidate count recorded.  Chains are scored from their three steps; the
     six-value `ChainQuadruple` is built for the returned chain only.
 
-    The exhaustive and random chains come from the structure's chain table
-    (`_chain_table`), scored once per structure and seed.  So a missed
-    target costs one vector pass over the cached chains, where it was a
-    full budget of `Fraction` scorings; only the greedy chains are scored
-    one at a time.
+    This is the one-target call of the per-member pass `par5_family` makes
+    (`_MemberSearch`): the greedy chains are scored on its memos, and the
+    exhaustive or random chains read from the structure's chain table
+    (`_chain_table`), scored once per structure and seed.
     """
-    targets = probe.rescaled(structure.bounds)
-    eps = probe.epsilon
+    search = _MemberSearch(structure, [probe.alpha, probe.beta, probe.gamma],
+                           probe.epsilon, seed, budget)
+    passed, devs, tried, at = search.run(np.array([[0, 1, 2]]))
+    if at[0] >= 0:
+        masks = search.table.chain(int(at[0]))
+    else:
+        masks = (structure.domain.full_mask,
+                 *((1 << s) - 1 for s in search.greedy_sizes(0, 1, 2)))
     n = structure.domain.size
-    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:  # each atom has one of 5 levels
-        return _scan_table(structure, _chain_table(structure, seed), 5 ** n, targets, eps,
-                           "exhaustive")
-    full = structure.domain.full_mask
-    bel = structure.bel_masks
-    best = None
-    best_dev = None
-    tried = 0
-    prefix = lambda s: (1 << s) - 1
-    # greedy proportional prefix chains
-    for s2 in _level_size_candidates(n, probe.gamma, eps, 1):
-        for s3 in _level_size_candidates(s2, probe.beta, eps, 1):
-            for s4 in _level_size_candidates(s3, probe.alpha, eps, 0):
-                masks = (full, prefix(s2), prefix(s3), prefix(s4))
-                tried += 1
-                dev = _chain_deviation(bel, *masks, targets)
-                if dev < eps:
-                    return TripleSearchResult(
-                        True, structure._make_chain(*masks), dev, "sampled", tried
-                    )
-                if best_dev is None or dev < best_dev:
-                    best, best_dev = masks, dev
-    # seeded random nested quadruples, up to the budget
-    return _scan_table(structure, _chain_table(structure, seed), max(budget - tried, 0),
-                       targets, eps, "sampled", tried, best, best_dev)
-
-
-def _level_size_candidates(parent: int, target: Fraction, eps: Fraction, floor_size: int):
-    """Child sizes worth trying under a parent of size `parent`.
-
-    Proportional sizes come first (round(target·parent) with small jitter);
-    then the largest size keeping the ratio under target+ε, which preserves
-    resolution one level down when the target itself is near 0.
-    """
-    ordered = []
-    seen = set()
-    base = round(target * parent)
-    cap = math.ceil((target + eps) * parent) - 1
-    for s in (base, base + 1, base - 1, base + 2, base - 2, cap, cap - 1):
-        if floor_size <= s <= parent and s not in seen:
-            seen.add(s)
-            ordered.append(s)
-    return ordered
+    return TripleSearchResult(
+        bool(passed[0]), structure._make_chain(*masks), devs[0],
+        "exhaustive" if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT else "sampled", int(tried[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -496,8 +698,10 @@ class FamilyDensityReport:
 
 
 #: Most target triples `par5_family` probes: a grid of n points per axis
-#: gives n**3 targets.  A target that no member meets costs every member
-#: its greedy chains and one vector pass over its cached chain table.
+#: gives n**3 targets.  Each member makes one pass over the targets still
+#: open: a memo lookup per target for the greedy chains, and one block-wise
+#: scan of its cached chain table for those they miss, whose exact recheck
+#: is the only per-target Fraction work.
 DENSITY_TARGET_LIMIT = 10_000
 
 
@@ -529,6 +733,12 @@ def par5_family(
     A zero-resolution grid passes vacuously and is flagged as such; options
     that `check_density_options` refuses raise ValueError.  The
     worst-approximated triple reports the deviation the search achieved.
+
+    Members are searched largest first, each in one pass (`_MemberSearch`)
+    over the targets no member before it met; a target's result is that of
+    `par5_triples` on each member in turn up to its first hit.  The pass is
+    exact: greedy deviations are Fractions, table hits are rank windows, and
+    a miss's float minimum only picks the chains that are rechecked exactly.
     """
     members = list(family.members)
     if not members:
@@ -541,33 +751,24 @@ def par5_family(
         grid = [ZERO]
     else:
         grid = [Fraction(i, grid_resolution - 1) for i in range(grid_resolution)]
-    order = sorted(range(len(members)), key=lambda i: -members[i].domain.size)
-    failures = []
-    worst = None
-    checked = 0
-    for alpha in grid:
-        for beta in grid:
-            for gamma in grid:
-                checked += 1
-                probe = DensityProbe(alpha, beta, gamma, epsilon)
-                target_best = None
-                target_member = None
-                hit = False
-                for idx in order:
-                    result = par5_triples(
-                        members[idx], probe, seed=seed, budget=budget
-                    )
-                    if target_best is None or result.deviation < target_best:
-                        target_best, target_member = result.deviation, idx
-                    if result.passed:
-                        hit = True
-                        break
-                if not hit:
-                    failures.append(((alpha, beta, gamma), target_best))
-                if worst is None or target_best > worst[1]:
-                    worst = ((alpha, beta, gamma), target_best, target_member)
+    targets = np.array(list(itertools.product(range(len(grid)), repeat=3)))
+    best = [None] * len(targets)  # (deviation, member) of each target
+    open_ = np.arange(len(targets))
+    for idx in sorted(range(len(members)), key=lambda i: -members[i].domain.size):
+        if not len(open_):
+            break
+        passed, devs, _, _ = _MemberSearch(members[idx], grid, epsilon, seed, budget).run(
+            targets[open_])
+        for t, dev in zip(open_.tolist(), devs):
+            if best[t] is None or dev < best[t][0]:
+                best[t] = (dev, idx)
+        open_ = open_[~passed]
+    point = lambda t: tuple(grid[i] for i in targets[t].tolist())
+    failures = tuple((point(t), best[t][0]) for t in open_.tolist())
+    worst = max(range(len(targets)), key=lambda t: best[t][0])  # the first of the largest
     return FamilyDensityReport(
-        not failures, False, grid_resolution, epsilon, checked, tuple(failures), worst
+        not failures, False, grid_resolution, epsilon, len(targets), failures,
+        (point(worst), *best[worst]),
     )
 
 
@@ -1085,12 +1286,23 @@ def _audit_t4(family, *, grid_resolution, epsilon, seed, budget) -> AuditReport:
         HypothesisVerdict("par2-endpoints", "fail" if par2 else "pass",
                           par2 or "all members normalized at the endpoints")
     )
-    # the merged forms are tabular on the default interval [0, 1]
-    s_rep = ranked_monotonicity("negation", *family.negation[:3], (ZERO, ONE))
-    hypotheses.append(_verdict_of(s_rep.decreasing, "par3-negation-decreasing"))
-    f_rep = ranked_monotonicity("combination", *family.combination[:3], (ZERO, ONE))
-    hypotheses.append(_verdict_of(f_rep.strict_increase, "par4-combination-strict-increase"))
-    hypotheses.append(_verdict_of(f_rep.continuity, "par4-combination-continuity"))
+    # the merged forms are checked on the bounds the members share
+    bounds = family.members[0].bounds
+    other = next((i for i, m in enumerate(family.members) if m.bounds != bounds), None)
+    if other is not None:
+        e, big_e = family.members[other].bounds
+        why = (f"members 0 and {other} differ in bounds: [{bounds[0]},{bounds[1]}] "
+               f"vs [{e},{big_e}]")
+        hypotheses += [HypothesisVerdict(name, "untestable", why) for name in (
+            "par3-negation-decreasing", "par4-combination-strict-increase",
+            "par4-combination-continuity")]
+    else:
+        s_rep = ranked_monotonicity("negation", *family.negation[:3], bounds)
+        hypotheses.append(_verdict_of(s_rep.decreasing, "par3-negation-decreasing"))
+        f_rep = ranked_monotonicity("combination", *family.combination[:3], bounds)
+        hypotheses.append(_verdict_of(f_rep.strict_increase,
+                                      "par4-combination-strict-increase"))
+        hypotheses.append(_verdict_of(f_rep.continuity, "par4-combination-continuity"))
     density = par5_family(family, grid_resolution, epsilon, seed=seed, budget=budget)
     hypotheses.append(
         HypothesisVerdict(

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain, 
 from coxcheck.files import load_structure
 from coxcheck.forms import NegationForm, Verdict
 from coxcheck.generators import (
+    affine_rescale,
     build_family,
     coin_extend,
     coin_family,
@@ -432,7 +434,10 @@ def oracle_par5_family(family, grid_resolution, epsilon, *, seed=0, budget=2000)
     first, a target's best deviation and member over the members probed up
     to its first hit, and the worst target over all."""
     members = family.members
-    grid = [F(i, grid_resolution - 1) for i in range(grid_resolution)]
+    if grid_resolution == 1:
+        grid = [F(0)]
+    else:
+        grid = [F(i, grid_resolution - 1) for i in range(grid_resolution)]
     order = sorted(range(len(members)), key=lambda i: -members[i].domain.size)
     failures, worst = [], None
     for target in ((a, b, g) for a in grid for b in grid for g in grid):
@@ -478,6 +483,89 @@ class TestFamilyDensityOracle:
         got = par5_family(family, 4, F(1, 10), seed=2, budget=150)
         assert got == oracle_par5_family(family, 4, F(1, 10), seed=2, budget=150)
         assert got.failures and got.worst_target
+
+    @staticmethod
+    def check(members, grid, eps, *, seed=0, budget=2000):
+        """par5_family on a family of `members` equals the oracle's report;
+        the report, for the caller to look into."""
+        family = SimpleNamespace(members=tuple(members))
+        got = par5_family(family, grid, eps, seed=seed, budget=budget)
+        assert got == oracle_par5_family(family, grid, eps, seed=seed, budget=budget)
+        return got
+
+    @pytest.mark.parametrize("bounds", [(F(1), F(2)), (F(-1, 2), F(3))], ids=["1-2", "-1/2-3"])
+    def test_table_members_on_other_bounds(self, bounds):
+        e, big_e = bounds
+        rng = random.Random(31)
+        members = []
+        for n in (2, 4, 6, 7):
+            ints = [rng.randint(1, 9) for _ in range(n)]
+            base = gen_probability(Domain(tuple(f"x{i}" for i in range(n))),
+                                   [F(i, sum(ints)) for i in ints])
+            members.append(base.map_values(lambda v: e + (big_e - e) * v * v / (2 - v),
+                                           bounds=bounds))
+        got = self.check(members, 3, F(1, 10), seed=3, budget=120)
+        assert got.failures and not got.passed
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_weight_members_with_exponents(self, k):
+        rng = random.Random(k)
+        members = []
+        for n in (3, 6, 8, 11):
+            ints = [rng.randint(1, 9) for _ in range(n)]
+            members.append(BeliefStructure.from_weights(
+                Domain(tuple(f"x{i}" for i in range(n))), [F(i, sum(ints)) for i in ints], k))
+        got = self.check(members, 3, F(1, 8), seed=5, budget=100)
+        assert got.failures
+
+    @pytest.mark.parametrize("budget", [0, 5, 50])
+    def test_budgets_below_the_greedy_count(self, budget):
+        # a budget at or below a target's greedy chain count leaves it no
+        # random chain at all
+        members = [*coin_family(4).members,
+                   BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(7))),
+                                                [F(i, 28) for i in range(1, 8)])]
+        self.check(members, 4, F(1, 20), seed=6, budget=budget)
+
+    @pytest.mark.parametrize("eps", [F(1), F(3, 2)])
+    def test_epsilon_of_one_or_more(self, eps):
+        got = self.check(coin_family(4).members, 3, eps, seed=1, budget=50)
+        assert got.passed
+
+    @pytest.mark.parametrize("coins", [1, 4])
+    def test_grid_of_one(self, coins):
+        got = self.check(coin_family(coins).members, 1, F(1, 10), budget=50)
+        assert got.targets_checked == 1
+
+    def test_values_beyond_the_float_range(self):
+        # on the bounds [0, 10^400] every nonzero value and target reads as
+        # an infinite float, so missed targets are rechecked on every chain
+        big = F(10) ** 400
+        members = [uniform(n).map_values(lambda v: v * big, bounds=(F(0), big))
+                   for n in (2, 3, 6)]
+        got = self.check(members, 3, F(1, 20), seed=1, budget=80)
+        assert got.failures
+
+    def test_half_sizes_round_to_even(self):
+        """γ = 1/2 under an odd parent gives a size of k + 1/2, which
+        `round` takes to the even neighbour: 9/2 to 4, 7/2 to 4."""
+        assert (round(F(9, 2)), round(F(7, 2))) == (4, 4)
+        members = [uniform(n) for n in (7, 9, 11)] + [BeliefStructure.from_weights(
+            Domain(tuple(f"x{i}" for i in range(13))), [F(i, 91) for i in range(1, 14)])]
+        for member in members:
+            for eps in (F(1, 5), F(1, 50), F(1, 10**6)):
+                probe = DensityProbe(F(1, 2), F(1, 2), F(1, 2), eps)
+                got = par5_triples(member, probe, seed=2, budget=60)
+                assert got == oracle_par5_triples(member, probe, seed=2, budget=60)
+        self.check(members, 3, F(1, 30), seed=2, budget=60)
+
+    def test_builds_no_chain_quadruple(self, monkeypatch):
+        def refuse(*masks):
+            raise AssertionError("par5_family built a ChainQuadruple")
+        members = [*coin_family(4).members, uniform(7).map_values(lambda v: v, (F(0), F(1)))]
+        monkeypatch.setattr(BeliefStructure, "_make_chain", refuse)
+        report = par5_family(SimpleNamespace(members=tuple(members)), 4, F(1, 20), budget=150)
+        assert report.failures  # missed targets went through every member's table
 
 
 class TestFamilyDensity:
@@ -662,6 +750,26 @@ class TestAudits:
         report = audit(None, "4", family=fam, grid_resolution=2, epsilon=F(1, 4))
         verdict = next(h for h in report.hypotheses if h.name == "uniform-negation")
         assert verdict.status == "fail"
+
+    def test_t4_checks_par3_and_par4_on_the_shared_bounds(self):
+        # v ↦ 1 + v: x = e = 1 is excluded from Par4's comparisons
+        family = build_family([affine_rescale(m, 1, 1) for m in coin_family(3).members])
+        report = audit(None, "4", family=family, grid_resolution=2)
+        verdicts = {h.name: h for h in report.hypotheses}
+        assert verdicts["par3-negation-decreasing"].status == "pass"
+        strict = verdicts["par4-combination-strict-increase"]
+        assert strict.status == "pass"
+        assert strict.witness.endswith("comparable pairs in (1,2]^2")
+
+    def test_t4_members_on_different_bounds_leave_par3_and_par4_untestable(self):
+        members = [affine_rescale(m, 1, 1) for m in coin_family(2).members]
+        family = build_family(members + [uniform(2)])
+        report = audit(None, "4", family=family, grid_resolution=2)
+        verdicts = {h.name: h for h in report.hypotheses}
+        for name in ("par3-negation-decreasing", "par4-combination-strict-increase",
+                     "par4-combination-continuity"):
+            assert verdicts[name].status == "untestable"
+            assert verdicts[name].witness == "members 0 and 2 differ in bounds: [1,2] vs [0,1]"
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
