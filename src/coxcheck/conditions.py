@@ -268,9 +268,9 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
     """(xs, at): Fractions, and for each chain of the level rows the
     positions in xs of its steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1).
 
-    A weight backing whose unit total W − 1 is below 2^31 reads the masses
-    μ(U1)..μ(U4) off the level rows in int64, keys each step by the one
-    int μ(V)·W + μ(U), and builds one Fraction per distinct key, in key
+    A weight backing whose unit total W − 1 is below 2^31 sums the masses
+    μ(U1)..μ(U4) off the level rows, keys each step by the one int
+    μ(V)·W + μ(U), and builds one Fraction per distinct key, in key
     order.  Other structures look each step up with `bel_masks` on the
     packed `masks`.
     """
