@@ -219,11 +219,12 @@ _WORD_PIECE = 1 << 13
 
 
 def _exhaustive_levels(structure: BeliefStructure):
-    """The level rows of every chain of `chain_masks()`, in its order, as
-    one block, whatever the count sent: an atom's level is the number of
-    U1..U4 that hold it.  All 5^n rows are drawn at once, those with
-    U3 = ∅ dropped, and the rest sorted by (u1, u2, u3, u4) packed into
-    one int.  Primed with `next`, as `_random_levels`."""
+    """The level rows of every nested chain U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅,
+    each once, as one block whatever the count sent: an atom's level is the
+    number of U1..U4 that hold it.  All 5^n rows are drawn at once, those
+    with U3 = ∅ dropped, and the rest sorted by the masks (u1, u2, u3, u4)
+    packed into one int, so lexicographically.  Primed with `next`, as
+    `_random_levels`."""
     yield
     n = structure.domain.size
     levels = (np.arange(5 ** n)[:, None] // 5 ** np.arange(n) % 5).astype(np.uint8)
@@ -268,26 +269,25 @@ def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarr
     """(xs, at): Fractions, and for each chain of the level rows the
     positions in xs of its steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1).
 
-    A weight backing whose unit total W − 1 is below 2^31 sums the masses
-    μ(U1)..μ(U4) off the level rows, keys each step by the one int
-    μ(V)·W + μ(U), and builds one Fraction per distinct key, in key
-    order.  Other structures look each step up with `bel_masks` on the
-    packed `masks`.
+    A weight backing whose unit total is below 2^62 reads the masses
+    μ(U1)..μ(U4) off the level rows in int64 and builds one Fraction per
+    distinct (mass, mass) step, in the (μ(V), μ(U)) order of one `lexsort`.
+    Other structures look each step up with `bel_masks` on the packed `masks`.
     """
-    if structure.is_weight_backed and structure._prefix[-1] < 1 << 31:
-        # float64 sums of ints below 2^31 are exact
-        units = np.array(structure._units, dtype=np.float64)
-        step = max(1, (1 << 16) // structure.domain.size)  # rows per product
+    if structure.is_weight_backed and structure._prefix[-1] < 1 << 62:
+        units = np.array(structure._units, dtype=np.int64)
+        step = max(1, (1 << 16) // structure.domain.size)  # rows per int64 product
         mass = np.concatenate([
             np.stack([(part >= j) @ units for j in range(1, 5)], axis=1)
             for part in np.split(levels, range(step, len(levels), step))
-        ]).astype(np.int64)
-        width = structure._prefix[-1] + 1
-        keys, at = np.unique(mass[:, [3, 2, 1]] * width + mass[:, [2, 1, 0]],
-                             return_inverse=True)
-        xs = [Fraction(v, u) for v, u in zip(*(a.tolist() for a in np.divmod(keys, width)))]
-        if structure.exponent > 1:
-            xs = [x ** structure.exponent for x in xs]
+        ])
+        v, u = mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()
+        order = np.lexsort((u, v))
+        v, u = v[order], u[order]
+        new = np.concatenate(([True], (v[1:] != v[:-1]) | (u[1:] != u[:-1])))
+        at = np.empty_like(order)
+        at[order] = np.cumsum(new) - 1
+        xs = [Fraction(a, b) ** structure.exponent for a, b in zip(v[new].tolist(), u[new].tolist())]
         return xs, at.reshape(-1, 3)
     bel = structure.bel_masks
     xs = []
@@ -325,15 +325,9 @@ class _ChainTable:
                 levels = self._blocks.send(count - len(self.steps))
             except StopIteration:
                 return
-            # atom i lies in U_j exactly when its level is at least j; rows
-            # padded to whole bytes pack as one flat array
-            rows, n = levels.shape
-            bits = np.zeros((rows, self.masks.shape[2] * 8), dtype=bool)
-            masks = np.empty((rows, 4, self.masks.shape[2]), dtype=np.uint8)
-            for j in range(4):
-                np.greater_equal(levels, j + 1, out=bits[:, :n])
-                masks[:, j] = np.packbits(bits, bitorder="little").reshape(rows, -1)
-            del bits
+            # atom i lies in U_j exactly when its level is at least j
+            masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
+                              for j in range(1, 5)], axis=1)
             xs, at = _step_values(structure, levels, masks)
             del levels
             old = len(self.values)
@@ -347,9 +341,9 @@ class _ChainTable:
 
 
 def _chain_table(structure: BeliefStructure, seed: int) -> _ChainTable:
-    """The structure's chain table, built once: every chain of
-    `chain_masks()` up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, the chains of
-    `_random_levels(n, seed)` above."""
+    """The structure's chain table, built once: every nested chain
+    (`_exhaustive_levels`) up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, the
+    chains of `_random_levels(n, seed)` above."""
     n = structure.domain.size
     if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
         return structure.derived(
@@ -392,11 +386,9 @@ class _MemberSearch:
     s3 for α, then the table's seeded random chains up to `budget` in all.
     The greedy chains are scored on memos shared by all targets: each
     prefix step Bel([0, s′)|[0, s)) is read once, and its deviation from a
-    coordinate kept by (s′, s, coordinate).  The first hit among the chains
-    under one U3 size, and under one U2 size, is kept by (s3, α) and by
-    (s2, β, α), and so is their least deviation, which only a missed
-    target reads.  The table is then scanned by `_scan` for every target
-    the greedy chains missed, at once.
+    coordinate kept by (s′, s, coordinate), so a target's greedy loop is
+    memo lookups and `Fraction` comparisons.  The table is then scanned by
+    `_scan` for every target the greedy chains missed, at once.
     """
 
     def __init__(self, structure: BeliefStructure, coords, eps: Fraction, seed: int,
@@ -406,8 +398,7 @@ class _MemberSearch:
         self.scaled = [e + t * (big_e - e) for t in coords]
         self.table = _chain_table(structure, seed)
         self._window = [(t - eps, t + eps) for t in self.scaled]
-        self._size_memo, self._step_memo, self._near_memo, self._dev_memo = {}, {}, {}, {}
-        self._group_memo = {}
+        self._size_memo, self._step_memo, self._dev_memo = {}, {}, {}
 
     def run(self, targets: np.ndarray) -> tuple:
         """(passed, deviation, tried, at) of each target row: whether it
@@ -446,14 +437,6 @@ class _MemberSearch:
                 (1 << child) - 1, (1 << parent) - 1)
         return step
 
-    def _near(self, child: int, parent: int, i: int) -> bool:
-        """Whether the step lies within ε of coordinate i."""
-        near = self._near_memo.get((child, parent, i))
-        if near is None:
-            low, high = self._window[i]
-            near = self._near_memo[child, parent, i] = low < self._step(child, parent) < high
-        return near
-
     def _dev(self, child: int, parent: int, i: int) -> Fraction:
         """The step's distance from coordinate i."""
         dev = self._dev_memo.get((child, parent, i))
@@ -462,92 +445,29 @@ class _MemberSearch:
                                                          - self.scaled[i])
         return dev
 
-    def _group(self, key: tuple, build):
-        """build(), kept under `key`: a record of the chains under one U3
-        size (s3, α) or one U2 size (s2, β, α)."""
-        record = self._group_memo.get(key, self)
-        if record is self:
-            record = self._group_memo[key] = build()
-        return record
-
-    def _lower_hit(self, s3: int, a: int):
-        """(position, s4) of the first U4 size under a U3 of size s3 whose
-        step lies within ε of α, or None."""
-        return self._group(("hit", s3, a), lambda: next(
-            ((k, s4) for k, s4 in enumerate(self._sizes(s3, a, 0)) if self._near(s4, s3, a)),
-            None))
-
-    def _upper_hit(self, s2: int, b: int, a: int):
-        """(position + 1, s3, s4) of the first chain under a U2 of size s2
-        whose two lower steps lie within ε of (α, β), or None."""
-        def build():
-            tried = 0
-            for s3 in self._sizes(s2, b, 1):
-                low = self._near(s3, s2, b) and self._lower_hit(s3, a)
-                if low:
-                    return tried + low[0] + 1, s3, low[1]
-                tried += len(self._sizes(s3, a, 0))
-            return None
-        return self._group(("hit", s2, b, a), build)
-
-    def _upper_count(self, s2: int, b: int, a: int) -> int:
-        """The number of chains under a U2 of size s2."""
-        return self._group(("count", s2, b, a), lambda: sum(
-            len(self._sizes(s3, a, 0)) for s3 in self._sizes(s2, b, 1)))
-
-    def _lower_least(self, s3: int, a: int) -> Fraction:
-        """The least deviation from α of the U4 sizes under a U3 of size s3."""
-        return self._group(("least", s3, a), lambda: min(
-            self._dev(s4, s3, a) for s4 in self._sizes(s3, a, 0)))
-
-    def _upper_least(self, s2: int, b: int, a: int) -> Fraction:
-        """The least deviation from (α, β) of the chains under a U2 of size s2."""
-        def build():
-            least = None
-            for s3 in self._sizes(s2, b, 1):
-                d3 = self._dev(s3, s2, b)
-                if least is None or d3 < least:  # else max(d3, ·) cannot be less
-                    low = max(d3, self._lower_least(s3, a))
-                    least = low if least is None or low < least else least
-            return least
-        return self._group(("least", s2, b, a), build)
-
     def _greedy(self, a: int, b: int, g: int) -> tuple:
         """(passed, tried, deviation, sizes) of a target's greedy chains:
-        the first hit and its (s2, s3, s4), or all of them and their least
-        deviation, with sizes None."""
-        n, tried, least = self.structure.domain.size, 0, None
-        for s2 in self._sizes(n, g, 1):
-            hit = self._near(s2, n, g) and self._upper_hit(s2, b, a)
-            if hit:
-                _, s3, s4 = hit
-                dev = max(self._dev(s2, n, g), self._dev(s3, s2, b), self._dev(s4, s3, a))
-                return True, tried + hit[0], dev, (s2, s3, s4)
-            tried += self._upper_count(s2, b, a)
+        the first hit, or else the first chain of least deviation, and its
+        (s2, s3, s4).  Chains under a U3 whose two upper steps already
+        deviate by ε and by the least deviation so far are counted unread."""
+        n, eps = self.structure.domain.size, self.eps
+        tried, best = 0, None
         for s2 in self._sizes(n, g, 1):
             d2 = self._dev(s2, n, g)
-            if least is None or d2 < least:
-                low = max(d2, self._upper_least(s2, b, a))
-                least = low if least is None or low < least else least
-        return False, tried, least, None
-
-    def greedy_sizes(self, a: int, b: int, g: int) -> tuple[int, int, int]:
-        """(s2, s3, s4) of a target's greedy hit, or of its first greedy
-        chain of least deviation: the first size at each level whose group
-        holds a chain of that deviation."""
-        passed, _, dev, sizes = self._greedy(a, b, g)
-        if passed:
-            return sizes
-        n = self.structure.domain.size
-        s2 = next(s for s in self._sizes(n, g, 1)
-                  if max(self._dev(s, n, g), self._upper_least(s, b, a)) == dev)
-        d2 = self._dev(s2, n, g)
-        s3 = next(s for s in self._sizes(s2, b, 1)
-                  if max(d2, self._dev(s, s2, b), self._lower_least(s, a)) == dev)
-        d3 = self._dev(s3, s2, b)
-        s4 = next(s for s in self._sizes(s3, a, 0)
-                  if max(d2, d3, self._dev(s, s3, a)) == dev)
-        return s2, s3, s4
+            for s3 in self._sizes(s2, b, 1):
+                d3 = max(d2, self._dev(s3, s2, b))
+                lower = self._sizes(s3, a, 0)
+                if d3 >= eps and best is not None and d3 >= best[0]:
+                    tried += len(lower)
+                    continue
+                for s4 in lower:
+                    tried += 1
+                    dev = max(d3, self._dev(s4, s3, a))
+                    if dev < eps:
+                        return True, tried, dev, (s2, s3, s4)
+                    if best is None or dev < best[0]:
+                        best = dev, (s2, s3, s4)
+        return False, tried, *best
 
     # -- the chain table -------------------------------------------------------
 
@@ -641,7 +561,7 @@ def par5_triples(
 ) -> TripleSearchResult:
     """Search for one nested chain ε-approximating all three targets at once.
 
-    Exhaustive over chain_masks() up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
+    Exhaustive over every nested chain up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
     Above that the search is deterministic-greedy (prefix chains with sizes
     proportional to the targets) followed by seeded random sampling, with the
     candidate count recorded.  Chains are scored from their three steps; the
@@ -659,7 +579,7 @@ def par5_triples(
         masks = search.table.chain(int(at[0]))
     else:
         masks = (structure.domain.full_mask,
-                 *((1 << s) - 1 for s in search.greedy_sizes(0, 1, 2)))
+                 *((1 << s) - 1 for s in search._greedy(0, 1, 2)[3]))
     n = structure.domain.size
     return TripleSearchResult(
         bool(passed[0]), structure._make_chain(*masks), devs[0],
@@ -699,9 +619,10 @@ class FamilyDensityReport:
 
 #: Most target triples `par5_family` probes: a grid of n points per axis
 #: gives n**3 targets.  Each member makes one pass over the targets still
-#: open: a memo lookup per target for the greedy chains, and one block-wise
-#: scan of its cached chain table for those they miss, whose exact recheck
-#: is the only per-target Fraction work.
+#: open: per target, a greedy loop over deviations memoized for the member,
+#: then one block-wise scan of its cached chain table for the targets that
+#: loop misses, and an exact recheck of the chains near each miss's float
+#: minimum.
 DENSITY_TARGET_LIMIT = 10_000
 
 
@@ -1286,13 +1207,14 @@ def _audit_t4(family, *, grid_resolution, epsilon, seed, budget) -> AuditReport:
         HypothesisVerdict("par2-endpoints", "fail" if par2 else "pass",
                           par2 or "all members normalized at the endpoints")
     )
-    # the merged forms are checked on the bounds the members share
-    bounds = family.members[0].bounds
-    other = next((i for i, m in enumerate(family.members) if m.bounds != bounds), None)
+    # the merged forms are checked on the bounds their members share
+    merged = family.merged or (0,)
+    bounds = family.members[merged[0]].bounds
+    other = next((i for i in merged if family.members[i].bounds != bounds), None)
     if other is not None:
         e, big_e = family.members[other].bounds
-        why = (f"members 0 and {other} differ in bounds: [{bounds[0]},{bounds[1]}] "
-               f"vs [{e},{big_e}]")
+        why = (f"members {merged[0]} and {other} differ in bounds: "
+               f"[{bounds[0]},{bounds[1]}] vs [{e},{big_e}]")
         hypotheses += [HypothesisVerdict(name, "untestable", why) for name in (
             "par3-negation-decreasing", "par4-combination-strict-increase",
             "par4-combination-continuity")]

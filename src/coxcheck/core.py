@@ -739,24 +739,6 @@ class BeliefStructure:
         # the ranks that occur, ascending; a plain np.unique would load numpy.ma
         return [values[r] for r in np.flatnonzero(np.bincount(ranks)).tolist()]
 
-    def chain_masks(self) -> Iterator[tuple[int, int, int, int]]:
-        """Every nested quadruple U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, exactly once,
-        as masks (u1, u2, u3, u4).
-
-        Deterministic order; capped at EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms.
-        """
-        if self._domain.size > EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-            raise BeliefDomainError(
-                f"chain enumeration capped at {EXHAUSTIVE_CHAIN_ATOM_LIMIT} atoms"
-            )
-        for u1 in range(1, self._domain.full_mask + 1):
-            for u2 in sorted(_submasks_desc(u1)):
-                for u3 in sorted(_submasks_desc(u2)):
-                    if u3 == 0:
-                        continue
-                    for u4 in sorted(_submasks_desc(u3)):
-                        yield u1, u2, u3, u4
-
     def _make_chain(self, u1: int, u2: int, u3: int, u4: int) -> ChainQuadruple:
         d = self._domain
         return ChainQuadruple(

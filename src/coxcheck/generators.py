@@ -139,12 +139,14 @@ class DomainFamily:
     """Structures sharing (up to evidence) one S and one F across domains.
 
     `negation` and `combination` are the merged S and F on the ranks of the
-    sorted union of the members' values, each key's `first` its instance's
-    index among all members' instances in member order.  `s_evidence` and
+    sorted union of the values of the members `merged` (indices into
+    `members`), each key's `first` its instance's index among all their
+    instances in member order.  `s_evidence` and
     `f_evidence` are the same tables in Fractions, built on first use.
     """
 
     members: tuple[BeliefStructure, ...]
+    merged: tuple[int, ...]
     negation: RankedExtraction
     negation_uniform: bool
     negation_detail: str
@@ -229,7 +231,7 @@ def build_family(members) -> DomainFamily:
         if not skipped
         else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
     )
-    return DomainFamily(members, *merged, note)
+    return DomainFamily(members, tuple(used), *merged, note)
 
 
 def coin_domain(coins: int) -> Domain:

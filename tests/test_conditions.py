@@ -26,6 +26,7 @@ from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain, 
 from coxcheck.files import load_structure
 from coxcheck.forms import NegationForm, Verdict
 from coxcheck.generators import (
+    EVIDENCE_SIZE_CAP,
     affine_rescale,
     build_family,
     coin_extend,
@@ -770,6 +771,19 @@ class TestAudits:
                      "par4-combination-continuity"):
             assert verdicts[name].status == "untestable"
             assert verdicts[name].witness == "members 0 and 2 differ in bounds: [1,2] vs [0,1]"
+
+    def test_t4_takes_the_bounds_of_the_merged_members(self):
+        # a member above EVIDENCE_SIZE_CAP adds nothing to the merged S and
+        # F, so its other bounds leave Par3/Par4 testable, even as member 0
+        members = [affine_rescale(m, 1, 1) for m in coin_family(2).members]
+        family = build_family([uniform(EVIDENCE_SIZE_CAP + 1), *members])
+        assert family.merged == (1, 2)
+        report = audit(None, "4", family=family, grid_resolution=2)
+        verdicts = {h.name: h for h in report.hypotheses}
+        assert verdicts["par3-negation-decreasing"].status == "pass"
+        strict = verdicts["par4-combination-strict-increase"]
+        assert strict.status == "pass"
+        assert strict.witness.endswith("comparable pairs in (1,2]^2")
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck.cli import main
+from coxcheck import conditions
+from coxcheck.conditions import _chain_table
 from coxcheck.core import (
+    EXHAUSTIVE_CHAIN_ATOM_LIMIT,
     BeliefDomainError,
     BeliefStructure,
     Domain,
@@ -193,20 +196,25 @@ class TestAttained:
 
 
 def chains(structure):
-    """`chain_masks()` with the six values of each chain."""
-    return itertools.starmap(structure._make_chain, structure.chain_masks())
+    """The chains of the structure's density chain table, in search order,
+    as masks (u1, u2, u3, u4): every nested chain up to
+    EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, from numpy-built level rows."""
+    table = _chain_table(structure, 0)
+    table.grow(structure, 5 ** structure.domain.size)
+    return [table.chain(i) for i in range(len(table.steps))]
 
 
 def count_chains(structure):
-    """Number of nested quadruples with U3 ≠ ∅, by running the enumeration."""
-    return sum(1 for _ in chains(structure))
+    """Number of nested quadruples with U3 ≠ ∅, by building the table."""
+    return len(chains(structure))
 
 
 def brute_force_chain_quadruples(domain):
-    """Independent oracle: filter all event 4-tuples by pairwise inclusion.
+    """Independent oracle: filter all event 4-tuples by pairwise inclusion,
+    in lexicographic (u1, u2, u3, u4) order.
 
-    Deliberately ignorant of the submask trick in chain_masks(); used to
-    cross-check the enumeration.
+    Deliberately ignorant of how the chain table draws its level rows;
+    used to cross-check the enumeration and its order.
     """
     masks = range(domain.full_mask + 1)
     return [
@@ -220,13 +228,12 @@ class TestChains:
     def test_one_atom_has_two_chains(self):
         assert count_chains(uniform(1)) == 2
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumeration_matches_brute_force(self, n):
         b = uniform(n)
-        oracle = set(brute_force_chain_quadruples(b.domain))
-        got = [(c.u1.mask, c.u2.mask, c.u3.mask, c.u4.mask) for c in chains(b)]
+        got = chains(b)
         assert len(got) == len(set(got)), "chains emitted more than once"
-        assert set(got) == oracle
+        assert got == brute_force_chain_quadruples(b.domain)
 
     def test_two_atom_count_frozen(self):
         # brute-force oracle over all event 4-tuples: 16 nested quadruples
@@ -236,7 +243,10 @@ class TestChains:
 
     def test_derived_values_are_definitional(self):
         b = BeliefStructure.from_weights(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
-        for c in chains(b):
+        table = _chain_table(b, 0)
+        for masks, ranks in zip(chains(b), table.steps.tolist()):
+            c = b._make_chain(*masks)
+            assert [table.values[r] for r in ranks] == [c.x, c.y, c.z]
             assert c.x == b.bel_masks(c.u4.mask, c.u3.mask)
             assert c.y == b.bel_masks(c.u3.mask, c.u2.mask)
             assert c.z == b.bel_masks(c.u2.mask, c.u1.mask)
@@ -244,9 +254,18 @@ class TestChains:
             assert c.u_b == b.bel_masks(c.u3.mask, c.u1.mask)
             assert c.u_c == b.bel_masks(c.u4.mask, c.u1.mask)
 
-    def test_enumeration_is_capped(self):
-        with pytest.raises(BeliefDomainError, match="chain enumeration capped"):
-            next(chains(uniform(6)))
+    def test_enumeration_is_capped(self, monkeypatch):
+        # above the cap the table holds seeded random chains instead
+        def refuse(structure):
+            raise AssertionError("exhaustive chains built above the cap")
+
+        monkeypatch.setattr(conditions, "_exhaustive_levels", refuse)
+        b = uniform(EXHAUSTIVE_CHAIN_ATOM_LIMIT + 1)
+        tables = [_chain_table(b, seed) for seed in (0, 1)]
+        for table in tables:
+            table.grow(b, 100)
+        got = [[table.chain(i) for i in range(100)] for table in tables]
+        assert got[0] != got[1]
 
 
 class TestStructureEquality:

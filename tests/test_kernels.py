@@ -730,6 +730,20 @@ class TestStepValues:
         structure = weighted([rng.randint(1, 9) for _ in range(n)], k)
         assert_same_steps(structure, *random_blocks(n, k, 256))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unit_totals_between_2_31_and_2_62(self, k, monkeypatch):
+        # the masses stay exact int64 sums, with no `bel_masks` lookup
+        rng = random.Random(31 + k)
+        units = [rng.randint(1 << 40, 1 << 41) for _ in range(9)]
+        structure = weighted(units, k)
+        assert 1 << 31 < structure._prefix[-1] < 1 << 62
+
+        def refuse(*args):
+            raise AssertionError("a step was looked up")
+
+        monkeypatch.setattr(BeliefStructure, "bel_masks", refuse)
+        assert_same_steps(structure, *random_blocks(9, k, 256))
+
     def test_a_block_whose_rows_all_coincide(self):
         structure = weighted([3, 1, 4, 1, 5, 9, 2], 2)
         levels = np.tile(np.array([4, 3, 2, 1, 0, 3, 4], dtype=np.uint8), (50, 1))
