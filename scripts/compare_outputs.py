@@ -28,6 +28,11 @@ builds the jobs there:
 - a `decide` run of the 9-atom weights through v ↦ (2v + v³)/3
   (`write_wide_mix`), which the ratio engine's fixpoint settles in phase
   `propagation`
+- a `decide` run of 200 seeded non-power tables of 3-5 atoms
+  (`write_sweep`), of which only the verdict kind, the settling phase, the
+  witness weights and any certificate are compared, since the numeric
+  phase's evaluation counts and residuals depend on its solver; the tally
+  of kinds and phases is printed for each tree
 - a theorem-1 `audit` of the 8-atom tables and of the 9-atom table, whose
   Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
@@ -76,6 +81,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,6 +135,12 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
                     cert.data.instances if cert.kind == "order-conflict" else None
                 ),
             }
+        if job.get("verdict_only") and "report" in result:
+            verdict = result["report"]["verdict"]
+            result = {"exit": rc, "kind": verdict["kind"],
+                      "phase": verdict["budget"]["phase"],
+                      "weights": verdict.get("weights"),
+                      "certificate": result.get("certificate")}
         results.append(result)
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 
@@ -177,6 +189,11 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                 jobs.append({"id": f"{name}/{kind}/{path.name}",
                              "argv": [sub, str(path), *options, "--json", str(report)],
                              "report": str(report)})
+    for path in write_sweep(tmp / "sweep", beltables):
+        report = reports / f"decide-sweep-{path.stem}.json"
+        jobs.append({"id": f"decide/sweep/{path.name}", "verdict_only": True,
+                     "argv": ["decide", str(path), "--json", str(report)],
+                     "report": str(report)})
     for name, argv in DECIDE_OPTION_CASES.items():
         report = reports / f"decide-options-{name}.json"
         jobs.append({"id": f"decide/options/{name}",
@@ -475,6 +492,37 @@ def write_wide_mix(out: Path, beltables) -> list[Path]:
     return [mix]
 
 
+#: The strictly increasing maps of `write_sweep`, with g(0) = 0 and g(1) = 1;
+#: none is affine or a power law, so no structured candidate fits.
+SWEEP_MAPS = {
+    "mix2": lambda v: (v + v * v) / 2,
+    "mobius": lambda v: v / (2 - v),
+    "cubic-mix": lambda v: (2 * v + v ** 3) / 3,
+    "mix13": lambda v: (v + 3 * v * v) / 4,
+    "harmonic": lambda v: 2 * v / (1 + v),
+}
+
+
+def write_sweep(out: Path, beltables) -> list[Path]:
+    """200 probabilities drawn from `random.Random(7)`, each of 3-5
+    atoms with integer weights 1-9, pushed through the `SWEEP_MAPS` in
+    turn; a file is named by its place, map and weights."""
+    out.mkdir()
+    rng = random.Random(7)
+    maps = list(SWEEP_MAPS.items())
+    paths = []
+    for i in range(200):
+        n = rng.randint(3, 5)
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        name, g = maps[i % len(maps)]
+        plain = beltables.relabelled_table(beltables.normalized(ints), "identity")
+        path = out / f"{i:03d}-{name}-{'-'.join(map(str, ints))}.bel"
+        path.write_text(beltables.table_text(n, {k: g(x) for k, x in plain.items()}, (0, 1)),
+                        encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 #: Atom weights with twins (equal weights) for `write_planted`, by atom count.
 PLANTED_WEIGHTS = {8: [3, 5, 2, 7, 5, 1, 4, 6], 9: [15, 20, 12, 9, 5, 6, 28, 20, 1]}
 
@@ -676,6 +724,10 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-B", __file__, "--worker", str(src),
                             str(jobs_path), str(out_path)], check=True)
             results.append(json.loads(out_path.read_text(encoding="utf-8")))
+    for name, tree in zip(trees, results):
+        tally = Counter(f"{r.get('kind')}/{r.get('phase')}"
+                        for job, r in zip(jobs, tree) if job.get("verdict_only"))
+        print(f"sweep on {name}: {dict(sorted(tally.items()))}")
     differing = 0
     for job, before, after in zip(jobs, *results):
         fields = differing_fields(before, after)

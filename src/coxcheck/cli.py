@@ -424,8 +424,8 @@ def main(argv=None) -> int:
     A command builds acyclic tables (parsed lines, value ranks, engine
     instances) that reference counting frees when it returns.  Collections
     in between only rescan them, and a full one also rescans every loaded
-    module (numpy, and scipy once `decide` has run): tens of milliseconds,
-    landing on whichever command happens to cross the allocation threshold.
+    module, numpy above all: tens of milliseconds, landing on whichever
+    command happens to cross the allocation threshold.
     The collector is paused before the command allocates anything, so it
     cannot fire inside it.  The argument parser, the one cyclic object
     graph a command used to leave behind, is built once per process

@@ -17,11 +17,9 @@ clash is a sound refutation.  Without a clash, the fixpoint is an exact
 partial solution: `decide`'s propagation phase reads a weighting off the
 pinned ratios by exact elimination, before any numeric search.
 
-Only the numeric search needs scipy, and importing this module loads numpy
-alone: `decide` imports `scipy.optimize` at its start (`_optimize`), so
-`check`, `generate`, `equations` and the audits of theorems 1, 3 and 4
-never load it, and `decide`, `search-min` and the theorem-2 audit load it
-once per process.
+Every phase, the numeric search included, runs on numpy and the standard
+library alone: the search is a Levenberg–Marquardt loop of its own
+(`_weight_solver`).
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, Event, is_canonical, submask_table, subset_sums,
+    ZERO, ONE, BeliefStructure, Event, is_canonical, pair_masks, submask_table,
+    subset_sums,
 )
 from .conditions import chain_consistency
 from .forms import (
@@ -49,20 +48,13 @@ from .forms import (
 )
 
 
-def _optimize():
-    """`scipy.optimize`, imported on the first call and cached by Python
-    after it.  `decide` calls this before its first phase, so that no phase,
-    and no structure in a loop over `decide`, carries the import."""
-    import scipy.optimize
-
-    return scipy.optimize
-
-
 def __getattr__(name):
     # `minimize` stays resolvable by name (perfbench/spans.py traces it)
-    # without binding anything at import time (PEP 562)
+    # without binding anything at import time (PEP 562); no phase calls it
     if name == "minimize":
-        return _optimize().minimize
+        import scipy.optimize
+
+        return scipy.optimize.minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -847,15 +839,6 @@ def _structured_candidates(structure: BeliefStructure):
                 yield powers
 
 
-def _value_classes(structure: BeliefStructure):
-    """Sorted attained values with their canonical pair lists."""
-    index = structure.value_index()
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for v, u, x in index.pairs():
-        classes.setdefault(x, []).append((v, u))
-    return [(index.values[x], pairs) for x, pairs in sorted(classes.items())]
-
-
 def _pinned_weights(structure: BeliefStructure, known) -> list[Fraction] | None:
     """The one weighting that the ratios pinned in `known` allow, or None.
 
@@ -917,27 +900,34 @@ def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
     pair's ratio minus its value class's mean, then a hinge on adjacent class
     means less than 1e-7 apart or out of order, then, with `pull`, the mild
     pull 1e-2·(mean − normalized value) of each class.  `solve(w, free,
-    pull)` moves the weights flagged `free`, within [1e-12, ∞), by at most
-    `budget` evaluations; it returns them with the squared residual left
-    without the pull, and adds its evaluations to `report["iterations"]`.
+    pull)` moves the weights flagged `free` by Levenberg–Marquardt steps in
+    their logarithms, so every iterate stays positive, within `budget`
+    evaluations; it returns them with the squared residual left without the
+    pull, and adds its evaluations to `report["iterations"]`.
     """
-    least_squares = _optimize().least_squares
-    classes = _value_classes(structure)
+    n = structure.domain.size
+    index = structure.value_index()
+    # the canonical pairs grouped by value class, ascending, each class's
+    # pairs in canonical order
+    order = np.argsort(index.pair_rank, kind="stable")
+    ranks = index.pair_rank[order]
+    starts = np.flatnonzero(np.diff(ranks, prepend=-1))
+    sizes = np.diff(starts, append=len(ranks))
+    owner = np.repeat(np.arange(len(starts)), sizes)
     e, big_e = structure.bounds
     # normalized exactly, so huge bounds never pass through a float
-    targets = np.array([float((x - e) / (big_e - e)) for x, _ in classes])
-    sizes = np.array([len(pairs) for _, pairs in classes])
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(classes)), sizes)
-    masks = np.array([vu for _, pairs in classes for vu in pairs])
-    bits = 1 << np.arange(structure.domain.size)
-    v_in, u_in = ((masks[:, i, None] & bits != 0).astype(float) for i in (0, 1))
+    targets = np.array([float((index.values[x] - e) / (big_e - e))
+                        for x in ranks[starts].tolist()])
+    bits = 1 << np.arange(n)
+    v_in, u_in = ((m[order, None] & bits != 0).astype(float) for m in pair_masks(n))
 
     def residuals(w, pull):
-        """The residual vector at the weights w and its Jacobian."""
+        """The residual vector at the weights w and its Jacobian in log w;
+        ∂(μ(V)/μ(U))/∂log w_i = (1_V(i) − 1_U(i)·ratio)·w_i/μ(U) lies in
+        [−1, 1], whatever the scale of w."""
         mu_v, mu_u = v_in @ w, u_in @ w
         ratios = mu_v / mu_u
-        d_ratios = (v_in * mu_u[:, None] - u_in * mu_v[:, None]) / (mu_u ** 2)[:, None]
+        d_ratios = (v_in - u_in * ratios[:, None]) * w / mu_u[:, None]
         means = np.add.reduceat(ratios, starts) / sizes
         d_means = np.add.reduceat(d_ratios, starts) / sizes[:, None]
         gaps = means[:-1] + 1e-7 - means[1:]
@@ -950,29 +940,36 @@ def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
         return np.concatenate(res), np.concatenate(jac)
 
     def solve(w, free, pull):
-        def full(x):
-            out = w.copy()
-            out[free] = x
-            return out
-
-        last = [None, None]  # the last point evaluated and its residuals
-
-        def at(x):
-            # the solver asks for the Jacobian at the point whose residuals
-            # it has just evaluated, so one evaluation serves both
-            if last[0] is None or not np.array_equal(last[0], x):
-                last[:] = x.copy(), residuals(full(x), pull)
-            return last[1]
-
-        result = least_squares(
-            lambda x: at(x)[0], w[free],
-            jac=lambda x: at(x)[1][:, free],
-            bounds=(1e-12, np.inf), method="trf",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=budget,
-        )
-        report["iterations"] += int(result.nfev)
-        w = full(result.x)
-        return w, float(np.sum(residuals(w, False)[0] ** 2))
+        # a trial point can overflow or divide 0 by 0: its cost is then not
+        # below the current one, and it is rejected
+        with np.errstate(all="ignore"):
+            res, jac = residuals(w, pull)
+            cost, damping, evaluations = res @ res, 1e-3, 1
+            while evaluations < budget and 0 < cost < math.inf:
+                j = jac[:, free]
+                gradient, normal = j.T @ res, j.T @ j
+                if not np.abs(gradient).max() > 1e-15:
+                    break
+                step = np.linalg.solve(normal + damping * np.diag(np.diag(normal) + 1e-12),
+                                       -gradient)
+                # the decrease the linearized residuals promise
+                if not cost - np.sum((res + j @ step) ** 2) > 1e-15 * cost:
+                    break
+                trial = w.copy()
+                trial[free] *= np.exp(step)
+                trial_res, trial_jac = residuals(trial, pull)
+                evaluations += 1
+                trial_cost = trial_res @ trial_res
+                if not trial_cost < cost:  # NaN included
+                    damping *= 10
+                    continue
+                stalled = cost - trial_cost <= 1e-15 * cost
+                w, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+                damping = max(damping / 10, 1e-12)
+                if stalled:
+                    break
+            report["iterations"] += evaluations
+            return w, float(np.sum(residuals(w, False)[0] ** 2))
 
     return solve
 
@@ -1039,7 +1036,6 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     budget.
     """
     params = params or DecisionParams()
-    _optimize()  # before any phase: see `_optimize`
     budget_report = {"restarts": 0, "iterations": 0, "phase": "structured-candidates"}
 
     def exact_witness(weights) -> IsomorphismVerdict | None:

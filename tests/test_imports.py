@@ -1,4 +1,4 @@
-"""What each command loads: the solver only where `decide` runs.
+"""What each command loads: no command loads scipy.optimize or mpmath.
 
 The suite has long since imported scipy and mpmath by the time these tests
 run, so the commands run in a fresh interpreter, in order, each through
@@ -17,8 +17,9 @@ import scipy.optimize
 
 import coxcheck
 from coxcheck import isomorphism
+from coxcheck.files import save_structure
 
-from conftest import FIXTURES
+from conftest import FIXTURES, relabelled_probability
 
 HEAVY = ("scipy.optimize", "mpmath")
 
@@ -40,7 +41,10 @@ for name, argv in [
     ("check", ["check", {check!r}]),
     ("audit --theorem 4", ["audit", "--theorem", "4", "--family", str(tmp / "family")]),
     ("equations", ["equations", "--form", "product", "--eq", "EQ1", "--grid", "5"]),
+    ("search-min", ["search-min"]),
+    ("audit --theorem 2", ["audit", {decide!r}, "--theorem", "2"]),
     ("decide", ["decide", {decide!r}, "--json", str(tmp / "decide.json")]),
+    ("decide numeric", ["decide", {numeric!r}, "--json", str(tmp / "numeric.json")]),
 ]:
     code = coxcheck.cli.main(argv)
     steps[name] = [code, loaded()]
@@ -56,12 +60,17 @@ def steps(tmp_path_factory):
     after which `numpy.ma` is loaded under "numpy.ma", and the temporary
     directory the commands wrote to."""
     tmp = tmp_path_factory.mktemp("imports")
+    # weights (3, 2, 5, 2) through (v + v²)/2, which only the numeric
+    # phase settles (test_isomorphism.TestPropagationPhase)
+    save_structure(relabelled_probability([3, 2, 5, 2], lambda v: (v + v * v) / 2),
+                   tmp / "mix2.bel")
     src = str(Path(coxcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = PROBE.format(heavy=HEAVY, tmp=str(tmp),
                           check=str(FIXTURES / "uniform2.bel"),
-                          decide=str(FIXTURES / "three_atoms.bel"))
+                          decide=str(FIXTURES / "three_atoms.bel"),
+                          numeric=str(tmp / "mix2.bel"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300, check=True)
     return json.loads(proc.stdout.splitlines()[-1]), tmp
@@ -74,6 +83,10 @@ def steps(tmp_path_factory):
     ("check", 0),
     ("audit --theorem 4", 1),  # three coins leave the density grid unmet
     ("equations", 0),
+    ("search-min", 0),
+    ("audit --theorem 2", 1),  # a rescaled probability is no counterexample
+    ("decide", 0),
+    ("decide numeric", 0),
 ])
 def test_command_loads_neither_the_solver_nor_mpmath(steps, step, exit_code):
     results, _ = steps
@@ -88,15 +101,17 @@ def test_command_leaves_numpy_ma_unloaded(steps, step):
     assert step not in results["numpy.ma"]
 
 
-def test_decide_loads_the_solver_before_its_first_phase(steps):
-    """three_atoms.bel is settled by the structured candidates, which come
-    before any numeric search: the solver is loaded all the same."""
-    results, tmp = steps
-    code, loaded = results["decide"]
-    assert code == 0
-    report = json.loads((tmp / "decide.json").read_text())
-    assert report["verdict"]["budget"]["phase"] == "structured-candidates"
-    assert loaded == ["scipy.optimize"]
+@pytest.mark.parametrize("report, phase", [
+    ("decide.json", "structured-candidates"),
+    ("numeric.json", "numeric"),
+])
+def test_decide_settles_in_the_phase_its_pin_is_for(steps, report, phase):
+    """three_atoms.bel is settled before any numeric search, the mix table
+    by it: neither loads the solver."""
+    _, tmp = steps
+    report = json.loads((tmp / report).read_text())
+    assert report["verdict"]["kind"] == "witness"
+    assert report["verdict"]["budget"]["phase"] == phase
 
 
 def test_minimize_resolves_to_the_scipy_solver_by_name():

@@ -364,6 +364,48 @@ class TestNumericPhase:
         assert verdict.budget["best_penalty"] < DecisionParams().tolerance
 
 
+@pytest.mark.filterwarnings("error")
+class TestWeightSolver:
+    """The numeric phase's Levenberg–Marquardt loop, with every warning an
+    error: an overflow or 0/0 at a trial point must be rejected silently."""
+
+    def test_extreme_start_weights_return_without_raising(self):
+        b = non_power_structure([3, 2, 5, 2], "mix2")
+        report = {"iterations": 0}
+        solve = isomorphism._weight_solver(b, 50, report)
+        free = np.arange(4) > 0
+        for start in ([1.0, 1e300, 1e-300, 1e300], [1.0, 1e-300, 1e-300, 1e300]):
+            for pull in (True, False):
+                before = report["iterations"]
+                w, residual = solve(np.array(start), free, pull)
+                assert 1 <= report["iterations"] - before <= 50
+                assert w[0] == 1.0 and np.all(np.isfinite(w) & (w > 0))
+                assert np.isfinite(residual)
+
+    def test_a_budget_of_one_evaluates_each_solve_once(self, monkeypatch):
+        per_solve = []
+        original = isomorphism._weight_solver
+
+        def counting(structure, budget, report):
+            solve = original(structure, budget, report)
+
+            def counted(w, free, pull):
+                before = report["iterations"]
+                out = solve(w, free, pull)
+                per_solve.append(report["iterations"] - before)
+                return out
+            return counted
+
+        monkeypatch.setattr(isomorphism, "_weight_solver", counting)
+        b = custom_monotone_distortion()
+        verdict = decide(b, DecisionParams(budget=1))
+        assert per_solve and max(per_solve) <= 1
+        assert verdict.budget["iterations"] == sum(per_solve)
+        assert verdict.kind in ("unknown", "witness")
+        if verdict.kind == "witness":
+            assert verify_witness(b, verdict.witness.as_fractions(b.domain)).passed
+
+
 class TestPropagationPhase:
     def test_pinned_ratios_give_the_generating_weights(self):
         """Weights (1, 1, 2, 3) through (v + v²)/2: the pinned classes have
