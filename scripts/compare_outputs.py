@@ -55,6 +55,9 @@ builds the jobs there:
 - weight-backed jobs (`write_weight_backed`, `WEIGHT_BACKED_RUNS`): a
   `check`, a `decide` and a theorem-1 `audit` of a 10-atom `generate
   probability` file, and a `generate probability` of the same weights;
+  a `decide` of a 12-atom `generate probability` file of non-uniform
+  weights, settled in `structured-candidates` by one `verify_witness` over
+  its 531,440 pairs;
   a `generate distorted` of 8 atoms with k = 2; theorem-1 and theorem-2
   `audit` runs of the 1- and 2-coin family members; and a theorem-3
   `audit` of a uniform 2-atom base against its 7-coin extension.
@@ -281,6 +284,7 @@ TEN_ATOMS = ",".join(f"a{i}" for i in range(10))
 TEN_WEIGHTS = ",".join(f"{i}/55" for i in range(1, 11))
 WEIGHT_BACKED_RUNS = [
     ("check-p10", ["check", "p10"]),
+    ("decide-p12", ["decide", "p12"]),
     ("decide-p10", ["decide", "p10"]),
     ("audit-t1-p10", ["audit", "p10", "--theorem", "1"]),
     ("generate-p10", ["generate", "probability", "--atoms", TEN_ATOMS,
@@ -298,16 +302,21 @@ WEIGHT_BACKED_RUNS = [
 
 def write_weight_backed(out: Path, family: Path) -> dict[str, Path]:
     """The inputs of `WEIGHT_BACKED_RUNS` by name: the 10-atom probability
-    of weights 1/55..10/55 as a `generate probability` file, the uniform
-    2-atom base and its 7-coin extension as `generate coins` writes it, the
-    1- and 2-coin members of the coin family in `family`, and the paths
-    the `generate` jobs write."""
+    of weights 1/55..10/55 and a 12-atom one of weights
+    `random.Random(1).randint(1, 9)` as `generate probability` files, the
+    uniform 2-atom base and its 7-coin extension as `generate coins` writes
+    it, the 1- and 2-coin members of the coin family in `family`, and the
+    paths the `generate` jobs write."""
     out.mkdir()
     atoms = TEN_ATOMS.split(",")
     extended = [f"{a}:{c:07b}" for a in "ab" for c in range(128)]
+    rng = random.Random(1)
+    twelve = [rng.randint(1, 9) for _ in range(12)]
     texts = {
         "p10": (f"domain: {' '.join(atoms)}\ngenerate probability "
                 + " ".join(f"{a}={w}" for a, w in zip(atoms, TEN_WEIGHTS.split(",")))),
+        "p12": (f"domain: {' '.join(f'x{i}' for i in range(12))}\ngenerate probability "
+                + " ".join(f"x{i}={w}/{sum(twelve)}" for i, w in enumerate(twelve))),
         "base-2": "domain: a b\ngenerate probability a=1/2 b=1/2",
         "coins-7-extension": (f"domain: {' '.join(extended)}\ngenerate probability "
                               + " ".join(f"{a}=1/256" for a in extended)),

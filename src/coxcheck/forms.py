@@ -339,6 +339,7 @@ def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
         lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
         return _size_layout(values, lengths, lambda m, j: (
             size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
+    structure.value_index()  # the atom cap, before the 3^n-entry table
     lengths = np.diff(submask_table(structure.domain.size)[0])
     lengths[0] = 0  # row u holds the pairs (v, u); row 0 none
     return _pair_layout(structure, negation_positions, lengths)

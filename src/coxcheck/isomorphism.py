@@ -29,13 +29,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, Event, is_canonical, pair_masks, submask_table,
-    subset_sums,
+    ZERO, ONE, BeliefStructure, is_canonical, pair_masks, stable_order, subset_sums,
+    weight_units,
 )
 from .conditions import chain_consistency
 from .forms import (
@@ -649,14 +649,46 @@ class WitnessCheck:
         return None if self.graph is None else {x: g for _, x, g in self.graph}
 
 
+class _ValueClasses(NamedTuple):
+    order: np.ndarray  # the pair positions, in class order
+    ranks: np.ndarray  # each class's value rank
+    starts: np.ndarray  # each class's first entry
+    owner: np.ndarray  # each entry's class
+    v: np.ndarray  # each entry's masks
+    u: np.ndarray
+
+
+def _value_classes(structure: BeliefStructure) -> _ValueClasses:
+    """The canonical pairs grouped by value class, classes ascending and
+    each class's pairs in canonical order; built once, and read by every
+    phase that reads weights (the exact check, the numeric search)."""
+    def build(s: BeliefStructure) -> _ValueClasses:
+        index = s.value_index()
+        order = stable_order(index.pair_rank)
+        ranks = index.pair_rank[order]
+        first = np.diff(ranks, prepend=-1) != 0
+        starts = np.flatnonzero(first)
+        return _ValueClasses(order, ranks[starts], starts, np.cumsum(first) - 1,
+                             *(m[order] for m in pair_masks(index.atoms)))
+    return structure.derived("value-classes", build)
+
+
 def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     """Exact check of a weighting against the structure.
 
     (i) equal belief values always map to equal conditional ratios,
     (ii) the induced value→ratio map is strictly increasing,
-    (iii) it sends e to 0 and E to 1 where those values are attained,
-    (iv) the product rule g(Bel(V|U))·g(Bel(U)) = g(Bel(V∩U)) holds for every
-    pair (re-checked although it follows from the ratio definition).
+    (iii) it sends e to 0 and E to 1 where those values are attained.
+
+    The product rule g(Bel(V|U))·g(Bel(U|W)) = g(Bel(V|W)) needs no check
+    of its own: once (i) holds, each class's ratio is exactly μ(V)/μ(U) at
+    each of its pairs, and μ(V)/μ(U)·μ(U)/μ(W) = μ(V)/μ(W).
+
+    One pass over `_value_classes`: μ of every event is an integer over the
+    weights' common denominator, and a ratio μ(V)/μ(U) is compared by
+    cross-multiplication, which is exact.  The masses are int64 when that
+    denominator is below 2^31, so every cross product fits, and Python ints
+    in an object array otherwise; the same expressions read both.
     """
     domain = structure.domain
     if isinstance(weights, Mapping):
@@ -665,59 +697,33 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
         ws = [Fraction(w) for w in weights]
         if len(ws) != domain.size:
             raise ValueError("one weight per atom required")
-    if any(w <= 0 for w in ws):
-        raise ValueError("witness weights must be strictly positive")
-    if sum(ws) != 1:
-        raise ValueError("witness weights must sum to 1")
-    e, big_e = structure.bounds
+    mu = subset_sums(weight_units(ws, "witness weights"))
+    mu = np.array(mu, dtype=np.int64 if mu[-1] < 1 << 31 else object)
     index = structure.value_index()
     values = index.values
-    # μ of every event as an integer over the weights' common denominator;
-    # a ratio μ(V)/μ(U) is kept as the pair (μ(V), μ(U)) and compared by
-    # cross-multiplication, which is exact
-    den = math.lcm(*(w.denominator for w in ws))
-    mu = subset_sums([w.numerator * (den // w.denominator) for w in ws])
-    ratios: dict[int, tuple[int, int]] = {}  # value rank -> (μ(V), μ(U))
-    for v, u, x in index.pairs():
-        p, q = mu[v], mu[u]
-        old = ratios.setdefault(x, (p, q))
-        if old[0] * q != p * old[1]:
-            return WitnessCheck(
-                False,
-                f"single-valuedness: value {values[x]} maps to ratios "
-                f"{Fraction(*old)} and {Fraction(p, q)}",
-                None,
-            )
-    items = sorted(ratios.items())
-    for (x1, (p1, q1)), (x2, (p2, q2)) in zip(items, items[1:]):
-        if not p1 * q2 < p2 * q1:
-            return WitnessCheck(
-                False,
-                f"strict increase: values {values[x1]} < {values[x2]} map to ratios "
-                f"{Fraction(p1, q1)} ≥ {Fraction(p2, q2)}",
-                None,
-            )
-    if index.e in ratios and ratios[index.e][0] != 0:
-        return WitnessCheck(
-            False, f"endpoint: g({e}) = {Fraction(*ratios[index.e])} ≠ 0", None
-        )
-    if index.E in ratios and ratios[index.E][0] != ratios[index.E][1]:
-        return WitnessCheck(
-            False, f"endpoint: g({big_e}) = {Fraction(*ratios[index.E])} ≠ 1", None
-        )
-    unconditional = index.pair_rank[-(1 << domain.size):].tolist()  # the full mask's row
-    for v, u, x in index.pairs():
-        p1, q1 = ratios[x]
-        p2, q2 = ratios[unconditional[u]]
-        p3, q3 = ratios[unconditional[v]]
-        if p1 * p2 * q3 != p3 * q1 * q2:
-            return WitnessCheck(
-                False,
-                f"product rule fails at (V={Event(domain, v)!r}, U={Event(domain, u)!r})",
-                None,
-            )
-    graph = tuple((x, values[x], Fraction(p, q)) for x, (p, q) in items)
-    return WitnessCheck(True, None, graph)
+    order, ranks, starts, owner, v, u = _value_classes(structure)
+    p, q = mu[v], mu[u]
+
+    def ratio(entry) -> Fraction:
+        return Fraction(int(p[entry]), int(q[entry]))
+    # (i) against each class's first pair; the failure first in canonical order
+    bad = np.flatnonzero(p * q[starts[owner]] != p[starts[owner]] * q)
+    if len(bad):
+        i = bad[np.argmin(order[bad])]
+        return WitnessCheck(False, f"single-valuedness: value {values[ranks[owner[i]]]} maps "
+                            f"to ratios {ratio(starts[owner[i]])} and {ratio(i)}", None)
+    a, b = starts[:-1], starts[1:]  # (ii) on adjacent classes' first pairs
+    bad = np.flatnonzero(p[a] * q[b] >= p[b] * q[a])
+    if len(bad):
+        c = bad[0]
+        return WitnessCheck(False, f"strict increase: values {values[ranks[c]]} < "
+                            f"{values[ranks[c + 1]]} map to ratios {ratio(a[c])} ≥ "
+                            f"{ratio(b[c])}", None)
+    g = dict(zip(ranks.tolist(), map(Fraction, p[starts].tolist(), q[starts].tolist())))
+    for x, end in ((index.e, 0), (index.E, 1)):  # (iii)
+        if g.get(x, end) != end:
+            return WitnessCheck(False, f"endpoint: g({values[x]}) = {g[x]} ≠ {end}", None)
+    return WitnessCheck(True, None, tuple((x, values[x], r) for x, r in g.items()))
 
 
 def rescaling_from_witness(structure: BeliefStructure, weights) -> RescalingMap:
@@ -855,11 +861,9 @@ def _pinned_weights(structure: BeliefStructure, known) -> list[Fraction] | None:
     ratios = {x: r for x, r in known.items() if 0 < r < 1}
     pinned = np.zeros(len(index.values), dtype=bool)
     pinned[list(ratios)] = True
-    start, sub = submask_table(n)
-    at = np.flatnonzero(pinned[index.pair_rank]) + 1  # pair k is entry k + 1
-    owner = np.arange(1 << n).repeat(np.diff(start))
+    at = np.flatnonzero(pinned[index.pair_rank])
     basis: dict[int, list[int]] = {}  # pivot column -> a row zero at every other pivot
-    for v, u, x in zip(sub[at].tolist(), owner[at].tolist(), index.pair_rank[at - 1].tolist()):
+    for v, u, x in zip(*(m.tolist() for m in pair_masks(n, at)), index.pair_rank[at].tolist()):
         if len(basis) == n - 1:
             break
         p, q = ratios[x].numerator, ratios[x].denominator
@@ -906,20 +910,14 @@ def _weight_solver(structure: BeliefStructure, budget: int, report: dict):
     pull, and adds its evaluations to `report["iterations"]`.
     """
     n = structure.domain.size
-    index = structure.value_index()
-    # the canonical pairs grouped by value class, ascending, each class's
-    # pairs in canonical order
-    order = np.argsort(index.pair_rank, kind="stable")
-    ranks = index.pair_rank[order]
-    starts = np.flatnonzero(np.diff(ranks, prepend=-1))
-    sizes = np.diff(starts, append=len(ranks))
-    owner = np.repeat(np.arange(len(starts)), sizes)
+    values = structure.value_index().values
+    _, ranks, starts, owner, v, u = _value_classes(structure)
+    sizes = np.diff(starts, append=len(owner))
     e, big_e = structure.bounds
     # normalized exactly, so huge bounds never pass through a float
-    targets = np.array([float((index.values[x] - e) / (big_e - e))
-                        for x in ranks[starts].tolist()])
+    targets = np.array([float((values[x] - e) / (big_e - e)) for x in ranks.tolist()])
     bits = 1 << np.arange(n)
-    v_in, u_in = ((m[order, None] & bits != 0).astype(float) for m in pair_masks(n))
+    v_in, u_in = ((m[:, None] & bits != 0).astype(float) for m in (v, u))
 
     def residuals(w, pull):
         """The residual vector at the weights w and its Jacobian in log w;

@@ -2,6 +2,10 @@ import contextlib
 import gc
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
@@ -358,6 +362,32 @@ class TestUsageAndParseErrors:
         for command in ("check", "decide"):
             assert main([command, str(path)]) == 64
             assert capsys.readouterr() == ("", "usage error: pair enumeration capped at 12 atoms\n")
+
+    @pytest.mark.parametrize("size", [16, 20])
+    def test_large_non_uniform_weight_files_are_refused_before_any_allocation(
+            self, tmp_path, size):
+        # the A1 layout's 3^n-entry submask table must not be built before
+        # the cap is read: at 20 atoms it would ask for 26 GiB.  Each command
+        # runs in a child under a 3 GB address-space limit and a timeout
+        rng = random.Random(1)
+        ints = [rng.randint(1, 9) for _ in range(size)]
+        atoms = [f"x{i}" for i in range(size)]
+        path = tmp_path / f"weights{size}.bel"
+        path.write_text(f"domain: {' '.join(atoms)}\ngenerate probability "
+                        + " ".join(f"{a}={i}/{sum(ints)}" for a, i in zip(atoms, ints))
+                        + "\n", encoding="utf-8")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                  "from coxcheck.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in (["check"], ["audit", "--theorem", "1"], ["audit", "--theorem", "2"]):
+            proc = subprocess.run([sys.executable, "-c", script, *argv, str(path)],
+                                  capture_output=True, text=True, env=env, timeout=10)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                64, "", "usage error: pair enumeration capped at 12 atoms\n"), argv
 
     def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.bel"
