@@ -44,7 +44,10 @@ builds the jobs there:
 - theorem-4 `audit` runs that stress the density search
   (`DENSITY_RUNS`): the 1-3 coin family at grid 21 (9,261 targets), the
   1-12 coin family at grid 5 and ε 1/100, a family of non-uniform weight
-  backings and tables, and the 1-3 coin members relabelled onto [1, 2]
+  backings and tables, the 1-3 coin members relabelled onto [1, 2], and at
+  grid 3 the 1-3 coin members with a 7-atom weight backing of weights 1/p
+  over seven primes near 10^4, whose unit total of about 2^80 puts its
+  chain masses beyond int64
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
@@ -79,6 +82,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -359,14 +363,21 @@ DENSITY_RUNS = [
     ("coins-12-grid-5", "coins-12", ["--grid", "5", "--epsilon", "1/100"]),
     ("mixed-backings", "mixed", ["--grid", "4", "--epsilon", "1/20", "--seed", "3"]),
     ("bounds-1-2", "bounds-1-2", []),
+    ("primes-grid-3", "primes", ["--grid", "3"]),
 ]
+
+#: Distinct primes near 10^4: weights 1/p over seven atoms have a unit total
+#: of about 2^80, beyond int64.
+PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069)
 
 
 def write_density_families(out: Path, beltables) -> dict[str, Path]:
     """The families of `DENSITY_RUNS` by name: the 1-12 coin family, whose
     largest member has 4,096 atoms; a family of non-uniform weight backings
-    of 7, 10 and 13 atoms and tables of 3, 5 and 6 atoms; and the 1-3 coin
-    members as tables relabelled v ↦ 1 + v on the bounds [1, 2]."""
+    of 7, 10 and 13 atoms and tables of 3, 5 and 6 atoms; the 1-3 coin
+    members as tables relabelled v ↦ 1 + v on the bounds [1, 2]; and the
+    1-3 coin members with the 7-atom weight backing of weights 1/p over
+    `PRIMES`."""
     out.mkdir()
     paths = {"coins-12": write_coin_family(out / "coins-12", 12, beltables)}
     rng = random.Random(24)
@@ -386,10 +397,18 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
         table = beltables.relabelled_table(beltables.normalized([1] * n), "identity")
         texts[f"bounds-1-2/coins_{coins:02d}.bel"] = beltables.table_text(
             n, {key: 1 + x for key, x in table.items()}, (1, 2))
+    for coins in (1, 2, 3):
+        texts[f"primes/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
+    product = math.prod(PRIMES)
+    atoms = [f"p{i}" for i in range(len(PRIMES))]
+    texts["primes/weights_07.bel"] = (
+        f"domain: {' '.join(atoms)}\ngenerate probability "
+        + " ".join(f"{a}={w}" for a, w in
+                   zip(atoms, beltables.normalized([product // p for p in PRIMES]))) + "\n")
     for name, text in texts.items():
         (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text(text, encoding="utf-8")
-    paths.update((name, out / name) for name in ("mixed", "bounds-1-2"))
+    paths.update((name, out / name) for name in ("mixed", "bounds-1-2", "primes"))
     return paths
 
 

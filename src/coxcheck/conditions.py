@@ -29,6 +29,7 @@ from .core import (
     float_values,
     is_canonical,
     pair_at,
+    rank_ratios,
     rank_values,
     stable_order,
     submask_table,
@@ -218,26 +219,22 @@ class TripleSearchResult:
 _WORD_PIECE = 1 << 13
 
 
-def _exhaustive_levels(structure: BeliefStructure):
-    """The level rows of every nested chain U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅,
-    each once, as one block whatever the count sent: an atom's level is the
-    number of U1..U4 that hold it.  All 5^n rows are drawn at once, those
-    with U3 = ∅ dropped, and the rest sorted by the masks (u1, u2, u3, u4)
-    packed into one int, so lexicographically.  Primed with `next`, as
-    `_random_levels`."""
-    yield
-    n = structure.domain.size
+def _exhaustive_levels(n: int) -> np.ndarray:
+    """The level rows of every nested chain U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅
+    over n atoms, each once: an atom's level is the number of U1..U4 that
+    hold it.  All 5^n rows are drawn at once, those with U3 = ∅ dropped,
+    and the rest sorted by the masks (u1, u2, u3, u4) packed into one int,
+    so lexicographically."""
     levels = (np.arange(5 ** n)[:, None] // 5 ** np.arange(n) % 5).astype(np.uint8)
     levels = levels[levels.max(axis=1) >= 3]
     key = np.zeros(len(levels), dtype=np.int64)
     for j in range(1, 5):
         key = key << n | (levels >= j) @ (1 << np.arange(n))
-    yield levels[np.argsort(key)]
+    return levels[np.argsort(key)]
 
 
-def _random_levels(n: int, seed: int):
-    """The level rows of the seeded random chains.  Primed with `next`, the
-    generator is then sent a count and yields that many rows.
+def _random_levels(n: int, seed: int, count: int) -> np.ndarray:
+    """The level rows of the first `count` seeded random chains over n atoms.
 
     A row draws each atom's level as `random.Random(seed).randint(0, 4)`
     would, atom by atom: that call reads one 32-bit word per try, keeps its
@@ -247,111 +244,95 @@ def _random_levels(n: int, seed: int):
     """
     rng = random.Random(seed)
     pending = np.zeros(0, dtype=np.uint8)  # accepted levels not yet in a row
-    rows = [np.zeros((0, n), dtype=np.uint8)]  # rows not yet yielded
-    count = yield
-    while True:
-        while (have := sum(map(len, rows))) < count:
-            words = min(2 * n * (count - have), _WORD_PIECE)
-            drawn = np.frombuffer(
-                rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
-            ) >> 29
-            pending = np.concatenate((pending, drawn[drawn < 5].astype(np.uint8)))
-            whole = len(pending) // n * n
-            block = pending[:whole].reshape(-1, n)
-            pending = pending[whole:]
-            rows.append(block[block.max(axis=1) >= 3])
-        block = np.concatenate(rows)
-        rows = [block[count:]]
-        count = yield block[:count]
+    rows = [np.zeros((0, n), dtype=np.uint8)]
+    while (have := sum(map(len, rows))) < count:
+        words = min(2 * n * (count - have), _WORD_PIECE)
+        drawn = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        ) >> 29
+        pending = np.concatenate((pending, drawn[drawn < 5].astype(np.uint8)))
+        whole = len(pending) // n * n
+        block = pending[:whole].reshape(-1, n)
+        pending = pending[whole:]
+        rows.append(block[block.max(axis=1) >= 3])
+    return np.concatenate(rows)[:count]
 
 
 def _step_values(structure: BeliefStructure, levels: np.ndarray, masks: np.ndarray):
-    """(xs, at): Fractions, and for each chain of the level rows the
-    positions in xs of its steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1).
+    """(values, steps): the sorted distinct steps of the chains of the level
+    rows, and each chain's steps Bel(U4|U3), Bel(U3|U2), Bel(U2|U1) as
+    ranks in `values`, one int32 row per chain.
 
-    A weight backing whose unit total is below 2^62 reads the masses
-    μ(U1)..μ(U4) off the level rows in int64 and builds one Fraction per
-    distinct (mass, mass) step, in the (μ(V), μ(U)) order of one `lexsort`.
-    Other structures look each step up with `bel_masks` on the packed `masks`.
+    A weight backing sums the masses μ(U1)..μ(U4) off the level rows, in
+    int64 below a unit total of 2^62 and in Python ints above it, and ranks
+    its (μ(V), μ(U)) steps with `rank_ratios`.  A table looks each step up
+    with `bel_masks` on the packed `masks` and ranks them with `rank_values`.
     """
-    if structure.is_weight_backed and structure._prefix[-1] < 1 << 62:
-        units = np.array(structure._units, dtype=np.int64)
-        step = max(1, (1 << 16) // structure.domain.size)  # rows per int64 product
+    if structure.is_weight_backed:
+        units = np.array(structure._units,
+                         dtype=np.int64 if structure._prefix[-1] < 1 << 62 else object)
+        step = max(1, (1 << 16) // structure.domain.size)  # rows per product
         mass = np.concatenate([
             np.stack([(part >= j) @ units for j in range(1, 5)], axis=1)
             for part in np.split(levels, range(step, len(levels), step))
         ])
-        v, u = mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()
-        order = np.lexsort((u, v))
-        v, u = v[order], u[order]
-        new = np.concatenate(([True], (v[1:] != v[:-1]) | (u[1:] != u[:-1])))
-        at = np.empty_like(order)
-        at[order] = np.cumsum(new) - 1
-        xs = [Fraction(a, b) ** structure.exponent for a, b in zip(v[new].tolist(), u[new].tolist())]
-        return xs, at.reshape(-1, 3)
-    bel = structure.bel_masks
-    xs = []
-    for row in masks:
-        u1, u2, u3, u4 = (int.from_bytes(m.tobytes(), "little") for m in row)
-        xs += (bel(u4, u3), bel(u3, u2), bel(u2, u1))
-    return xs, np.arange(len(xs)).reshape(-1, 3)
+        values, ranks = rank_ratios(mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel(),
+                                    structure.exponent)
+    else:
+        bel = structure.bel_masks
+        xs = []
+        for row in masks:
+            u1, u2, u3, u4 = (int.from_bytes(m.tobytes(), "little") for m in row)
+            xs += (bel(u4, u3), bel(u3, u2), bel(u2, u1))
+        values, ranks = rank_values(xs)
+    return values, ranks.astype(np.int32).reshape(-1, 3)
 
 
 class _ChainTable:
-    """The chains a density search scores on one structure, in search order,
-    grown block by block from a source of level rows: a generator, primed
-    here, that yields as many rows as it is sent, or all it has.
+    """The chains a density search scores on one structure, in search order:
+    every nested chain up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms
+    (`_exhaustive_levels`), the first chains of `_random_levels(n, seed)`
+    above it.
 
     `steps[i]` holds the ranks of chain i's steps Bel(U4|U3), Bel(U3|U2),
     Bel(U2|U1) in the sorted `values`; `masks[i]` holds U1..U4 packed
-    little-endian.  The level rows are dropped once scored.  Each block is
-    scored once, and every search of the structure, for any number of
-    targets, reads it as one (chains × 3) rank matrix (`_MemberSearch`).
+    little-endian.  The level rows are dropped once scored.  Every search
+    of the structure, for any number of targets, reads the table as one
+    (chains × 3) rank matrix (`_MemberSearch`).
     """
 
-    def __init__(self, blocks, atoms: int):
-        self._blocks = blocks
-        next(blocks)
+    def __init__(self, atoms: int, seed: int):
+        self.atoms, self.seed = atoms, seed
         self.values: list[Fraction] = []
         self.steps = np.zeros((0, 3), dtype=np.int32)
         self.masks = np.zeros((0, 4, (atoms + 7) // 8), dtype=np.uint8)
+        self._drawn = 0  # the most chains asked for so far
 
     def grow(self, structure: BeliefStructure, count: int) -> None:
-        """Score blocks until the table holds `count` chains or its source
-        ends, asking the source for the chains still missing; each new
-        block re-ranks the values the table holds."""
-        while len(self.steps) < count:
-            try:
-                levels = self._blocks.send(count - len(self.steps))
-            except StopIteration:
-                return
-            # atom i lies in U_j exactly when its level is at least j
-            masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
-                              for j in range(1, 5)], axis=1)
-            xs, at = _step_values(structure, levels, masks)
-            del levels
-            old = len(self.values)
-            self.values, ranks = rank_values(self.values + xs)
-            ranks = ranks.astype(np.int32)
-            self.steps = np.concatenate((ranks[:old][self.steps], ranks[old:][at]))
-            self.masks = np.concatenate((self.masks, masks))
+        """Hold the first `count` chains, or every chain up to
+        EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms: a count above any asked before
+        draws the table again from the seed and ranks its steps in one pass."""
+        if count <= self._drawn:
+            return
+        self._drawn = count
+        n = self.atoms
+        levels = (_exhaustive_levels(n) if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT
+                  else _random_levels(n, self.seed, count))
+        # atom i lies in U_j exactly when its level is at least j
+        self.masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
+                               for j in range(1, 5)], axis=1)
+        self.values, self.steps = _step_values(structure, levels, self.masks)
 
     def chain(self, i: int) -> tuple[int, int, int, int]:
         return tuple(int.from_bytes(m.tobytes(), "little") for m in self.masks[i])
 
 
 def _chain_table(structure: BeliefStructure, seed: int) -> _ChainTable:
-    """The structure's chain table, built once: every nested chain
-    (`_exhaustive_levels`) up to EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, the
-    chains of `_random_levels(n, seed)` above."""
+    """The structure's chain table, built once: per structure up to
+    EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, per structure and seed above."""
     n = structure.domain.size
-    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-        return structure.derived(
-            "par5-chains", lambda s: _ChainTable(_exhaustive_levels(s), n)
-        )
-    return structure.derived(
-        f"par5-chains-{seed}", lambda s: _ChainTable(_random_levels(n, seed), n)
-    )
+    key = "par5-chains" if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT else f"par5-chains-{seed}"
+    return structure.derived(key, lambda s: _ChainTable(n, seed))
 
 
 def _level_size_candidates(parent: int, t: Fraction, eps: Fraction, floor: int) -> list[int]:
@@ -1057,26 +1038,26 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
     bounds = check_bounds(structure)
     hypotheses.append(_verdict_of(bounds.par1, "range-in-interval"))
 
-    negation = extract_negation(structure)
-    if isinstance(negation, NegationConflict):
+    s = negation_ranks(structure)
+    if s.clash is not None:
         hypotheses.append(
             HypothesisVerdict("negation-linear-complement", "fail",
-                              negation.describe(structure.domain))
+                              extract_negation(structure).describe(structure.domain))
         )
         hypotheses.append(HypothesisVerdict("negation-smoothness", "untestable",
                                             "A1 admits no function"))
     else:
-        bad = [
-            (x, s_x) for x, s_x in sorted(negation.table.items())
-            if x + s_x != e + big_e
-        ]
+        # the keys ascend with x, so the first bad one is the least x
+        v = s.values
+        bad = next(((v[x], v[s_x]) for x, s_x in zip(s.keys.tolist(), s.outs.tolist())
+                    if v[x] + v[s_x] != e + big_e), None)
         hypotheses.append(
             HypothesisVerdict("negation-linear-complement", "pass",
                               "extracted S-table is a restriction of x ↦ e+E−x")
-            if not bad
+            if bad is None
             else HypothesisVerdict(
                 "negation-linear-complement", "fail",
-                f"S({bad[0][0]}) = {bad[0][1]} ≠ {e + big_e - bad[0][0]}",
+                f"S({bad[0]}) = {bad[1]} ≠ {e + big_e - bad[0]}",
             )
         )
         hypotheses.append(

@@ -40,6 +40,11 @@ ENUMERATION_ATOM_LIMIT = 12
 #: probes sample chains above it.
 EXHAUSTIVE_CHAIN_ATOM_LIMIT = 5
 
+#: Largest uniform structure whose size table is built: it holds about
+#: 0.3·n² distinct values, one Fraction each, so 2,048 atoms take seconds
+#: and hundreds of MB, and 2^14 atoms would run for hours.
+_SIZE_TABLE_ATOM_CAP = 2048
+
 
 class BeliefDomainError(ValueError):
     """Malformed domain, event, or belief-table construction."""
@@ -375,21 +380,25 @@ def rank_ratios(p: Sequence[int], q: Sequence[int], k: int = 1,
                 bounds: Sequence[Fraction] = ()) -> tuple[list[Fraction], np.ndarray]:
     """`rank_values` of every (p/q)^k, over int pairs 0 <= p <= q, q > 0, then
     of the `bounds`: the sorted values, and the ranks of the pairs, then of
-    the bounds, as one int64 array.  Each pair is reduced by its gcd and one
-    Fraction is built per distinct ratio (x ↦ x^k keeps order on [0, 1]).
-    The masses stay Python ints, so totals of any size are exact."""
-    width = max(q, default=0) + 1
+    the bounds, as one int64 array.  This is the one place where integer
+    masses become ranked ratios.
 
-    def keys():  # the reduced pair (a, b) as the int a·width + b
-        return map(operator.add,
-                   map(width.__mul__, map(operator.floordiv, p, map(math.gcd, p, q))),
-                   map(operator.floordiv, q, map(math.gcd, p, q)))
-    ranks = dict.fromkeys(keys())
-    xs = [Fraction(*divmod(key, width)) for key in ranks]
+    Each pair is reduced by its gcd and packed as the int a·width + b; one
+    `np.unique` finds the distinct reduced ratios, and one Fraction is built
+    per distinct ratio (x ↦ x^k keeps order on [0, 1]).  The masses are
+    int64 where width < 2^31, so the packed ints stay below 2^62, and
+    Python ints in object arrays otherwise, so totals of any size are
+    exact.  A list is read as Python ints: `np.asarray` would turn masses
+    above 2^63 into floats."""
+    p, q = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (p, q))
+    width = int(q.max()) + 1 if len(q) else 1
+    dtype = np.int64 if width < 1 << 31 else object
+    p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
+    g = np.gcd(p, q)
+    keys, at = np.unique(p // g * width + q // g, return_inverse=True)
+    xs = [Fraction(*divmod(key, width)) for key in keys.tolist()]
     values, distinct = rank_values((xs if k == 1 else [x ** k for x in xs]) + list(bounds))
-    ranks.update(zip(ranks, distinct.tolist()))
-    pairs = np.fromiter(map(ranks.__getitem__, keys()), dtype=np.int64, count=len(p))
-    return values, np.concatenate((pairs, distinct[len(ranks):]))
+    return values, np.concatenate((distinct[at], distinct[len(xs):]))
 
 
 def intern_values(xs: Iterable[Fraction]) -> tuple[list[Fraction], list[int]]:
@@ -678,7 +687,7 @@ class BeliefStructure:
         _enumeration_cap(n, "pair")
         mu = np.array(subset_sums(self._units), dtype=object)
         v, u = pair_masks(n)
-        values, ranks = rank_ratios(mu[v].tolist(), mu[u].tolist(), self._exponent, self._bounds)
+        values, ranks = rank_ratios(mu[v], mu[u], self._exponent, self._bounds)
         e, big_e = ranks[-2:].tolist()
         return ValueIndex(tuple(values), e, big_e, n, ranks[:-2].astype(np.int32))
 
@@ -686,14 +695,17 @@ class BeliefStructure:
         """(values, size_rank) of a uniform structure, built once: the sorted
         (j/m)^k and bounds, and at [m, j] the rank of Bel(V|U) for
         |V| = j <= |U| = m (0 elsewhere).  Extraction by sizes and
-        `attained()` read it in place of the 3^n canonical pairs."""
+        `attained()` read it in place of the 3^n canonical pairs.  Refused
+        above `_SIZE_TABLE_ATOM_CAP` atoms, before anything is built."""
         if not self.is_uniform:
             raise BeliefDomainError("size ranks require a uniform weight backing")
+        if self._domain.size > _SIZE_TABLE_ATOM_CAP:
+            raise BeliefDomainError(f"size table capped at {_SIZE_TABLE_ATOM_CAP} atoms")
         return self.derived("size-ranks", BeliefStructure._build_size_ranks)
 
     def _build_size_ranks(self) -> tuple[list[Fraction], np.ndarray]:
         n = self._domain.size
-        sizes = np.array(range(n + 1), dtype=object)  # one int object per size
+        sizes = np.arange(n + 1)
         j = np.concatenate([sizes[:m + 1] for m in range(1, n + 1)])
         m = sizes[1:].repeat(np.arange(2, n + 2))
         values, ranks = rank_ratios(j, m, self._exponent, self._bounds)

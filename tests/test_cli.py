@@ -389,6 +389,32 @@ class TestUsageAndParseErrors:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 64, "", "usage error: pair enumeration capped at 12 atoms\n"), argv
 
+    @pytest.mark.parametrize("coins", [11, 13])
+    def test_theorem_3_audit_of_a_large_coin_extension_is_refused_up_front(
+            self, tmp_path, capsys, coins):
+        # the density gap of a uniform extension reads its size table, whose
+        # ~0.3·n² values would take minutes at 4,096 atoms and hours at 2^14
+        base, extension = tmp_path / "base.bel", tmp_path / f"coins{coins}.bel"
+        base.write_text("domain: a b\ngenerate probability a=1/2 b=1/2\n", encoding="utf-8")
+        assert main(["generate", "coins", "--atoms", "a,b", "--weights", "1/2,1/2",
+                     "--coins", str(coins), "--out", str(extension)]) == 0
+        capsys.readouterr()
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                  "from coxcheck.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script, "audit", str(base), "--theorem",
+                               "3", "--extension", str(extension)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        elapsed = time.perf_counter() - started
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            64, "", "usage error: size table capped at 2048 atoms\n")
+        assert elapsed < 2
+
     def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.bel"
         text = (FIXTURES / "uniform2.bel").read_text(encoding="utf-8")

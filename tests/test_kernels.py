@@ -3,8 +3,9 @@ negation involution and the density gap against the per-instance loops
 they replaced, A1/A2 extraction on position tables against the chunked
 pair reader it replaced, the worklist ratio engine against the sweep loop
 it replaced, the weight backing's ratio ranker against the per-pair and
-set-and-sort enumerations it replaced, and the 1-D sort of the chain-table
-steps against the row-wise unique it replaced, kept here as oracles."""
+set-and-sort enumerations and the dict ranker it replaced, and the
+chain-table steps against the row-wise unique they replaced, kept here as
+oracles."""
 
 import bisect
 import contextlib
@@ -618,7 +619,62 @@ def assert_same_ranking(structure):
         assert structure.attained(kind) == oracle_attained(structure, kind)
 
 
+def reference_rank_ratios(p, q, k=1, bounds=()):
+    """`rank_ratios` as a dict over Python ints: each pair reduced by its
+    gcd and keyed as a·width + b, one Fraction per key in order of first
+    appearance, then `rank_values` of those and the bounds."""
+    width = max(q, default=0) + 1
+    keys = [a // math.gcd(a, b) * width + b // math.gcd(a, b) for a, b in zip(p, q)]
+    ranks = dict.fromkeys(keys)
+    xs = [F(*divmod(key, width)) ** k for key in ranks]
+    values, distinct = rank_values(xs + list(bounds))
+    ranks.update(zip(ranks, distinct.tolist()))
+    return values, [ranks[key] for key in keys] + distinct[len(ranks):].tolist()
+
+
+def random_mass_pairs(rng, count, top):
+    """`count` pairs 0 <= p <= q <= top with the largest q equal to `top`,
+    a third of them multiples of an earlier pair, so ratios repeat."""
+    q = [rng.randint(1, top) for _ in range(count - 1)] + [top]
+    p = [rng.randint(0, b) for b in q]
+    for i in range(0, count - 1, 3):
+        j = rng.randrange(count)
+        c = rng.randint(1, max(1, top // max(q[j], 1)))
+        p[i], q[i] = p[j] * c, q[j] * c
+    return p, q
+
+
 class TestRatioRanker:
+    @pytest.mark.parametrize("width", [2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bounds", [(ZERO, ONE), (F(-1), F(2)), ()],
+                             ids=["unit", "wide", "none"])
+    def test_matches_the_reference_ranker_at_the_packing_width(self, width, k, bounds):
+        # the int64 keys hold while width < 2^31; at and above it the
+        # masses are Python ints
+        p, q = random_mass_pairs(random.Random(width + k), 400, width - 1)
+        want = reference_rank_ratios(p, q, k, bounds)
+        for args in ((p, q), (np.array(p, dtype=np.int64), np.array(q, dtype=np.int64))):
+            values, ranks = rank_ratios(*args, k, bounds)
+            assert (values, ranks.tolist()) == want
+
+    @pytest.mark.parametrize("top", [2 ** 63 + 5, 2 ** 64 + 7], ids=["2^63", "2^64"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_python_int_lists_beyond_int64(self, top, k):
+        # a list of masses above 2^63 must not be read as floats
+        p, q = random_mass_pairs(random.Random(top + k), 300, top)
+        p[:4], q[:4] = [top - 1, top - 2, 1, 0], [top, top, top, top]
+        for bounds in ((ZERO, ONE), (F(-1), F(2)), ()):
+            values, ranks = rank_ratios(p, q, k, bounds)
+            assert (values, ranks.tolist()) == reference_rank_ratios(p, q, k, bounds)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_input_and_zero_numerators(self, k):
+        for bounds in ((ZERO, ONE), (F(-1), F(2)), ()):
+            for p, q in (([], []), ([0, 0, 0], [1, 5, 2 ** 70]), ([0] * 3, [7] * 3)):
+                values, ranks = rank_ratios(p, q, k, bounds)
+                assert (values, ranks.tolist()) == reference_rank_ratios(p, q, k, bounds)
+
     def test_random_weights_match_the_per_pair_enumeration(self):
         rng = random.Random(18)
         for n in range(1, 9):
@@ -698,24 +754,28 @@ def oracle_step_values(structure, levels):
 
 
 def assert_same_steps(structure, levels):
+    """Every chain's three step values are the oracle's, and the table's
+    values are the sorted distinct steps."""
     masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
                       for j in range(1, 5)], axis=1)
-    xs, at = _step_values(structure, levels, masks)
+    values, steps = _step_values(structure, levels, masks)
     want_xs, want_at = oracle_step_values(structure, levels)
-    assert xs == want_xs
-    assert at.tolist() == want_at.tolist()
+    assert values == sorted(set(want_xs))
+    assert [[values[r] for r in row] for row in steps.tolist()] == [
+        [want_xs[i] for i in row] for row in want_at.tolist()]
 
 
 def random_blocks(n, seed, *counts):
-    """The blocks of `_random_levels(n, seed)`, sent each of `counts` in turn."""
-    blocks = _random_levels(n, seed)
-    next(blocks)
-    return [blocks.send(count) for count in counts]
+    """The first rows of `_random_levels(n, seed)`, cut into blocks of
+    `counts` rows in turn."""
+    rows = _random_levels(n, seed, sum(counts))
+    return np.split(rows, np.cumsum(counts)[:-1])
 
 
 class TestStepValues:
-    """The 1-D sort of the chain-table steps against the row-wise unique it
-    replaced: the same distinct steps in the same order, the same positions."""
+    """The chain-table steps, ranked by `rank_ratios`, against the row-wise
+    unique they replaced: the same step values, and the same distinct steps
+    in the same order."""
 
     @pytest.mark.parametrize("coins", [3, 4, 5, 6, 8])
     def test_uniform_coin_members(self, coins):
@@ -756,7 +816,7 @@ class TestStepValues:
     def test_chain_table_after_several_blocks(self, structure):
         n, seed = structure.domain.size, 5
         table = _chain_table(structure, seed)
-        for count in (300, 1100, 2000):  # three blocks, each re-ranking the table
+        for count in (300, 1100, 2000):  # each count draws the table again
             table.grow(structure, count)
         assert len(table.steps) == 2000
         xs, at = oracle_step_values(structure, *random_blocks(n, seed, 2000))
