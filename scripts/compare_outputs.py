@@ -51,6 +51,10 @@ builds the jobs there:
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
+- theorem-4 `audit` runs of coin families that are not read off one size
+  table alone (`write_size_table_families`): the 1-3 coin members with a
+  table member that shares their values but not S, first, between them
+  and last, and the 1-4 coin members with one on other bounds
 - `audit` runs with invalid density options (`AUDIT_OPTION_CASES`) on a
   small coin family it writes there, `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
@@ -234,12 +238,16 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                      "argv": ["audit", "--theorem", "4", "--family", str(density[members]),
                               *options, "--json", str(report)],
                      "report": str(report)})
-    for path in write_conflicting_families(tmp / "conflicting", beltables):
-        report = reports / f"audit-t4-conflicting-{path.name}.json"
-        jobs.append({"id": f"audit-t4/conflicting/{path.name}",
-                     "argv": ["audit", "--theorem", "4", "--family", str(path),
-                              "--grid", "2", "--json", str(report)],
-                     "report": str(report)})
+    for kind, paths in (("conflicting", write_conflicting_families(tmp / "conflicting",
+                                                                   beltables)),
+                        ("size-table", write_size_table_families(tmp / "size-table",
+                                                                 beltables))):
+        for path in paths:
+            report = reports / f"audit-t4-{kind}-{path.name}.json"
+            jobs.append({"id": f"audit-t4/{kind}/{path.name}",
+                         "argv": ["audit", "--theorem", "4", "--family", str(path),
+                                  "--grid", "2", "--json", str(report)],
+                         "report": str(report)})
     inputs = write_weight_backed(tmp / "weight-backed", family)
     for name, argv in WEIGHT_BACKED_RUNS:
         report = reports / f"weight-backed-{name}.json"
@@ -447,6 +455,34 @@ def write_conflicting_families(out: Path, beltables) -> list[Path]:
             bounds = (min(member.values()), max(member.values()))
             (out / name / f"member_{i:02d}.bel").write_text(
                 beltables.table_text(n, member, bounds), encoding="utf-8")
+        paths.append(out / name)
+    return paths
+
+
+def write_size_table_families(out: Path, beltables) -> list[Path]:
+    """Coin families that `build_family` does not read off one size table
+    alone.  The 1-3 coin members with a 2-atom table of the values 0, 2/5
+    and 1, which the 8-atom member also has, but with S(2/5) = 2/5 where
+    the member's is 3/5; the table stands first, between the members and
+    last.  And the 1-4 coin members with the 3-coin one on the bounds
+    [0, 2] by a `bounds:` line, so that one reads its own table."""
+    table = {key: Fraction(2, 5) if x == Fraction(1, 2) else x
+             for key, x in beltables.relabelled_table(beltables.normalized([1, 1]),
+                                                      "identity").items()}
+    coins = [beltables.coin_member_text(c) for c in (1, 2, 3, 4)]
+    tabled = beltables.table_text(2, table, (0, 1))
+    domain, directive = coins[2].split("\n", 1)
+    families = {
+        "table-first": [tabled, *coins[:3]],
+        "table-between": [*coins[:2], tabled, coins[2]],
+        "table-last": [*coins[:3], tabled],
+        "bounds-line": [*coins[:2], f"{domain}\nbounds: 0 2\n{directive}", coins[3]],
+    }
+    paths = []
+    for name, members in families.items():
+        (out / name).mkdir(parents=True)
+        for i, text in enumerate(members):
+            (out / name / f"member_{i:02d}.bel").write_text(text, encoding="utf-8")
         paths.append(out / name)
     return paths
 

@@ -143,7 +143,8 @@ def parse_structure(text: str) -> BeliefStructure:
     count = len(lines)
     data = body.encode("utf-8", "surrogatepass")
     del body
-    plain = _plain_bel_lines(data, count)
+    # a text with no "bel " has no `bel` line to find
+    plain = _plain_bel_lines(data, count) if b"bel " in data else np.zeros(count, dtype=bool)
     del data
     others = [(row, lines[row]) for row in np.flatnonzero(~plain).tolist()]
     # the parts of every plain `bel` line, cut at once: "bel V", "U", "value"
@@ -192,65 +193,70 @@ def parse_structure(text: str) -> BeliefStructure:
         if bel_rows.size:
             raise ParseError("domain line must come first", first_bel + 1)
         raise ParseError("file contains no domain line")
-    bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
     n = domain.size
     final_bounds = bounds if bounds is not None else (ZERO, ONE)
 
-    # each distinct event token and value literal is parsed once, then
-    # every `bel` line is a row of ints: its masks v and u (-1 for a bad
-    # token) and its value's rank (-1 for a bad literal)
-    key_type = np.int64 if 2 * n < 63 else object  # u << n | v fits in int64
-    masks: dict[str, int] = {}  # event token -> mask, -1 if bad
+    if not bel_rows.size:  # the table is the generator's, or incomplete
+        if error is not None:
+            raise error
+        keys = np.zeros(0, dtype=np.int64)
+    else:
+        # each distinct event token and value literal is parsed once, then
+        # every `bel` line is a row of ints: its masks v and u (-1 for a bad
+        # token) and its value's rank (-1 for a bad literal)
+        key_type = np.int64 if 2 * n < 63 else object  # u << n | v fits in int64
+        bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
+        masks: dict[str, int] = {}  # event token -> mask, -1 if bad
 
-    def mask(token: str) -> int:
-        if token not in masks:
-            try:
-                masks[token] = _parse_event(token, bits, None)
-            except ParseError:
-                masks[token] = -1
-        return masks[token]
+        def mask(token: str) -> int:
+            if token not in masks:
+                try:
+                    masks[token] = _parse_event(token, bits, None)
+                except ParseError:
+                    masks[token] = -1
+            return masks[token]
 
-    # a column is dropped once it is read: a bad line's text is split out
-    # again from `text`
-    parts, which = _distinct(v_col)
-    del v_col
-    v = np.array([mask(part[len("bel "):].strip()) for part in parts], dtype=key_type)[which]
-    parts, which = _distinct(u_col)
-    del u_col
-    u = np.array([mask(part.strip()) for part in parts], dtype=key_type)[which]
-    parts, which = _distinct(x_col)
-    del x_col
-    literals: dict[str, int] = {}  # literal -> index in `parsed`, -1 if bad
-    parsed: list[Fraction] = []
-    for literal in map(str.strip, parts):
-        if literal not in literals:
-            try:
-                parsed.append(parse_value(literal))
-                literals[literal] = len(parsed) - 1
-            except ValueError:
-                literals[literal] = -1
-    values, ranks = rank_values(parsed + list(final_bounds))
-    # a bad literal's index -1 reads the -1 appended to the ranks
-    x = np.append(ranks, -1)[[literals[part.strip()] for part in parts]][which]
+        # a column is dropped once it is read: a bad line's text is split out
+        # again from `text`
+        parts, which = _distinct(v_col)
+        del v_col
+        v = np.array([mask(part[len("bel "):].strip()) for part in parts], dtype=key_type)[which]
+        parts, which = _distinct(u_col)
+        del u_col
+        u = np.array([mask(part.strip()) for part in parts], dtype=key_type)[which]
+        parts, which = _distinct(x_col)
+        del x_col
+        literals: dict[str, int] = {}  # literal -> index in `parsed`, -1 if bad
+        parsed: list[Fraction] = []
+        for literal in map(str.strip, parts):
+            if literal not in literals:
+                try:
+                    parsed.append(parse_value(literal))
+                    literals[literal] = len(parsed) - 1
+                except ValueError:
+                    literals[literal] = -1
+        values, ranks = rank_values(parsed + list(final_bounds))
+        # a bad literal's index -1 reads the -1 appended to the ranks
+        x = np.append(ranks, -1)[[literals[part.strip()] for part in parts]][which]
 
-    # the lines sorted by pair, then by line: a repeated pair must repeat
-    # its value
-    keys = u << n | v & u
-    by_pair = np.argsort(keys, kind="stable")
-    keys, codes = keys[by_pair], x[by_pair]
-    repeat = keys[1:] == keys[:-1]
-    repeats = repeat.any()
-    if (error is not None or (len(x) and min(v.min(), u.min() - 1, x.min()) < 0)
-            or repeats and (codes[1:] != codes[:-1])[repeat].any()):
-        first = _bel_error(domain, bel_rows, text, v, u, x, values)
-        if first is not None and (error is None or first.line_no < error.line_no):
-            error = first
-        raise error
-    if repeats:
-        keep = np.concatenate(([True], ~repeat))
-        keys, codes = keys[keep], codes[keep]
+        # the lines sorted by pair, then by line: a repeated pair must repeat
+        # its value
+        keys = u << n | v & u
+        by_pair = np.argsort(keys, kind="stable")
+        keys, codes = keys[by_pair], x[by_pair]
+        repeat = keys[1:] == keys[:-1]
+        repeats = repeat.any()
+        if (error is not None or min(v.min(), u.min() - 1, x.min()) < 0
+                or repeats and (codes[1:] != codes[:-1])[repeat].any()):
+            first = _bel_error(domain, bel_rows, text, v, u, x, values)
+            if first is not None and (error is None or first.line_no < error.line_no):
+                error = first
+            raise error
+        if repeats:
+            keep = np.concatenate(([True], ~repeat))
+            keys, codes = keys[keep], codes[keep]
 
-    weight_list: list[Fraction] | None = None
+    backing: BeliefStructure | None = None
     if generator is not None:
         weights, gen_line = generator
         missing = [a for a in domain.atoms if a not in weights]
@@ -258,23 +264,27 @@ def parse_structure(text: str) -> BeliefStructure:
             raise ParseError(f"generator missing weights for {missing}", gen_line)
         weight_list = [weights[a] for a in domain.atoms]
         try:
-            weight_units(weight_list, "generator weights")
+            try:  # the structure checks the weights, once
+                backing = BeliefStructure.from_weights(domain, weight_list, bounds=final_bounds)
+            except BeliefDomainError:  # the same check, naming them as the file does
+                weight_units(weight_list, "generator weights")
+                raise
         except BeliefDomainError as exc:
             raise ParseError(str(exc), gen_line) from None
 
-    if weight_list is not None and not keys.size:
+    if backing is not None and not keys.size:
         # Directive-only file: keep the lazy weight backing.
-        return BeliefStructure.from_weights(domain, weight_list, bounds=final_bounds)
+        return backing
 
-    if weight_list is not None and domain.size > EXPANSION_ATOM_LIMIT:
+    if backing is not None and domain.size > EXPANSION_ATOM_LIMIT:
         raise ParseError(
             "generator expansion with explicit overrides is capped at "
             f"{EXPANSION_ATOM_LIMIT} atoms"
         )
 
     try:
-        if weight_list is not None:
-            table = BeliefStructure.from_weights(domain, weight_list).as_table()
+        if backing is not None:
+            table = backing.as_table()
             full = domain.full_mask
             table.update({(k & full, k >> n): values[c]
                           for k, c in zip(keys.tolist(), codes.tolist())})
@@ -334,6 +344,7 @@ def _header_line(line, line_no, domain, bounds, generator, text):
         if generator is not None:
             raise ParseError("duplicate generator directive", line_no)
         weights: dict[str, Fraction] = {}
+        literals: dict[str, Fraction] = {}  # each distinct weight literal, parsed once
         for spec in parts[2:]:
             if "=" not in spec:
                 raise ParseError(f"bad weight token {spec!r}", line_no)
@@ -342,7 +353,10 @@ def _header_line(line, line_no, domain, bounds, generator, text):
                 raise ParseError(f"duplicate weight for atom {name!r}", line_no)
             try:
                 domain.index(name)  # validates the atom name
-                weights[name] = parse_value(w_text)
+                weight = literals.get(w_text)
+                if weight is None:
+                    weight = literals[w_text] = parse_value(w_text)
+                weights[name] = weight
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
         return bounds, (weights, line_no)

@@ -182,8 +182,8 @@ UNIFORM_EXTRACTION_ATOM_CAP = 128
 
 
 def _by_sizes(structure: BeliefStructure) -> bool:
-    """Uniform structures above 6 atoms are read by event sizes, not pairs."""
-    if not (structure.is_uniform and structure.domain.size > 6):
+    """Uniform structures are read by event sizes, not pairs."""
+    if not structure.is_uniform:
         return False
     if structure.domain.size > UNIFORM_EXTRACTION_ATOM_CAP:
         raise FormError(f"extraction capped at {UNIFORM_EXTRACTION_ATOM_CAP} atoms")
@@ -398,6 +398,8 @@ class RankedExtraction(NamedTuple):
 
 def _merged(runs) -> tuple:
     """(keys, outs, first) of sorted runs with disjoint keys, as one run."""
+    if len(runs) == 1:
+        return runs[0]
     keys, outs, first = (np.concatenate(parts) for parts in zip(*runs))
     order = stable_order(keys)
     return keys[order], outs[order], first[order]

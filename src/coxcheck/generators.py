@@ -8,7 +8,6 @@ without materializing their tables.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -175,56 +174,86 @@ def build_family(members) -> DomainFamily:
 
     Members larger than EVIDENCE_SIZE_CAP atoms are skipped when building the
     merged tables (their full tables are infeasible); the note records which.
-    The members' values are ranked together once, and each table is merged
-    on those ranks as arrays.  The result is that of merging member by
-    member, each in the order its extraction first meets its keys: a key
-    keeps the output of the first member that has it, and a later member's
-    other output for it is a conflict.  So is a member's own A1 or A2
-    conflict, and that member adds nothing to the table.  A detail names
-    the last conflict met.
+    The result is that of merging member by member, each in the order its
+    extraction first meets its keys: a key keeps the output of the first
+    member that has it, and a later member's other output for it is a
+    conflict.  So is a member's own A1 or A2 conflict, and that member adds
+    nothing to the table.  A detail names the last conflict met.
+
+    The uniform members of one exponent and bounds are read by sizes, and
+    one of N atoms has the instances of a larger one whose U has at most N
+    atoms, first: so the largest one's A1 and A2 serve them all, each cut
+    at its own instance count, and a key is in every member whose count
+    exceeds its first instance.  They agree on its output, so only the
+    first and the last of them can be its entry or its last conflict.
     """
     members = tuple(members)
     if not members:
         raise BeliefDomainError("family must have at least one member")
     used = [i for i, m in enumerate(members) if m.domain.size <= EVIDENCE_SIZE_CAP]
     skipped = sorted(set(range(len(members))) - set(used))
-    local = [negation_ranks(members[i]).values for i in used]  # A2's are the same
-    values, ranks = rank_values([x for xs in local for x in xs])
+    group = [(members[i].exponent, *(b.as_integer_ratio() for b in members[i].bounds))
+             if members[i].is_uniform else i for i in used]  # ints hash faster than Fractions
+    largest: dict = {}  # group -> its member of most atoms, the first of them
+    for i, key in zip(used, group):
+        largest[key] = max(largest.get(key, i), i, key=lambda j: members[j].domain.size)
+    source = [largest[key] for key in group]  # the member whose tables each one reads
+    sources = list(dict.fromkeys(source))
+    local = [negation_ranks(members[s]).values for s in sources]  # A2's are the same
+    if len(local) == 1:  # one sorted value list ranks itself
+        values = list(local[0])
+        to_global = [np.arange(len(values))]
+    else:
+        values, ranks = rank_values([x for xs in local for x in xs])
+        to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
     width = len(values)
-    to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
     merged = []
     for label, read, extract in (("S", negation_ranks, extract_negation),
                                  ("F", combination_ranks, extract_combination)):
+        tables = {s: read(members[s]) for s in sources}
+        counts = np.array([
+            # a member read off a larger one has its rows up to its own size
+            tables[s].layout.lengths[:members[i].domain.size + 1 if s != i else None].sum()
+            for i, s in zip(used, source)], dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))  # each one's first instance
         detail, last = f"merged {label}-table single-valued", None
-        runs, starts, offset = [(np.zeros(0, dtype=np.int64),) * 3], [], 0
-        for i, g in zip(used, to_global):
-            ranked = read(members[i])
-            starts.append(offset)
-            if ranked.clash is not None:
-                conflict = extract(members[i]).describe(members[i].domain)
-                detail, last = f"member {i}: {conflict}", offset
-            else:
-                x, y = np.divmod(ranked.keys, len(ranked.values))
-                keys = g[ranked.keys] if label == "S" else g[x] * width + g[y]
-                runs.append((keys, g[ranked.outs], ranked.first + offset))
-            offset += int(ranked.layout.lengths.sum())
-        # each member's keys are distinct, so a stable sort puts each key's
-        # rows in member order, and its first row is the merged entry
-        keys, outs, first = (np.concatenate(run) for run in zip(*runs))
-        order = stable_order(keys)
-        keys, outs, first = keys[order], outs[order], first[order]
-        head = np.diff(keys, prepend=-1) != 0
-        entry = np.flatnonzero(head)[head.cumsum() - 1]
-        conflicts = np.flatnonzero(outs != outs[entry])
-        if len(conflicts):
-            k = conflicts[first[conflicts].argmax()]
-            if last is None or first[k] > last:
-                key, i = keys[k], used[bisect.bisect_right(starts, first[k]) - 1]
-                name = (f"S({values[key]})" if label == "S"
-                        else f_at(values[key // width], values[key % width]))
-                detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
-                          f"vs {values[outs[k]]} (member {i})")
-        merged += [RankedExtraction(values, keys[head], outs[head], first[head], None, None),
+        runs = [(np.zeros(0, dtype=np.int64),) * 4]
+        for s, g in zip(sources, to_global):
+            table = tables[s]
+            at = np.flatnonzero(np.equal(source, s))  # its readers, in member order
+            if table.clash is not None:  # a member read on its own
+                conflict = extract(members[s]).describe(members[s].domain)
+                detail, last = f"member {s}: {conflict}", int(starts[at[0]])
+                continue
+            # the first and the last reader whose count exceeds a key's first instance
+            c = counts[at]
+            opener = at[np.maximum.accumulate(c).searchsorted(table.first, "right")]
+            closer = at[::-1][np.maximum.accumulate(c[::-1]).searchsorted(table.first, "right")]
+            x, y = np.divmod(table.keys, len(table.values))
+            keys = g[table.keys] if label == "S" else g[x] * width + g[y]
+            runs.append((keys, g[table.outs], table.first + starts[opener],
+                         table.first + starts[closer]))
+        keys, outs, first, latest = (np.concatenate(run) for run in zip(*runs))
+        conflicts = ()  # one table's keys are sorted and distinct, and agree
+        if len(sources) > 1:
+            order = np.argsort(first)  # no two rows share a first instance
+            order = order[stable_order(keys[order])]
+            keys, outs, first, latest = (a[order] for a in (keys, outs, first, latest))
+            # each key's rows are in member order, and its first row is the entry
+            head = np.diff(keys, prepend=-1) != 0
+            entry = np.flatnonzero(head)[head.cumsum() - 1]
+            conflicts = np.flatnonzero(outs != outs[entry])
+            if len(conflicts):
+                k = conflicts[latest[conflicts].argmax()]
+                if last is None or latest[k] > last:
+                    key = keys[k]
+                    i = used[int(starts.searchsorted(latest[k], "right")) - 1]
+                    name = (f"S({values[key]})" if label == "S"
+                            else f_at(values[key // width], values[key % width]))
+                    detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
+                              f"vs {values[outs[k]]} (member {i})")
+            keys, outs, first = keys[head], outs[head], first[head]
+        merged += [RankedExtraction(values, keys, outs, first, None, None),
                    last is None and not len(conflicts), detail]
     note = (
         "all members contributed evidence"

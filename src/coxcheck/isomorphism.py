@@ -697,9 +697,9 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
         ws = [Fraction(w) for w in weights]
         if len(ws) != domain.size:
             raise ValueError("one weight per atom required")
+    index = structure.value_index()  # the atom cap, before the 2^n subset sums
     mu = subset_sums(weight_units(ws, "witness weights"))
     mu = np.array(mu, dtype=np.int64 if mu[-1] < 1 << 31 else object)
-    index = structure.value_index()
     values = index.values
     order, ranks, starts, owner, v, u = _value_classes(structure)
     p, q = mu[v], mu[u]

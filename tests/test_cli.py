@@ -26,6 +26,22 @@ from coxcheck.report_schema import REPORT_SCHEMA
 from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 
+def run_capped(*argv) -> tuple:
+    """(exit code, stdout, stderr, seconds) of `coxcheck argv` in a child
+    process under a 3 GB address-space limit and a 10 s timeout."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+              "from coxcheck.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - started
+
+
 def count_triple_passes(monkeypatch) -> list:
     """Patch extraction so each pass over the chain triples is recorded:
     `forms._combination_layout` lays out every triple of a structure."""
@@ -376,18 +392,24 @@ class TestUsageAndParseErrors:
         path.write_text(f"domain: {' '.join(atoms)}\ngenerate probability "
                         + " ".join(f"{a}={i}/{sum(ints)}" for a, i in zip(atoms, ints))
                         + "\n", encoding="utf-8")
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-                  "from coxcheck.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for argv in (["check"], ["audit", "--theorem", "1"], ["audit", "--theorem", "2"]):
-            proc = subprocess.run([sys.executable, "-c", script, *argv, str(path)],
-                                  capture_output=True, text=True, env=env, timeout=10)
-            assert (proc.returncode, proc.stdout, proc.stderr) == (
+            assert run_capped(*argv, path)[:3] == (
                 64, "", "usage error: pair enumeration capped at 12 atoms\n"), argv
+
+    @pytest.mark.parametrize("size", [24, 32, 70])
+    def test_large_uniform_weight_files_are_refused_before_the_subset_sums(
+            self, tmp_path, size):
+        # a witness check sums the weights of all 2^n events: at 32 atoms
+        # that list would not fit in 3 GB, and at 70 atoms its length overflows
+        atoms = [f"u{i}" for i in range(size)]
+        path = tmp_path / f"uniform{size}.bel"
+        path.write_text(f"domain: {' '.join(atoms)}\ngenerate probability "
+                        + " ".join(f"{a}=1/{size}" for a in atoms) + "\n", encoding="utf-8")
+        for argv in (["decide", path], ["audit", path, "--theorem", "2"]):
+            code, out, err, seconds = run_capped(*argv)
+            assert (code, out, err) == (
+                64, "", "usage error: pair enumeration capped at 12 atoms\n"), argv
+            assert seconds < 2, argv
 
     @pytest.mark.parametrize("coins", [11, 13])
     def test_theorem_3_audit_of_a_large_coin_extension_is_refused_up_front(
@@ -399,21 +421,10 @@ class TestUsageAndParseErrors:
         assert main(["generate", "coins", "--atoms", "a,b", "--weights", "1/2,1/2",
                      "--coins", str(coins), "--out", str(extension)]) == 0
         capsys.readouterr()
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-                  "from coxcheck.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        started = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", script, "audit", str(base), "--theorem",
-                               "3", "--extension", str(extension)],
-                              capture_output=True, text=True, env=env, timeout=10)
-        elapsed = time.perf_counter() - started
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            64, "", "usage error: size table capped at 2048 atoms\n")
-        assert elapsed < 2
+        code, out, err, seconds = run_capped("audit", base, "--theorem", "3",
+                                             "--extension", extension)
+        assert (code, out, err) == (64, "", "usage error: size table capped at 2048 atoms\n")
+        assert seconds < 2
 
     def test_huge_literal_fails_fast_as_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.bel"

@@ -1,21 +1,27 @@
+import bisect
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck.core import BeliefDomainError, BeliefStructure, Domain
+from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, rank_values
 from coxcheck.files import load_structure, serialize_structure
 from coxcheck.forms import (
     CombinationConflict,
     NegationConflict,
+    combination_ranks,
     extract_combination,
     extract_negation,
+    negation_ranks,
 )
 from coxcheck.generators import (
     EVIDENCE_SIZE_CAP,
+    DomainFamily,
     affine_rescale,
     build_family,
+    coin_domain,
     coin_extend,
     coin_family,
     gen_distorted,
@@ -308,6 +314,125 @@ class TestBuildFamilyOracle:
                                  1 + (exponent * i) % 3)
                    for i, ws in enumerate(vectors)]
         self.assert_matches_oracle(build_family(members))
+
+
+def reference_build_family(members):
+    """`build_family` as it merged member by member: each member under the
+    cap read on its own, and all their value lists ranked together."""
+    members = tuple(members)
+    used = [i for i, m in enumerate(members) if m.domain.size <= EVIDENCE_SIZE_CAP]
+    skipped = sorted(set(range(len(members))) - set(used))
+    local = [negation_ranks(members[i]).values for i in used]
+    values, ranks = rank_values([x for xs in local for x in xs])
+    width = len(values)
+    to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
+    merged = []
+    for label, read, extract in (("S", negation_ranks, extract_negation),
+                                 ("F", combination_ranks, extract_combination)):
+        detail, last = f"merged {label}-table single-valued", None
+        runs, starts, offset = [(np.zeros(0, dtype=np.int64),) * 3], [], 0
+        for i, g in zip(used, to_global):
+            ranked = read(members[i])
+            starts.append(offset)
+            if ranked.clash is not None:
+                conflict = extract(members[i]).describe(members[i].domain)
+                detail, last = f"member {i}: {conflict}", offset
+            else:
+                x, y = np.divmod(ranked.keys, len(ranked.values))
+                keys = g[ranked.keys] if label == "S" else g[x] * width + g[y]
+                runs.append((keys, g[ranked.outs], ranked.first + offset))
+            offset += int(ranked.layout.lengths.sum())
+        keys, outs, first = (np.concatenate(run) for run in zip(*runs))
+        order = np.argsort(keys, kind="stable")
+        keys, outs, first = keys[order], outs[order], first[order]
+        head = np.diff(keys, prepend=-1) != 0
+        entry = np.flatnonzero(head)[head.cumsum() - 1]
+        conflicts = np.flatnonzero(outs != outs[entry])
+        if len(conflicts):
+            k = conflicts[first[conflicts].argmax()]
+            if last is None or first[k] > last:
+                key, i = keys[k], used[bisect.bisect_right(starts, first[k]) - 1]
+                name = (f"S({values[key]})" if label == "S"
+                        else f"F({values[key // width]}, {values[key % width]})")
+                detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
+                          f"vs {values[outs[k]]} (member {i})")
+        merged += [(values, keys[head], outs[head], first[head]),
+                   last is None and not len(conflicts), detail]
+    note = (
+        "all members contributed evidence"
+        if not skipped
+        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
+    )
+    return members, tuple(used), *merged, note
+
+
+def coins(count, exponent=1, bounds=(F(0), F(1))):
+    """The uniform member on {0,1}^count, of the given exponent and bounds."""
+    size = 1 << count
+    return BeliefStructure.from_weights(coin_domain(count), [F(1, size)] * size,
+                                        exponent, bounds)
+
+
+#: Families with uniform members that `build_family` reads off the size
+#: table of their largest one, beside members it reads on their own.
+SIZE_TABLE_FAMILIES = {
+    **{f"coins-{c}": lambda c=c: [coins(k) for k in range(1, c + 1)] for c in range(1, 9)},
+    "coins-3-on-1-2": lambda: [affine_rescale(coins(k), 1, 1) for k in (1, 2, 3)],
+    "coins-with-tables": lambda: [
+        coins(3), load_structure(fixture_path("uniform2.bel")), coins(1),
+        relabelled(weighted([1, 1, 1, 1]), halfway_square), coins(2), weighted([1, 3]),
+    ],
+    "largest-in-the-middle": lambda: [coins(1), coins(4), coins(2), coins(6), coins(3)],
+    "exponents-and-bounds": lambda: [
+        coins(2), coins(3, 2), coins(1, 2), coins(2, 1, (F(-1), F(2))), coins(3),
+        coins(1, 1, (F(-1), F(2))), uniform(5), uniform(3),
+    ],
+    "table-disagrees-first": lambda: [disagreeing_table(), coins(1), coins(3), coins(2)],
+    "table-disagrees-between": lambda: [coins(1), coins(3), disagreeing_table(), coins(2)],
+    "table-disagrees-last": lambda: [coins(2), coins(1), coins(3), disagreeing_table()],
+    # S(1/4) = 2/3 and S(2/3) = 1/4, against several coin members each
+    "table-disagrees-with-several": lambda: [
+        relabelled(weighted([1, 1, 1]), move_a_third), coins(2), coins(3), coins(4),
+    ],
+    "bounds-line": lambda: [coins(1), coins(2), coins(3, 1, (F(0), F(2))), coins(4)],
+    **{f"conflicting-{name}": build for name, build in ORACLE_FAMILIES.items()},
+    "conflicting-with-coins": lambda: [
+        coins(2), *ORACLE_FAMILIES["member-conflicts"](), coins(1), coins(3),
+    ],
+}
+
+
+def disagreeing_table():
+    """Two equal weights with the value 1/2 moved to 2/5, so S(2/5) = 2/5;
+    the 8-atom coin member has S(2/5) = 3/5."""
+    return relabelled(weighted([1, 1]), lambda v: F(2, 5) if v == F(1, 2) else v)
+
+
+class TestBuildFamilyReference:
+    """Every field of `build_family` against the member-by-member merge."""
+
+    @pytest.mark.parametrize("family_name", sorted(SIZE_TABLE_FAMILIES))
+    def test_families(self, family_name):
+        members = SIZE_TABLE_FAMILIES[family_name]()
+        family = build_family(members)
+        names = [field.name for field in dataclasses.fields(DomainFamily)]
+        for name, want in zip(names, reference_build_family(members), strict=True):
+            got = getattr(family, name)
+            if name in ("negation", "combination"):
+                assert got.values == want[0] and got.clash is None and got.layout is None
+                for array, want_array in zip(got[1:4], want[1:], strict=True):
+                    assert array.dtype == np.int64, name
+                    assert array.tolist() == want_array.tolist(), name
+            else:
+                assert got == want, name
+
+    def test_the_smaller_members_read_the_largest_ones_tables(self, monkeypatch):
+        read = []
+        original = BeliefStructure._build_size_ranks
+        monkeypatch.setattr(BeliefStructure, "_build_size_ranks",
+                            lambda s: read.append(s.domain.size) or original(s))
+        build_family(SIZE_TABLE_FAMILIES["exponents-and-bounds"]())
+        assert sorted(read) == [4, 8, 8]  # one table per exponent and bounds
 
 
 class TestAffineRescale:

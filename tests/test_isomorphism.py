@@ -210,11 +210,11 @@ class TestRefutationSearch:
 def reference_instances(structure):
     """A1 and A2 instances as values, read off the structure directly.
 
-    Every canonical pair and triple; for uniform structures above 6 atoms,
-    whose extraction goes by event sizes, one prefix-event witness per size.
+    Every canonical pair and triple; for uniform structures, whose
+    extraction goes by event sizes, one prefix-event witness per size.
     """
     bel = structure.bel_masks
-    if structure.is_uniform and structure.domain.size > 6:
+    if structure.is_uniform:
         n = structure.domain.size
         prefix = [(1 << s) - 1 for s in range(n + 1)]
         pairs = [(prefix[j], prefix[m]) for m in range(1, n + 1) for j in range(m + 1)]
@@ -283,6 +283,13 @@ class TestRatioEngineInputs:
 
     @pytest.mark.parametrize("n,k", [(7, 1), (8, 2)])
     def test_uniform_structures_beyond_six_atoms(self, n, k):
+        d = Domain(tuple(f"x{i}" for i in range(n)))
+        assert assert_engine_matches_reference(
+            BeliefStructure.from_weights(d, [F(1, n)] * n, exponent=k)
+        )
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 2), (5, 1)])
+    def test_small_uniform_structures_read_by_sizes(self, n, k):
         d = Domain(tuple(f"x{i}" for i in range(n)))
         assert assert_engine_matches_reference(
             BeliefStructure.from_weights(d, [F(1, n)] * n, exponent=k)

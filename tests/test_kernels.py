@@ -394,8 +394,8 @@ class TestExtractionKernels:
         assert_same_extraction(a2, oracle_first_outputs(*oracle_combination_instances(structure)))
 
     def test_size_ranks_are_built_once_per_structure(self, monkeypatch):
-        # the coin family of 1-5 coins has uniform members of 2-32 atoms;
-        # those of 8, 16 and 32 atoms are read by sizes, by A1 and by A2
+        # the coin family of 1-5 coins has uniform members of 2-32 atoms,
+        # all read by sizes; the family reads the 32-atom one's table alone
         calls = []
         original = BeliefStructure._build_size_ranks
 
@@ -406,8 +406,8 @@ class TestExtractionKernels:
         monkeypatch.setattr(BeliefStructure, "_build_size_ranks", counting)
         family = build_family(coin_family(5).members)
         by_sizes = [m for m in family.members if forms._by_sizes(m)]
-        assert [m.domain.size for m in by_sizes] == [8, 16, 32]
-        assert [m for m in calls if forms._by_sizes(m)] == by_sizes
+        assert [m.domain.size for m in by_sizes] == [2, 4, 8, 16, 32]
+        assert calls == [family.members[-1]]
         for member in family.members:  # later layouts and attained() read the memo
             if forms._by_sizes(member):
                 forms._negation_layout(member)
