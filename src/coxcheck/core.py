@@ -330,11 +330,9 @@ def float_values(xs: Sequence[Fraction]) -> np.ndarray:
     return _float_parts(xs)[2]
 
 
-def rank_values(xs: Sequence[Fraction], parts: tuple | None = None
-                ) -> tuple[list[Fraction], np.ndarray]:
+def rank_values(xs: Sequence[Fraction]) -> tuple[list[Fraction], np.ndarray]:
     """The sorted distinct values of `xs`, and the rank of each x in turn as
-    an int64 array.  `parts` are the (num, den, approx) of `_float_parts(xs)`,
-    where the caller has them.
+    an int64 array.
 
     Exact, and no Fraction is hashed.  A Fraction's float is correctly
     rounded, so sorting by floats never puts two values out of order; only
@@ -346,7 +344,7 @@ def rank_values(xs: Sequence[Fraction], parts: tuple | None = None
     count = len(xs)
     if not count:
         return [], np.zeros(0, dtype=np.int64)
-    num, den, approx = _float_parts(xs) if parts is None else parts
+    num, den, approx = _float_parts(xs)
     order = np.argsort(approx, kind="stable")
     # sorted neighbours with equal floats, then with equal values; each
     # array is dropped once read, as xs may hold 3^12 values
@@ -398,14 +396,8 @@ def rank_ratios(p: Sequence[int], q: Sequence[int], k: int = 1,
     p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
     g = np.gcd(p, q)
     keys, at = np.unique(p // g * width + q // g, return_inverse=True)
-    num, den = keys // width, keys % width  # np.divmod takes no object arrays
-    xs = list(map(Fraction, num.tolist(), den.tolist()))
-    parts = None
-    if k == 1 and dtype is np.int64:  # quotients of ints below 2^31, correctly rounded
-        parts = (num, den, num / den)
-        if bounds:
-            parts = tuple(map(np.concatenate, zip(parts, _float_parts(list(bounds)))))
-    values, distinct = rank_values((xs if k == 1 else [x ** k for x in xs]) + list(bounds), parts)
+    xs = [Fraction(*divmod(key, width)) for key in keys.tolist()]
+    values, distinct = rank_values((xs if k == 1 else [x ** k for x in xs]) + list(bounds))
     return values, np.concatenate((distinct[at], distinct[len(xs):]))
 
 

@@ -398,8 +398,6 @@ class RankedExtraction(NamedTuple):
 
 def _merged(runs) -> tuple:
     """(keys, outs, first) of sorted runs with disjoint keys, as one run."""
-    if len(runs) == 1:
-        return runs[0]
     keys, outs, first = (np.concatenate(parts) for parts in zip(*runs))
     order = stable_order(keys)
     return keys[order], outs[order], first[order]

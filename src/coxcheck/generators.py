@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values, stable_order,
+    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values,
 )
 from .forms import (
     CombinationForm,
@@ -200,13 +200,9 @@ def build_family(members) -> DomainFamily:
     source = [largest[key] for key in group]  # the member whose tables each one reads
     sources = list(dict.fromkeys(source))
     local = [negation_ranks(members[s]).values for s in sources]  # A2's are the same
-    if len(local) == 1:  # one sorted value list ranks itself
-        values = list(local[0])
-        to_global = [np.arange(len(values))]
-    else:
-        values, ranks = rank_values([x for xs in local for x in xs])
-        to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
+    values, ranks = rank_values([x for xs in local for x in xs])
     width = len(values)
+    to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
     merged = []
     for label, read, extract in (("S", negation_ranks, extract_negation),
                                  ("F", combination_ranks, extract_combination)):
@@ -234,26 +230,26 @@ def build_family(members) -> DomainFamily:
             runs.append((keys, g[table.outs], table.first + starts[opener],
                          table.first + starts[closer]))
         keys, outs, first, latest = (np.concatenate(run) for run in zip(*runs))
-        conflicts = ()  # one table's keys are sorted and distinct, and agree
-        if len(sources) > 1:
-            order = np.argsort(first)  # no two rows share a first instance
-            order = order[stable_order(keys[order])]
-            keys, outs, first, latest = (a[order] for a in (keys, outs, first, latest))
-            # each key's rows are in member order, and its first row is the entry
-            head = np.diff(keys, prepend=-1) != 0
-            entry = np.flatnonzero(head)[head.cumsum() - 1]
-            conflicts = np.flatnonzero(outs != outs[entry])
-            if len(conflicts):
-                k = conflicts[latest[conflicts].argmax()]
-                if last is None or latest[k] > last:
-                    key = keys[k]
-                    i = used[int(starts.searchsorted(latest[k], "right")) - 1]
-                    name = (f"S({values[key]})" if label == "S"
-                            else f_at(values[key // width], values[key % width]))
-                    detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
-                              f"vs {values[outs[k]]} (member {i})")
-            keys, outs, first = keys[head], outs[head], first[head]
-        merged += [RankedExtraction(values, keys, outs, first, None, None),
+        # by key, then by first instance (no two rows share one); each
+        # table's rows are one sorted run, which the stable sort merges
+        span = int(counts.sum()) + 1
+        dtype = np.int64 if width * width * span < 1 << 63 else object
+        order = np.argsort(keys.astype(dtype) * span + first, kind="stable")
+        keys, outs, first, latest = (a[order] for a in (keys, outs, first, latest))
+        # each key's rows are in member order, and its first row is the entry
+        head = np.diff(keys, prepend=-1) != 0
+        entry = np.flatnonzero(head)[head.cumsum() - 1]
+        conflicts = np.flatnonzero(outs != outs[entry])
+        if len(conflicts):
+            k = conflicts[latest[conflicts].argmax()]
+            if last is None or latest[k] > last:
+                key = keys[k]
+                i = used[int(starts.searchsorted(latest[k], "right")) - 1]
+                name = (f"S({values[key]})" if label == "S"
+                        else f_at(values[key // width], values[key % width]))
+                detail = (f"{name} differs across members: {values[outs[entry[k]]]} "
+                          f"vs {values[outs[k]]} (member {i})")
+        merged += [RankedExtraction(values, keys[head], outs[head], first[head], None, None),
                    last is None and not len(conflicts), detail]
     note = (
         "all members contributed evidence"

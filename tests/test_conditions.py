@@ -12,7 +12,6 @@ from coxcheck.conditions import (
     DensityProbe,
     FamilyDensityReport,
     TripleSearchResult,
-    _WORD_PIECE,
     _chain_table,
     _random_levels,
     audit,
@@ -418,24 +417,6 @@ class TestRandomLevels:
         for count in (1, 256, 700, 957):
             got = _random_levels(n, seed, count)
             assert got.tolist() == want[:count], count
-
-    @pytest.mark.parametrize("n,seed,count", [
-        (8, 1, 1993), (16, 4, 1983), (13, 9, 5000), (64, 3, 2000), (256, 5, 700), (7, 0, 1)])
-    def test_rows_match_numpy_mt19937_set_to_the_random_state(self, n, seed, count):
-        """numpy's MT19937 in the state of `random.Random(seed)` gives the
-        same words, so the same rows, also past the first _WORD_PIECE words:
-        a bulk draw may come from either generator."""
-        key = random.Random(seed).getstate()[1]
-        words = np.random.MT19937()
-        words.state = {"bit_generator": "MT19937",
-                       "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]}}
-        levels = words.random_raw(4 * n * count + 4096) >> 29
-        levels = levels[levels < 5]
-        rows = levels[:len(levels) // n * n].reshape(-1, n)
-        want = rows[rows.max(axis=1) >= 3][:count]
-        assert len(want) == count
-        assert _random_levels(n, seed, count).tolist() == want.tolist()
-        assert count == 1 or 2 * n * count > _WORD_PIECE
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_a_table_scores_only_the_chains_asked_for(self, n):
