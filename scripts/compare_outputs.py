@@ -36,18 +36,20 @@ builds the jobs there:
 - a theorem-1 `audit` of the 8-atom tables and of the 9-atom table, whose
   Par4 check spans many rows and columns
 - a theorem-4 `audit` with its default options (grid 5, ε 1/20) of the
-  1-3 coin family, whose missed targets run the density search to its
-  full budget, and theorem-4 `audit` runs at grid 3 with two sampler seeds
-  of the 1-8 coin family, whose 256-atom `generate probability` line is
-  parsed and whose missed targets grow the sampled chain tables of members
-  of 8-256 atoms
-- theorem-4 `audit` runs that stress the density search
-  (`DENSITY_RUNS`): the 1-3 coin family at grid 21 (9,261 targets), the
-  1-12 coin family at grid 5 and ε 1/100, a family of non-uniform weight
-  backings and tables, the 1-3 coin members relabelled onto [1, 2], and at
-  grid 3 the 1-3 coin members with a 7-atom weight backing of weights 1/p
-  over seven primes near 10^4, whose unit total of about 2^80 puts its
-  chain masses beyond int64
+  1-3 coin family, and theorem-4 `audit` runs at grid 3 with two seeds,
+  which theorem 4 does not read, of the 1-8 coin family, whose 256-atom
+  `generate probability` line is parsed and read by sizes
+- theorem-4 `audit` runs that stress the density pass (`DENSITY_RUNS`):
+  the 1-3 coin family at grid 21 (9,261 targets), the 1-12 coin family at
+  grid 5 and ε 1/100, a family of non-uniform weight backings and tables,
+  the 1-3 coin members relabelled onto [1, 2], at grid 3 the 1-3 coin
+  members with a 7-atom weight backing of weights 1/p over seven primes
+  near 10^4, whose values' denominators are too large for the float pass
+  to settle alone, the 1-2 coin members with a 40-atom non-uniform weight
+  backing the pass cannot read, and the coin families where greedy and
+  sampled chains reported misses that some chain meets: 4 coins at grid 5
+  and ε 1/20, 8 coins at grid 5 and ε 1/20, and 3 coins at grid 7 and
+  ε 1/30
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
@@ -223,6 +225,7 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                  "argv": ["audit", "--theorem", "4", "--family", str(three),
                           "--json", str(report)],
                  "report": str(report)})
+    four = write_coin_family(tmp / "coin-family-4", 4, beltables)
     eight = write_coin_family(tmp / "coin-family-8", 8, beltables)
     for seed in (0, 9):
         report = reports / f"audit-t4-coins-8-seed{seed}.json"
@@ -231,7 +234,7 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                               "--grid", "3", "--seed", str(seed), "--json", str(report)],
                      "report": str(report)})
     density = write_density_families(tmp / "density", beltables)
-    density["coins-3"] = three
+    density.update({"coins-3": three, "coins-4": four, "coins-8": eight})
     for name, members, options in DENSITY_RUNS:
         report = reports / f"audit-t4-density-{name}.json"
         jobs.append({"id": f"audit-t4/density/{name}",
@@ -365,13 +368,18 @@ def write_coin_family(out: Path, coins: int, beltables) -> Path:
 
 
 #: Theorem-4 density runs, by name: the family (a name of
-#: `write_density_families`, or the 1-3 coin family) and the options.
+#: `write_density_families`, or the 1-3, 1-4 or 1-8 coin family) and the
+#: options.
 DENSITY_RUNS = [
     ("coins-3-grid-21", "coins-3", ["--grid", "21", "--epsilon", "1/3"]),
     ("coins-12-grid-5", "coins-12", ["--grid", "5", "--epsilon", "1/100"]),
     ("mixed-backings", "mixed", ["--grid", "4", "--epsilon", "1/20", "--seed", "3"]),
     ("bounds-1-2", "bounds-1-2", []),
     ("primes-grid-3", "primes", ["--grid", "3"]),
+    ("unsearched-grid-3", "unsearched", ["--grid", "3"]),
+    ("coins-4-grid-5", "coins-4", ["--grid", "5", "--epsilon", "1/20"]),
+    ("coins-8-grid-5", "coins-8", ["--grid", "5", "--epsilon", "1/20"]),
+    ("coins-3-grid-7", "coins-3", ["--grid", "7", "--epsilon", "1/30"]),
 ]
 
 #: Distinct primes near 10^4: weights 1/p over seven atoms have a unit total
@@ -383,9 +391,10 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
     """The families of `DENSITY_RUNS` by name: the 1-12 coin family, whose
     largest member has 4,096 atoms; a family of non-uniform weight backings
     of 7, 10 and 13 atoms and tables of 3, 5 and 6 atoms; the 1-3 coin
-    members as tables relabelled v ↦ 1 + v on the bounds [1, 2]; and the
-    1-3 coin members with the 7-atom weight backing of weights 1/p over
-    `PRIMES`."""
+    members as tables relabelled v ↦ 1 + v on the bounds [1, 2]; the 1-3
+    coin members with the 7-atom weight backing of weights 1/p over
+    `PRIMES`; and the 1-2 coin members with a 40-atom weight backing of
+    weights i/820."""
     out.mkdir()
     paths = {"coins-12": write_coin_family(out / "coins-12", 12, beltables)}
     rng = random.Random(24)
@@ -407,6 +416,12 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
             n, {key: 1 + x for key, x in table.items()}, (1, 2))
     for coins in (1, 2, 3):
         texts[f"primes/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
+    for coins in (1, 2):
+        texts[f"unsearched/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
+    atoms = [f"w{i}" for i in range(40)]
+    texts["unsearched/weights_40.bel"] = (
+        f"domain: {' '.join(atoms)}\ngenerate probability "
+        + " ".join(f"{a}={i + 1}/820" for i, a in enumerate(atoms)) + "\n")
     product = math.prod(PRIMES)
     atoms = [f"p{i}" for i in range(len(PRIMES))]
     texts["primes/weights_07.bel"] = (
@@ -416,7 +431,8 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
     for name, text in texts.items():
         (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text(text, encoding="utf-8")
-    paths.update((name, out / name) for name in ("mixed", "bounds-1-2", "primes"))
+    paths.update((name, out / name) for name in ("mixed", "bounds-1-2", "primes",
+                                                 "unsearched"))
     return paths
 
 

@@ -11,6 +11,7 @@ from .conditions import (
     AuditReport,
     ChainCertificate,
     DensityProbe,
+    TripleSearchResult,
     audit,
     bel_level_negation,
     chain_consistency,

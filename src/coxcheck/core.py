@@ -36,10 +36,6 @@ _DENOMINATOR = operator.attrgetter("denominator")
 #: Largest domain for which full canonical-pair/triple enumeration is allowed.
 ENUMERATION_ATOM_LIMIT = 12
 
-#: Largest domain whose nested chains are enumerated exhaustively; density
-#: probes sample chains above it.
-EXHAUSTIVE_CHAIN_ATOM_LIMIT = 5
-
 #: Largest uniform structure whose size table is built: it holds about
 #: 0.3·n² distinct values, one Fraction each, so 2,048 atoms take seconds
 #: and hundreds of MB, and 2^14 atoms would run for hours.
@@ -718,8 +714,8 @@ class BeliefStructure:
         """`build(self)`, computed once per structure and kept under `key`.
 
         Structures are immutable, so results read off them (the value index,
-        the A1/A2 extraction in `coxcheck.forms`, the density search's chain
-        tables in `coxcheck.conditions`) can be shared by every consumer.
+        the size table, the A1/A2 extraction in `coxcheck.forms`) can be
+        shared by every consumer.
         """
         if key not in self._derived:
             self._derived[key] = build(self)

@@ -66,9 +66,9 @@ REPORT_SCHEMA = {
                             },
                         },
                     },
-                    # the Par5′ search of a theorem-4 audit: each missed target
-                    # [[α, β, γ], best deviation], the worst target with its
-                    # deviation and member index
+                    # the Par5′ pass of a theorem-4 audit: each missed target
+                    # [[α, β, γ], least deviation], the worst target with its
+                    # least deviation and member index, the members not read
                     "density": {
                         "type": "object",
                         "required": ["passed", "vacuous", "grid", "epsilon",

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from coxcheck import cli, forms
 from coxcheck.cli import main
 from coxcheck.core import Domain
-from coxcheck.files import load_structure, save_structure
+from coxcheck.files import load_structure, parse_structure, save_structure, serialize_structure
 from coxcheck.generators import gen_distorted, gen_probability
 from coxcheck.isomorphism import verify_witness
 from coxcheck.report_schema import REPORT_SCHEMA
@@ -26,11 +26,12 @@ from coxcheck.report_schema import REPORT_SCHEMA
 from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 
-def run_capped(*argv) -> tuple:
+def run_capped(*argv, limit=3 << 30, timeout=10) -> tuple:
     """(exit code, stdout, stderr, seconds) of `coxcheck argv` in a child
-    process under a 3 GB address-space limit and a 10 s timeout."""
+    process under an address-space limit of `limit` bytes, 3 GB unless
+    given, and a timeout of `timeout` seconds, 10 unless given."""
     script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
               "from coxcheck.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -38,7 +39,7 @@ def run_capped(*argv) -> tuple:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=10)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - started
 
 
@@ -299,11 +300,77 @@ class TestAuditOptions:
         assert captured.out == ""
         assert captured.err.count(message) == 2
 
+    def test_ten_coins_at_the_largest_grid_run_within_1_gb(self, tmp_path):
+        # 21^3 = 9,261 targets, the most DENSITY_TARGET_LIMIT allows, on
+        # the 1-10 coin family, whose pass reads 1,024 atoms by sizes
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "10",
+                     "--out-dir", str(family)]) == 0
+        code, out, err, _ = run_capped("audit", "--theorem", "4", "--family", family,
+                                       "--grid", "21", limit=1 << 30)
+        assert (code, err) == (1, "")
+        assert "grid 21^3 at ε=1/20: 44 targets missed" in out
+
+    def test_twelve_coins_at_the_largest_grid_run_within_768_mb(self, tmp_path):
+        # the largest family the size pass reads: its 4,096-atom member has
+        # about 8.4 M steps, read G² times.  Exactness costs about 5 s and
+        # 380 MB here; the address-space limit and the timeout pin that cost
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "12",
+                     "--out-dir", str(family)]) == 0
+        code, out, err, _ = run_capped("audit", "--theorem", "4", "--family", family,
+                                       "--grid", "21", limit=768 << 20, timeout=20)
+        assert (code, err) == (1, "")
+        assert "grid 21^3 at ε=1/20: 2 targets missed" in out
+
     def test_grid_within_the_limit_still_runs(self, capsys):
         # theorem 1 fails Par5 on every finite structure
         assert main(["audit", str(FIXTURES / "three_atoms.bel"), "--theorem", "1",
                      "--grid", "11", "--epsilon", "1/20"]) == 1
         assert "usage error" not in capsys.readouterr().err
+
+
+class TestWeightFilesMatchTheirTables:
+    """A `generate probability` file on any bounds prints what its table,
+    written out by `serialize_structure`, prints: the same Par1 and Par2
+    verdicts and messages, and the same exit code."""
+
+    @pytest.mark.parametrize("bounds", ["0 1", "0 2", "-1 1", "1/4 3/4"])
+    @pytest.mark.parametrize("weights", [["1"], ["1/3", "2/3"], ["1/6", "1/3", "1/2"]])
+    @pytest.mark.parametrize("command", [["check"], ["audit", "--theorem", "1"]])
+    def test_same_stdout_and_exit_code(self, tmp_path, capsys, bounds, weights, command):
+        atoms = "abc"[:len(weights)]
+        text = (f"domain: {' '.join(atoms)}\nbounds: {bounds}\ngenerate probability "
+                + " ".join(f"{a}={w}" for a, w in zip(atoms, weights)) + "\n")
+        weight_file, table_file = tmp_path / "weights.bel", tmp_path / "table.bel"
+        weight_file.write_text(text, encoding="utf-8")
+        table_file.write_text(serialize_structure(parse_structure(text)), encoding="utf-8")
+        runs = []
+        for path in (weight_file, table_file):
+            argv = [command[0], str(path), *command[1:]]
+            runs.append((main(argv), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
+
+class TestDensityUntestable:
+    def test_a_member_too_large_to_read_leaves_missed_targets_open(self, tmp_path, capsys):
+        # a 40-atom non-uniform weight backing is past both the pass's
+        # 12 atoms and EVIDENCE_SIZE_CAP, so the family is built without it
+        family = tmp_path / "family"
+        assert main(["generate", "family", "--max-coins", "2",
+                     "--out-dir", str(family)]) == 0
+        atoms = [f"w{i}" for i in range(40)]
+        (family / "weights_40.bel").write_text(
+            f"domain: {' '.join(atoms)}\ngenerate probability "
+            + " ".join(f"{a}={i + 1}/820" for i, a in enumerate(atoms)) + "\n",
+            encoding="utf-8")
+        capsys.readouterr()
+        code, report = run_with_report(["audit", "--theorem", "4", "--family", family,
+                                        "--grid", "3"], tmp_path)
+        density = {h["name"]: h for h in report["hypotheses"]}["par5-family-density"]
+        assert code == 2 and density["verdict"] == "untestable"
+        assert density["witness"].endswith("members [2] are too large to read")
+        assert report["density"]["unsearched"] == [2]
 
 
 class TestUsageAndParseErrors:

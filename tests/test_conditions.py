@@ -1,4 +1,4 @@
-import math
+import itertools
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coxcheck import conditions
 from coxcheck.conditions import (
     DENSITY_TARGET_LIMIT,
     DensityProbe,
     FamilyDensityReport,
-    TripleSearchResult,
-    _chain_table,
-    _random_levels,
     audit,
     bel_level_negation,
     chain_consistency,
@@ -22,7 +20,7 @@ from coxcheck.conditions import (
     par5_gap,
     par5_triples,
 )
-from coxcheck.core import EXHAUSTIVE_CHAIN_ATOM_LIMIT, BeliefStructure, Domain, Event
+from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import load_structure
 from coxcheck.forms import NegationForm, Verdict
 from coxcheck.generators import (
@@ -95,6 +93,34 @@ class TestBounds:
         structure = BeliefStructure.from_table(b.domain, table)
         report = check_bounds(structure)
         assert (report.par1, report.par2) == oracle_bounds(structure)
+
+
+class TestWeightBounds:
+    """A weight backing's values lie in [0,1] with Bel(∅|U) = 0 and
+    Bel(U|U) = 1: Par1 holds iff e <= 0 and 1 <= E, Par2 iff e = 0 and
+    E = 1, each naming the first pair of its table in canonical order."""
+
+    @pytest.mark.parametrize("bounds,par1,par2", [
+        ((0, 1), None, None),
+        ((0, 2), None, "Bel(U|U) = 1 ≠ 2 at U={a}"),
+        ((-1, 1), None, "Bel(∅|{a}) = 0 ≠ -1"),
+        ((F(1, 4), F(3, 4)), "Bel({}|{a}) = 0 outside [1/4,3/4]", "Bel(∅|{a}) = 0 ≠ 1/4"),
+        ((-1, F(1, 2)), "Bel({a}|{a}) = 1 outside [-1,1/2]", "Bel(∅|{a}) = 0 ≠ -1"),
+    ])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_verdicts_and_first_pairs(self, bounds, par1, par2, k):
+        bounds = tuple(map(F, bounds))
+        weights = BeliefStructure.from_weights(Domain(("a", "b", "c")),
+                                               [F(1, 6), F(1, 3), F(1, 2)], k, bounds)
+        report = check_bounds(weights)
+        assert (report.par1.status == "fail", report.par2.status == "fail") == (
+            par1 is not None, par2 is not None)
+        if par1:
+            assert report.par1.detail == par1
+        if par2:
+            assert report.par2.detail == par2
+        table = BeliefStructure.from_table(weights.domain, weights.as_table(), bounds)
+        assert check_bounds(table) == report
 
 
 def oracle_bounds(structure):
@@ -179,14 +205,14 @@ class TestTriples:
         assert not result.passed
         assert result.deviation == F(1, 2)
 
-    def test_sixteen_atoms_hit_dyadic_targets_exactly(self):
+    def test_sixteen_atoms_hit_dyadic_targets_with_the_smallest_chain(self):
         probe = DensityProbe(F(1, 2), F(1, 2), F(1, 2), F(1, 8))
         result = par5_triples(uniform(16), probe)
         assert result.passed
         assert result.deviation == 0
         sizes = (result.chain.u1.size, result.chain.u2.size,
                  result.chain.u3.size, result.chain.u4.size)
-        assert sizes == (16, 8, 4, 2)
+        assert sizes == (8, 4, 2, 1)  # of the exact chains, the least U1
 
     @given(small_weights(), st.integers(0, 10))
     def test_epsilon_above_gap_with_trivial_tail_passes(self, ws, num):
@@ -196,19 +222,28 @@ class TestTriples:
         probe = DensityProbe(alpha, 1, 1, par5_gap(b) + F(1, 1000))
         assert par5_triples(b, probe).passed
 
-    def test_sampled_chain_is_nested_and_definitional(self):
-        b = gen_probability(Domain(tuple("abcdef")), [F(i, 21) for i in range(1, 7)])
+    @pytest.mark.parametrize("structure", [
+        gen_probability(Domain(tuple("abcdef")), [F(i, 21) for i in range(1, 7)]),
+        gen_distorted(Domain(tuple("abcd")), [F(1, 10), F(2, 10), F(3, 10), F(4, 10)], 2),
+        uniform(9),
+    ], ids=["weights-6", "distorted-4", "uniform-9"])
+    def test_chain_is_nested_and_definitional(self, structure):
         hit = DensityProbe(F(1, 3), F(1, 2), F(2, 3), F(1, 10))
         miss = DensityProbe(F(1, 7), F(5, 7), F(3, 7), F(1, 10**6))
-        for probe, seed in ((hit, 0), (hit, 3), (miss, 0), (miss, 3)):
-            result = par5_triples(b, probe, seed=seed, budget=300)
-            assert result.method == "sampled"
+        for probe in (hit, miss):
+            result = par5_triples(structure, probe)
             c = result.chain
             assert c.u4.issubset(c.u3) and c.u3.issubset(c.u2) and c.u2.issubset(c.u1)
             assert not c.u3.is_empty
-            assert c.x == b.bel(c.u4, c.u3)
-            assert c.y == b.bel(c.u3, c.u2)
-            assert c.z == b.bel(c.u2, c.u1)
+            assert c.x == structure.bel(c.u4, c.u3)
+            assert c.y == structure.bel(c.u3, c.u2)
+            assert c.z == structure.bel(c.u2, c.u1)
+            assert c.u_a == structure.bel(c.u4, c.u2)
+            assert c.u_b == structure.bel(c.u3, c.u1)
+            assert c.u_c == structure.bel(c.u4, c.u1)
+            assert result.deviation == max(abs(c.x - probe.alpha), abs(c.y - probe.beta),
+                                           abs(c.z - probe.gamma))
+            assert result.passed == (result.deviation < probe.epsilon)
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):
@@ -222,347 +257,291 @@ class TestTriples:
         assert result.passed
         assert result.chain.x == 2  # E on the shifted interval
 
-
-def _oracle_submasks(mask):
-    return sorted(s for s in range(mask + 1) if s & ~mask == 0)
-
-
-def _oracle_level_sizes(parent, target, eps, floor_size):
-    ordered = []
-    base = round(target * parent)
-    cap = math.ceil((target + eps) * parent) - 1
-    for s in (base, base + 1, base - 1, base + 2, base - 2, cap, cap - 1):
-        if floor_size <= s <= parent and s not in ordered:
-            ordered.append(s)
-    return ordered
+    def test_a_member_too_large_to_read_is_refused(self):
+        big = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(13))),
+                                           [F(i, 91) for i in range(1, 14)])
+        with pytest.raises(BeliefDomainError, match="density pass capped"):
+            par5_triples(big, DensityProbe(F(1, 2), F(1, 2), F(1, 2), F(1, 10)))
 
 
-def oracle_par5_triples(structure, probe, *, seed=0, budget=2000):
-    """`par5_triples` as it was before chains were scored from three steps:
-    every candidate is built with all six values through `_make_chain`, and
-    the chain order, greedy order and sampler are spelt out here."""
-    a, b, g = targets = probe.rescaled(structure.bounds)
-    eps = probe.epsilon
-    best = best_dev = None
-    tried = 0
+# -- exact oracles of the density pass --------------------------------------------
 
-    def consider(*masks):
-        nonlocal best, best_dev, tried
-        tried += 1
-        chain = structure._make_chain(*masks)
-        dev = max(abs(chain.x - a), abs(chain.y - b), abs(chain.z - g))
-        if best_dev is None or dev < best_dev:
-            best, best_dev = chain, dev
-        return chain, dev
 
+def _submasks(mask):
+    return [s for s in range(mask + 1) if s & ~mask == 0]
+
+
+def oracle_steps(structure):
+    """The steps (Bel(U4|U3), Bel(U3|U2), Bel(U2|U1)) of every nested chain
+    U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 nonempty, brute force over masks or, for a
+    uniform weight backing, over event sizes."""
     n = structure.domain.size
-    full = structure.domain.full_mask
-    if n <= EXHAUSTIVE_CHAIN_ATOM_LIMIT:
-        for u1 in range(1, full + 1):
-            for u2 in _oracle_submasks(u1):
-                for u3 in _oracle_submasks(u2):
-                    for u4 in _oracle_submasks(u3) if u3 else ():
-                        chain, dev = consider(u1, u2, u3, u4)
-                        if dev < eps:
-                            return TripleSearchResult(True, chain, dev, "exhaustive", tried)
-        return TripleSearchResult(False, best, best_dev, "exhaustive", tried)
-    prefix = lambda s: (1 << s) - 1
-    for s2 in _oracle_level_sizes(n, probe.gamma, eps, 1):
-        for s3 in _oracle_level_sizes(s2, probe.beta, eps, 1):
-            for s4 in _oracle_level_sizes(s3, probe.alpha, eps, 0):
-                chain, dev = consider(full, prefix(s2), prefix(s3), prefix(s4))
-                if dev < eps:
-                    return TripleSearchResult(True, chain, dev, "sampled", tried)
-    rng = random.Random(seed)
-    while tried < budget:
-        us = [0, 0, 0, 0]
-        for i in range(n):
-            level = rng.randint(0, 4)
-            for j in range(level):
-                us[j] |= 1 << i
-        if us[2] == 0:
-            continue
-        chain, dev = consider(*us)
-        if dev < eps:
-            return TripleSearchResult(True, chain, dev, "sampled", tried)
-    return TripleSearchResult(False, best, best_dev, "sampled", tried)
+    if structure.is_uniform:
+        k = structure.exponent
+        return {(F(s4, s3) ** k, F(s3, s2) ** k, F(s2, s1) ** k)
+                for s1, s2, s3 in itertools.combinations_with_replacement(range(n, 0, -1), 3)
+                for s4 in range(s3 + 1)}
+    bel = structure.bel_masks
+    return {(bel(u4, u3), bel(u3, u2), bel(u2, u1))
+            for u1 in range(1, 1 << n) for u2 in _submasks(u1)[1:]
+            for u3 in _submasks(u2)[1:] for u4 in _submasks(u3)}
 
 
-def _oracle_cases():
-    """Coin members of 1-8 coins, non-uniform weight backings with k = 1-3,
-    and tables on 1-5 atoms (exhaustive) and 6-7 atoms (sampled), each as
-    a pytest param named after it."""
-    rng = random.Random(2024)
-    cases = [(f"coins-{i + 1}", m) for i, m in enumerate(coin_family(8).members)]
-    for n, k in ((3, 1), (5, 2), (6, 3), (9, 1), (12, 2), (20, 3)):
-        ints = [rng.randint(1, 9) for _ in range(n)]
-        domain = Domain(tuple(f"x{i}" for i in range(n)))
-        ws = [F(i, sum(ints)) for i in ints]
-        cases.append((f"weights-n{n}-k{k}", BeliefStructure.from_weights(domain, ws, k)))
-    for n in (1, 2, 4, 5, 6, 7):
-        ints = [rng.randint(1, 9) for _ in range(n)]
-        base = gen_probability(Domain(tuple(f"x{i}" for i in range(n))),
-                               [F(i, sum(ints)) for i in ints])
-        # a monotone relabelling onto [1, 2]: a table, and rescaled targets
-        cases.append((f"table-n{n}", base.map_values(lambda v: 1 + v * v / (2 - v),
-                                                     bounds=(F(1), F(2)))))
-    return [pytest.param(name, structure, id=name) for name, structure in cases]
+def oracle_least(structure, steps, target):
+    """The least Chebyshev deviation of any chain from the rescaled target."""
+    e, big_e = structure.bounds
+    a, b, g = (e + t * (big_e - e) for t in target)
+    return min(max(abs(x - a), abs(y - b), abs(z - g)) for x, y, z in steps)
 
 
-class TestTriplesOracle:
-    """`par5_triples` returns exactly what six-value scoring returned: the
-    same verdict, chain, deviation, method and candidate count."""
-
-    # (0, 0, 1) is never met, (1, 1, 1) always; the tight ε misses more
-    PROBES = [
-        DensityProbe(*target, eps)
-        for targets, eps in (
-            ([(0, 0, 1), (1, 1, 1), (0, F(1, 3), 1), (F(1, 3), F(1, 2), F(1, 3)),
-              (F(1, 2),) * 3, (1, F(1, 3), F(1, 2)), (F(1, 2), 1, F(1, 3))], F(1, 40)),
-            ([(F(1, 3),) * 3, (F(1, 3), F(1, 2), 1)], F(1, 10**6)),
-        )
-        for target in targets
-    ]
-
-    @pytest.mark.parametrize("name,structure", _oracle_cases())
-    def test_matches_six_value_scoring(self, name, structure):
-        sampled = structure.domain.size > EXHAUSTIVE_CHAIN_ATOM_LIMIT
-        outcomes = set()
-        for seed in (0, 7) if sampled else (0,):
-            for probe in self.PROBES:
-                got = par5_triples(structure, probe, seed=seed, budget=400)
-                assert got == oracle_par5_triples(
-                    structure, probe, seed=seed, budget=400
-                ), (name, seed, probe)
-                outcomes.add(got.passed)
-        assert outcomes == {True, False}, name
-
-
-    # 1/p over distinct primes near 10^4: the units of 7 atoms total about
-    # 2^80, beyond int64, so the chain masses are summed in Python ints
-    PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069)
-
-    @pytest.mark.parametrize("name,structure", [
-        param for param in _oracle_cases()
-        if param.id in ("coins-3", "coins-4", "weights-n9-k1", "weights-n12-k2",
-                        "table-n5", "table-n7")
-    ])
-    def test_matches_six_value_scoring_at_full_budget(self, name, structure):
-        for probe in self.PROBES[::2]:
-            got = par5_triples(structure, probe, budget=2000)
-            assert got == oracle_par5_triples(structure, probe, budget=2000), (name, probe)
-
-    def test_one_structure_probed_with_interleaved_seeds_and_budgets(self):
-        """The chain table is kept per structure and seed and grows on demand:
-        a stale or shared table would change a later answer."""
-        structure = BeliefStructure.from_weights(
-            Domain(tuple(f"x{i}" for i in range(7))),
-            [F(i, 28) for i in range(1, 8)], 2,
-        )
-        calls = [(0, 50), (7, 2000), (0, 400), (3, 50), (7, 300), (0, 2000), (3, 2000)]
-        for i, (seed, budget) in enumerate(calls * 2):
-            probe = self.PROBES[i % len(self.PROBES)]
-            got = par5_triples(structure, probe, seed=seed, budget=budget)
-            assert got == oracle_par5_triples(
-                structure, probe, seed=seed, budget=budget
-            ), (seed, budget, probe)
-
-    def test_unit_total_beyond_int64_uses_the_lookup_path(self):
-        inverse = [F(1, p) for p in self.PRIMES]
-        weights = [w / sum(inverse) for w in inverse]
-        structure = BeliefStructure.from_weights(
-            Domain(tuple(f"x{i}" for i in range(len(weights)))), weights
-        )
-        assert max(w.denominator for w in weights) >= 1 << 62  # the unit total
-        outcomes = set()
-        for probe in self.PROBES:
-            got = par5_triples(structure, probe, seed=5, budget=400)
-            assert got == oracle_par5_triples(structure, probe, seed=5, budget=400), probe
-            outcomes.add(got.passed)
-        assert outcomes == {True, False}
-
-    @pytest.mark.parametrize("coins", [6, 7, 8])
-    def test_large_coin_members_over_several_seeds(self, coins):
-        member = coin_family(coins).members[-1]
-        for seed in (1, 2, 11):
-            for probe in self.PROBES[::3] + self.PROBES[-2:]:
-                got = par5_triples(member, probe, seed=seed, budget=400)
-                assert got == oracle_par5_triples(
-                    member, probe, seed=seed, budget=400
-                ), (seed, probe)
-
-    def test_missed_target_on_a_256_atom_coin_member(self):
-        member = coin_family(8).members[-1]
-        assert member.domain.size == 256
-        probe = DensityProbe(F(1, 3), F(1, 3), F(1, 3), F(1, 10**6))
-        got = par5_triples(member, probe, seed=3)
-        assert not got.passed and got.candidates_tried == 2000
-        assert got == oracle_par5_triples(member, probe, seed=3)
-
-
-class TestRandomLevels:
-    """The sampler's bulk draw is the stream of one `randint(0, 4)` per atom,
-    rows without a level of 3 or more skipped: a change to how `random`
-    draws would change which chains are sampled, and fails here."""
-
-    @pytest.mark.parametrize("n", [6, 13, 100])
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    def test_blocks_match_a_randint_loop(self, n, seed):
-        rng = random.Random(seed)
-        want = []
-        while len(want) < 957:
-            row = [rng.randint(0, 4) for _ in range(n)]
-            if max(row) >= 3:
-                want.append(row)
-        for count in (1, 256, 700, 957):
-            got = _random_levels(n, seed, count)
-            assert got.tolist() == want[:count], count
-
-    @pytest.mark.parametrize("n", [32, 256])
-    def test_a_table_scores_only_the_chains_asked_for(self, n):
-        structure = uniform(n)
-        table = _chain_table(structure, 4)
-        table.grow(structure, 2000)
-        assert len(table.steps) == len(table.masks) == 2000
-
-
-def oracle_par5_family(family, grid_resolution, epsilon, *, seed=0, budget=2000):
-    """`par5_family` assembled from `oracle_par5_triples`: members largest
-    first, a target's best deviation and member over the members probed up
-    to its first hit, and the worst target over all."""
-    members = family.members
-    if grid_resolution == 1:
-        grid = [F(0)]
-    else:
-        grid = [F(i, grid_resolution - 1) for i in range(grid_resolution)]
-    order = sorted(range(len(members)), key=lambda i: -members[i].domain.size)
+def oracle_par5_family(members, grid_resolution, epsilon, steps=None):
+    """The report `par5_family` must give, by brute force: each target's
+    least deviation over every member, the targets no member meets within
+    ε, and the worst target, first of the largest, with the first member
+    whose own chains attain it.  `steps` holds each member's
+    `oracle_steps`, if they are at hand."""
+    grid = ([F(0)] if grid_resolution == 1
+            else [F(i, grid_resolution - 1) for i in range(grid_resolution)])
+    steps = steps or [oracle_steps(m) for m in members]
     failures, worst = [], None
-    for target in ((a, b, g) for a in grid for b in grid for g in grid):
-        probe = DensityProbe(*target, epsilon)
-        best = None
-        for i in order:
-            result = oracle_par5_triples(members[i], probe, seed=seed, budget=budget)
-            if best is None or result.deviation < best[0]:
-                best = (result.deviation, i)
-            if result.passed:
-                break
-        else:
-            failures.append((target, best[0]))
-        if worst is None or best[0] > worst[1]:
-            worst = (target, best[0], best[1])
-    return FamilyDensityReport(
-        not failures, False, grid_resolution, F(epsilon), len(grid) ** 3,
-        tuple(failures), worst,
-    )
+    for target in itertools.product(grid, repeat=3):
+        devs = [oracle_least(m, s, target) for m, s in zip(members, steps)]
+        best = min(devs)
+        if best >= epsilon:
+            failures.append((target, best))
+        if worst is None or best > worst[1]:
+            worst = (target, best, devs.index(best))
+    return FamilyDensityReport(not failures, False, grid_resolution, F(epsilon),
+                               len(grid) ** 3, tuple(failures), worst)
 
 
-class TestFamilyDensityOracle:
-    """The whole family report, failures with their best deviations and the
-    worst target with its member, equals the one the oracle assembles."""
+def random_member(rng, kind, n=None):
+    """A seeded member of `n` atoms or of at most 4, or a uniform one of at
+    most 12: a table relabelled onto one of three bounds, a weight backing
+    of exponent 1-3, or uniform weights on one of three bounds."""
+    n = n or rng.randint(1, 4)
+    atoms = tuple(f"x{i}" for i in range(n))
+    ints = [rng.randint(1, 9) for _ in range(n)]
+    weights = [F(i, sum(ints)) for i in ints]
+    if kind == "weights":
+        return BeliefStructure.from_weights(Domain(atoms), weights, rng.randint(1, 3))
+    if kind == "uniform":
+        n = rng.randint(1, 12)
+        return BeliefStructure.from_weights(
+            Domain(tuple(f"u{i}" for i in range(n))), [F(1, n)] * n, rng.choice([1, 1, 2]),
+            bounds=rng.choice([(F(0), F(1)), (F(0), F(2)), (F(-1), F(1))]))
+    e, big_e = rng.choice([(F(0), F(1)), (F(1), F(2)), (F(-1, 2), F(3))])
+    base = gen_probability(Domain(atoms), weights)
+    return base.map_values(lambda v: e + (big_e - e) * v * v / (2 - v), bounds=(e, big_e))
 
-    @pytest.mark.parametrize("coins", [3, 4])
-    @pytest.mark.parametrize("grid", [3, 4, 5])
-    def test_coin_families(self, coins, grid):
-        family = coin_family(coins)
-        got = par5_family(family, grid, F(1, 20), seed=4, budget=150)
-        assert got == oracle_par5_family(family, grid, F(1, 20), seed=4, budget=150)
-        assert got.failures and got.worst_target
 
-    def test_non_uniform_family(self):
-        members = []
-        for n, k in ((3, 1), (4, 2), (7, 1), (9, 3)):
-            domain = Domain(tuple(f"x{i}" for i in range(n)))
-            ints = list(range(1, n + 1))
-            members.append(BeliefStructure.from_weights(
-                domain, [F(i, sum(ints)) for i in ints], k
-            ))
-        family = build_family(members)
-        got = par5_family(family, 4, F(1, 10), seed=2, budget=150)
-        assert got == oracle_par5_family(family, 4, F(1, 10), seed=2, budget=150)
-        assert got.failures and got.worst_target
+class TestDensityOracle:
+    """`par5_family` and `par5_triples` against brute force over every
+    nested chain: the verdicts, each missed target's exact least deviation
+    and the worst target with its member."""
 
     @staticmethod
-    def check(members, grid, eps, *, seed=0, budget=2000):
-        """par5_family on a family of `members` equals the oracle's report;
-        the report, for the caller to look into."""
-        family = SimpleNamespace(members=tuple(members))
-        got = par5_family(family, grid, eps, seed=seed, budget=budget)
-        assert got == oracle_par5_family(family, grid, eps, seed=seed, budget=budget)
+    def check(members, grid, eps, steps=None):
+        got = par5_family(SimpleNamespace(members=tuple(members)), grid, eps)
+        assert got == oracle_par5_family(members, grid, eps, steps)
         return got
 
-    @pytest.mark.parametrize("bounds", [(F(1), F(2)), (F(-1, 2), F(3))], ids=["1-2", "-1/2-3"])
-    def test_table_members_on_other_bounds(self, bounds):
-        e, big_e = bounds
-        rng = random.Random(31)
-        members = []
-        for n in (2, 4, 6, 7):
-            ints = [rng.randint(1, 9) for _ in range(n)]
-            base = gen_probability(Domain(tuple(f"x{i}" for i in range(n))),
-                                   [F(i, sum(ints)) for i in ints])
-            members.append(base.map_values(lambda v: e + (big_e - e) * v * v / (2 - v),
-                                           bounds=bounds))
-        got = self.check(members, 3, F(1, 10), seed=3, budget=120)
-        assert got.failures and not got.passed
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables(self, n):
+        rng = random.Random(n)
+        for kind in ("table", "table", "weights"):
+            self.check([random_member(rng, kind, n)], 3, F(1, 20))
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_weight_members_with_exponents(self, k):
-        rng = random.Random(k)
-        members = []
-        for n in (3, 6, 8, 11):
-            ints = [rng.randint(1, 9) for _ in range(n)]
-            members.append(BeliefStructure.from_weights(
-                Domain(tuple(f"x{i}" for i in range(n))), [F(i, sum(ints)) for i in ints], k))
-        got = self.check(members, 3, F(1, 8), seed=5, budget=100)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_families(self, seed):
+        rng = random.Random(seed)
+        kinds = ["table", "weights", "uniform"]
+        members = [random_member(rng, rng.choice(kinds)) for _ in range(rng.randint(2, 4))]
+        steps = [oracle_steps(m) for m in members]
+        for grid, eps in ((2, F(1, 3)), (3, F(1, 20)), (4, F(1, 8))):
+            self.check(members, grid, eps, steps)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_triples_on_tables(self, n):
+        rng = random.Random(10 + n)
+        member = random_member(rng, "table", n)
+        steps = oracle_steps(member)
+        for target in itertools.product((F(0), F(1, 3), F(1, 2), F(1)), repeat=3):
+            result = par5_triples(member, DensityProbe(*target, F(1, 20)))
+            assert result.deviation == oracle_least(member, steps, target)
+
+    @pytest.mark.parametrize("sizes", [(12, 2, 6, 3, 7), (2, 5, 9, 11), (10, 3, 4)])
+    def test_uniform_members_attain_from_their_own_size(self, sizes):
+        """A group of uniform members is read off its largest one; the
+        worst target names the first member whose own chains attain it."""
+        members = [uniform(n) for n in sizes]
+        steps = [oracle_steps(m) for m in members]
+        for grid, eps in ((3, F(1, 10)), (4, F(1, 20))):
+            self.check(members, grid, eps, steps)
+
+    def test_floats_that_tie_exact_values_that_do_not(self):
+        """Bel({a}|W) = 1/3 and Bel({b}|W) = 1/3 + 10^-30 are one float.
+        The target (2/3, 1, 1) is met at 1/3 − 10^-30, just under ε = 1/3."""
+        tiny = F(1, 10 ** 30)
+        table = {(0, 1): F(0), (1, 1): F(1), (0, 2): F(0), (2, 2): F(1),
+                 (0, 3): F(0), (1, 3): F(1, 3), (2, 3): F(1, 3) + tiny, (3, 3): F(1)}
+        member = BeliefStructure.from_table(Domain(("a", "b")), table)
+        result = par5_triples(member, DensityProbe(F(2, 3), 1, 1, F(1, 3)))
+        assert result.passed and result.deviation == F(1, 3) - tiny
+        assert result.chain.u4.members == ("b",)
+        for grid, eps in ((4, F(1, 3)), (4, F(1, 3) - tiny), (7, F(1, 20))):
+            self.check([member], grid, eps)
+
+    def test_denominators_too_large_to_snap(self):
+        # weights 1/p over four primes near 10^4: the values' denominators
+        # are too large for the nearest-fraction step, so every exact
+        # deviation comes from rechecking the steps near the float one
+        primes = (10007, 10009, 10037, 10039)
+        inverse = [F(1, p) for p in primes]
+        member = BeliefStructure.from_weights(Domain(tuple("abcd")),
+                                              [w / sum(inverse) for w in inverse])
+        assert conditions._snap(conditions._step_graph(member), 0.5, 2) is None
+        members = [member, uniform(3)]
+        steps = [oracle_steps(m) for m in members]
+        for grid, eps in ((2, F(1, 3)), (3, F(1, 20))):
+            self.check(members, grid, eps, steps)
+
+    def test_values_beyond_the_float_range(self):
+        # on the bounds [0, 10^400] the values only read as floats normalized
+        big = F(10) ** 400
+        members = [uniform(n).map_values(lambda v: v * big, bounds=(F(0), big))
+                   for n in (2, 3)]
+        got = self.check(members, 3, F(1, 20) * big)
         assert got.failures
-
-    @pytest.mark.parametrize("budget", [0, 5, 50])
-    def test_budgets_below_the_greedy_count(self, budget):
-        # a budget at or below a target's greedy chain count leaves it no
-        # random chain at all
-        members = [*coin_family(4).members,
-                   BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(7))),
-                                                [F(i, 28) for i in range(1, 8)])]
-        self.check(members, 4, F(1, 20), seed=6, budget=budget)
 
     @pytest.mark.parametrize("eps", [F(1), F(3, 2)])
     def test_epsilon_of_one_or_more(self, eps):
-        got = self.check(coin_family(4).members, 3, eps, seed=1, budget=50)
+        got = self.check(coin_family(4).members, 3, eps)
         assert got.passed
 
     @pytest.mark.parametrize("coins", [1, 4])
     def test_grid_of_one(self, coins):
-        got = self.check(coin_family(coins).members, 1, F(1, 10), budget=50)
+        got = self.check(coin_family(coins).members, 1, F(1, 10))
         assert got.targets_checked == 1
-
-    def test_values_beyond_the_float_range(self):
-        # on the bounds [0, 10^400] every nonzero value and target reads as
-        # an infinite float, so missed targets are rechecked on every chain
-        big = F(10) ** 400
-        members = [uniform(n).map_values(lambda v: v * big, bounds=(F(0), big))
-                   for n in (2, 3, 6)]
-        got = self.check(members, 3, F(1, 20), seed=1, budget=80)
-        assert got.failures
-
-    def test_half_sizes_round_to_even(self):
-        """γ = 1/2 under an odd parent gives a size of k + 1/2, which
-        `round` takes to the even neighbour: 9/2 to 4, 7/2 to 4."""
-        assert (round(F(9, 2)), round(F(7, 2))) == (4, 4)
-        members = [uniform(n) for n in (7, 9, 11)] + [BeliefStructure.from_weights(
-            Domain(tuple(f"x{i}" for i in range(13))), [F(i, 91) for i in range(1, 14)])]
-        for member in members:
-            for eps in (F(1, 5), F(1, 50), F(1, 10**6)):
-                probe = DensityProbe(F(1, 2), F(1, 2), F(1, 2), eps)
-                got = par5_triples(member, probe, seed=2, budget=60)
-                assert got == oracle_par5_triples(member, probe, seed=2, budget=60)
-        self.check(members, 3, F(1, 30), seed=2, budget=60)
 
     def test_builds_no_chain_quadruple(self, monkeypatch):
         def refuse(*masks):
             raise AssertionError("par5_family built a ChainQuadruple")
-        members = [*coin_family(4).members, uniform(7).map_values(lambda v: v, (F(0), F(1)))]
         monkeypatch.setattr(BeliefStructure, "_make_chain", refuse)
-        report = par5_family(SimpleNamespace(members=tuple(members)), 4, F(1, 20), budget=150)
-        assert report.failures  # missed targets went through every member's table
+        report = par5_family(coin_family(4), 4, F(1, 20))
+        assert report.failures
+
+
+class TestUnsearchedMembers:
+    """A non-uniform weight backing above 12 atoms cannot be read: it meets
+    and misses nothing, and theorem 4's density reads untestable where a
+    target is met by no member that was read.  `build_family` refuses such
+    a member up to EVIDENCE_SIZE_CAP atoms, so a family holds one of more."""
+
+    BIG = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(40))),
+                                       [F(i, 820) for i in range(1, 41)])
+
+    def test_listed_and_left_out_of_the_deviations(self):
+        members = [uniform(2), self.BIG, uniform(4)]
+        got = par5_family(SimpleNamespace(members=tuple(members)), 3, F(1, 20))
+        want = oracle_par5_family([uniform(2), uniform(4)], 3, F(1, 20))
+        assert got.unsearched == (1,)
+        assert got.failures == want.failures and got.failures
+        target, deviation, member = want.worst_target
+        assert got.worst_target == (target, deviation, {0: 0, 1: 2}[member])
+
+    def test_alone_it_leaves_every_target_open(self):
+        got = par5_family(SimpleNamespace(members=(self.BIG,)), 2, F(1, 20))
+        assert not got.passed and got.worst_target is None
+        assert [dev for _, dev in got.failures] == [None] * 8
+        report = got.to_dict()
+        assert report["worst_target"] is None and report["unsearched"] == [0]
+        assert report["failures"][0] == (["0", "0", "0"], None)
+
+    def test_theorem_4_reads_untestable_and_passes_when_all_are_met(self):
+        family = build_family([uniform(16), self.BIG])
+        verdict = {h.name: h for h in audit(None, "4", family=family, grid_resolution=3,
+                                            epsilon=F(1, 20)).hypotheses}
+        density = verdict["par5-family-density"]
+        assert density.status == "untestable"
+        assert "members [1] are too large to read" in density.witness
+        verdict = {h.name: h for h in audit(None, "4", family=family, grid_resolution=2,
+                                            epsilon=F(1, 2)).hypotheses}
+        assert verdict["par5-family-density"].status == "pass"
+
+
+def oracle_coin_least(coins, grid):
+    """Every target's least deviation on the uniform domain of 2^coins atoms,
+    at α·G² + β·G + γ, by the three passes over dense size tables.  A
+    deviation |j/m − i/q| has a denominator of at most q·2^coins, so two
+    distinct ones differ by far more than float rounding, and the nearest
+    such fraction to each float is the exact value."""
+    n = 1 << coins
+    q = max(grid - 1, 1)
+    sizes = np.arange(n + 1)
+    ratio = sizes[:, None] / np.maximum(sizes, 1)[None, :]  # [j, m] = j/m
+    valid = (sizes[:, None] <= sizes[None, :]) & (sizes[None, :] >= 1)
+    points = np.arange(grid) / q
+    dev = np.where(valid, np.abs(ratio[None] - points[:, None, None]), np.inf)
+    d3 = dev.min(axis=2)  # [γ, U2]: over U1 of size m >= |U2|
+    d3[:, 0] = np.inf
+    low = dev.min(axis=1)  # [α, U3]: over U4
+    low[:, 0] = np.inf
+    out = np.empty((grid, grid, grid))
+    for b in range(grid):
+        # d2[γ, U3] over U2: max(d3[γ, U2], |Bel(U3|U2) − β|)
+        d2 = np.maximum(d3[:, None, :], dev[b][None, :, :]).min(axis=2)
+        d2[:, 0] = np.inf
+        out[:, b, :] = np.maximum(d2[None, :, :], low[:, None, :]).min(axis=2)
+    return [F(x).limit_denominator(q * n) for x in out.ravel().tolist()]
+
+
+def oracle_coin_family(coins, grid, epsilon):
+    """The report of the 1..`coins` coin family, from `oracle_coin_least`
+    of each member."""
+    points = [F(0)] if grid == 1 else [F(i, grid - 1) for i in range(grid)]
+    per_member = [oracle_coin_least(c, grid) for c in range(1, coins + 1)]
+    least = per_member[-1]  # the largest member holds every chain
+    targets = list(itertools.product(points, repeat=3))
+    failures = tuple((t, d) for t, d in zip(targets, least) if d >= epsilon)
+    worst = max(range(len(targets)), key=lambda t: (least[t], -t))
+    member = next(c for c, devs in enumerate(per_member) if devs[worst] == least[worst])
+    return FamilyDensityReport(not failures, False, grid, F(epsilon), len(targets),
+                               failures, (targets[worst], least[worst], member))
+
+
+class TestCoinDensityOracle:
+    """Coin families against the dense size-table oracle.  The rows of the
+    table of misses that greedy and sampled chains overcounted keep their
+    exact counts."""
+
+    @pytest.mark.parametrize("coins,grid,eps,misses", [
+        (3, 7, F(1, 30), 269), (4, 5, F(1, 20), 59), (4, 7, F(1, 30), 183),
+        (4, 9, F(1, 50), 493), (5, 7, F(1, 30), 121), (5, 9, F(1, 50), 330),
+        (6, 3, F(1, 10), 3), (6, 9, F(1, 50), 218), (8, 5, F(1, 20), 9),
+        (8, 7, F(1, 30), 33),
+    ])
+    def test_exact_miss_counts(self, coins, grid, eps, misses):
+        got = par5_family(coin_family(coins), grid, eps)
+        assert len(got.failures) == misses
+        assert got == oracle_coin_family(coins, grid, eps)
+
+    @pytest.mark.parametrize("coins", range(1, 9))
+    def test_sweep(self, coins):
+        family = coin_family(coins)
+        for grid in range(2, 10):
+            for eps in (F(1, 3), F(1, 20)):
+                assert par5_family(family, grid, eps) == oracle_coin_family(coins, grid, eps), (
+                    grid, eps)
+
+    def test_ten_coins_meet_a_quarter_at_a_sixteenth(self):
+        # the worst target at grid 5 is (1/4, 0, 0), met within 1/16 by the
+        # chain of sizes 1024, 64, 4 and 1 and no closer
+        got = par5_family(coin_family(10), 5, F(1, 20))
+        assert got.worst_target == ((F(1, 4), F(0), F(0)), F(1, 16), 9)
+        result = par5_triples(coin_family(10).members[-1],
+                              DensityProbe(F(1, 4), 0, 0, F(1, 20)))
+        assert result.deviation == F(1, 16)
 
 
 class TestFamilyDensity:

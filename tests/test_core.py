@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 
 from coxcheck.cli import main
 from coxcheck import conditions
-from coxcheck.conditions import _chain_table
 from coxcheck.core import (
-    EXHAUSTIVE_CHAIN_ATOM_LIMIT,
     BeliefDomainError,
     BeliefStructure,
     Domain,
@@ -195,77 +193,85 @@ class TestAttained:
         assert b.attained("conditional") == slow
 
 
-def chains(structure):
-    """The chains of the structure's density chain table, in search order,
-    as masks (u1, u2, u3, u4): every nested chain up to
-    EXHAUSTIVE_CHAIN_ATOM_LIMIT atoms, from numpy-built level rows."""
-    table = _chain_table(structure, 0)
-    table.grow(structure, 5 ** structure.domain.size)
-    return [table.chain(i) for i in range(len(table.steps))]
-
-
-def count_chains(structure):
-    """Number of nested quadruples with U3 ≠ ∅, by building the table."""
-    return len(chains(structure))
-
-
-def brute_force_chain_quadruples(domain):
-    """Independent oracle: filter all event 4-tuples by pairwise inclusion,
-    in lexicographic (u1, u2, u3, u4) order.
-
-    Deliberately ignorant of how the chain table draws its level rows;
-    used to cross-check the enumeration and its order.
-    """
-    masks = range(domain.full_mask + 1)
-    return [
-        (u1, u2, u3, u4)
-        for u1, u2, u3, u4 in itertools.product(masks, repeat=4)
-        if not (u2 & ~u1 or u3 & ~u2 or u4 & ~u3) and u3 != 0
-    ]
+def brute_force_steps(structure):
+    """Every canonical pair (v, u) with v ≠ 0, and every one with u ≠ 0: the
+    up steps by child, parents ascending, and the down steps by parent."""
+    n = structure.domain.size
+    pairs = [(v, u) for u in range(1, 1 << n) for v in range(u + 1) if v & ~u == 0]
+    return sorted((v, u) for v, u in pairs if v), pairs
 
 
 class TestChains:
-    def test_one_atom_has_two_chains(self):
-        assert count_chains(uniform(1)) == 2
+    def test_derived_values_are_definitional(self):
+        # every nested chain U1 ⊇ U2 ⊇ U3 ⊇ U4 with U3 ≠ ∅, by brute force
+        b = BeliefStructure.from_weights(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
+        masks = range(b.domain.full_mask + 1)
+        for u1, u2, u3, u4 in itertools.product(masks, repeat=4):
+            if u2 & ~u1 or u3 & ~u2 or u4 & ~u3 or u3 == 0:
+                continue
+            c = b._make_chain(u1, u2, u3, u4)
+            assert (c.u1.mask, c.u2.mask, c.u3.mask, c.u4.mask) == (u1, u2, u3, u4)
+            assert c.x == b.bel_masks(u4, u3)
+            assert c.y == b.bel_masks(u3, u2)
+            assert c.z == b.bel_masks(u2, u1)
+            assert c.u_a == b.bel_masks(u4, u2)
+            assert c.u_b == b.bel_masks(u3, u1)
+            assert c.u_c == b.bel_masks(u4, u1)
+
+
+class TestStepGraphs:
+    """The steps the density pass reads: the canonical pairs of a table or
+    weight backing, or the size pairs of a uniform one, each in its run and
+    each with its normalized value."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_enumeration_matches_brute_force(self, n):
-        b = uniform(n)
-        got = chains(b)
-        assert len(got) == len(set(got)), "chains emitted more than once"
-        assert got == brute_force_chain_quadruples(b.domain)
+    @pytest.mark.parametrize("bounds", [(F(0), F(1)), (F(1), F(3))], ids=["0-1", "1-3"])
+    def test_mask_steps_are_the_canonical_pairs(self, n, bounds):
+        rng = random.Random(n)
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        base = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(n))),
+                                            [F(i, sum(ints)) for i in ints], 2)
+        e, big_e = bounds
+        structure = base.map_values(lambda v: e + (big_e - e) * v, bounds=bounds)
+        graph = conditions._step_graph(structure)
+        up, down = brute_force_steps(structure)
+        runs = lambda start, total: np.repeat(np.arange(1, len(start) + 1),
+                                              np.diff(np.append(start, total)))
+        assert list(zip(runs(graph.up_start, len(up)).tolist(),
+                        graph.up_parent.tolist())) == up
+        assert list(zip(graph.down_child.tolist(),
+                        runs(graph.down_start, len(down)).tolist())) == down
+        for w, keys, steps in ((graph.up_w, graph.up_keys, up),
+                               (graph.down_w, graph.down_keys, down)):
+            exact = [graph.exact(k) for k in keys(np.arange(len(steps))).tolist()]
+            assert exact == [(structure.bel_masks(v, u) - e) / (big_e - e) for v, u in steps]
+            assert w.tolist() == [float(x) for x in exact]
 
-    def test_two_atom_count_frozen(self):
-        # brute-force oracle over all event 4-tuples: 16 nested quadruples
-        # with nonempty U3 over a 2-atom domain
-        assert len(brute_force_chain_quadruples(Domain(("a", "b")))) == 16
-        assert count_chains(uniform(2)) == 16
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (8, 3), (30, 1)])
+    @pytest.mark.parametrize("bounds", [(F(0), F(1)), (F(-1, 3), F(2))], ids=["0-1", "-1/3-2"])
+    def test_size_steps_are_the_size_pairs(self, n, k, bounds):
+        structure = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(n))),
+                                                 [F(1, n)] * n, k, bounds)
+        graph = conditions._step_graph(structure)
+        e, big_e = bounds
+        up = [(j, m) for j in range(1, n + 1) for m in range(j, n + 1)]
+        down = [(j, m) for m in range(1, n + 1) for j in range(m + 1)]
+        assert graph.up_parent.tolist() == [m for _, m in up]
+        assert graph.down_child.tolist() == [j for j, _ in down]
+        for w, keys, steps in ((graph.up_w, graph.up_keys, up),
+                               (graph.down_w, graph.down_keys, down)):
+            exact = [graph.exact(key) for key in keys(np.arange(len(steps))).tolist()]
+            assert exact == [(F(j, m) ** k - e) / (big_e - e) for j, m in steps]
+            assert w.tolist() == [float(x) for x in exact]  # correctly rounded
+            assert len(set(keys(np.arange(len(steps))).tolist())) == len(set(exact))
 
-    def test_derived_values_are_definitional(self):
-        b = BeliefStructure.from_weights(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
-        table = _chain_table(b, 0)
-        for masks, ranks in zip(chains(b), table.steps.tolist()):
-            c = b._make_chain(*masks)
-            assert [table.values[r] for r in ranks] == [c.x, c.y, c.z]
-            assert c.x == b.bel_masks(c.u4.mask, c.u3.mask)
-            assert c.y == b.bel_masks(c.u3.mask, c.u2.mask)
-            assert c.z == b.bel_masks(c.u2.mask, c.u1.mask)
-            assert c.u_a == b.bel_masks(c.u4.mask, c.u2.mask)
-            assert c.u_b == b.bel_masks(c.u3.mask, c.u1.mask)
-            assert c.u_c == b.bel_masks(c.u4.mask, c.u1.mask)
-
-    def test_enumeration_is_capped(self, monkeypatch):
-        # above the cap the table holds seeded random chains instead
-        def refuse(structure):
-            raise AssertionError("exhaustive chains built above the cap")
-
-        monkeypatch.setattr(conditions, "_exhaustive_levels", refuse)
-        b = uniform(EXHAUSTIVE_CHAIN_ATOM_LIMIT + 1)
-        tables = [_chain_table(b, seed) for seed in (0, 1)]
-        for table in tables:
-            table.grow(b, 100)
-        got = [[table.chain(i) for i in range(100)] for table in tables]
-        assert got[0] != got[1]
+    def test_size_values_beyond_int64_are_divided_as_python_ints(self):
+        # 40^13 is beyond 2^53: the powers are taken in Python ints
+        structure = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(40))),
+                                                 [F(1, 40)] * 40, 13)
+        graph = conditions._step_graph(structure)
+        assert graph.down_w[-2] == float(F(39, 40) ** 13)
+        assert graph.up_w[0] == float(F(1, 1)) and graph.up_w[1] == float(F(1, 2) ** 13)
 
 
 class TestStructureEquality:

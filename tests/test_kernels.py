@@ -19,11 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck import forms
+from coxcheck import conditions, forms
 from coxcheck.conditions import (
-    _chain_table,
-    _random_levels,
-    _step_values,
     associativity_join,
     bel_level_negation,
     chain_consistency,
@@ -738,92 +735,29 @@ class TestRatioRanker:
             weighted([1, 2]).size_ranks()
 
 
-# -- the chain-table steps of a weight backing ----------------------------------
+# -- the density pass in blocks ---------------------------------------------------
 
 
-def oracle_step_values(structure, levels):
-    """`_step_values` on a weight backing as it was: the masses in int64,
-    and one Fraction per distinct (μ(V), μ(U)) row of a row-wise
-    `np.unique`."""
-    units = np.array(structure._units, dtype=np.int64)
-    mass = np.stack([(levels >= j) @ units for j in range(1, 5)], axis=1)
-    pairs = np.stack((mass[:, [3, 2, 1]].ravel(), mass[:, [2, 1, 0]].ravel()), axis=1)
-    distinct, at = np.unique(pairs, axis=0, return_inverse=True)
-    k = structure.exponent
-    return [F(v, u) ** k for v, u in distinct.tolist()], at.reshape(-1, 3)
+class TestDensityBlocks:
+    """`_least_deviations` cut into blocks of a few steps, and per γ, gives
+    the floats it gives in one block: every block boundary and every short
+    block of the middle pass is reached."""
 
+    STRUCTURES = {
+        "coins-4": coin_family(4).members[-1],
+        "uniform-9-k2": weighted([1] * 9, 2),
+        "weights-4-k3": weighted([3, 1, 4, 1], 3),
+        "table-3": weighted([2, 7, 1]).map_values(lambda v: 1 + v * v, (ONE, ONE + 1)),
+    }
 
-def assert_same_steps(structure, levels):
-    """Every chain's three step values are the oracle's, and the table's
-    values are the sorted distinct steps."""
-    masks = np.stack([np.packbits(levels >= j, axis=1, bitorder="little")
-                      for j in range(1, 5)], axis=1)
-    values, steps = _step_values(structure, levels, masks)
-    want_xs, want_at = oracle_step_values(structure, levels)
-    assert values == sorted(set(want_xs))
-    assert [[values[r] for r in row] for row in steps.tolist()] == [
-        [want_xs[i] for i in row] for row in want_at.tolist()]
-
-
-def random_blocks(n, seed, *counts):
-    """The first rows of `_random_levels(n, seed)`, cut into blocks of
-    `counts` rows in turn."""
-    rows = _random_levels(n, seed, sum(counts))
-    return np.split(rows, np.cumsum(counts)[:-1])
-
-
-class TestStepValues:
-    """The chain-table steps, ranked by `rank_ratios`, against the row-wise
-    unique they replaced: the same step values, and the same distinct steps
-    in the same order."""
-
-    @pytest.mark.parametrize("coins", [3, 4, 5, 6, 8])
-    def test_uniform_coin_members(self, coins):
-        member = coin_family(coins).members[-1]
-        for block in random_blocks(member.domain.size, coins, 256, 512):
-            assert_same_steps(member, block)
-
-    @pytest.mark.parametrize("n", [7, 9, 12])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_non_uniform_weights(self, n, k):
-        rng = random.Random(n * 10 + k)
-        structure = weighted([rng.randint(1, 9) for _ in range(n)], k)
-        assert_same_steps(structure, *random_blocks(n, k, 256))
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_unit_totals_between_2_31_and_2_62(self, k, monkeypatch):
-        # the masses stay exact int64 sums, with no `bel_masks` lookup
-        rng = random.Random(31 + k)
-        units = [rng.randint(1 << 40, 1 << 41) for _ in range(9)]
-        structure = weighted(units, k)
-        assert 1 << 31 < structure._prefix[-1] < 1 << 62
-
-        def refuse(*args):
-            raise AssertionError("a step was looked up")
-
-        monkeypatch.setattr(BeliefStructure, "bel_masks", refuse)
-        assert_same_steps(structure, *random_blocks(9, k, 256))
-
-    def test_a_block_whose_rows_all_coincide(self):
-        structure = weighted([3, 1, 4, 1, 5, 9, 2], 2)
-        levels = np.tile(np.array([4, 3, 2, 1, 0, 3, 4], dtype=np.uint8), (50, 1))
-        assert_same_steps(structure, levels)
-        assert_same_steps(structure, levels[:1])
-
-    @pytest.mark.parametrize("structure", [coin_family(4).members[-1],
-                                           weighted([2, 7, 1, 8, 2, 8, 1, 8], 2)],
-                             ids=["coins-4", "weights-n8-k2"])
-    def test_chain_table_after_several_blocks(self, structure):
-        n, seed = structure.domain.size, 5
-        table = _chain_table(structure, seed)
-        for count in (300, 1100, 2000):  # each count draws the table again
-            table.grow(structure, count)
-        assert len(table.steps) == 2000
-        xs, at = oracle_step_values(structure, *random_blocks(n, seed, 2000))
-        values = sorted(set(xs))
-        rank = {x: i for i, x in enumerate(values)}
-        assert table.values == values
-        assert table.steps.tolist() == [[rank[xs[i]] for i in row] for row in at.tolist()]
+    @pytest.mark.parametrize("name", STRUCTURES)
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_blocks_agree(self, name, chunk, monkeypatch):
+        graph = conditions._step_graph(self.STRUCTURES[name])
+        coords = np.linspace(0, 1, 4)
+        want = conditions._least_deviations(graph, coords)
+        monkeypatch.setattr(conditions, "_CHUNK", chunk)
+        assert np.array_equal(conditions._least_deviations(graph, coords), want)
 
 
 # -- the associativity join -----------------------------------------------------
