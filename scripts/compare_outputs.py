@@ -46,10 +46,11 @@ builds the jobs there:
   members with a 7-atom weight backing of weights 1/p over seven primes
   near 10^4, whose values' denominators are too large for the float pass
   to settle alone, the 1-2 coin members with a 40-atom non-uniform weight
-  backing the pass cannot read, and the coin families where greedy and
+  backing the pass cannot read, the coin families where greedy and
   sampled chains reported misses that some chain meets: 4 coins at grid 5
   and ε 1/20, 8 coins at grid 5 and ε 1/20, and 3 coins at grid 7 and
-  ε 1/30
+  ε 1/30, and the 1-3 coin family with its 2-coin member written as a
+  table, at grid 5 and ε 1/20
 - theorem-4 `audit` runs of families whose members disagree on S and on
   F, some of which conflict on their own (`write_conflicting_families`), so
   the uniformity details are diffed
@@ -380,6 +381,7 @@ DENSITY_RUNS = [
     ("coins-4-grid-5", "coins-4", ["--grid", "5", "--epsilon", "1/20"]),
     ("coins-8-grid-5", "coins-8", ["--grid", "5", "--epsilon", "1/20"]),
     ("coins-3-grid-7", "coins-3", ["--grid", "7", "--epsilon", "1/30"]),
+    ("table-member", "table-member", ["--grid", "5", "--epsilon", "1/20"]),
 ]
 
 #: Distinct primes near 10^4: weights 1/p over seven atoms have a unit total
@@ -393,8 +395,9 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
     of 7, 10 and 13 atoms and tables of 3, 5 and 6 atoms; the 1-3 coin
     members as tables relabelled v ↦ 1 + v on the bounds [1, 2]; the 1-3
     coin members with the 7-atom weight backing of weights 1/p over
-    `PRIMES`; and the 1-2 coin members with a 40-atom weight backing of
-    weights i/820."""
+    `PRIMES`; the 1-2 coin members with a 40-atom weight backing of
+    weights i/820; and the 1-3 coin members with the 2-coin one written as
+    its table, which must report as the directive family does."""
     out.mkdir()
     paths = {"coins-12": write_coin_family(out / "coins-12", 12, beltables)}
     rng = random.Random(24)
@@ -418,6 +421,10 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
         texts[f"primes/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
     for coins in (1, 2):
         texts[f"unsearched/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
+    for coins in (1, 3):
+        texts[f"table-member/coins_{coins:02d}.bel"] = beltables.coin_member_text(coins)
+    table = beltables.relabelled_table(beltables.normalized([1] * 4), "identity")
+    texts["table-member/coins_02.bel"] = beltables.table_text(4, table, (0, 1))
     atoms = [f"w{i}" for i in range(40)]
     texts["unsearched/weights_40.bel"] = (
         f"domain: {' '.join(atoms)}\ngenerate probability "
@@ -432,7 +439,7 @@ def write_density_families(out: Path, beltables) -> dict[str, Path]:
         (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text(text, encoding="utf-8")
     paths.update((name, out / name) for name in ("mixed", "bounds-1-2", "primes",
-                                                 "unsearched"))
+                                                 "unsearched", "table-member"))
     return paths
 
 

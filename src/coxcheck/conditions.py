@@ -472,11 +472,26 @@ def _smallest_chain(graph: _StepGraph, in_a, in_b, in_g) -> tuple | None:
     return u1, u2, u3 + 1, u4
 
 
-def _searchable(structure: BeliefStructure) -> bool:
-    """Whether a member's density pass can run: by sizes up to
-    DENSITY_SIZE_ATOM_CAP atoms, by masks up to ENUMERATION_ATOM_LIMIT."""
-    limit = DENSITY_SIZE_ATOM_CAP if structure.is_uniform else ENUMERATION_ATOM_LIMIT
-    return structure.domain.size <= limit
+def member_sources(members, size_cap: int) -> dict:
+    """Which family members a theorem-4 pass reads, and which member each
+    is read off: {member index: its source's index}, in member order.
+
+    A uniform weight backing is read up to `size_cap` atoms, by sizes, and
+    any other member up to ENUMERATION_ATOM_LIMIT atoms, by masks; a member
+    above its cap is left out.  The read uniform members of one exponent
+    and bounds form one group, whose source is its member of most atoms,
+    the first of them: its chains and instances hold those of every
+    smaller one.  Every other member is its own source.
+    """
+    group = {}
+    for i, member in enumerate(members):
+        if member.domain.size <= (size_cap if member.is_uniform else ENUMERATION_ATOM_LIMIT):
+            group[i] = ((member.exponent, *(b.as_integer_ratio() for b in member.bounds))
+                        if member.is_uniform else i)  # ints hash faster than Fractions
+    largest = {}  # group -> its member of most atoms, the first of them
+    for i, key in group.items():
+        largest[key] = max(largest.get(key, i), i, key=lambda j: members[j].domain.size)
+    return {i: largest[key] for i, key in group.items()}
 
 
 def par5_triples(structure: BeliefStructure, probe: DensityProbe) -> TripleSearchResult:
@@ -488,7 +503,7 @@ def par5_triples(structure: BeliefStructure, probe: DensityProbe) -> TripleSearc
     The target is met when that deviation is below ε.  A member the pass
     cannot read raises BeliefDomainError.
     """
-    if not _searchable(structure):
+    if not member_sources([structure], DENSITY_SIZE_ATOM_CAP):
         raise BeliefDomainError(
             f"density pass capped at {ENUMERATION_ATOM_LIMIT} atoms, or "
             f"{DENSITY_SIZE_ATOM_CAP} for uniform weights")
@@ -612,15 +627,16 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
     A zero-resolution grid passes vacuously and is flagged as such; options
     that `check_density_options` refuses raise ValueError.
 
-    Members are grouped, and each group gets one exact pass (`_GroupPass`):
-    a target is met when a member's least deviation is below ε.  A missed
-    target reports its exact least deviation over every member, and the
-    worst target is the one of largest exact least deviation, first in
-    grid order, with the first member in family order that attains it.  A
-    member the pass cannot read (a non-uniform weight backing above
-    ENUMERATION_ATOM_LIMIT atoms, or a uniform one above
-    DENSITY_SIZE_ATOM_CAP) is listed as unsearched; it meets and misses
-    nothing, and a missed target's deviation is None when no member was read.
+    Members are grouped by `member_sources`, and each group gets one exact
+    pass (`_GroupPass`) of its source: a target is met when a member's
+    least deviation is below ε.  A missed target reports its exact least
+    deviation over every member, and the worst target is the one of
+    largest exact least deviation, first in grid order, with the first
+    member in family order that attains it.  A member the pass cannot read
+    (a non-uniform weight backing above ENUMERATION_ATOM_LIMIT atoms, or a
+    uniform one above DENSITY_SIZE_ATOM_CAP) is listed as unsearched; it
+    meets and misses nothing, and a missed target's deviation is None when
+    no member was read.
     """
     members = list(family.members)
     if not members:
@@ -635,18 +651,8 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
         grid = [Fraction(i, grid_resolution - 1) for i in range(grid_resolution)]
     coords = float_values(grid)
     count = len(grid) ** 3
-    keys, unsearched = {}, []
-    for i, member in enumerate(members):
-        if not _searchable(member):
-            unsearched.append(i)
-        elif member.is_uniform:  # hashed as ints: Fractions hash slowly
-            keys[i] = (member.exponent, *(b.as_integer_ratio() for b in member.bounds))
-        else:
-            keys[i] = i
-    largest = {}  # group key -> its member of most atoms, the first of them
-    for i, key in keys.items():
-        largest[key] = max(largest.get(key, i), i, key=lambda j: members[j].domain.size)
-    passes = {key: _GroupPass(members[i], grid, coords) for key, i in largest.items()}
+    source = member_sources(members, DENSITY_SIZE_ATOM_CAP)
+    passes = {s: _GroupPass(members[s], grid, coords) for s in dict.fromkeys(source.values())}
     met = np.zeros(count, dtype=bool)
     for group in passes.values():
         met |= group.met(epsilon)
@@ -672,14 +678,14 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
 
         def attains(i: int) -> bool:
             # a uniform member holds the chains whose U1 has at most its atoms
-            group = passes[keys[i]]
+            group = passes[source[i]]
             return group.least(t) == deviation and (
                 not members[i].is_uniform or group.least_u1(t) <= members[i].domain.size)
 
-        worst = (_grid_point(grid, t), deviation, next(filter(attains, keys)))
+        worst = (_grid_point(grid, t), deviation, next(filter(attains, source)))
     return FamilyDensityReport(
         not failures, False, grid_resolution, epsilon, count, failures, worst,
-        tuple(unsearched),
+        tuple(i for i in range(len(members)) if i not in source),
     )
 
 
@@ -997,23 +1003,23 @@ def _verdict_of(v: Verdict, name: str) -> HypothesisVerdict:
     return HypothesisVerdict(name, v.status, v.detail)
 
 
-def _par34_verdicts(structure: BeliefStructure) -> list[HypothesisVerdict]:
-    negation, domain = negation_ranks(structure), structure.domain
+def _par34_verdicts(negation, combination, bounds, structure=None) -> list[HypothesisVerdict]:
+    """Par3 and Par4 of a ranked S and F on `bounds`.  A clash fails them,
+    described from `structure`, the structure they were extracted from."""
     if negation.clash is not None:
         out = [HypothesisVerdict("par3-negation-decreasing", "fail", "A1 admits no function: "
-                                 + extract_negation(structure).describe(domain))]
+                                 + extract_negation(structure).describe(structure.domain))]
     else:
-        rep = ranked_monotonicity("negation", *negation[:3], structure.bounds)
+        rep = ranked_monotonicity("negation", *negation[:3], bounds)
         out = [_verdict_of(rep.decreasing, "par3-negation-decreasing")]
-    combination = combination_ranks(structure)
     if combination.clash is not None:
         out.append(HypothesisVerdict("par4-combination-strict-increase", "fail",
                                      "A2 admits no function: "
-                                     + extract_combination(structure).describe(domain)))
+                                     + extract_combination(structure).describe(structure.domain)))
         out.append(HypothesisVerdict("par4-combination-continuity", "untestable",
                                      "A2 admits no function"))
     else:
-        rep = ranked_monotonicity("combination", *combination[:3], structure.bounds)
+        rep = ranked_monotonicity("combination", *combination[:3], bounds)
         strict = rep.strict_increase
         if strict.passed and not rep.nondecrease.passed:
             strict = rep.nondecrease
@@ -1027,7 +1033,8 @@ def _audit_t1(structure: BeliefStructure) -> AuditReport:
     hypotheses = [
         _verdict_of(bounds.par1, "par1-range"),
         _verdict_of(bounds.par2, "par2-endpoints"),
-        *_par34_verdicts(structure),
+        *_par34_verdicts(negation_ranks(structure), combination_ranks(structure),
+                         structure.bounds, structure),
     ]
     gap = par5_gap(structure)
     hypotheses.append(
@@ -1142,17 +1149,19 @@ def _audit_t3(structure, extension) -> AuditReport:
         "extension-agreement", "pass" if disagreement is None else "fail",
         "Bel⁺ agrees with Bel on all embedded pairs" if disagreement is None
         else f"disagreement at embedded pair {disagreement}")]
-    bounds = check_bounds(extension.extended)
+    extended = extension.extended
+    bounds = check_bounds(extended)
     hypotheses.append(_verdict_of(bounds.par1, "par1-range"))
     hypotheses.append(_verdict_of(bounds.par2, "par2-endpoints"))
     try:
-        hypotheses.extend(_par34_verdicts(extension.extended))
+        hypotheses.extend(_par34_verdicts(negation_ranks(extended), combination_ranks(extended),
+                                          extended.bounds, extended))
     except (BeliefDomainError, FormError) as exc:  # too large to enumerate
         hypotheses.append(HypothesisVerdict("par3-negation-decreasing", "untestable", str(exc)))
         hypotheses.append(HypothesisVerdict("par4-combination-strict-increase", "untestable", str(exc)))
         hypotheses.append(HypothesisVerdict("par4-combination-continuity", "untestable", str(exc)))
     base_gap = par5_gap(structure)
-    ext_gap = par5_gap(extension.extended)
+    ext_gap = par5_gap(extended)
     hypotheses.append(
         HypothesisVerdict(
             "par5-gap-shrinkage",
@@ -1209,12 +1218,7 @@ def _audit_t4(family, *, grid_resolution, epsilon) -> AuditReport:
             "par3-negation-decreasing", "par4-combination-strict-increase",
             "par4-combination-continuity")]
     else:
-        s_rep = ranked_monotonicity("negation", *family.negation[:3], bounds)
-        hypotheses.append(_verdict_of(s_rep.decreasing, "par3-negation-decreasing"))
-        f_rep = ranked_monotonicity("combination", *family.combination[:3], bounds)
-        hypotheses.append(_verdict_of(f_rep.strict_increase,
-                                      "par4-combination-strict-increase"))
-        hypotheses.append(_verdict_of(f_rep.continuity, "par4-combination-continuity"))
+        hypotheses += _par34_verdicts(family.negation, family.combination, bounds)
     density = par5_family(family, grid_resolution, epsilon)
     missed = len(density.failures)
     if density.passed:

@@ -84,9 +84,6 @@ class Domain:
             mask |= 1 << self.index(atom)
         return Event(self, mask)
 
-    def event_from_mask(self, mask: int) -> "Event":
-        return Event(self, mask)
-
     @property
     def empty(self) -> "Event":
         return Event(self, 0)

@@ -44,8 +44,11 @@ from .core import (
     weight_units,
 )
 
-#: Generator directives expand into explicit tables up to this many atoms;
-#: a directive-only file above the limit stays weight-backed instead.
+#: Largest domain of a file whose generator directive comes with `bel`
+#: overrides: such a file is expanded into an explicit table, and one of
+#: more atoms is refused.  Serialization writes a weight-backed structure
+#: of exponent 1 and more atoms as its directive.  A directive-only file is
+#: never expanded: it stays weight-backed whatever its size.
 EXPANSION_ATOM_LIMIT = 10
 
 

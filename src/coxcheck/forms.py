@@ -678,13 +678,6 @@ EQUATION_ARITY = {"EQ1": 3, "EQ3": 1, "EQ3.5": 2, "EQSYM": 2}
 #: evaluation, so `equations --eq EQ1 --grid 1000` fails at once.
 EQUATION_EVALUATION_LIMIT = 100_000
 
-EQUATION_DESCRIPTIONS = {
-    "EQ1": "F(x,F(y,z)) = F(F(x,y),z)",
-    "EQ3": "S(S(y)) = y",
-    "EQ3.5": "y*S(x/y) = S(x)*S(S(y)/S(x))",
-    "EQSYM": "y*S(S(x)/y) = x*S(S(y)/x)",
-}
-
 
 @dataclass(frozen=True)
 class ResidualReport:

@@ -16,12 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .conditions import member_sources
 from .core import (
-    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, rank_values,
+    ENUMERATION_ATOM_LIMIT, ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event,
+    rank_values,
 )
 from .forms import (
     CombinationForm,
-    NegationForm,
     RankedExtraction,
     combination_ranks,
     combination_table,
@@ -162,9 +163,6 @@ class DomainFamily:
     def f_evidence(self) -> dict:
         return combination_table(self.combination)
 
-    def merged_negation(self) -> NegationForm:
-        return NegationForm(kind="tabular", table=dict(self.s_evidence))
-
     def merged_combination(self) -> CombinationForm:
         return CombinationForm(kind="tabular", table=dict(self.f_evidence))
 
@@ -172,8 +170,10 @@ class DomainFamily:
 def build_family(members) -> DomainFamily:
     """Merge per-member extracted tables into uniformity evidence.
 
-    Members larger than EVIDENCE_SIZE_CAP atoms are skipped when building the
-    merged tables (their full tables are infeasible); the note records which.
+    The members `member_sources` reads at EVIDENCE_SIZE_CAP are merged: a
+    uniform weight backing of more atoms, or any other member of more than
+    ENUMERATION_ATOM_LIMIT, is skipped (its full tables are infeasible),
+    and the note records which.
     The result is that of merging member by member, each in the order its
     extraction first meets its keys: a key keeps the output of the first
     member that has it, and a later member's other output for it is a
@@ -182,7 +182,7 @@ def build_family(members) -> DomainFamily:
 
     The uniform members of one exponent and bounds are read by sizes, and
     one of N atoms has the instances of a larger one whose U has at most N
-    atoms, first: so the largest one's A1 and A2 serve them all, each cut
+    atoms, first: so their source's A1 and A2 serve them all, each cut
     at its own instance count, and a key is in every member whose count
     exceeds its first instance.  They agree on its output, so only the
     first and the last of them can be its entry or its last conflict.
@@ -190,14 +190,9 @@ def build_family(members) -> DomainFamily:
     members = tuple(members)
     if not members:
         raise BeliefDomainError("family must have at least one member")
-    used = [i for i, m in enumerate(members) if m.domain.size <= EVIDENCE_SIZE_CAP]
-    skipped = sorted(set(range(len(members))) - set(used))
-    group = [(members[i].exponent, *(b.as_integer_ratio() for b in members[i].bounds))
-             if members[i].is_uniform else i for i in used]  # ints hash faster than Fractions
-    largest: dict = {}  # group -> its member of most atoms, the first of them
-    for i, key in zip(used, group):
-        largest[key] = max(largest.get(key, i), i, key=lambda j: members[j].domain.size)
-    source = [largest[key] for key in group]  # the member whose tables each one reads
+    read = member_sources(members, EVIDENCE_SIZE_CAP)
+    used, source = list(read), list(read.values())  # each one's source: the tables it reads
+    skipped = [i for i in range(len(members)) if i not in read]
     sources = list(dict.fromkeys(source))
     local = [negation_ranks(members[s]).values for s in sources]  # A2's are the same
     values, ranks = rank_values([x for xs in local for x in xs])
@@ -254,7 +249,8 @@ def build_family(members) -> DomainFamily:
     note = (
         "all members contributed evidence"
         if not skipped
-        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
+        else f"members {skipped} are over {ENUMERATION_ATOM_LIMIT} atoms, or "
+             f"{EVIDENCE_SIZE_CAP} for uniform weights; evidence capped"
     )
     return DomainFamily(members, tuple(used), *merged, note)
 

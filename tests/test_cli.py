@@ -352,17 +352,71 @@ class TestWeightFilesMatchTheirTables:
         assert runs[0] == runs[1]
 
 
+#: A 2-atom table whose F is strict where it is compared inside (0, 1]²,
+#: but falls from F(1/2, 0) = 3/4 to F(1/2, 1) = 1/2.
+FALLING_F_TABLE = """domain: a b
+bel {} | {a} = 1/2
+bel {a} | {a} = 1
+bel {} | {b} = 3/4
+bel {b} | {b} = 0
+bel {} | * = 3/4
+bel {a} | * = 0
+bel {b} | * = 3/4
+bel {a b} | * = 0
+"""
+
+#: The fixtures whose S and F are functions: a clash fails Par3/Par4 on
+#: one structure, while a family member's clash only leaves it out.
+CLASH_FREE = [p.name for p in sorted(FIXTURES.glob("*.bel"))
+              if not p.name.startswith(("bad_parse", "a1_conflict", "a2_conflict"))]
+
+
+class TestParThreeAndFourAgreeAcrossTheorems:
+    """A one-member family prints theorem 1's Par3/Par4 lines."""
+
+    PAR34 = ("par3-negation-decreasing", "par4-combination-strict-increase",
+             "par4-combination-continuity")
+
+    def par34_lines(self, capsys, path, tmp_path):
+        family = tmp_path / "family"
+        family.mkdir()
+        (family / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        lines = []
+        for argv in (["audit", str(path), "--theorem", "1"],
+                     ["audit", "--theorem", "4", "--family", str(family), "--grid", "2"]):
+            main(argv)
+            lines.append([line for line in capsys.readouterr().out.splitlines()
+                          if line.split()[1] in self.PAR34])
+        return lines
+
+    def test_a_falling_f_fails_par4_in_both(self, capsys, tmp_path):
+        path = tmp_path / "falling.bel"
+        path.write_text(FALLING_F_TABLE, encoding="utf-8")
+        one, family = self.par34_lines(capsys, path, tmp_path)
+        assert one == family
+        assert one[1] == ("FAIL       par4-combination-strict-increase  "
+                          "F(1/2, 0)=3/4 > F(1/2, 1)=1/2")
+
+    @pytest.mark.parametrize("name", CLASH_FREE)
+    def test_every_clash_free_fixture(self, capsys, tmp_path, name):
+        one, family = self.par34_lines(capsys, FIXTURES / name, tmp_path)
+        assert len(one) == 3 and one == family
+
+
 class TestDensityUntestable:
-    def test_a_member_too_large_to_read_leaves_missed_targets_open(self, tmp_path, capsys):
-        # a 40-atom non-uniform weight backing is past both the pass's
-        # 12 atoms and EVIDENCE_SIZE_CAP, so the family is built without it
+    @pytest.mark.parametrize("atoms", [13, 40])
+    def test_a_member_too_large_to_read_leaves_missed_targets_open(self, tmp_path, capsys,
+                                                                   atoms):
+        # a non-uniform weight backing of 13 or more atoms is past the 12
+        # that both the pass and the merge read, so the family is built
+        # without it; weights i/91 or i/820 sum to 1
         family = tmp_path / "family"
         assert main(["generate", "family", "--max-coins", "2",
                      "--out-dir", str(family)]) == 0
-        atoms = [f"w{i}" for i in range(40)]
-        (family / "weights_40.bel").write_text(
-            f"domain: {' '.join(atoms)}\ngenerate probability "
-            + " ".join(f"{a}={i + 1}/820" for i, a in enumerate(atoms)) + "\n",
+        names, total = [f"w{i}" for i in range(atoms)], atoms * (atoms + 1) // 2
+        (family / f"weights_{atoms}.bel").write_text(
+            f"domain: {' '.join(names)}\ngenerate probability "
+            + " ".join(f"{a}={i + 1}/{total}" for i, a in enumerate(names)) + "\n",
             encoding="utf-8")
         capsys.readouterr()
         code, report = run_with_report(["audit", "--theorem", "4", "--family", family,

@@ -435,8 +435,8 @@ class TestDensityOracle:
 class TestUnsearchedMembers:
     """A non-uniform weight backing above 12 atoms cannot be read: it meets
     and misses nothing, and theorem 4's density reads untestable where a
-    target is met by no member that was read.  `build_family` refuses such
-    a member up to EVIDENCE_SIZE_CAP atoms, so a family holds one of more."""
+    target is met by no member that was read.  `build_family` leaves it out
+    of the merged S and F too."""
 
     BIG = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(40))),
                                        [F(i, 820) for i in range(1, 41)])
@@ -763,3 +763,65 @@ class TestAudits:
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
             audit(uniform(2), "5")
+
+
+A1_CLASH = ("S(1/2) is forced to both 3/5 [Bel({a}|{a b c})] and 1/2 [Bel({b}|{a b c})]")
+A2_CLASH = {
+    "a1_conflict": "F(3/5, 3/5) is forced to both 1/2 [({b} ⊆ {a b} ⊆ {a b c})] "
+                   "and 2/5 [({c} ⊆ {b c} ⊆ {a b c})]",
+    "a2_conflict": "F(1/4, 2/5) is forced to both 3/5 [({a} ⊆ {a b} ⊆ {a b c})] "
+                   "and 1/5 [({b} ⊆ {b c} ⊆ {a b c})]",
+}
+A2_UNTESTABLE = [(name, "untestable", "A2 admits no function") for name in (
+    "combination-annihilator", "combination-unit", "combination-nondecreasing",
+    "combination-strict-increase", "combination-smoothness")]
+
+#: Every hypothesis line of the theorem-1 and theorem-2 audits of the two
+#: clash fixtures: (name, status, witness).
+CLASH_AUDITS = {
+    ("a1_conflict", "1"): [
+        ("par1-range", "pass", "all values within [0,1]"),
+        ("par2-endpoints", "pass", "Bel(∅|U)=0 and Bel(U|U)=1 for every nonempty U"),
+        ("par3-negation-decreasing", "fail", f"A1 admits no function: {A1_CLASH}"),
+        ("par4-combination-strict-increase", "fail",
+         f"A2 admits no function: {A2_CLASH['a1_conflict']}"),
+        ("par4-combination-continuity", "untestable", "A2 admits no function"),
+        ("par5-density", "fail", "unsatisfiable on a finite domain: gap = 1/5 > 0"),
+    ],
+    ("a1_conflict", "2"): [
+        ("range-in-interval", "pass", "all values within [0,1]"),
+        ("negation-linear-complement", "fail", A1_CLASH),
+        ("negation-smoothness", "untestable", "A1 admits no function"),
+        ("combination-commutative", "fail", A2_CLASH["a1_conflict"]),
+        *A2_UNTESTABLE,
+        ("verdict-refutation", "pass", "refuted: A1-conflict"),
+    ],
+    ("a2_conflict", "1"): [
+        ("par1-range", "pass", "all values within [0,1]"),
+        ("par2-endpoints", "pass", "Bel(∅|U)=0 and Bel(U|U)=1 for every nonempty U"),
+        ("par3-negation-decreasing", "pass", "strictly decreasing on 10 tabular points"),
+        ("par4-combination-strict-increase", "fail",
+         f"A2 admits no function: {A2_CLASH['a2_conflict']}"),
+        ("par4-combination-continuity", "untestable", "A2 admits no function"),
+        ("par5-density", "fail", "unsatisfiable on a finite domain: gap = 1/10 > 0"),
+    ],
+    ("a2_conflict", "2"): [
+        ("range-in-interval", "pass", "all values within [0,1]"),
+        ("negation-linear-complement", "pass",
+         "extracted S-table is a restriction of x ↦ e+E−x"),
+        ("negation-smoothness", "untestable",
+         "declared smoothness applies to catalog forms only"),
+        ("combination-commutative", "fail", A2_CLASH["a2_conflict"]),
+        *A2_UNTESTABLE,
+        ("verdict-refutation", "pass", "refuted: A2-conflict"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture,theorem", sorted(CLASH_AUDITS))
+def test_clash_audits_print_every_hypothesis(fixture, theorem):
+    """An A1 or A2 clash fails Par3/Par4 (theorem 1) and the first law of
+    its form (theorem 2), and leaves the laws after it untestable."""
+    report = audit(load_structure(fixture_path(f"{fixture}.bel")), theorem, seed=0)
+    assert [(h.name, h.status, h.witness) for h in report.hypotheses] == (
+        CLASH_AUDITS[fixture, theorem])

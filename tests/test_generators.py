@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, rank_values
+from coxcheck.core import (
+    ENUMERATION_ATOM_LIMIT, BeliefDomainError, BeliefStructure, Domain, rank_values,
+)
 from coxcheck.files import load_structure, serialize_structure
 from coxcheck.forms import (
     CombinationConflict,
@@ -160,6 +162,20 @@ class TestCoinFamily:
         assert "differs across members" in fam.negation_detail
 
 
+def evidence_read(member):
+    """Whether `build_family` reads a member: a uniform weight backing up
+    to EVIDENCE_SIZE_CAP atoms, any other up to ENUMERATION_ATOM_LIMIT."""
+    cap = EVIDENCE_SIZE_CAP if member.is_uniform else ENUMERATION_ATOM_LIMIT
+    return member.domain.size <= cap
+
+
+def evidence_note(skipped):
+    if not skipped:
+        return "all members contributed evidence"
+    return (f"members {skipped} are over {ENUMERATION_ATOM_LIMIT} atoms, or "
+            f"{EVIDENCE_SIZE_CAP} for uniform weights; evidence capped")
+
+
 def oracle_build_family(members):
     """`build_family` as a loop over each member's Fraction S and F dicts:
     every field of the family, the evidence dicts in insertion order."""
@@ -169,7 +185,7 @@ def oracle_build_family(members):
     comb_ok, comb_detail = True, "merged F-table single-valued"
     skipped = []
     for i, member in enumerate(members):
-        if member.domain.size > EVIDENCE_SIZE_CAP:
+        if not evidence_read(member):
             skipped.append(i)
             continue
         neg = extract_negation(member)
@@ -198,11 +214,6 @@ def oracle_build_family(members):
                     )
                 else:
                     f_table.setdefault(key, out)
-    note = (
-        "all members contributed evidence"
-        if not skipped
-        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
-    )
     return {
         "members": tuple(members),
         "s_evidence": list(s_table.items()),
@@ -211,7 +222,7 @@ def oracle_build_family(members):
         "negation_detail": neg_detail,
         "combination_uniform": comb_ok,
         "combination_detail": comb_detail,
-        "evidence_note": note,
+        "evidence_note": evidence_note(skipped),
     }
 
 
@@ -265,6 +276,8 @@ ORACLE_FAMILIES = {
     ],
     "over-the-cap": lambda: [uniform(33), weighted([1, 2]), uniform(8), uniform(40)],
     "only-over-the-cap": lambda: [uniform(33)],
+    # a non-uniform weight backing is read up to 12 atoms only
+    "non-uniform-over-the-cap": lambda: [uniform(2), weighted(range(1, 14)), uniform(4)],
     "non-uniform": lambda: [
         weighted([1, 2, 3]), weighted([1, 2, 3, 4], 2), weighted([2, 1, 5, 1, 3]),
         weighted([1, 2, 3, 4, 5, 6], 3),
@@ -320,7 +333,7 @@ def reference_build_family(members):
     """`build_family` as it merged member by member: each member under the
     cap read on its own, and all their value lists ranked together."""
     members = tuple(members)
-    used = [i for i, m in enumerate(members) if m.domain.size <= EVIDENCE_SIZE_CAP]
+    used = [i for i, m in enumerate(members) if evidence_read(m)]
     skipped = sorted(set(range(len(members))) - set(used))
     local = [negation_ranks(members[i]).values for i in used]
     values, ranks = rank_values([x for xs in local for x in xs])
@@ -358,12 +371,7 @@ def reference_build_family(members):
                           f"vs {values[outs[k]]} (member {i})")
         merged += [(values, keys[head], outs[head], first[head]),
                    last is None and not len(conflicts), detail]
-    note = (
-        "all members contributed evidence"
-        if not skipped
-        else f"members {skipped} exceed {EVIDENCE_SIZE_CAP} atoms; evidence capped"
-    )
-    return members, tuple(used), *merged, note
+    return members, tuple(used), *merged, evidence_note(skipped)
 
 
 def coins(count, exponent=1, bounds=(F(0), F(1))):
