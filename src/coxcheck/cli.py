@@ -340,26 +340,7 @@ def _parse_atoms_weights(args):
 def _cmd_generate(args, argv) -> int:
     started = time.perf_counter()
     written = []
-    if args.kind == "probability":
-        if not args.out:
-            raise UsageError("--out FILE is required")
-        domain, weights = _parse_atoms_weights(args)
-        save_structure(gen_probability(domain, weights), args.out)
-        written.append(args.out)
-    elif args.kind == "distorted":
-        if not args.out:
-            raise UsageError("--out FILE is required")
-        domain, weights = _parse_atoms_weights(args)
-        save_structure(gen_distorted(domain, weights, args.k), args.out)
-        written.append(args.out)
-    elif args.kind == "coins":
-        if not args.out:
-            raise UsageError("--out FILE is required")
-        domain, weights = _parse_atoms_weights(args)
-        extension = coin_extend(domain, weights, args.coins)
-        save_structure(extension.extended, args.out)
-        written.append(args.out)
-    else:  # family
+    if args.kind == "family":
         if not args.out_dir:
             raise UsageError("--out-dir DIR is required")
         out_dir = Path(args.out_dir)
@@ -369,6 +350,18 @@ def _cmd_generate(args, argv) -> int:
             path = out_dir / f"coins_{i:02d}.bel"
             save_structure(member, path)
             written.append(str(path))
+    else:
+        if not args.out:
+            raise UsageError("--out FILE is required")
+        domain, weights = _parse_atoms_weights(args)
+        if args.kind == "probability":
+            structure = gen_probability(domain, weights)
+        elif args.kind == "distorted":
+            structure = gen_distorted(domain, weights, args.k)
+        else:  # coins
+            structure = coin_extend(domain, weights, args.coins).extended
+        save_structure(structure, args.out)
+        written.append(args.out)
     for path in written:
         print(f"wrote {path}")
     report = {"subcommand": "generate", "kind": args.kind,

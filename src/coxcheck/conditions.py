@@ -30,14 +30,11 @@ from .core import (
     is_canonical,
     pair_at,
     pair_masks,
-    rank_values,
     stable_order,
     submask_table,
 )
 from .forms import (
     FormError,
-    NegationConflict,
-    NegationForm,
     Verdict,
     check_monotonicity,  # re-exported
     combination_ranks,
@@ -889,10 +886,8 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
 
 @dataclass(frozen=True)
 class NegationIdentityReport:
-    status: str  # 'pass' | 'fail' | 'untestable'
+    status: str  # 'pass' | 'untestable'
     checked: int
-    gaps: int  # values where S or S∘S is undefined on the table
-    failures: tuple = ()
     detail: str = ""
 
     @property
@@ -900,62 +895,25 @@ class NegationIdentityReport:
         return self.status == "pass"
 
 
-def _ranked_negation(structure: BeliefStructure, negation: NegationForm) -> tuple:
-    """(values, attained, keys, outs) of a caller's S: its entries and the
-    structure's attained conditional values ranked together.  A catalog S
-    is tabulated on the attained values and their images."""
-    attained = structure.attained("conditional")
-    table = negation.table
-    if not negation.is_tabular:
-        table = {y: negation(y) for y in attained}
-        table.update((s_y, negation(s_y)) for s_y in list(table.values()))
-    n, m = len(attained), len(table)
-    values, ranks = rank_values(attained + list(table) + list(table.values()))
-    return values, ranks[:n], ranks[n:n + m], ranks[n + m:]
+def bel_level_negation(structure: BeliefStructure) -> NegationIdentityReport:
+    """S(S(y)) = y at every attained conditional value, for the structure's
+    own S, read off A1 with no pass of its own.
 
-
-def bel_level_negation(
-    structure: BeliefStructure, negation: NegationForm | NegationConflict | None = None
-) -> NegationIdentityReport:
-    """S(S(y)) = y at every attained conditional value, over the tabular S.
-
-    Partiality (table gaps on either application) is counted, not hidden.
-    One array pass on value ranks: with S as an array from ranks to ranks,
-    -1 where it is undefined, the check is S[S[attained]] = attained.  By
-    default S is the structure's `negation_ranks`, whose keys are the
-    attained values; a caller's S is ranked with them first.
+    A1 gives S(Bel(V|U)) = Bel(U∖V|U) on every pair (V|U); applied to the
+    pair (U∖V|U) it gives S(Bel(U∖V|U)) = Bel(V|U).  So where A1 admits a
+    function S, S maps the attained values onto themselves and S∘S is the
+    identity: the involution holds at each of `negation_ranks`' keys, which
+    are the attained values.  Where A1 clashes there is no S to test.  A
+    given form's involution is its functional equation EQ3
+    (`check_functional_equation`).
     """
-    if negation is None and negation_ranks(structure).clash is not None:
-        negation = extract_negation(structure)
-    if isinstance(negation, NegationConflict):
-        return NegationIdentityReport(
-            "untestable", 0, 0, (),
-            f"negation extraction conflict: {negation.describe(structure.domain)}",
-        )
-    if negation is None:
-        s = negation_ranks(structure)
-        values, attained, keys, outs = s.values, s.keys, s.keys, s.outs
-    else:
-        values, attained, keys, outs = _ranked_negation(structure, negation)
-    image = np.full(len(values) + 1, -1, dtype=np.int64)  # image[-1] = -1: a gap stays one
-    image[keys] = outs
-    once = image[attained]
-    twice = image[once]
-    gaps = int(np.count_nonzero(twice < 0))
-    checked = len(attained) - gaps
-    bad = np.flatnonzero((twice >= 0) & (twice != attained))
-    if len(bad):
-        failures = tuple((values[attained[k]], values[once[k]], values[twice[k]])
-                         for k in bad.tolist())
-        y, s_y, s_s_y = failures[0]
-        return NegationIdentityReport(
-            "fail", checked, gaps, failures,
-            f"S(S({y})) = {s_s_y} ≠ {y}",
-        )
-    detail = f"involution holds at {checked} attained values"
-    if gaps:
-        detail += f" ({gaps} untestable: table gaps)"
-    return NegationIdentityReport("pass", checked, gaps, (), detail)
+    s = negation_ranks(structure)
+    if s.clash is not None:
+        conflict = extract_negation(structure).describe(structure.domain)
+        return NegationIdentityReport("untestable", 0,
+                                      f"negation extraction conflict: {conflict}")
+    return NegationIdentityReport(
+        "pass", len(s.keys), f"involution holds at {len(s.keys)} attained values")
 
 
 # -- theorem audits --------------------------------------------------------------------

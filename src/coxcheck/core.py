@@ -92,11 +92,6 @@ class Domain:
     def whole(self) -> "Event":
         return Event(self, self.full_mask)
 
-    def events(self) -> Iterator["Event"]:
-        """All events in canonical (ascending mask) order."""
-        for mask in range(self.full_mask + 1):
-            yield Event(self, mask)
-
 
 @dataclass(frozen=True)
 class Event:

@@ -361,35 +361,19 @@ class _RatioEngine:
     def _check_product_groups(self):
         """Cross-equation rules that need no derived values.
 
-        Equal factor pairs force equal products; a shared positive factor
-        cancels, forcing the cofactors' ratios equal.  Either way, distinct
-        values forced to one ratio contradict the strictly increasing g.
-        Each group is found by sorting the products on its key; the messages
-        name a group's two least members.
+        A shared positive factor cancels, forcing the cofactors' ratios
+        equal, and distinct values forced to one ratio contradict the
+        strictly increasing g.  Each group is found by sorting the products
+        on its key; the message names a group's two least members.
         """
         out, left, right, w = self.products.T
         v = self.values
 
-        def groups(*key):
-            """Sorted on `key` (major key last), and where each product
-            starts a group of equal key[1:] with another after it."""
-            order = np.lexsort(key)
-            same = np.ones(max(len(order) - 1, 0), dtype=bool)
-            for column in key[1:]:
-                ranked = column[order]
-                same &= ranked[1:] == ranked[:-1]
-            return order, same
-
-        order, same = groups(out, right, left)
-        if same.any():
-            i, j = order[np.flatnonzero(same)[0]:][:2].tolist()
-            raise _Contradiction(
-                f"r({v[left[i]]})·r({v[right[i]]}) equals both r({v[out[i]]}) and "
-                f"r({v[out[j]]}) with {v[out[i]]} ≠ {v[out[j]]}",
-                (("product", int(w[i])), ("product", int(w[j]))),
-            )
         for shared, cofactor in ((left, right), (right, left)):
-            order, same = groups(cofactor, shared, out)
+            # sorted on (out, shared, cofactor); `same` marks each product
+            # that starts a group of equal (out, shared) with another after it
+            order = np.lexsort((cofactor, shared, out))
+            same = (np.diff(shared[order]) == 0) & (np.diff(out[order]) == 0)
             start = np.flatnonzero(same & (self.positive[shared] | self.positive[out])[order[:-1]])
             if not len(start):
                 continue

@@ -73,7 +73,7 @@ def test_acceptance_1_probability_soundness_sweep():
         comb = extract_combination(b)
         assert all(x * y == out for (x, y), out in comb.table.items())
         assert chain_consistency(b).passed
-        assert bel_level_negation(b, neg).passed
+        assert bel_level_negation(b).passed
         verdict = decide(b)
         assert verdict.kind == "witness" and verdict.to_dict()["exact"]
         assert verdict.witness.as_fractions(domain) == ws

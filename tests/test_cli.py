@@ -754,6 +754,50 @@ class TestGenerateCommands:
         assert main(["audit", "--theorem", "4", "--family", str(out_dir),
                      "--grid", "3", "--epsilon", "1/10"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["probability", "--atoms", "a,b", "--weights", "1/2,1/2"], "--out FILE is required"),
+        (["distorted", "--atoms", "a,b", "--weights", "1/2,1/2"], "--out FILE is required"),
+        (["coins", "--atoms", "a,b", "--weights", "1/2,1/2"], "--out FILE is required"),
+        (["family", "--max-coins", "2"], "--out-dir DIR is required"),
+        (["probability", "--weights", "1/2,1/2", "--out", "p.bel"],
+         "--atoms and --weights are required"),
+        (["coins", "--atoms", "a,b", "--out", "p.bel"], "--atoms and --weights are required"),
+        (["distorted", "--atoms", "a,b", "--weights", "1", "--out", "p.bel"],
+         "one weight per atom required"),
+    ])
+    def test_usage_errors_write_nothing(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", *argv]) == 64
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUntestableAuditBranches:
+    def test_theorem_2_on_an_irrational_witness(self, tmp_path, capsys):
+        # decide leaves the golden-ratio structure unknown, so whether it
+        # refutes the isomorphism is untestable
+        path = tmp_path / "golden.bel"
+        save_structure(golden_ratio_structure(), path)
+        assert main(["audit", str(path), "--theorem", "2"]) == 2
+        assert ("UNTESTABLE verdict-refutation  isomorphism decision exhausted its budget"
+                in capsys.readouterr().out.splitlines())
+
+    def test_theorem_3_on_an_extension_too_large_to_extract(self, tmp_path, capsys):
+        # the 7-coin extension has 256 atoms, past UNIFORM_EXTRACTION_ATOM_CAP
+        base, extension = tmp_path / "base.bel", tmp_path / "coins7.bel"
+        weights = ["--atoms", "a,b", "--weights", "1/2,1/2"]
+        assert main(["generate", "probability", *weights, "--out", str(base)]) == 0
+        assert main(["generate", "coins", *weights, "--coins", "7",
+                     "--out", str(extension)]) == 0
+        capsys.readouterr()
+        assert main(["audit", str(base), "--theorem", "3", "--extension", str(extension)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("UNTESTABLE")] == [
+            f"UNTESTABLE {name}  extraction capped at 128 atoms"
+            for name in ("par3-negation-decreasing", "par4-combination-strict-increase",
+                         "par4-combination-continuity")]
+        assert "PASS       par5-gap-shrinkage  gap 1/4 → 1/512" in lines
+
 
 class TestSearchMinCommand:
     def test_hit_writes_the_fixture(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from coxcheck.conditions import (
 )
 from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import load_structure
-from coxcheck.forms import NegationForm, Verdict
+from coxcheck.forms import Verdict
 from coxcheck.generators import (
     EVIDENCE_SIZE_CAP,
     affine_rescale,
@@ -619,26 +619,7 @@ class TestNegationInvolution:
             Domain(("a", "b")), [F(1, 3), F(2, 3)]
         ))
         assert report.passed
-        assert report.checked > 0 and report.gaps == 0
-
-    def test_forged_table_fails_at_the_documented_point(self):
-        b = gen_probability(Domain(("a", "b")), [F(1, 3), F(2, 3)])
-        forged = NegationForm(kind="tabular", table={
-            F(0): F(1), F(1): F(0), F(1, 3): F(2, 3), F(2, 3): F(1, 2),
-            F(1, 2): F(2, 3),
-        })
-        report = bel_level_negation(b, forged)
-        assert report.status == "fail"
-        assert report.failures[0][0] == F(1, 3)  # S(S(1/3)) = 1/2 ≠ 1/3
-
-    def test_table_gaps_counted_as_untestable_points(self):
-        b = gen_probability(Domain(("a", "b")), [F(1, 3), F(2, 3)])
-        sparse = NegationForm(kind="tabular", table={
-            F(0): F(1), F(1): F(0), F(1, 3): F(2, 3),  # no entry for 2/3
-        })
-        report = bel_level_negation(b, sparse)
-        assert report.passed
-        assert report.gaps == 2  # 1/3 hits the gap on the 2nd hop; 2/3 on the 1st
+        assert report.checked > 0
 
     def test_extraction_conflict_reported_untestable(self):
         report = bel_level_negation(load_structure(fixture_path("a1_conflict.bel")))

@@ -31,12 +31,7 @@ from coxcheck.core import (
     rank_values, stable_order, submask_table,
 )
 from coxcheck.files import load_structure
-from coxcheck.forms import (
-    NegationForm,
-    combination_ranks,
-    extract_negation,
-    negation_ranks,
-)
+from coxcheck.forms import combination_ranks, extract_negation, negation_ranks
 from coxcheck.generators import build_family, coin_family
 from coxcheck.isomorphism import _Contradiction, _RatioEngine
 
@@ -1235,24 +1230,11 @@ class TestNegationInvolution:
                 assert report.status == "untestable"
                 clashes += 1
                 continue
-            want = oracle_negation_identity(structure, extract_negation(structure))
-            assert (report.checked, report.gaps, report.failures) == want
-            assert report.checked == len(structure.attained("conditional"))
-            assert report.gaps == 0 and report.passed
+            checked, gaps, failures = oracle_negation_identity(
+                structure, extract_negation(structure))
+            assert report.checked == checked == len(structure.attained("conditional"))
+            assert (gaps, failures) == (0, ()) and report.passed
         assert clashes == 2  # a1_conflict.bel and the moved 8-atom entry
-
-    @given(st.integers(0, 2 ** 32))
-    def test_caller_forms_against_the_oracle(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice((2, 3))
-        structure = structure_of(n, ratio_table(n, [rng.randint(1, 4) for _ in range(n)]))
-        pool = structure.attained("conditional") + [F(rng.randint(0, 6), 6) for _ in range(3)]
-        table = {x: rng.choice(pool) for x in rng.sample(pool, rng.randint(0, len(pool)))}
-        for form in (NegationForm("tabular", table), NegationForm("linear-complement")):
-            report = bel_level_negation(structure, form)
-            checked, gaps, failures = oracle_negation_identity(structure, form)
-            assert (report.checked, report.gaps, report.failures) == (checked, gaps, failures)
-            assert report.status == ("fail" if failures else "pass")
 
 
 def two_atom_table(empty, middle, bounds=(ZERO, ONE)):

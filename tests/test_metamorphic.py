@@ -2,15 +2,25 @@
 
 A family member written as its `generate` directive and the same member
 written as the table `serialize_structure` gives it are one structure, so a
-theorem-4 audit of the family prints and reports the same either way.
+theorem-4 audit of the family prints and reports the same either way.  So
+does a weight file against its table under every single-structure command.
+Relabelling every value by an increasing affine map, bounds included, keeps
+every hypothesis status.
 """
 
 import json
+import random
+from fractions import Fraction as F
 
 import pytest
 
 from coxcheck.cli import main
-from coxcheck.files import load_structure, serialize_structure
+from coxcheck.conditions import audit, bel_level_negation, chain_consistency, check_bounds
+from coxcheck.core import Domain
+from coxcheck.files import load_structure, parse_structure, serialize_structure
+from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
+
+from conftest import FIXTURES
 
 
 def audit_family(family, options, report, capsys):
@@ -38,3 +48,63 @@ def test_a_member_as_its_table_reports_as_its_directive(tmp_path, capsys, option
     runs = [audit_family(family, options, tmp_path / f"{family.name}.json", capsys)
             for family in (directive, table)]
     assert runs[0] == runs[1]
+
+
+def weight_file(atoms, bounds):
+    """A seeded `generate probability` file of `atoms` atoms on `bounds`,
+    or with no bounds line where `bounds` is None."""
+    rng = random.Random(f"{atoms} {bounds}")
+    raw = [rng.randint(1, 9) for _ in range(atoms)]
+    names = [f"x{i}" for i in range(atoms)]
+    return (f"domain: {' '.join(names)}\n" + (f"bounds: {bounds}\n" if bounds else "")
+            + "generate probability "
+            + " ".join(f"{a}={F(r, sum(raw))}" for a, r in zip(names, raw)) + "\n")
+
+
+@pytest.mark.parametrize("bounds", [None, "0 1", "0 2", "-1 1", "1/4 3/4"])
+@pytest.mark.parametrize("atoms", range(1, 7))
+def test_a_weight_file_reports_as_its_table(tmp_path, capsys, atoms, bounds):
+    text = weight_file(atoms, bounds)
+    weights, table = tmp_path / "weights.bel", tmp_path / "table.bel"
+    weights.write_text(text, encoding="utf-8")
+    table.write_text(serialize_structure(parse_structure(text)), encoding="utf-8")
+    for command in (["check"], ["audit", "--theorem", "1"], ["audit", "--theorem", "2"],
+                    ["decide"]):
+        runs = []
+        for path in (weights, table):
+            report = tmp_path / f"{path.stem}.json"
+            code = main([command[0], str(path), *command[1:], "--json", str(report)])
+            payload = json.loads(report.read_text(encoding="utf-8"))
+            for name in ("command", "timings", "file"):
+                payload.pop(name)
+            runs.append((code, capsys.readouterr().out, payload))
+        assert runs[0] == runs[1], command
+
+
+def statuses(structure):
+    """Every status of `check_bounds`, `chain_consistency`,
+    `bel_level_negation` and a theorem-1 audit."""
+    bounds = check_bounds(structure)
+    return (bounds.par1.status, bounds.par2.status, chain_consistency(structure).status,
+            bel_level_negation(structure).status,
+            tuple((h.name, h.status) for h in audit(structure, "1").hypotheses))
+
+
+def rescale_inputs():
+    """The fixtures, and seeded probabilities and k = 2 distortions of 2-4
+    atoms."""
+    structures = [load_structure(path) for path in sorted(FIXTURES.glob("*.bel"))
+                  if not path.name.startswith("bad_parse")]
+    rng = random.Random(2)
+    for atoms in (2, 3, 4):
+        domain = Domain(tuple(f"x{i}" for i in range(atoms)))
+        raw = [rng.randint(1, 9) for _ in range(atoms)]
+        weights = [F(r, sum(raw)) for r in raw]
+        structures += [gen_probability(domain, weights), gen_distorted(domain, weights, 2)]
+    return structures
+
+
+@pytest.mark.parametrize("scale, offset", [(2, 0), (F(1, 2), F(1, 4)), (3, -1)])
+def test_an_affine_relabelling_keeps_every_status(scale, offset):
+    for structure in rescale_inputs():
+        assert statuses(affine_rescale(structure, scale, offset)) == statuses(structure)
