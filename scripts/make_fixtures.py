@@ -6,6 +6,7 @@ byte-stable (the counterexample search is deterministic).
 """
 
 import json
+import random
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -51,6 +52,19 @@ def complete_3atom(w_level, pair_level):
         entries[("", atom)] = "0"
         entries[(atom, atom)] = "1"
     return table_structure(atoms, entries)
+
+
+def merged_probability(n, seed, a, b):
+    """The merge step of ROADMAP item 6 without its filters: the probability
+    of weights `random.Random(31·seed + n).randint(1, 9)` on n atoms, with
+    every value b written as the adjacent value a < b and 1 − a as 1 − b."""
+    rng = random.Random(31 * seed + n)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    base = gen_probability(Domain(tuple("abcde"[:n])), [F(w, sum(weights)) for w in weights])
+    a, b = F(a), F(b)
+    table = {key: a if x == b else 1 - b if x == 1 - a else x
+             for key, x in base.as_table().items()}
+    return BeliefStructure.from_table(base.domain, table)
 
 
 def main():
@@ -136,6 +150,66 @@ def main():
              "b c": {"b": "1/2", "c": "1/2"}},
         ),
         FIXTURES / "order_conflict.bel",
+    )
+
+    # one input for each contradiction of the ratio engine that no fixture
+    # above reaches; `decide` refutes each with an order conflict
+    save_structure(merged_probability(5, 1, "2/7", "3/10"), FIXTURES / "order_forced_both.bel")
+    save_structure(merged_probability(5, 1, "5/13", "2/5"), FIXTURES / "order_value_order.bel")
+    save_structure(merged_probability(4, 90, "3/7", "7/16"), FIXTURES / "order_sum_not_one.bel")
+    save_structure(
+        complete_3atom(
+            {"a": "1/3", "b": "1/4", "c": "1/4",
+             "a b": "3/4", "a c": "3/4", "b c": "2/3"},
+            {"a b": {"a": "1/4", "b": "3/4"},
+             "a c": {"a": "1/4", "c": "3/4"},
+             "b c": {"b": "1/2", "c": "1/2"}},
+        ),
+        FIXTURES / "order_product_exceeds.bel",
+    )
+    # two self-complementary values, 1/2 and 4/7: S is not decreasing
+    save_structure(
+        complete_3atom(
+            {"a": "1/3", "b": "1/3", "c": "1/3",
+             "a b": "2/3", "a c": "2/3", "b c": "2/3"},
+            {"a b": {"a": "4/7", "b": "4/7"},
+             "a c": {"a": "1/2", "c": "1/2"},
+             "b c": {"b": "1/2", "c": "1/2"}},
+        ),
+        FIXTURES / "order_complement_order.bel",
+    )
+    # a nonempty event of conditional belief 0
+    save_structure(
+        table_structure(
+            ["a", "b"],
+            {
+                ("", "a"): "0", ("a", "a"): "1",
+                ("", "b"): "0", ("b", "b"): "1",
+                ("", "a b"): "0", ("a", "a b"): "0",
+                ("b", "a b"): "1", ("a b", "a b"): "1",
+            },
+        ),
+        FIXTURES / "order_forced_zero.bel",
+    )
+    # a conditioning event of belief 3/4 in itself, below E = 1
+    save_structure(
+        table_structure(
+            ["a", "b"],
+            {
+                ("", "a"): "0", ("a", "a"): "3/4",
+                ("", "b"): "0", ("b", "b"): "3/4",
+                ("", "a b"): "0", ("a", "a b"): "1/4",
+                ("b", "a b"): "1/2", ("a b", "a b"): "3/4",
+            },
+        ),
+        FIXTURES / "order_forced_one.bel",
+    )
+    # a probability whose attained values 0 and 1 lie outside its bounds
+    (FIXTURES / "order_outside_bounds.bel").write_text(
+        "domain: a b\n"
+        "bounds: 1/4 3/4\n"
+        "generate probability a=1/3 b=2/3\n",
+        encoding="utf-8",
     )
 
     # the min/1-x counterexample fixture, found by the exhaustive search

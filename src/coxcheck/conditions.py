@@ -925,10 +925,6 @@ class HypothesisVerdict:
     status: str  # 'pass' | 'fail' | 'untestable'
     witness: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -940,10 +936,6 @@ class AuditReport:
     @property
     def failed(self) -> bool:
         return any(h.status == "fail" for h in self.hypotheses)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(h.status == "pass" for h in self.hypotheses)
 
     def to_dict(self) -> dict:
         return {

@@ -51,6 +51,12 @@ from .core import (
 #: never expanded: it stays weight-backed whatever its size.
 EXPANSION_ATOM_LIMIT = 10
 
+#: Characters no atom name in a file may hold, besides whitespace: the `bel`
+#: line's separators, the directive's `=` and the comment mark.
+RESERVED_ATOM_CHARACTERS = "|=#"
+
+_RESERVED = re.compile(r"[\s" + re.escape(RESERVED_ATOM_CHARACTERS) + "]")
+
 
 class ParseError(ValueError):
     """Malformed structure file."""
@@ -309,14 +315,26 @@ def _distinct(column: list[str]) -> tuple[list[str], np.ndarray]:
     return list(index), which
 
 
+def _check_atom_names(domain: Domain) -> None:
+    """Refuse (`BeliefDomainError`) the first atom name that a file cannot
+    carry."""
+    if _RESERVED.search("".join(domain.atoms)):  # one search; the loop names the atom
+        atom = next(a for a in domain.atoms if _RESERVED.search(a))
+        raise BeliefDomainError(
+            f"atom name {atom!r} holds whitespace or one of "
+            f"{' '.join(RESERVED_ATOM_CHARACTERS)}, which structure files reserve")
+
+
 def _domain_line(line: str, line_no: int) -> Domain:
     atoms = line[len("domain:"):].split()
     if not atoms:
         raise ParseError("domain line lists no atoms", line_no)
     try:
-        return Domain(tuple(atoms))
+        domain = Domain(tuple(atoms))
+        _check_atom_names(domain)
     except BeliefDomainError as exc:
         raise ParseError(str(exc), line_no) from None
+    return domain
 
 
 def _header_line(line, line_no, domain, bounds, generator, text):
@@ -415,9 +433,11 @@ def serialize_structure(structure: BeliefStructure) -> str:
 
     Explicit structures emit one `bel` line per canonical pair.  Weight-backed
     structures beyond the expansion limit emit their generator directive
-    instead (an explicit expansion would be infeasible).
+    instead (an explicit expansion would be infeasible).  An atom name that
+    holds whitespace or a `RESERVED_ATOM_CHARACTERS` character is refused.
     """
     domain = structure.domain
+    _check_atom_names(domain)
     lines = ["domain: " + " ".join(domain.atoms)]
     e, big_e = structure.bounds
     lines.append(f"bounds: {e} {big_e}")
@@ -454,5 +474,6 @@ def load_structure(path) -> BeliefStructure:
 
 
 def save_structure(structure: BeliefStructure, path) -> None:
+    text = serialize_structure(structure)  # a refused structure writes nothing
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_structure(structure))
+        fh.write(text)

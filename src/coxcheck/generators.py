@@ -342,9 +342,7 @@ def search_min_counterexample(atom_count: int, grid) -> MinSearchOutcome:
     params = DecisionParams(restarts=4, budget=200)
 
     def pair_slot(v: int, u: int):
-        """(slot, flip) locating the value of (v,u); None for Par2-forced."""
-        if v == 0 or v == u:
-            return None
+        """(slot, flip) locating the value of (v,u), ∅ ≠ V ≠ U."""
         if (v, u) in slot_index:
             return slot_index[(v, u)], False
         return slot_index[(u ^ v, u)], True
@@ -354,10 +352,9 @@ def search_min_counterexample(atom_count: int, grid) -> MinSearchOutcome:
             return ZERO
         if v == u:
             return ONE
+        # a constraint is checked once every slot it reads is assigned
         slot, flip = pair_slot(v, u)
         val = assignment[slot]
-        if val is None:
-            return None
         return 1 - val if flip else val
 
     # A2-with-min constraints, indexed by the last slot they depend on
@@ -407,8 +404,6 @@ def search_min_counterexample(atom_count: int, grid) -> MinSearchOutcome:
 
     def dfs(depth: int):
         nonlocal consistent, isomorphic, undecided, found
-        if found is not None:
-            return
         if depth == len(slots):
             sig = tuple(assignment)
             if any(permuted_signature(assignment, p) < sig for p in perms):

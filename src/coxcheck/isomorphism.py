@@ -333,30 +333,24 @@ class _RatioEngine:
     def _check_sum_order(self):
         # r(x) + r(y) = 1 pairs: as x grows, y must strictly shrink.  Both
         # orientations of every equation enter the scan so the adjacent-pair
-        # argument is complete.
+        # argument is complete.  Each value has one complement: two sums
+        # sharing x would read S(x) twice, an A1 clash, which refutation
+        # search reports before the engine runs.
         x, y, w = self.sums.T
         two = x != y
         x, y, w = (np.concatenate(p) for p in ((x, y[two]), (y, x[two]), (w, w[two])))
         order = np.lexsort((y, x))
         x, y, w = x[order], y[order], w[order]
-        bad = np.flatnonzero(np.where(x[1:] == x[:-1], y[1:] != y[:-1], y[:-1] <= y[1:]))
-        if not len(bad):
-            return
-        i = int(bad[0])
-        v = self.values
-        (x1, x2), (y1, y2) = x[i:i + 2].tolist(), y[i:i + 2].tolist()
-        rules = (("sum", int(w[i])), ("sum", int(w[i + 1])))
-        if x1 == x2:
+        bad = np.flatnonzero((x[:-1] < x[1:]) & (y[:-1] <= y[1:]))
+        if len(bad):
+            i = int(bad[0])
+            v = self.values
+            (x1, x2), (y1, y2) = x[i:i + 2].tolist(), y[i:i + 2].tolist()
             raise _Contradiction(
-                f"complements of the shared value {v[x1]} differ: "
-                f"{v[y1]} vs {v[y2]} would share the ratio 1 - r({v[x1]})",
-                rules,
+                f"complement order broken: {v[x1]} < {v[x2]} but complements "
+                f"{v[y1]} ≤ {v[y2]}",
+                (("sum", int(w[i])), ("sum", int(w[i + 1]))),
             )
-        raise _Contradiction(
-            f"complement order broken: {v[x1]} < {v[x2]} but complements "
-            f"{v[y1]} ≤ {v[y2]}",
-            rules,
-        )
 
     def _check_product_groups(self):
         """Cross-equation rules that need no derived values.
@@ -392,38 +386,24 @@ class _RatioEngine:
     def _apply_static(self):
         """The rules that need no pinned ratio, as array passes: a
         self-complementary value has ratio 1/2, and r(out) = r(l)·r(r) ≤
-        min(r(l), r(r)), so the product never exceeds a factor and equals a
-        positive one only when the other factor is E, pinned to 1."""
+        min(r(l), r(r)), so the product never exceeds a factor.  A product
+        equal to a positive factor, F(l, r) = l with r < E, needs no rule of
+        its own: it shares (out, l) with the unit product F(l, E) = l of the
+        instance B ⊆ A ⊆ A, and `_check_product_groups` refutes the pair."""
         x, y, w = self.sums.T
         for i in np.flatnonzero(x == y).tolist():
             self._set(int(x[i]), Fraction(1, 2), ("sum", int(w[i])), (),
                       "self-complementary value")
         out, left, right, _ = self.products.T
-        positive, below_one = self.positive, self.below_one
-        bad = ((out > left) | (out > right)
-               | ((out == left) & positive[left] & below_one[right])
-               | ((out == right) & positive[right] & below_one[left]))
-        if bad.any():
-            self._explain_static(int(np.flatnonzero(bad)[0]))
-
-    def _explain_static(self, i: int):
-        """Raise the static contradiction of product i."""
-        out, l, r, witness = self._product_rows[i]
-        v = self.values
-        rules = (("product", witness),)
-        for big, small in ((l, r), (r, l)):
-            if out > big:
-                raise _Contradiction(
-                    f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
-                    f"but {v[out]} > {v[big]}",
-                    rules,
-                )
-            if out == big and self.positive[big] and self.below_one[small]:
-                raise _Contradiction(
-                    f"r({v[out]}) = r({v[out]})·r({v[small]}) needs r({v[out]}) = 0 "
-                    f"or r({v[small]}) = 1; both are excluded",
-                    rules,
-                )
+        bad = np.flatnonzero((out > left) | (out > right))
+        if len(bad):
+            out, l, r, witness = self._product_rows[int(bad[0])]
+            v = self.values
+            raise _Contradiction(
+                f"product exceeds a factor: r({v[out]}) = r({v[l]})·r({v[r]}) "
+                f"but {v[out]} > {v[l if out > l else r]}",
+                (("product", witness),),
+            )
 
     def _apply_sum(self, i: int):
         x, y, witness = self._sum_rows[i]
@@ -624,9 +604,6 @@ class WitnessCheck:
     failing: str | None
     graph: tuple[tuple[int, Fraction, Fraction], ...] | None  # (rank, x, g(x)), ascending
 
-    def __bool__(self):
-        return self.passed
-
     @property
     def ratio_map(self) -> dict | None:
         """g on the attained values, as {value: ratio}."""
@@ -662,7 +639,8 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
 
     (i) equal belief values always map to equal conditional ratios,
     (ii) the induced value→ratio map is strictly increasing,
-    (iii) it sends e to 0 and E to 1 where those values are attained.
+    (iii) it sends e to 0 and E to 1 where those values are attained, and
+    no attained value lies outside [e, E].
 
     The product rule g(Bel(V|U))·g(Bel(U|W)) = g(Bel(V|W)) needs no check
     of its own: once (i) holds, each class's ratio is exactly μ(V)/μ(U) at
@@ -707,6 +685,10 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     for x, end in ((index.e, 0), (index.E, 1)):  # (iii)
         if g.get(x, end) != end:
             return WitnessCheck(False, f"endpoint: g({values[x]}) = {g[x]} ≠ {end}", None)
+    for x in (ranks[0], ranks[-1]):  # the least and greatest class; e and E are ranked too
+        if not index.e <= x <= index.E:
+            return WitnessCheck(False, f"endpoint: attained value {values[x]} lies outside "
+                                f"the bounds [{values[index.e]},{values[index.E]}]", None)
     return WitnessCheck(True, None, tuple((x, values[x], r) for x, r in g.items()))
 
 

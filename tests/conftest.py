@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,3 +76,44 @@ def engine_rules(structure, engine):
     out, l, r, w = engine.products.T
     products = sorted(zip(out.tolist(), l.tolist(), r.tolist(), f.masks(w)))
     return sums, products
+
+
+def seeded_probability(n, seed):
+    """The probability of weights `random.Random(31·seed + n).randint(1, 9)`
+    on atoms a, b, ...: the base of ROADMAP item 6's merge corpus."""
+    rng = random.Random(31 * seed + n)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    return gen_probability(Domain(tuple("abcde"[:n])),
+                           [Fraction(w, sum(weights)) for w in weights])
+
+
+def merged_probability(n, seed, a, b):
+    """Item 6's merge step without its filters, as `scripts/make_fixtures.py`
+    builds its merge fixtures: the seeded probability with every value b
+    written as the adjacent value a < b, and 1 − a as 1 − b."""
+    base = seeded_probability(n, seed)
+    a, b = Fraction(a), Fraction(b)
+    table = {key: a if x == b else 1 - b if x == 1 - a else x
+             for key, x in base.as_table().items()}
+    return BeliefStructure.from_table(base.domain, table)
+
+
+def merges(n, seed):
+    """Every merge of two adjacent interior values of the seeded
+    probability on n atoms, as (a, b, structure)."""
+    values = sorted(set(seeded_probability(n, seed).as_table().values()))[1:-1]
+    for a, b in zip(values, values[1:]):
+        yield a, b, merged_probability(n, seed, a, b)
+
+
+def complement_table(unconditional, pairs):
+    """The 3-atom table on atoms a, b, c with S = 1 − x: `unconditional`
+    gives Bel({a}|Ω), Bel({b}|Ω), Bel({c}|Ω) and `pairs` Bel({a}|{a b}),
+    Bel({a}|{a c}), Bel({b}|{b c}); every other entry follows."""
+    table = {}
+    for u in range(1, 8):
+        table[(0, u)], table[(u, u)] = Fraction(0), Fraction(1)
+    for (v, u), x in zip(((1, 7), (2, 7), (4, 7), (1, 3), (1, 5), (2, 6)),
+                         (*unconditional, *pairs)):
+        table[(v, u)], table[(u ^ v, u)] = Fraction(x), 1 - Fraction(x)
+    return BeliefStructure.from_table(Domain(("a", "b", "c")), table)

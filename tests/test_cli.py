@@ -938,3 +938,79 @@ class TestDocumentedExitCodes:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main(argv)
         assert code in DOCUMENTED_EXITS, (argv, sink.getvalue())
+
+
+ELEVEN_ATOMS = ",".join(f"x{i}" for i in range(11))
+ELEVEN_WEIGHTS = ",".join(["1/11"] * 11)
+
+
+class TestGuards:
+    """Each usage guard of a command, and each parse guard, with its exit
+    code and message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "--theorem", "1"], "this audit needs a structure file"),
+        (["audit", "--theorem", "3", "--extension", FIXTURES / "three_atoms.bel"],
+         "theorem 3 audit needs the base structure file"),
+        (["audit", FIXTURES / "three_atoms.bel", "--theorem", "3",
+          "--extension", FIXTURES / "uniform2.bel"],
+         "extension file carries no atoms for base atom 'c'"),
+        (["generate", "coins", "--atoms", "a,b", "--weights", "1/2,1/2", "--coins", "0",
+          "--out", "c.bel"], "at least one coin required"),
+        (["generate", "distorted", "--atoms", ELEVEN_ATOMS, "--weights", ELEVEN_WEIGHTS,
+          "--out", "d.bel"], "cannot serialize a distorted structure of this size explicitly"),
+        (["equations", "--form", "product", "--eq", "EQ1", "--grid", "1"],
+         "grid needs at least 2 points"),
+        (["search-min", "--atoms", "5"], "counterexample search supports 1..4 atoms"),
+    ], ids=["audit-without-file", "extension-without-base", "extension-missing-an-atom",
+            "zero-coins", "large-distorted", "one-point-grid", "five-atom-search"])
+    def test_usage_guards(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 64
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("bel {a} | {a} = 1\n", "line 1: domain line must come first"),
+        ("domain: a b\ngenerate probability a=1/2 b=1/2\ngenerate probability a=1/2 b=1/2\n",
+         "line 3: duplicate generator directive"),
+        ("domain: a b\ngenerate probability a=1/2 b\n", "line 2: bad weight token 'b'"),
+        ("domain: " + ELEVEN_ATOMS.replace(",", " ") + "\ngenerate probability "
+         + " ".join(f"x{i}=1/11" for i in range(11)) + "\nbel {x0} | * = 1/2\n",
+         "generator expansion with explicit overrides is capped at 10 atoms"),
+    ], ids=["no-domain-line", "two-directives", "weight-without-value", "override-past-10"])
+    def test_parse_guards(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.bel"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 65
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("atoms", ["a|b,c", "a b,c", "a#b,c", "a=b,c"])
+    def test_reserved_atom_names(self, tmp_path, monkeypatch, capsys, atoms):
+        """A name no file can carry: `generate` writes nothing, and a file
+        that names it on its domain line is refused (a `#` starts a comment
+        there, and whitespace splits the name, so those fail otherwise)."""
+        monkeypatch.chdir(tmp_path)
+        name = atoms.split(",")[0]
+        assert main(["generate", "probability", "--atoms", atoms, "--weights", "1/3,2/3",
+                     "--out", "f.bel"]) == 64
+        assert capsys.readouterr() == ("", f"usage error: atom name {name!r} holds "
+                                       "whitespace or one of | = #, which structure files reserve\n")
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "named.bel"
+        path.write_text(f"domain: {name} c\ngenerate probability {name}=1/3 c=2/3\n")
+        assert main(["check", str(path)]) == 65
+        if name in ("a|b", "a=b"):
+            assert capsys.readouterr().err == (f"parse error: line 1: atom name {name!r} holds "
+                                               "whitespace or one of | = #, which structure "
+                                               "files reserve\n")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.bel")
+                                            if not p.name.startswith("bad_")))
+    def test_no_audit_passes_outright(self, capsys, name):
+        """Every audit holds a hypothesis that a table leaves untestable, so
+        it exits 1 or 2, never 0."""
+        for theorem in ("1", "2"):
+            code = main(["audit", str(FIXTURES / name), "--theorem", theorem])
+            assert code in (1, 2)
+            assert "UNTESTABLE " in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -33,7 +34,7 @@ from coxcheck.generators import (
     gen_probability,
 )
 
-from conftest import fixture_path
+from conftest import FIXTURES, complement_table, fixture_path
 
 
 def uniform(n):
@@ -806,3 +807,34 @@ def test_clash_audits_print_every_hypothesis(fixture, theorem):
     report = audit(load_structure(fixture_path(f"{fixture}.bel")), theorem, seed=0)
     assert [(h.name, h.status, h.witness) for h in report.hypotheses] == (
         CLASH_AUDITS[fixture, theorem])
+
+
+class TestGuardsAndForgeries:
+    def test_theorem_4_without_a_family(self):
+        with pytest.raises(ValueError, match="^theorem 4 audit requires a domain family$"):
+            audit(None, "4")
+
+    @pytest.mark.parametrize("forge", [
+        # the entry's second argument is not the structure's
+        lambda c: dataclasses.replace(c, inner_right=((F(2, 7), F(3, 7)), *c.inner_right[1:])),
+        # the entry's output is not the structure's
+        lambda c: dataclasses.replace(c, inner_right=(c.inner_right[0], F(2, 7),
+                                                      c.inner_right[2])),
+        # y and z exchanged: the inner entries no longer read (y, z) and (x, y)
+        lambda c: dataclasses.replace(c, args=(c.args[0], c.args[2], c.args[1])),
+        # the outer sides exchanged
+        lambda c: dataclasses.replace(c, outer_left=c.outer_right, outer_right=c.outer_left),
+    ], ids=["moved-argument", "moved-output", "inner-mislabelled", "outer-mislabelled"])
+    def test_a_forged_chain_certificate(self, forge):
+        structure = load_structure(FIXTURES / "chain_conflict.bel")
+        certificate = chain_consistency(structure).certificate
+        assert certificate.recheck(structure)
+        assert certificate.args == (F(3, 7), F(2, 7), F(4, 7))
+        assert not forge(certificate).recheck(structure)
+
+    def test_a_non_commutative_combination(self):
+        structure = complement_table(("1/4", "1/4", "1/3"), ("1/4", "1/4", "1/3"))
+        verdicts = {h.name: h for h in audit(structure, "2").hypotheses}
+        assert verdicts["combination-commutative"].status == "fail"
+        assert verdicts["combination-commutative"].witness == (
+            "F(2/3, 3/4) = 1/3 but F(3/4, 2/3) = 1/4")

@@ -13,6 +13,7 @@ from coxcheck.core import (
     BeliefStructure,
     Domain,
     EmptyConditionError,
+    Event,
     intern_values,
     rank_values,
     submask_table,
@@ -456,3 +457,57 @@ class TestValueIndex:
                 ))
             assert outputs[0][2] is not None
             assert outputs[0] == outputs[1], name
+
+
+class TestGuards:
+    """Each guard of the core types, through the call a caller makes."""
+
+    def test_an_event_mask_outside_the_domain(self):
+        with pytest.raises(BeliefDomainError, match="^event mask 4 outside domain$"):
+            Event(Domain(("a", "b")), 4)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"table": {}, "weights": [F(1)]}])
+    def test_exactly_one_backing(self, kwargs):
+        with pytest.raises(BeliefDomainError, match="^exactly one of table/weights must be given$"):
+            BeliefStructure(Domain(("a",)), **kwargs)
+
+    def test_bounds_out_of_order(self):
+        table = {(0, 1): F(0), (1, 1): F(1)}
+        with pytest.raises(BeliefDomainError, match="^bounds must satisfy e < E$"):
+            BeliefStructure.from_table(Domain(("a",)), table, bounds=(F(1), F(1)))
+
+    def test_the_size_table_cap(self):
+        n = 2049
+        uniform = BeliefStructure.from_weights(Domain(tuple(f"x{i}" for i in range(n))),
+                                               [F(1, n)] * n)
+        with pytest.raises(BeliefDomainError, match="^size table capped at 2048 atoms$"):
+            uniform.size_ranks()
+
+    def test_an_unknown_attained_kind(self):
+        with pytest.raises(ValueError, match="^unknown attained kind 'joint'$"):
+            load_structure(FIXTURES / "three_atoms.bel").attained("joint")
+
+    def test_attained_values_of_a_large_non_uniform_weighting(self):
+        n = 21
+        structure = BeliefStructure.from_weights(
+            Domain(tuple(f"x{i}" for i in range(n))), [F(i, n * (n + 1) // 2) for i in range(1, n + 1)])
+        with pytest.raises(BeliefDomainError,
+                           match="^attained-value enumeration infeasible for this domain size$"):
+            structure.attained()
+
+
+class TestEqualityAndRepr:
+    def test_equality(self):
+        table = load_structure(FIXTURES / "weights_1_3.bel")
+        weights = BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 3), F(2, 3)])
+        assert table == weights and weights == table
+        assert table != "weights_1_3.bel"  # NotImplemented, then identity
+        assert table != BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 3), F(2, 3)],
+                                                     bounds=(F(0), F(2)))
+
+    def test_repr(self):
+        weights = BeliefStructure.from_weights(Domain(("a", "b")), [F(1, 3), F(2, 3)], exponent=2)
+        assert repr(weights) == ("BeliefStructure(('a', 'b'), weights=(Fraction(1, 3), "
+                                 "Fraction(2, 3)), k=2)")
+        table = load_structure(FIXTURES / "weights_1_3.bel")
+        assert repr(table) == "BeliefStructure(('a', 'b'), 8 entries)"

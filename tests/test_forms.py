@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -320,3 +321,74 @@ class TestMultiplicativeRep:
         values = [rep.f(p) for p in probes]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert math.isclose(rep.f(1.0), 1.0)
+
+
+class TestGuards:
+    """Each guard of the forms API, through the call a caller makes."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NegationForm("sigmoid"), "unknown negation form 'sigmoid'"),
+        (lambda: NegationForm("tabular"), "tabular forms need a table, catalog forms none"),
+        (lambda: CombinationForm("maximum"), "unknown combination form 'maximum'"),
+        (lambda: CombinationForm("product", table={}),
+         "tabular forms need a table, catalog forms none"),
+        (lambda: check_monotonicity("min"), "not a form: 'min'"),
+    ])
+    def test_form_errors(self, build, message):
+        with pytest.raises(FormError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_an_unknown_equation(self):
+        with pytest.raises(ValueError, match="^unknown equation 'EQ2'$"):
+            check_functional_equation(catalog_negation("linear-complement"), "EQ2", 5)
+
+    def test_a_monotonicity_grid_of_one_point(self):
+        with pytest.raises(ValueError, match="^grid needs at least 2 points$"):
+            check_monotonicity(catalog_combination("product"), grid_resolution=1)
+
+    def test_eq1_with_no_evaluable_triple(self):
+        form = CombinationForm("tabular", {(F(1, 3), F(1, 3)): F(1, 9)})
+        with pytest.raises(EquationCoverageError,
+                           match="^EQ1: no evaluable grid triples for this form$"):
+            check_functional_equation(form, "EQ1", 3)
+
+    def test_a_discontinuous_catalog_form(self):
+        # the Hamacher product on [0, 2] divides by zero at (2, 2)
+        report = check_monotonicity(CombinationForm("hamacher", interval=(F(0), F(2))))
+        assert report.continuity == forms.Verdict(
+            "fail", "grid jump 14 exceeds modulus bound 1/2")
+
+
+class TestTabularNegationEquations:
+    def test_a_residual_off_the_complement(self):
+        # S(S(3/4)) = S(1/4) = 2/3; S(2/3) is not in the table
+        form = NegationForm("tabular", {F(0): F(1), F(1, 4): F(2, 3), F(1, 2): F(1, 2),
+                                        F(3, 4): F(1, 4), F(1): F(0)})
+        report = check_functional_equation(form, "EQ3", 5)
+        assert (report.residual, report.witness) == (F(1, 12), (F(3, 4),))
+        assert (report.evaluated, report.total, report.partial) == (4, 5, True)
+
+    @pytest.mark.parametrize("equation, evaluated, skipped", [
+        ("EQ3", 3, 0), ("EQ3.5", 6, 8), ("EQSYM", 4, 9)])
+    def test_points_off_the_table_are_left_out(self, equation, evaluated, skipped):
+        """1 − x without 1/4: every instance that reads S(1/4), or S at a
+        quotient off the grid, is left out, and the rest hold exactly."""
+        form = NegationForm("tabular", {F(0): F(1), F(1, 2): F(1, 2), F(3, 4): F(1, 4),
+                                        F(1): F(0)})
+        report = check_functional_equation(form, equation, 5)
+        assert (report.residual, report.evaluated, report.skipped) == (0, evaluated, skipped)
+        assert report.partial
+
+
+class TestMultiplicativeRepErrors:
+    @pytest.mark.parametrize("interval, anchor, tolerance, message", [
+        ((F(0), F(1)), F(1, 2), -1.0, "precondition EQ1 fails: residual 0"),
+        ((F(0), F(2)), F(1), 1e-9, "precondition unit fails: F(1/10, E) != 1/10"),
+        ((F(1, 2), F(1)), F(3, 4), 1e-9, "precondition annihilator fails: F(1/2, e) != 1/2"),
+        # the anchor rounds to 1 at 50 digits, so every F-power is 1
+        ((F(0), F(1)), 1 - F(1, 10 ** 60), 1e-9, "sample ladder is not strictly decreasing"),
+    ], ids=["tolerance-below-zero", "unit", "annihilator", "ladder"])
+    def test_precondition_and_ladder_errors(self, interval, anchor, tolerance, message):
+        form = CombinationForm("product", interval=interval)
+        with pytest.raises(FormError, match=f"^{re.escape(message)}$"):
+            multiplicative_rep(form, anchor, tolerance)

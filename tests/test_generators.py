@@ -505,3 +505,28 @@ class TestMinSearch:
         assert not outcome.hit
         assert outcome.exhausted
         assert outcome.isomorphic_count == 1
+
+
+class TestGuardsAndSearchBranches:
+    def test_embedding_an_event_of_another_domain(self):
+        ext = coin_extend(Domain(("a", "b")), [F(1, 3), F(2, 3)], 1)
+        with pytest.raises(BeliefDomainError, match="^event does not belong to the base domain$"):
+            ext.embed(Domain(("a", "c")).event(["a"]))
+
+    def test_a_family_of_no_members(self):
+        with pytest.raises(BeliefDomainError, match="^family must have at least one member$"):
+            build_family([])
+
+    def test_a_search_that_decide_leaves_open_exhausts(self, monkeypatch):
+        """Each candidate decide leaves unknown counts as undecided, and the
+        search goes on through every value of every slot."""
+        import coxcheck.generators as generators
+        from coxcheck.isomorphism import IsomorphismVerdict
+
+        calls = []
+        monkeypatch.setattr(generators, "decide",
+                            lambda s, p: calls.append(s) or IsomorphismVerdict("unknown"))
+        outcome = search_min_counterexample(2, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
+        assert outcome.exhausted and not outcome.hit
+        assert outcome.undecided_count == outcome.consistent_candidates == len(calls) > 1
+        assert outcome.isomorphic_count == 0

@@ -36,6 +36,7 @@ from conftest import (
     engine_rules,
     fixture_path,
     golden_ratio_structure,
+    merged_probability,
     relabelled_probability,
 )
 
@@ -573,3 +574,37 @@ class TestGaugeInvariance:
         assert before.kind == after.kind
         if before.kind == "witness":
             assert before.witness.weights == after.witness.weights
+
+
+class TestWitnessBranches:
+    def test_the_rescaling_at_an_attained_value_is_its_ratio(self):
+        structure = load_structure(FIXTURES / "gauge_rescaled_prob.bel")
+        g = decide(structure).rescaling
+        for value, ratio in g.points:
+            assert g(value) == ratio
+
+    def test_weights_by_atom_name(self):
+        structure = load_structure(FIXTURES / "three_atoms.bel")
+        weights = {"c": F(1, 2), "a": F(1, 6), "b": F(1, 3)}
+        assert verify_witness(structure, weights) == verify_witness(
+            structure, [F(1, 6), F(1, 3), F(1, 2)])
+        assert verify_witness(structure, weights).passed
+
+    def test_a_square_root_rescaling_is_settled_by_the_square_candidate(self):
+        # the values are √μ: 3/5 and 4/5 over the weights 9/25 and 16/25
+        table = {(0, 1): F(0), (1, 1): F(1), (0, 2): F(0), (2, 2): F(1),
+                 (0, 3): F(0), (1, 3): F(3, 5), (2, 3): F(4, 5), (3, 3): F(1)}
+        verdict = decide(BeliefStructure.from_table(Domain(("a", "b")), table))
+        assert verdict.kind == "witness"
+        assert verdict.budget["phase"] == "structured-candidates"
+        assert verdict.witness.weights == {"a": F(9, 25), "b": F(16, 25)}
+
+    def test_a_numeric_search_that_stalls_above_the_tolerance(self):
+        """The merge of 5/11 into 4/9 on four atoms passes refutation search
+        and propagation; its one least-squares start stalls at a residual
+        far above the tolerance, so nothing is rounded: an honest unknown."""
+        structure = merged_probability(4, 3, "4/9", "5/11")
+        verdict = decide(structure, DecisionParams(restarts=1))
+        assert verdict.kind == "unknown"
+        assert verdict.budget["phase"] == "numeric" and verdict.budget["restarts"] == 1
+        assert verdict.budget["best_penalty"] > 1e-6

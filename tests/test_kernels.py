@@ -940,7 +940,7 @@ class OracleEngine:
                 oriented.append((y, x, w))
         oriented.sort()
         for (x1, y1, w1), (x2, y2, w2) in zip(oriented, oriented[1:]):
-            if (y1 != y2) if x1 == x2 else not y1 > y2:
+            if x1 != x2 and not y1 > y2:
                 raise _Contradiction("complement order broken",
                                      frozenset([("sum", w1), ("sum", w2)]))
 

@@ -59,6 +59,10 @@ def reference_verify_witness(structure, weights) -> WitnessCheck:
         return WitnessCheck(False, f"endpoint: g({e}) = {F(*ratios[index.e])} ≠ 0", None)
     if index.E in ratios and ratios[index.E][0] != ratios[index.E][1]:
         return WitnessCheck(False, f"endpoint: g({big_e}) = {F(*ratios[index.E])} ≠ 1", None)
+    for x, _ in (items[0], items[-1]):
+        if not index.e <= x <= index.E:
+            return WitnessCheck(False, f"endpoint: attained value {values[x]} lies outside "
+                                f"the bounds [{e},{big_e}]", None)
     unconditional = index.pair_rank[-(1 << domain.size):].tolist()  # the full mask's row
     for v, u, x in index.pairs():
         p1, q1 = ratios[x]
@@ -171,6 +175,21 @@ def test_agrees_with_the_reference_on_perturbed_tables():
                     failures.add(f"endpoint {failing[-1]}" if failing.startswith("endpoint")
                                  else failing.split(":")[0])
     assert failures == {"single-valuedness", "strict increase", "endpoint 0", "endpoint 1"}
+
+
+@pytest.mark.parametrize("bounds", [(F(1, 4), F(3, 4)), (F(-1), F(1, 2)), (F(1, 2), F(2))])
+def test_agrees_with_the_reference_on_values_outside_the_bounds(bounds):
+    """A weight-backed structure keeps its values 0 and 1 on any bounds: one
+    of them, or both, lies outside these, and its own weights fail (iii)."""
+    rng = random.Random(7)
+    for n in range(1, 6):
+        ints = units(rng, n)
+        structure = BeliefStructure.from_weights(
+            Domain(tuple(f"x{i}" for i in range(n))), normalized(ints), bounds=bounds)
+        passed, failing, _ = assert_agrees(structure, normalized(ints))
+        assert not passed and failing.startswith("endpoint: ")
+        if n == 1:
+            assert failing.endswith(f"lies outside the bounds [{bounds[0]},{bounds[1]}]")
 
 
 def test_invalid_weightings_raise_the_reference_messages():
