@@ -25,9 +25,13 @@ builds the jobs there:
   `swap_adjacent_values` forgery of that table (`write_wide_forgery`),
   whose associativity join passes over all 95,436 F keys and whose ratio
   engine ends in an order conflict
-- a `decide` run of the 9-atom weights through v ↦ (2v + v³)/3
-  (`write_wide_mix`), which the ratio engine's fixpoint settles in phase
-  `propagation`
+- a `check` and a `decide` run of the 9-atom weights through
+  v ↦ (2v + v³)/3 (`write_wide_mix`), which the ratio engine's fixpoint
+  settles in phase `propagation`
+- a `check` and a `decide` run of an all-indented copy of every fixture and
+  of the `write_wide_mix` table (`write_indented`); on each tree, each must
+  give what its plain copy gives, apart from the report's `file` and
+  `command`, which name the copy
 - a `decide` run of 200 seeded non-power tables of 3-5 atoms
   (`write_sweep`), of which only the verdict kind, the settling phase, the
   witness weights and any certificate are compared, since the numeric
@@ -76,9 +80,10 @@ Each tree runs every job once, in-process through `coxcheck.cli.main`, in an
 interpreter of its own.  Per job the exit code, stdout, stderr and JSON
 report without `timings` must match, for `generate` the SHA-256 of the file
 it writes, and for `decide` also the certificate kind, description,
-`recheck()` result and order-conflict instances.  Prints
-every differing job with its differing fields, before and after, then a
-count; exits 1 on any difference, 0 when every job matches.
+`recheck()` result and order-conflict instances; on each tree, so must an
+indented copy's job and its plain copy's.  Prints every differing job with
+its differing fields, before and after, then a count; exits 1 on any
+difference, 0 when every job matches.
 Uses the standard library only and writes nothing inside the repository.
 """
 
@@ -186,14 +191,14 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
         jobs.append({"id": f"check/malformed/{path.name}",
                      "argv": ["check", str(path), "--json", str(report)],
                      "report": str(report)})
+    mix = write_wide_mix(tmp / "wide-mix", beltables)
     for kind, paths, names in (("large", write_large(tmp / "large", beltables),
                                ("check", "decide", "audit-t1")),
                               ("wide", write_wide(tmp / "wide", beltables),
                                ("check", "audit-t1")),
                               ("wide-forged", write_wide_forgery(tmp / "wide-forged", beltables),
                                ("check", "decide")),
-                              ("wide-mix", write_wide_mix(tmp / "wide-mix", beltables),
-                               ("decide",)),
+                              ("wide-mix", mix, ("check", "decide")),
                               ("planted", write_planted(tmp / "planted", beltables),
                                ("check", "decide"))):
         for path in paths:
@@ -203,6 +208,14 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                 jobs.append({"id": f"{name}/{kind}/{path.name}",
                              "argv": [sub, str(path), *options, "--json", str(report)],
                              "report": str(report)})
+    for plain, path in write_indented(tmp / "indented", [*fixtures, *mix]):
+        for name in ("check", "decide"):
+            report = reports / f"{name}-indented-{path.stem}.json"
+            jobs.append({"id": f"{name}/indented/{path.name}",
+                         "argv": [name, str(path), "--json", str(report)],
+                         "report": str(report),
+                         "same_as": next(job["id"] for job in jobs
+                                         if job["argv"][:3] == [name, str(plain), "--json"])})
     for path in write_sweep(tmp / "sweep", beltables):
         report = reports / f"decide-sweep-{path.stem}.json"
         jobs.append({"id": f"decide/sweep/{path.name}", "verdict_only": True,
@@ -579,6 +592,24 @@ def write_wide_mix(out: Path, beltables) -> list[Path]:
     return [mix]
 
 
+#: The indentations `write_indented` gives a file's lines, in turn.
+INDENTS = (" ", "\t", "\u00a0", "\u3000", "  \t\u00a0\u3000")
+
+
+def write_indented(out: Path, paths: list[Path]) -> list[tuple[Path, Path]]:
+    """A copy of each file in `paths` with every line indented by `INDENTS`
+    in turn, each with the file it copies."""
+    out.mkdir()
+    copies = []
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        copy = out / path.name
+        copy.write_text("".join(f"{INDENTS[i % len(INDENTS)]}{line}\n"
+                                for i, line in enumerate(lines)), encoding="utf-8")
+        copies.append((path, copy))
+    return copies
+
+
 #: The strictly increasing maps of `write_sweep`, with g(0) = 0 and g(1) = 1;
 #: none is affine or a power law, so no structured candidate fits.
 SWEEP_MAPS = {
@@ -785,6 +816,14 @@ def differing_fields(before, after, path: str = "", depth: int = 3):
     return [(path.rstrip("."), before, after)]
 
 
+def without_paths(result: dict) -> dict:
+    """`result` without its report's `file` and `command`, which name the
+    input and report paths."""
+    report = {key: value for key, value in result.get("report", {}).items()
+              if key not in ("file", "command")}
+    return {**result, "report": report} if "report" in result else result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="git revision to compare with")
@@ -816,6 +855,17 @@ def main(argv=None) -> int:
                         for job, r in zip(jobs, tree) if job.get("verdict_only"))
         print(f"sweep on {name}: {dict(sorted(tally.items()))}")
     differing = 0
+    at = {job["id"]: i for i, job in enumerate(jobs)}
+    for name, tree in zip(trees, results):
+        for job, result in zip(jobs, tree):
+            if "same_as" in job:
+                fields = differing_fields(without_paths(tree[at[job["same_as"]]]),
+                                          without_paths(result))
+                if fields:
+                    differing += 1
+                    print(f"job {job['id']} on {name}, against {job['same_as']}:")
+                    for field, old, new in fields:
+                        print(f"  {field}: {json.dumps(old)[:300]} -> {json.dumps(new)[:300]}")
     for job, before, after in zip(jobs, *results):
         fields = differing_fields(before, after)
         if fields:
@@ -826,7 +876,7 @@ def main(argv=None) -> int:
     if not differing:
         print(f"no difference on {len(jobs)} jobs")
         return 0
-    print(f"{differing} of {len(jobs)} jobs differ")
+    print(f"{differing} differences, across trees or from a plain copy, in {len(jobs)} jobs")
     return 1
 
 

@@ -11,9 +11,9 @@ are exact rationals; decimal literals are converted exactly (0.25 -> 1/4).
 Explicit `bel` lines override generator directives.  After expansion the
 table must be total on canonical pairs.
 
-The file is read in one bulk pass.  The plain `bel` lines ("bel ", then
-one "|" and after it one "=") are found with numpy on the text's bytes and
-cut into their parts all at once; the few other lines are read one by one.
+The file is read in one bulk pass.  The plain `bel` lines ("bel " after
+any indentation, then one "|" and after it one "=") are found with numpy
+and cut into their parts at once; other lines are read one by one.
 Each distinct event token and value literal is parsed once, and every
 `bel` line becomes a row of ints (V's mask, U's mask, the rank of its
 value), on which the duplicate, conflict and completeness checks run and
@@ -117,11 +117,11 @@ _COMMENT = re.compile(r"#[^\n]*")
 _BEL_WORD = int.from_bytes(b"bel ", "little")
 
 
-def _plain_bel_lines(data: bytes, count: int) -> np.ndarray:
-    """Which of the `count` lines of `data`, UTF-8 with "\n" line breaks, are
-    plain `bel` lines: "bel " at the very start, then one "|" and after it
-    one "=".  In UTF-8 those characters are single bytes that occur in no
-    other character."""
+def _plain_bel_lines(data: bytes, lines: list[str]) -> np.ndarray:
+    """Which `lines`, joined by "\n" into the UTF-8 `data`, are plain `bel`
+    lines: "bel " after any indentation (whitespace as `str.strip` reads
+    it), then one "|" and after it one "=".  In UTF-8 those characters are
+    single bytes that occur in no other character."""
     # a line break before the first line, three after the last (each line
     # then has two separators to read after its break) and room to read 4
     # bytes from the start of any line
@@ -131,12 +131,19 @@ def _plain_bel_lines(data: bytes, count: int) -> np.ndarray:
     is_mark |= buf == ord("=")
     marks = np.flatnonzero(is_mark)
     seps = buf[marks]  # every line's separators, each line after its break
-    breaks = np.flatnonzero(seps == ord("\n"))[:count + 1]
+    breaks = np.flatnonzero(seps == ord("\n"))[:len(lines) + 1]
     before = breaks[:-1]
-    plain = ((np.diff(breaks) == 3) & (seps[before + 1] == ord("|"))
-             & (seps[before + 2] == ord("=")))
+    cut = ((np.diff(breaks) == 3) & (seps[before + 1] == ord("|"))
+           & (seps[before + 2] == ord("=")))
     words = np.ndarray((len(buf) - 3,), dtype="<u4", buffer=buf, strides=(1,))
-    return plain & (words[marks[before] + 1] == _BEL_WORD)
+    plain = cut & (words[marks[before] + 1] == _BEL_WORD)
+    # a line cut so but not starting with "bel " is an indented `bel` line or
+    # no `bel` line; an unindented file has next to none
+    rows = np.flatnonzero(cut & ~plain)
+    if rows.size:
+        stripped = map(str.lstrip, map(lines.__getitem__, rows.tolist()))
+        plain[rows] = list(map(str.startswith, stripped, itertools.repeat("bel ")))
+    return plain
 
 
 def parse_structure(text: str) -> BeliefStructure:
@@ -149,11 +156,10 @@ def parse_structure(text: str) -> BeliefStructure:
     if "#" in body:
         body = _COMMENT.sub("", body)
         lines = body.split("\n")
-    count = len(lines)
     data = body.encode("utf-8", "surrogatepass")
     del body
     # a text with no "bel " has no `bel` line to find
-    plain = _plain_bel_lines(data, count) if b"bel " in data else np.zeros(count, dtype=bool)
+    plain = _plain_bel_lines(data, lines) if b"bel " in data else np.zeros(len(lines), dtype=bool)
     del data
     others = [(row, lines[row]) for row in np.flatnonzero(~plain).tolist()]
     # the parts of every plain `bel` line, cut at once: "bel V", "U", "value"
@@ -167,12 +173,12 @@ def parse_structure(text: str) -> BeliefStructure:
     bel_rows = np.flatnonzero(plain)
 
     # every other line on its own, in order, up to the first bad one: blank
-    # lines, the header lines and any `bel` line with other separators
+    # lines, the header lines and any `bel` line cut otherwise, which is bad
     domain: Domain | None = None
     bounds: tuple[Fraction, Fraction] | None = None
     generator: tuple[dict[str, Fraction], int] | None = None  # weights, line
     error: ParseError | None = None
-    first_bel = int(bel_rows[0]) if bel_rows.size else count
+    first_bel = int(bel_rows[0]) if bel_rows.size else len(plain)
     for row, line in others:
         line, line_no = line.strip(), row + 1
         if not line:
@@ -184,17 +190,8 @@ def parse_structure(text: str) -> BeliefStructure:
             continue
         try:
             if line.startswith("bel "):
-                events_part, eq, value_part = line.rpartition("=")
-                v_part, bar, u_part = events_part.partition("|")
-                if not (eq and bar):
-                    raise ParseError("bel line must look like 'bel V | U = value'", line_no)
-                at = int(np.searchsorted(bel_rows, row))
-                bel_rows = np.insert(bel_rows, at, row)
-                v_col.insert(at, v_part)
-                u_col.insert(at, u_part)
-                x_col.insert(at, value_part)
-            else:
-                bounds, generator = _header_line(line, line_no, domain, bounds, generator, text)
+                raise _bel_line_error(text, line_no, domain)
+            bounds, generator = _header_line(line, line_no, domain, bounds, generator, text)
         except ParseError as exc:
             error = exc
             break
@@ -229,7 +226,8 @@ def parse_structure(text: str) -> BeliefStructure:
         # again from `text`
         parts, which = _distinct(v_col)
         del v_col
-        v = np.array([mask(part[len("bel "):].strip()) for part in parts], dtype=key_type)[which]
+        v = np.array([mask(part.lstrip()[len("bel "):].strip()) for part in parts],
+                     dtype=key_type)[which]
         parts, which = _distinct(u_col)
         del u_col
         u = np.array([mask(part.strip()) for part in parts], dtype=key_type)[which]
@@ -386,8 +384,8 @@ def _header_line(line, line_no, domain, bounds, generator, text):
 
 
 def _bel_error(domain, rows, text, v, u, x, values) -> ParseError | None:
-    """The error of the first bad `bel` line of `text`, if any.  The i-th
-    `bel` line is on row `rows[i]` and has masks v[i] and u[i] (-1 for a bad
+    """The error of the first bad plain `bel` line of `text`, if any.  The
+    i-th one is on row `rows[i]` and has masks v[i] and u[i] (-1 for a bad
     event) and value rank x[i] (-1 for a bad literal).  A line is bad for a
     bad token or an empty condition, or for a value other than the one of
     its pair's earlier lines."""
@@ -409,14 +407,21 @@ def _bel_error(domain, rows, text, v, u, x, values) -> ParseError | None:
             f"(line {rows[before] + 1}) vs {values[x[i]]}",
             int(rows[i]) + 1,
         )
-    if stop == len(bad):
-        return None
-    line_no = int(rows[stop]) + 1
+    return _bel_line_error(text, int(rows[stop]) + 1, domain) if stop < len(bad) else None
+
+
+def _bel_line_error(text: str, line_no: int, domain: Domain) -> ParseError:
+    """The error of the bad `bel` line `line_no` of `text`: its separators,
+    then its parts in the order they are written.  A line cut otherwise
+    than at one "|" and then one "=" is always bad, since no atom name or
+    value literal holds either."""
     line = text.splitlines()[line_no - 1].split("#", 1)[0].strip()
-    events_part, _, value_part = line[len("bel "):].rpartition("=")
-    v_part, _, u_part = events_part.partition("|")
+    events_part, eq, value_part = line[len("bel "):].rpartition("=")
+    v_part, bar, u_part = events_part.partition("|")
+    if not (eq and bar):
+        return ParseError("bel line must look like 'bel V | U = value'", line_no)
     bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
-    try:  # the line's checks again, in the order its parts are written
+    try:
         _parse_event(v_part, bits, line_no)
         if _parse_event(u_part, bits, line_no) == 0:
             return ParseError("conditioning event U must be nonempty", line_no)
@@ -441,20 +446,12 @@ def serialize_structure(structure: BeliefStructure) -> str:
     lines = ["domain: " + " ".join(domain.atoms)]
     e, big_e = structure.bounds
     lines.append(f"bounds: {e} {big_e}")
-    if (
-        structure.is_weight_backed
-        and structure.exponent == 1
-        and domain.size > EXPANSION_ATOM_LIMIT
-    ):
-        pairs = " ".join(
-            f"{a}={w}" for a, w in zip(domain.atoms, structure.weights)
-        )
-        lines.append("generate probability " + pairs)
-        return "\n".join(lines) + "\n"
     if structure.is_weight_backed and domain.size > EXPANSION_ATOM_LIMIT:
-        raise BeliefDomainError(
-            "cannot serialize a distorted structure of this size explicitly"
-        )
+        if structure.exponent != 1:
+            raise BeliefDomainError(
+                "cannot serialize a distorted structure of this size explicitly")
+        pairs = " ".join(f"{a}={w}" for a, w in zip(domain.atoms, structure.weights))
+        return "\n".join([*lines, "generate probability " + pairs]) + "\n"
     for v, u, x in structure.items():
         v_ev, u_ev = Event(domain, v), Event(domain, u)
         u_text = "*" if u == domain.full_mask else "{%s}" % " ".join(u_ev.members)

@@ -829,14 +829,14 @@ FIXTURE_FILES = sorted(FIXTURES.glob("*.bel"))
 @st.composite
 def mutated_fixture(draw) -> str:
     """A fixture's text with up to three lines revalued, dropped, duplicated,
-    truncated, replaced or added."""
+    truncated, replaced, added or indented."""
     lines = draw(st.sampled_from(FIXTURE_FILES)).read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(0, 3))):
         if not lines:
             break
         at = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(
-            ["revalue"] * 4 + ["drop", "repeat", "truncate", "replace", "insert"]
+            ["revalue"] * 4 + ["drop", "repeat", "truncate", "replace", "insert", "indent"]
         ))
         if op == "revalue":  # keeps the file well formed, so the checks run
             value = draw(st.sampled_from(["0", "1/3", "1/2", "2/3", "1", "3/2", "-1"]))
@@ -847,6 +847,8 @@ def mutated_fixture(draw) -> str:
             lines.insert(at, lines[at])
         elif op == "truncate":
             lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+        elif op == "indent":
+            lines[at] = draw(st.sampled_from([" ", "\t", "\u00a0", "\u3000"])) + lines[at]
         else:
             tokens = st.sampled_from(["bel", "{a}", "{b c}", "*", "|", "=", "1/2",
                                       "domain:", "bounds:", "generate", "a=1"])
@@ -984,6 +986,11 @@ class TestGuards:
         path.write_text(text, encoding="utf-8")
         assert main(["check", str(path)]) == 65
         assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+    def test_an_empty_family_directory(self, tmp_path, capsys):
+        assert main(["audit", "--theorem", "4", "--family", str(tmp_path)]) == 64
+        assert capsys.readouterr() == (
+            "", f"usage error: no .bel files in family directory {tmp_path}\n")
 
     @pytest.mark.parametrize("atoms", ["a|b,c", "a b,c", "a#b,c", "a=b,c"])
     def test_reserved_atom_names(self, tmp_path, monkeypatch, capsys, atoms):

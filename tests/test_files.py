@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -650,10 +652,11 @@ def fixture_with_inserted_line(draw):
 THREE_ATOMS = FIXTURES.joinpath("three_atoms.bel").read_text(encoding="utf-8")
 
 
-def with_line(line, at=5):
-    """`fixtures/three_atoms.bel` with `line` inserted before its line
-    `at` + 1; its line 8 sets Bel({a} | {a b}) to 1/3."""
-    lines = THREE_ATOMS.splitlines()
+def with_line(line, at=5, text=THREE_ATOMS):
+    """`text` with `line` inserted before its line `at` + 1.  In
+    `fixtures/three_atoms.bel`, the default, line 8 sets Bel({a} | {a b})
+    to 1/3."""
+    lines = text.splitlines()
     lines.insert(at, line)
     return "\n".join(lines) + "\n"
 
@@ -671,6 +674,19 @@ def spelled_out(atoms, table, bounds=(0, 1), sep=" "):
 
 def half_table(n):
     return {vu: F(1, 2) for vu in canonical_pairs(n)}
+
+
+def indented(text):
+    """`text` with each line indented, in turn, by a space, a tab, U+00A0,
+    U+3000 and a run of all four."""
+    marks = itertools.cycle([" ", "\t", "\u00a0", "\u3000", " \t\u00a0\u3000"])
+    return "".join(f"{mark}{line}\n" for mark, line in zip(marks, text.splitlines()))
+
+
+#: A complete 4-atom table, every line indented; its line 4 sets
+#: Bel({a} | {a}) to 1.
+FOUR_ATOMS = indented(spelled_out("abcd", gen_probability(
+    Domain(tuple("abcd")), [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]).as_table()))
 
 
 EDGE_TEXTS = {
@@ -713,6 +729,14 @@ EDGE_TEXTS = {
     "tab-separated": spelled_out(("a", "b"), half_table(2), sep="\t"),
     "no-spaces": spelled_out(("a", "b"), half_table(2), sep=""),
     "every-line-indented": "".join(f"  {line}\n" for line in THREE_ATOMS.splitlines()),
+    "four-atoms-mixed-indentation": FOUR_ATOMS,
+    "indented-bad-separators-after-indented-good-line":
+        with_line("\u3000bel {a} | {b} | * = 1/2", 4, FOUR_ATOMS),
+    "indented-bad-literal-after-indented-good-line":
+        with_line("\u00a0bel {a} | * = x/2", 4, FOUR_ATOMS),
+    "indented-conflicting-duplicate": with_line("\t bel {a} | {a} = 1/2", 9, FOUR_ATOMS),
+    "indented-consistent-duplicate": with_line("\u3000bel {a} | {a} = 2/2", 9, FOUR_ATOMS),
+    "indented-bel-before-domain": "\t\u00a0bel {a} | * = 1\n" + FOUR_ATOMS,
     "blank-and-comment-lines-between": THREE_ATOMS.replace("\n", "\n\n# c\n", 9),
     "13-atom-conflict": "domain: " + " ".join(f"x{i}" for i in range(13))
     + "\nbel {x12} | * = 1/2\nbel {x12} | * = 1/3\n",
@@ -742,6 +766,27 @@ class TestHostileText:
     @given(fixture_with_inserted_line())
     def test_fixture_with_an_inserted_line_raises_only_parse_errors(self, text):
         assert_parsed_as_by_the_loop(text)
+
+
+class TestIndentation:
+    def test_an_indented_table_parses_as_its_plain_copy_in_like_time(self):
+        """Indented `bel` lines take the bulk pass, as plain ones do."""
+        weights = [F(i, 36) for i in range(1, 9)]
+        plain = serialize_structure(gen_probability(Domain(tuple("abcdefgh")), weights))
+
+        def parsed(text):  # the structure, and the best of three parse times
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                structure = parse_structure(text)
+                times.append(time.perf_counter() - started)
+            return structure, min(times)
+
+        structure, plain_time = parsed(plain)
+        assert plain.count("\nbel ") == 3 ** 8 - 1
+        indented_structure, indented_time = parsed(indented(plain))
+        assert indented_structure == structure
+        assert indented_time < 3 * plain_time
 
 
 @st.composite
