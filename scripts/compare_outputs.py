@@ -9,7 +9,8 @@ builds the jobs there:
   (`perfbench/workloads.build`, default seed 201; `--seed 201 501` builds
   both)
 - a `decide`, a `check` and a theorem-1 and theorem-2 `audit` run of every
-  fixture
+  fixture, and a theorem-3 `audit` of every fixture with itself as its
+  extension, so theorem 3's Par1 failures and A1/A2 clashes are diffed
 - a `check` run of malformed copies of a fixture that it writes into its
   temporary directory (`MALFORMED_LINES`), so the parser's error paths are
   diffed too, and of `generate probability` files with a bad weight line
@@ -186,6 +187,11 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
             jobs.append({"id": f"{name}/{path.name}",
                          "argv": [sub, str(path), *options, "--json", str(report)],
                          "report": str(report)})
+        report = reports / f"audit-t3-{path.stem}.json"
+        jobs.append({"id": f"audit-t3/{path.name}",
+                     "argv": ["audit", str(path), "--theorem", "3", "--extension", str(path),
+                              "--json", str(report)],
+                     "report": str(report)})
     for path in write_malformed(tmp / "malformed") + write_bad_generators(tmp / "bad-gen"):
         report = reports / f"check-malformed-{path.stem}.json"
         jobs.append({"id": f"check/malformed/{path.name}",

@@ -16,14 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .conditions import (
-    audit,
-    bel_level_negation,
-    chain_consistency,
-    check_bounds,
-    check_density_options,
-    par5_gap,
-)
+from .conditions import audit, check_density_options, hypothesis
 from .core import BeliefDomainError, Domain
 from .files import ParseError, load_structure, parse_value, save_structure
 from .forms import (
@@ -33,10 +26,6 @@ from .forms import (
     catalog_combination,
     catalog_negation,
     check_functional_equation,
-    combination_ranks,
-    extract_combination,
-    extract_negation,
-    negation_ranks,
 )
 from .generators import (
     ExtendedStructure,
@@ -96,7 +85,7 @@ def _build_parser() -> _Parser:
     p_audit = sub.add_parser("audit", help="hypothesis audit for theorems 1-4")
     p_audit.add_argument("file", nargs="?")
     p_audit.add_argument("--theorem", required=True, choices=["1", "2", "3", "4"])
-    p_audit.add_argument("--family", help="directory of member structure files")
+    p_audit.add_argument("--family", help="directory of member structure files (theorem 4)")
     p_audit.add_argument("--extension", help="extension structure file (theorem 3)")
     p_audit.add_argument("--epsilon", default="1/20")
     p_audit.add_argument("--grid", type=int, default=5)
@@ -150,47 +139,30 @@ def _print_verdict_line(name: str, status: str, detail: str = "") -> None:
     print(line)
 
 
+#: (printed name, `conditions.HYPOTHESES` entry) of each `check` line, in
+#: order.  Chain consistency is printed only where A2 admits a function F.
+_CHECK_LINES = (("bounds-par1", "par1"), ("bounds-par2", "par2"),
+               ("negation-extraction", "A1"), ("combination-extraction", "A2"),
+               ("chain-consistency", "chain"), ("negation-involution", "involution"))
+
+
 def _cmd_check(args, argv) -> int:
     started = time.perf_counter()
     structure = load_structure(args.file)
-    checks = []
-
-    bounds = check_bounds(structure)
-    checks.append(("bounds-par1", bounds.par1.status, bounds.par1.detail))
-    checks.append(("bounds-par2", bounds.par2.status, bounds.par2.detail))
-
-    # the Fraction forms of S and F are built only to describe a conflict
-    negation = negation_ranks(structure)
-    if negation.clash is not None:
-        checks.append(("negation-extraction", "fail",
-                       extract_negation(structure).describe(structure.domain)))
-    else:
-        checks.append(("negation-extraction", "pass",
-                       f"single-valued on {len(negation.keys)} values"))
-    combination = combination_ranks(structure)
-    if combination.clash is not None:
-        checks.append(("combination-extraction", "fail",
-                       extract_combination(structure).describe(structure.domain)))
-    else:
-        checks.append(("combination-extraction", "pass",
-                       f"single-valued on {len(combination.keys)} argument pairs"))
-        chain = chain_consistency(structure)
-        checks.append(("chain-consistency", chain.status, chain.detail))
-    neg_identity = bel_level_negation(structure)
-    checks.append(("negation-involution", neg_identity.status, neg_identity.detail))
-
-    gap = par5_gap(structure)
-    for name, status, detail in checks:
-        _print_verdict_line(name, status, detail)
+    checks = [(name, hypothesis(structure, entry)) for name, entry in _CHECK_LINES
+              if entry != "chain" or hypothesis(structure, "A2").passed]
+    gap = hypothesis(structure, "par5-gap")
+    for name, verdict in checks:
+        _print_verdict_line(name, verdict.status, verdict.detail)
     print(f"INFO       par5-gap  {gap} (positive on every finite structure)")
 
-    failed = any(status == "fail" for _, status, _ in checks)
+    failed = any(verdict.status == "fail" for _, verdict in checks)
     exit_code = EXIT_FAIL if failed else EXIT_PASS
     report = {
         "subcommand": "check",
         "file": args.file,
         "checks": [
-            {"name": n, "verdict": s, "detail": d} for n, s, d in checks
+            {"name": n, "verdict": v.status, "detail": v.detail} for n, v in checks
         ],
         "par5_gap": str(gap),
         "exit_code": exit_code,
@@ -260,20 +232,21 @@ def _extension_from_file(base, path: str) -> ExtendedStructure:
 
 def _cmd_audit(args, argv) -> int:
     started = time.perf_counter()
-    # invalid density options are refused before any file is read
+    # what argv alone decides, density options included, is refused before
+    # any file is read; then each theorem reads its own inputs only: FILE
+    # for theorems 1-3, --extension for theorem 3, --family for theorem 4
     epsilon = parse_value(args.epsilon)
     check_density_options(args.grid, epsilon)
-    structure = load_structure(args.file) if args.file else None
-    family = _load_family_dir(args.family) if args.family else None
-    extension = None
-    if args.extension:
-        if structure is None:
-            raise UsageError("theorem 3 audit needs the base structure file")
-        extension = _extension_from_file(structure, args.extension)
-    if args.theorem in ("1", "2") and structure is None:
-        raise UsageError("this audit needs a structure file")
-    if args.theorem == "4" and family is None:
+    if args.theorem == "4" and not args.family:
         raise UsageError("theorem 4 audit needs --family DIR")
+    if args.theorem == "3" and not args.extension:
+        raise UsageError("theorem 3 audit requires an extension")
+    if args.theorem != "4" and not args.file:
+        raise UsageError("theorem 3 audit needs the base structure file" if args.theorem == "3"
+                         else "this audit needs a structure file")
+    structure = load_structure(args.file) if args.theorem != "4" else None
+    family = _load_family_dir(args.family) if args.theorem == "4" else None
+    extension = _extension_from_file(structure, args.extension) if args.theorem == "3" else None
     report_obj = audit(
         structure,
         args.theorem,

@@ -850,10 +850,9 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     """
     f = combination_ranks(structure)
     if f.clash is not None:
-        conflict = extract_combination(structure)
         return ChainConsistencyReport(
             "untestable", False, 0, 0, None,
-            f"combination extraction conflict: {conflict.describe(structure.domain)}",
+            f"combination extraction conflict: {hypothesis(structure, 'A2').detail}",
         )
     values, width = f.values, len(f.values)
     endpoints = [bisect.bisect_left(values, t) for t in structure.bounds]
@@ -909,11 +908,79 @@ def bel_level_negation(structure: BeliefStructure) -> NegationIdentityReport:
     """
     s = negation_ranks(structure)
     if s.clash is not None:
-        conflict = extract_negation(structure).describe(structure.domain)
-        return NegationIdentityReport("untestable", 0,
-                                      f"negation extraction conflict: {conflict}")
+        return NegationIdentityReport("untestable", 0, "negation extraction conflict: "
+                                      + hypothesis(structure, "A1").detail)
     return NegationIdentityReport(
         "pass", len(s.keys), f"involution holds at {len(s.keys)} attained values")
+
+
+# -- the hypothesis table ----------------------------------------------------------------
+
+
+def _a1(structure: BeliefStructure) -> Verdict:
+    """A1: S is single-valued on the attained values, or fails with the first
+    clash, described in Fractions."""
+    s = negation_ranks(structure)
+    if s.clash is not None:
+        return Verdict("fail", extract_negation(structure).describe(structure.domain))
+    return Verdict("pass", f"single-valued on {len(s.keys)} values")
+
+
+def _a2(structure: BeliefStructure) -> Verdict:
+    """A2: F is single-valued on the attained argument pairs, or fails with
+    the first clash, as `_a1`."""
+    f = combination_ranks(structure)
+    if f.clash is not None:
+        return Verdict("fail", extract_combination(structure).describe(structure.domain))
+    return Verdict("pass", f"single-valued on {len(f.keys)} argument pairs")
+
+
+def _par34(negation, combination, bounds, a1=None, a2=None) -> tuple:
+    """(Par3, Par4 strict increase, Par4 continuity) of a ranked S and F on
+    `bounds`: a structure's own, or a domain family's merged ones.  An A1 or
+    A2 clash fails Par3 or Par4 with the detail of the A1 or A2 verdict `a1`
+    or `a2`, read only then; merged tables have no clash."""
+    if negation.clash is not None:
+        par3 = Verdict("fail", "A1 admits no function: " + a1.detail)
+    else:
+        par3 = ranked_monotonicity("negation", *negation[:3], bounds).decreasing
+    if combination.clash is not None:
+        return (par3, Verdict("fail", "A2 admits no function: " + a2.detail),
+                Verdict("untestable", "A2 admits no function"))
+    rep = ranked_monotonicity("combination", *combination[:3], bounds)
+    strict = rep.strict_increase
+    if strict.passed and not rep.nondecrease.passed:
+        strict = rep.nondecrease
+    return par3, strict, rep.continuity
+
+
+def _bounds(structure: BeliefStructure) -> BoundsReport:
+    return structure.derived("bounds", check_bounds)
+
+
+#: Every hypothesis `check` and the theorem audits read off one structure, by
+#: name: a builder that gives its verdict, with `status`, `detail` and
+#: `passed`.  'par3/par4' gives the three verdicts of `_par34`, and
+#: 'par5-gap' the gap itself.  A builder looks up the checks it calls when
+#: it runs, so a check wrapped after import sees every call.
+HYPOTHESES = {
+    "par1": lambda s: _bounds(s).par1,
+    "par2": lambda s: _bounds(s).par2,
+    "A1": _a1,
+    "A2": _a2,
+    "chain": lambda s: chain_consistency(s),
+    "involution": lambda s: bel_level_negation(s),
+    "par3/par4": lambda s: _par34(negation_ranks(s), combination_ranks(s), s.bounds,
+                                  hypothesis(s, "A1"), hypothesis(s, "A2")),
+    "par5-gap": lambda s: par5_gap(s),
+}
+
+
+def hypothesis(structure: BeliefStructure, name: str):
+    """The verdict of `structure` on the hypothesis `name` of HYPOTHESES,
+    built once per structure: a hypothesis printed under several names, by
+    `check` and by the audits, is one verdict."""
+    return structure.derived("hypothesis " + name, HYPOTHESES[name])
 
 
 # -- theorem audits --------------------------------------------------------------------
@@ -949,50 +1016,32 @@ class AuditReport:
         }
 
 
-def _verdict_of(v: Verdict, name: str) -> HypothesisVerdict:
-    return HypothesisVerdict(name, v.status, v.detail)
+#: The printed names of Par1, Par2, Par3, Par4's strict increase and Par4's
+#: continuity in theorems 1, 3 and 4.
+_PAR_NAMES = ("par1-range", "par2-endpoints", "par3-negation-decreasing",
+             "par4-combination-strict-increase", "par4-combination-continuity")
 
 
-def _par34_verdicts(negation, combination, bounds, structure=None) -> list[HypothesisVerdict]:
-    """Par3 and Par4 of a ranked S and F on `bounds`.  A clash fails them,
-    described from `structure`, the structure they were extracted from."""
-    if negation.clash is not None:
-        out = [HypothesisVerdict("par3-negation-decreasing", "fail", "A1 admits no function: "
-                                 + extract_negation(structure).describe(structure.domain))]
-    else:
-        rep = ranked_monotonicity("negation", *negation[:3], bounds)
-        out = [_verdict_of(rep.decreasing, "par3-negation-decreasing")]
-    if combination.clash is not None:
-        out.append(HypothesisVerdict("par4-combination-strict-increase", "fail",
-                                     "A2 admits no function: "
-                                     + extract_combination(structure).describe(structure.domain)))
-        out.append(HypothesisVerdict("par4-combination-continuity", "untestable",
-                                     "A2 admits no function"))
-    else:
-        rep = ranked_monotonicity("combination", *combination[:3], bounds)
-        strict = rep.strict_increase
-        if strict.passed and not rep.nondecrease.passed:
-            strict = rep.nondecrease
-        out.append(_verdict_of(strict, "par4-combination-strict-increase"))
-        out.append(_verdict_of(rep.continuity, "par4-combination-continuity"))
-    return out
+def _rows(names, verdicts) -> list[HypothesisVerdict]:
+    return [HypothesisVerdict(name, v.status, v.detail) for name, v in zip(names, verdicts)]
+
+
+def _par_rows(structure: BeliefStructure, untestable=()) -> list[HypothesisVerdict]:
+    """The Par1–Par4 rows of `structure`.  An error of a type in
+    `untestable` from Par3/Par4 leaves them untestable, with its message."""
+    verdicts = [hypothesis(structure, "par1"), hypothesis(structure, "par2")]
+    try:
+        verdicts += hypothesis(structure, "par3/par4")
+    except untestable as exc:
+        verdicts += [Verdict("untestable", str(exc))] * 3
+    return _rows(_PAR_NAMES, verdicts)
 
 
 def _audit_t1(structure: BeliefStructure) -> AuditReport:
-    bounds = check_bounds(structure)
-    hypotheses = [
-        _verdict_of(bounds.par1, "par1-range"),
-        _verdict_of(bounds.par2, "par2-endpoints"),
-        *_par34_verdicts(negation_ranks(structure), combination_ranks(structure),
-                         structure.bounds, structure),
-    ]
-    gap = par5_gap(structure)
-    hypotheses.append(
-        HypothesisVerdict(
-            "par5-density", "fail",
-            f"unsatisfiable on a finite domain: gap = {gap} > 0",
-        )
-    )
+    hypotheses = _par_rows(structure)
+    gap = hypothesis(structure, "par5-gap")
+    hypotheses.append(HypothesisVerdict(
+        "par5-density", "fail", f"unsatisfiable on a finite domain: gap = {gap} > 0"))
     return AuditReport("T1", tuple(hypotheses))
 
 
@@ -1000,20 +1049,16 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
     from .isomorphism import DecisionParams, decide  # local import: avoids cycle
 
     e, big_e = structure.bounds
-    hypotheses = []
-    bounds = check_bounds(structure)
-    hypotheses.append(_verdict_of(bounds.par1, "range-in-interval"))
+    hypotheses = _rows(["range-in-interval"], [hypothesis(structure, "par1")])
 
-    s = negation_ranks(structure)
-    if s.clash is not None:
-        hypotheses.append(
-            HypothesisVerdict("negation-linear-complement", "fail",
-                              extract_negation(structure).describe(structure.domain))
-        )
+    a1 = hypothesis(structure, "A1")
+    if not a1.passed:
+        hypotheses.append(HypothesisVerdict("negation-linear-complement", "fail", a1.detail))
         hypotheses.append(HypothesisVerdict("negation-smoothness", "untestable",
                                             "A1 admits no function"))
     else:
         # the keys ascend with x, so the first bad one is the least x
+        s = negation_ranks(structure)
         v = s.values
         bad = next(((v[x], v[s_x]) for x, s_x in zip(s.keys.tolist(), s.outs.tolist())
                     if v[x] + v[s_x] != e + big_e), None)
@@ -1031,12 +1076,9 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
                               "declared smoothness applies to catalog forms only")
         )
 
-    f = combination_ranks(structure)
-    if f.clash is not None:
-        hypotheses.append(
-            HypothesisVerdict("combination-commutative", "fail",
-                              extract_combination(structure).describe(structure.domain))
-        )
+    a2 = hypothesis(structure, "A2")
+    if not a2.passed:
+        hypotheses.append(HypothesisVerdict("combination-commutative", "fail", a2.detail))
         for name in ("combination-annihilator", "combination-unit",
                      "combination-nondecreasing", "combination-strict-increase",
                      "combination-smoothness"):
@@ -1044,6 +1086,7 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
                                                 "A2 admits no function"))
     else:
         # each law's first failure in ascending (x, y), on value ranks
+        f = combination_ranks(structure)
         v, keys, out = f.values, f.keys, f.outs
         x, y = np.divmod(keys, len(v))
         swapped = y * len(v) + x
@@ -1066,8 +1109,8 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
             hypotheses.append(HypothesisVerdict(name, "fail", failed(bad[0])) if len(bad)
                               else HypothesisVerdict(name, "pass", passed))
         rep = ranked_monotonicity("combination", v, keys, out, structure.bounds)
-        hypotheses.append(_verdict_of(rep.nondecrease, "combination-nondecreasing"))
-        hypotheses.append(_verdict_of(rep.strict_increase, "combination-strict-increase"))
+        hypotheses += _rows(["combination-nondecreasing", "combination-strict-increase"],
+                            [rep.nondecrease, rep.strict_increase])
         hypotheses.append(
             HypothesisVerdict("combination-smoothness", "untestable",
                               "declared smoothness applies to catalog forms only")
@@ -1095,23 +1138,14 @@ def _audit_t2(structure, *, seed: int) -> AuditReport:
 
 def _audit_t3(structure, extension) -> AuditReport:
     disagreement = extension.first_disagreement()
+    extended = extension.extended
     hypotheses = [HypothesisVerdict(
         "extension-agreement", "pass" if disagreement is None else "fail",
         "Bel⁺ agrees with Bel on all embedded pairs" if disagreement is None
-        else f"disagreement at embedded pair {disagreement}")]
-    extended = extension.extended
-    bounds = check_bounds(extended)
-    hypotheses.append(_verdict_of(bounds.par1, "par1-range"))
-    hypotheses.append(_verdict_of(bounds.par2, "par2-endpoints"))
-    try:
-        hypotheses.extend(_par34_verdicts(negation_ranks(extended), combination_ranks(extended),
-                                          extended.bounds, extended))
-    except (BeliefDomainError, FormError) as exc:  # too large to enumerate
-        hypotheses.append(HypothesisVerdict("par3-negation-decreasing", "untestable", str(exc)))
-        hypotheses.append(HypothesisVerdict("par4-combination-strict-increase", "untestable", str(exc)))
-        hypotheses.append(HypothesisVerdict("par4-combination-continuity", "untestable", str(exc)))
-    base_gap = par5_gap(structure)
-    ext_gap = par5_gap(extended)
+        else f"disagreement at embedded pair {disagreement}"),
+        # an extension too large to enumerate leaves Par3/Par4 untestable
+        *_par_rows(extended, (BeliefDomainError, FormError))]
+    base_gap, ext_gap = hypothesis(structure, "par5-gap"), hypothesis(extended, "par5-gap")
     hypotheses.append(
         HypothesisVerdict(
             "par5-gap-shrinkage",
@@ -1130,32 +1164,20 @@ def _audit_t3(structure, extension) -> AuditReport:
 
 
 def _audit_t4(family, *, grid_resolution, epsilon) -> AuditReport:
-    hypotheses = []
-    hypotheses.append(
-        HypothesisVerdict("uniform-negation",
-                          "pass" if family.negation_uniform else "fail",
-                          family.negation_detail)
-    )
-    hypotheses.append(
+    hypotheses = [
+        HypothesisVerdict("uniform-negation", "pass" if family.negation_uniform else "fail",
+                          family.negation_detail),
         HypothesisVerdict("uniform-combination",
                           "pass" if family.combination_uniform else "fail",
-                          family.combination_detail)
-    )
-    par1 = par2 = None
-    for i, member in enumerate(family.members):
-        rep = check_bounds(member)
-        if par1 is None and not rep.par1.passed:
-            par1 = f"member {i}: {rep.par1.detail}"
-        if par2 is None and not rep.par2.passed:
-            par2 = f"member {i}: {rep.par2.detail}"
-    hypotheses.append(
-        HypothesisVerdict("par1-range", "fail" if par1 else "pass",
-                          par1 or "all members within bounds")
-    )
-    hypotheses.append(
-        HypothesisVerdict("par2-endpoints", "fail" if par2 else "pass",
-                          par2 or "all members normalized at the endpoints")
-    )
+                          family.combination_detail),
+    ]
+    # Par1 and Par2 fail at the first member that fails them
+    for name, entry, holds in zip(_PAR_NAMES, ("par1", "par2"), (
+            "all members within bounds", "all members normalized at the endpoints")):
+        verdicts = (hypothesis(member, entry) for member in family.members)
+        bad = next(((i, v.detail) for i, v in enumerate(verdicts) if not v.passed), None)
+        hypotheses.append(HypothesisVerdict(name, "pass", holds) if bad is None
+                          else HypothesisVerdict(name, "fail", "member %d: %s" % bad))
     # the merged forms are checked on the bounds their members share
     merged = family.merged or (0,)
     bounds = family.members[merged[0]].bounds
@@ -1164,11 +1186,10 @@ def _audit_t4(family, *, grid_resolution, epsilon) -> AuditReport:
         e, big_e = family.members[other].bounds
         why = (f"members {merged[0]} and {other} differ in bounds: "
                f"[{bounds[0]},{bounds[1]}] vs [{e},{big_e}]")
-        hypotheses += [HypothesisVerdict(name, "untestable", why) for name in (
-            "par3-negation-decreasing", "par4-combination-strict-increase",
-            "par4-combination-continuity")]
+        par34 = [Verdict("untestable", why)] * 3
     else:
-        hypotheses += _par34_verdicts(family.negation, family.combination, bounds)
+        par34 = _par34(family.negation, family.combination, bounds)
+    hypotheses += _rows(_PAR_NAMES[2:], par34)
     density = par5_family(family, grid_resolution, epsilon)
     missed = len(density.failures)
     if density.passed:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import member_sources
+from .conditions import hypothesis, member_sources
 from .core import (
     ENUMERATION_ATOM_LIMIT, ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event,
     rank_values,
@@ -26,8 +26,6 @@ from .forms import (
     RankedExtraction,
     combination_ranks,
     combination_table,
-    extract_combination,
-    extract_negation,
     f_at,
     negation_ranks,
     negation_table,
@@ -199,8 +197,7 @@ def build_family(members) -> DomainFamily:
     width = len(values)
     to_global = np.split(ranks, np.cumsum([len(xs) for xs in local]))
     merged = []
-    for label, read, extract in (("S", negation_ranks, extract_negation),
-                                 ("F", combination_ranks, extract_combination)):
+    for label, read, entry in (("S", negation_ranks, "A1"), ("F", combination_ranks, "A2")):
         tables = {s: read(members[s]) for s in sources}
         counts = np.array([
             # a member read off a larger one has its rows up to its own size
@@ -213,8 +210,8 @@ def build_family(members) -> DomainFamily:
             table = tables[s]
             at = np.flatnonzero(np.equal(source, s))  # its readers, in member order
             if table.clash is not None:  # a member read on its own
-                conflict = extract(members[s]).describe(members[s].domain)
-                detail, last = f"member {s}: {conflict}", int(starts[at[0]])
+                detail = f"member {s}: {hypothesis(members[s], entry).detail}"
+                last = int(starts[at[0]])
                 continue
             # the first and the last reader whose count exceeds a key's first instance
             c = counts[at]

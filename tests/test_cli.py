@@ -972,6 +972,58 @@ class TestGuards:
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def write_families(tmp_path) -> dict:
+        """A family directory whose one member is `uniform2.bel`, and one
+        whose one member does not parse."""
+        families = {"good": tmp_path / "good", "bad": tmp_path / "bad"}
+        for family, text in zip(families.values(), (
+                (FIXTURES / "uniform2.bel").read_text(encoding="utf-8"), "bel {a} | {a} = 1\n")):
+            family.mkdir()
+            (family / "member.bel").write_text(text, encoding="utf-8")
+        return families
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "--theorem", "1", "--family", "{bad}"], "this audit needs a structure file"),
+        (["audit", "--theorem", "1", "--family", "{good}"], "this audit needs a structure file"),
+        (["audit", "--theorem", "2", "--extension", FIXTURES / "three_atoms.bel"],
+         "this audit needs a structure file"),
+        (["audit", FIXTURES / "bad_parse_incomplete.bel", "--theorem", "3"],
+         "theorem 3 audit requires an extension"),
+        (["audit", FIXTURES / "bad_parse_incomplete.bel", "--theorem", "4"],
+         "theorem 4 audit needs --family DIR"),
+        (["audit", "--theorem", "4", "--extension", FIXTURES / "three_atoms.bel"],
+         "theorem 4 audit needs --family DIR"),
+    ], ids=["no-file-bad-family", "no-file-good-family", "no-file-with-extension",
+            "no-extension-bad-file", "no-family-bad-file", "no-family-with-extension"])
+    def test_audit_guards_come_before_any_input(self, tmp_path, capsys, argv, message):
+        """What argv alone decides is refused before any file is read."""
+        families = self.write_families(tmp_path)
+        assert run_cli([str(a).format(**families) for a in argv]) == 64
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["audit", "--theorem", "4", "--family", "{good}", "--grid", "2"],
+         ["--extension", FIXTURES / "three_atoms.bel"]),
+        (["audit", "--theorem", "4", "--family", "{good}", "--grid", "2"],
+         [FIXTURES / "three_atoms.bel", "--extension", FIXTURES / "uniform2.bel"]),
+        (["audit", "--theorem", "4", "--family", "{good}", "--grid", "2"],
+         [FIXTURES / "bad_parse_incomplete.bel"]),
+        (["audit", FIXTURES / "three_atoms.bel", "--theorem", "1"],
+         ["--extension", FIXTURES / "uniform2.bel"]),
+        (["audit", FIXTURES / "three_atoms.bel", "--theorem", "2"], ["--family", "{bad}"]),
+    ], ids=["t4-extension", "t4-file-and-extension", "t4-bad-file", "t1-extension",
+            "t2-bad-family"])
+    def test_audit_reads_only_its_theorems_inputs(self, tmp_path, capsys, argv, unread):
+        """An input the theorem does not read changes nothing: theorems
+        1-3 read FILE, theorem 3 --extension and theorem 4 --family."""
+        families = self.write_families(tmp_path)
+        runs = []
+        for args in (argv, [*argv, *unread]):
+            runs.append((run_cli([str(a).format(**families) for a in args]),
+                         capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] in (1, 2)
+
     @pytest.mark.parametrize("text, message", [
         ("bel {a} | {a} = 1\n", "line 1: domain line must come first"),
         ("domain: a b\ngenerate probability a=1/2 b=1/2\ngenerate probability a=1/2 b=1/2\n",

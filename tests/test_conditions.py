@@ -17,12 +17,14 @@ from coxcheck.conditions import (
     bel_level_negation,
     chain_consistency,
     check_bounds,
+    hypothesis,
     par5_family,
     par5_gap,
     par5_triples,
 )
+from coxcheck.cli import main
 from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
-from coxcheck.files import load_structure
+from coxcheck.files import load_structure, save_structure
 from coxcheck.forms import Verdict
 from coxcheck.generators import (
     EVIDENCE_SIZE_CAP,
@@ -34,7 +36,7 @@ from coxcheck.generators import (
     gen_probability,
 )
 
-from conftest import FIXTURES, complement_table, fixture_path
+from conftest import FIXTURES, complement_table, fixture_path, merges, seeded_probability
 
 
 def uniform(n):
@@ -807,6 +809,88 @@ def test_clash_audits_print_every_hypothesis(fixture, theorem):
     report = audit(load_structure(fixture_path(f"{fixture}.bel")), theorem, seed=0)
     assert [(h.name, h.status, h.witness) for h in report.hypotheses] == (
         CLASH_AUDITS[fixture, theorem])
+
+
+#: The verdict of `conditions.hypothesis` behind each line of `check` and of
+#: theorems 1-3 that prints one, by printed name.
+TABLE_ENTRIES = {
+    "bounds-par1": lambda s: hypothesis(s, "par1"),
+    "par1-range": lambda s: hypothesis(s, "par1"),
+    "range-in-interval": lambda s: hypothesis(s, "par1"),
+    "bounds-par2": lambda s: hypothesis(s, "par2"),
+    "par2-endpoints": lambda s: hypothesis(s, "par2"),
+    "negation-extraction": lambda s: hypothesis(s, "A1"),
+    "combination-extraction": lambda s: hypothesis(s, "A2"),
+    "chain-consistency": lambda s: hypothesis(s, "chain"),
+    "negation-involution": lambda s: hypothesis(s, "involution"),
+    "par3-negation-decreasing": lambda s: hypothesis(s, "par3/par4")[0],
+    "par4-combination-strict-increase": lambda s: hypothesis(s, "par3/par4")[1],
+    "par4-combination-continuity": lambda s: hypothesis(s, "par3/par4")[2],
+}
+
+
+def printed_lines(out: str) -> dict:
+    """{name: (status, detail)} of the verdict lines a command printed."""
+    lines = {}
+    for line in out.splitlines():
+        tag, name, _, detail = line[:10].strip(), *line[11:].partition("  ")
+        if tag in ("PASS", "FAIL", "UNTESTABLE"):
+            lines[name] = (tag.lower(), detail)
+    return lines
+
+
+def test_every_hypothesis_line_reads_the_table(tmp_path, capsys):
+    """Each hypothesis line of `check` and of theorems 1 and 3 (theorem 3
+    with the structure as its own extension) prints the table's verdict on
+    a fresh copy of the structure.  Par1 reads the same under all its
+    names, theorem 2's included, and an A1 or A2 clash fails Par3 or Par4,
+    and theorem 2's first law of S or F, with the clash of `check`'s
+    extraction line.  Over the fixtures and seeded tables, some merged so
+    that A1 or A2 clashes."""
+    paths = sorted(p for p in FIXTURES.glob("*.bel") if not p.name.startswith("bad_"))
+    generated = [seeded_probability(n, seed) for n, seed in ((3, 1), (4, 2))]
+    generated += [s for seed in (1, 2, 3) for _, _, s in list(merges(4, seed))[:3]]
+    for i, structure in enumerate(generated):
+        paths.append(tmp_path / f"generated-{i}.bel")
+        save_structure(structure, paths[-1])
+    seen = set()
+    for path in paths:
+        fresh = load_structure(path)
+        gap = hypothesis(fresh, "par5-gap")
+        runs = {}
+        for run, argv in (("check", ["check", path]), ("1", ["audit", path, "--theorem", "1"]),
+                          ("2", ["audit", path, "--theorem", "2"]),
+                          ("3", ["audit", path, "--theorem", "3", "--extension", path])):
+            main([str(a) for a in argv])
+            out = capsys.readouterr().out
+            runs[run] = printed_lines(out)
+            if run == "check":
+                assert f"INFO       par5-gap  {gap} " in out
+        for run in ("check", "1", "3"):
+            for name, line in runs[run].items():
+                if name in TABLE_ENTRIES:
+                    verdict = TABLE_ENTRIES[name](fresh)
+                    assert line == (verdict.status, verdict.detail), (path.name, run, name)
+                else:  # the lines read off the gap, and theorem 3's own
+                    assert name in ("par5-density", "extension-agreement", "par5-gap-shrinkage")
+        assert runs["1"]["par5-density"][1] == f"unsatisfiable on a finite domain: gap = {gap} > 0"
+        assert runs["3"]["par5-gap-shrinkage"] == ("pass", f"gap {gap} → {gap}")
+        assert (runs["check"]["bounds-par1"] == runs["1"]["par1-range"]
+                == runs["2"]["range-in-interval"] == runs["3"]["par1-range"])
+        for extraction, par, law, kind in (
+                ("negation-extraction", "par3-negation-decreasing", "negation-linear-complement",
+                 "A1"),
+                ("combination-extraction", "par4-combination-strict-increase",
+                 "combination-commutative", "A2")):
+            status, clash = runs["check"][extraction]
+            if status == "fail":
+                seen.add(kind)
+                assert runs["1"][par] == runs["3"][par] == (
+                    "fail", f"{kind} admits no function: {clash}")
+                assert runs["2"][law] == ("fail", clash)
+        if runs["check"]["bounds-par1"][0] == "fail":
+            seen.add("par1")
+    assert seen == {"A1", "A2", "par1"}
 
 
 class TestGuardsAndForgeries:
