@@ -67,6 +67,11 @@ builds the jobs there:
   small coin family it writes there, `decide` runs with invalid search
   options (`DECIDE_OPTION_CASES`) and `equations` runs with invalid ones
   (`EQUATIONS_OPTION_CASES`)
+- runs of inputs over a size limit that it writes into its temporary
+  directory (`write_hostile`, `HOSTILE_RUNS`): a `check` and a `decide`
+  of a complete 13-atom table (3^13 − 1 `bel` lines, 67 MB) and of a
+  one-line table over 100,000 atoms, and a `decide` of a 100,000-atom
+  `generate probability` file
 - weight-backed jobs (`write_weight_backed`, `WEIGHT_BACKED_RUNS`): a
   `check`, a `decide` and a theorem-1 `audit` of a 10-atom `generate
   probability` file, and a `generate probability` of the same weights;
@@ -271,6 +276,12 @@ def build_jobs(tmp: Path, seeds: list[int]) -> list[dict]:
                          "argv": ["audit", "--theorem", "4", "--family", str(path),
                                   "--grid", "2", "--json", str(report)],
                          "report": str(report)})
+    for name, path in write_hostile(tmp / "hostile").items():
+        for sub in HOSTILE_RUNS[name]:
+            report = reports / f"{sub}-hostile-{name}.json"
+            jobs.append({"id": f"{sub}/hostile/{name}",
+                         "argv": [sub, str(path), "--json", str(report)],
+                         "report": str(report)})
     inputs = write_weight_backed(tmp / "weight-backed", family)
     for name, argv in WEIGHT_BACKED_RUNS:
         report = reports / f"weight-backed-{name}.json"
@@ -362,6 +373,38 @@ def write_weight_backed(out: Path, family: Path) -> dict[str, Path]:
     paths.update({f"coins-{c}": family / f"coins_{c:02d}.bel" for c in (1, 2)})
     paths.update({name: out / f"{name}.bel"
                   for name in ("generated-p10", "generated-distorted-8")})
+    return paths
+
+
+#: The commands run on each input of `write_hostile`.
+HOSTILE_RUNS = {"table13": ("check", "decide"), "line100k": ("check", "decide"),
+                "weights100k": ("decide",)}
+
+
+def write_hostile(out: Path) -> dict[str, Path]:
+    """Inputs over a size limit, by name: the complete table of 1/2 over
+    the 13 atoms a-m, written one conditioning event at a time, a domain
+    line of 100,000 atoms with one `bel` line, and a uniform `generate
+    probability` file over the same atoms."""
+    out.mkdir()
+    paths = {name: out / f"{name}.bel" for name in HOSTILE_RUNS}
+    atoms = "abcdefghijklm"
+    events = ["{%s}" % " ".join(a for i, a in enumerate(atoms) if m >> i & 1)
+              for m in range(1 << len(atoms))]
+    with open(paths["table13"], "w", encoding="utf-8") as fh:
+        fh.write(f"domain: {' '.join(atoms)}\n")
+        for u in range(1, 1 << len(atoms)):
+            subs, v = [u], u
+            while v:
+                v = (v - 1) & u
+                subs.append(v)
+            fh.write("".join(f"bel {events[v]} | {events[u]} = 1/2\n" for v in reversed(subs)))
+    wide = [f"x{i}" for i in range(100_000)]
+    domain = f"domain: {' '.join(wide)}\n"
+    paths["line100k"].write_text(domain + "bel {x0} | * = 1/2\n", encoding="utf-8")
+    paths["weights100k"].write_text(
+        domain + "generate probability " + " ".join(f"{a}=1/100000" for a in wide) + "\n",
+        encoding="utf-8")
     return paths
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     _EXACT_FLOAT_INT,
-    ENUMERATION_ATOM_LIMIT,
     ZERO,
     ONE,
     BeliefDomainError,
@@ -30,11 +29,12 @@ from .core import (
     is_canonical,
     pair_at,
     pair_masks,
+    preflight,
     stable_order,
     submask_table,
+    within,
 )
 from .forms import (
-    FormError,
     Verdict,
     check_monotonicity,  # re-exported
     combination_ranks,
@@ -199,10 +199,6 @@ class TripleSearchResult:
     candidates_tried: int  # the steps the pass read
 
 
-#: Largest uniform weight backing whose density pass runs by sizes: the
-#: 12-coin member of `coin_family`.  Its size graph has about 8.4 M steps.
-DENSITY_SIZE_ATOM_CAP = 1 << 12
-
 #: Most floats in one intermediate array of the density pass.
 _CHUNK = 1 << 15
 
@@ -290,8 +286,8 @@ class _SizeGraph(_StepGraph):
 
 
 class _MaskGraph(_StepGraph):
-    """A table, or a weight backing of at most ENUMERATION_ATOM_LIMIT atoms,
-    by event masks: the steps are the canonical pairs, keyed by value rank."""
+    """A table, or a weight backing within the "pairs" limit, by event
+    masks: the steps are the canonical pairs, keyed by value rank."""
 
     def __init__(self, structure: BeliefStructure):
         n = structure.domain.size
@@ -469,20 +465,20 @@ def _smallest_chain(graph: _StepGraph, in_a, in_b, in_g) -> tuple | None:
     return u1, u2, u3 + 1, u4
 
 
-def member_sources(members, size_cap: int) -> dict:
+def member_sources(members, limit: str) -> dict:
     """Which family members a theorem-4 pass reads, and which member each
     is read off: {member index: its source's index}, in member order.
 
-    A uniform weight backing is read up to `size_cap` atoms, by sizes, and
-    any other member up to ENUMERATION_ATOM_LIMIT atoms, by masks; a member
-    above its cap is left out.  The read uniform members of one exponent
+    A member is read within the member selection `limit` of `core.LIMITS`:
+    a uniform weight backing by sizes, any other member by masks; a member
+    over it is left out.  The read uniform members of one exponent
     and bounds form one group, whose source is its member of most atoms,
     the first of them: its chains and instances hold those of every
     smaller one.  Every other member is its own source.
     """
     group = {}
     for i, member in enumerate(members):
-        if member.domain.size <= (size_cap if member.is_uniform else ENUMERATION_ATOM_LIMIT):
+        if within(limit, member.domain.size, member.is_uniform):
             group[i] = ((member.exponent, *(b.as_integer_ratio() for b in member.bounds))
                         if member.is_uniform else i)  # ints hash faster than Fractions
     largest = {}  # group -> its member of most atoms, the first of them
@@ -497,13 +493,10 @@ def par5_triples(structure: BeliefStructure, probe: DensityProbe) -> TripleSearc
     The one-target call of the pass `par5_family` makes: the float pass
     over the structure's step graph, the exact recheck of its least
     deviation, and of the chains attaining it the one with the least U1.
-    The target is met when that deviation is below ε.  A member the pass
-    cannot read raises BeliefDomainError.
+    The target is met when that deviation is below ε.  A member over the
+    "density" limit is refused (`preflight`).
     """
-    if not member_sources([structure], DENSITY_SIZE_ATOM_CAP):
-        raise BeliefDomainError(
-            f"density pass capped at {ENUMERATION_ATOM_LIMIT} atoms, or "
-            f"{DENSITY_SIZE_ATOM_CAP} for uniform weights")
+    preflight("density", structure.domain.size, structure.is_uniform)
     graph = _step_graph(structure)
     target = (probe.alpha, probe.beta, probe.gamma)
     # the pass over the coordinates (α, β, γ) holds this target at 0·9 + 1·3 + 2
@@ -629,9 +622,8 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
     least deviation is below ε.  A missed target reports its exact least
     deviation over every member, and the worst target is the one of
     largest exact least deviation, first in grid order, with the first
-    member in family order that attains it.  A member the pass cannot read
-    (a non-uniform weight backing above ENUMERATION_ATOM_LIMIT atoms, or a
-    uniform one above DENSITY_SIZE_ATOM_CAP) is listed as unsearched; it
+    member in family order that attains it.  A member over the "density"
+    limit of `core.LIMITS` is listed as unsearched; it
     meets and misses nothing, and a missed target's deviation is None when
     no member was read.
     """
@@ -648,7 +640,7 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
         grid = [Fraction(i, grid_resolution - 1) for i in range(grid_resolution)]
     coords = float_values(grid)
     count = len(grid) ** 3
-    source = member_sources(members, DENSITY_SIZE_ATOM_CAP)
+    source = member_sources(members, "density")
     passes = {s: _GroupPass(members[s], grid, coords) for s in dict.fromkeys(source.values())}
     met = np.zeros(count, dtype=bool)
     for group in passes.values():
@@ -1144,7 +1136,7 @@ def _audit_t3(structure, extension) -> AuditReport:
         "Bel⁺ agrees with Bel on all embedded pairs" if disagreement is None
         else f"disagreement at embedded pair {disagreement}"),
         # an extension too large to enumerate leaves Par3/Par4 untestable
-        *_par_rows(extended, (BeliefDomainError, FormError))]
+        *_par_rows(extended, BeliefDomainError)]
     base_gap, ext_gap = hypothesis(structure, "par5-gap"), hypothesis(extended, "par5-gap")
     hypotheses.append(
         HypothesisVerdict(
@@ -1222,16 +1214,18 @@ def audit(
     family, whose density pass is exact and uses no seed.
     """
     theorem = str(theorem).upper().lstrip("T")
+    if theorem == "3" and extension is None:
+        raise ValueError("theorem 3 audit requires an extension")
+    if theorem == "4" and family is None:
+        raise ValueError("theorem 4 audit requires a domain family")
+    if theorem in ("1", "2", "3") and structure is None:
+        raise ValueError(f"theorem {theorem} audit requires a structure")
     if theorem == "1":
         return _audit_t1(structure)
     if theorem == "2":
         return _audit_t2(structure, seed=seed)
     if theorem == "3":
-        if extension is None:
-            raise ValueError("theorem 3 audit requires an extension")
         return _audit_t3(structure, extension)
     if theorem == "4":
-        if family is None:
-            raise ValueError("theorem 4 audit requires a domain family")
         return _audit_t4(family, grid_resolution=grid_resolution, epsilon=epsilon)
     raise ValueError(f"unknown theorem {theorem!r}")

@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,17 +33,47 @@ ONE = Fraction(1)
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
 
-#: Largest domain for which full canonical-pair/triple enumeration is allowed.
-ENUMERATION_ATOM_LIMIT = 12
-
-#: Largest uniform structure whose size table is built: it holds about
-#: 0.3·n² distinct values, one Fraction each, so 2,048 atoms take seconds
-#: and hundreds of MB, and 2^14 atoms would run for hours.
-_SIZE_TABLE_ATOM_CAP = 2048
-
 
 class BeliefDomainError(ValueError):
     """Malformed domain, event, or belief-table construction."""
+
+
+#: Every structure-size limit: the most atoms a step may read, and the message
+#: refusing more, with each limit's atoms by name and `size`, the size refused,
+#: filled in.  `preflight` raises each refusal before the step it guards allocates.
+Limit = NamedTuple("Limit", [("atoms", int), ("message", str)])
+LIMITS = {
+    "table": Limit(12, "explicit tables capped at {table} atoms"),  # 3^n - 1 pairs
+    "pairs": Limit(12, "pair enumeration capped at {pairs} atoms"),
+    "expansion": Limit(10, "generator expansion with explicit overrides is capped at "
+                           "{expansion} atoms"),
+    "subset sums": Limit(20, "attained-value enumeration infeasible for this domain size"),
+    # about 0.3·n² values: 2,048 atoms take seconds and hundreds of MB
+    "size table": Limit(2048, "size table capped at {size table} atoms"),
+    "extraction": Limit(128, "extraction capped at {extraction} atoms"),  # by sizes
+    "coin extension": Limit(1 << 14, "extension size {size} exceeds the cap {coin extension}"),
+    "density": Limit(1 << 12, "density pass capped at {pairs} atoms, or {density} for "
+                              "uniform weights"),  # the 12 coins: 8.4 M size steps
+    "evidence": Limit(32, "over {pairs} atoms, or {evidence} for uniform weights"),
+}
+
+
+def limit_message(name: str, size=None) -> str:
+    """The message of the limit `name`, refusing `size` atoms."""
+    return LIMITS[name].message.format_map(
+        {key: limit.atoms for key, limit in LIMITS.items()} | {"size": size})
+
+
+def within(name: str, size: int, uniform: bool = False) -> bool:
+    """Whether `size` atoms are within the limit `name`; the member selections
+    "density" and "evidence" hold only for `uniform` weights, "pairs" else."""
+    return size <= LIMITS[name if uniform or name not in ("density", "evidence") else "pairs"].atoms
+
+
+def preflight(name: str, size: int, uniform: bool = False, error=BeliefDomainError) -> None:
+    """Refuse `size` atoms over the limit `name`: raise `error` with its message."""
+    if not within(name, size, uniform):
+        raise error(limit_message(name, size))
 
 
 class EmptyConditionError(ValueError):
@@ -425,14 +455,9 @@ def canonical_order(domain: Domain, keys: Sequence[int] | np.ndarray) -> np.ndar
     among U's ascending submasks grows with v.
 
     Fewer than 3^n - 1 keys is an incomplete table, reported with its first
-    missing pair in canonical order.  The atom cap is checked first, before
-    the keys become int64.
+    missing pair in canonical order; n is within the "table" limit.
     """
     n = domain.size
-    if n > ENUMERATION_ATOM_LIMIT:
-        raise BeliefDomainError(
-            f"explicit tables capped at {ENUMERATION_ATOM_LIMIT} atoms"
-        )
     keys = np.asarray(keys, dtype=np.int64)
     order = np.argsort(keys)
     size = 3 ** n - 1
@@ -454,12 +479,13 @@ def table_index(
 ) -> ValueIndex:
     """The value index of a table given as a {(v, u): value} dict.
 
-    The dict must hold every canonical pair: the atom cap is checked
+    The dict must hold every canonical pair: the "table" limit is checked
     first, then completeness, then the first key (in the dict's order)
     that is outside the domain or not canonical, or whose value is not a
     Fraction.
     """
     n = domain.size
+    preflight("table", n)
     keys: list[int] = []  # u << n | v of every canonical key
     xs: list[Fraction] = []  # and its value
     error: ValueError | None = None
@@ -485,11 +511,6 @@ def table_index(
     values, ranks = intern_values(xs + list(bounds))
     pair_rank = np.array(ranks[:-2], dtype=np.int32)[order]
     return ValueIndex(tuple(values), *ranks[-2:], n, pair_rank)
-
-
-def _enumeration_cap(n: int, what: str) -> None:
-    if n > ENUMERATION_ATOM_LIMIT:
-        raise BeliefDomainError(f"{what} enumeration capped at {ENUMERATION_ATOM_LIMIT} atoms")
 
 
 def _submasks_desc(mask: int) -> Iterator[int]:
@@ -633,14 +654,14 @@ class BeliefStructure:
         """All (v_mask, u_mask) with ∅ ≠ U ⊆ W, V ⊆ U, ascending (u, v).  No
         `src/` code calls it (`pair_masks` lists the pairs as arrays); it stays
         as the hook `perfbench/spans.py`'s `CallCounter` counts pair passes on."""
-        _enumeration_cap(self._domain.size, "pair")
+        preflight("pairs", self._domain.size)
         for u in range(1, self._domain.full_mask + 1):
             for v in sorted(_submasks_desc(u)):
                 yield v, u
 
     def canonical_triple_masks(self) -> Iterator[tuple[int, int, int]]:
         """All (b, a, u) masks with B ⊆ A ⊆ U, A ≠ ∅, ascending (u, a, b)."""
-        _enumeration_cap(self._domain.size, "triple")
+        preflight("pairs", self._domain.size)
         subs = [sorted(_submasks_desc(m)) for m in range(self._domain.full_mask + 1)]
         for u in range(1, self._domain.full_mask + 1):
             for a in subs[u]:
@@ -672,7 +693,7 @@ class BeliefStructure:
 
     def _build_value_index(self) -> ValueIndex:
         n = self._domain.size
-        _enumeration_cap(n, "pair")
+        preflight("pairs", n)
         mu = np.array(subset_sums(self._units), dtype=object)
         v, u = pair_masks(n)
         values, ranks = rank_ratios(mu[v], mu[u], self._exponent, self._bounds)
@@ -684,11 +705,10 @@ class BeliefStructure:
         (j/m)^k and bounds, and at [m, j] the rank of Bel(V|U) for
         |V| = j <= |U| = m (0 elsewhere).  Extraction by sizes and
         `attained()` read it in place of the 3^n canonical pairs.  Refused
-        above `_SIZE_TABLE_ATOM_CAP` atoms, before anything is built."""
+        over the "size table" limit, before anything is built."""
         if not self.is_uniform:
             raise BeliefDomainError("size ranks require a uniform weight backing")
-        if self._domain.size > _SIZE_TABLE_ATOM_CAP:
-            raise BeliefDomainError(f"size table capped at {_SIZE_TABLE_ATOM_CAP} atoms")
+        preflight("size table", self._domain.size)
         return self.derived("size-ranks", BeliefStructure._build_size_ranks)
 
     def _build_size_ranks(self) -> tuple[list[Fraction], np.ndarray]:
@@ -722,8 +742,8 @@ class BeliefStructure:
         if kind not in ("conditional", "unconditional"):
             raise ValueError(f"unknown attained kind {kind!r}")
         n = self._domain.size
-        if self.is_weight_backed and not self.is_uniform and n > 20:
-            raise BeliefDomainError("attained-value enumeration infeasible for this domain size")
+        if self.is_weight_backed and not self.is_uniform:
+            preflight("subset sums", n)
         if self.is_uniform:
             values, size_rank = self.size_ranks()
             ranks = size_rank[n] if kind == "unconditional" else (

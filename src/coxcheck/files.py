@@ -11,7 +11,9 @@ are exact rationals; decimal literals are converted exactly (0.25 -> 1/4).
 Explicit `bel` lines override generator directives.  After expansion the
 table must be total on canonical pairs.
 
-The file is read in one bulk pass.  The plain `bel` lines ("bel " after
+The header, the lines above the first `bel` line, is read first: a domain
+over its table's limit is refused there, at that line.  The rest of the
+file is read in one bulk pass.  The plain `bel` lines ("bel " after
 any indentation, then one "|" and after it one "=") are found with numpy
 and cut into their parts at once; other lines are read one by one.
 Each distinct event token and value literal is parsed once, and every
@@ -25,6 +27,7 @@ first bad line wins, with the same message and line number.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import re
 from fractions import Fraction
@@ -40,16 +43,11 @@ from .core import (
     Event,
     ValueIndex,
     canonical_order,
+    preflight,
     rank_values,
     weight_units,
+    within,
 )
-
-#: Largest domain of a file whose generator directive comes with `bel`
-#: overrides: such a file is expanded into an explicit table, and one of
-#: more atoms is refused.  Serialization writes a weight-backed structure
-#: of exponent 1 and more atoms as its directive.  A directive-only file is
-#: never expanded: it stays weight-backed whatever its size.
-EXPANSION_ATOM_LIMIT = 10
 
 #: Characters no atom name in a file may hold, besides whitespace: the `bel`
 #: line's separators, the directive's `=` and the comment mark.
@@ -146,12 +144,87 @@ def _plain_bel_lines(data: bytes, lines: list[str]) -> np.ndarray:
     return plain
 
 
+def _read_lines(rows, domain=None, bounds=None, generator=None) -> tuple:
+    """(domain, bounds, generator, the first `bel` line's row or None) of the
+    lines `rows`, (row, line as written), read in order up to that line.  A
+    file's header (no `domain` given) is refused over its table's limit:
+    explicit, expanded if a directive came first, or empty with neither."""
+    header, bel = domain is None, None
+    for row, raw in rows:
+        line, line_no = raw.split("#", 1)[0].strip(), row + 1
+        if not line:
+            continue
+        if domain is None:
+            if not line.startswith("domain:"):
+                raise ParseError("domain line must come first", line_no)
+            atoms = line[len("domain:"):].split()
+            if not atoms:
+                raise ParseError("domain line lists no atoms", line_no)
+            try:
+                domain = Domain(tuple(atoms))
+                _check_atom_names(domain)
+            except BeliefDomainError as exc:
+                raise ParseError(str(exc), line_no) from None
+        elif line.startswith("bel "):
+            bel = row
+            break
+        elif line.startswith("domain:"):
+            raise ParseError("duplicate domain line", line_no)
+        elif line.startswith("bounds:"):
+            if bounds is not None:
+                raise ParseError("duplicate bounds line", line_no)
+            parts = line[len("bounds:"):].split()
+            if len(parts) != 2:
+                raise ParseError("bounds line needs two values", line_no)
+            try:
+                bounds = parse_value(parts[0]), parse_value(parts[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if bounds[0] >= bounds[1]:
+                raise ParseError("bounds must satisfy e < E", line_no)
+        elif line.startswith("generate "):
+            parts = line.split()
+            if len(parts) < 3 or parts[1] != "probability":
+                raise ParseError("only 'generate probability atom=weight ...' is supported",
+                                 line_no)
+            if generator is not None:
+                raise ParseError("duplicate generator directive", line_no)
+            weights: dict[str, Fraction] = {}
+            literals: dict[str, Fraction] = {}  # each distinct weight literal, parsed once
+            for spec in parts[2:]:
+                if "=" not in spec:
+                    raise ParseError(f"bad weight token {spec!r}", line_no)
+                name, w_text = spec.split("=", 1)
+                if name in weights:
+                    raise ParseError(f"duplicate weight for atom {name!r}", line_no)
+                try:
+                    domain.index(name)  # validates the atom name
+                    weight = literals.get(w_text)
+                    if weight is None:
+                        weight = literals[w_text] = parse_value(w_text)
+                    weights[name] = weight
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
+            generator = weights, line_no
+        else:
+            raise ParseError(f"unrecognized line: {raw.strip()!r}", line_no)
+    if header and domain is None:
+        raise ParseError("file contains no domain line")
+    if header and (bel is not None or generator is None):
+        preflight("expansion" if generator else "table", domain.size, error=ParseError)
+    return domain, bounds, generator, bel
+
+
 def parse_structure(text: str) -> BeliefStructure:
     """The structure a file's text describes, or a `ParseError` naming the
     first bad line (lines as `str.splitlines` splits them)."""
+    # the header's lines are split lazily, each piece up to a "\n" on its own
+    domain, bounds, generator, first_bel = _read_lines(enumerate(itertools.chain.from_iterable(
+        piece.group().splitlines() for piece in re.finditer(r"[^\n]*\n?", text))))
+    n = domain.size
     # each large intermediate is dropped once it is read: a 9-atom table is
     # about a megabyte of text
-    lines = text.splitlines()
+    lines = written = text.splitlines()
     body = "\n".join(lines)
     if "#" in body:
         body = _COMMENT.sub("", body)
@@ -161,7 +234,9 @@ def parse_structure(text: str) -> BeliefStructure:
     # a text with no "bel " has no `bel` line to find
     plain = _plain_bel_lines(data, lines) if b"bel " in data else np.zeros(len(lines), dtype=bool)
     del data
-    others = [(row, lines[row]) for row in np.flatnonzero(~plain).tolist()]
+    others = [] if first_bel is None else [
+        (row, written[row]) for row in (np.flatnonzero(~plain[first_bel:]) + first_bel).tolist()]
+    del written
     # the parts of every plain `bel` line, cut at once: "bel V", "U", "value"
     block = "\n".join(itertools.compress(lines, plain.tolist()))
     del lines
@@ -172,34 +247,15 @@ def parse_structure(text: str) -> BeliefStructure:
     del parts
     bel_rows = np.flatnonzero(plain)
 
-    # every other line on its own, in order, up to the first bad one: blank
-    # lines, the header lines and any `bel` line cut otherwise, which is bad
-    domain: Domain | None = None
-    bounds: tuple[Fraction, Fraction] | None = None
-    generator: tuple[dict[str, Fraction], int] | None = None  # weights, line
+    # the other lines after the header, up to the first bad one: a `bel` line
+    # among them is cut otherwise
     error: ParseError | None = None
-    first_bel = int(bel_rows[0]) if bel_rows.size else len(plain)
-    for row, line in others:
-        line, line_no = line.strip(), row + 1
-        if not line:
-            continue
-        if domain is None:
-            if first_bel < row or not line.startswith("domain:"):
-                raise ParseError("domain line must come first", min(first_bel, row) + 1)
-            domain = _domain_line(line, line_no)
-            continue
-        try:
-            if line.startswith("bel "):
-                raise _bel_line_error(text, line_no, domain)
-            bounds, generator = _header_line(line, line_no, domain, bounds, generator, text)
-        except ParseError as exc:
-            error = exc
-            break
-    if domain is None:
-        if bel_rows.size:
-            raise ParseError("domain line must come first", first_bel + 1)
-        raise ParseError("file contains no domain line")
-    n = domain.size
+    try:
+        domain, bounds, generator, bad = _read_lines(others, domain, bounds, generator)
+        if bad is not None:
+            raise _bel_line_error(text, bad + 1, domain)
+    except ParseError as exc:
+        error = exc
     final_bounds = bounds if bounds is not None else (ZERO, ONE)
 
     if not bel_rows.size:  # the table is the generator's, or incomplete
@@ -210,7 +266,6 @@ def parse_structure(text: str) -> BeliefStructure:
         # each distinct event token and value literal is parsed once, then
         # every `bel` line is a row of ints: its masks v and u (-1 for a bad
         # token) and its value's rank (-1 for a bad literal)
-        key_type = np.int64 if 2 * n < 63 else object  # u << n | v fits in int64
         bits = {a: 1 << i for i, a in enumerate(domain.atoms)}
         masks: dict[str, int] = {}  # event token -> mask, -1 if bad
 
@@ -226,25 +281,23 @@ def parse_structure(text: str) -> BeliefStructure:
         # again from `text`
         parts, which = _distinct(v_col)
         del v_col
-        v = np.array([mask(part.lstrip()[len("bel "):].strip()) for part in parts],
-                     dtype=key_type)[which]
+        v = np.array([mask(part.lstrip()[len("bel "):].strip()) for part in parts])[which]
         parts, which = _distinct(u_col)
         del u_col
-        u = np.array([mask(part.strip()) for part in parts], dtype=key_type)[which]
+        u = np.array([mask(part.strip()) for part in parts])[which]
         parts, which = _distinct(x_col)
         del x_col
-        literals: dict[str, int] = {}  # literal -> index in `parsed`, -1 if bad
+        at: list[int] = []  # each part's index in `parsed`, -1 if bad
         parsed: list[Fraction] = []
-        for literal in map(str.strip, parts):
-            if literal not in literals:
-                try:
-                    parsed.append(parse_value(literal))
-                    literals[literal] = len(parsed) - 1
-                except ValueError:
-                    literals[literal] = -1
+        for part in parts:
+            try:
+                parsed.append(parse_value(part.strip()))
+                at.append(len(parsed) - 1)
+            except ValueError:
+                at.append(-1)
         values, ranks = rank_values(parsed + list(final_bounds))
         # a bad literal's index -1 reads the -1 appended to the ranks
-        x = np.append(ranks, -1)[[literals[part.strip()] for part in parts]][which]
+        x = np.append(ranks, -1)[at][which]
 
         # the lines sorted by pair, then by line: a repeated pair must repeat
         # its value
@@ -283,21 +336,17 @@ def parse_structure(text: str) -> BeliefStructure:
         # Directive-only file: keep the lazy weight backing.
         return backing
 
-    if backing is not None and domain.size > EXPANSION_ATOM_LIMIT:
-        raise ParseError(
-            "generator expansion with explicit overrides is capped at "
-            f"{EXPANSION_ATOM_LIMIT} atoms"
-        )
-
     try:
         if backing is not None:
+            # a directive after the first `bel` line is read only now
+            preflight("expansion", n, error=ParseError)
             table = backing.as_table()
             full = domain.full_mask
             table.update({(k & full, k >> n): values[c]
                           for k, c in zip(keys.tolist(), codes.tolist())})
             return BeliefStructure.from_table(domain, table, bounds=final_bounds)
         order = canonical_order(domain, keys)
-    except BeliefDomainError as exc:  # the table is incomplete or too large
+    except BeliefDomainError as exc:  # the table is incomplete
         raise ParseError(str(exc)) from None
     pair_rank = codes[order].astype(np.int32)
     e, big_e = ranks[-2:].tolist()
@@ -321,66 +370,6 @@ def _check_atom_names(domain: Domain) -> None:
         raise BeliefDomainError(
             f"atom name {atom!r} holds whitespace or one of "
             f"{' '.join(RESERVED_ATOM_CHARACTERS)}, which structure files reserve")
-
-
-def _domain_line(line: str, line_no: int) -> Domain:
-    atoms = line[len("domain:"):].split()
-    if not atoms:
-        raise ParseError("domain line lists no atoms", line_no)
-    try:
-        domain = Domain(tuple(atoms))
-        _check_atom_names(domain)
-    except BeliefDomainError as exc:
-        raise ParseError(str(exc), line_no) from None
-    return domain
-
-
-def _header_line(line, line_no, domain, bounds, generator, text):
-    """Read a stripped line after the domain line that is no `bel` line
-    into (bounds, generator), or raise its `ParseError`."""
-    if line.startswith("domain:"):
-        raise ParseError("duplicate domain line", line_no)
-    if line.startswith("bounds:"):
-        if bounds is not None:
-            raise ParseError("duplicate bounds line", line_no)
-        parts = line[len("bounds:"):].split()
-        if len(parts) != 2:
-            raise ParseError("bounds line needs two values", line_no)
-        try:
-            e, big_e = parse_value(parts[0]), parse_value(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if e >= big_e:
-            raise ParseError("bounds must satisfy e < E", line_no)
-        return (e, big_e), generator
-    if line.startswith("generate "):
-        parts = line.split()
-        if len(parts) < 3 or parts[1] != "probability":
-            raise ParseError(
-                "only 'generate probability atom=weight ...' is supported",
-                line_no,
-            )
-        if generator is not None:
-            raise ParseError("duplicate generator directive", line_no)
-        weights: dict[str, Fraction] = {}
-        literals: dict[str, Fraction] = {}  # each distinct weight literal, parsed once
-        for spec in parts[2:]:
-            if "=" not in spec:
-                raise ParseError(f"bad weight token {spec!r}", line_no)
-            name, w_text = spec.split("=", 1)
-            if name in weights:
-                raise ParseError(f"duplicate weight for atom {name!r}", line_no)
-            try:
-                domain.index(name)  # validates the atom name
-                weight = literals.get(w_text)
-                if weight is None:
-                    weight = literals[w_text] = parse_value(w_text)
-                weights[name] = weight
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-        return bounds, (weights, line_no)
-    raw = text.splitlines()[line_no - 1]
-    raise ParseError(f"unrecognized line: {raw.strip()!r}", line_no)
 
 
 def _bel_error(domain, rows, text, v, u, x, values) -> ParseError | None:
@@ -437,7 +426,7 @@ def serialize_structure(structure: BeliefStructure) -> str:
     """Deterministic text form; parse(serialize(B)) == B.
 
     Explicit structures emit one `bel` line per canonical pair.  Weight-backed
-    structures beyond the expansion limit emit their generator directive
+    structures beyond the "expansion" limit emit their generator directive
     instead (an explicit expansion would be infeasible).  An atom name that
     holds whitespace or a `RESERVED_ATOM_CHARACTERS` character is refused.
     """
@@ -446,7 +435,7 @@ def serialize_structure(structure: BeliefStructure) -> str:
     lines = ["domain: " + " ".join(domain.atoms)]
     e, big_e = structure.bounds
     lines.append(f"bounds: {e} {big_e}")
-    if structure.is_weight_backed and domain.size > EXPANSION_ATOM_LIMIT:
+    if structure.is_weight_backed and not within("expansion", domain.size):
         if structure.exponent != 1:
             raise BeliefDomainError(
                 "cannot serialize a distorted structure of this size explicitly")
@@ -462,11 +451,19 @@ def serialize_structure(structure: BeliefStructure) -> str:
 
 
 def load_structure(path) -> BeliefStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    """The structure of the UTF-8 file at `path`; a size refusal reads its header alone."""
+    with open(path, "rb") as fh:
+        read = []  # the lines read, as bytes
+        with contextlib.suppress(UnicodeDecodeError):  # raised below, at its place in the file
+            lines = itertools.chain.from_iterable(
+                (read.append(piece) or piece).decode("utf-8").splitlines() for piece in fh)
+            if any(line.split("#", 1)[0].strip().startswith("bel ") for line in lines):
+                _read_lines(enumerate(b"".join(read).decode("utf-8").splitlines()))  # the header
+        read.append(fh.read())
+    try:
+        text = b"".join(read).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
     return parse_structure(text)
 
 

@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, Event, pair_masks, rank_values, stable_order, submask_table,
+    ZERO, ONE, BeliefStructure, Event, pair_masks, preflight, rank_values, stable_order,
+    submask_table,
 )
 
 NEGATION_CATALOG = ("linear-complement",)
@@ -158,18 +159,11 @@ class CombinationConflict:
         )
 
 
-#: Size-based extraction on uniform structures enumerates O(n^3) triples;
-#: beyond this many atoms even that is out of desk scale.
-UNIFORM_EXTRACTION_ATOM_CAP = 128
-
-
 def _by_sizes(structure: BeliefStructure) -> bool:
-    """Uniform structures are read by event sizes, not pairs."""
-    if not structure.is_uniform:
-        return False
-    if structure.domain.size > UNIFORM_EXTRACTION_ATOM_CAP:
-        raise FormError(f"extraction capped at {UNIFORM_EXTRACTION_ATOM_CAP} atoms")
-    return True
+    """Uniform structures are read by event sizes, any other by pairs; one
+    over the limit of its reading is refused before anything is laid out."""
+    preflight("extraction" if structure.is_uniform else "pairs", structure.domain.size)
+    return structure.is_uniform
 
 
 #: Extraction reads its instances in canonical order, CHUNK_CAP at a time
@@ -321,7 +315,6 @@ def _negation_layout(structure: BeliefStructure) -> InstanceLayout:
         lengths = np.array([0] + [m + 1 for m in range(1, structure.domain.size + 1)])
         return _size_layout(values, lengths, lambda m, j: (
             size_rank[m, j], size_rank[m, m - j], lambda: _prefixes(j, m)))
-    structure.value_index()  # the atom cap, before the 3^n-entry table
     lengths = np.diff(submask_table(structure.domain.size)[0])
     lengths[0] = 0  # row u holds the pairs (v, u); row 0 none
     return _pair_layout(structure, negation_positions, lengths)

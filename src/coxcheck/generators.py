@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import hypothesis, member_sources
 from .core import (
-    ENUMERATION_ATOM_LIMIT, ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event,
+    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, limit_message, preflight,
     rank_values,
 )
 from .forms import (
@@ -32,9 +32,7 @@ from .forms import (
 )
 from .isomorphism import DecisionParams, decide
 
-COIN_EXTENSION_ATOM_CAP = 2 ** 14
 FAMILY_COIN_CAP = 12
-EVIDENCE_SIZE_CAP = 32  # members above this contribute no merged-table entries
 
 
 def gen_probability(domain: Domain, weights) -> BeliefStructure:
@@ -110,11 +108,7 @@ def coin_extend(domain: Domain, weights, coins: int) -> ExtendedStructure:
     if coins < 1:
         raise BeliefDomainError("at least one coin required")
     width = 1 << coins
-    if domain.size * width > COIN_EXTENSION_ATOM_CAP:
-        raise BeliefDomainError(
-            f"extension size {domain.size * width} exceeds the cap "
-            f"{COIN_EXTENSION_ATOM_CAP}"
-        )
+    preflight("coin extension", domain.size * width)
     base = gen_probability(domain, weights)
     atoms = tuple(
         f"{a}:{c:0{coins}b}" for a in domain.atoms for c in range(width)
@@ -168,10 +162,9 @@ class DomainFamily:
 def build_family(members) -> DomainFamily:
     """Merge per-member extracted tables into uniformity evidence.
 
-    The members `member_sources` reads at EVIDENCE_SIZE_CAP are merged: a
-    uniform weight backing of more atoms, or any other member of more than
-    ENUMERATION_ATOM_LIMIT, is skipped (its full tables are infeasible),
-    and the note records which.
+    The members `member_sources` reads within the "evidence" limit of
+    `core.LIMITS` are merged; one over it is skipped (its full tables are
+    infeasible), and the note records which.
     The result is that of merging member by member, each in the order its
     extraction first meets its keys: a key keeps the output of the first
     member that has it, and a later member's other output for it is a
@@ -188,7 +181,7 @@ def build_family(members) -> DomainFamily:
     members = tuple(members)
     if not members:
         raise BeliefDomainError("family must have at least one member")
-    read = member_sources(members, EVIDENCE_SIZE_CAP)
+    read = member_sources(members, "evidence")
     used, source = list(read), list(read.values())  # each one's source: the tables it reads
     skipped = [i for i in range(len(members)) if i not in read]
     sources = list(dict.fromkeys(source))
@@ -243,12 +236,8 @@ def build_family(members) -> DomainFamily:
                           f"vs {values[outs[k]]} (member {i})")
         merged += [RankedExtraction(values, keys[head], outs[head], first[head], None, None),
                    last is None and not len(conflicts), detail]
-    note = (
-        "all members contributed evidence"
-        if not skipped
-        else f"members {skipped} are over {ENUMERATION_ATOM_LIMIT} atoms, or "
-             f"{EVIDENCE_SIZE_CAP} for uniform weights; evidence capped"
-    )
+    note = (f"members {skipped} are {limit_message('evidence')}; evidence capped" if skipped
+            else "all members contributed evidence")
     return DomainFamily(members, tuple(used), *merged, note)
 
 

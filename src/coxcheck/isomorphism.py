@@ -34,8 +34,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, is_canonical, pair_masks, stable_order, subset_sums,
-    weight_units,
+    ZERO, ONE, BeliefStructure, is_canonical, pair_masks, preflight, stable_order,
+    subset_sums, weight_units,
 )
 from .conditions import chain_consistency
 from .forms import (
@@ -639,8 +639,9 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
 
     (i) equal belief values always map to equal conditional ratios,
     (ii) the induced value→ratio map is strictly increasing,
-    (iii) it sends e to 0 and E to 1 where those values are attained, and
-    no attained value lies outside [e, E].
+    (iii) it sends e to 0 and E to 1 where those values are attained, no
+    attained value lies outside [e, E], and the map stays strictly
+    increasing once extended by (e, 0) and (E, 1).
 
     The product rule g(Bel(V|U))·g(Bel(U|W)) = g(Bel(V|W)) needs no check
     of its own: once (i) holds, each class's ratio is exactly μ(V)/μ(U) at
@@ -685,10 +686,15 @@ def verify_witness(structure: BeliefStructure, weights) -> WitnessCheck:
     for x, end in ((index.e, 0), (index.E, 1)):  # (iii)
         if g.get(x, end) != end:
             return WitnessCheck(False, f"endpoint: g({values[x]}) = {g[x]} ≠ {end}", None)
-    for x in (ranks[0], ranks[-1]):  # the least and greatest class; e and E are ranked too
+    low, high = ranks[0], ranks[-1]  # the least and greatest class; e and E are ranked too
+    for x in (low, high):
         if not index.e <= x <= index.E:
             return WitnessCheck(False, f"endpoint: attained value {values[x]} lies outside "
                                 f"the bounds [{values[index.e]},{values[index.E]}]", None)
+    for x, y, r, s in ((index.e, low, ZERO, g[low]), (high, index.E, g[high], ONE)):
+        if x < y and r >= s:
+            return WitnessCheck(False, f"strict increase: values {values[x]} < {values[y]} "
+                                f"map to ratios {r} ≥ {s}", None)
     return WitnessCheck(True, None, tuple((x, values[x], r) for x, r in g.items()))
 
 
@@ -1000,6 +1006,7 @@ def decide(structure: BeliefStructure, params: DecisionParams | None = None) -> 
     budget.
     """
     params = params or DecisionParams()
+    preflight("pairs", structure.domain.size)  # every phase reads the canonical pairs
     budget_report = {"restarts": 0, "iterations": 0, "phase": "structured-candidates"}
 
     def exact_witness(weights) -> IsomorphismVerdict | None:

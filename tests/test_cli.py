@@ -27,20 +27,75 @@ from conftest import FIXTURES, golden_ratio_structure, relabelled_probability
 
 
 def run_capped(*argv, limit=3 << 30, timeout=10) -> tuple:
-    """(exit code, stdout, stderr, seconds) of `coxcheck argv` in a child
-    process under an address-space limit of `limit` bytes, 3 GB unless
-    given, and a timeout of `timeout` seconds, 10 unless given."""
-    script = ("import resource, sys\n"
+    """(exit code, stdout, stderr, seconds, peak RSS in MB) of `coxcheck
+    argv` in a child process under an address-space limit of `limit`
+    bytes, 3 GB unless given, and a timeout of `timeout` seconds, 10 unless
+    given.  The child writes its peak RSS since it started (its VmHWM: the
+    `ru_maxrss` of a forked child also counts its parent's pages) to a
+    file of its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        peak = Path(tmp) / "peak"
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                  "from coxcheck.cli import main\n"
+                  "try:\n"
+                  "    code = main(sys.argv[1:])\n"
+                  "finally:\n"
+                  f"    with open('/proc/self/status') as status, open({str(peak)!r}, 'w') as fh:\n"
+                  "        fh.write(next(line.split()[1] for line in status\n"
+                  "                      if line.startswith('VmHWM:')))\n"
+                  "sys.exit(code)\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=timeout)
+        seconds = time.perf_counter() - started
+        peak_mb = int(peak.read_text()) / 1024 if peak.exists() else None  # VmHWM is in kB
+    return proc.returncode, proc.stdout, proc.stderr, seconds, peak_mb
+
+
+def run_each_capped(argvs, limit=3 << 30, timeout=120) -> list:
+    """(argv, exit code or the traceback of an uncaught exception, stderr,
+    seconds) of each `coxcheck argv` in turn, all in one child process
+    under an address-space limit of `limit` bytes and a timeout of
+    `timeout` seconds."""
+    script = ("import contextlib, io, json, resource, sys, time, traceback\n"
               f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
               "from coxcheck.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
+              "results = []\n"
+              "for argv in json.loads(sys.stdin.read()):\n"
+              "    started, out, err = time.perf_counter(), io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        try:\n"
+              "            code = main(argv)\n"
+              "        except Exception:\n"
+              "            code = traceback.format_exc()\n"
+              "    results.append((argv, code, err.getvalue(), time.perf_counter() - started))\n"
+              "print(json.dumps(results))\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=timeout)
-    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - started
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=timeout, check=True)
+    return json.loads(proc.stdout)
+
+
+def write_complete_table(path: Path, n: int) -> None:
+    """A complete table of 1/2 over the atoms a, b, ...: 3^n − 1 `bel`
+    lines, written one conditioning event at a time."""
+    atoms = [chr(ord("a") + i) for i in range(n)]
+    events = ["{%s}" % " ".join(a for i, a in enumerate(atoms) if m >> i & 1)
+              for m in range(1 << n)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"domain: {' '.join(atoms)}\n")
+        for u in range(1, 1 << n):
+            subs, v = [u], u
+            while v:
+                v = (v - 1) & u
+                subs.append(v)
+            fh.write("".join(f"bel {events[v]} | {events[u]} = 1/2\n" for v in reversed(subs)))
 
 
 def count_triple_passes(monkeypatch) -> list:
@@ -306,7 +361,7 @@ class TestAuditOptions:
         family = tmp_path / "family"
         assert main(["generate", "family", "--max-coins", "10",
                      "--out-dir", str(family)]) == 0
-        code, out, err, _ = run_capped("audit", "--theorem", "4", "--family", family,
+        code, out, err, *_ = run_capped("audit", "--theorem", "4", "--family", family,
                                        "--grid", "21", limit=1 << 30)
         assert (code, err) == (1, "")
         assert "grid 21^3 at ε=1/20: 44 targets missed" in out
@@ -318,7 +373,7 @@ class TestAuditOptions:
         family = tmp_path / "family"
         assert main(["generate", "family", "--max-coins", "12",
                      "--out-dir", str(family)]) == 0
-        code, out, err, _ = run_capped("audit", "--theorem", "4", "--family", family,
+        code, out, err, *_ = run_capped("audit", "--theorem", "4", "--family", family,
                                        "--grid", "21", limit=768 << 20, timeout=20)
         assert (code, err) == (1, "")
         assert "grid 21^3 at ε=1/20: 2 targets missed" in out
@@ -527,7 +582,7 @@ class TestUsageAndParseErrors:
         path.write_text(f"domain: {' '.join(atoms)}\ngenerate probability "
                         + " ".join(f"{a}=1/{size}" for a in atoms) + "\n", encoding="utf-8")
         for argv in (["decide", path], ["audit", path, "--theorem", "2"]):
-            code, out, err, seconds = run_capped(*argv)
+            code, out, err, seconds, _ = run_capped(*argv)
             assert (code, out, err) == (
                 64, "", "usage error: pair enumeration capped at 12 atoms\n"), argv
             assert seconds < 2, argv
@@ -542,7 +597,7 @@ class TestUsageAndParseErrors:
         assert main(["generate", "coins", "--atoms", "a,b", "--weights", "1/2,1/2",
                      "--coins", str(coins), "--out", str(extension)]) == 0
         capsys.readouterr()
-        code, out, err, seconds = run_capped("audit", base, "--theorem", "3",
+        code, out, err, seconds, _ = run_capped("audit", base, "--theorem", "3",
                                              "--extension", extension)
         assert (code, out, err) == (64, "", "usage error: size table capped at 2048 atoms\n")
         assert seconds < 2
@@ -940,6 +995,69 @@ class TestDocumentedExitCodes:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main(argv)
         assert code in DOCUMENTED_EXITS, (argv, sink.getvalue())
+
+
+class TestPreflight:
+    """An input over a size limit is refused from its header, or from its
+    domain, before anything of its size is read or built: each runs in a
+    child process under an address-space limit and a timeout."""
+
+    @pytest.fixture(scope="class")
+    def hostile(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hostile")
+        paths = {name: out / f"{name}.bel" for name in ("table13", "line100k", "weights100k")}
+        write_complete_table(paths["table13"], 13)
+        atoms = [f"x{i}" for i in range(100_000)]
+        domain = f"domain: {' '.join(atoms)}\n"
+        paths["line100k"].write_text(domain + "bel {x0} | * = 1/2\n", encoding="utf-8")
+        paths["weights100k"].write_text(
+            domain + "generate probability " + " ".join(f"{a}=1/100000" for a in atoms) + "\n",
+            encoding="utf-8")
+        yield paths
+        for path in paths.values():  # 67 MB of them; kept temporary directories would hold it
+            path.unlink()
+
+    @pytest.mark.parametrize("name, peak_mb", [("table13", 150), ("line100k", 100)])
+    def test_a_table_over_the_atom_limit_is_refused_from_its_header(self, hostile, name,
+                                                                     peak_mb):
+        # the complete 13-atom table is 3^13 − 1 lines and 67 MB; the
+        # one-line table names 100,000 atoms.  Importing numpy alone maps
+        # about 110 MB of address space.
+        if name == "table13":
+            assert hostile[name].stat().st_size > 60 << 20
+        for command in ("check", "decide"):
+            code, out, err, seconds, peak = run_capped(command, hostile[name], limit=150 << 20)
+            assert (code, out, err) == (
+                65, "", "parse error: explicit tables capped at 12 atoms\n"), command
+            assert seconds < 0.5 and peak < peak_mb, (command, seconds, peak)
+
+    def test_decide_refuses_a_large_weight_file_before_its_candidates(self, hostile):
+        code, out, err, seconds, _ = run_capped("decide", hostile["weights100k"])
+        assert (code, out, err) == (64, "", "usage error: pair enumeration capped at 12 atoms\n")
+        assert seconds < 1
+
+    def test_every_file_up_to_128_atoms_ends_in_a_documented_exit(self, tmp_path):
+        """The fixtures, and weight files of 1-40 atoms, uniform and not,
+        and uniform ones of 70 and 128 atoms: each command exits 0, 1, 2, 64
+        or 65 with no traceback, and a refusal comes within 2 s."""
+        paths = sorted(FIXTURES.glob("*.bel"))
+        for n, kind in [*((n, kind) for n in range(1, 41) for kind in ("uniform", "ramp")),
+                        (70, "uniform"), (128, "uniform")]:
+            ints = [1] * n if kind == "uniform" else list(range(1, n + 1))
+            path = tmp_path / f"{kind}{n}.bel"
+            path.write_text(f"domain: {' '.join(f'x{i}' for i in range(n))}\n"
+                            "generate probability "
+                            + " ".join(f"x{i}={w}/{sum(ints)}" for i, w in enumerate(ints))
+                            + "\n", encoding="utf-8")
+            paths.append(path)
+        commands = (["check"], ["decide"], ["audit", "--theorem", "1"], ["audit", "--theorem", "2"])
+        results = run_each_capped([[*command, str(path)] for path in paths for command in commands])
+        assert len(results) == 4 * len(paths)
+        for argv, code, err, seconds in results:
+            assert code in (0, 1, 2, 64, 65), (argv, code)
+            assert "Traceback" not in err, argv
+            if code >= 64:
+                assert seconds < 2, argv
 
 
 ELEVEN_ATOMS = ",".join(f"x{i}" for i in range(11))

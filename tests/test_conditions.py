@@ -23,11 +23,10 @@ from coxcheck.conditions import (
     par5_triples,
 )
 from coxcheck.cli import main
-from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
+from coxcheck.core import LIMITS, BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import load_structure, save_structure
 from coxcheck.forms import Verdict
 from coxcheck.generators import (
-    EVIDENCE_SIZE_CAP,
     affine_rescale,
     build_family,
     coin_extend,
@@ -732,10 +731,10 @@ class TestAudits:
             assert verdicts[name].witness == "members 0 and 2 differ in bounds: [1,2] vs [0,1]"
 
     def test_t4_takes_the_bounds_of_the_merged_members(self):
-        # a member above EVIDENCE_SIZE_CAP adds nothing to the merged S and
+        # a member over the "evidence" limit adds nothing to the merged S and
         # F, so its other bounds leave Par3/Par4 testable, even as member 0
         members = [affine_rescale(m, 1, 1) for m in coin_family(2).members]
-        family = build_family([uniform(EVIDENCE_SIZE_CAP + 1), *members])
+        family = build_family([uniform(LIMITS["evidence"].atoms + 1), *members])
         assert family.merged == (1, 2)
         report = audit(None, "4", family=family, grid_resolution=2)
         verdicts = {h.name: h for h in report.hypotheses}
@@ -897,6 +896,16 @@ class TestGuardsAndForgeries:
     def test_theorem_4_without_a_family(self):
         with pytest.raises(ValueError, match="^theorem 4 audit requires a domain family$"):
             audit(None, "4")
+
+    @pytest.mark.parametrize("theorem, inputs, message", [
+        ("1", {}, "theorem 1 audit requires a structure"),
+        ("2", {}, "theorem 2 audit requires a structure"),
+        ("3", {}, "theorem 3 audit requires an extension"),
+        ("3", {"extension": "placeholder"}, "theorem 3 audit requires a structure"),
+    ])
+    def test_theorems_1_to_3_without_their_inputs(self, theorem, inputs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            audit(None, theorem, **inputs)
 
     @pytest.mark.parametrize("forge", [
         # the entry's second argument is not the structure's

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from coxcheck import core, files
 from coxcheck.core import BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import (
-    EXPANSION_ATOM_LIMIT,
     ParseError,
     parse_structure,
     parse_value,
@@ -18,6 +17,12 @@ from coxcheck.files import (
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 
 from conftest import FIXTURES
+
+TABLE_ATOM_LIMIT = core.LIMITS["table"].atoms
+EXPANSION_ATOM_LIMIT = core.LIMITS["expansion"].atoms
+TABLE_CAP = f"explicit tables capped at {TABLE_ATOM_LIMIT} atoms"
+EXPANSION_CAP = ("generator expansion with explicit overrides is capped at "
+                 f"{EXPANSION_ATOM_LIMIT} atoms")
 
 
 # -- oracle: the per-line parse loop the bulk pass replaced ----------------------
@@ -60,7 +65,9 @@ def oracle_event(token, bits, line_no):
 
 
 def oracle_parse_structure(text):
-    """One step per line, in order: the first bad line raises."""
+    """One step per line, in order: the first bad line raises.  The first
+    `bel` line is bad in a domain over the limit of its table: an expanded
+    one if a generator directive came before it, else an explicit one."""
     domain = bounds = generator = None
     literals, code_of, events = {}, {}, {}  # code_of: value -> code, in code order
     code_at, line_at = {}, {}  # u << n | v -> value code, and the line that set it
@@ -69,6 +76,11 @@ def oracle_parse_structure(text):
         if not line:
             continue
         if line.startswith("bel ") and domain is not None:
+            if not code_at:  # the first `bel` line
+                if generator is not None and n > EXPANSION_ATOM_LIMIT:
+                    raise ParseError(EXPANSION_CAP)
+                if n > TABLE_ATOM_LIMIT:
+                    raise ParseError(TABLE_CAP)
             events_part, eq, value_part = line[len("bel "):].rpartition("=")
             v_part, bar, u_part = events_part.partition("|")
             if not (eq and bar):
@@ -173,16 +185,13 @@ def oracle_parse_structure(text):
     if weight_list is not None and not code_at:
         return BeliefStructure.from_weights(domain, weight_list, bounds=bounds)
     if weight_list is not None and n > EXPANSION_ATOM_LIMIT:
-        raise ParseError(
-            "generator expansion with explicit overrides is capped at "
-            f"{EXPANSION_ATOM_LIMIT} atoms"
-        )
+        raise ParseError(EXPANSION_CAP)
     values = list(code_of)
     table = {(k & domain.full_mask, k >> n): values[c] for k, c in code_at.items()}
     if weight_list is not None:
         table = BeliefStructure.from_weights(domain, weight_list).as_table() | table
-    elif n > core.ENUMERATION_ATOM_LIMIT:
-        raise ParseError(f"explicit tables capped at {core.ENUMERATION_ATOM_LIMIT} atoms")
+    elif n > TABLE_ATOM_LIMIT:
+        raise ParseError(TABLE_CAP)
     else:
         missing = [vu for vu in canonical_pairs(n) if vu not in table]
         if missing:
@@ -746,6 +755,20 @@ EDGE_TEXTS = {
     + "\nbel {x39} | * = 1/2\nbel {x39} | * = 1/0\n",
     "70-atom-table": "domain: " + " ".join(f"x{i}" for i in range(70))
     + "\nbel {x69} | * = 1/2\nbel {x69} | * = 2/4\n",
+    "13-atom-bad-bounds-above-the-table": "domain: " + " ".join(f"x{i}" for i in range(13))
+    + "\nbounds: 1 0\nbel {x12} | * = 1/2\n",
+    "13-atom-bad-line-below-the-table": "domain: " + " ".join(f"x{i}" for i in range(13))
+    + "\nbel {x12} | * = 1/2\nbounds: 1 0\n",
+    "13-atom-header-only": "domain: " + " ".join(f"x{i}" for i in range(13)) + "\nbounds: 0 1\n",
+    "11-atom-directive-then-conflict": "domain: " + " ".join(f"x{i}" for i in range(11))
+    + "\ngenerate probability " + " ".join(f"x{i}=1/11" for i in range(11))
+    + "\nbel {x0} | * = 1/2\nbel {x0} | * = 1/3\n",
+    "11-atom-conflict-then-directive": "domain: " + " ".join(f"x{i}" for i in range(11))
+    + "\nbel {x0} | * = 1/2\nbel {x0} | * = 1/3\ngenerate probability "
+    + " ".join(f"x{i}=1/11" for i in range(11)) + "\n",
+    "11-atom-table-then-directive": "domain: " + " ".join(f"x{i}" for i in range(11))
+    + "\nbel {x0} | * = 1/11\ngenerate probability "
+    + " ".join(f"x{i}=1/11" for i in range(11)) + "\n",
 }
 
 

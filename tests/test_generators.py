@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coxcheck.core import (
-    ENUMERATION_ATOM_LIMIT, BeliefDomainError, BeliefStructure, Domain, rank_values,
-)
+from coxcheck.core import LIMITS, BeliefDomainError, BeliefStructure, Domain, rank_values
 from coxcheck.files import load_structure, serialize_structure
 from coxcheck.forms import (
     CombinationConflict,
@@ -19,7 +17,6 @@ from coxcheck.forms import (
     negation_ranks,
 )
 from coxcheck.generators import (
-    EVIDENCE_SIZE_CAP,
     DomainFamily,
     affine_rescale,
     build_family,
@@ -164,16 +161,16 @@ class TestCoinFamily:
 
 def evidence_read(member):
     """Whether `build_family` reads a member: a uniform weight backing up
-    to EVIDENCE_SIZE_CAP atoms, any other up to ENUMERATION_ATOM_LIMIT."""
-    cap = EVIDENCE_SIZE_CAP if member.is_uniform else ENUMERATION_ATOM_LIMIT
+    to the "evidence" limit's atoms, any other up to the "pairs" limit's."""
+    cap = LIMITS["evidence" if member.is_uniform else "pairs"].atoms
     return member.domain.size <= cap
 
 
 def evidence_note(skipped):
     if not skipped:
         return "all members contributed evidence"
-    return (f"members {skipped} are over {ENUMERATION_ATOM_LIMIT} atoms, or "
-            f"{EVIDENCE_SIZE_CAP} for uniform weights; evidence capped")
+    return (f"members {skipped} are over {LIMITS['pairs'].atoms} atoms, or "
+            f"{LIMITS['evidence'].atoms} for uniform weights; evidence capped")
 
 
 def oracle_build_family(members):

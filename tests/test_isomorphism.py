@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcheck import core, isomorphism
+from coxcheck.cli import main
 from coxcheck.conditions import ChainCertificate
 from coxcheck.core import BeliefStructure, Domain
-from coxcheck.files import load_structure
+from coxcheck.files import load_structure, save_structure
 from coxcheck.forms import (
     CombinationConflict,
     CombinationForm,
@@ -73,6 +74,32 @@ class TestVerifyWitness:
         assert check.ratio_map[F(1, 9)] == F(1, 3)
         assert check.ratio_map[F(4, 9)] == F(2, 3)
 
+    @pytest.mark.parametrize("low, high, failing", [
+        (F(1, 4), F(1), "strict increase: values 0 < 1/4 map to ratios 0 ≥ 0"),
+        (F(0), F(3, 4), "strict increase: values 3/4 < 1 map to ratios 1 ≥ 1"),
+    ], ids=["floor-above-e", "top-below-E"])
+    def test_the_graph_extended_by_the_bounds_must_increase(self, tmp_path, low, high,
+                                                            failing):
+        # Bel(∅|U) = low and Bel(U|U) = high for every U on bounds [0, 1]:
+        # the weights 1/2, 1/2 send an attained value strictly inside the
+        # bounds to the ratio of an unattained bound
+        table = {(0, u): low for u in (1, 2, 3)}
+        table.update({(u, u): high for u in (1, 2, 3)})
+        table.update({(1, 3): F(1, 2), (2, 3): F(1, 2)})
+        b = BeliefStructure.from_table(Domain(("a", "b")), table)
+        check = verify_witness(b, [F(1, 2), F(1, 2)])
+        assert (check.passed, check.failing) == (False, failing)
+        with pytest.raises(ValueError, match=f"^weights are not a witness: {failing}$"):
+            rescaling_from_witness(b, [F(1, 2), F(1, 2)])
+        verdict = decide(b)
+        assert verdict.kind == "refutation"
+        assert verdict.certificate.kind == "order-conflict"
+        assert verdict.certificate.recheck(b)
+        path = tmp_path / "bounds.bel"
+        save_structure(b, path)
+        assert main(["decide", str(path)]) == 1
+        assert main(["audit", str(path), "--theorem", "2"]) == 1
+
     def test_invalid_weights_raise(self):
         b = gen_probability(Domain(("a", "b")), [F(1, 2), F(1, 2)])
         with pytest.raises(ValueError):
@@ -100,6 +127,14 @@ class TestVerifyWitness:
 
 
 class TestRescaling:
+    @pytest.mark.parametrize("points", [
+        ((F(0), F(0)), (F(1, 4), F(0)), (F(1), F(1))),  # a flat step
+        ((F(0), F(0)), (F(1, 2), F(3, 4)), (F(1, 4), F(1))),  # values out of order
+    ])
+    def test_a_graph_that_does_not_increase_is_refused(self, points):
+        with pytest.raises(ValueError, match="^rescaling graph must be strictly increasing$"):
+            isomorphism.RescalingMap(points)
+
     def test_identity_graph_for_probability_structures(self):
         b = gen_probability(Domain(("a", "b")), [F(1, 3), F(2, 3)])
         g = rescaling_from_witness(b, [F(1, 3), F(2, 3)])
