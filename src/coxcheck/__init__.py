@@ -36,10 +36,9 @@ from .files import (
     serialize_structure,
 )
 from .forms import (
-    CombinationConflict,
     CombinationForm,
+    ExtractionConflict,
     MultiplicativeRep,
-    NegationConflict,
     NegationForm,
     catalog_combination,
     catalog_negation,
@@ -47,6 +46,7 @@ from .forms import (
     check_monotonicity,
     extract_combination,
     extract_negation,
+    instance,
     multiplicative_rep,
 )
 from .generators import (

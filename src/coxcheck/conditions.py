@@ -26,7 +26,6 @@ from .core import (
     ChainQuadruple,
     Event,
     float_values,
-    is_canonical,
     pair_at,
     pair_masks,
     preflight,
@@ -41,6 +40,7 @@ from .forms import (
     extract_combination,
     extract_negation,
     f_at,
+    instance,
     negation_ranks,
     ranked_monotonicity,
     row_chunks,
@@ -704,27 +704,16 @@ class ChainCertificate:
         return (self.inner_right, self.inner_left, self.outer_left, self.outer_right)
 
     def recheck(self, structure: BeliefStructure) -> bool:
-        """Re-derive all four entries from the structure in exact arithmetic;
-        a triple that is not a chain triple of the structure rejects it."""
+        """Re-derive all four entries from the structure in exact arithmetic,
+        each read back through `forms.instance`; a triple that is not a
+        chain triple of the structure rejects it."""
         x, y, z = self.args
-        full = structure.domain.full_mask
-        if not all(is_canonical(t, 3, full) for _, _, t in self.entries()):
-            return False
-        for (args, value, (b, a, u)) in self.entries():
-            if structure.bel_masks(b, a) != args[0]:
-                return False
-            if structure.bel_masks(a, u) != args[1]:
-                return False
-            if structure.bel_masks(b, u) != value:
-                return False
-        p = self.inner_right[1]
-        q = self.inner_left[1]
-        if self.inner_right[0] != (y, z) or self.inner_left[0] != (x, y):
-            return False
-        if self.outer_left[0] != (x, p) or self.outer_right[0] != (q, z):
-            return False
+        p, q = self.inner_right[1], self.inner_left[1]
         r, s = self.sides
-        return r != s
+        wanted = ((y, z), (x, y), (x, p), (q, z))
+        return r != s and all(
+            args == want and instance(structure, masks) == (args, value)
+            for (args, value, masks), want in zip(self.entries(), wanted))
 
     def describe(self, domain) -> str:
         x, y, z = self.args
@@ -909,22 +898,13 @@ def bel_level_negation(structure: BeliefStructure) -> NegationIdentityReport:
 # -- the hypothesis table ----------------------------------------------------------------
 
 
-def _a1(structure: BeliefStructure) -> Verdict:
-    """A1: S is single-valued on the attained values, or fails with the first
-    clash, described in Fractions."""
-    s = negation_ranks(structure)
-    if s.clash is not None:
-        return Verdict("fail", extract_negation(structure).describe(structure.domain))
-    return Verdict("pass", f"single-valued on {len(s.keys)} values")
-
-
-def _a2(structure: BeliefStructure) -> Verdict:
-    """A2: F is single-valued on the attained argument pairs, or fails with
-    the first clash, as `_a1`."""
-    f = combination_ranks(structure)
-    if f.clash is not None:
-        return Verdict("fail", extract_combination(structure).describe(structure.domain))
-    return Verdict("pass", f"single-valued on {len(f.keys)} argument pairs")
+def _single_valued(structure: BeliefStructure, ranks, extract, over: str) -> Verdict:
+    """A1 or A2: S or F, extracted as `ranks`, is single-valued `over` the
+    attained values or argument pairs, or fails with the first clash that
+    `extract` describes in Fractions."""
+    if ranks.clash is not None:
+        return Verdict("fail", extract(structure).describe(structure.domain))
+    return Verdict("pass", f"single-valued on {len(ranks.keys)} {over}")
 
 
 def _par34(negation, combination, bounds, a1=None, a2=None) -> tuple:
@@ -958,8 +938,9 @@ def _bounds(structure: BeliefStructure) -> BoundsReport:
 HYPOTHESES = {
     "par1": lambda s: _bounds(s).par1,
     "par2": lambda s: _bounds(s).par2,
-    "A1": _a1,
-    "A2": _a2,
+    "A1": lambda s: _single_valued(s, negation_ranks(s), extract_negation, "values"),
+    "A2": lambda s: _single_valued(s, combination_ranks(s), extract_combination,
+                                   "argument pairs"),
     "chain": lambda s: chain_consistency(s),
     "involution": lambda s: bel_level_negation(s),
     "par3/par4": lambda s: _par34(negation_ranks(s), combination_ranks(s), s.bounds,

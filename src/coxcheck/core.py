@@ -214,19 +214,6 @@ def subset_sums(weights: Sequence) -> list:
     return mu
 
 
-def is_canonical(masks, arity: int, full: int) -> bool:
-    """`arity` int masks within the domain `full`, each inside the next, the
-    second nonempty: a canonical pair (V ⊆ U ≠ ∅) or chain triple
-    (B ⊆ A ⊆ U, A ≠ ∅).  Certificate rechecks run every pair and triple
-    they are given through it before reading the structure."""
-    return (
-        len(masks) == arity
-        and all(isinstance(m, int) and 0 <= m <= full for m in masks)
-        and masks[1] != 0
-        and all(inner & ~outer == 0 for inner, outer in zip(masks, masks[1:]))
-    )
-
-
 @functools.cache
 def submask_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, sub) over every mask m < 2^n: `sub[start[m] + j]` is the j-th

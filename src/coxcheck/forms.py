@@ -117,46 +117,47 @@ def f_at(x: Fraction, y: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class NegationConflict:
-    """Two pairs with equal Bel values but unequal complement values."""
+class ExtractionConflict:
+    """Two A1 instances (pairs (v, u)) or two A2 instances (chain triples
+    (b, a, u)) with equal arguments `args`, (x,) or (x, y), but unequal
+    outputs."""
 
-    value: Fraction
-    pair_a: tuple[int, int]
+    args: tuple
+    instance_a: tuple
     output_a: Fraction
-    pair_b: tuple[int, int]
+    instance_b: tuple
     output_b: Fraction
 
     def describe(self, domain) -> str:
-        va, ua = self.pair_a
-        vb, ub = self.pair_b
-        return (
-            f"S({self.value}) is forced to both {self.output_a} "
-            f"[Bel({Event(domain, va)!r}|{Event(domain, ua)!r})] and "
-            f"{self.output_b} [Bel({Event(domain, vb)!r}|{Event(domain, ub)!r})]"
-        )
+        def at(masks):
+            events = [repr(Event(domain, m)) for m in masks]
+            return (f"Bel({events[0]}|{events[1]})" if len(events) == 2
+                    else f"({' ⊆ '.join(events)})")
+
+        name = f"S({self.args[0]})" if len(self.args) == 1 else f_at(*self.args)
+        return (f"{name} is forced to both {self.output_a} [{at(self.instance_a)}] "
+                f"and {self.output_b} [{at(self.instance_b)}]")
 
 
-@dataclass(frozen=True)
-class CombinationConflict:
-    """Two chain triples with equal argument pairs but unequal outputs."""
-
-    args: tuple[Fraction, Fraction]
-    triple_a: tuple[int, int, int]
-    output_a: Fraction
-    triple_b: tuple[int, int, int]
-    output_b: Fraction
-
-    def describe(self, domain) -> str:
-        def t(tr):
-            b, a, u = tr
-            return (
-                f"({Event(domain, b)!r} ⊆ {Event(domain, a)!r} ⊆ {Event(domain, u)!r})"
-            )
-
-        return (
-            f"{f_at(*self.args)} is forced to both {self.output_a} [{t(self.triple_a)}] "
-            f"and {self.output_b} [{t(self.triple_b)}]"
-        )
+def instance(structure: BeliefStructure, masks):
+    """The A1 or A2 instance at `masks`, read off the structure:
+    ((Bel(V|U),), Bel(U∖V|U)) for a canonical pair (v, u) with V ⊆ U ≠ ∅,
+    ((Bel(B|A), Bel(A|U)), Bel(B|U)) for a chain triple (b, a, u) with
+    B ⊆ A ⊆ U and A ≠ ∅, and None for any other masks.  Every certificate
+    recheck reads its instances through it, so a mask outside the domain or
+    out of order rejects the certificate before the structure is read."""
+    full = structure.domain.full_mask
+    if not (len(masks) in (2, 3)
+            and all(isinstance(m, int) and 0 <= m <= full for m in masks)
+            and masks[1] != 0
+            and all(inner & ~outer == 0 for inner, outer in zip(masks, masks[1:]))):
+        return None
+    bel = structure.bel_masks
+    if len(masks) == 2:
+        v, u = masks
+        return (bel(v, u),), bel(u ^ v, u)
+    b, a, u = masks
+    return (bel(b, a), bel(a, u)), bel(b, u)
 
 
 def _by_sizes(structure: BeliefStructure) -> bool:
@@ -445,19 +446,7 @@ def extract_negation(structure: BeliefStructure):
     error.  Built from `negation_ranks` and memoized on the structure; the
     table lists the values in the order they are first met.
     """
-    return structure.derived("negation", _extract_negation)
-
-
-def _extract_negation(structure: BeliefStructure):
-    s = negation_ranks(structure)
-    values = s.values
-    if s.clash is not None:
-        x, s_x, index = s.clash
-        ((first_out, first_pair),) = s.entries([x])
-        return NegationConflict(
-            values[x], first_pair, values[first_out], s.masks(index)[0], values[s_x]
-        )
-    return NegationForm("tabular", negation_table(s), structure.bounds)
+    return structure.derived("negation", lambda s: _extract(s, negation_ranks(s), 1))
 
 
 def extract_combination(structure: BeliefStructure):
@@ -466,31 +455,31 @@ def extract_combination(structure: BeliefStructure):
     Built from `combination_ranks` and memoized on the structure, as
     `extract_negation`.
     """
-    return structure.derived("combination", _extract_combination)
+    return structure.derived("combination", lambda s: _extract(s, combination_ranks(s), 2))
 
 
-def _extract_combination(structure: BeliefStructure):
-    f = combination_ranks(structure)
-    values, width = f.values, len(f.values)
-    if f.clash is not None:
-        key, out, index = f.clash
-        ((first_out, first_triple),) = f.entries([key])
-        return CombinationConflict(
-            (values[key // width], values[key % width]), first_triple,
-            values[first_out], f.masks(index)[0], values[out],
-        )
-    return CombinationForm("tabular", combination_table(f), structure.bounds)
+def _extract(structure: BeliefStructure, ranks: RankedExtraction, arity: int):
+    """The tabular S (arity 1) or F (arity 2) of `ranks` in Fractions, or
+    its first clash as an `ExtractionConflict`."""
+    if ranks.clash is None:
+        form = NegationForm if arity == 1 else CombinationForm
+        return form("tabular", form_table(ranks, arity), structure.bounds)
+    values = ranks.values
+    key, out, index = ranks.clash
+    ((first_out, first_masks),) = ranks.entries([key])
+    args = (key,) if arity == 1 else divmod(key, len(values))
+    return ExtractionConflict(tuple(values[x] for x in args), first_masks,
+                              values[first_out], ranks.masks(index)[0], values[out])
 
 
-def negation_table(s: RankedExtraction) -> dict:
-    """{x: S(x)} in Fractions, keys in the order they are first met."""
-    return {s.values[x]: s.values[s_x] for x, s_x in s.first_seen()}
-
-
-def combination_table(f: RankedExtraction) -> dict:
-    """{(x, y): F(x, y)} in Fractions, keys in the order they are first met."""
-    values, width = f.values, len(f.values)
-    return {(values[k // width], values[k % width]): values[out] for k, out in f.first_seen()}
+def form_table(ranks: RankedExtraction, arity: int) -> dict:
+    """{x: S(x)} (arity 1) or {(x, y): F(x, y)} (arity 2) in Fractions, keys
+    in the order they are first met."""
+    values, width = ranks.values, len(ranks.values)
+    if arity == 1:
+        return {values[x]: values[out] for x, out in ranks.first_seen()}
+    return {(values[k // width], values[k % width]): values[out]
+            for k, out in ranks.first_seen()}
 
 
 # -- monotonicity ---------------------------------------------------------------

@@ -18,17 +18,16 @@ import numpy as np
 
 from .conditions import hypothesis, member_sources
 from .core import (
-    ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, limit_message, preflight,
-    rank_values,
+    LIMITS, ZERO, ONE, BeliefDomainError, BeliefStructure, Domain, Event, limit_message,
+    preflight, rank_values,
 )
 from .forms import (
     CombinationForm,
     RankedExtraction,
     combination_ranks,
-    combination_table,
     f_at,
+    form_table,
     negation_ranks,
-    negation_table,
 )
 from .isomorphism import DecisionParams, decide
 
@@ -107,6 +106,9 @@ def coin_extend(domain: Domain, weights, coins: int) -> ExtendedStructure:
     """Extend by `coins` fair coins: product weights over W × {0,1}^n."""
     if coins < 1:
         raise BeliefDomainError("at least one coin required")
+    if coins >= LIMITS["coin extension"].atoms.bit_length():
+        # 2^coins alone is over the cap: refuse it without building 2^coins
+        raise BeliefDomainError(limit_message("coin extension", f"{domain.size}·2^{coins}"))
     width = 1 << coins
     preflight("coin extension", domain.size * width)
     base = gen_probability(domain, weights)
@@ -149,11 +151,11 @@ class DomainFamily:
 
     @functools.cached_property
     def s_evidence(self) -> dict:
-        return negation_table(self.negation)
+        return form_table(self.negation, 1)
 
     @functools.cached_property
     def f_evidence(self) -> dict:
-        return combination_table(self.combination)
+        return form_table(self.combination, 2)
 
     def merged_combination(self) -> CombinationForm:
         return CombinationForm(kind="tabular", table=dict(self.f_evidence))
@@ -313,7 +315,7 @@ def search_min_counterexample(atom_count: int, grid) -> MinSearchOutcome:
     """
     if not 1 <= atom_count <= 4:
         raise BeliefDomainError("counterexample search supports 1..4 atoms")
-    grid = tuple(sorted(Fraction(g) for g in grid))
+    grid = tuple(sorted({Fraction(g) for g in grid}))
     if ZERO not in grid or ONE not in grid:
         raise BeliefDomainError("value grid must contain 0 and 1")
     if any(1 - g not in grid for g in grid):

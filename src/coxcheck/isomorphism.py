@@ -34,16 +34,16 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .core import (
-    ZERO, ONE, BeliefStructure, is_canonical, pair_masks, preflight, stable_order,
-    subset_sums, weight_units,
+    ZERO, ONE, BeliefStructure, pair_masks, preflight, stable_order, subset_sums,
+    weight_units,
 )
 from .conditions import chain_consistency
 from .forms import (
-    CombinationConflict,
-    NegationConflict,
+    ExtractionConflict,
     combination_ranks,
     extract_combination,
     extract_negation,
+    instance,
     negation_ranks,
 )
 
@@ -83,41 +83,19 @@ class RefutationCertificate:
     def recheck(self, structure: BeliefStructure) -> bool:
         """Re-validate from scratch, in exact arithmetic, from the structure.
 
-        A pair or triple that is not a canonical pair or chain triple of the
-        structure rejects the certificate.
+        Each pair or triple is read back through `forms.instance`: one that
+        is not a canonical pair or chain triple of the structure, or of the
+        kind's arity, rejects the certificate.
         """
-        full = structure.domain.full_mask
-        if self.kind == "A1-conflict":
-            c: NegationConflict = self.data
-            if not all(is_canonical(p, 2, full) for p in (c.pair_a, c.pair_b)):
-                return False
-            va, ua = c.pair_a
-            vb, ub = c.pair_b
-            if structure.bel_masks(va, ua) != c.value:
-                return False
-            if structure.bel_masks(vb, ub) != c.value:
-                return False
-            out_a = structure.bel_masks(ua ^ va, ua)
-            out_b = structure.bel_masks(ub ^ vb, ub)
-            # equal values force equal ratios; complements then share a ratio,
-            # which a strictly increasing g forbids for distinct values
-            return out_a == c.output_a and out_b == c.output_b and out_a != out_b
-        if self.kind == "A2-conflict":
-            c: CombinationConflict = self.data
-            if not all(is_canonical(t, 3, full) for t in (c.triple_a, c.triple_b)):
-                return False
-            b1, a1, u1 = c.triple_a
-            b2, a2, u2 = c.triple_b
-            key1 = (structure.bel_masks(b1, a1), structure.bel_masks(a1, u1))
-            key2 = (structure.bel_masks(b2, a2), structure.bel_masks(a2, u2))
-            out1 = structure.bel_masks(b1, u1)
-            out2 = structure.bel_masks(b2, u2)
-            return (
-                key1 == key2 == c.args
-                and out1 == c.output_a
-                and out2 == c.output_b
-                and out1 != out2
-            )
+        arity = {"A1-conflict": 1, "A2-conflict": 2}.get(self.kind)
+        if arity is not None:
+            c: ExtractionConflict = self.data
+            # equal arguments force equal ratios: for A1 the complements,
+            # for A2 the products, then share a ratio, which a strictly
+            # increasing g forbids for distinct values
+            return (len(c.args) == arity and c.output_a != c.output_b
+                    and instance(structure, c.instance_a) == (c.args, c.output_a)
+                    and instance(structure, c.instance_b) == (c.args, c.output_b))
         if self.kind == "chain-associativity":
             return self.data.recheck(structure)
         if self.kind == "order-conflict":
@@ -458,34 +436,28 @@ class _RatioEngine:
 
 
 def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure) -> bool:
-    """Re-run the engine on the certificate's own instances.
+    """Re-run the engine on the certificate's own instances, read back
+    through `forms.instance`.
 
-    Any instance that is not a canonical pair or chain triple of the
-    structure rejects the certificate.
+    Any instance that is not a canonical pair ('sum') or chain triple
+    ('product') of the structure rejects the certificate.
     """
-    full = structure.domain.full_mask
-    arity = {"sum": 2, "product": 3}
-    for kind, masks in data.instances:
-        if not is_canonical(masks, arity.get(kind), full):
-            return False
+    arity = {"sum": 1, "product": 2}
+    read = [(kind, masks, instance(structure, masks)) for kind, masks in data.instances]
+    if any(at is None or len(at[0]) != arity.get(kind) for kind, _, at in read):
+        return False
     values = negation_ranks(structure).values
-
-    def rank(v_mask: int, u_mask: int) -> int:
-        return bisect.bisect_left(values, structure.bel_masks(v_mask, u_mask))
-
     sums: dict[tuple, tuple] = {}
     products: dict[tuple, tuple] = {}
     # canonical order is ascending reversed masks: (u, v) and (u, a, b); a
     # rule's witness is its place in the certificate, which nothing reads
-    for kind, masks in sorted(data.instances, key=lambda i: (i[0], i[1][::-1])):
+    for kind, _, (args, out) in sorted(read, key=lambda i: (i[0], i[1][::-1])):
+        out, *args = (bisect.bisect_left(values, x) for x in (out, *args))
         if kind == "sum":
-            v, u = masks
-            x, s_x = rank(v, u), rank(u ^ v, u)
-            sums.setdefault((min(x, s_x), max(x, s_x)), (x, s_x, len(sums)))
+            (x,) = args
+            sums.setdefault((min(x, out), max(x, out)), (x, out, len(sums)))
         else:
-            b, a, u = masks
-            out, l, r = rank(b, u), rank(b, a), rank(a, u)
-            products.setdefault((out, l, r), (out, l, r, len(products)))
+            products.setdefault((out, *args), (out, *args, len(products)))
     engine = _RatioEngine(structure, list(sums.values()), list(products.values())).run()
     return engine.contradiction is not None
 
@@ -508,22 +480,17 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
     the Fraction forms are built only for an A1 or A2 certificate, and
     witness masks only for the rules a certificate names.
     """
-    if negation_ranks(structure).clash is not None:
-        negation = extract_negation(structure)
-        return RefutationCertificate(
-            "A1-conflict", negation,
-            negation.describe(structure.domain)
-            + "; equal values force equal ratios, so the two complement values "
-            "would share one ratio under a strictly increasing g",
-        )
-    if combination_ranks(structure).clash is not None:
-        combination = extract_combination(structure)
-        return RefutationCertificate(
-            "A2-conflict", combination,
-            combination.describe(structure.domain)
-            + "; equal argument ratios force equal product ratios for two "
-            "distinct values",
-        )
+    for kind, ranks, extract, why in (
+        ("A1-conflict", negation_ranks, extract_negation,
+         "; equal values force equal ratios, so the two complement values "
+         "would share one ratio under a strictly increasing g"),
+        ("A2-conflict", combination_ranks, extract_combination,
+         "; equal argument ratios force equal product ratios for two distinct values"),
+    ):
+        if ranks(structure).clash is not None:
+            conflict = extract(structure)
+            return RefutationCertificate(
+                kind, conflict, conflict.describe(structure.domain) + why)
     chain_report = chain_consistency(structure)
     if chain_report.status == "fail":
         return RefutationCertificate(

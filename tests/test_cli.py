@@ -1090,6 +1090,22 @@ class TestGuards:
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("coins, size", [
+        (14, "32768"), (15, "2·2^15"), (100_000, "2·2^100000"),
+        (10_000_000_000, "2·2^10000000000")])
+    def test_a_coin_count_over_the_cap_is_refused_before_two_to_the_coins_is_built(
+            self, tmp_path, monkeypatch, capsys, coins, size):
+        # 2^100000 has too many digits to print, and 2^10000000000 would
+        # take 1.25 GB: neither is built
+        monkeypatch.chdir(tmp_path)
+        started = time.perf_counter()
+        assert run_cli(["generate", "coins", "--atoms", "a,b", "--weights", "1/2,1/2",
+                        "--coins", coins, "--out", "c.bel"]) == 64
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == (
+            "", f"usage error: extension size {size} exceeds the cap 16384\n")
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def write_families(tmp_path) -> dict:
         """A family directory whose one member is `uniform2.bel`, and one

@@ -10,11 +10,10 @@ from coxcheck import forms
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure
 from coxcheck.forms import (
-    CombinationConflict,
     CombinationForm,
     EquationCoverageError,
+    ExtractionConflict,
     FormError,
-    NegationConflict,
     NegationForm,
     catalog_combination,
     catalog_negation,
@@ -57,10 +56,10 @@ class TestExtractNegation:
 
     def test_conflict_reports_two_witness_pairs(self):
         conflict = extract_negation(load_structure(fixture_path("a1_conflict.bel")))
-        assert isinstance(conflict, NegationConflict)
-        assert conflict.value == F(1, 2)
+        assert isinstance(conflict, ExtractionConflict)
+        assert conflict.args == (F(1, 2),)
         assert conflict.output_a != conflict.output_b
-        assert conflict.pair_a != conflict.pair_b
+        assert conflict.instance_a != conflict.instance_b
 
     @given(small_weights())
     def test_probability_tables_restrict_linear_complement(self, ws):
@@ -89,7 +88,7 @@ class TestExtractCombination:
 
     def test_forged_collision_is_a_conflict(self):
         conflict = extract_combination(load_structure(fixture_path("a2_conflict.bel")))
-        assert isinstance(conflict, CombinationConflict)
+        assert isinstance(conflict, ExtractionConflict)
         assert conflict.args == (F(1, 4), F(2, 5))
         assert conflict.output_a != conflict.output_b
 

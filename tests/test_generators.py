@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from coxcheck.core import LIMITS, BeliefDomainError, BeliefStructure, Domain, rank_values
 from coxcheck.files import load_structure, serialize_structure
 from coxcheck.forms import (
-    CombinationConflict,
-    NegationConflict,
+    ExtractionConflict,
     combination_ranks,
     extract_combination,
     extract_negation,
@@ -186,7 +185,7 @@ def oracle_build_family(members):
             skipped.append(i)
             continue
         neg = extract_negation(member)
-        if isinstance(neg, NegationConflict):
+        if isinstance(neg, ExtractionConflict):
             neg_ok, neg_detail = False, f"member {i}: {neg.describe(member.domain)}"
         else:
             for x, s_x in neg.table.items():
@@ -199,7 +198,7 @@ def oracle_build_family(members):
                 else:
                     s_table.setdefault(x, s_x)
         comb = extract_combination(member)
-        if isinstance(comb, CombinationConflict):
+        if isinstance(comb, ExtractionConflict):
             comb_ok, comb_detail = False, f"member {i}: {comb.describe(member.domain)}"
         else:
             for key, out in comb.table.items():
@@ -463,12 +462,15 @@ class TestMinSearch:
     def test_two_atoms_on_the_coarse_grid(self):
         # the endpoint-valued table Bel(a|W)=0, Bel(b|W)=1 satisfies the three
         # search conditions but admits no strictly positive witness, so the
-        # search reports a (degenerate) hit rather than exhaustion
-        outcome = search_min_counterexample(2, [F(0), F(1, 2), F(1)])
-        assert outcome.hit
-        assert outcome.consistent_candidates == 2
-        assert outcome.isomorphic_count == 1
-        assert outcome.found.bel_masks(0b01, 0b11) == 0
+        # search reports a (degenerate) hit rather than exhaustion.  A grid
+        # value written twice is one value, so each table is decided once
+        for grid in ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1, 2), F(1)]):
+            outcome = search_min_counterexample(2, grid)
+            assert outcome.hit
+            assert outcome.grid == (F(0), F(1, 2), F(1))
+            assert outcome.consistent_candidates == 2
+            assert outcome.isomorphic_count == 1
+            assert outcome.found.bel_masks(0b01, 0b11) == 0
 
     def test_default_search_reproduces_the_shipped_fixture(self):
         grid = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]

@@ -12,9 +12,8 @@ from coxcheck.conditions import ChainCertificate
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure, save_structure
 from coxcheck.forms import (
-    CombinationConflict,
     CombinationForm,
-    NegationConflict,
+    ExtractionConflict,
     NegationForm,
     extract_combination,
     extract_negation,
@@ -217,8 +216,8 @@ class TestRefutationSearch:
         built from them must not recheck."""
         b = gen_probability(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
         assert decide(b).kind == "witness"
-        forged_a2 = CombinationConflict(
-            args=(0, 0), triple_a=(1, 2, 1), output_a=1, triple_b=(0, 1, 2), output_b=0
+        forged_a2 = ExtractionConflict(
+            args=(0, 0), instance_a=(1, 2, 1), output_a=1, instance_b=(0, 1, 2), output_b=0
         )
         zero, one = ((0, 0), 0, (0, 1, 2)), ((0, 0), 1, (1, 2, 1))
         forged_chain = ChainCertificate((0, 0, 0), zero, zero, zero, one)
@@ -230,9 +229,38 @@ class TestRefutationSearch:
     def test_recheck_rejects_non_canonical_pairs_without_raising(self, pair):
         b = load_structure(fixture_path("a1_conflict.bel"))
         c = refutation_search(b)
-        for field in ("pair_a", "pair_b"):
+        for field in ("instance_a", "instance_b"):
             forged = dataclasses.replace(c.data, **{field: pair})
             assert not RefutationCertificate(c.kind, forged, "forged").recheck(b)
+
+    @staticmethod
+    def one_instance_as(certificate, kind):
+        """`certificate` with its first instance of the other kind relabelled
+        `kind`: a chain triple as a 'sum' or a pair as a 'product'."""
+        instances = list(certificate.data.instances)
+        at = next(i for i, (k, _) in enumerate(instances) if k != kind)
+        instances[at] = (kind, instances[at][1])
+        return dataclasses.replace(certificate, data=OrderConflictData(
+            tuple(instances), certificate.description))
+
+    @pytest.mark.parametrize("name, forge", [
+        ("a2_conflict.bel", lambda c: dataclasses.replace(c, kind="A1-conflict")),
+        ("a1_conflict.bel", lambda c: dataclasses.replace(c, kind="A2-conflict")),
+        ("chain_conflict.bel", lambda c: dataclasses.replace(c, data=dataclasses.replace(
+            c.data, outer_left=(*c.data.outer_left[:2], c.data.outer_left[2][1:])))),
+        ("order_sum_not_one.bel", lambda c: TestRefutationSearch.one_instance_as(c, "sum")),
+        ("order_sum_not_one.bel",
+         lambda c: TestRefutationSearch.one_instance_as(c, "product")),
+    ], ids=["A1-conflict-of-triples", "A2-conflict-of-pairs", "chain-entry-of-a-pair",
+            "sum-of-three-masks", "product-of-two-masks"])
+    def test_recheck_rejects_an_instance_of_the_wrong_arity(self, name, forge):
+        """Every instance is read by one reader, so its arity alone tells an
+        A1 pair from an A2 triple: canonical masks of the other arity must
+        not recheck, and must not raise."""
+        b = load_structure(fixture_path(name))
+        cert = refutation_search(b)
+        assert cert.recheck(b)
+        assert not forge(cert).recheck(b)
 
     def test_order_conflict_instances_rederive(self):
         b = load_structure(fixture_path("order_conflict.bel"))
@@ -291,8 +319,8 @@ def reference_engine_inputs(structure):
 def assert_engine_matches_reference(structure):
     negation = extract_negation(structure)
     combination = extract_combination(structure)
-    if isinstance(negation, NegationConflict) or isinstance(
-        combination, CombinationConflict
+    if isinstance(negation, ExtractionConflict) or isinstance(
+        combination, ExtractionConflict
     ):
         return False  # refutation_search stops before building the engine
     engine = _RatioEngine.from_extraction(structure)

@@ -106,9 +106,9 @@ class TestForgedCertificates:
         assert certificate.kind == "A1-conflict" and certificate.recheck(structure)
         conflict = certificate.data
         # ({b}|{a b}) holds 3/5, not the shared value 1/2
-        other = RefutationCertificate("A1-conflict", replace(conflict, pair_b=(0b010, 0b011)),
+        other = RefutationCertificate("A1-conflict", replace(conflict, instance_b=(0b010, 0b011)),
                                       certificate.description)
-        assert structure.bel_masks(0b010, 0b011) != conflict.value
+        assert (structure.bel_masks(0b010, 0b011),) != conflict.args
         assert not other.recheck(structure)
 
     def test_an_unknown_kind(self):
