@@ -113,6 +113,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
+def order_instances(cert) -> list:
+    """An order conflict's instances as mask lists, from either format: the
+    masks themselves, or the former ('sum' | 'product', masks) pairs under
+    `cert.data`, whose tag a mask's arity gives."""
+    if hasattr(cert, "data"):
+        return [list(masks) for _, masks in cert.data.instances]
+    return [list(masks) for masks in cert.instances]
+
+
 def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
     """Worker: run every job against the coxcheck package under `src`."""
     sys.path.insert(0, src)
@@ -157,7 +166,7 @@ def run_jobs(src: str, jobs_path: str, out_path: str) -> None:
                 # a fresh structure, so the recheck shares nothing with decide
                 "recheck": cert.recheck(load_structure(job["argv"][1])),
                 "instances": (
-                    cert.data.instances if cert.kind == "order-conflict" else None
+                    order_instances(cert) if cert.kind == "order-conflict" else None
                 ),
             }
         if job.get("verdict_only") and "report" in result:

@@ -9,7 +9,6 @@ honest Unknown.
 
 from .conditions import (
     AuditReport,
-    ChainCertificate,
     DensityProbe,
     TripleSearchResult,
     audit,

@@ -40,7 +40,6 @@ from .forms import (
     extract_combination,
     extract_negation,
     f_at,
-    instance,
     negation_ranks,
     ranked_monotonicity,
     row_chunks,
@@ -682,55 +681,13 @@ def par5_family(family, grid_resolution: int, epsilon: Fraction) -> FamilyDensit
 
 
 @dataclass(frozen=True)
-class ChainCertificate:
-    """Composite associativity failure over the extracted combination table.
-
-    Four table entries (each an A2 chain instance with its witness triple)
-    force F(x,F(y,z)) ≠ F(F(x,y),z) at attained arguments.  Entries are
-    ((x, y), value, (b_mask, a_mask, u_mask)).
-    """
-
-    args: tuple[Fraction, Fraction, Fraction]  # (x, y, z)
-    inner_right: tuple  # (y,z) -> p
-    inner_left: tuple  # (x,y) -> q
-    outer_left: tuple  # (x,p) -> r
-    outer_right: tuple  # (q,z) -> s
-
-    @property
-    def sides(self) -> tuple[Fraction, Fraction]:
-        return self.outer_left[1], self.outer_right[1]
-
-    def entries(self):
-        return (self.inner_right, self.inner_left, self.outer_left, self.outer_right)
-
-    def recheck(self, structure: BeliefStructure) -> bool:
-        """Re-derive all four entries from the structure in exact arithmetic,
-        each read back through `forms.instance`; a triple that is not a
-        chain triple of the structure rejects it."""
-        x, y, z = self.args
-        p, q = self.inner_right[1], self.inner_left[1]
-        r, s = self.sides
-        wanted = ((y, z), (x, y), (x, p), (q, z))
-        return r != s and all(
-            args == want and instance(structure, masks) == (args, value)
-            for (args, value, masks), want in zip(self.entries(), wanted))
-
-    def describe(self, domain) -> str:
-        x, y, z = self.args
-        r, s = self.sides
-        return (
-            f"F({x},F({y},{z})) = {r} but F(F({x},{y}),{z}) = {s} "
-            f"over attained entries"
-        )
-
-
-@dataclass(frozen=True)
 class ChainConsistencyReport:
     status: str  # 'pass' | 'fail' | 'untestable'
     vacuous: bool
     instances: int
     nontrivial: int
-    certificate: ChainCertificate | None = None
+    # the chain triples of (y,z)→p, (x,y)→q, (x,p)→r and (q,z)→s, with r ≠ s
+    certificate: tuple | None = None
     detail: str = ""
 
     @property
@@ -840,15 +797,11 @@ def chain_consistency(structure: BeliefStructure) -> ChainConsistencyReport:
     instances, nontrivial, failure = associativity_join(f.keys, f.outs, width, endpoints)
     if failure is not None:
         x, y, z, p, q = failure
-        # inner_right, inner_left, outer_left, outer_right
-        args = ((y, z), (x, y), (x, p), (q, z))
-        found = f.entries([a * width + b for a, b in args])
-        entries = (((values[a], values[b]), values[out], witness)
-                   for (a, b), (out, witness) in zip(args, found))
-        certificate = ChainCertificate((values[x], values[y], values[z]), *entries)
+        found = f.entries([a * width + b for a, b in ((y, z), (x, y), (x, p), (q, z))])
+        x, y, z, r, s = (values[t] for t in (x, y, z, found[2][0], found[3][0]))
         return ChainConsistencyReport(
-            "fail", False, instances, nontrivial, certificate,
-            certificate.describe(structure.domain),
+            "fail", False, instances, nontrivial, tuple(masks for _, masks in found),
+            f"F({x},F({y},{z})) = {r} but F(F({x},{y}),{z}) = {s} over attained entries",
         )
     return ChainConsistencyReport(
         "pass",

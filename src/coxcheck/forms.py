@@ -143,11 +143,12 @@ def instance(structure: BeliefStructure, masks):
     """The A1 or A2 instance at `masks`, read off the structure:
     ((Bel(V|U),), Bel(U∖V|U)) for a canonical pair (v, u) with V ⊆ U ≠ ∅,
     ((Bel(B|A), Bel(A|U)), Bel(B|U)) for a chain triple (b, a, u) with
-    B ⊆ A ⊆ U and A ≠ ∅, and None for any other masks.  Every certificate
-    recheck reads its instances through it, so a mask outside the domain or
-    out of order rejects the certificate before the structure is read."""
+    B ⊆ A ⊆ U and A ≠ ∅, and None for any other masks or for anything but
+    a tuple or list of ints.  Every certificate recheck reads its instances
+    through it, so a mask outside the domain or out of order rejects the
+    certificate before the structure is read."""
     full = structure.domain.full_mask
-    if not (len(masks) in (2, 3)
+    if not (isinstance(masks, (tuple, list)) and len(masks) in (2, 3)
             and all(isinstance(m, int) and 0 <= m <= full for m in masks)
             and masks[1] != 0
             and all(inner & ~outer == 0 for inner, outer in zip(masks, masks[1:]))):

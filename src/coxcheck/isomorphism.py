@@ -39,7 +39,6 @@ from .core import (
 )
 from .conditions import chain_consistency
 from .forms import (
-    ExtractionConflict,
     combination_ranks,
     extract_combination,
     extract_negation,
@@ -62,44 +61,38 @@ def __getattr__(name):
 
 
 @dataclass(frozen=True)
-class OrderConflictData:
-    """A contradictory set of forced-ratio constraint instances.
-
-    Instances are ('product', (b,a,u)) and ('sum', (v,u)) tuples of event
-    masks; seeds (forced zeros/ones, bounds, the value order) are re-derived
-    from the structure during recheck.
-    """
-
-    instances: tuple
-    description: str
-
-
-@dataclass(frozen=True)
 class RefutationCertificate:
+    """A refutation as its kind, its instances and its description.  An
+    instance is the masks of a canonical pair (v, u) or of a chain triple
+    (b, a, u); no belief value is stored."""
+
     kind: str  # 'A1-conflict' | 'A2-conflict' | 'chain-associativity' | 'order-conflict'
-    data: object
+    instances: tuple
     description: str
 
     def recheck(self, structure: BeliefStructure) -> bool:
         """Re-validate from scratch, in exact arithmetic, from the structure.
 
-        Each pair or triple is read back through `forms.instance`: one that
-        is not a canonical pair or chain triple of the structure, or of the
-        kind's arity, rejects the certificate.
+        Every instance is read back through `forms.instance`: one that is
+        not a canonical pair or chain triple of the structure rejects the
+        certificate, and the kind's rule is checked on the values read.
         """
-        arity = {"A1-conflict": 1, "A2-conflict": 2}.get(self.kind)
-        if arity is not None:
-            c: ExtractionConflict = self.data
-            # equal arguments force equal ratios: for A1 the complements,
-            # for A2 the products, then share a ratio, which a strictly
-            # increasing g forbids for distinct values
-            return (len(c.args) == arity and c.output_a != c.output_b
-                    and instance(structure, c.instance_a) == (c.args, c.output_a)
-                    and instance(structure, c.instance_b) == (c.args, c.output_b))
-        if self.kind == "chain-associativity":
-            return self.data.recheck(structure)
+        read = [instance(structure, masks) for masks in self.instances]
+        if None in read:
+            return False
         if self.kind == "order-conflict":
-            return _recheck_order_conflict(self.data, structure)
+            return _recheck_order_conflict(structure, self.instances, read)
+        arity = {"A1-conflict": 1, "A2-conflict": 2}.get(self.kind)
+        if arity is not None and len(read) == 2:
+            # two instances of equal arguments: these force equal ratios,
+            # for A1 of the complements and for A2 of the products, which a
+            # strictly increasing g forbids for unequal outputs
+            (args_a, out_a), (args_b, out_b) = read
+            return len(args_a) == arity and args_a == args_b and out_a != out_b
+        if self.kind == "chain-associativity" and [len(a) for a, _ in read] == [2] * 4:
+            # the F entries (y,z)→p, (x,y)→q, (x,p)→r and (q,z)→s, with r ≠ s
+            ((y, z), p), ((x, y_left), q), (outer_left, r), (outer_right, s) = read
+            return y == y_left and outer_left == (x, p) and outer_right == (q, z) and r != s
         return False
 
     def to_dict(self) -> dict:
@@ -435,25 +428,20 @@ class _RatioEngine:
         return self
 
 
-def _recheck_order_conflict(data: OrderConflictData, structure: BeliefStructure) -> bool:
-    """Re-run the engine on the certificate's own instances, read back
-    through `forms.instance`.
-
-    Any instance that is not a canonical pair ('sum') or chain triple
-    ('product') of the structure rejects the certificate.
-    """
-    arity = {"sum": 1, "product": 2}
-    read = [(kind, masks, instance(structure, masks)) for kind, masks in data.instances]
-    if any(at is None or len(at[0]) != arity.get(kind) for kind, _, at in read):
-        return False
+def _recheck_order_conflict(structure: BeliefStructure, instances, read) -> bool:
+    """Re-run the engine on an order conflict's own instances, `read`
+    through `forms.instance`: a pair is a sum rule, a chain triple a
+    product rule."""
     values = negation_ranks(structure).values
     sums: dict[tuple, tuple] = {}
     products: dict[tuple, tuple] = {}
-    # canonical order is ascending reversed masks: (u, v) and (u, a, b); a
-    # rule's witness is its place in the certificate, which nothing reads
-    for kind, _, (args, out) in sorted(read, key=lambda i: (i[0], i[1][::-1])):
+    # products first, each kind in canonical order, which is ascending
+    # reversed masks; a rule's witness is its place in the certificate,
+    # which nothing reads
+    for _, (args, out) in sorted(zip(instances, read),
+                                 key=lambda i: (len(i[0]) == 2, tuple(i[0][::-1]))):
         out, *args = (bisect.bisect_left(values, x) for x in (out, *args))
-        if kind == "sum":
+        if len(args) == 1:
             (x,) = args
             sums.setdefault((min(x, out), max(x, out)), (x, out, len(sums)))
         else:
@@ -490,7 +478,8 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
         if ranks(structure).clash is not None:
             conflict = extract(structure)
             return RefutationCertificate(
-                kind, conflict, conflict.describe(structure.domain) + why)
+                kind, (conflict.instance_a, conflict.instance_b),
+                conflict.describe(structure.domain) + why)
     chain_report = chain_consistency(structure)
     if chain_report.status == "fail":
         return RefutationCertificate(
@@ -501,13 +490,13 @@ def refutation_search(structure: BeliefStructure) -> RefutationCertificate | Non
     contradiction = engine.contradiction
     if contradiction is not None:
         ranked = {"sum": negation_ranks(structure), "product": combination_ranks(structure)}
-        instances = tuple(sorted(
+        tagged = sorted(
             (kind, ranked[kind].masks(w)[0])
             for kind, w in engine.support(contradiction.rules, contradiction.premises)
             if kind in ranked
-        ))
-        data = OrderConflictData(instances, contradiction.description)
-        return RefutationCertificate("order-conflict", data, contradiction.description)
+        )
+        return RefutationCertificate("order-conflict", tuple(m for _, m in tagged),
+                                     contradiction.description)
     return None
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +65,23 @@ def golden_ratio_structure():
     assert len(levels) == 7
     table = {vu: Fraction(levels.index(k), 6) for vu, k in keys.items()}
     return BeliefStructure.from_table(Domain(("a", "b", "c")), table)
+
+
+@functools.cache
+def refuted_fixtures() -> tuple:
+    """(name, structure, certificate) of every fixture that
+    `refutation_search` refutes, by name."""
+    from coxcheck.files import load_structure
+    from coxcheck.isomorphism import refutation_search
+
+    refuted = []
+    for path in sorted(FIXTURES.glob("*.bel")):
+        if not path.name.startswith("bad_parse"):
+            structure = load_structure(path)
+            certificate = refutation_search(structure)
+            if certificate is not None:
+                refuted.append((path.name, structure, certificate))
+    return tuple(refuted)
 
 
 def engine_rules(structure, engine):

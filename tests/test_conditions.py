@@ -25,7 +25,7 @@ from coxcheck.conditions import (
 from coxcheck.cli import main
 from coxcheck.core import LIMITS, BeliefDomainError, BeliefStructure, Domain, Event
 from coxcheck.files import load_structure, save_structure
-from coxcheck.forms import Verdict
+from coxcheck.forms import Verdict, instance
 from coxcheck.generators import (
     affine_rescale,
     build_family,
@@ -34,6 +34,7 @@ from coxcheck.generators import (
     gen_distorted,
     gen_probability,
 )
+from coxcheck.isomorphism import RefutationCertificate
 
 from conftest import FIXTURES, complement_table, fixture_path, merges, seeded_probability
 
@@ -599,15 +600,14 @@ class TestChainConsistency:
         b = load_structure(fixture_path("chain_conflict.bel"))
         report = chain_consistency(b)
         assert report.status == "fail"
-        cert = report.certificate
-        assert cert.sides[0] != cert.sides[1]
-        assert cert.recheck(b)
+        (_, r), (_, s) = (instance(b, masks) for masks in report.certificate[2:])
+        assert r != s
+        assert chain_certificate(b).recheck(b)
 
     def test_certificate_recheck_rejects_other_structures(self):
         b = load_structure(fixture_path("chain_conflict.bel"))
         other = gen_probability(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
-        cert = chain_consistency(b).certificate
-        assert not cert.recheck(other)
+        assert not chain_certificate(b).recheck(other)
 
     def test_extraction_conflict_reported_untestable(self):
         report = chain_consistency(load_structure(fixture_path("a2_conflict.bel")))
@@ -907,23 +907,36 @@ class TestGuardsAndForgeries:
         with pytest.raises(ValueError, match=f"^{message}$"):
             audit(None, theorem, **inputs)
 
+    @staticmethod
+    def another_triple(structure, masks, keep):
+        """The first chain triple of `structure` whose (args, output) differs
+        from that of `masks` but agrees with it where `keep` says."""
+        want = instance(structure, masks)
+        return next(t for t in structure.canonical_triple_masks()
+                    if (got := instance(structure, t)) != want and keep(got, want))
+
     @pytest.mark.parametrize("forge", [
-        # the entry's second argument is not the structure's
-        lambda c: dataclasses.replace(c, inner_right=((F(2, 7), F(3, 7)), *c.inner_right[1:])),
-        # the entry's output is not the structure's
-        lambda c: dataclasses.replace(c, inner_right=(c.inner_right[0], F(2, 7),
-                                                      c.inner_right[2])),
-        # y and z exchanged: the inner entries no longer read (y, z) and (x, y)
-        lambda c: dataclasses.replace(c, args=(c.args[0], c.args[2], c.args[1])),
-        # the outer sides exchanged
-        lambda c: dataclasses.replace(c, outer_left=c.outer_right, outer_right=c.outer_left),
+        # the inner right entry's triple replaced by one of other arguments
+        lambda s, c: (TestGuardsAndForgeries.another_triple(
+            s, c[0], lambda got, want: got[0] != want[0]), *c[1:]),
+        # the outer left entry's triple replaced by one of the same x and
+        # another output
+        lambda s, c: (*c[:2], TestGuardsAndForgeries.another_triple(
+            s, c[2], lambda got, want: got[0][0] == want[0][0] and got[1] != want[1]), c[3]),
+        # the inner triples exchanged: they no longer read (y, z) and (x, y)
+        lambda s, c: (c[1], c[0], *c[2:]),
+        # the outer triples exchanged
+        lambda s, c: (*c[:2], c[3], c[2]),
     ], ids=["moved-argument", "moved-output", "inner-mislabelled", "outer-mislabelled"])
     def test_a_forged_chain_certificate(self, forge):
         structure = load_structure(FIXTURES / "chain_conflict.bel")
-        certificate = chain_consistency(structure).certificate
+        certificate = chain_certificate(structure)
         assert certificate.recheck(structure)
-        assert certificate.args == (F(3, 7), F(2, 7), F(4, 7))
-        assert not forge(certificate).recheck(structure)
+        ((y, z), _), ((x, _), _) = (instance(structure, m) for m in certificate.instances[:2])
+        assert (x, y, z) == (F(3, 7), F(2, 7), F(4, 7))
+        forged = dataclasses.replace(
+            certificate, instances=forge(structure, certificate.instances))
+        assert not forged.recheck(structure)
 
     def test_a_non_commutative_combination(self):
         structure = complement_table(("1/4", "1/4", "1/3"), ("1/4", "1/4", "1/3"))
@@ -931,3 +944,9 @@ class TestGuardsAndForgeries:
         assert verdicts["combination-commutative"].status == "fail"
         assert verdicts["combination-commutative"].witness == (
             "F(2/3, 3/4) = 1/3 but F(3/4, 2/3) = 1/4")
+
+
+def chain_certificate(structure) -> RefutationCertificate:
+    """The chain-associativity certificate of `chain_consistency`'s failure."""
+    report = chain_consistency(structure)
+    return RefutationCertificate("chain-associativity", report.certificate, report.detail)

@@ -49,7 +49,9 @@ def _decide_record(path: Path) -> dict:
         record["description"] = cert.description
         record["recheck"] = cert.recheck(structure)
         if cert.kind == "order-conflict":
-            record["instances"] = [[k, list(m)] for k, m in cert.data.instances]
+            # a pair is a sum rule and a chain triple a product rule
+            record["instances"] = [["sum" if len(m) == 2 else "product", list(m)]
+                                   for m in cert.instances]
     if verdict.witness is not None:
         payload = verdict.to_dict()
         record["exact"] = payload["exact"]

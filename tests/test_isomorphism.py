@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from coxcheck import core, isomorphism
 from coxcheck.cli import main
-from coxcheck.conditions import ChainCertificate
 from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure, save_structure
 from coxcheck.forms import (
@@ -17,11 +16,11 @@ from coxcheck.forms import (
     NegationForm,
     extract_combination,
     extract_negation,
+    instance,
 )
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
 from coxcheck.isomorphism import (
     DecisionParams,
-    OrderConflictData,
     RefutationCertificate,
     _RatioEngine,
     decide,
@@ -37,6 +36,7 @@ from conftest import (
     fixture_path,
     golden_ratio_structure,
     merged_probability,
+    refuted_fixtures,
     relabelled_probability,
 )
 
@@ -162,6 +162,18 @@ class TestRescaling:
             rescaling_from_witness(b, [F(1, 2), F(1, 2)])
 
 
+#: what may stand in place of an instance: ints, None, strings, floats,
+#: nested tuples, and tuples and lists of negative, huge or any ints, of
+#: any length
+MALFORMED = st.one_of(
+    st.integers(), st.none(), st.text(max_size=4), st.floats(),
+    st.tuples(st.tuples(st.integers(0, 7)), st.integers(0, 7)),
+    st.lists(st.one_of(st.integers(-3, 40), st.integers(1 << 62, 1 << 80),
+                       st.integers(max_value=-1)), max_size=5).map(tuple),
+    st.lists(st.one_of(st.integers(0, 7), st.none(), st.floats(), st.text(max_size=1),
+                       st.tuples(st.integers(0, 7))), max_size=4),
+)
+
 CERT_FIXTURES = [
     ("a1_conflict.bel", "A1-conflict"),
     ("a2_conflict.bel", "A2-conflict"),
@@ -200,14 +212,13 @@ class TestRefutationSearch:
         cert = refutation_search(b)
         full = b.domain.full_mask
         for bad in [
-            ("product", (0b011, 0b001, full)),  # B not inside A
-            ("product", (0, 0, full)),  # A empty
-            ("sum", (0b10, 0b01)),  # V not inside U
-            ("sum", (0, full + 1)),  # outside the domain
-            ("ratio", (0, full)),  # unknown kind
+            (0b011, 0b001, full),  # B not inside A
+            (0, 0, full),  # A empty
+            (0b10, 0b01),  # V not inside U
+            (0, full + 1),  # outside the domain
         ]:
-            data = OrderConflictData(cert.data.instances + (bad,), cert.description)
-            forged = RefutationCertificate("order-conflict", data, cert.description)
+            forged = RefutationCertificate("order-conflict", cert.instances + (bad,),
+                                           cert.description)
             assert not forged.recheck(b), bad
 
     def test_recheck_rejects_forged_non_chain_triples(self):
@@ -216,43 +227,42 @@ class TestRefutationSearch:
         built from them must not recheck."""
         b = gen_probability(Domain(("a", "b", "c")), [F(1, 6), F(1, 3), F(1, 2)])
         assert decide(b).kind == "witness"
-        forged_a2 = ExtractionConflict(
-            args=(0, 0), instance_a=(1, 2, 1), output_a=1, instance_b=(0, 1, 2), output_b=0
-        )
-        zero, one = ((0, 0), 0, (0, 1, 2)), ((0, 0), 1, (1, 2, 1))
-        forged_chain = ChainCertificate((0, 0, 0), zero, zero, zero, one)
-        for kind, data in [("A2-conflict", forged_a2),
-                           ("chain-associativity", forged_chain)]:
-            assert not RefutationCertificate(kind, data, "forged").recheck(b), kind
+        zero, one = (0, 1, 2), (1, 2, 1)
+        for kind, instances in [("A2-conflict", (one, zero)),
+                                ("chain-associativity", (zero, zero, zero, one))]:
+            assert not RefutationCertificate(kind, instances, "forged").recheck(b), kind
 
-    @pytest.mark.parametrize("pair", [(0, 0), (0, 0b1000)])
+    @pytest.mark.parametrize("pair", [
+        (0, 0), (0, 0b1000), 5, None, "ab", 1.5, (1.0, 3), ((1, 3), 7), (1, (3,), 7),
+        (-1, 3), (1 << 80, 3), (1,), (1, 3, 7, 7), (), [1, None],
+    ])
     def test_recheck_rejects_non_canonical_pairs_without_raising(self, pair):
         b = load_structure(fixture_path("a1_conflict.bel"))
         c = refutation_search(b)
-        for field in ("instance_a", "instance_b"):
-            forged = dataclasses.replace(c.data, **{field: pair})
-            assert not RefutationCertificate(c.kind, forged, "forged").recheck(b)
+        assert instance(b, pair) is None
+        for at in range(2):
+            forged = list(c.instances)
+            forged[at] = pair
+            assert not RefutationCertificate(c.kind, tuple(forged), "forged").recheck(b)
 
-    @staticmethod
-    def one_instance_as(certificate, kind):
-        """`certificate` with its first instance of the other kind relabelled
-        `kind`: a chain triple as a 'sum' or a pair as a 'product'."""
-        instances = list(certificate.data.instances)
-        at = next(i for i, (k, _) in enumerate(instances) if k != kind)
-        instances[at] = (kind, instances[at][1])
-        return dataclasses.replace(certificate, data=OrderConflictData(
-            tuple(instances), certificate.description))
+    @pytest.mark.parametrize("name", [name for name, _, _ in refuted_fixtures()])
+    @given(data=st.data())
+    def test_recheck_of_a_malformed_instance_returns_a_bool(self, name, data):
+        """Masks will be read from a report: whatever stands in place of an
+        instance, `recheck` answers, and does not raise."""
+        _, structure, certificate = next(r for r in refuted_fixtures() if r[0] == name)
+        at = data.draw(st.integers(0, len(certificate.instances) - 1))
+        instances = list(certificate.instances)
+        instances[at] = data.draw(MALFORMED)
+        forged = dataclasses.replace(certificate, instances=tuple(instances))
+        assert isinstance(forged.recheck(structure), bool)
 
     @pytest.mark.parametrize("name, forge", [
         ("a2_conflict.bel", lambda c: dataclasses.replace(c, kind="A1-conflict")),
         ("a1_conflict.bel", lambda c: dataclasses.replace(c, kind="A2-conflict")),
-        ("chain_conflict.bel", lambda c: dataclasses.replace(c, data=dataclasses.replace(
-            c.data, outer_left=(*c.data.outer_left[:2], c.data.outer_left[2][1:])))),
-        ("order_sum_not_one.bel", lambda c: TestRefutationSearch.one_instance_as(c, "sum")),
-        ("order_sum_not_one.bel",
-         lambda c: TestRefutationSearch.one_instance_as(c, "product")),
-    ], ids=["A1-conflict-of-triples", "A2-conflict-of-pairs", "chain-entry-of-a-pair",
-            "sum-of-three-masks", "product-of-two-masks"])
+        ("chain_conflict.bel", lambda c: dataclasses.replace(c, instances=(
+            *c.instances[:2], c.instances[2][1:], c.instances[3]))),
+    ], ids=["A1-conflict-of-triples", "A2-conflict-of-pairs", "chain-entry-of-a-pair"])
     def test_recheck_rejects_an_instance_of_the_wrong_arity(self, name, forge):
         """Every instance is read by one reader, so its arity alone tells an
         A1 pair from an A2 triple: canonical masks of the other arity must
@@ -266,9 +276,9 @@ class TestRefutationSearch:
         b = load_structure(fixture_path("order_conflict.bel"))
         cert = refutation_search(b)
         assert cert.kind == "order-conflict"
-        assert cert.data.instances  # nonempty, serializable witnesses
-        for kind, masks in cert.data.instances:
-            assert kind in ("sum", "product")
+        assert cert.instances  # nonempty, serializable witnesses
+        for masks in cert.instances:
+            assert instance(b, masks) is not None
 
 
 def reference_instances(structure):

@@ -31,9 +31,9 @@ from coxcheck.core import (
     rank_values, stable_order, submask_table,
 )
 from coxcheck.files import load_structure
-from coxcheck.forms import combination_ranks, extract_negation, negation_ranks
+from coxcheck.forms import combination_ranks, extract_negation, instance, negation_ranks
 from coxcheck.generators import build_family, coin_family
-from coxcheck.isomorphism import _Contradiction, _RatioEngine
+from coxcheck.isomorphism import RefutationCertificate, _Contradiction, _RatioEngine
 
 from conftest import FIXTURES, engine_rules
 
@@ -249,10 +249,11 @@ def assert_kernels_match(structure):
     assert (report.status == "fail") == (failure is not None)
     if failure is not None:
         x, y, z, p, q = failure
-        assert report.certificate.args == (values[x], values[y], values[z])
-        assert report.certificate.inner_right[1] == values[p]
-        assert report.certificate.inner_left[1] == values[q]
-        assert report.certificate.recheck(structure)
+        inner_right, inner_left = (instance(structure, m) for m in report.certificate[:2])
+        assert inner_right == ((values[y], values[z]), values[p])
+        assert inner_left == ((values[x], values[y]), values[q])
+        assert RefutationCertificate("chain-associativity", report.certificate,
+                                     report.detail).recheck(structure)
     return report
 
 

@@ -5,22 +5,27 @@ written as the table `serialize_structure` gives it are one structure, so a
 theorem-4 audit of the family prints and reports the same either way.  So
 does a weight file against its table under every single-structure command.
 Relabelling every value by an increasing affine map, bounds included, keeps
-every hypothesis status.
+every hypothesis status.  A refutation certificate, which holds masks only,
+rechecks on a strictly increasing relabelling of its structure, and with
+its masks moved on the structure with its atoms reversed.
 """
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from coxcheck.cli import main
 from coxcheck.conditions import audit, bel_level_negation, chain_consistency, check_bounds
-from coxcheck.core import Domain
+from coxcheck.core import BeliefStructure, Domain
 from coxcheck.files import load_structure, parse_structure, serialize_structure
 from coxcheck.generators import affine_rescale, gen_distorted, gen_probability
+from coxcheck.isomorphism import refutation_search
 
-from conftest import FIXTURES
+from conftest import FIXTURES, merges, refuted_fixtures
 
 
 def audit_family(family, options, report, capsys):
@@ -108,3 +113,60 @@ def rescale_inputs():
 def test_an_affine_relabelling_keeps_every_status(scale, offset):
     for structure in rescale_inputs():
         assert statuses(affine_rescale(structure, scale, offset)) == statuses(structure)
+
+
+def squared(structure):
+    """v ↦ e + (v − e)²/(E − e): strictly increasing on [e, E], which it keeps."""
+    e, big_e = structure.bounds
+    return structure.map_values(lambda v: e + (v - e) ** 2 / (big_e - e),
+                                bounds=structure.bounds)
+
+
+def atoms_reversed(structure):
+    """The copy with atom i moved to place n − 1 − i, and its map of masks."""
+    n = structure.domain.size
+
+    def moved(mask):
+        return int(f"{mask:0{n}b}"[::-1], 2)
+
+    table = {(moved(v), moved(u)): x for v, u, x in structure.items()}
+    return BeliefStructure.from_table(structure.domain, table, structure.bounds), moved
+
+
+def merge_certificates():
+    """The certificates of the 3- and 4-atom merges that `refutation_search`
+    refutes, with their structures."""
+    for n, seeds in ((3, 40), (4, 12)):
+        for seed in range(seeds):
+            for _, _, structure in merges(n, seed):
+                certificate = refutation_search(structure)
+                if certificate is not None:
+                    yield structure, certificate
+
+
+def assert_maps_through_the_transforms(structure, certificate):
+    assert certificate.recheck(structure)
+    for copy in (squared(structure), affine_rescale(structure, 2, 1)):
+        assert certificate.recheck(copy), certificate.kind
+    copy, moved = atoms_reversed(structure)
+    instances = tuple(tuple(moved(m) for m in masks) for masks in certificate.instances)
+    assert replace(certificate, instances=instances).recheck(copy), certificate.kind
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in refuted_fixtures()])
+def test_a_fixture_certificate_maps_through_the_transforms(name):
+    """A certificate holds masks only, so it rechecks on every strictly
+    increasing relabelling of its structure, and with its masks permuted on
+    every atom permutation of it."""
+    _, structure, certificate = next(r for r in refuted_fixtures() if r[0] == name)
+    assert_maps_through_the_transforms(structure, certificate)
+
+
+def test_a_merge_certificate_maps_through_the_transforms():
+    kinds = Counter()
+    for structure, certificate in merge_certificates():
+        assert_maps_through_the_transforms(structure, certificate)
+        kinds[certificate.kind] += 1
+    # 356 order conflicts, 54 A1, 25 A2 and 2 chain conflicts
+    assert set(kinds) == {"A1-conflict", "A2-conflict", "chain-associativity",
+                          "order-conflict"}

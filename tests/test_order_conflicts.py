@@ -6,15 +6,12 @@ by a fixture, and its certificate forged two ways.
 pins their verdicts too.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from coxcheck.cli import main
 from coxcheck.files import load_structure
-from coxcheck.forms import combination_ranks, negation_ranks
+from coxcheck.forms import combination_ranks, instance, negation_ranks
 from coxcheck.isomorphism import (
-    OrderConflictData,
     RefutationCertificate,
     _Contradiction,
     _fixpoint,
@@ -67,8 +64,7 @@ def test_fixtures_are_the_recipes(name, build):
 
 
 def forged(certificate, instances) -> RefutationCertificate:
-    data = OrderConflictData(tuple(instances), certificate.description)
-    return RefutationCertificate("order-conflict", data, certificate.description)
+    return RefutationCertificate("order-conflict", tuple(instances), certificate.description)
 
 
 class TestForgedCertificates:
@@ -76,9 +72,9 @@ class TestForgedCertificates:
     def test_an_instance_moved_to_a_non_canonical_mask(self, name):
         structure = load_structure(FIXTURES / name)
         certificate = refutation_search(structure)
-        for at, (kind, masks) in enumerate(certificate.data.instances):
-            moved = list(certificate.data.instances)
-            moved[at] = (kind, (masks[0], 0, *masks[2:]))  # an empty second event
+        for at, masks in enumerate(certificate.instances):
+            moved = list(certificate.instances)
+            moved[at] = (masks[0], 0, *masks[2:])  # an empty second event
             assert not forged(certificate, moved).recheck(structure)
 
     @pytest.mark.parametrize("name", NEW_FIXTURES)
@@ -95,26 +91,26 @@ class TestForgedCertificates:
         clash = engine.contradiction
         rules = clash.rules or (engine._basis[clash.premises[-1]][0],)
         ranked = {"sum": negation_ranks(structure), "product": combination_ranks(structure)}
-        raising = {(kind, ranked[kind].masks(w)[0]) for kind, w in rules}
-        assert raising <= set(certificate.data.instances)
-        kept = [i for i in certificate.data.instances if i not in raising]
+        raising = {ranked[kind].masks(w)[0] for kind, w in rules}
+        assert raising <= set(certificate.instances)
+        kept = [i for i in certificate.instances if i not in raising]
         assert forged(certificate, kept).recheck(structure) is (name in SEEDED)
 
     def test_an_a1_certificate_whose_second_pair_holds_another_value(self):
         structure = load_structure(FIXTURES / "a1_conflict.bel")
         certificate = refutation_search(structure)
         assert certificate.kind == "A1-conflict" and certificate.recheck(structure)
-        conflict = certificate.data
         # ({b}|{a b}) holds 3/5, not the shared value 1/2
-        other = RefutationCertificate("A1-conflict", replace(conflict, instance_b=(0b010, 0b011)),
+        other = RefutationCertificate("A1-conflict", (certificate.instances[0], (0b010, 0b011)),
                                       certificate.description)
-        assert (structure.bel_masks(0b010, 0b011),) != conflict.args
+        args = instance(structure, certificate.instances[0])[0]
+        assert (structure.bel_masks(0b010, 0b011),) != args
         assert not other.recheck(structure)
 
     def test_an_unknown_kind(self):
         structure = load_structure(FIXTURES / "order_conflict.bel")
         certificate = refutation_search(structure)
-        other = RefutationCertificate("sum-conflict", certificate.data, certificate.description)
+        other = RefutationCertificate("sum-conflict", certificate.instances, certificate.description)
         assert not other.recheck(structure)
 
 
